@@ -4,8 +4,9 @@
 //! numbers: packet ser/de (with the object-reuse fast path), LZ4 and
 //! entropy estimation (the §III-B5 compression decision), output-buffer
 //! filling (§III-B1), partitioner routing (§III-A6), watermark queue
-//! operations (§III-B4), frame encode/decode, and the statistics kernels
-//! used by the evaluation harness.
+//! operations (§III-B4), frame encode/decode, the three CRC-32 kernels the
+//! frame checksum can run on, and the statistics kernels used by the
+//! evaluation harness.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use neptune_compress::{compress, decompress, shannon_entropy, SelectiveCompressor};
@@ -14,7 +15,8 @@ use neptune_core::partition::{Partitioner, PartitioningScheme};
 use neptune_core::pool::PacketPool;
 use neptune_core::{FieldValue, StreamPacket};
 use neptune_net::buffer::{OutputBuffer, PushOutcome};
-use neptune_net::frame::{decode_frame, decode_frame_shared, encode_frame};
+use neptune_net::crc;
+use neptune_net::frame::{decode_frame, decode_frame_shared, encode_frame, encode_frame_into};
 use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use neptune_stats::{tukey_hsd, welch_t_test, Tail};
 use std::hint::black_box;
@@ -235,6 +237,47 @@ fn bench_frame_decode(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    // ns/byte of each kernel at a control-frame, a packet and a batch
+    // size. `hw` is absent on CPUs without carry-less multiply.
+    let mut group = c.benchmark_group("crc32");
+    for (label, len) in [("64B", 64usize), ("10KB", 10 << 10), ("1MB", 1 << 20)] {
+        let data = high_entropy_block(len);
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("{label}/reference"), |b| {
+            b.iter(|| black_box(crc::reference(!0, black_box(&data))))
+        });
+        group.bench_function(format!("{label}/portable"), |b| {
+            b.iter(|| black_box(crc::portable(!0, black_box(&data))))
+        });
+        if crc::hardware(!0, &[]).is_some() {
+            group.bench_function(format!("{label}/hw"), |b| {
+                b.iter(|| black_box(crc::hardware(!0, black_box(&data))))
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_frame_encode_into(c: &mut Criterion) {
+    // The send side of a TCP hop for one full 1 MB batch: header, tag,
+    // body copy and CRC into a wire buffer that is reused, as the
+    // sender's recycled buffers are.
+    let mut group = c.benchmark_group("frame_encode_into");
+    let batch = high_entropy_block(1 << 20);
+    let raw = SelectiveCompressor::disabled();
+    let mut wire = Vec::new();
+    group.throughput(Throughput::Bytes(batch.len() as u64));
+    group.bench_function("1MB", |b| {
+        b.iter(|| {
+            wire.clear();
+            encode_frame_into(&mut wire, 1, 0, 100, black_box(&batch), &raw, 0, None, None);
+            black_box(wire.len());
+        })
+    });
+    group.finish();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let mut group = c.benchmark_group("stats");
     let a: Vec<f64> = (0..50).map(|i| 10.0 + (i as f64 * 0.37).sin()).collect();
@@ -261,6 +304,6 @@ criterion_group! {
     config = configured();
     targets = bench_codec, bench_compression, bench_pool, bench_output_buffer,
               bench_partitioners, bench_watermark_queue, bench_framing,
-              bench_frame_decode, bench_stats
+              bench_frame_decode, bench_frame_encode_into, bench_crc32, bench_stats
 }
 criterion_main!(benches);

@@ -20,6 +20,35 @@ pub fn shannon_entropy(data: &[u8]) -> f64 {
     entropy_of_counts(&counts, data.len() as u64)
 }
 
+/// Bytes the §III-B5 decision looks at, at most: enough for a stable
+/// 256-bin histogram, small enough that deciding about a 1 MB batch costs
+/// what deciding about a 64 KB one does.
+pub const DECISION_SAMPLE_BYTES: usize = 64 << 10;
+/// Granule of the decision's sample above [`DECISION_SAMPLE_BYTES`].
+const SAMPLE_BLOCK: usize = 256;
+
+/// The entropy estimate the compression decision uses: exact (it *is*
+/// [`shannon_entropy`]) up to [`DECISION_SAMPLE_BYTES`]; above that, the
+/// entropy of 256 evenly spaced 256-byte blocks — first block at the
+/// start, last block at the end — totalling [`DECISION_SAMPLE_BYTES`].
+/// Deterministic in `data`, so sender-side decisions repeat run to run.
+pub fn sampled_entropy(data: &[u8]) -> f64 {
+    if data.len() <= DECISION_SAMPLE_BYTES {
+        return shannon_entropy(data);
+    }
+    const BLOCKS: u64 = (DECISION_SAMPLE_BYTES / SAMPLE_BLOCK) as u64;
+    let last_start = (data.len() - SAMPLE_BLOCK) as u64;
+    let mut counts = [0u64; 256];
+    for block in 0..BLOCKS {
+        // 64-bit product: `block * last_start` passes 2^32 from 16 MB up.
+        let start = (block * last_start / (BLOCKS - 1)) as usize;
+        for &b in &data[start..start + SAMPLE_BLOCK] {
+            counts[b as usize] += 1;
+        }
+    }
+    entropy_of_counts(&counts, DECISION_SAMPLE_BYTES as u64)
+}
+
 fn entropy_of_counts(counts: &[u64; 256], total: u64) -> f64 {
     if total == 0 {
         return 0.0;
@@ -141,6 +170,32 @@ mod tests {
         est.update(&[9u8; 10]);
         assert_eq!(est.entropy(), 0.0);
         assert_eq!(est.total_bytes(), 10);
+    }
+
+    #[test]
+    fn sampled_entropy_is_exact_up_to_the_sample_size() {
+        for len in [0, 1, 255, 4096, DECISION_SAMPLE_BYTES - 1, DECISION_SAMPLE_BYTES] {
+            let data: Vec<u8> = (0..len).map(|i| ((i * 7 + i / 13) % 251) as u8).collect();
+            assert_eq!(sampled_entropy(&data), shannon_entropy(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sampled_entropy_tracks_the_exact_value_on_large_inputs() {
+        // (Constant and two-symbol batches: `tests/prop_lz4.rs`.)
+        let mut state = 0x9E37_79B9u64;
+        let random: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as u8
+            })
+            .collect();
+        assert!((sampled_entropy(&random) - shannon_entropy(&random)).abs() < 0.01);
+        // Just past the threshold the blocks still tile without overlap
+        // and reach the final byte.
+        let mut edge = vec![0u8; DECISION_SAMPLE_BYTES + 1];
+        *edge.last_mut().unwrap() = 1;
+        assert!(sampled_entropy(&edge) > 0.0, "last block must cover the last byte");
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub mod entropy;
 pub mod lz4;
 pub mod selective;
 
-pub use entropy::{shannon_entropy, EntropyEstimator};
-pub use lz4::{compress, compress_into, decompress, decompress_into, max_compressed_len, Lz4Error};
-pub use selective::{CompressionDecision, FramedPayload, SelectiveCompressor, TAG_LZ4, TAG_RAW};
+pub use entropy::{sampled_entropy, shannon_entropy, EntropyEstimator, DECISION_SAMPLE_BYTES};
+pub use lz4::{
+    compress, compress_into, decompress, decompress_exact, decompress_into, max_compressed_len,
+    Lz4Error,
+};
+pub use selective::{
+    CompressionDecision, FramedPayload, Payload, SelectiveCompressor, TAG_LZ4, TAG_RAW,
+};

@@ -196,20 +196,45 @@ fn emit_final_literals(input: &[u8], anchor: usize, out: &mut Vec<u8>) {
 /// Decompress a block into a freshly allocated vector. `decompressed_len`
 /// must be the exact original length (NEPTUNE's frame header carries it).
 pub fn decompress(block: &[u8], decompressed_len: usize) -> Result<Vec<u8>, Lz4Error> {
-    let mut out = Vec::with_capacity(decompressed_len);
+    let mut out = Vec::new();
     decompress_into(block, decompressed_len, &mut out)?;
     Ok(out)
 }
 
+/// Most bytes a `block_len`-byte block can decode to: the densest
+/// encoding is a match-length continuation byte, worth 255 output bytes.
+/// A declared length beyond this cannot be met, so callers refuse it
+/// *before* sizing an output buffer for it.
+pub fn max_decompressed_len(block_len: usize) -> usize {
+    block_len.saturating_mul(255)
+}
+
 /// Decompress appending to `out` (not cleared). Fails if the block does not
-/// decode to exactly `decompressed_len` bytes.
+/// decode to exactly `decompressed_len` bytes; `out` is then left as it was.
 pub fn decompress_into(
     block: &[u8],
     decompressed_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), Lz4Error> {
+    let bound = max_decompressed_len(block.len());
+    if decompressed_len > bound {
+        return Err(Lz4Error::OutputOverflow { needed: bound, available: decompressed_len });
+    }
     let start = out.len();
-    let limit = start + decompressed_len;
+    out.resize(start + decompressed_len, 0);
+    let decoded = decompress_exact(block, &mut out[start..]);
+    if decoded.is_err() {
+        out.truncate(start);
+    }
+    decoded
+}
+
+/// Decompress straight into caller-provided storage — the receive path's
+/// pooled batch buffer. Fails unless the block decodes to exactly
+/// `out.len()` bytes; on failure `out` holds unspecified bytes.
+pub fn decompress_exact(block: &[u8], out: &mut [u8]) -> Result<(), Lz4Error> {
+    let limit = out.len();
+    let mut o = 0usize; // output cursor
     let mut i = 0usize;
 
     loop {
@@ -221,16 +246,14 @@ pub fn decompress_into(
         if lit_len == 15 {
             lit_len += read_length(block, &mut i)?;
         }
-        if i + lit_len > block.len() {
+        if lit_len > block.len() - i {
             return Err(Lz4Error::TruncatedInput);
         }
-        if out.len() + lit_len > limit {
-            return Err(Lz4Error::OutputOverflow {
-                needed: out.len() + lit_len - start,
-                available: decompressed_len,
-            });
+        if lit_len > limit - o {
+            return Err(Lz4Error::OutputOverflow { needed: o + lit_len, available: limit });
         }
-        out.extend_from_slice(&block[i..i + lit_len]);
+        out[o..o + lit_len].copy_from_slice(&block[i..i + lit_len]);
+        o += lit_len;
         i += lit_len;
 
         // Final sequence: literals only, input exhausted.
@@ -244,34 +267,31 @@ pub fn decompress_into(
         }
         let offset = u16::from_le_bytes([block[i], block[i + 1]]) as usize;
         i += 2;
-        let produced = out.len() - start;
-        if offset == 0 || offset > produced {
-            return Err(Lz4Error::InvalidOffset { offset, position: produced });
+        if offset == 0 || offset > o {
+            return Err(Lz4Error::InvalidOffset { offset, position: o });
         }
         let mut match_len = (token & 0x0F) as usize;
         if match_len == 15 {
             match_len += read_length(block, &mut i)?;
         }
         match_len += MIN_MATCH;
-        if out.len() + match_len > limit {
-            return Err(Lz4Error::OutputOverflow {
-                needed: out.len() + match_len - start,
-                available: decompressed_len,
-            });
+        if match_len > limit - o {
+            return Err(Lz4Error::OutputOverflow { needed: o + match_len, available: limit });
         }
-        // Byte-by-byte copy handles overlapping matches (offset < match_len),
-        // which is how LZ4 encodes runs.
-        for src in out.len() - offset..out.len() - offset + match_len {
-            let b = out[src];
-            out.push(b);
+        if offset >= match_len {
+            out.copy_within(o - offset..o - offset + match_len, o);
+        } else {
+            // Overlapping match (how LZ4 encodes runs): each byte may read
+            // one this same copy just wrote, so it goes byte by byte.
+            for at in o..o + match_len {
+                out[at] = out[at - offset];
+            }
         }
+        o += match_len;
     }
 
-    if out.len() != limit {
-        return Err(Lz4Error::OutputOverflow {
-            needed: out.len() - start,
-            available: decompressed_len,
-        });
+    if o != limit {
+        return Err(Lz4Error::OutputOverflow { needed: o, available: limit });
     }
     Ok(())
 }
@@ -383,7 +403,7 @@ mod tests {
         let mut data = Vec::new();
         let mut v: i32 = 500;
         for t in 0..2000 {
-            v += (t % 7) as i32 - 3;
+            v += (t % 7) - 3;
             data.extend_from_slice(&(t as u64).to_le_bytes());
             data.extend_from_slice(&v.to_le_bytes());
             data.extend_from_slice(&[0u8; 4]); // padding fields

@@ -13,8 +13,13 @@
 //! entropy is less than a configurable threshold"*. The paper also notes the
 //! decision should be made *per stream*: [`SelectiveCompressor`] is cheap to
 //! construct, so the runtime holds one per link with that link's threshold.
+//!
+//! The entropy the decision compares is [`sampled_entropy`]: exact for
+//! payloads up to 64 KiB, a fixed 64 KiB evenly spaced sample above that —
+//! a 1 MB batch the policy then declines to compress should not pay a full
+//! extra pass for the privilege.
 
-use crate::entropy::shannon_entropy;
+use crate::entropy::sampled_entropy;
 use crate::lz4;
 
 /// Frame tag: body is uncompressed.
@@ -61,6 +66,21 @@ impl FramedPayload {
     pub fn wire_len(&self) -> usize {
         self.payload.len()
     }
+}
+
+/// A frame with its tag parsed off, borrowed: what a decoder that brings
+/// its own output storage needs (see [`SelectiveCompressor::split`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload<'a> {
+    /// The payload itself, verbatim.
+    Raw(&'a [u8]),
+    /// An LZ4 block that decodes to exactly `original_len` bytes.
+    Lz4 {
+        /// Length to decompress to.
+        original_len: usize,
+        /// The compressed block.
+        block: &'a [u8],
+    },
 }
 
 /// Errors from decoding a selective-compression frame.
@@ -145,7 +165,7 @@ impl SelectiveCompressor {
             out.extend_from_slice(payload);
             return CompressionDecision::Raw { entropy: f64::NAN };
         }
-        let entropy = shannon_entropy(payload);
+        let entropy = sampled_entropy(payload);
         // `always()` uses threshold 8.0; a uniform-random payload has
         // entropy exactly 8.0, so treat the max threshold as inclusive.
         let should = entropy < self.threshold_bits_per_byte
@@ -179,18 +199,37 @@ impl SelectiveCompressor {
 
     /// Decode appending into a reusable buffer.
     pub fn decode_into(frame: &[u8], out: &mut Vec<u8>) -> Result<(), DecodeError> {
-        let (&tag, body) = frame.split_first().ok_or(DecodeError::Empty)?;
-        match tag {
-            TAG_RAW => {
+        match Self::split(frame)? {
+            Payload::Raw(body) => {
                 out.extend_from_slice(body);
                 Ok(())
             }
+            Payload::Lz4 { original_len, block } => {
+                lz4::decompress_into(block, original_len, out).map_err(DecodeError::Lz4)
+            }
+        }
+    }
+
+    /// Parse the tag (and, for LZ4, the length word) off a frame without
+    /// decoding it. A declared length no block of that size could decode
+    /// to is refused here, so callers may size storage from the result.
+    pub fn split(frame: &[u8]) -> Result<Payload<'_>, DecodeError> {
+        let (&tag, body) = frame.split_first().ok_or(DecodeError::Empty)?;
+        match tag {
+            TAG_RAW => Ok(Payload::Raw(body)),
             TAG_LZ4 => {
-                if body.len() < 4 {
+                let Some((len, block)) = body.split_first_chunk::<4>() else {
                     return Err(DecodeError::Truncated);
+                };
+                let original_len = u32::from_le_bytes(*len) as usize;
+                let bound = lz4::max_decompressed_len(block.len());
+                if original_len > bound {
+                    return Err(DecodeError::Lz4(lz4::Lz4Error::OutputOverflow {
+                        needed: bound,
+                        available: original_len,
+                    }));
                 }
-                let len = u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
-                lz4::decompress_into(&body[4..], len, out).map_err(DecodeError::Lz4)
+                Ok(Payload::Lz4 { original_len, block })
             }
             other => Err(DecodeError::UnknownTag(other)),
         }

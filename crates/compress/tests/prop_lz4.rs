@@ -7,9 +7,13 @@
 //! 3. selective framing round-trips under every policy.
 //! 4. the decompressor never panics on arbitrary (possibly corrupt) input —
 //!    it either errors or returns bytes, but must stay memory-safe.
+//! 5. the compression decision's sampled entropy *is* the exact entropy up
+//!    to the sample size, and decides identically beyond it on inputs whose
+//!    exact entropy is known in closed form.
 
 use neptune_compress::{
-    compress, decompress, max_compressed_len, shannon_entropy, SelectiveCompressor,
+    compress, decompress, decompress_exact, max_compressed_len, sampled_entropy, shannon_entropy,
+    CompressionDecision, SelectiveCompressor, DECISION_SAMPLE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -81,6 +85,55 @@ proptest! {
     ) {
         // Must not panic; any Result is acceptable.
         let _ = decompress(&block, declared_len);
+        let mut out = vec![0u8; declared_len];
+        let _ = decompress_exact(&block, &mut out);
+    }
+
+    #[test]
+    fn decision_entropy_is_exact_up_to_the_sample_size(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        repeat in 1usize..16,
+        threshold in 0.0f64..=8.0,
+    ) {
+        // Up to 64 KiB of tiled data: still under the sample size.
+        let data = data.repeat(repeat);
+        prop_assert!(data.len() <= DECISION_SAMPLE_BYTES);
+        let exact = shannon_entropy(&data);
+        prop_assert_eq!(sampled_entropy(&data), exact);
+        match SelectiveCompressor::new(threshold).encode(&data).decision {
+            CompressionDecision::Raw { entropy } => {
+                prop_assert_eq!(entropy, exact);
+                prop_assert!(exact >= threshold);
+            }
+            CompressionDecision::Compressed { entropy, .. }
+            | CompressionDecision::Incompressible { entropy } => {
+                prop_assert_eq!(entropy, exact);
+                prop_assert!(exact < threshold || (threshold >= 8.0 && !data.is_empty()));
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_decision_matches_exact_on_constant_and_two_symbol_batches(
+        a in any::<u8>(),
+        b in any::<u8>(),
+        len in (DECISION_SAMPLE_BYTES + 1)..(1usize << 20),
+        threshold in 0.0f64..=8.0,
+    ) {
+        let constant = vec![a; len];
+        prop_assert_eq!(sampled_entropy(&constant), 0.0);
+        // Strict alternation: every 256-byte sample block holds each
+        // symbol 128 times, so the sample sees exactly 1 bit (or 0 when
+        // the two symbols coincide) — as does the full scan of an even
+        // length, and to within 1e-4 of an odd one.
+        let two: Vec<u8> = (0..len).map(|i| if i % 2 == 0 { a } else { b }).collect();
+        let (exact, sampled) = (shannon_entropy(&two), sampled_entropy(&two));
+        prop_assert!((exact - sampled).abs() < 1e-4, "exact {}, sampled {}", exact, sampled);
+        // Same side of the threshold, unless the threshold sits inside
+        // that 1e-4 sliver.
+        if (exact - threshold).abs() > 1e-4 {
+            prop_assert_eq!(sampled < threshold, exact < threshold);
+        }
     }
 
     #[test]

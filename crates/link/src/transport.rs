@@ -19,7 +19,8 @@
 //!   the refcounted `Bytes` batch the output buffer flushed is the same
 //!   storage the receiving task reads messages from.
 //! * [`TcpFrameLink`] — instances on different resources; the batch is
-//!   encoded with [`encode_frame_raw_traced`] and carried by a
+//!   encoded with [`encode_frame_into`] — straight into a wire buffer the
+//!   sender has finished writing an earlier frame from — and carried by a
 //!   [`TcpSender`], which fronts *both* the blocking-writer path and the
 //!   epoll-reactor path (the two TCP flavours share one wire format).
 //! * [`crate::chaos::ChaosLink`] — interposes scripted fault injection on
@@ -28,8 +29,7 @@
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
 use neptune_net::frame::{
-    encode_control_frame, encode_frame_raw_traced, ControlKind, Frame, FrameMessages,
-    FRAME_HEADER_LEN,
+    encode_control_frame, encode_frame_into, ControlKind, Frame, FrameMessages, FRAME_HEADER_LEN,
 };
 use neptune_net::tcp::TcpSender;
 use neptune_net::transport::TransportError;
@@ -222,7 +222,9 @@ impl TcpFrameLink {
 
 impl FrameLink for TcpFrameLink {
     fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
-        let wire = encode_frame_raw_traced(
+        let mut wire = self.sender.wire_buffer();
+        encode_frame_into(
+            &mut wire,
             frame.link_id,
             frame.base_seq,
             frame.count,

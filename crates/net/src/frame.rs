@@ -20,10 +20,11 @@
 //! nothing per message, and the batch buffer can be returned to a
 //! [`crate::pool::BytesPool`] once the frame is consumed.
 //!
-//! The CRC32 (IEEE 802.3 polynomial, implemented from scratch with a
-//! lazily-built lookup table) covers the body; the paper's correctness goal
-//! — *"our proposed solution should not result in dropped or corrupted
-//! stream packets"* — is checked, not assumed.
+//! The CRC32 (IEEE 802.3 polynomial, see [`crate::crc`]) covers the body;
+//! the paper's correctness goal — *"our proposed solution should not
+//! result in dropped or corrupted stream packets"* — is checked, not
+//! assumed. It is computed where the bytes already are: once over the
+//! finished body on encode, chunk by chunk as the body arrives on decode.
 //!
 //! ## Header extensions
 //!
@@ -56,11 +57,11 @@
 //! Frames with no extension bits decode exactly as before, so the
 //! formats interoperate in both directions.
 
+use crate::crc::{crc32, Crc32};
 use crate::pool::BytesPool;
 use bytes::{Bytes, BytesMut};
-use neptune_compress::{SelectiveCompressor, TAG_RAW};
+use neptune_compress::{lz4, Payload, SelectiveCompressor};
 use std::io::Read;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Frame magic: `"NEPT"` little-endian.
@@ -458,54 +459,84 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
+/// Offset of the `body_len | crc32` pair within the fixed header.
+const BODY_LEN_AT: usize = FRAME_HEADER_LEN - 8;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+/// Append the fixed header and the extension words `exts` carries — flags
+/// derived from which are present, words in ascending bit order. The one
+/// header writer behind every encoder. `body_len | crc32` are written as
+/// zeros: already right for a bodyless frame (the CRC of nothing is 0),
+/// patched by [`encode_frame_into`] once the body has landed.
+fn write_header(out: &mut Vec<u8>, link_id: u64, base_seq: u64, count: u32, exts: &Extensions) {
+    let words = [
+        (FLAG_SENT_AT, (exts.sent_at_micros != 0).then_some(exts.sent_at_micros)),
+        (FLAG_SEQ, exts.seq),
+        (FLAG_CONTROL, exts.control_word),
+        (FLAG_TRACE, exts.trace),
+    ];
+    let flags = words.iter().filter(|(_, w)| w.is_some()).fold(0u8, |f, (bit, _)| f | bit);
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(flags);
+    out.extend_from_slice(&link_id.to_le_bytes());
+    out.extend_from_slice(&base_seq.to_le_bytes());
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN - BODY_LEN_AT]);
+    for word in words.into_iter().filter_map(|(_, w)| w) {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    c ^ 0xFFFF_FFFF
 }
 
-/// Encode a batch of messages into one frame, applying the link's selective
-/// compression policy to the body.
+/// The encoder: append one frame to `out`, built in place — header and
+/// extensions, then the selective-compression framing of `raw` written
+/// (or LZ4-compressed) straight into `out` behind them, then the CRC of
+/// what landed patched into the header. No intermediate body buffer, and
+/// no allocation at all when `out` is a recycled wire buffer with room
+/// (see [`crate::tcp::TcpSender::wire_buffer`]).
+///
+/// `raw` is the length-prefixed concatenation an output buffer flushes
+/// ([`crate::buffer::FlushedBatch`]). A non-zero `sent_at_micros` (sender
+/// wall clock, µs) sets [`FLAG_SENT_AT`], `frame_seq` sets [`FLAG_SEQ`],
+/// `trace` sets [`FLAG_TRACE`]; with none of them the layout is the
+/// extension-less legacy one.
+#[allow(clippy::too_many_arguments)]
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    link_id: u64,
+    base_seq: u64,
+    count: u32,
+    raw: &[u8],
+    compressor: &SelectiveCompressor,
+    sent_at_micros: u64,
+    frame_seq: Option<u64>,
+    trace: Option<u64>,
+) {
+    let exts = Extensions { sent_at_micros, seq: frame_seq, control_word: None, trace };
+    let start = out.len();
+    out.reserve(FRAME_HEADER_LEN + MAX_EXT_LEN + 1 + raw.len());
+    write_header(out, link_id, base_seq, count, &exts);
+    let body_at = out.len();
+    compressor.encode_into(raw, out);
+    let body = &out[body_at..];
+    let body_len = u32::try_from(body.len()).expect("frame body under 4 GiB");
+    let crc = crc32(body);
+    let patch = &mut out[start + BODY_LEN_AT..start + FRAME_HEADER_LEN];
+    patch[..4].copy_from_slice(&body_len.to_le_bytes());
+    patch[4..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Encode a batch of discrete messages into one frame (tests, control
+/// protocol): the messages are length-prefixed into a scratch batch first.
 pub fn encode_frame(
     link_id: u64,
     base_seq: u64,
     messages: &[impl AsRef<[u8]>],
     compressor: &SelectiveCompressor,
 ) -> Vec<u8> {
-    // Concatenate length-prefixed messages.
-    let raw_len: usize = messages.iter().map(|m| 4 + m.as_ref().len()).sum();
-    let mut raw = Vec::with_capacity(raw_len);
-    for m in messages {
-        let m = m.as_ref();
-        raw.extend_from_slice(&(m.len() as u32).to_le_bytes());
-        raw.extend_from_slice(m);
-    }
+    let raw = FrameMessages::from_messages(messages).into_batch();
     encode_frame_raw(link_id, base_seq, messages.len() as u32, &raw, compressor)
 }
 
-/// Encode a frame whose body is already the length-prefixed concatenation
-/// produced by an output buffer — the zero-copy flush path: a flushed
-/// [`crate::buffer::FlushedBatch`] goes straight to the wire without
-/// re-splitting into messages.
+/// [`encode_frame_into`] a fresh vector, no extensions.
 pub fn encode_frame_raw(
     link_id: u64,
     base_seq: u64,
@@ -513,29 +544,10 @@ pub fn encode_frame_raw(
     raw: &[u8],
     compressor: &SelectiveCompressor,
 ) -> Vec<u8> {
-    encode_frame_raw_at(link_id, base_seq, count, raw, compressor, 0)
+    encode_frame_raw_traced(link_id, base_seq, count, raw, compressor, 0, None, None)
 }
 
-/// [`encode_frame_raw`] plus a sender wall-clock stamp (µs since the Unix
-/// epoch). A non-zero stamp sets [`FLAG_SENT_AT`] and appends the 8-byte
-/// extension after the header; zero produces the exact legacy layout.
-pub fn encode_frame_raw_at(
-    link_id: u64,
-    base_seq: u64,
-    count: u32,
-    raw: &[u8],
-    compressor: &SelectiveCompressor,
-    sent_at_micros: u64,
-) -> Vec<u8> {
-    encode_frame_raw_ext(link_id, base_seq, count, raw, compressor, sent_at_micros, None)
-}
-
-/// [`encode_frame_raw_at`] plus an optional per-link frame sequence
-/// number. `Some(seq)` sets [`FLAG_SEQ`] and appends the 8-byte extension
-/// (after the sent-at word, in bit order) — the HA layer's ack/replay
-/// identity for the frame. `None` with a zero stamp produces the exact
-/// legacy layout.
-#[allow(clippy::too_many_arguments)]
+/// [`encode_frame_into`] a fresh vector, untraced.
 pub fn encode_frame_raw_ext(
     link_id: u64,
     base_seq: u64,
@@ -557,10 +569,7 @@ pub fn encode_frame_raw_ext(
     )
 }
 
-/// The fully general encoder: [`encode_frame_raw_ext`] plus an optional
-/// causal trace id. `Some(id)` sets [`FLAG_TRACE`] and appends the 8-byte
-/// extension (last in bit order). With no stamp, no seq, and no trace the
-/// output is the exact legacy layout.
+/// [`encode_frame_into`] a fresh vector.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_frame_raw_traced(
     link_id: u64,
@@ -572,36 +581,18 @@ pub fn encode_frame_raw_traced(
     frame_seq: Option<u64>,
     trace: Option<u64>,
 ) -> Vec<u8> {
-    let framed = compressor.encode(raw);
-    let body = framed.payload;
-    let mut flags = 0u8;
-    if sent_at_micros != 0 {
-        flags |= FLAG_SENT_AT;
-    }
-    if frame_seq.is_some() {
-        flags |= FLAG_SEQ;
-    }
-    if trace.is_some() {
-        flags |= FLAG_TRACE;
-    }
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + ext_len(flags) + body.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(flags);
-    out.extend_from_slice(&link_id.to_le_bytes());
-    out.extend_from_slice(&base_seq.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    if sent_at_micros != 0 {
-        out.extend_from_slice(&sent_at_micros.to_le_bytes());
-    }
-    if let Some(seq) = frame_seq {
-        out.extend_from_slice(&seq.to_le_bytes());
-    }
-    if let Some(id) = trace {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-    out.extend_from_slice(&body);
+    let mut out = Vec::new();
+    encode_frame_into(
+        &mut out,
+        link_id,
+        base_seq,
+        count,
+        raw,
+        compressor,
+        sent_at_micros,
+        frame_seq,
+        trace,
+    );
     out
 }
 
@@ -609,46 +600,58 @@ pub fn encode_frame_raw_traced(
 /// rides in the `base_seq` header field: the ack watermark for
 /// [`ControlKind::Ack`], a liveness nonce for [`ControlKind::Heartbeat`].
 pub fn encode_control_frame(link_id: u64, kind: ControlKind, value: u64) -> Vec<u8> {
+    let exts = Extensions { control_word: Some(kind.word()), ..Extensions::default() };
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 8);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(FLAG_CONTROL);
-    out.extend_from_slice(&link_id.to_le_bytes());
-    out.extend_from_slice(&value.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // count
-    out.extend_from_slice(&0u32.to_le_bytes()); // body_len
-    out.extend_from_slice(&crc32(b"").to_le_bytes());
-    out.extend_from_slice(&kind.word().to_le_bytes());
+    write_header(&mut out, link_id, value, 0, &exts);
     out
 }
 
-fn parse_header(
-    header: &[u8; FRAME_HEADER_LEN],
-) -> Result<(u8, u64, u64, u32, usize, u32), FrameError> {
+/// The fixed header, parsed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
+    flags: u8,
+    link_id: u64,
+    base_seq: u64,
+    count: u32,
+    body_len: usize,
+    crc: u32,
+}
+
+impl Header {
+    /// Byte length of the header extensions selected by `flags`: every set
+    /// bit in [`EXT_FLAG_MASK`] contributes a fixed 8-byte word, so
+    /// decoders can skip extensions they do not understand.
+    fn ext_len(&self) -> usize {
+        (self.flags & EXT_FLAG_MASK).count_ones() as usize * 8
+    }
+
+    /// Total bytes the frame occupies on the wire.
+    fn wire_len(&self) -> usize {
+        FRAME_HEADER_LEN + self.ext_len() + self.body_len
+    }
+}
+
+fn parse_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<Header, FrameError> {
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("slice len"));
     if magic != MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    let flags = header[4];
-    let link_id = u64::from_le_bytes(header[5..13].try_into().expect("slice len"));
-    let base_seq = u64::from_le_bytes(header[13..21].try_into().expect("slice len"));
-    let count = u32::from_le_bytes(header[21..25].try_into().expect("slice len"));
     let body_len = u32::from_le_bytes(header[25..29].try_into().expect("slice len")) as usize;
-    let crc = u32::from_le_bytes(header[29..33].try_into().expect("slice len"));
     if body_len > MAX_BODY_LEN {
         return Err(FrameError::OversizedBody(body_len));
     }
-    Ok((flags, link_id, base_seq, count, body_len, crc))
+    Ok(Header {
+        flags: header[4],
+        link_id: u64::from_le_bytes(header[5..13].try_into().expect("slice len")),
+        base_seq: u64::from_le_bytes(header[13..21].try_into().expect("slice len")),
+        count: u32::from_le_bytes(header[21..25].try_into().expect("slice len")),
+        body_len,
+        crc: u32::from_le_bytes(header[29..33].try_into().expect("slice len")),
+    })
 }
 
-/// Byte length of the header extensions selected by `flags`: every set
-/// bit in [`EXT_FLAG_MASK`] contributes a fixed 8-byte word, so decoders
-/// can skip extensions they do not understand.
-#[inline]
-fn ext_len(flags: u8) -> usize {
-    (flags & EXT_FLAG_MASK).count_ones() as usize * 8
-}
-
-/// Extension words decoded from the area between header and body.
+/// Extension words: what an encoder writes between header and body, and
+/// what a decoder found there.
 #[derive(Debug, Default, Clone, Copy)]
 struct Extensions {
     sent_at_micros: u64,
@@ -659,18 +662,17 @@ struct Extensions {
 
 /// Walk the extension area in ascending bit order, capturing the words
 /// this build understands and skipping the rest. `ext` must be exactly
-/// `ext_len(flags)` bytes.
+/// the header's `ext_len()` bytes.
 fn parse_extensions(flags: u8, ext: &[u8]) -> Extensions {
-    debug_assert_eq!(ext.len(), ext_len(flags));
     let mut out = Extensions::default();
-    let mut off = 0usize;
+    let mut words = ext.chunks_exact(8);
     for bit in 0..u8::BITS as u8 {
         let flag = 1u8 << bit;
         if flag & EXT_FLAG_MASK == 0 || flags & flag == 0 {
             continue;
         }
-        let word = u64::from_le_bytes(ext[off..off + 8].try_into().expect("slice len"));
-        off += 8;
+        let word = words.next().expect("extension area sized from the flags");
+        let word = u64::from_le_bytes(word.try_into().expect("slice len"));
         match flag {
             FLAG_SENT_AT => out.sent_at_micros = word,
             FLAG_SEQ => out.seq = Some(word),
@@ -699,79 +701,92 @@ fn decode_control(exts: &Extensions, body_len: usize) -> Result<Option<ControlKi
     }
 }
 
-/// Split a compression-framed body into message ranges. The hot path — an
-/// uncompressed body — is pure pointer arithmetic over the shared buffer:
-/// no copy, no per-message allocation. Compressed bodies decompress once
-/// into a buffer drawn from `pool` (or a fresh one) and then split the
-/// same way.
-fn decode_body(
-    link_id: u64,
-    base_seq: u64,
-    count: u32,
-    body: Bytes,
-    wire_len: usize,
-    exts: Extensions,
+/// Validate and assemble a frame whose three wire sections are all in hand
+/// — the shared tail of every decode path. `actual` is the CRC computed
+/// over the body; `body` is only asked for once the frame is known to be a
+/// sound data frame, so bodyless control frames never materialize one.
+fn assemble(
+    head: &Header,
+    ext: &[u8],
+    actual: u32,
+    body: impl FnOnce() -> Bytes,
     pool: Option<&BytesPool>,
 ) -> Result<Frame, FrameError> {
-    let Some(&tag) = body.first() else {
-        return Err(FrameError::MalformedBody("empty body".into()));
+    if actual != head.crc {
+        return Err(FrameError::CrcMismatch { expected: head.crc, actual });
+    }
+    let exts = parse_extensions(head.flags, ext);
+    let control = decode_control(&exts, head.body_len)?;
+    let messages = match control {
+        Some(_) => FrameMessages::empty(),
+        None => FrameMessages::parse_prefixed(decode_body(body(), pool)?, Some(head.count))
+            .map_err(FrameError::MalformedBody)?,
     };
-    let raw = if tag == TAG_RAW {
-        body.slice(1..)
-    } else {
-        // LZ4 (or unknown tag, rejected by the decoder): decompress into
-        // pooled storage so even compressed frames reuse batch buffers.
-        let mut scratch = Vec::new();
-        SelectiveCompressor::decode_into(&body, &mut scratch)
-            .map_err(|e| FrameError::MalformedBody(e.to_string()))?;
-        let raw = match pool {
-            Some(p) => {
-                let mut buf = p.checkout(scratch.len());
-                buf.extend_from_slice(&scratch);
-                buf.freeze()
-            }
-            None => Bytes::from(scratch),
-        };
-        // The compressed wire body is spent; reclaim its storage too.
-        if let Some(p) = pool {
-            p.recycle(body);
-        }
-        raw
-    };
-    let messages =
-        FrameMessages::parse_prefixed(raw, Some(count)).map_err(FrameError::MalformedBody)?;
     Ok(Frame {
-        link_id,
-        base_seq,
+        link_id: head.link_id,
+        base_seq: head.base_seq,
         messages,
-        wire_len,
+        wire_len: head.wire_len(),
         sent_at_micros: exts.sent_at_micros,
         received_at: None,
         seq: exts.seq,
-        control: None,
+        control,
         trace: exts.trace,
     })
 }
 
-/// Assemble a bodyless control frame from its parsed pieces.
-fn control_frame(
-    link_id: u64,
-    value: u64,
-    wire_len: usize,
-    exts: Extensions,
-    kind: ControlKind,
-) -> Frame {
-    Frame {
-        link_id,
-        base_seq: value,
-        messages: FrameMessages::empty(),
-        wire_len,
-        sent_at_micros: exts.sent_at_micros,
-        received_at: None,
-        seq: exts.seq,
-        control: Some(kind),
-        trace: exts.trace,
+/// An empty buffer with room for `len` body bytes, pooled when there is a pool.
+fn body_storage(pool: Option<&BytesPool>, len: usize) -> BytesMut {
+    match pool {
+        Some(p) => p.checkout(len),
+        None => BytesMut::with_capacity(len),
     }
+}
+
+/// Strip the selective-compression framing off a wire body, yielding the
+/// length-prefixed batch. The hot path — an uncompressed body — is a
+/// zero-copy slice of the shared buffer. A compressed body decompresses
+/// once, straight into the storage that becomes the frame's batch (drawn
+/// from `pool` when given), and the spent wire body goes back to the pool.
+fn decode_body(body: Bytes, pool: Option<&BytesPool>) -> Result<Bytes, FrameError> {
+    let malformed = |e: &dyn std::fmt::Display| FrameError::MalformedBody(e.to_string());
+    let (original_len, block) =
+        match SelectiveCompressor::split(&body).map_err(|e| malformed(&e))? {
+            Payload::Raw(_) => return Ok(body.slice(1..)),
+            Payload::Lz4 { original_len, block } => (original_len, block),
+        };
+    if original_len > MAX_BODY_LEN {
+        return Err(FrameError::OversizedBody(original_len));
+    }
+    let mut batch = body_storage(pool, original_len);
+    batch.resize(original_len, 0);
+    let decoded = lz4::decompress_exact(block, &mut batch);
+    if let Some(p) = pool {
+        p.recycle(body);
+    }
+    match decoded {
+        Ok(()) => Ok(batch.freeze()),
+        Err(e) => {
+            if let Some(p) = pool {
+                p.recycle_mut(batch);
+            }
+            Err(malformed(&e))
+        }
+    }
+}
+
+/// Parse the header of the frame at the front of `buf` and check the whole
+/// frame is there; returns the header and the offset its body starts at.
+fn locate(buf: &[u8]) -> Result<(Header, usize), FrameError> {
+    let Some(header) = buf.first_chunk::<FRAME_HEADER_LEN>() else {
+        return Err(FrameError::Io("buffer shorter than frame header".into()));
+    };
+    let head = parse_header(header)?;
+    if buf.len() < head.wire_len() {
+        let total = head.wire_len();
+        return Err(FrameError::Io(format!("buffer holds {} of {total} frame bytes", buf.len())));
+    }
+    Ok((head, FRAME_HEADER_LEN + head.ext_len()))
 }
 
 /// Decode one frame from a byte slice; returns the frame and the number of
@@ -779,27 +794,10 @@ fn control_frame(
 /// copied once into a fresh buffer; use [`decode_frame_shared`] to decode
 /// out of an existing refcounted buffer with no copy at all.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::Io("buffer shorter than frame header".into()));
-    }
-    let header: &[u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN].try_into().expect("slice len");
-    let (flags, link_id, base_seq, count, body_len, crc) = parse_header(header)?;
-    let ext = ext_len(flags);
-    let total = FRAME_HEADER_LEN + ext + body_len;
-    if buf.len() < total {
-        return Err(FrameError::Io(format!("buffer holds {} of {total} frame bytes", buf.len())));
-    }
-    let exts = parse_extensions(flags, &buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + ext]);
-    let body = &buf[FRAME_HEADER_LEN + ext..total];
-    let actual = crc32(body);
-    if actual != crc {
-        return Err(FrameError::CrcMismatch { expected: crc, actual });
-    }
-    if let Some(kind) = decode_control(&exts, body_len)? {
-        return Ok((control_frame(link_id, base_seq, total, exts, kind), total));
-    }
-    let frame =
-        decode_body(link_id, base_seq, count, Bytes::copy_from_slice(body), total, exts, None)?;
+    let (head, body_at) = locate(buf)?;
+    let total = head.wire_len();
+    let (ext, body) = (&buf[FRAME_HEADER_LEN..body_at], &buf[body_at..total]);
+    let frame = assemble(&head, ext, crc32(body), || Bytes::copy_from_slice(body), None)?;
     Ok((frame, total))
 }
 
@@ -810,26 +808,10 @@ pub fn decode_frame_shared(
     buf: &Bytes,
     pool: Option<&BytesPool>,
 ) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::Io("buffer shorter than frame header".into()));
-    }
-    let header: &[u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN].try_into().expect("slice len");
-    let (flags, link_id, base_seq, count, body_len, crc) = parse_header(header)?;
-    let ext = ext_len(flags);
-    let total = FRAME_HEADER_LEN + ext + body_len;
-    if buf.len() < total {
-        return Err(FrameError::Io(format!("buffer holds {} of {total} frame bytes", buf.len())));
-    }
-    let exts = parse_extensions(flags, &buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + ext]);
-    let body = buf.slice(FRAME_HEADER_LEN + ext..total);
-    let actual = crc32(&body);
-    if actual != crc {
-        return Err(FrameError::CrcMismatch { expected: crc, actual });
-    }
-    if let Some(kind) = decode_control(&exts, body_len)? {
-        return Ok((control_frame(link_id, base_seq, total, exts, kind), total));
-    }
-    let frame = decode_body(link_id, base_seq, count, body, total, exts, pool)?;
+    let (head, body_at) = locate(buf)?;
+    let total = head.wire_len();
+    let (ext, actual) = (&buf[FRAME_HEADER_LEN..body_at], crc32(&buf[body_at..total]));
+    let frame = assemble(&head, ext, actual, || buf.slice(body_at..total), pool)?;
     Ok((frame, total))
 }
 
@@ -847,36 +829,29 @@ pub fn read_frame_pooled(r: &mut impl Read, pool: &BytesPool) -> Result<Frame, F
     read_frame_inner(r, Some(pool))
 }
 
+/// Most body bytes the blocking reader pulls per read, so the CRC folds
+/// over each piece while it is still in cache.
+const READ_CHUNK: usize = 64 << 10;
+
+/// The blocking reader is the incremental decoder driven with exact-sized
+/// reads: header, then extensions, then the body read in place.
 fn read_frame_inner(r: &mut impl Read, pool: Option<&BytesPool>) -> Result<Frame, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let (flags, link_id, base_seq, count, body_len, crc) = parse_header(&header)?;
-    let mut ext = [0u8; 8 * (EXT_FLAG_MASK.count_ones() as usize)];
-    let ext = &mut ext[..ext_len(flags)];
-    r.read_exact(ext)?;
-    let exts = parse_extensions(flags, ext);
-    let body = match pool {
-        Some(p) => {
-            let mut buf = p.checkout(body_len);
-            buf.resize(body_len, 0);
-            r.read_exact(&mut buf)?;
-            buf.freeze()
-        }
-        None => {
-            let mut buf = vec![0u8; body_len];
-            r.read_exact(&mut buf)?;
-            Bytes::from(buf)
-        }
-    };
-    let actual = crc32(&body);
-    if actual != crc {
-        return Err(FrameError::CrcMismatch { expected: crc, actual });
+    let mut dec = FrameDecoder::new();
+    let mut fixed = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut fixed)?;
+    let mut done = dec.feed(&fixed, pool)?.1;
+    if done.is_none() && dec.stage == DecodeStage::Ext {
+        let ext = &mut fixed[..dec.head.ext_len()];
+        r.read_exact(ext)?;
+        done = dec.feed(ext, pool)?.1;
     }
-    let wire_len = FRAME_HEADER_LEN + ext_len(flags) + body_len;
-    if let Some(kind) = decode_control(&exts, body_len)? {
-        return Ok(control_frame(link_id, base_seq, wire_len, exts, kind));
+    while done.is_none() {
+        let window = dec.body_window();
+        let n = window.len().min(READ_CHUNK);
+        r.read_exact(&mut window[..n])?;
+        done = dec.commit(n, pool)?;
     }
-    decode_body(link_id, base_seq, count, body, wire_len, exts, pool)
+    Ok(done.expect("loop exits on a frame"))
 }
 
 /// Largest possible extension area (every bit in [`EXT_FLAG_MASK`] set).
@@ -892,36 +867,37 @@ enum DecodeStage {
 
 /// Incremental frame decoder for nonblocking sockets.
 ///
-/// [`read_frame`] assumes a blocking reader: it can `read_exact` each wire
-/// section. On the readiness-driven path a socket hands over however many
-/// bytes the kernel has — possibly splitting a frame mid-header, mid-
-/// extension, or mid-body — so the decoder must be resumable at *every*
-/// byte boundary. [`feed`](Self::feed) consumes as much of the input as it
-/// can, returns a completed [`Frame`] as soon as one closes, and parks its
-/// partial state (fixed header/extension scratch plus a body buffer drawn
-/// from the [`BytesPool`]) across `WouldBlock` gaps.
+/// On the readiness-driven path a socket hands over however many bytes the
+/// kernel has — possibly splitting a frame mid-header, mid-extension, or
+/// mid-body — so the decoder is resumable at *every* byte boundary.
+/// [`feed`](Self::feed) consumes as much of the input as it can, returns a
+/// completed [`Frame`] as soon as one closes, and parks its partial state
+/// (fixed header/extension scratch plus a body buffer drawn from the
+/// [`BytesPool`]) across `WouldBlock` gaps. The body CRC is folded over
+/// each piece as it arrives, so closing a frame only compares.
 ///
-/// Semantics are byte-identical to [`read_frame`]: same header validation,
-/// same extension skipping, same CRC check over the body, same pooled
-/// decompression — the two paths share every parsing helper. A decode
-/// error leaves the decoder reset; the transport treats it as fatal for
-/// the connection either way, matching the blocking reader.
+/// A caller that owns the socket can skip the staging copy for large
+/// bodies: read straight into [`body_window`](Self::body_window) and
+/// report the count with [`commit`](Self::commit).
+///
+/// [`read_frame`] is this decoder behind a blocking reader, so the two
+/// receive paths cannot drift. A decode error leaves the decoder on a
+/// frame boundary; the transport treats it as fatal for the connection.
 #[derive(Debug)]
 pub struct FrameDecoder {
     stage: DecodeStage,
-    /// Bytes filled so far in the *current* stage's buffer.
+    /// Bytes received so far of the *current* stage's section.
     filled: usize,
     header: [u8; FRAME_HEADER_LEN],
     ext: [u8; MAX_EXT_LEN],
-    /// Body accumulator; checked out when the extension area completes.
-    body: Option<BytesMut>,
-    // Parsed header fields, valid from the Ext stage onwards.
-    flags: u8,
-    link_id: u64,
-    base_seq: u64,
-    count: u32,
-    body_len: usize,
-    crc: u32,
+    /// The parsed header, valid from the Ext stage onwards.
+    head: Header,
+    /// Body accumulator, checked out when the extension area completes.
+    /// Its length is `filled` while bytes are appended through `feed`, and
+    /// the full body length once `body_window` has zero-extended it.
+    body: BytesMut,
+    /// CRC of the body bytes received so far.
+    crc: Crc32,
 }
 
 impl Default for FrameDecoder {
@@ -938,13 +914,9 @@ impl FrameDecoder {
             filled: 0,
             header: [0u8; FRAME_HEADER_LEN],
             ext: [0u8; MAX_EXT_LEN],
-            body: None,
-            flags: 0,
-            link_id: 0,
-            base_seq: 0,
-            count: 0,
-            body_len: 0,
-            crc: 0,
+            head: Header::default(),
+            body: BytesMut::new(),
+            crc: Crc32::new(),
         }
     }
 
@@ -959,14 +931,14 @@ impl FrameDecoder {
     pub fn reset(&mut self) {
         self.stage = DecodeStage::Header;
         self.filled = 0;
-        self.body = None;
+        self.body = BytesMut::new();
     }
 
     /// Consume bytes from `input`, advancing the partial frame. Returns
     /// how many input bytes were consumed and the frame, if one completed.
     /// Stops after at most one frame so the caller controls delivery
     /// pacing; call again with the unconsumed tail for back-to-back
-    /// frames. Body buffers (and decompression scratch) come from `pool`
+    /// frames. Body buffers (and decompression storage) come from `pool`
     /// when given. On error the decoder is reset; the connection should be
     /// dropped, exactly as after a [`read_frame`] error.
     pub fn feed(
@@ -976,86 +948,104 @@ impl FrameDecoder {
     ) -> Result<(usize, Option<Frame>), FrameError> {
         let mut consumed = 0usize;
         loop {
+            let rest = &input[consumed..];
             match self.stage {
                 DecodeStage::Header => {
-                    let take = (FRAME_HEADER_LEN - self.filled).min(input.len() - consumed);
-                    self.header[self.filled..self.filled + take]
-                        .copy_from_slice(&input[consumed..consumed + take]);
+                    let take = (FRAME_HEADER_LEN - self.filled).min(rest.len());
+                    self.header[self.filled..self.filled + take].copy_from_slice(&rest[..take]);
                     self.filled += take;
                     consumed += take;
                     if self.filled < FRAME_HEADER_LEN {
                         return Ok((consumed, None));
                     }
-                    let (flags, link_id, base_seq, count, body_len, crc) =
-                        match parse_header(&self.header) {
-                            Ok(parsed) => parsed,
-                            Err(e) => {
-                                self.reset();
-                                return Err(e);
-                            }
-                        };
-                    self.flags = flags;
-                    self.link_id = link_id;
-                    self.base_seq = base_seq;
-                    self.count = count;
-                    self.body_len = body_len;
-                    self.crc = crc;
-                    self.stage = DecodeStage::Ext;
                     self.filled = 0;
+                    self.head = parse_header(&self.header)?;
+                    self.stage = DecodeStage::Ext;
                 }
                 DecodeStage::Ext => {
-                    let need = ext_len(self.flags);
-                    let take = (need - self.filled).min(input.len() - consumed);
-                    self.ext[self.filled..self.filled + take]
-                        .copy_from_slice(&input[consumed..consumed + take]);
+                    let need = self.head.ext_len();
+                    let take = (need - self.filled).min(rest.len());
+                    self.ext[self.filled..self.filled + take].copy_from_slice(&rest[..take]);
                     self.filled += take;
                     consumed += take;
                     if self.filled < need {
                         return Ok((consumed, None));
                     }
-                    self.body = Some(match pool {
-                        Some(p) => p.checkout(self.body_len),
-                        None => BytesMut::with_capacity(self.body_len),
-                    });
-                    self.stage = DecodeStage::Body;
                     self.filled = 0;
+                    self.crc = Crc32::new();
+                    if self.head.body_len == 0 {
+                        // Control frames: nothing to buffer, so nothing to
+                        // check out of (and leak from) the pool.
+                        return self.finish(pool).map(|frame| (consumed, Some(frame)));
+                    }
+                    self.body = body_storage(pool, self.head.body_len);
+                    self.stage = DecodeStage::Body;
                 }
                 DecodeStage::Body => {
-                    let body = self.body.as_mut().expect("body buffer present in Body stage");
-                    let take = (self.body_len - body.len()).min(input.len() - consumed);
-                    body.extend_from_slice(&input[consumed..consumed + take]);
+                    let take = (self.head.body_len - self.filled).min(rest.len());
+                    if self.body.len() > self.filled {
+                        self.body[self.filled..self.filled + take].copy_from_slice(&rest[..take]);
+                    } else {
+                        self.body.extend_from_slice(&rest[..take]);
+                    }
                     consumed += take;
-                    if body.len() < self.body_len {
-                        return Ok((consumed, None));
-                    }
-                    let body = self.body.take().expect("body buffer present").freeze();
-                    self.stage = DecodeStage::Header;
-                    self.filled = 0;
-                    match self.finish(body, pool) {
-                        Ok(frame) => return Ok((consumed, Some(frame))),
-                        Err(e) => {
-                            self.reset();
-                            return Err(e);
-                        }
-                    }
+                    return self.commit(take, pool).map(|frame| (consumed, frame));
                 }
             }
         }
     }
 
-    /// Validate and assemble a frame whose three wire sections are all
-    /// buffered — the shared tail of every decode path.
-    fn finish(&self, body: Bytes, pool: Option<&BytesPool>) -> Result<Frame, FrameError> {
-        let actual = crc32(&body);
-        if actual != self.crc {
-            return Err(FrameError::CrcMismatch { expected: self.crc, actual });
+    /// Body bytes still to arrive; 0 outside a body.
+    pub fn body_remaining(&self) -> usize {
+        match self.stage {
+            DecodeStage::Body => self.head.body_len - self.filled,
+            _ => 0,
         }
-        let exts = parse_extensions(self.flags, &self.ext[..ext_len(self.flags)]);
-        let wire_len = FRAME_HEADER_LEN + ext_len(self.flags) + self.body_len;
-        if let Some(kind) = decode_control(&exts, self.body_len)? {
-            return Ok(control_frame(self.link_id, self.base_seq, wire_len, exts, kind));
+    }
+
+    /// Mid-body, the not-yet-received remainder of the body buffer: read
+    /// socket bytes straight into its front, then [`commit`](Self::commit)
+    /// the count. Empty outside a body.
+    pub fn body_window(&mut self) -> &mut [u8] {
+        if self.stage != DecodeStage::Body {
+            return &mut [];
         }
-        decode_body(self.link_id, self.base_seq, self.count, body, wire_len, exts, pool)
+        if self.body.len() < self.head.body_len {
+            self.body.resize(self.head.body_len, 0);
+        }
+        &mut self.body[self.filled..]
+    }
+
+    /// Account for `n` body bytes that just landed at the front of
+    /// [`body_window`](Self::body_window): fold them into the CRC and, when
+    /// the body is complete, close the frame. Errors as [`feed`](Self::feed).
+    ///
+    /// Panics if `n` exceeds [`body_remaining`](Self::body_remaining).
+    pub fn commit(
+        &mut self,
+        n: usize,
+        pool: Option<&BytesPool>,
+    ) -> Result<Option<Frame>, FrameError> {
+        assert!(n <= self.body_remaining(), "commit past the end of the body");
+        if self.stage != DecodeStage::Body {
+            return Ok(None);
+        }
+        self.crc.update(&self.body[self.filled..self.filled + n]);
+        self.filled += n;
+        if self.filled < self.head.body_len {
+            return Ok(None);
+        }
+        self.finish(pool).map(Some)
+    }
+
+    /// Close the frame whose last byte just arrived, leaving the decoder
+    /// on the boundary whether or not the frame turns out sound.
+    fn finish(&mut self, pool: Option<&BytesPool>) -> Result<Frame, FrameError> {
+        let body = std::mem::take(&mut self.body);
+        self.stage = DecodeStage::Header;
+        self.filled = 0;
+        let ext = &self.ext[..self.head.ext_len()];
+        assemble(&self.head, ext, self.crc.finalize(), || body.freeze(), pool)
     }
 }
 
@@ -1065,14 +1055,6 @@ mod tests {
 
     fn raw_policy() -> SelectiveCompressor {
         SelectiveCompressor::disabled()
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
     #[test]
@@ -1275,7 +1257,7 @@ mod tests {
             raw.extend_from_slice(m);
         }
         let stamp = 1_722_000_000_000_123u64;
-        let wire = encode_frame_raw_at(3, 50, 2, &raw, &raw_policy(), stamp);
+        let wire = encode_frame_raw_ext(3, 50, 2, &raw, &raw_policy(), stamp, None);
         assert_eq!(wire[4], FLAG_SENT_AT);
 
         let (f, used) = decode_frame(&wire).unwrap();
@@ -1302,7 +1284,7 @@ mod tests {
             let mut raw = Vec::new();
             raw.extend_from_slice(&(msgs[0].len() as u32).to_le_bytes());
             raw.extend_from_slice(&msgs[0]);
-            encode_frame_raw_at(1, 0, 1, &raw, &raw_policy(), 0)
+            encode_frame_raw_ext(1, 0, 1, &raw, &raw_policy(), 0, None)
         };
         assert_eq!(via_raw, encode_frame(1, 0, &msgs, &raw_policy()));
         assert_eq!(via_raw[4], 0, "no flags without a stamp");

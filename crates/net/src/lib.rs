@@ -13,7 +13,9 @@
 //!   end-to-end latency.
 //! * **Batch framing**: [`frame`] packs a flushed buffer into one wire frame
 //!   with a CRC32-protected, optionally entropy-compressed body, so a batch
-//!   costs one network-stack traversal instead of hundreds.
+//!   costs one network-stack traversal instead of hundreds. The checksum
+//!   ([`crc`]) streams over the body as it is written or read, on a
+//!   carry-less-multiply kernel where the CPU has one.
 //! * **Backpressure** (§III-B4): [`WatermarkQueue`] is the bounded inbound
 //!   buffer with high/low watermarks. IO threads block on
 //!   [`WatermarkQueue::push_blocking`] when the high watermark is reached
@@ -33,6 +35,7 @@
 //! compose over.
 
 pub mod buffer;
+pub mod crc;
 pub mod flush;
 pub mod frame;
 pub mod pool;
@@ -43,9 +46,10 @@ pub mod transport;
 pub mod watermark;
 
 pub use buffer::{FlushReason, FlushedBatch, OutputBuffer, PushOutcome};
+pub use crc::{crc32, Crc32};
 pub use flush::{FlushPolicy, FlushPolicySnapshot};
 pub use frame::{
-    crc32, decode_frame, decode_frame_shared, encode_control_frame, encode_frame, encode_frame_raw,
+    decode_frame, decode_frame_shared, encode_control_frame, encode_frame, encode_frame_raw,
     encode_frame_raw_ext, encode_hello_frame, hello_parts, hello_value, read_frame,
     read_frame_pooled, ControlKind, Frame, FrameDecoder, FrameError, FrameMessages, CAPS_ALL,
     CAP_COMPRESS, CAP_SEQ_REPLAY, CAP_TRACE, FLAG_CONTROL, FLAG_SENT_AT, FLAG_SEQ,

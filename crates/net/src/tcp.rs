@@ -140,12 +140,53 @@ impl ReaderPolicy {
     }
 }
 
+/// Spent wire buffers on their way back to the encoder: the writer (thread
+/// or task) [`give`](Self::give)s each frame's vector here once its last
+/// byte is on the socket, and [`TcpSender::wire_buffer`] hands it out for
+/// the next encode — so a steady stream of frames cycles a few vectors
+/// instead of allocating and freeing a body-sized one per frame.
+pub(crate) struct WireBuffers {
+    spare: Mutex<Vec<Vec<u8>>>,
+}
+
+impl WireBuffers {
+    /// Spare buffers kept at most. A writer stint can finish as many
+    /// frames as the kernel send buffer had room for — a handful of 1 MB
+    /// frames — before the producer takes the first one back, so the list
+    /// must ride out that burst (at 4, a saturated 10 KB relay re-allocated
+    /// one frame in five); 16 does, and bounds what an idle link retains.
+    const MAX_SPARE: usize = 16;
+    /// Buffers smaller than this (control frames) are cheaper to allocate
+    /// than to keep, and would only push a grown buffer off the list.
+    const MIN_KEPT_CAPACITY: usize = 4096;
+
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(WireBuffers { spare: Mutex::new(Vec::with_capacity(Self::MAX_SPARE)) })
+    }
+
+    fn take(&self) -> Vec<u8> {
+        self.spare.lock().pop().unwrap_or_default()
+    }
+
+    pub(crate) fn give(&self, mut wire: Vec<u8>) {
+        if wire.capacity() < Self::MIN_KEPT_CAPACITY {
+            return;
+        }
+        wire.clear();
+        let mut spare = self.spare.lock();
+        if spare.len() < Self::MAX_SPARE {
+            spare.push(wire);
+        }
+    }
+}
+
 /// Outbound side of a TCP link: a bounded queue drained by one writer IO
 /// thread (blocking path) or one IO-pool task (reactor path).
 pub struct TcpSender {
     frames: Arc<AtomicU64>,
     bytes: Arc<AtomicU64>,
     acks: Arc<AtomicU64>,
+    wire_buffers: Arc<WireBuffers>,
     peer: SocketAddr,
     imp: SenderImpl,
 }
@@ -219,6 +260,7 @@ impl TcpSender {
         let frames = Arc::new(AtomicU64::new(0));
         let bytes = Arc::new(AtomicU64::new(0));
         let acks = Arc::new(AtomicU64::new(0));
+        let wire_buffers = WireBuffers::new();
         let sender = ReactorSender::spawn(
             stream,
             queue_depth,
@@ -227,8 +269,9 @@ impl TcpSender {
             frames.clone(),
             bytes.clone(),
             acks.clone(),
+            wire_buffers.clone(),
         )?;
-        Ok(TcpSender { frames, bytes, acks, peer, imp: SenderImpl::Reactor(sender) })
+        Ok(TcpSender { frames, bytes, acks, wire_buffers, peer, imp: SenderImpl::Reactor(sender) })
     }
 
     #[allow(clippy::type_complexity)]
@@ -269,7 +312,8 @@ impl TcpSender {
             None => (None, None),
         };
 
-        let (tf, tb) = (frames.clone(), bytes.clone());
+        let wire_buffers = WireBuffers::new();
+        let (tf, tb, spent) = (frames.clone(), bytes.clone(), wire_buffers.clone());
         let writer = std::thread::Builder::new()
             .name(format!("neptune-io-tx-{peer}"))
             .spawn(move || {
@@ -279,8 +323,12 @@ impl TcpSender {
                         // Connection lost: drain and drop remaining frames.
                         break;
                     }
-                    tf.fetch_add(1, Ordering::Relaxed);
-                    tb.fetch_add(wire.len() as u64, Ordering::Relaxed);
+                    let len = wire.len() as u64;
+                    // Buffer first, counters second: whoever observes
+                    // `frames_sent` move can already take the buffer.
+                    spent.give(wire);
+                    tb.fetch_add(len, Ordering::Relaxed);
+                    tf.fetch_add(1, Ordering::Release);
                 }
                 let _ = stream.flush();
             })
@@ -289,6 +337,7 @@ impl TcpSender {
             frames,
             bytes,
             acks,
+            wire_buffers,
             peer,
             imp: SenderImpl::Blocking {
                 tx: Some(tx),
@@ -297,6 +346,14 @@ impl TcpSender {
                 ack_stream,
             },
         })
+    }
+
+    /// An empty vector to encode the next frame into — one the writer has
+    /// finished with when there is one (its capacity comes along), a new
+    /// one otherwise. [`send`](Self::send) it like any other; the writer
+    /// returns it here after the last byte is written.
+    pub fn wire_buffer(&self) -> Vec<u8> {
+        self.wire_buffers.take()
     }
 
     /// Queue one encoded wire frame. Blocks when the bounded IO queue is
@@ -311,9 +368,11 @@ impl TcpSender {
         }
     }
 
-    /// Frames written to the socket so far.
+    /// Frames written to the socket so far. By the time a frame counts
+    /// here its buffer is back with [`wire_buffer`](Self::wire_buffer)
+    /// (the writer's `Release` increment pairs with this `Acquire` load).
     pub fn frames_sent(&self) -> u64 {
-        self.frames.load(Ordering::Relaxed)
+        self.frames.load(Ordering::Acquire)
     }
 
     /// Bytes written to the socket so far.
@@ -1239,7 +1298,8 @@ mod tests {
         for _ in 0..10 {
             q.pop_timeout(Duration::from_secs(5)).unwrap();
         }
-        assert_eq!(hits.load(Ordering::Relaxed), 10);
+        // The hook runs after the push, so the last pop can beat it.
+        assert!(wait_for(Duration::from_secs(5), || hits.load(Ordering::Relaxed) == 10));
         rx.shutdown();
     }
 

@@ -29,7 +29,7 @@
 
 use crate::frame::{encode_control_frame, ControlKind, Frame, FrameDecoder};
 use crate::pool::BytesPool;
-use crate::tcp::DeliverHook;
+use crate::tcp::{DeliverHook, WireBuffers};
 use crate::transport::TransportError;
 use crate::watermark::{PushError, ShedConfig, WatermarkConfig, WatermarkQueue};
 use neptune_granules::{
@@ -109,6 +109,8 @@ struct SenderShared {
     frames: Arc<AtomicU64>,
     bytes: Arc<AtomicU64>,
     acks: Arc<AtomicU64>,
+    /// Where fully-written wire buffers go back to the encoder.
+    spent: Arc<WireBuffers>,
 }
 
 impl SenderShared {
@@ -143,6 +145,7 @@ impl ReactorSender {
         frames: Arc<AtomicU64>,
         bytes: Arc<AtomicU64>,
         acks: Arc<AtomicU64>,
+        spent: Arc<WireBuffers>,
     ) -> std::io::Result<ReactorSender> {
         stream.set_nonblocking(true)?;
         let shared = Arc::new(SenderShared {
@@ -158,6 +161,7 @@ impl ReactorSender {
             frames,
             bytes,
             acks,
+            spent,
         });
         let waker = NetWaker::new();
         let source = driver.reactor.register(stream.as_raw_fd(), waker.clone())?;
@@ -327,9 +331,12 @@ impl IoTask for SenderTask {
                 Ok(n) => {
                     *off += n;
                     if *off == wire.len() {
-                        self.shared.frames.fetch_add(1, Ordering::Relaxed);
-                        self.shared.bytes.fetch_add(wire.len() as u64, Ordering::Relaxed);
-                        self.partial = None;
+                        let (wire, len) = self.partial.take().expect("partial frame set above");
+                        // Buffer first, counters second: whoever observes
+                        // `frames_sent` move can already take the buffer.
+                        self.shared.spent.give(wire);
+                        self.shared.bytes.fetch_add(len as u64, Ordering::Relaxed);
+                        self.shared.frames.fetch_add(1, Ordering::Release);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -661,44 +668,61 @@ impl ConnTask {
         Drain::Delivered
     }
 
-    /// Run `n` freshly-read bytes through the incremental decoder,
-    /// stashing completed frames. Returns `false` on a corrupt stream.
+    /// Run `n` freshly-read bytes of the staging buffer through the
+    /// incremental decoder, stashing completed frames. Returns `false` on
+    /// a corrupt stream.
     fn decode(&mut self, n: usize) -> bool {
         let mut off = 0;
         while off < n {
-            let fed = self.decoder.feed(&self.read_buf[off..n], self.pool.as_deref());
-            match fed {
+            match self.decoder.feed(&self.read_buf[off..n], self.pool.as_deref()) {
                 Ok((used, frame)) => {
                     off += used;
-                    let Some(mut frame) = frame else { continue };
-                    if let Some(kind) = frame.control {
-                        // Control frames never surface on the data queue —
-                        // except barriers, which ride it in arrival order
-                        // (checkpoint alignment depends on a barrier
-                        // staying behind data flushed before it). A
-                        // heartbeat is answered with the cumulative ack so
-                        // an idle link proves liveness end to end.
-                        if kind != ControlKind::Barrier {
-                            if kind == ControlKind::Heartbeat {
-                                let ack = self.next_expected.unwrap_or(0);
-                                self.queue_ack(frame.link_id, ack);
-                            }
-                            continue;
-                        }
+                    if let Some(frame) = frame {
+                        self.stash(frame);
                     }
-                    let ack_after = frame.seq.is_some().then(|| {
-                        let end = frame.base_seq + frame.len() as u64;
-                        let next = self.next_expected.map_or(end, |n| n.max(end));
-                        self.next_expected = Some(next);
-                        (frame.link_id, next)
-                    });
-                    frame.received_at = Some(Instant::now());
-                    self.pending.push_back((frame, ack_after));
                 }
                 Err(_) => return false,
             }
         }
         true
+    }
+
+    /// Account for `n` bytes read straight into the decoder's body buffer.
+    /// Returns `false` on a corrupt stream.
+    fn commit(&mut self, n: usize) -> bool {
+        match self.decoder.commit(n, self.pool.as_deref()) {
+            Ok(Some(frame)) => self.stash(frame),
+            Ok(None) => {}
+            Err(_) => return false,
+        }
+        true
+    }
+
+    /// Queue a decoded frame for delivery (or answer it, if it is control
+    /// chatter), working out the cumulative ack that follows it.
+    fn stash(&mut self, mut frame: Frame) {
+        if let Some(kind) = frame.control {
+            // Control frames never surface on the data queue — except
+            // barriers, which ride it in arrival order (checkpoint
+            // alignment depends on a barrier staying behind data flushed
+            // before it). A heartbeat is answered with the cumulative ack
+            // so an idle link proves liveness end to end.
+            if kind != ControlKind::Barrier {
+                if kind == ControlKind::Heartbeat {
+                    let ack = self.next_expected.unwrap_or(0);
+                    self.queue_ack(frame.link_id, ack);
+                }
+                return;
+            }
+        }
+        let ack_after = frame.seq.is_some().then(|| {
+            let end = frame.base_seq + frame.len() as u64;
+            let next = self.next_expected.map_or(end, |n| n.max(end));
+            self.next_expected = Some(next);
+            (frame.link_id, next)
+        });
+        frame.received_at = Some(Instant::now());
+        self.pending.push_back((frame, ack_after));
     }
 }
 
@@ -716,10 +740,23 @@ impl IoTask for ConnTask {
         }
         let mut budget = READ_STINT_BYTES;
         loop {
-            match self.stream.read(&mut self.read_buf) {
+            // A body with more still to come than the staging buffer holds
+            // is read in place — no second copy, and as much per syscall as
+            // the stint allows. Headers, small frames and the tail of a big
+            // one go through the staging buffer, many frames to a read.
+            let in_place = self.decoder.body_remaining() >= self.read_buf.len();
+            let read = if in_place {
+                let window = self.decoder.body_window();
+                let n = window.len().min(budget);
+                self.stream.read(&mut window[..n])
+            } else {
+                self.stream.read(&mut self.read_buf)
+            };
+            match read {
                 Ok(0) => return self.finish(), // peer closed
                 Ok(n) => {
-                    if !self.decode(n) {
+                    let sound = if in_place { self.commit(n) } else { self.decode(n) };
+                    if !sound {
                         // Corrupted frame: count it and drop the
                         // connection — no resync mid-stream.
                         self.shared.decode_errors.fetch_add(1, Ordering::Relaxed);
