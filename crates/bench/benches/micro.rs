@@ -5,21 +5,32 @@
 //! entropy estimation (the §III-B5 compression decision), output-buffer
 //! filling (§III-B1), partitioner routing (§III-A6), watermark queue
 //! operations (§III-B4), frame encode/decode, the three CRC-32 kernels the
-//! frame checksum can run on, and the statistics kernels used by the
-//! evaluation harness.
+//! frame checksum can run on, one whole cut-edge hop between two data
+//! planes, and the statistics kernels used by the evaluation harness.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use neptune_cluster::dataplane::{AckMode, DataPlane};
 use neptune_compress::{compress, decompress, shannon_entropy, SelectiveCompressor};
 use neptune_core::codec::PacketCodec;
+use neptune_core::descriptor::OperatorRegistry;
+use neptune_core::graph::{Factory, GraphBuilder, OperatorSpec};
+use neptune_core::json::{self, JsonValue};
+use neptune_core::operator::{OperatorContext, StreamProcessor};
 use neptune_core::partition::{Partitioner, PartitioningScheme};
 use neptune_core::pool::PacketPool;
+use neptune_core::runtime::LocalRuntime;
+use neptune_core::RuntimeConfig;
 use neptune_core::{FieldValue, StreamPacket};
 use neptune_net::buffer::{OutputBuffer, PushOutcome};
 use neptune_net::crc;
-use neptune_net::frame::{decode_frame, decode_frame_shared, encode_frame, encode_frame_into};
+use neptune_net::frame::{
+    decode_frame, decode_frame_shared, encode_frame, encode_frame_into, FrameMessages,
+};
 use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use neptune_stats::{tukey_hsd, welch_t_test, Tail};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn sample_packet() -> StreamPacket {
     let mut p = StreamPacket::new();
@@ -278,6 +289,97 @@ fn bench_frame_encode_into(c: &mut Criterion) {
     group.finish();
 }
 
+/// Counts the messages of every frame it is handed, without opening one:
+/// the hop ends where the batch reaches the consumer's inbound queue.
+struct FrameCounter(Arc<AtomicU64>);
+
+impl StreamProcessor for FrameCounter {
+    fn process(&mut self, _packet: &StreamPacket, _ctx: &mut OperatorContext) {
+        unreachable!("every frame is claimed whole");
+    }
+
+    fn process_encoded(&mut self, batch: &FrameMessages, _ctx: &mut OperatorContext) -> bool {
+        self.0.fetch_add(batch.len() as u64, Ordering::Release);
+        true
+    }
+}
+
+fn bench_cut_edge_hop(c: &mut Criterion) {
+    // One cut edge, end to end: an encoded batch handed to `__egress` on
+    // one data plane → sequenced frame over loopback TCP → demux, route
+    // queue and `__ingress` on the other → the consumer's inbound queue.
+    // Reported per packet, to set beside a plain TCP link hop.
+    const BATCH_BYTES: usize = 256 << 10;
+    const BATCHES_PER_ITER: u64 = 8;
+    let mut group = c.benchmark_group("cut_edge_hop");
+    group.sample_size(10);
+    for (label, size) in [("50B", 50usize), ("400B", 400)] {
+        let up = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).expect("bind up plane");
+        let down = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).expect("bind down plane");
+        let boundary = |plane: &Arc<DataPlane>, factory: &str| {
+            let mut registry = OperatorRegistry::new();
+            plane.register_boundary_ops(&mut registry);
+            let params = json::object([
+                ("edge", JsonValue::Number(0.0)),
+                ("epoch", JsonValue::Number(0.0)),
+                ("addr", JsonValue::String(down.local_addr().to_string())),
+            ]);
+            registry
+                .processor_factory(factory, &params)
+                .or_else(|| registry.source_factory(factory, &params))
+                .expect("boundary operators are registered")
+        };
+        // A packet of `size` encoded bytes, as many as fill one batch.
+        let mut codec = PacketCodec::new();
+        let mut packet = StreamPacket::new();
+        packet.push_field("uid", FieldValue::U64(7)).push_field("pad", FieldValue::Bytes(vec![]));
+        let overhead = codec.encode(&packet).unwrap().len();
+        *packet.get_mut("pad").unwrap() = FieldValue::Bytes(vec![0xAB; size - overhead]);
+        let message = codec.encode(&packet).unwrap();
+        assert_eq!(message.len(), size);
+        let per_batch = (BATCH_BYTES / (size + 4)) as u64;
+        let batch = FrameMessages::from_messages(&vec![message; per_batch as usize]);
+
+        let received = Arc::new(AtomicU64::new(0));
+        let counter = received.clone();
+        let graph = GraphBuilder::new("cut-edge-hop")
+            .operator_spec(OperatorSpec {
+                name: "in".into(),
+                parallelism: 1,
+                factory: boundary(&down, "__ingress"),
+            })
+            .processor("consumer", move || FrameCounter(counter.clone()))
+            .link("in", "consumer", PartitioningScheme::Shuffle)
+            .build()
+            .expect("valid graph");
+        let job = LocalRuntime::new(RuntimeConfig::default()).submit(graph).expect("job deploys");
+        let Factory::Processor(make_egress) = boundary(&up, "__egress") else {
+            panic!("__egress is a processor");
+        };
+        let mut egress = make_egress();
+        let mut ctx = OperatorContext::collector("bench");
+
+        let mut sent = 0u64;
+        group.throughput(Throughput::Elements(BATCHES_PER_ITER * per_batch));
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                for _ in 0..BATCHES_PER_ITER {
+                    assert!(egress.process_encoded(black_box(&batch), &mut ctx));
+                }
+                sent += BATCHES_PER_ITER * per_batch;
+                while received.load(Ordering::Acquire) < sent {
+                    std::thread::yield_now();
+                }
+            })
+        });
+        down.drain_ingress();
+        job.stop();
+        up.shutdown();
+        down.shutdown();
+    }
+    group.finish();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let mut group = c.benchmark_group("stats");
     let a: Vec<f64> = (0..50).map(|i| 10.0 + (i as f64 * 0.37).sin()).collect();
@@ -304,6 +406,7 @@ criterion_group! {
     config = configured();
     targets = bench_codec, bench_compression, bench_pool, bench_output_buffer,
               bench_partitioners, bench_watermark_queue, bench_framing,
-              bench_frame_decode, bench_frame_encode_into, bench_crc32, bench_stats
+              bench_frame_decode, bench_frame_encode_into, bench_crc32, bench_cut_edge_hop,
+              bench_stats
 }
 criterion_main!(benches);

@@ -9,22 +9,34 @@
 //! scheme (operator co-location keeps all instances of the consumer on
 //! one node, so fields partitioning stays a local decision).
 //!
-//! The wire underneath is the shared link stack, end to end:
+//! A packet is encoded once, by the operator that produced it, and stays
+//! encoded until the operator that consumes it: the cut edge moves whole
+//! batches and never opens them.
 //!
-//! * egress batches packets with [`PacketCodec`] and sends them through a
-//!   [`LinkBuilder`]-assembled reliable link — an every-N
-//!   [`TraceTagger`], a [`SupervisedLink`] reliability layer over a
-//!   reactor-path [`TcpSender`] connector, and a [`FlushPolicy`] that
-//!   owns the batch knobs (message count for the cluster, plus a byte
-//!   backstop) so they stay runtime-retunable; frames carry `FLAG_SEQ`,
+//! * **egress** has no buffer and no codec of its own. The producing
+//!   operator's channel to `__egress` is an ordinary in-process channel;
+//!   its output buffer and flush timer are the cut edge's one buffer and
+//!   one flush policy. Each batch it flushes reaches `__egress` as a
+//!   [`FrameMessages`] and goes out as **one frame, by reference**
+//!   ([`EgressCore::forward`]): the replay buffer keeps a refcount on the
+//!   producer's batch buffer, the TCP writer copies it to the wire once
+//!   (with its CRC). The link underneath is [`LinkBuilder`]-assembled — an
+//!   every-N [`TraceTagger`] and a [`SupervisedLink`] reliability layer
+//!   over a reactor-path [`TcpSender`] connector; frames carry `FLAG_SEQ`,
 //!   unacked frames sit in the replay buffer, and the connection opens
 //!   with a protocol hello;
-//! * ingress is one [`TcpReceiver::bind_manual_ack`] per node with a
-//!   [`HandshakeGate`]: a demux pump routes inbound frames to per-edge
-//!   queues by the low 32 bits of the link id, classifying and staging
-//!   acks through the shared [`ReliableIngress`] (the one dedup +
-//!   cumulative-ack implementation), and counts `FLAG_TRACE` ids
-//!   crossing the process boundary;
+//! * **ingress** is one [`TcpReceiver::bind_manual_ack`] per node with a
+//!   [`HandshakeGate`] and a [`BytesPool`] for frame bodies: a demux pump
+//!   classifies each inbound frame against the shared [`ReliableIngress`]
+//!   (the one dedup + cumulative-ack implementation), counts `FLAG_TRACE`
+//!   ids crossing the process boundary, and pushes the frame — its
+//!   messages still one refcounted buffer, plus how many of them a replay
+//!   already delivered — onto the edge's byte-weighted route queue, keyed
+//!   by the low 32 bits of the link id. One push and one wake per frame.
+//!   `__ingress` pops a frame, hands the fresh messages to the consumer's
+//!   channels as they are ([`OperatorContext::emit_encoded`]), flushes
+//!   those channels — the frame has already waited out the producer's
+//!   flush policy — and returns the buffer to the pool;
 //! * acks are **withheld** until the node is quiescent (local queues
 //!   drained, own egress replay buffers empty) in
 //!   [`AckMode::Quiescent`] — the upstream replay buffer then covers
@@ -40,17 +52,18 @@
 //! link id and merely repoints the address.
 //!
 //! [`SupervisedLink`]: neptune_link::SupervisedLink
+//! [`ControlMsg::Rewire`]: crate::proto::ControlMsg::Rewire
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
-use neptune_core::codec::PacketCodec;
+use neptune_core::channel::EmitError;
 use neptune_core::descriptor::OperatorRegistry;
 use neptune_core::json::JsonValue;
+use neptune_core::now_micros;
 use neptune_core::operator::{OperatorContext, SourceStatus, StreamProcessor, StreamSource};
 use neptune_core::packet::StreamPacket;
 use neptune_granules::{IoPool, Reactor};
@@ -59,11 +72,11 @@ use neptune_link::{
     FrameLink, IngressVerdict, Link, LinkBuilder, LinkStatsSnapshot, ReconnectPolicy,
     RecoveryStats, ReliableIngress, ReplayBuffer, TcpFrameLink, TraceTagger,
 };
-use neptune_net::flush::FlushPolicy;
-use neptune_net::frame::{encode_hello_frame, CAPS_ALL, PROTOCOL_VERSION};
+use neptune_net::frame::{encode_hello_frame, FrameMessages, CAPS_ALL, PROTOCOL_VERSION};
+use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{HandshakeGate, TcpReceiver, TcpSender};
 use neptune_net::transport::TransportError;
-use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
+use neptune_net::watermark::{WatermarkConfig, WatermarkQueue, Weighted};
 use neptune_net::NetDriver;
 use parking_lot::Mutex;
 
@@ -91,7 +104,7 @@ pub struct DataPlaneStats {
     pub traced_in: u64,
     /// Frames sent by egress links.
     pub frames_out: u64,
-    /// Packets batched out.
+    /// Packets forwarded out.
     pub packets_out: u64,
     /// Outbound frames stamped with a fresh trace id.
     pub traced_out: u64,
@@ -100,87 +113,91 @@ pub struct DataPlaneStats {
 }
 
 const INGRESS_QUEUE: WatermarkConfig = WatermarkConfig { high: 8 << 20, low: 1 << 20 };
-const SENDER_QUEUE_DEPTH: usize = 1024;
-/// Byte backstop on egress batches: the cluster batches by message count
-/// (the policy's `batch_messages` knob), but a run of jumbo packets
-/// flushes early rather than building a multi-megabyte frame.
-const EGRESS_BATCH_BYTES: usize = 1 << 20;
+/// Replay budget of one egress link, bytes of unacked batches.
+const REPLAY_BUDGET_BYTES: usize = 64 << 20;
+/// In-flight budget between an egress worker and its socket writer. The
+/// sender queue counts frames, and a frame is one whole upstream output
+/// buffer, so its depth is derived from a byte budget — a quarter of what
+/// the replay buffer may hold — at [`NOMINAL_FRAME_BYTES`] a frame.
+const SENDER_QUEUE_BYTES: usize = REPLAY_BUDGET_BYTES / 4;
+/// `RuntimeConfig::buffer_bytes`' default: what a saturated upstream
+/// channel flushes per frame.
+const NOMINAL_FRAME_BYTES: usize = 1 << 20;
+const SENDER_QUEUE_DEPTH: usize = SENDER_QUEUE_BYTES / NOMINAL_FRAME_BYTES;
+// The socket writer must be able to overlap the worker that feeds it.
+const _: () = assert!(SENDER_QUEUE_DEPTH >= 2);
+/// How often an egress link is probed so that a dead peer is noticed, and
+/// the receiver's manual-ack watermark flows back, without data traffic.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
-// Route queues carry the *encoded* packet bytes: `Vec<u8>` is `Weighted`,
-// so the node's ingress backpressure is byte-accurate, and each ingress
-// source decodes with its own codec (the codec is stateless per message).
-fn ingress_queue() -> Arc<WatermarkQueue<Vec<u8>>> {
-    Arc::new(WatermarkQueue::new(INGRESS_QUEUE))
+/// One inbound frame on its way to an `__ingress` source: the messages as
+/// they came off the wire (one refcounted buffer) and how many of them a
+/// replay had already delivered.
+struct RoutedFrame {
+    messages: FrameMessages,
+    skip: u32,
 }
 
-/// One egress edge: a builder-assembled reliable link plus its batch
-/// state. Batch thresholds live in the link's [`FlushPolicy`]; trace
-/// stamping in its every-N [`TraceTagger`]; sequencing, replay, and
-/// reconnects in its reliability layer.
+impl Weighted for RoutedFrame {
+    fn weight(&self) -> usize {
+        self.messages.batch().len()
+    }
+}
+
+/// One edge's ingress: the frames the demux admitted, and how many of them
+/// `__ingress` is done with.
+struct IngressRoute {
+    queue: WatermarkQueue<RoutedFrame>,
+    /// Frames `__ingress` has popped *and* finished emitting. The route is
+    /// drained when this catches up with the queue's push count — an empty
+    /// queue alone would hide the frame, thousands of packets long, that
+    /// `__ingress` is in the middle of handing to the consumer, and the
+    /// node would release acks for packets it has not yet taken in.
+    emitted: AtomicU64,
+}
+
+impl IngressRoute {
+    /// Pairs with the `Release` increment `__ingress` makes *after* a
+    /// frame's last message is in the consumer's channel: whoever sees the
+    /// counts equal also sees those messages when it goes on to check that
+    /// the runtime has settled.
+    fn drained(&self) -> bool {
+        self.emitted.load(Ordering::Acquire) == self.queue.total_pushed()
+    }
+}
+
+/// One egress edge: a builder-assembled reliable link and the message
+/// sequence it stamps on forwarded batches. Trace stamping lives in the
+/// link's every-N [`TraceTagger`]; frame sequencing, replay and reconnects
+/// in its reliability layer.
 pub struct EgressCore {
     link: Arc<Link>,
-    state: Mutex<EgressBuf>,
-}
-
-struct EgressBuf {
-    codec: PacketCodec,
-    buf: Vec<u8>,
-    count: u32,
-    next_msg_seq: u64,
-}
-
-fn now_micros() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
+    /// Message sequence of the next batch's first message. Held across
+    /// the send, so batches leave in the order they were numbered.
+    next_msg_seq: Mutex<u64>,
 }
 
 impl EgressCore {
-    /// Append one packet; flushes when the batch fills (message-count
-    /// threshold, with the byte backstop), per the link's flush policy.
-    fn push(&self, packet: &StreamPacket) -> Result<(), TransportError> {
-        let mut st = self.state.lock();
-        let len_at = st.buf.len();
-        st.buf.extend_from_slice(&[0u8; 4]);
-        let mut body = std::mem::take(&mut st.buf);
-        let encode = st.codec.encode_into(packet, &mut body);
-        st.buf = body;
-        encode.map_err(|e| TransportError::Malformed(e.to_string()))?;
-        let msg_len = (st.buf.len() - len_at - 4) as u32;
-        st.buf[len_at..len_at + 4].copy_from_slice(&msg_len.to_le_bytes());
-        st.count += 1;
-        self.link.stats().record_packets(1);
-        let policy = self.link.policy();
-        let max_msgs = policy.batch_messages();
-        if (max_msgs > 0 && st.count as usize >= max_msgs) || st.buf.len() >= policy.batch_bytes() {
-            self.flush_locked(&mut st)?;
-        }
-        Ok(())
-    }
-
-    /// Flush any buffered batch (flusher-thread entry).
-    pub fn flush(&self) -> Result<(), TransportError> {
-        let mut st = self.state.lock();
-        self.flush_locked(&mut st)
-    }
-
-    fn flush_locked(&self, st: &mut EgressBuf) -> Result<(), TransportError> {
-        if st.count == 0 {
+    /// Ship one encoded batch as one frame. The batch buffer is shared,
+    /// not copied: the replay buffer holds a refcount on it until the
+    /// peer acks, and the transport reads it once to put it on the wire.
+    pub fn forward(&self, batch: &FrameMessages) -> Result<(), TransportError> {
+        let count = batch.len() as u32;
+        if count == 0 {
             return Ok(());
         }
-        let encoded = Bytes::from(std::mem::take(&mut st.buf));
-        let count = std::mem::take(&mut st.count);
-        let base = st.next_msg_seq;
-        st.next_msg_seq += count as u64;
+        let mut next = self.next_msg_seq.lock();
+        let base = *next;
+        *next += count as u64;
+        self.link.stats().record_packets(count as u64);
         // The link stack stamps every-N trace ids (ingress on the peer
         // counts these — how FLAG_TRACE propagation across process
         // boundaries is observed in cluster telemetry) and sequences the
         // frame through the replay buffer.
-        self.link.send_batch(base, encoded, count, now_micros(), 0).map(|_| ())
+        self.link.send_batch(base, batch.batch().clone(), count, now_micros(), 0).map(|_| ())
     }
 
-    /// The built link stack (reliability, stats, flush knobs).
+    /// The built link stack (reliability, stats).
     pub fn link(&self) -> &Arc<Link> {
         &self.link
     }
@@ -188,12 +205,7 @@ impl EgressCore {
     /// True when every sent frame has been acked by the peer.
     pub fn replay_empty(&self) -> bool {
         self.link.reliability().map(|s| s.replay().is_empty()).unwrap_or(true)
-            && self.state.lock().count == 0
     }
-}
-
-struct IngressRoute {
-    queue: Arc<WatermarkQueue<Vec<u8>>>,
 }
 
 /// Per-node data-plane endpoint shared by the boundary operators, the
@@ -204,14 +216,18 @@ pub struct DataPlane {
     io_pool: IoPool,
     reactor: Reactor,
     receiver: TcpReceiver,
+    /// Frame bodies the receiver reads into; `__ingress` returns them.
+    pool: Arc<BytesPool>,
     /// Shared sink-side reliability: dedup + cumulative-ack staging.
     ingress: ReliableIngress,
-    routes: Mutex<HashMap<u32, IngressRoute>>,
+    routes: Mutex<HashMap<u32, Arc<IngressRoute>>>,
     /// Current downstream address per egress edge (Rewire target).
     edge_addrs: Mutex<HashMap<u32, String>>,
     egress: Mutex<HashMap<u32, Arc<EgressCore>>>,
-    ingress_draining: AtomicBool,
-    shutdown: AtomicBool,
+    /// Shared with every `__ingress` instance.
+    ingress_draining: Arc<AtomicBool>,
+    /// Shared with every `__ingress` instance.
+    shutdown: Arc<AtomicBool>,
     stats: Arc<RecoveryStats>,
     packets_in: AtomicU64,
     traced_in: AtomicU64,
@@ -222,12 +238,14 @@ pub struct DataPlane {
 
 impl DataPlane {
     /// Bind the node's data receiver on `addr` (use port 0 to let the OS
-    /// pick) and start the demux pump and egress flusher threads.
+    /// pick) and start the demux pump and heartbeat threads.
     pub fn bind(addr: &str, ack_mode: AckMode) -> std::io::Result<Arc<Self>> {
+        let pool = Arc::new(BytesPool::default());
         let receiver = TcpReceiver::bind_manual_ack(
             addr,
             WatermarkConfig::new(32 << 20, 4 << 20),
             Some(HandshakeGate::current()),
+            Some(pool.clone()),
         )?;
         let reactor = Reactor::new("neptuned-dp")
             .map_err(|e| std::io::Error::other(format!("reactor: {e}")))?;
@@ -235,12 +253,13 @@ impl DataPlane {
             io_pool: IoPool::new("neptuned-dp", 2),
             reactor,
             receiver,
+            pool,
             ingress: ReliableIngress::new(ack_mode),
             routes: Mutex::new(HashMap::new()),
             edge_addrs: Mutex::new(HashMap::new()),
             egress: Mutex::new(HashMap::new()),
-            ingress_draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
+            ingress_draining: Arc::new(AtomicBool::new(false)),
+            shutdown: Arc::new(AtomicBool::new(false)),
             stats: Arc::new(RecoveryStats::new()),
             packets_in: AtomicU64::new(0),
             traced_in: AtomicU64::new(0),
@@ -251,11 +270,11 @@ impl DataPlane {
             .name("neptuned-demux".into())
             .spawn(move || pump.demux_loop())
             .expect("spawn demux pump");
-        let flusher = plane.clone();
+        let heart = plane.clone();
         std::thread::Builder::new()
             .name("neptuned-flush".into())
-            .spawn(move || flusher.flush_loop())
-            .expect("spawn egress flusher");
+            .spawn(move || heart.heartbeat_loop())
+            .expect("spawn egress heartbeat");
         Ok(plane)
     }
 
@@ -273,9 +292,9 @@ impl DataPlane {
         NetDriver::new(self.io_pool.spawner(), self.reactor.handle())
     }
 
-    /// Inbound frame demux: route data frames to per-edge ingress queues,
-    /// classify against the shared dedup, count boundary-crossing traces,
-    /// stage acks.
+    /// Inbound frame demux: classify each data frame against the shared
+    /// dedup, count boundary-crossing traces, hand the frame whole to its
+    /// edge's route queue, stage the ack.
     fn demux_loop(self: &Arc<Self>) {
         let queue = self.receiver.queue();
         while !self.shutdown.load(Ordering::Acquire) {
@@ -291,6 +310,7 @@ impl DataPlane {
                 IngressVerdict::Duplicate => {
                     // Re-ack: the sender may have missed the ack.
                     self.stage_ack(frame.link_id);
+                    self.pool.recycle(frame.messages.into_batch());
                     continue;
                 }
             };
@@ -298,46 +318,32 @@ impl DataPlane {
                 self.traced_in.fetch_add(1, Ordering::Relaxed);
             }
             let edge = edge_of(frame.link_id);
-            let queue = {
-                let mut routes = self.routes.lock();
-                let route =
-                    routes.entry(edge).or_insert_with(|| IngressRoute { queue: ingress_queue() });
-                route.queue.clone()
-            };
-            match self.deliver(&queue, &frame.messages, skip) {
-                Ok(()) => self.stage_ack(frame.link_id),
+            // Blocks while the route's gate is shut — the node's ingress
+            // backpressure, in bytes. `Closed` (route gone for good) stays
+            // distinct from `Backpressure` in the shared error space.
+            let pushed = self
+                .ingress_route(edge)
+                .queue
+                .push_blocking(RoutedFrame { messages: frame.messages, skip })
+                .map_err(TransportError::from_push);
+            match pushed {
+                Ok(_) => {
+                    self.packets_in.fetch_add((count - skip) as u64, Ordering::Relaxed);
+                    self.stage_ack(frame.link_id);
+                }
                 // Withhold the ack: the upstream replay buffer still holds
                 // the frame, so a reopened route (or a restarted node)
                 // sees it again instead of losing it.
-                Err(TransportError::Closed) => {
+                Err(e) => {
                     self.undelivered.fetch_add(1, Ordering::Relaxed);
-                    if !self.shutdown.load(Ordering::Acquire) {
+                    if e != TransportError::Closed {
+                        eprintln!("neptuned: ingress delivery on edge {edge} failed: {e}");
+                    } else if !self.shutdown.load(Ordering::Acquire) {
                         eprintln!("neptuned: ingress route for edge {edge} closed; frame unacked");
                     }
                 }
-                Err(e) => {
-                    self.undelivered.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("neptuned: ingress delivery on edge {edge} failed: {e}");
-                }
             }
         }
-    }
-
-    /// Push a frame's fresh suffix onto a route queue, mapping the
-    /// watermark gate's verdicts onto the shared [`TransportError`] space
-    /// — `Closed` (route gone for good) stays distinct from
-    /// `Backpressure` (gate shut; the blocking push parks instead).
-    fn deliver(
-        &self,
-        queue: &WatermarkQueue<Vec<u8>>,
-        messages: &neptune_net::frame::FrameMessages,
-        skip: u32,
-    ) -> Result<(), TransportError> {
-        for msg in messages.iter().skip(skip as usize) {
-            queue.push_blocking(msg.to_vec()).map_err(TransportError::from_push)?;
-            self.packets_in.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     fn stage_ack(&self, link: u64) {
@@ -359,28 +365,27 @@ impl DataPlane {
         sent
     }
 
-    /// True when every ingress queue is empty and every egress replay
-    /// buffer is clear — the data-plane half of the quiescence test.
+    /// True when `__ingress` has emitted every routed frame and every
+    /// egress replay buffer is clear — the data-plane half of the
+    /// quiescence test.
     pub fn quiescent(&self) -> bool {
-        self.routes.lock().values().all(|r| r.queue.is_empty())
+        self.routes.lock().values().all(|r| r.drained())
             && self.egress.lock().values().all(|e| e.replay_empty())
     }
 
-    /// Periodic egress flush + idle heartbeats, so partial batches drain
-    /// and dead peers are detected without data traffic.
-    fn flush_loop(self: &Arc<Self>) {
-        let mut beat = 0u32;
+    /// Idle heartbeats: egress holds no data of its own to flush, so all
+    /// this thread does is probe each link every [`HEARTBEAT_EVERY`].
+    fn heartbeat_loop(self: &Arc<Self>) {
+        let mut last = Instant::now();
         while !self.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(2));
-            beat = beat.wrapping_add(1);
+            std::thread::sleep(Duration::from_millis(10));
+            if last.elapsed() < HEARTBEAT_EVERY {
+                continue;
+            }
+            last = Instant::now();
             let cores: Vec<Arc<EgressCore>> = self.egress.lock().values().cloned().collect();
             for core in cores {
-                let _ = core.flush();
-                // ~every 200 ms: probe idle links so the receiver's
-                // manual-ack watermark flows back.
-                if beat.is_multiple_of(100) {
-                    let _ = core.link().heartbeat();
-                }
+                let _ = core.link().heartbeat();
             }
         }
     }
@@ -393,6 +398,8 @@ impl DataPlane {
     /// Handle [`ControlMsg::Rewire`]: repoint the edge and force the
     /// supervised link to reconnect by failing its current connection on
     /// the next send/heartbeat (the connector re-reads the address).
+    ///
+    /// [`ControlMsg::Rewire`]: crate::proto::ControlMsg::Rewire
     pub fn rewire(&self, edge: u32, addr: String) {
         self.set_edge_addr(edge, addr);
         // The reliability layer notices the stale connection on its next
@@ -407,7 +414,7 @@ impl DataPlane {
         self.ingress_draining.store(true, Ordering::Release);
     }
 
-    /// Stop pump/flusher threads and close the inbound queue.
+    /// Stop pump/heartbeat threads and close the inbound queue.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.receiver.queue().close();
@@ -434,9 +441,10 @@ impl DataPlane {
         }
     }
 
-    /// Per-egress-link stats bundles (counters + live flush knobs), with
-    /// each link's ingress-side duplicate drops folded in from the peer
-    /// classification this plane performed for that link id.
+    /// Per-egress-link stats bundles, with each link's ingress-side
+    /// duplicate drops folded in from the peer classification this plane
+    /// performed for that link id. (The bundle's flush knobs are the link
+    /// builder's defaults: an egress link buffers nothing.)
     pub fn link_stats(&self) -> Vec<LinkStatsSnapshot> {
         self.egress
             .lock()
@@ -461,7 +469,6 @@ impl DataPlane {
         edge: u32,
         epoch: u32,
         addr: String,
-        batch_max: u32,
         trace_every: u64,
     ) -> Arc<EgressCore> {
         self.set_edge_addr(edge, addr);
@@ -502,48 +509,45 @@ impl DataPlane {
         let mut policy = ReconnectPolicy::new(id);
         policy.max_attempts = 40; // ride out coordinator reassignment windows
         policy.cap = Duration::from_millis(250);
-        let flush = FlushPolicy::new(EGRESS_BATCH_BYTES, None)
-            .with_batch_messages(batch_max.max(1) as usize);
         let link = LinkBuilder::new(id)
-            .flush_policy(flush)
-            .reliable_with(Box::new(connector), policy, 64 << 20, self.stats.clone())
+            .reliable_with(Box::new(connector), policy, REPLAY_BUDGET_BYTES, self.stats.clone())
             .tracing(TraceTagger::every_n(trace_every))
             .build();
         let _ = replay_slot
             .set(link.reliability().expect("cluster egress links are reliable").replay().clone());
-        let core = Arc::new(EgressCore {
-            link,
-            state: Mutex::new(EgressBuf {
-                codec: PacketCodec::new(),
-                buf: Vec::with_capacity(8 << 10),
-                count: 0,
-                next_msg_seq: 0,
-            }),
-        });
+        let core = Arc::new(EgressCore { link, next_msg_seq: Mutex::new(0) });
         self.egress.lock().insert(edge, core.clone());
         core
     }
 
-    fn ingress_route(&self, edge: u32) -> Arc<WatermarkQueue<Vec<u8>>> {
-        let mut routes = self.routes.lock();
-        routes.entry(edge).or_insert_with(|| IngressRoute { queue: ingress_queue() }).queue.clone()
+    fn ingress_route(&self, edge: u32) -> Arc<IngressRoute> {
+        self.routes
+            .lock()
+            .entry(edge)
+            .or_insert_with(|| {
+                Arc::new(IngressRoute {
+                    queue: WatermarkQueue::new(INGRESS_QUEUE),
+                    emitted: AtomicU64::new(0),
+                })
+            })
+            .clone()
     }
 
     /// Register the `__ingress` / `__egress` boundary factories on a
     /// registry (composed with the builtin vocabulary by the node daemon).
     ///
     /// Params: `__ingress` takes `{edge}`; `__egress` takes
-    /// `{edge, epoch, addr, batch?, trace_every?}`.
+    /// `{edge, epoch, addr, trace_every?}`.
     pub fn register_boundary_ops(self: &Arc<Self>, registry: &mut OperatorRegistry) {
         let plane = self.clone();
         registry.register_source("__ingress", move |params: &JsonValue| {
             let edge = params.get("edge").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
             IngressSource {
-                queue: plane.ingress_route(edge),
-                codec: PacketCodec::new(),
+                route: plane.ingress_route(edge),
+                pool: plane.pool.clone(),
                 edge,
-                draining: plane_flag(&plane.ingress_draining),
-                shutdown: plane_flag(&plane.shutdown),
+                draining: plane.ingress_draining.clone(),
+                shutdown: plane.shutdown.clone(),
             }
         });
         let plane = self.clone();
@@ -551,118 +555,131 @@ impl DataPlane {
             let edge = params.get("edge").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
             let epoch = params.get("epoch").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
             let addr = params.get("addr").and_then(|v| v.as_str()).unwrap_or_default().to_string();
-            let batch = params.get("batch").and_then(|v| v.as_u64()).unwrap_or(64) as u32;
             let trace_every = params.get("trace_every").and_then(|v| v.as_u64()).unwrap_or(64);
-            EgressOp { core: plane.egress_core(edge, epoch, addr, batch, trace_every) }
+            EgressOp { core: plane.egress_core(edge, epoch, addr, trace_every) }
         });
     }
 }
 
-// The flags live inside the Arc<DataPlane>; operators hold clones of the
-// Arc-backed atomics via small handles to avoid borrowing the plane.
-fn plane_flag(flag: &AtomicBool) -> FlagProbe {
-    // SAFETY-free sharing: the factories capture Arc<DataPlane>, which
-    // outlives every operator instance (the registry holds the Arc). We
-    // still copy the current pointer into a probe closure per instance.
-    let ptr: *const AtomicBool = flag;
-    FlagProbe { ptr }
-}
-
-/// Raw-pointer probe into a flag owned by the `Arc<DataPlane>` captured
-/// in the operator factory — the factory closure (and thus the plane)
-/// outlives every instance it constructs.
-struct FlagProbe {
-    ptr: *const AtomicBool,
-}
-
-// The pointee is an AtomicBool inside an Arc the factory keeps alive.
-unsafe impl Send for FlagProbe {}
-
-impl FlagProbe {
-    fn get(&self) -> bool {
-        unsafe { (*self.ptr).load(Ordering::Acquire) }
-    }
-}
-
-/// Boundary source: feeds packets demuxed off the wire into the local
-/// sub-graph.
+/// Boundary source: feeds frames demuxed off the wire into the local
+/// sub-graph, message bytes untouched.
 struct IngressSource {
-    queue: Arc<WatermarkQueue<Vec<u8>>>,
-    codec: PacketCodec,
+    route: Arc<IngressRoute>,
+    /// The receiver's frame-body pool; emitted frames go back to it.
+    pool: Arc<BytesPool>,
     edge: u32,
-    draining: FlagProbe,
-    shutdown: FlagProbe,
+    draining: Arc<AtomicBool>,
+    shutdown: Arc<AtomicBool>,
 }
 
 impl IngressSource {
-    fn emit_bytes(&mut self, bytes: &[u8], ctx: &mut OperatorContext) -> Result<(), ()> {
-        match self.codec.decode(bytes) {
-            Ok(packet) => ctx.emit(&packet).map_err(|_| ()),
-            Err(e) => {
-                eprintln!("neptuned: undecodable packet on edge {}: {e}", self.edge);
-                Ok(())
+    /// Emit a frame's fresh suffix and flush it onward, recycle its
+    /// buffer. `Err` once the local consumer is gone.
+    fn emit_frame(&self, frame: RoutedFrame, ctx: &mut OperatorContext) -> Result<usize, ()> {
+        let RoutedFrame { messages, skip } = frame;
+        for i in skip as usize..messages.len() {
+            match ctx.emit_encoded(messages.prefixed(i)) {
+                Ok(()) => {}
+                // Only a link that routes by packet content decodes.
+                Err(EmitError::Codec(e)) => {
+                    eprintln!("neptuned: undecodable packet on edge {}: {e}", self.edge);
+                }
+                Err(_) => return Err(()),
             }
         }
+        // The frame already waited out the producer's flush policy, the
+        // one policy of this edge. The consumer's channels only sort its
+        // messages by instance: what was flushed together upstream is
+        // delivered together here, not held for a second timer.
+        ctx.force_flush_all().map_err(|_| ())?;
+        let fresh = messages.len() - skip as usize;
+        self.pool.recycle(messages.into_batch());
+        Ok(fresh)
     }
 }
 
 impl StreamSource for IngressSource {
     fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
-        let mut emitted = 0usize;
-        while emitted < 64 {
-            match self.queue.pop() {
-                Some(bytes) => {
-                    if self.emit_bytes(&bytes, ctx).is_err() {
-                        return SourceStatus::Exhausted;
-                    }
-                    emitted += 1;
+        let queue = &self.route.queue;
+        let frame = match queue.pop() {
+            Some(frame) => frame,
+            None => {
+                if self.shutdown.load(Ordering::Acquire)
+                    || (self.draining.load(Ordering::Acquire) && queue.is_empty())
+                {
+                    return SourceStatus::Exhausted;
                 }
-                None => break,
+                // Block briefly for the next frame instead of spinning.
+                match queue.pop_timeout(Duration::from_millis(2)) {
+                    Some(frame) => frame,
+                    None => return SourceStatus::Idle,
+                }
             }
-        }
-        if emitted > 0 {
-            return SourceStatus::Emitted(emitted);
-        }
-        if self.shutdown.get() || (self.draining.get() && self.queue.is_empty()) {
-            return SourceStatus::Exhausted;
-        }
-        // Block briefly for the next packet instead of spinning.
-        match self.queue.pop_timeout(Duration::from_millis(2)) {
-            Some(bytes) => match self.emit_bytes(&bytes, ctx) {
-                Ok(()) => SourceStatus::Emitted(1),
-                Err(()) => SourceStatus::Exhausted,
-            },
-            None => SourceStatus::Idle,
+        };
+        let emitted = self.emit_frame(frame, ctx);
+        // Done with the frame either way: a consumer that is gone cannot
+        // make the route look busy for ever.
+        self.route.emitted.fetch_add(1, Ordering::Release);
+        match emitted {
+            Ok(fresh) => SourceStatus::Emitted(fresh),
+            Err(()) => SourceStatus::Exhausted,
         }
     }
 }
 
-/// Boundary processor: ships packets to the downstream node.
+/// Boundary processor: ships the producer's batches to the downstream
+/// node as they are.
 struct EgressOp {
     core: Arc<EgressCore>,
 }
 
 impl StreamProcessor for EgressOp {
-    fn process(&mut self, packet: &StreamPacket, _ctx: &mut OperatorContext) {
-        if let Err(e) = self.core.push(packet) {
+    fn process_encoded(&mut self, batch: &FrameMessages, _ctx: &mut OperatorContext) -> bool {
+        if let Err(e) = self.core.forward(batch) {
             eprintln!("neptuned: egress send failed terminally: {e:?}");
         }
+        true
     }
 
-    fn close(&mut self, _ctx: &mut OperatorContext) {
-        let _ = self.core.flush();
+    fn process(&mut self, _packet: &StreamPacket, _ctx: &mut OperatorContext) {
+        unreachable!("__egress claims every frame in process_encoded");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neptune_core::codec::PacketCodec;
     use neptune_core::packet::FieldValue;
+    use neptune_net::test_support::wait_for;
 
-    fn packet(uid: u64) -> StreamPacket {
-        let mut p = StreamPacket::new();
-        p.push_field("uid", FieldValue::U64(uid));
-        p
+    /// The batch an upstream channel would flush: one encoded `uid`
+    /// packet per entry of `uids`.
+    fn batch(uids: std::ops::Range<u64>) -> FrameMessages {
+        let mut codec = PacketCodec::new();
+        let encoded: Vec<Vec<u8>> = uids
+            .map(|uid| {
+                let mut p = StreamPacket::new();
+                p.push_field("uid", FieldValue::U64(uid));
+                codec.encode(&p).unwrap()
+            })
+            .collect();
+        FrameMessages::from_messages(&encoded)
+    }
+
+    fn uids(frame: &RoutedFrame) -> Vec<u64> {
+        let mut codec = PacketCodec::new();
+        (frame.skip as usize..frame.messages.len())
+            .map(|i| {
+                let p = codec.decode(&frame.messages[i]).unwrap();
+                p.get("uid").unwrap().as_u64().unwrap()
+            })
+            .collect()
+    }
+
+    /// Poll up to five seconds; the message names what never happened.
+    fn wait_until(what: &str, cond: impl FnMut() -> bool) {
+        assert!(wait_for(Duration::from_secs(5), cond), "timed out waiting until {what}");
     }
 
     #[test]
@@ -673,51 +690,45 @@ mod tests {
     }
 
     #[test]
-    fn planes_ship_packets_end_to_end_with_quiescent_acks() {
+    fn planes_ship_batches_end_to_end_with_quiescent_acks() {
         let up = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).unwrap();
         let down = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).unwrap();
-        let core = up.egress_core(3, 0, down.local_addr().to_string(), 4, 2);
-        for uid in 0..10u64 {
-            core.push(&packet(uid)).unwrap();
+        let core = up.egress_core(3, 0, down.local_addr().to_string(), 2);
+        let sent = [batch(0..4), batch(4..8), batch(8..10)];
+        for b in &sent {
+            core.forward(b).unwrap();
         }
-        core.flush().unwrap();
         let route = down.ingress_route(3);
-        let mut codec = PacketCodec::new();
         let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < 10 && std::time::Instant::now() < deadline {
-            if let Some(bytes) = route.pop_timeout(Duration::from_millis(10)) {
-                let p = codec.decode(&bytes).unwrap();
-                got.push(p.get("uid").unwrap().as_u64().unwrap());
-            }
+        for b in &sent {
+            let frame =
+                route.queue.pop_timeout(Duration::from_secs(5)).expect("one frame per batch");
+            assert_eq!(frame.skip, 0);
+            assert_eq!(&frame.messages, b, "a batch crosses as one frame, bytes untouched");
+            got.extend(uids(&frame));
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>(), "in order, zero loss");
+        // The egress side shares the producer's buffer instead of copying it.
+        let replay = core.link().reliability().unwrap().replay().unacked();
+        assert_eq!(replay.len(), 3);
+        assert_eq!(replay[0].encoded.as_ptr(), sent[0].batch().as_ptr(), "held by refcount");
         // Quiescent mode: acks withheld, replay retains the frames.
         assert!(!core.replay_empty(), "no acks released yet");
         assert!(down.release_acks() > 0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !core.replay_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(core.replay_empty(), "ack released the replay buffer");
+        wait_until("the released ack empties the replay buffer", || core.replay_empty());
         // Trace sampling crossed the boundary.
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while down.stats().traced_in == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_until("a traced frame is counted", || down.stats().traced_in > 0);
         let dstats = down.stats();
         let ustats = up.stats();
         assert!(ustats.traced_out >= 1, "egress samples trace ids");
         assert_eq!(dstats.traced_in, ustats.traced_out, "FLAG_TRACE survives the hop");
-        assert_eq!(dstats.packets_in, 10);
+        assert_eq!((dstats.frames_in, dstats.packets_in), (3, 10));
+        assert_eq!((ustats.frames_out, ustats.packets_out), (3, 10));
         assert_eq!(dstats.handshake_rejects, 0, "hello admitted by the gate");
-        // The link-stats bundle reflects the flush knobs and traffic.
         let links = up.link_stats();
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].link_id, link_id(3, 0));
-        assert_eq!(links[0].packets, 10);
-        assert_eq!(links[0].flushes, 3, "4 + 4 + 2 across three frames");
-        assert_eq!(links[0].flush.batch_messages, 4);
+        assert_eq!((links[0].flushes, links[0].packets), (3, 10));
         up.shutdown();
         down.shutdown();
     }
@@ -726,34 +737,65 @@ mod tests {
     fn duplicate_frames_are_dropped_by_the_demux() {
         let down = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
         let up = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
-        let core = up.egress_core(1, 0, down.local_addr().to_string(), 64, 0);
-        core.push(&packet(1)).unwrap();
-        core.flush().unwrap();
-        // Replay the identical frame by hand through a second supervised
-        // send with the same base_seq: craft via a fresh core on the SAME
-        // link identity (epoch unchanged) — its frame seq restarts at 0,
-        // and base_seq restarts at 0, so the demux sees a duplicate.
-        let core2 = up.egress_core(1, 0, down.local_addr().to_string(), 64, 0);
-        core2.push(&packet(1)).unwrap();
-        core2.flush().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while down.stats().dup_frames == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = down.stats();
-        assert_eq!(stats.packets_in, 1, "duplicate packet not delivered");
-        assert_eq!(stats.dup_frames, 1);
+        let core = up.egress_core(1, 0, down.local_addr().to_string(), 0);
+        core.forward(&batch(1..2)).unwrap();
+        // Replay the identical frame by hand: a fresh core on the SAME
+        // link identity (epoch unchanged) restarts its frame seq and its
+        // base_seq at 0, so the demux sees a duplicate.
+        let core2 = up.egress_core(1, 0, down.local_addr().to_string(), 0);
+        core2.forward(&batch(1..2)).unwrap();
+        wait_until("the duplicate is counted", || down.stats().dup_frames == 1);
+        assert_eq!(down.stats().packets_in, 1, "duplicate packet not delivered");
         // A fresh epoch is a fresh identity: same payload now admitted.
-        let core3 = up.egress_core(1, 1, down.local_addr().to_string(), 64, 0);
-        core3.push(&packet(1)).unwrap();
-        core3.flush().unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while down.stats().packets_in < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(down.stats().packets_in, 2, "epoch bump re-admits the restarted producer");
+        let core3 = up.egress_core(1, 1, down.local_addr().to_string(), 0);
+        core3.forward(&batch(1..2)).unwrap();
+        wait_until("the epoch bump re-admits the restarted producer", || {
+            down.stats().packets_in == 2
+        });
         up.shutdown();
         down.shutdown();
+    }
+
+    #[test]
+    fn a_replayed_frame_overlapping_the_cursor_delivers_only_its_fresh_suffix() {
+        let down = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+        let up = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+        let mut ingress = IngressSource {
+            route: down.ingress_route(4),
+            pool: down.pool.clone(),
+            edge: 4,
+            draining: down.ingress_draining.clone(),
+            shutdown: down.shutdown.clone(),
+        };
+        let mut ctx = OperatorContext::collector("__ingress_4");
+        let emitted_uids = |ctx: &mut OperatorContext| -> Vec<u64> {
+            ctx.take_collected()
+                .iter()
+                .map(|(_, p)| p.get("uid").unwrap().as_u64().unwrap())
+                .collect()
+        };
+
+        let core = up.egress_core(4, 0, down.local_addr().to_string(), 0);
+        core.forward(&batch(0..3)).unwrap();
+        wait_until("the first frame is routed", || down.stats().packets_in == 3);
+        assert!(!down.quiescent(), "a routed frame counts until `__ingress` has emitted it");
+        assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(3));
+        assert!(down.quiescent());
+        assert_eq!(emitted_uids(&mut ctx), vec![0, 1, 2]);
+        // Same link identity, message sequence restarted at 0: a five-
+        // message frame now overlaps the dedup cursor (3) by three.
+        let replayer = up.egress_core(4, 0, down.local_addr().to_string(), 0);
+        replayer.forward(&batch(0..5)).unwrap();
+        wait_until("the overlapping frame is routed", || down.stats().packets_in == 5);
+        assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(2), "fresh suffix only");
+        assert_eq!(emitted_uids(&mut ctx), vec![3, 4]);
+        let stats = down.stats();
+        assert_eq!((stats.frames_in, stats.dup_frames, stats.packets_in), (2, 0, 5));
+        // Both frames' buffers went back to the receiver's pool.
+        assert_eq!(down.pool.stats().returns, 2);
+        up.shutdown();
+        down.shutdown();
+        assert_eq!(ingress.next(&mut ctx), SourceStatus::Exhausted);
     }
 
     #[test]
@@ -763,17 +805,14 @@ mod tests {
         // Close the route's queue before any traffic: deliveries must
         // surface `Closed` (not a swallowed generic error) and the frame
         // stays unacked in the upstream replay buffer.
-        down.ingress_route(9).close();
-        let core = up.egress_core(9, 0, down.local_addr().to_string(), 1, 0);
-        core.push(&packet(7)).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while down.undelivered_frames() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(down.undelivered_frames(), 1, "closed route detected");
+        down.ingress_route(9).queue.close();
+        let core = up.egress_core(9, 0, down.local_addr().to_string(), 0);
+        core.forward(&batch(7..9)).unwrap();
+        wait_until("the closed route is detected", || down.undelivered_frames() == 1);
         assert_eq!(down.stats().packets_in, 0, "nothing delivered");
         std::thread::sleep(Duration::from_millis(50));
         assert!(!core.replay_empty(), "unacked frame retained for replay");
+        assert_eq!(core.link().reliability().unwrap().replay().len(), 1, "the whole frame");
         up.shutdown();
         down.shutdown();
     }

@@ -25,6 +25,8 @@
 //! * [`coordinator`] — registration barrier, graph cutting, failure
 //!   detection and reassignment, cluster-wide telemetry aggregation.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod dataplane;
 pub mod node;

@@ -17,10 +17,11 @@
 //! a dead one look the same upstream, which is exactly right.
 //!
 //! **Quiescent acks:** the data plane withholds transport acks until the
-//! local pipeline is provably done with the data — ingress queues empty,
-//! the runtime settled, egress replay buffers drained. Until then every
-//! inbound frame is still covered by some upstream replay buffer, so a
-//! `kill -9` of this whole process loses nothing end-to-end.
+//! local pipeline is provably done with the data — every routed frame
+//! emitted by `__ingress`, the runtime settled, egress replay buffers
+//! drained. Until then every inbound frame is still covered by some
+//! upstream replay buffer, so a `kill -9` of this whole process loses
+//! nothing end-to-end.
 
 use std::time::Duration;
 

@@ -99,7 +99,11 @@ fn three_node_cluster_delivers_every_uid_and_serves_the_merged_export() {
 
 #[test]
 fn chaos_kill_mid_run_reassigns_and_loses_no_uids() {
-    const COUNT: u64 = 40_000;
+    // Enough uids that the kill below lands mid-stream at any plausible
+    // speed (a second of work for an optimized build, several for an
+    // unoptimized one), few enough that the upstream replay buffers
+    // (64 MB) still hold every unacked frame when it does.
+    const COUNT: u64 = 1_000_000;
     let listen = format!("127.0.0.1:{}", free_port());
     let http = format!("127.0.0.1:{}", free_port());
     let children = spawn_daemons(&listen, 3, "chaos");
@@ -136,7 +140,7 @@ fn chaos_kill_mid_run_reassigns_and_loses_no_uids() {
         std::thread::sleep(Duration::from_millis(50));
     }
     let victim = victim.expect("/nodes never exposed the win host's pid");
-    std::thread::sleep(Duration::from_millis(700)); // genuinely mid-run
+    std::thread::sleep(Duration::from_millis(200)); // genuinely mid-run
     let killed = Command::new("kill")
         .args(["-9", &victim.to_string()])
         .status()

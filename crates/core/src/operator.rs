@@ -16,6 +16,7 @@ use crate::channel::{ChannelEndpoint, EmitError};
 use crate::codec::PacketCodec;
 use crate::packet::StreamPacket;
 use crate::partition::{Partitioner, PartitioningScheme, Route};
+use neptune_net::frame::FrameMessages;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -60,6 +61,17 @@ pub trait StreamProcessor: Send {
     fn open(&mut self, _ctx: &mut OperatorContext) {}
     /// Handle one packet. The runtime batches invocations transparently.
     fn process(&mut self, packet: &StreamPacket, ctx: &mut OperatorContext);
+    /// Offered each inbound frame's still-encoded messages before any is
+    /// decoded. Return `true` to claim the whole batch — the runtime then
+    /// skips the per-packet loop for this frame and counts its messages as
+    /// `packets_in`. The default `false` leaves every frame to
+    /// [`process`](Self::process). For operators that only move packets
+    /// (a cut edge's shipper): pair it with
+    /// [`OperatorContext::emit_encoded`] or hand `batch.batch()` on by
+    /// refcount, and no packet is ever materialised.
+    fn process_encoded(&mut self, _batch: &FrameMessages, _ctx: &mut OperatorContext) -> bool {
+        false
+    }
     /// Called once when the instance shuts down.
     fn close(&mut self, _ctx: &mut OperatorContext) {}
     /// The processor's checkpointable state, if it holds any (window
@@ -102,10 +114,43 @@ enum ContextSink {
         links: Vec<OutgoingLink>,
         codec: PacketCodec,
         scratch: Vec<u8>,
+        /// Decode target of [`OperatorContext::emit_encoded`] when a
+        /// link's scheme routes by packet content.
+        workhorse: StreamPacket,
         counters: Arc<crate::metrics::OperatorCounters>,
     },
     /// Test harness: capture `(link, packet)` pairs in memory.
     Collector(Vec<(Option<String>, StreamPacket)>),
+}
+
+/// Append one length-prefixed message to the endpoint(s) `route` picks on
+/// every link (or only the link toward `only`). Returns how many endpoints
+/// took it.
+fn push_to_links(
+    links: &mut [OutgoingLink],
+    only: Option<&str>,
+    prefixed: &[u8],
+    mut route: impl FnMut(&mut Partitioner, usize) -> Result<Route, EmitError>,
+) -> Result<u64, EmitError> {
+    let mut delivered = 0u64;
+    for link in links.iter_mut() {
+        if only.is_some_and(|name| link.dst_operator != name) {
+            continue;
+        }
+        match route(&mut link.partitioner, link.endpoints.len())? {
+            Route::One(i) => {
+                link.endpoints[i].push_preencoded(prefixed)?;
+                delivered += 1;
+            }
+            Route::All => {
+                for ep in &link.endpoints {
+                    ep.push_preencoded(prefixed)?;
+                    delivered += 1;
+                }
+            }
+        }
+    }
+    Ok(delivered)
 }
 
 /// Execution context handed to operators: identity plus the emit API.
@@ -137,6 +182,7 @@ impl OperatorContext {
                 links,
                 codec: PacketCodec::new(),
                 scratch: Vec::with_capacity(512),
+                workhorse: StreamPacket::new(),
                 counters,
             },
             emitted: 0,
@@ -215,7 +261,7 @@ impl OperatorContext {
                 self.emitted += 1;
                 Ok(())
             }
-            ContextSink::Channels { links, codec, scratch, counters } => {
+            ContextSink::Channels { links, codec, scratch, counters, .. } => {
                 if let Some(name) = only {
                     if !links.iter().any(|l| l.dst_operator == name) {
                         return Err(EmitError::Transport(format!(
@@ -232,26 +278,54 @@ impl OperatorContext {
                 codec.encode_into(packet, scratch).map_err(|e| EmitError::Codec(e.to_string()))?;
                 let body_len = (scratch.len() - 4) as u32;
                 scratch[..4].copy_from_slice(&body_len.to_le_bytes());
-                let mut delivered = 0u64;
-                for link in links.iter_mut() {
-                    if let Some(name) = only {
-                        if link.dst_operator != name {
-                            continue;
-                        }
+                let delivered =
+                    push_to_links(links, only, scratch, |part, n| Ok(part.route(packet, n)))?;
+                self.emitted += delivered;
+                counters.packets_out.fetch_add(delivered, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+    }
+
+    /// Emit one already-encoded message — `[len u32 LE | bytes]`, as
+    /// [`FrameMessages::prefixed`] yields it — over **all** outgoing
+    /// links, without re-encoding it. Shuffle, Global and Broadcast links
+    /// route without a packet; Fields and Custom links decode the message
+    /// into a context-owned workhorse, once, only to route it. Either way
+    /// the original bytes are what every destination receives. Counts
+    /// toward `packets_out` like [`emit`](Self::emit).
+    pub fn emit_encoded(&mut self, prefixed: &[u8]) -> Result<(), EmitError> {
+        let framed = prefixed.len() >= 4
+            && u32::from_le_bytes(prefixed[..4].try_into().expect("slice len")) as usize
+                == prefixed.len() - 4;
+        if !framed {
+            return Err(EmitError::Codec(
+                "emit_encoded expects a [len u32 LE | bytes] message".into(),
+            ));
+        }
+        match &mut self.sink {
+            ContextSink::Collector(collected) => {
+                let packet = PacketCodec::new()
+                    .decode(&prefixed[4..])
+                    .map_err(|e| EmitError::Codec(e.to_string()))?;
+                collected.push((None, packet));
+                self.emitted += 1;
+                Ok(())
+            }
+            ContextSink::Channels { links, codec, workhorse, counters, .. } => {
+                let mut decoded = false;
+                let delivered = push_to_links(links, None, prefixed, |part, n| {
+                    if let Some(route) = part.route_keyless(n) {
+                        return Ok(route);
                     }
-                    match link.partitioner.route(packet, link.endpoints.len()) {
-                        Route::One(i) => {
-                            link.endpoints[i].push_preencoded(scratch)?;
-                            delivered += 1;
-                        }
-                        Route::All => {
-                            for ep in &link.endpoints {
-                                ep.push_preencoded(scratch)?;
-                                delivered += 1;
-                            }
-                        }
+                    if !decoded {
+                        codec
+                            .decode_into(&prefixed[4..], workhorse)
+                            .map_err(|e| EmitError::Codec(e.to_string()))?;
+                        decoded = true;
                     }
-                }
+                    Ok(part.route(workhorse, n))
+                })?;
                 self.emitted += delivered;
                 counters.packets_out.fetch_add(delivered, Ordering::Relaxed);
                 Ok(())
@@ -389,10 +463,36 @@ mod tests {
     fn broadcast_fan_out_delivers_identical_bytes() {
         // Serialize-once fan-out: a broadcast packet reaches every
         // destination instance as byte-identical messages.
+        let (mut ctx, queues) = one_link_ctx(&PartitioningScheme::Broadcast, 3);
+        ctx.emit(&packet(123)).unwrap();
+        assert_eq!(ctx.packets_emitted(), 3);
+        let frames: Vec<_> = queues.iter().map(|q| q.pop().unwrap()).collect();
+        for f in &frames {
+            assert_eq!(f.messages.len(), 1);
+            assert_eq!(f.messages[0], frames[0].messages[0]);
+        }
+        let mut codec = PacketCodec::new();
+        let decoded = codec.decode(&frames[2].messages[0]).unwrap();
+        assert_eq!(decoded.get("n").unwrap().as_u64(), Some(123));
+    }
+
+    fn prefixed(p: &StreamPacket) -> Vec<u8> {
+        let body = PacketCodec::new().encode(p).unwrap();
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&body);
+        out
+    }
+
+    /// One link of `instances` endpoints that flush every message, under
+    /// `scheme`; returns the context and each instance's queue.
+    fn one_link_ctx(
+        scheme: &PartitioningScheme,
+        instances: usize,
+    ) -> (OperatorContext, Vec<Arc<WatermarkQueue<neptune_net::frame::Frame>>>) {
         let counters = Arc::new(OperatorCounters::default());
         let mut queues = Vec::new();
         let mut endpoints = Vec::new();
-        for di in 0..3 {
+        for di in 0..instances {
             let q = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
             queues.push(q.clone());
             let id = ChannelId::new(0, 0, di as u16);
@@ -404,18 +504,58 @@ mod tests {
                 None,
             )));
         }
-        let links = vec![OutgoingLink::new("fan", &PartitioningScheme::Broadcast, endpoints)];
-        let mut ctx = OperatorContext::for_channels("src", 0, 1, links, counters);
-        ctx.emit(&packet(123)).unwrap();
-        assert_eq!(ctx.packets_emitted(), 3);
-        let frames: Vec<_> = queues.iter().map(|q| q.pop().unwrap()).collect();
-        for f in &frames {
-            assert_eq!(f.messages.len(), 1);
-            assert_eq!(f.messages[0], frames[0].messages[0]);
+        let links = vec![OutgoingLink::new("dst", scheme, endpoints)];
+        (OperatorContext::for_channels("src", 0, 1, links, counters), queues)
+    }
+
+    #[test]
+    fn emit_encoded_delivers_the_same_bytes_to_the_same_instances_as_emit() {
+        let by_custom = PartitioningScheme::Custom(Arc::new(|p: &StreamPacket, n| {
+            p.get("n").and_then(|v| v.as_u64()).unwrap_or(0) as usize % n
+        }));
+        let schemes = [
+            PartitioningScheme::Shuffle,
+            PartitioningScheme::Global,
+            PartitioningScheme::Broadcast,
+            PartitioningScheme::by_field("n"),
+            by_custom,
+        ];
+        for scheme in &schemes {
+            let (mut by_packet, packet_queues) = one_link_ctx(scheme, 3);
+            let (mut by_bytes, byte_queues) = one_link_ctx(scheme, 3);
+            for n in 0..20 {
+                by_packet.emit(&packet(n)).unwrap();
+                by_bytes.emit_encoded(&prefixed(&packet(n))).unwrap();
+            }
+            assert_eq!(by_bytes.packets_emitted(), by_packet.packets_emitted(), "{scheme:?}");
+            for (a, b) in packet_queues.iter().zip(&byte_queues) {
+                let drain = |q: &WatermarkQueue<neptune_net::frame::Frame>| -> Vec<Vec<u8>> {
+                    std::iter::from_fn(|| q.pop()).map(|f| f.messages[0].to_vec()).collect()
+                };
+                assert_eq!(drain(b), drain(a), "{scheme:?}: same bytes, same order, per instance");
+            }
         }
-        let mut codec = PacketCodec::new();
-        let decoded = codec.decode(&frames[2].messages[0]).unwrap();
-        assert_eq!(decoded.get("n").unwrap().as_u64(), Some(123));
+    }
+
+    #[test]
+    fn emit_encoded_rejects_a_misframed_message_and_counts_packets_out() {
+        let (mut ctx, queues) = channel_ctx(&[("a", 1), ("b", 1)]);
+        let good = prefixed(&packet(7));
+        ctx.emit_encoded(&good).unwrap();
+        assert_eq!(ctx.packets_emitted(), 2, "one per link, like emit");
+        assert_eq!(queues[0].pop().unwrap().messages[0], good[4..]);
+        for bad in [&good[..3], &good[..good.len() - 1], &good[4..]] {
+            assert!(matches!(ctx.emit_encoded(bad), Err(EmitError::Codec(_))));
+        }
+        assert_eq!(ctx.packets_emitted(), 2);
+        // A keyed link cannot route what it cannot decode.
+        let (mut keyed, _q) = one_link_ctx(&PartitioningScheme::by_field("n"), 2);
+        let garbage = [3u8, 0, 0, 0, 0xFF, 0xFF, 0xFF];
+        assert!(matches!(keyed.emit_encoded(&garbage), Err(EmitError::Codec(_))));
+        // The collector records the decoded packet.
+        let mut collector = OperatorContext::collector("c");
+        collector.emit_encoded(&good).unwrap();
+        assert_eq!(collector.take_collected()[0].1.get("n").unwrap().as_u64(), Some(7));
     }
 
     #[test]

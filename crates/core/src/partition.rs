@@ -103,23 +103,39 @@ impl Partitioner {
         Partitioner { scheme: inner, cursor: 0 }
     }
 
-    /// Route one packet among `n_instances` destination instances.
+    /// Route among `n_instances` without looking at the packet, when the
+    /// scheme allows it: Shuffle, Global and Broadcast never read a field.
+    /// `None` for Fields and Custom, which need the decoded packet — call
+    /// [`route`](Self::route) then. This is what lets already-encoded
+    /// messages be forwarded without materialising a packet.
     ///
     /// Panics if `n_instances == 0`.
-    pub fn route(&mut self, packet: &StreamPacket, n_instances: usize) -> Route {
+    pub fn route_keyless(&mut self, n_instances: usize) -> Option<Route> {
         assert!(n_instances > 0, "cannot route to zero instances");
         match &self.scheme {
             PartitioningSchemeInner::Shuffle => {
                 let i = self.cursor % n_instances;
                 self.cursor = self.cursor.wrapping_add(1);
-                Route::One(i)
+                Some(Route::One(i))
             }
+            PartitioningSchemeInner::Global => Some(Route::One(0)),
+            PartitioningSchemeInner::Broadcast => Some(Route::All),
+            PartitioningSchemeInner::Fields(_) | PartitioningSchemeInner::Custom(_) => None,
+        }
+    }
+
+    /// Route one packet among `n_instances` destination instances.
+    ///
+    /// Panics if `n_instances == 0`.
+    pub fn route(&mut self, packet: &StreamPacket, n_instances: usize) -> Route {
+        if let Some(route) = self.route_keyless(n_instances) {
+            return route;
+        }
+        match &self.scheme {
             PartitioningSchemeInner::Fields(keys) => {
                 let h = hash_fields(packet, keys);
                 Route::One((h % n_instances as u64) as usize)
             }
-            PartitioningSchemeInner::Global => Route::One(0),
-            PartitioningSchemeInner::Broadcast => Route::All,
             PartitioningSchemeInner::Custom(f) => {
                 let i = f(packet, n_instances);
                 assert!(
@@ -128,6 +144,7 @@ impl Partitioner {
                 );
                 Route::One(i)
             }
+            _ => unreachable!("keyless schemes are routed above"),
         }
     }
 }
@@ -253,6 +270,23 @@ mod tests {
     fn broadcast_routes_to_all() {
         let mut part = Partitioner::new(&PartitioningScheme::Broadcast);
         assert_eq!(part.route(&packet_with_key(1), 3), Route::All);
+    }
+
+    #[test]
+    fn keyless_routing_matches_route_and_declines_keyed_schemes() {
+        let p = packet_with_key(3);
+        for scheme in
+            [PartitioningScheme::Shuffle, PartitioningScheme::Global, PartitioningScheme::Broadcast]
+        {
+            let (mut keyless, mut keyed) = (Partitioner::new(&scheme), Partitioner::new(&scheme));
+            for _ in 0..7 {
+                assert_eq!(keyless.route_keyless(3), Some(keyed.route(&p, 3)), "{scheme:?}");
+            }
+        }
+        let custom = PartitioningScheme::Custom(Arc::new(|_, _| 0));
+        for scheme in [PartitioningScheme::by_field("device"), custom] {
+            assert_eq!(Partitioner::new(&scheme).route_keyless(3), None, "{scheme:?}");
+        }
     }
 
     #[test]

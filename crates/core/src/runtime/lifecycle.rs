@@ -32,8 +32,11 @@ impl JobHandle {
             for ep in &self.endpoints {
                 let _ = ep.force_flush();
             }
-            for r in &self.resources {
-                r.drain();
+            // Bounded like the rest of the loop: a caller probing a loaded
+            // pipeline with a short timeout (a node's quiescence tick) must
+            // get its `false` back on time, not once the load lets up.
+            if !self.resources.iter().all(|r| r.drain_until(deadline)) {
+                return false;
             }
             let snapshot = self.registry.snapshot();
             let frames_out: u64 = snapshot.operators.values().map(|m| m.frames_out).sum();

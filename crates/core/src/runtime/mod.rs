@@ -463,6 +463,62 @@ mod tests {
         assert_eq!(metrics.operator("receiver").packets_in, n);
     }
 
+    /// Relay that never looks inside a packet: claims each frame and
+    /// forwards its messages as they are.
+    struct EncodedForward;
+    impl StreamProcessor for EncodedForward {
+        fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {
+            panic!("a claimed frame must not reach the per-packet loop");
+        }
+        fn process_encoded(
+            &mut self,
+            batch: &neptune_net::frame::FrameMessages,
+            ctx: &mut OperatorContext,
+        ) -> bool {
+            for i in 0..batch.len() {
+                ctx.emit_encoded(batch.prefixed(i)).expect("downstream open");
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn a_claimed_frame_skips_the_packet_loop_and_counts_the_same_bare_and_supervised() {
+        let n = 5_000u64;
+        let run = |containment: crate::config::ContainmentConfig| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let sum = Arc::new(AtomicU64::new(0));
+            let (s2, m2) = (seen.clone(), sum.clone());
+            let graph = GraphBuilder::new("encoded-relay")
+                .source("sender", move || CountingSource { remaining: n, next_val: 0 })
+                .processor("relay", || EncodedForward)
+                .processor_n("receiver", 2, move || SinkCollect {
+                    seen: s2.clone(),
+                    sum: m2.clone(),
+                })
+                .link("sender", "relay", PartitioningScheme::Shuffle)
+                .link("relay", "receiver", PartitioningScheme::by_field("n"))
+                .build()
+                .unwrap();
+            let config = RuntimeConfig { buffer_bytes: 4096, containment, ..Default::default() };
+            let job = LocalRuntime::new(config).submit(graph).unwrap();
+            assert!(job.await_sources(Duration::from_secs(30)), "sources timed out");
+            let metrics = job.stop();
+            assert_eq!(seen.load(Ordering::Relaxed), n);
+            assert_eq!(sum.load(Ordering::Relaxed), n * (n - 1) / 2, "payload integrity");
+            assert_eq!(metrics.total_seq_violations(), 0);
+            assert_eq!(metrics.containment.panics, 0, "process() was never called");
+            let relay = metrics.operator("relay");
+            assert_eq!(metrics.operator("receiver").packets_in, n);
+            (relay.packets_in, relay.packets_out, relay.frames_in)
+        };
+        let bare = run(crate::config::ContainmentConfig::default());
+        let supervised = run(crate::config::ContainmentConfig::enabled());
+        assert_eq!((bare.0, bare.1), (n, n));
+        assert_eq!(bare, supervised, "both branches consult the hook and count alike");
+        assert!(bare.2 < n / 10, "frames, not packets: {}", bare.2);
+    }
+
     #[test]
     fn relay_with_parallel_middle_stage() {
         let n = 4_000u64;

@@ -363,6 +363,12 @@ impl ProcessorTask {
         }
         let span_start = traced.map(|_| Instant::now());
         match &self.supervision {
+            // An operator that forwards encoded batches claims the frame
+            // whole: nothing is decoded, so there is no per-packet e2e
+            // sample either — only the frame-level stages above.
+            None if self.processor.process_encoded(&frame.messages, &mut self.ctx) => {
+                self.counters.packets_in.fetch_add(frame.messages.len() as u64, Ordering::Relaxed);
+            }
             None => {
                 for message in &frame.messages {
                     match self.codec.decode_into(message, &mut self.workhorse) {
@@ -397,6 +403,9 @@ impl ProcessorTask {
                 let frame_ref = &frame;
                 let outcome = sup.supervisor.run_batch(
                     || {
+                        if processor.process_encoded(&frame_ref.messages, ctx) {
+                            return (frame_ref.messages.len() as u64, 0);
+                        }
                         let mut decoded = 0u64;
                         let mut bad = 0u64;
                         for message in &frame_ref.messages {

@@ -25,6 +25,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 struct SlotInner {
     task: Box<dyn ComputationalTask>,
@@ -329,6 +330,18 @@ impl Resource {
     /// Block until no task is scheduled and no undelivered signal could
     /// still trigger one. Used by tests and graceful-stop paths.
     pub fn drain(&self) {
+        self.drain_inner(None);
+    }
+
+    /// [`drain`](Self::drain), giving up at `deadline`: `false` when tasks
+    /// were still running then. For callers that only ask *whether* the
+    /// resource is idle and must not wait out a loaded pipeline to learn
+    /// that it is not.
+    pub fn drain_until(&self, deadline: Instant) -> bool {
+        self.drain_inner(Some(deadline))
+    }
+
+    fn drain_inner(&self, deadline: Option<Instant>) -> bool {
         loop {
             let busy = {
                 let slots = self.inner.slots.read();
@@ -340,7 +353,10 @@ impl Resource {
                 })
             };
             if !busy && self.inner.pool.is_idle() {
-                return;
+                return true;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
             }
             std::thread::yield_now();
         }
@@ -538,6 +554,26 @@ mod tests {
         assert_eq!(signals.load(Ordering::Relaxed), 10, "no signal may be lost");
         assert!(execs.load(Ordering::Relaxed) <= 10);
         assert!(execs.load(Ordering::Relaxed) >= 1);
+        res.shutdown();
+    }
+
+    #[test]
+    fn drain_until_gives_up_at_its_deadline_while_a_task_runs() {
+        /// Holds its worker until the test lets go.
+        struct Held(std::sync::mpsc::Receiver<()>);
+        impl ComputationalTask for Held {
+            fn execute(&mut self, _ctx: &TaskContext) -> TaskOutcome {
+                let _ = self.0.recv();
+                TaskOutcome::Continue
+            }
+        }
+        let res = Resource::builder("r").workers(1).build();
+        let (release, held) = std::sync::mpsc::channel();
+        let h = res.deploy(Held(held), ScheduleSpec::data_driven()).unwrap();
+        h.signal();
+        assert!(!res.drain_until(Instant::now() + Duration::from_millis(20)), "task still held");
+        release.send(()).unwrap();
+        assert!(res.drain_until(Instant::now() + Duration::from_secs(5)), "idle once released");
         res.shutdown();
     }
 

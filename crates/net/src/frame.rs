@@ -164,6 +164,16 @@ impl FrameMessages {
         Some(&self.batch[off as usize..off as usize + len as usize])
     }
 
+    /// Message `i` together with the 4-byte length prefix that precedes it
+    /// in the batch — the `[len u32 LE | bytes]` form an output buffer
+    /// appends as is, so a message can be forwarded without re-framing.
+    ///
+    /// Panics when out of range.
+    pub fn prefixed(&self, i: usize) -> &[u8] {
+        let (off, len) = self.ranges[i];
+        &self.batch[off as usize - 4..(off + len) as usize]
+    }
+
     /// Iterate over the messages as slices.
     pub fn iter(&self) -> FrameMessagesIter<'_> {
         FrameMessagesIter { batch: &self.batch, ranges: self.ranges.iter() }
@@ -1232,6 +1242,10 @@ mod tests {
         assert_eq!(fm.payload_bytes(), 6);
         assert_eq!(fm.iter().count(), 3);
         assert_eq!(fm.message_bytes(2), Bytes::from_static(b"cdef"));
+        assert_eq!(fm.prefixed(0), b"\x02\0\0\0ab".as_slice());
+        assert_eq!(fm.prefixed(1), b"\0\0\0\0".as_slice());
+        let parsed = FrameMessages::parse_prefixed(fm.batch().clone(), Some(3)).unwrap();
+        assert_eq!(parsed.prefixed(2), b"\x04\0\0\0cdef".as_slice());
         let collected: Vec<&[u8]> = (&fm).into_iter().collect();
         assert_eq!(collected, vec![b"ab".as_slice(), b"", b"cdef"]);
         assert_eq!(FrameMessages::empty().len(), 0);

@@ -467,11 +467,13 @@ impl TcpReceiver {
     /// killed node's unacked frames stay in the upstream replay buffer.
     ///
     /// `gate`, when set, enforces the [`ControlKind::Hello`] version
-    /// handshake on every accepted connection.
+    /// handshake on every accepted connection. `pool`, when set, supplies
+    /// the frame-body buffers, as in [`bind_pooled`](Self::bind_pooled).
     pub fn bind_manual_ack(
         addr: impl ToSocketAddrs,
         watermark: WatermarkConfig,
         gate: Option<HandshakeGate>,
+        pool: Option<Arc<BytesPool>>,
     ) -> std::io::Result<Self> {
         let policy = Arc::new(ReaderPolicy {
             manual_ack: true,
@@ -479,7 +481,7 @@ impl TcpReceiver {
             handshake_rejects: AtomicU64::new(0),
             ack_links: Mutex::new(HashMap::new()),
         });
-        Self::bind_inner(addr, watermark, ShedConfig::disabled(), None, policy)
+        Self::bind_inner(addr, watermark, ShedConfig::disabled(), pool, policy)
     }
 
     /// Like [`bind`](Self::bind), but reader threads draw frame-body
@@ -1182,6 +1184,7 @@ mod tests {
             "127.0.0.1:0",
             WatermarkConfig::new(1 << 20, 1 << 10),
             None,
+            None,
         )
         .unwrap();
         let acks = Arc::new(Mutex::new(Vec::new()));
@@ -1217,6 +1220,7 @@ mod tests {
             "127.0.0.1:0",
             WatermarkConfig::new(1 << 20, 1 << 10),
             Some(gate),
+            None,
         )
         .unwrap();
         // Mismatched peer: announces a future protocol version.
