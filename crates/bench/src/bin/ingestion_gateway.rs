@@ -5,15 +5,12 @@
 //! and stream stamped frames into its inbound queue; a sink thread
 //! drains the queue and measures ingest latency (sender stamp → sink
 //! pop). The interesting curve is *connections vs gateway threads vs
-//! sink p99*:
-//!
-//! * **reactor path** — every connection is an IO task multiplexed onto
-//!   `io_threads` event-driven threads plus one reactor thread, so the
-//!   gateway's thread count is O(io_threads) no matter how many devices
-//!   connect;
-//! * **blocking baseline** — one reader thread per accepted connection,
-//!   so the thread count is O(connections): the pre-reactor cost this
-//!   harness exists to show.
+//! sink p99*: every connection is an IO task multiplexed onto
+//! `io_threads` event-driven threads plus one reactor thread, so the
+//! gateway's thread count is O(io_threads) no matter how many devices
+//! connect — and every descriptor a connection held is released when it
+//! closes, so the process ends the sweep with the descriptors it began
+//! with.
 //!
 //! Scales are clamped to the process fd budget (`/proc/self/limits`):
 //! each device costs two descriptors (client + accepted end) in this
@@ -37,8 +34,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// IO threads serving the reactor-path gateway — the whole point is
-/// that this number, not the connection count, bounds the thread bill.
+/// IO threads serving the gateway — the whole point is that this number,
+/// not the connection count, bounds the thread bill.
 const IO_THREADS: usize = 2;
 /// Client threads simulating the device fleet (each owns a slice of the
 /// connections and round-robins frames across them).
@@ -58,9 +55,13 @@ fn fd_soft_limit() -> u64 {
         .unwrap_or(1024)
 }
 
-/// Threads of this process, total and gateway-owned. Gateway threads
-/// are the `gw-` pool/reactor threads plus any `neptune-io-` blocking
-/// transport threads (per-connection readers on the baseline path).
+/// Descriptors this process holds open.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").map(|d| d.count()).unwrap_or(0)
+}
+
+/// Threads of this process, total and gateway-owned (the `gw-`
+/// pool/reactor threads).
 fn thread_counts() -> (usize, usize) {
     let mut total = 0;
     let mut gateway = 0;
@@ -68,8 +69,7 @@ fn thread_counts() -> (usize, usize) {
         for e in entries.flatten() {
             total += 1;
             if let Ok(c) = std::fs::read_to_string(e.path().join("comm")) {
-                let c = c.trim();
-                if c.starts_with("gw-") || c.starts_with("neptune-io-") {
+                if c.trim().starts_with("gw-") {
                     gateway += 1;
                 }
             }
@@ -86,19 +86,14 @@ struct ScaleOutcome {
 
 /// Run one scale point: `conns` devices each sending `frames_per_conn`
 /// stamped frames at the gateway, which drains them on a sink thread.
-fn run_scale(reactor_mode: bool, conns: usize, frames_per_conn: usize) -> ScaleOutcome {
+fn run_scale(conns: usize, frames_per_conn: usize) -> ScaleOutcome {
     let watermark = WatermarkConfig::new(64 << 20, 1 << 20);
     // The rig outlives the endpoints; the pool must drop before the
     // reactor so retiring tasks can still deregister their sockets.
-    let reactor = reactor_mode.then(|| Reactor::new("gw").expect("reactor thread"));
-    let io_pool = reactor_mode.then(|| IoPool::new("gw", IO_THREADS));
-    let rx = match (&reactor, &io_pool) {
-        (Some(r), Some(pool)) => {
-            let driver = NetDriver::new(pool.spawner(), r.handle());
-            TcpReceiver::bind_reactor("127.0.0.1:0", watermark, &driver).expect("bind reactor")
-        }
-        _ => TcpReceiver::bind("127.0.0.1:0", watermark).expect("bind blocking"),
-    };
+    let reactor = Reactor::new("gw").expect("reactor thread");
+    let io_pool = IoPool::new("gw", IO_THREADS);
+    let driver = NetDriver::new(io_pool.spawner(), reactor.handle());
+    let rx = TcpReceiver::bind_reactor("127.0.0.1:0", watermark, &driver).expect("bind gateway");
     let addr = rx.local_addr();
 
     // Sink: drain the inbound queue, measuring sender-stamp → pop.
@@ -181,10 +176,9 @@ fn run_scale(reactor_mode: bool, conns: usize, frames_per_conn: usize) -> ScaleO
         std::thread::sleep(Duration::from_millis(5));
     }
     // Accepted ends register asynchronously; wait until the gateway
-    // sees them all so per-connection reader threads (blocking path)
-    // exist before the audit.
+    // sees them all before the audit.
     let accept_deadline = Instant::now() + Duration::from_secs(60);
-    while rx.open_connections() < conns {
+    while rx.connections() < conns {
         assert!(Instant::now() < accept_deadline, "gateway accept timed out");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -205,8 +199,7 @@ fn run_scale(reactor_mode: bool, conns: usize, frames_per_conn: usize) -> ScaleO
 
     let backlog_peak = rx.accept_backlog_peak();
     let decode_errors = rx.decode_errors();
-    let reactor_stats = reactor.as_ref().map(|r| r.stats());
-    let mode = if reactor_mode { "reactor" } else { "blocking" };
+    let reactor_stats = reactor.stats();
 
     // Teardown: fleet first, then receiver, pool, reactor.
     let sockets: Vec<_> = devices.into_iter().map(|d| d.join().expect("device thread")).collect();
@@ -224,32 +217,22 @@ fn run_scale(reactor_mode: bool, conns: usize, frames_per_conn: usize) -> ScaleO
     assert_eq!(decode_errors, 0, "gateway must decode every device frame");
 
     println!(
-        "{mode:8}  conns={conns:5}  gateway_threads={gateway_threads:4}  \
+        "conns={conns:5}  gateway_threads={gateway_threads:4}  \
          p50={p50:8.0}µs  p99={p99:8.0}µs  {throughput:9.0} frames/s"
     );
     let json = object([
-        ("mode", JsonValue::String(mode.into())),
         ("connections", JsonValue::Number(conns as f64)),
         ("frames", JsonValue::Number(expected as f64)),
         ("gateway_threads", JsonValue::Number(gateway_threads as f64)),
         ("process_threads", JsonValue::Number(process_threads as f64)),
-        ("io_threads", JsonValue::Number(if reactor_mode { IO_THREADS as f64 } else { 0.0 })),
+        ("io_threads", JsonValue::Number(IO_THREADS as f64)),
         ("p50_us", JsonValue::Number(p50)),
         ("p99_us", JsonValue::Number(p99)),
         ("throughput_fps", JsonValue::Number(throughput)),
         ("accept_backlog_peak", JsonValue::Number(backlog_peak as f64)),
-        (
-            "reactor_interests",
-            JsonValue::Number(reactor_stats.map(|s| s.registered as f64).unwrap_or(0.0)),
-        ),
-        (
-            "reactor_events",
-            JsonValue::Number(reactor_stats.map(|s| s.events_dispatched as f64).unwrap_or(0.0)),
-        ),
-        (
-            "reactor_rearms",
-            JsonValue::Number(reactor_stats.map(|s| s.rearms as f64).unwrap_or(0.0)),
-        ),
+        ("reactor_interests", JsonValue::Number(reactor_stats.registered as f64)),
+        ("reactor_events", JsonValue::Number(reactor_stats.events_dispatched as f64)),
+        ("reactor_rearms", JsonValue::Number(reactor_stats.rearms as f64)),
     ]);
     ScaleOutcome { json, gateway_threads, p99_us: p99 }
 }
@@ -280,20 +263,14 @@ fn main() {
     }
 
     println!("# ingestion_gateway — connections vs gateway threads vs sink p99\n");
-    let baseline = run_scale(false, scales[0], frames_per_conn);
-    let reactor: Vec<ScaleOutcome> =
-        scales.iter().map(|&c| run_scale(true, c, frames_per_conn)).collect();
+    let fds_before = open_fds();
+    let outcomes: Vec<ScaleOutcome> =
+        scales.iter().map(|&c| run_scale(c, frames_per_conn)).collect();
+    let fds_after = open_fds();
 
-    let mut table = Table::new(&["mode", "connections", "gateway threads", "p99 (µs)"]);
-    table.row(vec![
-        "blocking".into(),
-        format!("{}", scales[0]),
-        format!("{}", baseline.gateway_threads),
-        format!("{:.0}", baseline.p99_us),
-    ]);
-    for (outcome, conns) in reactor.iter().zip(scales.iter()) {
+    let mut table = Table::new(&["connections", "gateway threads", "p99 (µs)"]);
+    for (outcome, conns) in outcomes.iter().zip(scales.iter()) {
         table.row(vec![
-            "reactor".into(),
             format!("{conns}"),
             format!("{}", outcome.gateway_threads),
             format!("{:.0}", outcome.p99_us),
@@ -301,28 +278,27 @@ fn main() {
     }
     table.print();
 
-    // Acceptance: the reactor gateway's thread count must not grow with
-    // the device count — O(io_threads), flat across the whole sweep.
-    let first = reactor.first().expect("at least one scale").gateway_threads;
-    for (outcome, conns) in reactor.iter().zip(scales.iter()) {
+    // Acceptance: the gateway's thread count must not grow with the
+    // device count — O(io_threads), flat across the whole sweep.
+    let first = outcomes.first().expect("at least one scale").gateway_threads;
+    for (outcome, conns) in outcomes.iter().zip(scales.iter()) {
         assert_eq!(
             outcome.gateway_threads, first,
-            "reactor gateway threads must stay flat ({first} at {} conns, {} at {conns})",
+            "gateway threads must stay flat ({first} at {} conns, {} at {conns})",
             scales[0], outcome.gateway_threads
         );
     }
-    // The blocking baseline pays roughly one thread per connection.
+    // And every connection gives its descriptors back: thousands were
+    // opened, a leak of one each could not hide in this margin.
     assert!(
-        baseline.gateway_threads >= scales[0],
-        "blocking baseline should hold one reader thread per connection"
+        fds_after <= fds_before + 8,
+        "descriptors leaked across the sweep: {fds_before} before, {fds_after} after"
     );
     println!(
-        "\nreactor gateway holds {first} threads from {} to {} connections; \
-         blocking pays {} threads for {} connections",
+        "\ngateway holds {first} threads from {} to {} connections; \
+         {fds_before} descriptors open before the sweep, {fds_after} after",
         scales[0],
         scales[scales.len() - 1],
-        baseline.gateway_threads,
-        scales[0]
     );
 
     let doc = object([
@@ -333,8 +309,9 @@ fn main() {
         ("max_connections", JsonValue::Number(max_conns as f64)),
         ("io_threads", JsonValue::Number(IO_THREADS as f64)),
         ("frames_per_connection", JsonValue::Number(frames_per_conn as f64)),
-        ("blocking_baseline", baseline.json),
-        ("reactor_scales", JsonValue::Array(reactor.into_iter().map(|o| o.json).collect())),
+        ("fds_before", JsonValue::Number(fds_before as f64)),
+        ("fds_after", JsonValue::Number(fds_after as f64)),
+        ("reactor_scales", JsonValue::Array(outcomes.into_iter().map(|o| o.json).collect())),
     ]);
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ingestion.json");
     std::fs::write(&out, doc.to_json()).expect("write BENCH_ingestion.json");

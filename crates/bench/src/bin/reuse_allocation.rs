@@ -25,7 +25,7 @@ static ALLOC: neptune_bench::CountingAllocator = neptune_bench::CountingAllocato
 use neptune_bench::{alloc_snapshot, eng, Table};
 use neptune_compress::SelectiveCompressor;
 use neptune_core::{FieldValue, PacketCodec, StreamPacket};
-use neptune_net::frame::{decode_frame, encode_frame, read_frame_pooled};
+use neptune_net::frame::{decode_frame, encode_frame, Frame, FrameDecoder};
 use neptune_net::pool::BytesPool;
 use std::time::Instant;
 
@@ -111,18 +111,25 @@ fn run_receive_pooled(wire: &[u8]) -> (u64, u64, f64, u64) {
     let mut codec = PacketCodec::new();
     let mut workhorse = StreamPacket::new();
     let mut checksum = 0u64;
+    // Frames come off the wire the way a connection task takes them: one
+    // incremental decoder, bodies checked out of the pool.
+    let mut decoder = FrameDecoder::new();
+    let mut next_frame = |read: &mut usize| -> Frame {
+        let (used, frame) = decoder.feed(&wire[*read..], Some(&pool)).expect("frame");
+        *read += used;
+        frame.expect("whole frames on the wire")
+    };
     // One warmup pass populates the pool; the measured loop is steady state.
-    let mut cur = std::io::Cursor::new(wire);
+    let mut read = 0;
     for _ in 0..RX_FRAMES {
-        let f = read_frame_pooled(&mut cur, &pool).expect("frame");
-        pool.recycle(f.messages.into_batch());
+        pool.recycle(next_frame(&mut read).messages.into_batch());
     }
     let (a0, b0) = alloc_snapshot();
     let t0 = Instant::now();
     for _ in 0..RX_ROUNDS {
-        let mut cur = std::io::Cursor::new(wire);
+        let mut read = 0;
         for _ in 0..RX_FRAMES {
-            let frame = read_frame_pooled(&mut cur, &pool).expect("frame");
+            let frame = next_frame(&mut read);
             for m in &frame.messages {
                 codec.decode_into(m, &mut workhorse).expect("decode");
                 checksum = checksum

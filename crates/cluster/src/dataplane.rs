@@ -22,7 +22,7 @@
 //!   producer's batch buffer, the TCP writer copies it to the wire once
 //!   (with its CRC). The link underneath is [`LinkBuilder`]-assembled — an
 //!   every-N [`TraceTagger`] and a [`SupervisedLink`] reliability layer
-//!   over a reactor-path [`TcpSender`] connector; frames carry `FLAG_SEQ`,
+//!   over a [`TcpSender`] connector; frames carry `FLAG_SEQ`,
 //!   unacked frames sit in the replay buffer, and the connection opens
 //!   with a protocol hello;
 //! * **ingress** is one [`TcpReceiver::bind_manual_ack`] per node with a
@@ -211,8 +211,9 @@ impl EgressCore {
 /// Per-node data-plane endpoint shared by the boundary operators, the
 /// demux pump, and the node daemon.
 pub struct DataPlane {
-    // `io_pool` must drop before `reactor` so retiring sender tasks can
-    // still deregister their sockets; fields drop in declaration order.
+    // Both directions run on this one IO tier. `io_pool` must drop before
+    // `reactor` so retiring tasks can still deregister their sockets;
+    // fields drop in declaration order.
     io_pool: IoPool,
     reactor: Reactor,
     receiver: TcpReceiver,
@@ -241,16 +242,18 @@ impl DataPlane {
     /// pick) and start the demux pump and heartbeat threads.
     pub fn bind(addr: &str, ack_mode: AckMode) -> std::io::Result<Arc<Self>> {
         let pool = Arc::new(BytesPool::default());
+        let io_pool = IoPool::new("neptuned-dp", 2);
+        let reactor = Reactor::new("neptuned-dp")
+            .map_err(|e| std::io::Error::other(format!("reactor: {e}")))?;
         let receiver = TcpReceiver::bind_manual_ack(
             addr,
             WatermarkConfig::new(32 << 20, 4 << 20),
             Some(HandshakeGate::current()),
             Some(pool.clone()),
+            &NetDriver::new(io_pool.spawner(), reactor.handle()),
         )?;
-        let reactor = Reactor::new("neptuned-dp")
-            .map_err(|e| std::io::Error::other(format!("reactor: {e}")))?;
         let plane = Arc::new(DataPlane {
-            io_pool: IoPool::new("neptuned-dp", 2),
+            io_pool,
             reactor,
             receiver,
             pool,
@@ -731,6 +734,27 @@ mod tests {
         assert_eq!((links[0].flushes, links[0].packets), (3, 10));
         up.shutdown();
         down.shutdown();
+    }
+
+    #[test]
+    fn a_peer_of_another_protocol_version_is_turned_away_and_counted() {
+        use std::io::{Read, Write};
+        let plane = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+        let mut stranger = std::net::TcpStream::connect(plane.local_addr()).unwrap();
+        stranger
+            .write_all(&encode_hello_frame(link_id(1, 0), PROTOCOL_VERSION + 1, CAPS_ALL))
+            .unwrap();
+        wait_until("the gate counts the reject", || plane.stats().handshake_rejects == 1);
+        // The plane answers with its own hello, then ends the connection.
+        stranger.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut answer = Vec::new();
+        stranger.read_to_end(&mut answer).expect("the connection ends");
+        let hello = neptune_net::frame::decode_frame(&answer).expect("the plane's hello").0;
+        assert_eq!(
+            neptune_net::frame::hello_parts(hello.base_seq).map(|(version, _)| version),
+            Some(PROTOCOL_VERSION)
+        );
+        plane.shutdown();
     }
 
     #[test]

@@ -579,12 +579,15 @@ mod tests {
 
     #[test]
     fn tcp_sink_roundtrips() {
-        let rx = neptune_net::tcp::TcpReceiver::bind(
+        let rig = neptune_net::test_support::NetRig::new("chan-tcp");
+        let driver = rig.driver();
+        let rx = neptune_net::tcp::TcpReceiver::bind_reactor(
             "127.0.0.1:0",
             WatermarkConfig::new(1 << 20, 1 << 10),
+            &driver,
         )
         .unwrap();
-        let tx = neptune_net::tcp::TcpSender::connect(rx.local_addr(), 8).unwrap();
+        let tx = neptune_net::tcp::TcpSender::connect_reactor(rx.local_addr(), 8, &driver).unwrap();
         let channel = ChannelId::new(2, 1, 0);
         let link = LinkBuilder::new(channel.raw()).tcp(tx, SelectiveCompressor::disabled()).build();
         let ep = ChannelEndpoint::new(

@@ -206,7 +206,7 @@ impl HaConfig {
 /// Two independent opt-ins live here:
 ///
 /// * `enabled` arms **operator supervision**: panicking batch executions
-///   are caught and retried with `neptune-ha`'s deterministic jittered
+///   are caught and retried with `neptune-link`'s deterministic jittered
 ///   backoff, poison batches are quarantined into the job's bounded
 ///   dead-letter queue, and a per-operator circuit breaker
 ///   (Closed→Open→HalfOpen) drains-and-drops while an operator is sick so
@@ -376,14 +376,7 @@ pub struct RuntimeConfig {
     pub resources: usize,
     /// Transport between resources.
     pub transport: TransportMode,
-    /// Readiness-driven TCP (the epoll reactor path). When `true` (the
-    /// default) and `transport` is [`TransportMode::Tcp`], cross-resource
-    /// links run as nonblocking state machines on the IO tier — thread
-    /// count stays O(`io_threads`) regardless of connection count. When
-    /// `false`, the original blocking thread-per-connection path is used.
-    /// The wire format is identical either way. The
-    /// `NEPTUNE_NET_REACTOR` environment variable (`0`/`false`/`off` to
-    /// disable, anything else to enable) overrides the default.
+    /// Read by nothing; kept only because the benchmark's frozen `perfbench/` literal names it.
     pub net_reactor: bool,
     /// How operator instances map onto resources.
     pub placement: PlacementStrategy,
@@ -416,9 +409,7 @@ impl Default for RuntimeConfig {
             batched_scheduling: true,
             resources: 1,
             transport: TransportMode::InProcess,
-            net_reactor: std::env::var("NEPTUNE_NET_REACTOR")
-                .map(|v| parse_net_reactor(&v))
-                .unwrap_or(true),
+            net_reactor: true,
             placement: PlacementStrategy::RoundRobin,
             telemetry: TelemetryConfig::default(),
             ha: HaConfig::default(),
@@ -426,12 +417,6 @@ impl Default for RuntimeConfig {
             checkpoint: CheckpointConfig::default(),
         }
     }
-}
-
-/// `NEPTUNE_NET_REACTOR` semantics: explicit negatives disable, anything
-/// else enables.
-fn parse_net_reactor(v: &str) -> bool {
-    !matches!(v.trim(), "0" | "false" | "off")
 }
 
 impl RuntimeConfig {
@@ -786,16 +771,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_dir.validate().is_err());
-    }
-
-    #[test]
-    fn net_reactor_env_parsing() {
-        for off in ["0", "false", "off", " 0 ", "false\n"] {
-            assert!(!parse_net_reactor(off), "{off:?} must disable the reactor");
-        }
-        for on in ["1", "true", "on", "yes", ""] {
-            assert!(parse_net_reactor(on), "{on:?} must enable the reactor");
-        }
     }
 
     #[test]

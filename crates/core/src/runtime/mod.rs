@@ -49,7 +49,7 @@ use crate::graph::Graph;
 use crate::metrics::{JobMetrics, MetricsRegistry, ThreadModelStats};
 use crate::telemetry::{QueueGauge, TelemetryHub, TelemetrySample, TelemetrySnapshot};
 use neptune_granules::{IoPool, IoPoolStats, IoTaskHandle, Reactor, ReactorStats, Resource};
-use neptune_ha::{FailureDetector, PeerState, RecoverySnapshot, RecoveryStats};
+use neptune_link::{FailureDetector, PeerState, RecoverySnapshot, RecoveryStats};
 use neptune_net::frame::Frame;
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::TcpReceiver;
@@ -116,8 +116,7 @@ pub struct JobHandle {
     /// The job's IO tier; `None` only after `stop` has consumed it.
     io_pool: Option<IoPool>,
     /// The network reactor serving readiness events to TCP IO tasks;
-    /// `None` when the transport is in-process, `net_reactor` is
-    /// disabled, or `stop` has consumed it.
+    /// `None` when the transport is in-process or `stop` has consumed it.
     reactor: Option<Reactor>,
     resources: Vec<Resource>,
     /// Processor task handles grouped by operator, in topological order.
@@ -283,7 +282,7 @@ impl JobHandle {
         let backlog = receivers.iter().map(|r| r.accept_backlog_peak()).max().unwrap_or(0);
         NetGauges {
             reactor: self.reactor.as_ref().map(|r| r.stats()).unwrap_or_default(),
-            connections: receivers.iter().map(|r| r.open_connections()).sum(),
+            connections: receivers.iter().map(|r| r.connections()).sum(),
             accept_backlog_peak: backlog,
         }
     }

@@ -23,7 +23,7 @@ use crate::operator::{OperatorContext, SourceStatus, StreamSource};
 use crate::telemetry::TelemetrySample;
 use neptune_granules::io::{IoContext, IoStatus, IoTask};
 use neptune_granules::IoTaskHandle;
-use neptune_ha::{FailureDetector, PeerState};
+use neptune_link::{FailureDetector, PeerState};
 use neptune_net::frame::Frame;
 use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::{wall_micros, SampleRing, Span, SpanRing, STAGE_SOURCE};

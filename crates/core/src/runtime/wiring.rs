@@ -24,15 +24,15 @@ use neptune_granules::{
     ComputationalTask, IoPool, IoTaskHandle, NetWaker, OperatorSupervisor, Reactor, Resource,
     ScheduleSpec, SupervisedOutcome, SupervisorPolicy, TaskContext, TaskOutcome,
 };
-use neptune_ha::{DetectorConfig, FailureDetector, ReconnectPolicy, RecoveryStats};
+use neptune_link::{DetectorConfig, FailureDetector, ReconnectPolicy, RecoveryStats};
 use neptune_link::{Link, LinkBuilder};
 use neptune_net::buffer::OutputBuffer;
 use neptune_net::flush::FlushPolicy;
 use neptune_net::frame::{ControlKind, Frame};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
-use neptune_net::tcp_reactor::NetDriver;
 use neptune_net::watermark::{ShedConfig, WatermarkConfig, WatermarkQueue};
+use neptune_net::NetDriver;
 use neptune_telemetry::{
     EventKind, FlightRecorder, OperatorTelemetry, SampleRing, Span, SpanRing, STAGE_EXECUTION,
     STAGE_SCHEDULE, STAGE_SINK, STAGE_TRANSPORT,
@@ -654,10 +654,10 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     // created before any socket so TCP tasks can land on it. ----
     let io_pool = IoPool::new(graph.name(), config.io_threads.unwrap_or_else(auto_io_threads));
 
-    // ---- The network reactor (readiness-driven TCP, the default). When
-    // active, every TCP acceptor/connection/sender runs as an IO-pool task
-    // woken by epoll readiness — no per-connection threads. ----
-    let net_driver = (config.transport == TransportMode::Tcp && config.net_reactor)
+    // ---- The network reactor: every TCP acceptor/connection/sender runs
+    // as an IO-pool task woken by epoll readiness — no per-connection
+    // threads. ----
+    let net_driver = (config.transport == TransportMode::Tcp)
         .then(|| Reactor::new(graph.name()).map_err(|e| SubmitError::Io(e.to_string())))
         .transpose()?
         .map(|r| (NetDriver::new(io_pool.spawner(), r.handle()), r));
@@ -698,21 +698,14 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     (0..fop.parallelism).any(|si| placement[&(foi, si)] != my_res)
                 });
             let queue = if needs_tcp {
-                let rx = match &net_driver {
-                    Some((driver, _)) => TcpReceiver::bind_reactor_pooled_with_shed(
-                        "127.0.0.1:0",
-                        watermark,
-                        shed,
-                        pool.clone(),
-                        driver,
-                    ),
-                    None => TcpReceiver::bind_pooled_with_shed(
-                        "127.0.0.1:0",
-                        watermark,
-                        shed,
-                        pool.clone(),
-                    ),
-                }
+                let (driver, _) = net_driver.as_ref().expect("TCP transport has a reactor");
+                let rx = TcpReceiver::bind_reactor_pooled_with_shed(
+                    "127.0.0.1:0",
+                    watermark,
+                    shed,
+                    pool.clone(),
+                    driver,
+                )
                 .map_err(|e| SubmitError::Io(e.to_string()))?;
                 let q = rx.queue();
                 receiver_addr.insert((oi, inst), rx.local_addr());
@@ -766,13 +759,9 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 let builder = LinkBuilder::new(channel.raw()).flush_policy(policy.clone());
                 let built = if use_tcp {
                     let addr = receiver_addr[&(dst_oi, dst_inst)];
-                    let sender = match &net_driver {
-                        Some((driver, _)) => {
-                            TcpSender::connect_reactor(addr, config.io_queue_depth, driver)
-                        }
-                        None => TcpSender::connect(addr, config.io_queue_depth),
-                    }
-                    .map_err(|e| SubmitError::Io(e.to_string()))?;
+                    let (driver, _) = net_driver.as_ref().expect("TCP transport has a reactor");
+                    let sender = TcpSender::connect_reactor(addr, config.io_queue_depth, driver)
+                        .map_err(|e| SubmitError::Io(e.to_string()))?;
                     builder.tcp(sender, compression.to_compressor()).build()
                 } else {
                     let q = queues_by_instance[&(dst_oi, dst_inst)].clone();

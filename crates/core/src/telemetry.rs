@@ -25,8 +25,8 @@ use crate::checkpoint::CheckpointStats;
 use crate::dead_letter::DeadLetter;
 use crate::json::{object, JsonValue};
 use crate::metrics::JobMetrics;
-use neptune_ha::RecoverySnapshot;
 use neptune_link::LinkStatsSnapshot;
+use neptune_link::RecoverySnapshot;
 use neptune_net::frame::Frame;
 use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::export;
@@ -760,7 +760,7 @@ mod tests {
     }
 
     fn with_recovery(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
-        let stats = neptune_ha::RecoveryStats::new();
+        let stats = neptune_link::RecoveryStats::new();
         stats.retransmits.store(4, std::sync::atomic::Ordering::Relaxed);
         stats.reconnects.store(2, std::sync::atomic::Ordering::Relaxed);
         stats.deaths.store(1, std::sync::atomic::Ordering::Relaxed);

@@ -12,7 +12,7 @@
 //!
 //! 1. **Catch + retry** — a panicking batch execution is caught and retried
 //!    up to a configurable cap, with a caller-supplied backoff schedule
-//!    between attempts (the runtime feeds `neptune-ha`'s deterministic
+//!    between attempts (the runtime feeds `neptune-link`'s deterministic
 //!    jittered [`ReconnectPolicy`] here).
 //! 2. **Quarantine** — a batch that keeps panicking is declared poison and
 //!    surrendered to the caller (who dead-letters it); the operator moves
@@ -24,7 +24,7 @@
 //!    the breaker admits probe batches ([`BreakerState::HalfOpen`]); enough
 //!    consecutive probe successes close it again.
 //!
-//! [`ReconnectPolicy`]: https://docs.rs/neptune-ha
+//! [`ReconnectPolicy`]: https://docs.rs/neptune-link
 
 use neptune_telemetry::{EventKind, FlightRecorder};
 use parking_lot::Mutex;
@@ -275,7 +275,7 @@ pub struct SupervisorStats {
 /// Panic-containing execution wrapper around one operator.
 ///
 /// The backoff schedule is injected per call so this crate stays free of a
-/// dependency on `neptune-ha` (which sits above it); the runtime passes
+/// dependency on `neptune-link` (which sits above it); the runtime passes
 /// `ReconnectPolicy::delay_for`.
 pub struct OperatorSupervisor {
     policy: SupervisorPolicy,

@@ -332,8 +332,7 @@ impl LinkBuilder {
         self
     }
 
-    /// Transport flavour: TCP — blocking writer or epoll reactor,
-    /// whichever the sender was connected on.
+    /// Transport flavour: TCP, over a connected sender.
     pub fn tcp(mut self, sender: TcpSender, compressor: SelectiveCompressor) -> Self {
         self.flavour = Some(Flavour::Tcp { sender, compressor });
         self

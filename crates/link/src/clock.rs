@@ -1,4 +1,4 @@
-//! Monotonic microsecond clock shared by the HA components.
+//! Monotonic microsecond clock shared by the fault-tolerance components.
 //!
 //! Heartbeat stamps, detector thresholds, and detection-latency samples
 //! all use the same time base: microseconds since the first call in this

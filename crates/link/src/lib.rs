@@ -16,11 +16,15 @@
 //!            + cumulative-ack staging (immediate | quiescent)
 //! ```
 //!
-//! Before this crate, the repo had five hand-grown frame-delivery paths —
-//! in-process queue handover, blocking TCP, reactor TCP, the HA
-//! supervised link, and the cluster data plane — each duplicating some
-//! mix of replay, dedup, ack bookkeeping, flush thresholds, and trace
-//! stamping. They now compose the same layers: the runtime's channel
+//! Beside the stack sit the pieces that watch it: the shared
+//! [`RecoveryStats`], the reconnect [`backoff`], and the heartbeat
+//! [`FailureDetector`] (with its [`monotonic_micros`] time base) the
+//! runtime polls to declare a silent peer dead.
+//!
+//! Before this crate, the repo had hand-grown frame-delivery paths —
+//! in-process queue handover, TCP, the HA supervised link, and the
+//! cluster data plane — each duplicating some mix of replay, dedup, ack
+//! bookkeeping, flush thresholds, and trace stamping. They now compose the same layers: the runtime's channel
 //! endpoints, the cluster egress, and the chaos harness all build links
 //! through [`LinkBuilder`], and the wire format is identical to what each
 //! path produced before.
@@ -28,7 +32,9 @@
 pub mod backoff;
 pub mod builder;
 pub mod chaos;
+pub mod clock;
 pub mod dedup;
+pub mod detector;
 pub mod ingress;
 pub mod replay;
 pub mod stats;
@@ -39,7 +45,9 @@ pub mod transport;
 pub use backoff::ReconnectPolicy;
 pub use builder::{Connector, Link, LinkBuilder, LinkStats, LinkStatsSnapshot};
 pub use chaos::{AckGate, ChaosLink, FaultEvent, FaultPlan};
+pub use clock::monotonic_micros;
 pub use dedup::{Admit, DedupFilter};
+pub use detector::{DetectorConfig, FailureDetector, PeerState};
 pub use ingress::{AckMode, IngressVerdict, ReliableIngress};
 pub use replay::{PendingFrame, ReplayBuffer};
 pub use stats::{RecoverySnapshot, RecoveryStats};

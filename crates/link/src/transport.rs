@@ -21,8 +21,7 @@
 //! * [`TcpFrameLink`] — instances on different resources; the batch is
 //!   encoded with [`encode_frame_into`] — straight into a wire buffer the
 //!   sender has finished writing an earlier frame from — and carried by a
-//!   [`TcpSender`], which fronts *both* the blocking-writer path and the
-//!   epoll-reactor path (the two TCP flavours share one wire format).
+//!   [`TcpSender`], whose write state machine runs on the IO tier.
 //! * [`crate::chaos::ChaosLink`] — interposes scripted fault injection on
 //!   any of the above.
 
@@ -201,8 +200,7 @@ impl FrameLink for QueueLink {
 }
 
 /// TCP transport: encodes frames onto the wire (with the `FLAG_SEQ`
-/// extension when sequenced) and hands them to a [`TcpSender`] — blocking
-/// writer thread or epoll reactor, whichever the sender was built on.
+/// extension when sequenced) and hands them to a [`TcpSender`].
 pub struct TcpFrameLink {
     sender: TcpSender,
     compressor: SelectiveCompressor,

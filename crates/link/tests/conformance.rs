@@ -1,8 +1,7 @@
 //! Cross-flavour conformance suite for the link stack.
 //!
 //! Every transport flavour the [`LinkBuilder`] can assemble — in-process
-//! queue, blocking TCP, reactor TCP, and chaos-injected — must satisfy
-//! the same contract:
+//! queue, TCP, and chaos-injected — must satisfy the same contract:
 //!
 //! * **Backpressure gates, it does not drop.** When the destination
 //!   queue crosses its high watermark, sends park until the consumer
@@ -12,8 +11,8 @@
 //!   never `Backpressure`, which callers may retry forever.
 //! * **Exactly-once under seeded cuts.** With the reliability layer on
 //!   top and a [`ReliableIngress`] at the sink, a mid-stream link cut
-//!   (scripted for chaos links, a server-side connection drop for the
-//!   TCP flavours) loses nothing and duplicates nothing.
+//!   (scripted for chaos links, a server-side connection drop for
+//!   TCP) loses nothing and duplicates nothing.
 //! * **Extension flags round-trip.** `FLAG_SEQ` (reliability),
 //!   `FLAG_TRACE` (tagging), and `FLAG_SENT_AT` (latency stamps)
 //!   survive the wire on every flavour, bit-identically.
@@ -23,7 +22,6 @@
 
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
-use neptune_granules::{IoPool, Reactor};
 use neptune_link::tag::mint_every_n_trace_id;
 use neptune_link::{
     AckMode, ChaosLink, FaultEvent, FaultPlan, FrameLink, IngressVerdict, Link, LinkBuilder,
@@ -32,9 +30,8 @@ use neptune_link::{
 };
 use neptune_net::frame::Frame;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
-use neptune_net::test_support::wait_for;
+use neptune_net::test_support::{wait_for, NetRig};
 use neptune_net::watermark::{PushError, WatermarkConfig, WatermarkQueue};
-use neptune_net::NetDriver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,23 +43,20 @@ fn chaos_seed() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Flavour {
     InProcess,
-    BlockingTcp,
-    ReactorTcp,
+    Tcp,
     Chaos,
 }
 
-const ALL_FLAVOURS: [Flavour; 4] =
-    [Flavour::InProcess, Flavour::BlockingTcp, Flavour::ReactorTcp, Flavour::Chaos];
+const ALL_FLAVOURS: [Flavour; 3] = [Flavour::InProcess, Flavour::Tcp, Flavour::Chaos];
 
 /// One assembled link plus everything that must outlive it, torn down
-/// in dependency order (link, then receiver, then IO pool, then
-/// reactor).
+/// in dependency order (link, then receiver, then the IO tier).
 struct Fixture {
     link: Arc<Link>,
     sink: Arc<WatermarkQueue<Frame>>,
     stats: Arc<RecoveryStats>,
     rx: Option<TcpReceiver>,
-    net: Option<(IoPool, Reactor)>,
+    net: Option<NetRig>,
 }
 
 impl Fixture {
@@ -71,15 +65,12 @@ impl Fixture {
         if let Some(rx) = self.rx {
             rx.shutdown();
         }
-        if let Some((pool, reactor)) = self.net {
-            drop(pool);
-            drop(reactor);
-        }
+        drop(self.net);
     }
 }
 
 /// Assemble one link of the given flavour through the shared builder.
-/// `reliable` layers replay + acks on top (for the TCP flavours via a
+/// `reliable` layers replay + acks on top (for TCP via a
 /// reconnecting connector, so a severed connection is re-dialed);
 /// `trace_every` installs an every-N tagger; `plan` scripts faults on
 /// the chaos flavour.
@@ -117,32 +108,9 @@ fn build(
             }
             Fixture { link: builder.build(), sink: q, stats, rx: None, net: None }
         }
-        Flavour::BlockingTcp => {
-            let rx = TcpReceiver::bind("127.0.0.1:0", watermark).expect("bind");
-            let addr = rx.local_addr();
-            if reliable {
-                builder = builder.reliable_with(
-                    Box::new(move || {
-                        let tx = TcpSender::connect(addr, 64)
-                            .map_err(|e| TransportError::Io(e.to_string()))?;
-                        Ok(Arc::new(TcpFrameLink::new(tx, SelectiveCompressor::disabled()))
-                            as Arc<dyn FrameLink>)
-                    }),
-                    ReconnectPolicy::fast(seed),
-                    1 << 20,
-                    stats.clone(),
-                );
-            } else {
-                let tx = TcpSender::connect(addr, 64).expect("connect");
-                builder = builder.tcp(tx, SelectiveCompressor::disabled());
-            }
-            let sink = rx.queue().clone();
-            Fixture { link: builder.build(), sink, stats, rx: Some(rx), net: None }
-        }
-        Flavour::ReactorTcp => {
-            let reactor = Reactor::new("conformance-net").expect("reactor thread");
-            let pool = IoPool::new("conformance-net", 2);
-            let driver = NetDriver::new(pool.spawner(), reactor.handle());
+        Flavour::Tcp => {
+            let rig = NetRig::new("conformance-net");
+            let driver = rig.driver();
             let rx = TcpReceiver::bind_reactor("127.0.0.1:0", watermark, &driver).expect("bind");
             let addr = rx.local_addr();
             if reliable {
@@ -162,7 +130,7 @@ fn build(
                 builder = builder.tcp(tx, SelectiveCompressor::disabled());
             }
             let sink = rx.queue().clone();
-            Fixture { link: builder.build(), sink, stats, rx: Some(rx), net: Some((pool, reactor)) }
+            Fixture { link: builder.build(), sink, stats, rx: Some(rx), net: Some(rig) }
         }
     }
 }
@@ -221,9 +189,8 @@ fn backpressure_gates_sends_without_loss() {
 
 /// A *closed* destination is a terminal error, distinct from the
 /// retryable `Backpressure` a gated queue maps to. Queue-backed
-/// flavours surface exactly `Closed`; the TCP flavours learn of the
-/// severed socket asynchronously and surface `Closed` or `Io` — never
-/// `Backpressure`.
+/// flavours surface exactly `Closed`; TCP learns of the severed socket
+/// asynchronously and surfaces `Closed` or `Io` — never `Backpressure`.
 #[test]
 fn closed_destination_is_not_backpressure() {
     let seed = chaos_seed();
@@ -241,45 +208,44 @@ fn closed_destination_is_not_backpressure() {
         );
         fx.shutdown();
     }
-    for flavour in [Flavour::BlockingTcp, Flavour::ReactorTcp] {
-        let fx = build(flavour, 12, WatermarkConfig::new(1 << 20, 1 << 10), false, 0, None, seed);
-        // Sever every established connection server-side. The sender
-        // only learns when its writer hits the dead socket, so keep
-        // sending until the failure surfaces.
-        assert!(
-            wait_for(Duration::from_secs(10), || fx
-                .rx
-                .as_ref()
-                .expect("tcp fixture")
-                .chaos_drop_connections()
-                > 0),
-            "{flavour:?}: no established connection to sever"
-        );
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut seq = 0u64;
-        let err = loop {
-            match fx.link.send_batch(seq, encoded.clone(), count, 0, 0) {
-                Ok(_) => {
-                    seq += u64::from(count);
-                    assert!(
-                        Instant::now() < deadline,
-                        "{flavour:?}: sends kept succeeding after the socket died"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => break e,
+    let flavour = Flavour::Tcp;
+    let fx = build(flavour, 12, WatermarkConfig::new(1 << 20, 1 << 10), false, 0, None, seed);
+    // Sever every established connection server-side. The sender
+    // only learns when its writer hits the dead socket, so keep
+    // sending until the failure surfaces.
+    assert!(
+        wait_for(Duration::from_secs(10), || fx
+            .rx
+            .as_ref()
+            .expect("tcp fixture")
+            .chaos_drop_connections()
+            > 0),
+        "{flavour:?}: no established connection to sever"
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut seq = 0u64;
+    let err = loop {
+        match fx.link.send_batch(seq, encoded.clone(), count, 0, 0) {
+            Ok(_) => {
+                seq += u64::from(count);
+                assert!(
+                    Instant::now() < deadline,
+                    "{flavour:?}: sends kept succeeding after the socket died"
+                );
+                std::thread::sleep(Duration::from_millis(1));
             }
-        };
-        assert!(
-            !matches!(err, TransportError::Backpressure),
-            "{flavour:?}: socket death surfaced as retryable Backpressure"
-        );
-        assert!(
-            matches!(err, TransportError::Closed | TransportError::Io(_)),
-            "{flavour:?}: socket death surfaced {err:?}"
-        );
-        fx.shutdown();
-    }
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        !matches!(err, TransportError::Backpressure),
+        "{flavour:?}: socket death surfaced as retryable Backpressure"
+    );
+    assert!(
+        matches!(err, TransportError::Closed | TransportError::Io(_)),
+        "{flavour:?}: socket death surfaced {err:?}"
+    );
+    fx.shutdown();
 }
 
 /// The shared error taxonomy itself: a gated push maps to
@@ -354,9 +320,9 @@ fn extension_flags_round_trip_on_every_flavour() {
 /// The headline property: a reliable link over any flavour delivers the
 /// stream exactly once through a [`ReliableIngress`], even when the
 /// link is cut mid-stream at a seeded position. The chaos flavour cuts
-/// via its fault script; the TCP flavours drop every established
-/// connection server-side (losing frames the wire had already accepted)
-/// and must reconnect + replay; the in-process queue cannot be cut and
+/// via its fault script; TCP drops every established connection
+/// server-side (losing frames the wire had already accepted) and must
+/// reconnect + replay; the in-process queue cannot be cut and
 /// pins the degenerate case.
 #[test]
 fn exactly_once_under_seeded_cuts() {
@@ -394,7 +360,7 @@ fn exactly_once_under_seeded_cuts() {
             }
         };
 
-        let tcp = matches!(flavour, Flavour::BlockingTcp | Flavour::ReactorTcp);
+        let tcp = flavour == Flavour::Tcp;
         for i in 0..TOTAL {
             if tcp && i == cut_at {
                 // The kernel completes the handshake before the acceptor

@@ -22,13 +22,10 @@
 //!   paper's cluster-scale figures.
 //! * [`link`](neptune_link) — the composable link stack: one
 //!   [`LinkBuilder`](neptune_link::LinkBuilder) behind every
-//!   frame-delivery path (in-process, blocking TCP, reactor TCP, chaos),
-//!   with optional reliability, trace tagging, and a retunable flush
-//!   policy per link.
-//! * [`ha`](neptune_ha) — the fault-tolerance subsystem: heartbeat
-//!   failure detection and the monotonic clock (link-level replay,
-//!   dedup, and supervision now live in [`link`](neptune_link) and are
-//!   re-exported here for compatibility).
+//!   frame-delivery path (in-process, TCP, chaos), with optional
+//!   reliability (replay, dedup, supervision), trace tagging, and a
+//!   retunable flush policy per link — plus the heartbeat failure
+//!   detector that watches them.
 //! * [`cluster`](neptune_cluster) — real multi-process distribution:
 //!   the `neptuned` node daemon, the coordinator control plane, graph
 //!   partitioning, and the cross-process data plane.
@@ -41,7 +38,6 @@ pub use neptune_compress as compress;
 pub use neptune_core as core;
 pub use neptune_data as data;
 pub use neptune_granules as granules;
-pub use neptune_ha as ha;
 pub use neptune_link as link;
 pub use neptune_net as net;
 pub use neptune_sim as sim;

@@ -111,7 +111,10 @@ impl FrameMessages {
     /// into message ranges — the zero-copy receive-side split. When
     /// `expected_count` is given, the number of parsed messages must match.
     pub fn parse_prefixed(batch: Bytes, expected_count: Option<u32>) -> Result<Self, String> {
-        let mut ranges = Vec::with_capacity(expected_count.unwrap_or(8) as usize);
+        // Every message costs at least its 4-byte prefix, so a hostile
+        // count cannot reserve more than the batch could hold.
+        let mut ranges =
+            Vec::with_capacity((expected_count.unwrap_or(8) as usize).min(batch.len() / 4));
         let mut i = 0usize;
         while i < batch.len() {
             if i + 4 > batch.len() {
@@ -825,41 +828,29 @@ pub fn decode_frame_shared(
     Ok((frame, total))
 }
 
-/// Read exactly one frame from a blocking reader (the TCP receive path).
-/// The body lands in a fresh buffer; see [`read_frame_pooled`] for the
-/// recycling variant used by receiver IO threads.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    read_frame_inner(r, None)
-}
-
-/// Read exactly one frame, drawing the body buffer from `pool` — the
-/// steady-state receive path allocates nothing: the body buffer is
-/// recycled, and splitting it into messages is zero-copy.
-pub fn read_frame_pooled(r: &mut impl Read, pool: &BytesPool) -> Result<Frame, FrameError> {
-    read_frame_inner(r, Some(pool))
-}
-
 /// Most body bytes the blocking reader pulls per read, so the CRC folds
 /// over each piece while it is still in cache.
 const READ_CHUNK: usize = 64 << 10;
 
-/// The blocking reader is the incremental decoder driven with exact-sized
-/// reads: header, then extensions, then the body read in place.
-fn read_frame_inner(r: &mut impl Read, pool: Option<&BytesPool>) -> Result<Frame, FrameError> {
+/// Read exactly one frame from a blocking reader (the cluster control
+/// connection, tests). It is the incremental decoder driven with
+/// exact-sized reads: header, then extensions, then the body read in
+/// place, into a fresh buffer.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     let mut dec = FrameDecoder::new();
     let mut fixed = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut fixed)?;
-    let mut done = dec.feed(&fixed, pool)?.1;
+    let mut done = dec.feed(&fixed, None)?.1;
     if done.is_none() && dec.stage == DecodeStage::Ext {
         let ext = &mut fixed[..dec.head.ext_len()];
         r.read_exact(ext)?;
-        done = dec.feed(ext, pool)?.1;
+        done = dec.feed(ext, None)?.1;
     }
     while done.is_none() {
         let window = dec.body_window();
         let n = window.len().min(READ_CHUNK);
         r.read_exact(&mut window[..n])?;
-        done = dec.commit(n, pool)?;
+        done = dec.commit(n, None)?;
     }
     Ok(done.expect("loop exits on a frame"))
 }
@@ -1206,8 +1197,7 @@ mod tests {
         let msgs = vec![b"pooled".to_vec(); 10];
         let wire = encode_frame(1, 0, &msgs, &raw_policy());
         for round in 0..5 {
-            let mut cursor = std::io::Cursor::new(&wire);
-            let frame = read_frame_pooled(&mut cursor, &pool).unwrap();
+            let frame = FrameDecoder::new().feed(&wire, Some(&pool)).unwrap().1.unwrap();
             assert_eq!(frame.messages, msgs);
             assert!(pool.recycle(frame.messages.into_batch()), "round {round}");
         }
@@ -1222,8 +1212,7 @@ mod tests {
         let msgs: Vec<Vec<u8>> = (0..50).map(|_| vec![3u8; 100]).collect();
         let wire = encode_frame(1, 0, &msgs, &SelectiveCompressor::new(4.0));
         for _ in 0..3 {
-            let mut cursor = std::io::Cursor::new(&wire);
-            let frame = read_frame_pooled(&mut cursor, &pool).unwrap();
+            let frame = FrameDecoder::new().feed(&wire, Some(&pool)).unwrap().1.unwrap();
             assert_eq!(frame.messages, msgs);
             pool.recycle(frame.messages.into_batch());
         }

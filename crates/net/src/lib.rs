@@ -17,22 +17,19 @@
 //!   ([`crc`]) streams over the body as it is written or read, on a
 //!   carry-less-multiply kernel where the CPU has one.
 //! * **Backpressure** (§III-B4): [`WatermarkQueue`] is the bounded inbound
-//!   buffer with high/low watermarks. IO threads block on
-//!   [`WatermarkQueue::push_blocking`] when the high watermark is reached
-//!   and stay blocked until consumers drain it to the low watermark —
-//!   which, on the TCP transport, stops the reader from draining the
-//!   socket, closes the TCP window, and throttles the sender.
+//!   buffer with high/low watermarks. Once the high watermark is reached
+//!   the queue stays gated until consumers drain it to the low watermark:
+//!   in-process producers block in [`WatermarkQueue::push_blocking`], and
+//!   on the TCP transport the connection task stops reading its socket —
+//!   the TCP window closes and throttles the sender.
 //!
 //! Frames travel over the `neptune-link` crate's transport flavours:
 //! in-process queue handover (links between operators co-located in one
-//! resource) and [`tcp`] (links across resources, with dedicated IO
-//! threads per §III's two-tier thread model). The TCP path itself has two
-//! selectable implementations — blocking thread-per-connection and
-//! readiness-driven ([`tcp_reactor`], epoll + IO-pool tasks,
-//! O(io_threads) at thousands of connections) — behind one
-//! byte-compatible facade. This crate keeps the shared vocabulary
-//! ([`transport::TransportError`], [`flush::FlushPolicy`]) those flavours
-//! compose over.
+//! resource) and [`tcp`] (links across resources: nonblocking state
+//! machines on the fixed IO tier of §III's two-tier thread model, woken by
+//! an epoll reactor — O(io_threads) threads at thousands of connections).
+//! This crate keeps the shared vocabulary ([`transport::TransportError`],
+//! [`flush::FlushPolicy`]) those flavours compose over.
 
 pub mod buffer;
 pub mod crc;
@@ -40,7 +37,6 @@ pub mod flush;
 pub mod frame;
 pub mod pool;
 pub mod tcp;
-pub mod tcp_reactor;
 pub mod test_support;
 pub mod transport;
 pub mod watermark;
@@ -50,13 +46,11 @@ pub use crc::{crc32, Crc32};
 pub use flush::{FlushPolicy, FlushPolicySnapshot};
 pub use frame::{
     decode_frame, decode_frame_shared, encode_control_frame, encode_frame, encode_frame_raw,
-    encode_frame_raw_ext, encode_hello_frame, hello_parts, hello_value, read_frame,
-    read_frame_pooled, ControlKind, Frame, FrameDecoder, FrameError, FrameMessages, CAPS_ALL,
-    CAP_COMPRESS, CAP_SEQ_REPLAY, CAP_TRACE, FLAG_CONTROL, FLAG_SENT_AT, FLAG_SEQ,
-    FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    encode_frame_raw_ext, encode_hello_frame, hello_parts, hello_value, read_frame, ControlKind,
+    Frame, FrameDecoder, FrameError, FrameMessages, CAPS_ALL, CAP_COMPRESS, CAP_SEQ_REPLAY,
+    CAP_TRACE, FLAG_CONTROL, FLAG_SENT_AT, FLAG_SEQ, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 pub use pool::{BytesPool, BytesPoolStats};
-pub use tcp::{HandshakeGate, TcpReceiver, TcpSender};
-pub use tcp_reactor::NetDriver;
+pub use tcp::{HandshakeGate, NetDriver, TcpReceiver, TcpSender};
 pub use transport::TransportError;
 pub use watermark::{PushError, Pushed, ShedConfig, ShedPolicy, WatermarkConfig, WatermarkQueue};

@@ -1,4 +1,4 @@
-//! Deadline-polling helpers for tests.
+//! Test helpers: deadline polling, and the IO tier a TCP endpoint needs.
 //!
 //! Synchronizing a test with a background thread via a bare
 //! `thread::sleep(fixed)` is a race with the scheduler: too short and the
@@ -8,7 +8,36 @@
 //! timeout can be sized for the worst CI machine without slowing the common
 //! case.
 
+use crate::tcp::NetDriver;
+use neptune_granules::{IoPool, Reactor};
 use std::time::{Duration, Instant};
+
+/// A two-thread IO pool and a reactor, owned for one test's lifetime —
+/// what [`TcpSender`](crate::tcp::TcpSender) and
+/// [`TcpReceiver`](crate::tcp::TcpReceiver) run on. Both shut down on
+/// drop, the pool first (field order), so tasks retire while the reactor
+/// still takes their deregistrations.
+pub struct NetRig {
+    pool: IoPool,
+    reactor: Reactor,
+}
+
+impl NetRig {
+    /// Start the pool and the reactor; `name` prefixes their threads.
+    pub fn new(name: &str) -> NetRig {
+        NetRig { pool: IoPool::new(name, 2), reactor: Reactor::new(name).expect("reactor thread") }
+    }
+
+    /// A driver for binding and connecting endpoints on this rig.
+    pub fn driver(&self) -> NetDriver {
+        NetDriver::new(self.pool.spawner(), self.reactor.handle())
+    }
+
+    /// The reactor (for its counters).
+    pub fn reactor(&self) -> &Reactor {
+        &self.reactor
+    }
+}
 
 /// Poll `pred` until it returns true or `deadline` passes. Returns the
 /// final verdict of `pred`, so `assert!(wait_until(..))` reads naturally.

@@ -1,7 +1,7 @@
 //! The transport error vocabulary shared by every link flavour.
 //!
 //! The transports themselves live in the `neptune-link` crate (in-process
-//! queue handover, blocking TCP, reactor TCP, chaos-injected), composed
+//! queue handover, TCP, chaos-injected), composed
 //! under optional reliability and flush-policy layers. What stays here is
 //! the error space they all map into — in particular the closed-vs-gated
 //! distinction [`TransportError::from_push`] preserves, which shedding

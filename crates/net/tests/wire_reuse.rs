@@ -1,8 +1,8 @@
-//! Buffer-reuse tests for the TCP hop, both flavours.
+//! Buffer-reuse tests for the TCP hop.
 //!
 //! * In steady state a stream of 1 MB frames performs **zero body-sized
 //!   allocations** end to end: the sender encodes into a wire buffer its
-//!   writer has finished with ([`TcpSender::wire_buffer`]), the receiver
+//!   task has finished with ([`TcpSender::wire_buffer`]), the receiver
 //!   reads the body into a pooled buffer the consumer recycled. Counted by
 //!   a global allocator, as `reuse_allocation` does.
 //! * Bodyless control frames (heartbeats, acks, barriers) never touch the
@@ -10,12 +10,10 @@
 //!   and drop it unrecycled.
 
 use neptune_compress::SelectiveCompressor;
-use neptune_granules::{IoPool, Reactor};
 use neptune_net::frame::{encode_control_frame, encode_frame_into, ControlKind};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
-use neptune_net::tcp_reactor::NetDriver;
-use neptune_net::test_support::wait_for;
+use neptune_net::test_support::{wait_for, NetRig};
 use neptune_net::watermark::{ShedConfig, WatermarkConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,117 +57,86 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
-/// IO pool + reactor for the readiness-driven flavour (pool first — field
-/// order — so tasks retire while the reactor still takes deregistrations).
-struct Rig {
-    pool: IoPool,
-    reactor: Reactor,
-}
-
-impl Rig {
-    fn new(name: &str) -> Rig {
-        Rig { pool: IoPool::new(name, 2), reactor: Reactor::new(name).unwrap() }
-    }
-
-    fn driver(&self) -> NetDriver {
-        NetDriver::new(self.pool.spawner(), self.reactor.handle())
-    }
-}
-
-/// A connected pooled receiver/sender pair of one flavour.
-fn connect(rig: Option<&Rig>, pool: &Arc<BytesPool>) -> (TcpReceiver, TcpSender) {
-    let watermark = WatermarkConfig::new(16 << 20, 1 << 20);
-    match rig {
-        None => {
-            let rx = TcpReceiver::bind_pooled("127.0.0.1:0", watermark, pool.clone()).unwrap();
-            let tx = TcpSender::connect(rx.local_addr(), 4).unwrap();
-            (rx, tx)
-        }
-        Some(rig) => {
-            let driver = rig.driver();
-            let rx = TcpReceiver::bind_reactor_pooled_with_shed(
-                "127.0.0.1:0",
-                watermark,
-                ShedConfig::disabled(),
-                pool.clone(),
-                &driver,
-            )
-            .unwrap();
-            let tx = TcpSender::connect_reactor(rx.local_addr(), 4, &driver).unwrap();
-            (rx, tx)
-        }
-    }
+/// A connected pooled receiver/sender pair.
+fn connect(rig: &NetRig, pool: &Arc<BytesPool>) -> (TcpReceiver, TcpSender) {
+    let driver = rig.driver();
+    let rx = TcpReceiver::bind_reactor_pooled_with_shed(
+        "127.0.0.1:0",
+        WatermarkConfig::new(16 << 20, 1 << 20),
+        ShedConfig::disabled(),
+        pool.clone(),
+        &driver,
+    )
+    .unwrap();
+    let tx = TcpSender::connect_reactor(rx.local_addr(), 4, &driver).unwrap();
+    (rx, tx)
 }
 
 #[test]
 fn steady_state_megabyte_frames_allocate_nothing_body_sized() {
     let _turn = SERIAL.lock().unwrap();
-    let rig = Rig::new("wire-reuse");
+    let rig = NetRig::new("wire-reuse");
     // One 1 MB message, length-prefixed the way an output buffer flushes it.
     let mut batch = (1u32 << 20).to_le_bytes().to_vec();
     batch.extend((0..1usize << 20).map(|i| (i * 31 + i / 251) as u8));
     let raw = SelectiveCompressor::disabled();
 
-    for (flavour, rig) in [("blocking", None), ("reactor", Some(&rig))] {
-        let pool = Arc::new(BytesPool::new(8));
-        let (rx, tx) = connect(rig, &pool);
-        let queue = rx.queue();
-        // One frame in flight at a time, and the next is not encoded until
-        // the writer has handed the previous buffer back (`frames_sent`
-        // moves only after it has): what is reused is then exact.
-        let relay = |seq: u64| {
-            let mut wire = tx.wire_buffer();
-            encode_frame_into(&mut wire, 1, seq, 1, &batch, &raw, 0, None, None);
-            tx.send(wire).unwrap();
-            let frame = queue.pop_timeout(TIMEOUT).unwrap_or_else(|| panic!("{flavour}: frame"));
-            assert_eq!(frame.base_seq, seq, "{flavour}");
-            assert_eq!(frame.messages[0].len(), 1 << 20, "{flavour}");
-            assert!(pool.recycle(frame.messages.into_batch()), "{flavour}: sole handle");
-            assert!(wait_for(TIMEOUT, || tx.frames_sent() == seq + 1), "{flavour}: written");
-        };
-        for seq in 0..5 {
-            relay(seq);
-        }
-        let before = BODY_SIZED_ALLOCATIONS.load(Ordering::Relaxed);
-        for seq in 5..105 {
-            relay(seq);
-        }
-        let allocated = BODY_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(allocated, 0, "{flavour}: body-sized allocations over 100 warm frames");
-        let stats = pool.stats();
-        assert_eq!(stats.misses, 1, "{flavour}: one body buffer, reused: {stats:?}");
-        tx.close();
-        rx.shutdown();
+    let pool = Arc::new(BytesPool::new(8));
+    let (rx, tx) = connect(&rig, &pool);
+    let queue = rx.queue();
+    // One frame in flight at a time, and the next is not encoded until
+    // the sender task has handed the previous buffer back (`frames_sent`
+    // moves only after it has): what is reused is then exact.
+    let relay = |seq: u64| {
+        let mut wire = tx.wire_buffer();
+        encode_frame_into(&mut wire, 1, seq, 1, &batch, &raw, 0, None, None);
+        tx.send(wire).unwrap();
+        let frame = queue.pop_timeout(TIMEOUT).expect("frame");
+        assert_eq!(frame.base_seq, seq);
+        assert_eq!(frame.messages[0].len(), 1 << 20);
+        assert!(pool.recycle(frame.messages.into_batch()), "sole handle");
+        assert!(wait_for(TIMEOUT, || tx.frames_sent() == seq + 1), "written");
+    };
+    for seq in 0..5 {
+        relay(seq);
     }
+    let before = BODY_SIZED_ALLOCATIONS.load(Ordering::Relaxed);
+    for seq in 5..105 {
+        relay(seq);
+    }
+    let allocated = BODY_SIZED_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocated, 0, "body-sized allocations over 100 warm frames");
+    let stats = pool.stats();
+    assert_eq!(stats.misses, 1, "one body buffer, reused: {stats:?}");
+    tx.close();
+    rx.shutdown();
 }
 
 #[test]
 fn bodyless_control_frames_leave_the_pool_untouched() {
     let _turn = SERIAL.lock().unwrap();
-    let rig = Rig::new("wire-ctl");
-    for (flavour, rig) in [("blocking", None), ("reactor", Some(&rig))] {
-        let pool = Arc::new(BytesPool::new(8));
-        // Idle buffers a stray `checkout(0)` would pop (and then leak).
-        let idle: Vec<_> = (0..4).map(|_| pool.checkout(1 << 16)).collect();
-        idle.into_iter().for_each(|buf| pool.recycle_mut(buf));
-        let before = pool.stats();
-        let (rx, tx) = connect(rig, &pool);
-        let queue = rx.queue();
-        const ROUNDS: u64 = 50;
-        for i in 0..ROUNDS {
-            tx.send(encode_control_frame(3, ControlKind::Heartbeat, i)).unwrap();
-            tx.send(encode_control_frame(3, ControlKind::Ack, i)).unwrap();
-            tx.send(encode_control_frame(3, ControlKind::Barrier, i)).unwrap();
-        }
-        // Barriers ride the data queue in order, so the last one out means
-        // every control frame before it has been through the decoder.
-        for i in 0..ROUNDS {
-            let barrier = queue.pop_timeout(TIMEOUT).unwrap_or_else(|| panic!("{flavour}"));
-            assert_eq!((barrier.control, barrier.base_seq), (Some(ControlKind::Barrier), i));
-        }
-        assert_eq!(pool.stats(), before, "{flavour}: control frames must not touch the pool");
-        assert_eq!(pool.idle(), 4, "{flavour}");
-        tx.close();
-        rx.shutdown();
+    let rig = NetRig::new("wire-ctl");
+    let pool = Arc::new(BytesPool::new(8));
+    // Idle buffers a stray `checkout(0)` would pop (and then leak).
+    let idle: Vec<_> = (0..4).map(|_| pool.checkout(1 << 16)).collect();
+    idle.into_iter().for_each(|buf| pool.recycle_mut(buf));
+    let before = pool.stats();
+    let (rx, tx) = connect(&rig, &pool);
+    let queue = rx.queue();
+    const ROUNDS: u64 = 50;
+    for i in 0..ROUNDS {
+        tx.send(encode_control_frame(3, ControlKind::Heartbeat, i)).unwrap();
+        tx.send(encode_control_frame(3, ControlKind::Ack, i)).unwrap();
+        tx.send(encode_control_frame(3, ControlKind::Barrier, i)).unwrap();
     }
+    // Barriers ride the data queue in order, so the last one out means
+    // every control frame before it has been through the decoder.
+    for i in 0..ROUNDS {
+        let barrier = queue.pop_timeout(TIMEOUT).expect("barrier");
+        assert_eq!((barrier.control, barrier.base_seq), (Some(ControlKind::Barrier), i));
+    }
+    assert_eq!(pool.stats(), before, "control frames must not touch the pool");
+    assert_eq!(pool.idle(), 4);
+    tx.close();
+    rx.shutdown();
 }

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
 use neptune_net::frame::{
-    decode_frame, decode_frame_shared, encode_frame, read_frame_pooled, Frame, FrameMessages,
+    decode_frame, decode_frame_shared, encode_frame, Frame, FrameDecoder, FrameMessages,
 };
 use neptune_net::pool::BytesPool;
 use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
@@ -61,8 +61,8 @@ proptest! {
                 proptest::collection::vec(any::<u8>(), 0..120), 1..16), 1..8),
     ) {
         // Several frames back to back on one "connection", read with a
-        // small pool and recycled after each — the receive loop the TCP
-        // reader runs.
+        // small pool and recycled after each — the receive loop a TCP
+        // connection task runs.
         let compressor = SelectiveCompressor::new(4.0);
         let pool = BytesPool::new(4);
         let mut wire = Vec::new();
@@ -71,9 +71,12 @@ proptest! {
             wire.extend_from_slice(&encode_frame(9, base, msgs, &compressor));
             base += msgs.len() as u64;
         }
-        let mut cursor = std::io::Cursor::new(wire);
+        let mut decoder = FrameDecoder::new();
+        let mut read = 0;
         for msgs in &frames {
-            let f = read_frame_pooled(&mut cursor, &pool).unwrap();
+            let (used, f) = decoder.feed(&wire[read..], Some(&pool)).unwrap();
+            read += used;
+            let f = f.expect("a whole frame is in the buffer");
             prop_assert_eq!(&f.messages, msgs);
             pool.recycle(f.messages.into_batch());
         }

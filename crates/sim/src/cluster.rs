@@ -22,7 +22,7 @@
 
 use crate::ethernet::wire_bytes;
 use crate::profile::EngineProfile;
-use neptune_ha::FaultPlan;
+use neptune_link::FaultPlan;
 
 /// One stage-to-stage hop description.
 #[derive(Debug, Clone, Copy)]
@@ -518,7 +518,7 @@ mod tests {
     fn empty_fault_plan_matches_baseline() {
         let params = ClusterParams::scaling_job(neptune_profile(), 20, 20);
         let base = simulate_cluster(&params);
-        let faulted = simulate_cluster_with_faults(&params, &neptune_ha::FaultPlan::new(7), 100);
+        let faulted = simulate_cluster_with_faults(&params, &neptune_link::FaultPlan::new(7), 100);
         assert_eq!(base.cumulative_throughput, faulted.cumulative_throughput);
         assert_eq!(base.per_node_cpu, faulted.per_node_cpu);
         assert_eq!(base.per_node_mem, faulted.per_node_mem);
@@ -526,12 +526,12 @@ mod tests {
 
     #[test]
     fn killed_nodes_degrade_but_do_not_zero_throughput() {
-        use neptune_ha::FaultEvent;
+        use neptune_link::FaultEvent;
         // Saturated regime (jobs >> nodes) so pooled node CPU — not the
         // per-instance core cap — is the binding resource; losing nodes
         // then visibly shrinks cluster capacity.
         let params = ClusterParams::scaling_job(neptune_profile(), 20, 50);
-        let mut plan = neptune_ha::FaultPlan::new(42);
+        let mut plan = neptune_link::FaultPlan::new(42);
         for node in [0usize, 5, 11, 17] {
             plan = plan.with_event(FaultEvent::KillNode { node, at_step: 10 });
         }
@@ -558,9 +558,9 @@ mod tests {
 
     #[test]
     fn faulted_simulation_is_deterministic() {
-        use neptune_ha::FaultEvent;
+        use neptune_link::FaultEvent;
         let params = ClusterParams::scaling_job(neptune_profile(), 16, 16);
-        let plan = neptune_ha::FaultPlan::new(3)
+        let plan = neptune_link::FaultPlan::new(3)
             .with_event(FaultEvent::KillNode { node: 2, at_step: 0 })
             .with_event(FaultEvent::KillNode { node: 9, at_step: 0 });
         let a = simulate_cluster_with_faults(&params, &plan, 0);

@@ -19,17 +19,16 @@ use neptune::compress::SelectiveCompressor;
 use neptune::core::checkpoint::{CheckpointSnapshot, InstanceState};
 use neptune::core::state::StateReader;
 use neptune::core::{TumblingWindow, WindowAggregate};
-use neptune::granules::{IoPool, Reactor};
-use neptune::ha::{DetectorConfig, FailureDetector, PeerState};
 use neptune::link::{
-    AckMode, ChaosLink, FaultEvent, FaultPlan, FrameLink, IngressVerdict, LinkBuilder, QueueLink,
-    ReconnectPolicy, RecoveryStats, ReliableIngress, TcpFrameLink,
+    AckMode, ChaosLink, DetectorConfig, FailureDetector, FaultEvent, FaultPlan, FrameLink,
+    IngressVerdict, LinkBuilder, PeerState, QueueLink, ReconnectPolicy, RecoveryStats,
+    ReliableIngress, TcpFrameLink,
 };
 use neptune::net::frame::{ControlKind, Frame};
 use neptune::net::tcp::{TcpReceiver, TcpSender};
+use neptune::net::test_support::NetRig;
 use neptune::net::transport::TransportError;
 use neptune::net::watermark::{WatermarkConfig, WatermarkQueue};
-use neptune::net::NetDriver;
 use neptune::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,11 +118,11 @@ fn seeded_link_cut_mid_stream_loses_nothing() {
     assert!(sup.replay().is_empty(), "seed {seed}: acks must trim the replay buffer");
 }
 
-/// The same seeded link-cut scenario, but over real sockets on the
-/// readiness-driven path: an epoll-backed [`TcpReceiver`] serves the
-/// sink, the reliability layer (re)connects nonblocking [`TcpSender`]s
-/// through the shared reactor, and the cut severs every established
-/// connection server-side mid-stream. Unlike the in-process link, socket
+/// The same seeded link-cut scenario, but over real sockets: an
+/// epoll-backed [`TcpReceiver`] serves the sink, the reliability layer
+/// (re)connects nonblocking [`TcpSender`]s through the shared reactor, and
+/// the cut severs every established connection server-side mid-stream.
+/// Unlike the in-process link, socket
 /// death surfaces *asynchronously* — sends keep succeeding into the
 /// doomed sender's queue until the reactor reports the socket closed —
 /// so frames can be lost by the wire after `send_batch` returned `Ok`.
@@ -137,9 +136,8 @@ fn reactor_link_cut_replays_exactly_once_over_tcp() {
     let plan = FaultPlan::new(seed);
     let cut_at = plan.jitter(21, 40, 220);
 
-    let reactor = Reactor::new("chaos-net").expect("reactor thread");
-    let io_pool = IoPool::new("chaos-net", 2);
-    let driver = NetDriver::new(io_pool.spawner(), reactor.handle());
+    let rig = NetRig::new("chaos-net");
+    let driver = rig.driver();
 
     let rx =
         TcpReceiver::bind_reactor("127.0.0.1:0", WatermarkConfig::new(1 << 20, 1 << 10), &driver)
@@ -236,12 +234,10 @@ fn reactor_link_cut_replays_exactly_once_over_tcp() {
     }
 
     // Teardown in dependency order: endpoints first (their IO tasks
-    // retire while pool + reactor still serve), then the pool, then the
-    // reactor.
+    // retire while pool + reactor still serve), then the rig.
     drop(link);
     rx.shutdown();
-    drop(io_pool);
-    drop(reactor);
+    drop(rig);
 }
 
 #[test]
@@ -752,8 +748,7 @@ impl StreamProcessor for WindowSink {
 /// is stopped mid-stream; a second job over the same file-backed store
 /// restores the newest cut — the source rewinds its cursor, the sink
 /// rewinds its half-filled window — and the resumed run's aggregates
-/// are byte-identical to an uncut run of the whole stream. Runs under
-/// both reactor flavours via `NEPTUNE_NET_REACTOR` in CI.
+/// are byte-identical to an uncut run of the whole stream.
 #[test]
 fn stateful_job_killed_mid_stream_resumes_from_file_checkpoint() {
     let seed = chaos_seed();

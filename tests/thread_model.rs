@@ -274,11 +274,11 @@ fn idle_thread_count_does_not_scale_with_sources() {
     );
 }
 
-/// Readiness-driven TCP keeps the two-tier promise on the network path:
-/// with the reactor enabled, a cross-resource TCP job runs **zero**
-/// per-connection IO threads — the blocking path's `neptune-io-tx-*` /
-/// `neptune-io-rx-*` / `neptune-io-accept-*` threads must not exist; all
-/// socket traffic runs as IO-pool tasks plus one reactor thread.
+/// TCP keeps the two-tier promise on the network path: a cross-resource
+/// TCP job runs **zero** per-connection IO threads — no
+/// `neptune-io-tx-*` / `neptune-io-rx-*` / `neptune-io-accept-*` thread
+/// exists; all socket traffic runs as IO-pool tasks plus one reactor
+/// thread.
 #[test]
 fn reactor_tcp_spawns_no_per_connection_threads() {
     let seen = Arc::new(AtomicU64::new(0));
@@ -296,7 +296,6 @@ fn reactor_tcp_spawns_no_per_connection_threads() {
     let config = RuntimeConfig {
         resources: 2,
         transport: TransportMode::Tcp,
-        net_reactor: true, // explicit: independent of NEPTUNE_NET_REACTOR
         io_threads: Some(2),
         worker_threads: Some(2),
         ..Default::default()
@@ -304,11 +303,11 @@ fn reactor_tcp_spawns_no_per_connection_threads() {
     let rt = LocalRuntime::new(config);
     let job = rt.submit(graph).unwrap();
 
-    // Cross-resource TCP links are connected at submit time; on the
-    // reactor path none of them may own a thread.
+    // Cross-resource TCP links are connected at submit time; none of
+    // them may own a thread.
     let per_conn =
         thread_comms().into_iter().filter(|c| c.starts_with("neptune-io-")).collect::<Vec<_>>();
-    assert!(per_conn.is_empty(), "reactor path spawned per-connection threads: {per_conn:?}");
+    assert!(per_conn.is_empty(), "TCP links spawned per-connection threads: {per_conn:?}");
     assert_eq!(settled_count_prefixed("tmr-reactor"), 1, "exactly one reactor thread");
 
     // Senders connected at submit; give the acceptor tasks a moment to
@@ -334,6 +333,74 @@ fn reactor_tcp_spawns_no_per_connection_threads() {
         .filter(|c| c.starts_with("tmr-") || c.starts_with("neptune-io-"))
         .collect();
     assert!(leaked.is_empty(), "threads leaked after stop(): {leaked:?}");
+}
+
+/// The cluster's cut edge keeps the promise in both directions: with a
+/// live `__egress` → TCP → `__ingress` edge between two data planes,
+/// each plane's sockets — the egress sender *and* the ingress listener
+/// and its connection — are tasks on the plane's two-thread IO pool.
+#[test]
+fn a_live_cut_edge_runs_on_the_data_planes_io_pools() {
+    use neptune::cluster::dataplane::{AckMode, DataPlane};
+    use neptune::core::descriptor::OperatorRegistry;
+    use neptune::core::graph::OperatorSpec;
+    use neptune::core::json::{self, JsonValue};
+
+    const PACKETS: u64 = 500;
+    let up_plane = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).expect("bind up plane");
+    let down_plane = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).expect("bind down plane");
+    let boundary = |plane: &Arc<DataPlane>, factory: &str| {
+        let mut registry = OperatorRegistry::new();
+        plane.register_boundary_ops(&mut registry);
+        let params = json::object([
+            ("edge", JsonValue::Number(0.0)),
+            ("epoch", JsonValue::Number(0.0)),
+            ("addr", JsonValue::String(down_plane.local_addr().to_string())),
+        ]);
+        let factory_fn = registry
+            .processor_factory(factory, &params)
+            .or_else(|| registry.source_factory(factory, &params))
+            .expect("boundary operators are registered");
+        OperatorSpec { name: factory.to_string(), parallelism: 1, factory: factory_fn }
+    };
+
+    let seen = Arc::new(AtomicU64::new(0));
+    let s2 = seen.clone();
+    let down = GraphBuilder::new("tmc-down")
+        .operator_spec(boundary(&down_plane, "__ingress"))
+        .processor("sink", move || Count(s2.clone()))
+        .link("__ingress", "sink", PartitioningScheme::Shuffle)
+        .build()
+        .unwrap();
+    let down = LocalRuntime::new(RuntimeConfig::default()).submit(down).unwrap();
+    let up = GraphBuilder::new("tmc-up")
+        .source("src", || Burst { remaining: PACKETS })
+        .operator_spec(boundary(&up_plane, "__egress"))
+        .link("src", "__egress", PartitioningScheme::Shuffle)
+        .build()
+        .unwrap();
+    let up = LocalRuntime::new(RuntimeConfig::default()).submit(up).unwrap();
+
+    // Every packet across: the edge is connected and carrying.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while seen.load(Ordering::Relaxed) < PACKETS {
+        assert!(std::time::Instant::now() < deadline, "cut edge stalled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let comms = thread_comms();
+    let per_conn: Vec<&String> = comms.iter().filter(|c| c.starts_with("neptune-io-")).collect();
+    assert!(per_conn.is_empty(), "cut edge spawned per-connection threads: {per_conn:?}");
+    // `neptuned-dp-io-{i}`, truncated by the kernel to 15 characters.
+    let pool_threads = comms.iter().filter(|c| c.starts_with("neptuned-dp-io-")).count();
+    assert_eq!(pool_threads, 4, "two planes, two IO threads each, whatever they carry");
+
+    up.stop();
+    down_plane.drain_ingress();
+    assert!(down.await_sources(Duration::from_secs(30)), "ingress did not drain");
+    down.stop();
+    assert_eq!(seen.load(Ordering::Relaxed), PACKETS);
+    up_plane.shutdown();
+    down_plane.shutdown();
 }
 
 /// A single IO thread must still serve all pumps, flush tasks, the HA
