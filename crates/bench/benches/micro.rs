@@ -24,7 +24,7 @@ use neptune_core::{FieldValue, StreamPacket};
 use neptune_net::buffer::{OutputBuffer, PushOutcome};
 use neptune_net::crc;
 use neptune_net::frame::{
-    decode_frame, decode_frame_shared, encode_frame, encode_frame_into, FrameMessages,
+    decode_frame, encode_frame, encode_frame_into, FrameHeader, FrameMessages,
 };
 use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use neptune_stats::{tukey_hsd, welch_t_test, Tail};
@@ -225,7 +225,6 @@ fn bench_frame_decode(c: &mut Criterion) {
     for (label, size) in [("50B", 50usize), ("200B", 200), ("1KB", 1024)] {
         let messages: Vec<Vec<u8>> = (0..COUNT).map(|i| vec![(i % 251) as u8; size]).collect();
         let wire = encode_frame(1, 0, &messages, &raw);
-        let shared = bytes::Bytes::from(wire.clone());
         group.throughput(Throughput::Elements(COUNT as u64));
         group.bench_function(format!("copy_per_message/{label}"), |b| {
             b.iter(|| {
@@ -236,7 +235,7 @@ fn bench_frame_decode(c: &mut Criterion) {
         });
         group.bench_function(format!("zero_copy/{label}"), |b| {
             b.iter(|| {
-                let (frame, _) = decode_frame_shared(black_box(&shared), None).unwrap();
+                let (frame, _) = decode_frame(black_box(&wire)).unwrap();
                 let mut total = 0usize;
                 for m in &frame.messages {
                     total += black_box(m).len();
@@ -278,11 +277,12 @@ fn bench_frame_encode_into(c: &mut Criterion) {
     let batch = high_entropy_block(1 << 20);
     let raw = SelectiveCompressor::disabled();
     let mut wire = Vec::new();
+    let header = FrameHeader { link_id: 1, count: 100, ..FrameHeader::default() };
     group.throughput(Throughput::Bytes(batch.len() as u64));
     group.bench_function("1MB", |b| {
         b.iter(|| {
             wire.clear();
-            encode_frame_into(&mut wire, 1, 0, 100, black_box(&batch), &raw, 0, None, None);
+            encode_frame_into(&mut wire, &header, black_box(&batch), &raw);
             black_box(wire.len());
         })
     });

@@ -23,7 +23,7 @@ use neptune_compress::SelectiveCompressor;
 use neptune_core::json::{object, JsonValue};
 use neptune_core::now_micros;
 use neptune_granules::{IoPool, Reactor};
-use neptune_net::frame::encode_frame_raw_ext;
+use neptune_net::frame::{encode_frame_into, FrameHeader};
 use neptune_net::tcp::TcpReceiver;
 use neptune_net::watermark::WatermarkConfig;
 use neptune_net::NetDriver;
@@ -147,20 +147,21 @@ fn run_scale(conns: usize, frames_per_conn: usize) -> ScaleOutcome {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let mut body = Vec::with_capacity(4 + PAYLOAD_BYTES);
+            let mut wire = Vec::new();
             for round in 0..frames_per_conn {
                 for (i, s) in socks.iter_mut().enumerate() {
                     body.clear();
                     body.extend_from_slice(&(PAYLOAD_BYTES as u32).to_le_bytes());
                     body.resize(4 + PAYLOAD_BYTES, 0xA5);
-                    let wire = encode_frame_raw_ext(
-                        (base_id + i) as u64,
-                        round as u64,
-                        1,
-                        &body,
-                        &compressor,
-                        now_micros(),
-                        None,
-                    );
+                    let header = FrameHeader {
+                        link_id: (base_id + i) as u64,
+                        base_seq: round as u64,
+                        count: 1,
+                        sent_at_micros: now_micros(),
+                        ..FrameHeader::default()
+                    };
+                    wire.clear();
+                    encode_frame_into(&mut wire, &header, &body, &compressor);
                     s.write_all(&wire).expect("device write");
                 }
             }

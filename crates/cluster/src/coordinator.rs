@@ -92,7 +92,7 @@ pub struct ClusterSummary {
     pub sink_duplicates: u64,
     /// Data frames received across all nodes.
     pub frames_in: u64,
-    /// Inbound frames carrying a `FLAG_TRACE` id, summed across nodes.
+    /// Inbound frames carrying a trace id, summed across nodes.
     pub traced_in: u64,
     /// Duplicate frames dropped by ingress dedup, summed across nodes.
     pub dup_frames: u64,

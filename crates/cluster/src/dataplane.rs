@@ -22,13 +22,13 @@
 //!   producer's batch buffer, the TCP writer copies it to the wire once
 //!   (with its CRC). The link underneath is [`LinkBuilder`]-assembled — an
 //!   every-N [`TraceTagger`] and a [`SupervisedLink`] reliability layer
-//!   over a [`TcpSender`] connector; frames carry `FLAG_SEQ`,
+//!   over a [`TcpSender`] connector; frames are sequenced,
 //!   unacked frames sit in the replay buffer, and the connection opens
 //!   with a protocol hello;
 //! * **ingress** is one [`TcpReceiver::bind_manual_ack`] per node with a
 //!   [`HandshakeGate`] and a [`BytesPool`] for frame bodies: a demux pump
 //!   classifies each inbound frame against the shared [`ReliableIngress`]
-//!   (the one dedup + cumulative-ack implementation), counts `FLAG_TRACE`
+//!   (the one dedup + cumulative-ack implementation), counts trace
 //!   ids crossing the process boundary, and pushes the frame — its
 //!   messages still one refcounted buffer, plus how many of them a replay
 //!   already delivered — onto the edge's byte-weighted route queue, keyed
@@ -72,7 +72,7 @@ use neptune_link::{
     FrameLink, IngressVerdict, Link, LinkBuilder, LinkStatsSnapshot, ReconnectPolicy,
     RecoveryStats, ReliableIngress, ReplayBuffer, TcpFrameLink, TraceTagger,
 };
-use neptune_net::frame::{encode_hello_frame, FrameMessages, CAPS_ALL, PROTOCOL_VERSION};
+use neptune_net::frame::{encode_hello_frame, FrameMessages, CAPS_ALL};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{HandshakeGate, TcpReceiver, TcpSender};
 use neptune_net::transport::TransportError;
@@ -99,7 +99,7 @@ pub struct DataPlaneStats {
     pub dup_frames: u64,
     /// Packets routed to ingress queues.
     pub packets_in: u64,
-    /// Inbound frames that carried a `FLAG_TRACE` id — causal traces
+    /// Inbound frames that carried a trace id — causal traces
     /// observed crossing the process boundary.
     pub traced_in: u64,
     /// Frames sent by egress links.
@@ -191,7 +191,7 @@ impl EgressCore {
         *next += count as u64;
         self.link.stats().record_packets(count as u64);
         // The link stack stamps every-N trace ids (ingress on the peer
-        // counts these — how FLAG_TRACE propagation across process
+        // counts these — how trace-id propagation across process
         // boundaries is observed in cluster telemetry) and sequences the
         // frame through the replay buffer.
         self.link.send_batch(base, batch.batch().clone(), count, now_micros(), 0).map(|_| ())
@@ -248,7 +248,7 @@ impl DataPlane {
         let receiver = TcpReceiver::bind_manual_ack(
             addr,
             WatermarkConfig::new(32 << 20, 4 << 20),
-            Some(HandshakeGate::current()),
+            Some(HandshakeGate::default()),
             Some(pool.clone()),
             &NetDriver::new(io_pool.spawner(), reactor.handle()),
         )?;
@@ -504,7 +504,7 @@ impl DataPlane {
             // First frame on every data connection: the protocol hello,
             // so the peer's handshake gate admits us.
             sender
-                .send(encode_hello_frame(id, PROTOCOL_VERSION, CAPS_ALL))
+                .send(encode_hello_frame(id, CAPS_ALL))
                 .map_err(|e| TransportError::Io(format!("hello to {addr}: {e:?}")))?;
             Ok(Arc::new(TcpFrameLink::new(sender, SelectiveCompressor::disabled()))
                 as Arc<dyn FrameLink>)
@@ -654,7 +654,8 @@ mod tests {
     use super::*;
     use neptune_core::codec::PacketCodec;
     use neptune_core::packet::FieldValue;
-    use neptune_net::test_support::wait_for;
+    use neptune_net::frame::{ControlKind, PROTOCOL_VERSION};
+    use neptune_net::test_support::{wait_for, with_protocol_version};
 
     /// The batch an upstream channel would flush: one encoded `uid`
     /// packet per entry of `uids`.
@@ -724,7 +725,7 @@ mod tests {
         let dstats = down.stats();
         let ustats = up.stats();
         assert!(ustats.traced_out >= 1, "egress samples trace ids");
-        assert_eq!(dstats.traced_in, ustats.traced_out, "FLAG_TRACE survives the hop");
+        assert_eq!(dstats.traced_in, ustats.traced_out, "the trace id survives the hop");
         assert_eq!((dstats.frames_in, dstats.packets_in), (3, 10));
         assert_eq!((ustats.frames_out, ustats.packets_out), (3, 10));
         assert_eq!(dstats.handshake_rejects, 0, "hello admitted by the gate");
@@ -741,19 +742,19 @@ mod tests {
         use std::io::{Read, Write};
         let plane = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
         let mut stranger = std::net::TcpStream::connect(plane.local_addr()).unwrap();
-        stranger
-            .write_all(&encode_hello_frame(link_id(1, 0), PROTOCOL_VERSION + 1, CAPS_ALL))
-            .unwrap();
+        let hello = with_protocol_version(
+            encode_hello_frame(link_id(1, 0), CAPS_ALL),
+            PROTOCOL_VERSION + 1,
+        );
+        stranger.write_all(&hello).unwrap();
         wait_until("the gate counts the reject", || plane.stats().handshake_rejects == 1);
         // The plane answers with its own hello, then ends the connection.
         stranger.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut answer = Vec::new();
         stranger.read_to_end(&mut answer).expect("the connection ends");
+        // This build's decoder takes it, so its header names our version.
         let hello = neptune_net::frame::decode_frame(&answer).expect("the plane's hello").0;
-        assert_eq!(
-            neptune_net::frame::hello_parts(hello.base_seq).map(|(version, _)| version),
-            Some(PROTOCOL_VERSION)
-        );
+        assert_eq!(hello.control, Some(ControlKind::Hello));
         plane.shutdown();
     }
 

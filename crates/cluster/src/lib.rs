@@ -5,9 +5,8 @@
 //! that registers with a coordinator and hosts a slice of a job's
 //! operator graph, a coordinator that partitions the graph with the same
 //! ring placement the cluster *simulator* uses, and a data plane that
-//! carries cut edges over the existing framed TCP stack — `FLAG_SEQ`
-//! ack/replay and `FLAG_TRACE` causal tracing intact across process
-//! boundaries.
+//! carries cut edges over the existing framed TCP stack — sequenced
+//! ack/replay and causal trace ids intact across process boundaries.
 //!
 //! Module map:
 //!

@@ -1,16 +1,17 @@
 //! The cluster control protocol: versioned, capability-checked framed
 //! JSON between the coordinator and `neptuned` node daemons.
 //!
-//! Control connections ride the same NEPT frame codec as the data plane —
+//! Control connections ride the same frame codec as the data plane —
 //! each message is one JSON document sent as a single-message data frame
 //! on the reserved control link. The **first** frame in each direction is
-//! a `FLAG_CONTROL` hello ([`ControlKind::Hello`]) carrying the sender's
-//! protocol version and capability byte; both sides exchange hellos
-//! synchronously at connect time and refuse the peer with a clear error
-//! when the version differs or a required capability is missing. That is
-//! the fail-fast point for mismatched `neptuned` builds: the operator
-//! sees `protocol mismatch: we speak v1 (caps 0x03), peer speaks v2` at
-//! startup instead of a CRC error mid-job.
+//! a hello ([`ControlKind::Hello`]) carrying the sender's capability byte
+//! under a header that, like every frame's, names its protocol version;
+//! both sides exchange hellos synchronously at connect time and refuse
+//! the peer with a clear error when the version differs or a required
+//! capability is missing. That is the fail-fast point for mismatched
+//! `neptuned` builds: the operator sees `protocol mismatch: we speak v2
+//! (caps 0x03), peer speaks v3` at startup instead of a decode error
+//! mid-job.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -20,7 +21,7 @@ use std::time::Duration;
 use neptune_compress::SelectiveCompressor;
 use neptune_core::json::{self, JsonValue};
 use neptune_net::frame::{
-    encode_frame, encode_hello_frame, hello_parts, read_frame, ControlKind, CAP_SEQ_REPLAY,
+    encode_frame, encode_hello_frame, read_frame, ControlKind, FrameError, CAP_SEQ_REPLAY,
     CAP_TRACE, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
@@ -29,8 +30,8 @@ use parking_lot::Mutex;
 pub const CONTROL_LINK: u64 = 0;
 
 /// Capabilities a cluster peer must advertise: the data plane relies on
-/// `FLAG_SEQ` replay for zero-loss handover and on `FLAG_TRACE`
-/// propagation for cross-process causal tracing.
+/// sequenced replay for zero-loss handover and on trace-id propagation
+/// for cross-process causal tracing.
 pub const REQUIRED_CAPS: u8 = CAP_SEQ_REPLAY | CAP_TRACE;
 
 /// Control protocol failures.
@@ -43,8 +44,9 @@ pub enum ProtoError {
     Mismatch {
         /// Our (version, caps).
         ours: (u8, u8),
-        /// The peer's (version, caps).
-        theirs: (u8, u8),
+        /// The peer's version, and its caps when its hello could be read
+        /// (a hello of another version cannot).
+        theirs: (u8, Option<u8>),
     },
     /// The peer's first frame was not a hello.
     NoHello,
@@ -56,12 +58,14 @@ impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtoError::Io(e) => write!(f, "control i/o error: {e}"),
-            ProtoError::Mismatch { ours, theirs } => write!(
-                f,
-                "protocol mismatch: we speak v{} (caps {:#04x}), peer speaks v{} (caps {:#04x}) — \
-                 upgrade the older neptuned build",
-                ours.0, ours.1, theirs.0, theirs.1
-            ),
+            ProtoError::Mismatch { ours, theirs } => {
+                write!(f, "protocol mismatch: we speak v{} (caps {:#04x}), ", ours.0, ours.1)?;
+                write!(f, "peer speaks v{}", theirs.0)?;
+                if let Some(caps) = theirs.1 {
+                    write!(f, " (caps {caps:#04x})")?;
+                }
+                write!(f, " — upgrade the older neptuned build")
+            }
             ProtoError::NoHello => {
                 write!(f, "peer did not open with a protocol hello (not a neptuned build?)")
             }
@@ -261,23 +265,27 @@ impl ControlMsg {
 /// Write our hello, then read and validate the peer's. Both sides write
 /// first — the frames are tiny and fit the socket buffer, so the
 /// symmetric exchange cannot deadlock.
-fn hello_exchange(stream: &mut TcpStream) -> Result<(u8, u8), ProtoError> {
-    stream.write_all(&encode_hello_frame(CONTROL_LINK, PROTOCOL_VERSION, REQUIRED_CAPS))?;
+fn hello_exchange(stream: &mut TcpStream) -> Result<(), ProtoError> {
+    let ours = (PROTOCOL_VERSION, REQUIRED_CAPS);
+    stream.write_all(&encode_hello_frame(CONTROL_LINK, REQUIRED_CAPS))?;
     stream.flush()?;
-    let frame = read_frame(stream).map_err(|e| {
-        ProtoError::Io(io::Error::new(io::ErrorKind::InvalidData, format!("reading hello: {e}")))
+    let frame = read_frame(stream).map_err(|e| match e {
+        FrameError::UnsupportedVersion(theirs) => {
+            ProtoError::Mismatch { ours, theirs: (theirs, None) }
+        }
+        e => ProtoError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("reading hello: {e}"),
+        )),
     })?;
     if frame.control != Some(ControlKind::Hello) {
         return Err(ProtoError::NoHello);
     }
-    let (version, caps) = hello_parts(frame.base_seq).ok_or(ProtoError::NoHello)?;
-    if version != PROTOCOL_VERSION || caps & REQUIRED_CAPS != REQUIRED_CAPS {
-        return Err(ProtoError::Mismatch {
-            ours: (PROTOCOL_VERSION, REQUIRED_CAPS),
-            theirs: (version, caps),
-        });
+    let caps = u8::try_from(frame.base_seq).map_err(|_| ProtoError::NoHello)?;
+    if caps & REQUIRED_CAPS != REQUIRED_CAPS {
+        return Err(ProtoError::Mismatch { ours, theirs: (PROTOCOL_VERSION, Some(caps)) });
     }
-    Ok((version, caps))
+    Ok(())
 }
 
 /// A write handle to a control connection, cloneable across threads.
@@ -381,7 +389,7 @@ impl ControlConn {
             let mut tap = KindTap { inner: &mut self.reader, last_kind: None };
             let frame = match read_frame(&mut tap) {
                 Ok(frame) => frame,
-                Err(neptune_net::frame::FrameError::Io(msg)) => {
+                Err(FrameError::Io(msg)) => {
                     let kind = tap.last_kind.unwrap_or(io::ErrorKind::UnexpectedEof);
                     return Err(ProtoError::Io(io::Error::new(kind, msg)));
                 }
@@ -425,6 +433,7 @@ pub fn is_timeout(err: &ProtoError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neptune_net::test_support::with_protocol_version;
     use std::net::TcpListener;
 
     #[test]
@@ -510,19 +519,22 @@ mod tests {
     fn version_skew_fails_fast_with_a_clear_error() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A "future" build announcing v2: handcraft the hello.
+        // A "future" build, one version on: handcraft the hello.
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .write_all(&encode_hello_frame(CONTROL_LINK, PROTOCOL_VERSION + 1, REQUIRED_CAPS))
-                .unwrap();
+            let hello = with_protocol_version(
+                encode_hello_frame(CONTROL_LINK, REQUIRED_CAPS),
+                PROTOCOL_VERSION + 1,
+            );
+            stream.write_all(&hello).unwrap();
             // Drain the client's hello so its write never blocks.
             let _ = read_frame(&mut stream);
         });
         let err = ControlConn::connect(addr, Duration::from_secs(2)).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("protocol mismatch"), "got: {text}");
-        assert!(text.contains("peer speaks v2"), "got: {text}");
+        assert!(text.contains(&format!("we speak v{PROTOCOL_VERSION}")), "got: {text}");
+        assert!(text.contains(&format!("peer speaks v{}", PROTOCOL_VERSION + 1)), "got: {text}");
         server.join().unwrap();
     }
 
@@ -533,7 +545,7 @@ mod tests {
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             // Right version, but no replay capability.
-            stream.write_all(&encode_hello_frame(CONTROL_LINK, PROTOCOL_VERSION, 0)).unwrap();
+            stream.write_all(&encode_hello_frame(CONTROL_LINK, 0)).unwrap();
             let _ = read_frame(&mut stream);
         });
         let err = ControlConn::connect(addr, Duration::from_secs(2)).unwrap_err();
@@ -547,8 +559,8 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            // A legacy peer that starts with a data frame.
-            let wire = encode_frame(9, 0, &[b"legacy"], &SelectiveCompressor::disabled());
+            // A peer that starts with a data frame.
+            let wire = encode_frame(9, 0, &[b"data"], &SelectiveCompressor::disabled());
             stream.write_all(&wire).unwrap();
             let _ = read_frame(&mut stream);
         });

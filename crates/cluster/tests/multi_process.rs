@@ -6,8 +6,8 @@
 //!
 //! The daemons are the actual release binaries (`CARGO_BIN_EXE_neptuned`),
 //! not in-process fakes — every hop crosses real process boundaries over
-//! real sockets, with the versioned hello, FLAG_SEQ replay, and
-//! FLAG_TRACE propagation all live.
+//! real sockets, with the hello handshake, sequenced replay, and trace-id
+//! propagation all live.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -87,7 +87,7 @@ fn three_node_cluster_delivers_every_uid_and_serves_the_merged_export() {
     assert_eq!(summary.sink_unique, COUNT, "every uid delivered");
     assert_eq!(summary.deaths, 0);
     assert!(summary.frames_in > 0, "cut edges actually crossed process boundaries");
-    assert!(summary.traced_in > 0, "FLAG_TRACE ids observed crossing process boundaries");
+    assert!(summary.traced_in > 0, "trace ids observed crossing process boundaries");
     assert!(nodes_json.matches("\"pid\"").count() == 3, "/nodes lists 3 daemons: {nodes_json}");
     assert!(nodes_json.contains("\"alive\":true"));
     assert!(

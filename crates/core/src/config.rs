@@ -104,16 +104,12 @@ pub struct TelemetryConfig {
     ///
     /// [`TelemetrySampler`]: neptune_telemetry::TelemetrySampler
     pub sample_interval: Duration,
-    /// Bound on the in-memory time series (oldest samples drop first).
-    pub series_capacity: usize,
     /// Causal per-packet tracing (ISSUE 7): deterministically sample one
     /// in this many source packets and record per-stage spans for them.
     /// `0` disables tracing entirely (no extra hot-path clock reads —
     /// the unsampled cost is a single mask test). Must be a power of two
     /// when nonzero, so sampling is one AND instead of a division.
     pub trace_sample_every: u32,
-    /// Spans retained across the trace ring's shards (oldest overwrite).
-    pub trace_capacity: usize,
     /// Structured runtime events retained in the job's flight recorder
     /// (gate transitions, shedding, breaker trips, reconnects, ...).
     /// `0` disables the recorder. Recording is wait-free and edge-only,
@@ -132,9 +128,7 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             sample_interval: Duration::from_millis(100),
-            series_capacity: 1024,
             trace_sample_every: 0,
-            trace_capacity: 4096,
             recorder_capacity: 512,
             scrape_addr: std::env::var("NEPTUNE_SCRAPE_ADDR").ok().filter(|s| !s.is_empty()),
         }
@@ -142,7 +136,7 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// An enabled config with default interval and capacity.
+    /// An enabled config with the default interval.
     pub fn enabled() -> Self {
         TelemetryConfig { enabled: true, ..Default::default() }
     }
@@ -175,11 +169,6 @@ pub struct HaConfig {
     /// Suspicion starts at half this. Must be at least twice the
     /// heartbeat interval (detector invariant).
     pub failure_timeout: Duration,
-    /// Bound on unacked bytes retained per supervised link for replay.
-    pub replay_budget_bytes: usize,
-    /// Connect attempts before a supervised link is declared terminally
-    /// failed.
-    pub max_reconnect_attempts: u32,
 }
 
 impl Default for HaConfig {
@@ -188,14 +177,12 @@ impl Default for HaConfig {
             enabled: false,
             heartbeat_interval: Duration::from_millis(50),
             failure_timeout: Duration::from_millis(250),
-            replay_budget_bytes: 4 << 20,
-            max_reconnect_attempts: 8,
         }
     }
 }
 
 impl HaConfig {
-    /// An enabled config with default intervals and budgets.
+    /// An enabled config with default intervals.
     pub fn enabled() -> Self {
         HaConfig { enabled: true, ..Default::default() }
     }
@@ -223,21 +210,10 @@ pub struct ContainmentConfig {
     pub enabled: bool,
     /// Times a panicking batch is re-executed before quarantine.
     pub max_retries: u32,
-    /// Seed for the deterministic retry-backoff jitter (chaos
-    /// reproducibility, mirroring `NEPTUNE_CHAOS_SEED`).
-    pub retry_backoff_seed: u64,
     /// Consecutive quarantined batches that trip an operator's breaker.
     pub breaker_threshold: u32,
     /// How long a tripped breaker rejects batches before probing.
     pub breaker_cooldown: Duration,
-    /// Consecutive successful probes that close a half-open breaker.
-    pub breaker_probes: u32,
-    /// Entries retained in the per-job dead-letter queue; the oldest entry
-    /// is evicted when a new poison batch arrives at capacity.
-    pub dead_letter_capacity: usize,
-    /// Bytes of the failing frame captured per dead letter (truncated
-    /// beyond this, so a poison batch cannot balloon the quarantine).
-    pub dead_letter_capture_bytes: usize,
     /// Load-shedding policy for inbound queues. Independent of `enabled`;
     /// [`ShedPolicy::None`] keeps backpressure lossless.
     pub shed_policy: ShedPolicy,
@@ -250,12 +226,8 @@ impl Default for ContainmentConfig {
         ContainmentConfig {
             enabled: false,
             max_retries: 2,
-            retry_backoff_seed: 7,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
-            breaker_probes: 2,
-            dead_letter_capacity: 64,
-            dead_letter_capture_bytes: 64 << 10,
             shed_policy: ShedPolicy::None,
             max_stall: Duration::from_millis(250),
         }
@@ -363,11 +335,6 @@ pub struct RuntimeConfig {
     /// count; the `NEPTUNE_IO_THREADS` environment variable overrides the
     /// default (mirroring `NEPTUNE_CHAOS_SEED`).
     pub io_threads: Option<usize>,
-    /// Max frames a processor drains per scheduled execution.
-    pub batch_max_frames: usize,
-    /// Depth of the bounded queue between worker threads and each TCP
-    /// writer IO thread.
-    pub io_queue_depth: usize,
     /// Batched scheduling (§III-B2). `false` reproduces the paper's
     /// per-message ablation: every packet flushes and schedules
     /// individually (Table I's "Individual Message Processing").
@@ -404,8 +371,6 @@ impl Default for RuntimeConfig {
                 .ok()
                 .and_then(|v| v.parse().ok())
                 .filter(|&n: &usize| n > 0),
-            batch_max_frames: 16,
-            io_queue_depth: 128,
             batched_scheduling: true,
             resources: 1,
             transport: TransportMode::InProcess,
@@ -431,12 +396,6 @@ impl RuntimeConfig {
                 self.watermark_low, self.watermark_high
             ));
         }
-        if self.batch_max_frames == 0 {
-            return Err("batch_max_frames must be positive".into());
-        }
-        if self.io_queue_depth == 0 {
-            return Err("io_queue_depth must be positive".into());
-        }
         if self.io_threads == Some(0) {
             return Err("io_threads must be positive when set".into());
         }
@@ -448,24 +407,16 @@ impl RuntimeConfig {
                 return Err(format!("compression threshold {t} outside [0, 8] bits/byte"));
             }
         }
-        if self.telemetry.enabled {
-            if self.telemetry.sample_interval.is_zero() {
-                return Err("telemetry sample_interval must be positive".into());
-            }
-            if self.telemetry.series_capacity == 0 {
-                return Err("telemetry series_capacity must be positive".into());
-            }
+        if self.telemetry.enabled && self.telemetry.sample_interval.is_zero() {
+            return Err("telemetry sample_interval must be positive".into());
         }
-        if self.telemetry.trace_sample_every > 0 {
-            if !self.telemetry.trace_sample_every.is_power_of_two() {
-                return Err(format!(
-                    "telemetry trace_sample_every ({}) must be a power of two",
-                    self.telemetry.trace_sample_every
-                ));
-            }
-            if self.telemetry.trace_capacity == 0 {
-                return Err("telemetry trace_capacity must be positive when tracing".into());
-            }
+        if self.telemetry.trace_sample_every > 0
+            && !self.telemetry.trace_sample_every.is_power_of_two()
+        {
+            return Err(format!(
+                "telemetry trace_sample_every ({}) must be a power of two",
+                self.telemetry.trace_sample_every
+            ));
         }
         if let Some(addr) = &self.telemetry.scrape_addr {
             if addr.parse::<std::net::SocketAddr>().is_err() {
@@ -482,12 +433,6 @@ impl RuntimeConfig {
                     self.ha.failure_timeout, self.ha.heartbeat_interval
                 ));
             }
-            if self.ha.replay_budget_bytes == 0 {
-                return Err("ha replay_budget_bytes must be positive".into());
-            }
-            if self.ha.max_reconnect_attempts == 0 {
-                return Err("ha max_reconnect_attempts must be positive".into());
-            }
         }
         if self.containment.enabled {
             if self.containment.breaker_threshold == 0 {
@@ -495,12 +440,6 @@ impl RuntimeConfig {
             }
             if self.containment.breaker_cooldown.is_zero() {
                 return Err("containment breaker_cooldown must be positive".into());
-            }
-            if self.containment.dead_letter_capacity == 0 {
-                return Err("containment dead_letter_capacity must be positive".into());
-            }
-            if self.containment.dead_letter_capture_bytes == 0 {
-                return Err("containment dead_letter_capture_bytes must be positive".into());
             }
         }
         if self.containment.shed_policy != ShedPolicy::None && self.containment.max_stall.is_zero()
@@ -547,8 +486,10 @@ impl RuntimeConfig {
 
     /// The effective per-execution frame budget under the ablation toggle.
     pub fn effective_batch_max(&self) -> usize {
+        /// Max frames a processor drains per scheduled execution.
+        const BATCH_MAX_FRAMES: usize = 16;
         if self.batched_scheduling {
-            self.batch_max_frames
+            BATCH_MAX_FRAMES
         } else {
             1
         }
@@ -636,11 +577,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_interval.validate().is_err());
-        let bad_capacity = RuntimeConfig {
-            telemetry: TelemetryConfig { enabled: true, series_capacity: 0, ..Default::default() },
-            ..Default::default()
-        };
-        assert!(bad_capacity.validate().is_err());
     }
 
     #[test]
@@ -654,11 +590,6 @@ mod tests {
         let not_pow2 =
             RuntimeConfig { telemetry: TelemetryConfig::with_tracing(100), ..Default::default() };
         assert!(not_pow2.validate().is_err(), "sample rate must be a power of two");
-        let no_ring = RuntimeConfig {
-            telemetry: TelemetryConfig { trace_capacity: 0, ..TelemetryConfig::with_tracing(64) },
-            ..Default::default()
-        };
-        assert!(no_ring.validate().is_err());
         let bad_addr = RuntimeConfig {
             telemetry: TelemetryConfig {
                 scrape_addr: Some("not-an-addr".into()),
@@ -689,21 +620,10 @@ mod tests {
                 enabled: true,
                 heartbeat_interval: Duration::from_millis(100),
                 failure_timeout: Duration::from_millis(150),
-                ..Default::default()
             },
             ..Default::default()
         };
         assert!(tight.validate().is_err(), "timeout under 2x interval must be rejected");
-        let no_budget = RuntimeConfig {
-            ha: HaConfig { enabled: true, replay_budget_bytes: 0, ..Default::default() },
-            ..Default::default()
-        };
-        assert!(no_budget.validate().is_err());
-        let no_retries = RuntimeConfig {
-            ha: HaConfig { enabled: true, max_reconnect_attempts: 0, ..Default::default() },
-            ..Default::default()
-        };
-        assert!(no_retries.validate().is_err());
     }
 
     #[test]
@@ -719,14 +639,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_breaker.validate().is_err());
-        let bad_dlq = RuntimeConfig {
-            containment: ContainmentConfig {
-                dead_letter_capacity: 0,
-                ..ContainmentConfig::enabled()
-            },
-            ..Default::default()
-        };
-        assert!(bad_dlq.validate().is_err());
         let bad_stall = RuntimeConfig {
             containment: ContainmentConfig {
                 shed_policy: ShedPolicy::DropOldest,

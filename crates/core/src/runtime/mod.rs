@@ -10,7 +10,7 @@
 //!   systems, §III-A2).
 //! * **Batched scheduling (§III-B2)** — frame deliveries signal the task;
 //!   Granules coalesces signals, and one scheduled execution drains the
-//!   whole inbound queue in `batch_max_frames` chunks.
+//!   whole inbound queue in chunks of a fixed number of frames.
 //! * **Two-tier thread model (§IV-C)** — worker threads (the resource
 //!   pools) never touch sockets; a small event-driven IO tier
 //!   ([`neptune_granules::IoPool`] plus a hierarchical timer wheel) hosts
@@ -979,7 +979,6 @@ mod tests {
                 enabled: true,
                 heartbeat_interval: Duration::from_millis(10),
                 failure_timeout: Duration::from_millis(60),
-                ..Default::default()
             },
             ..Default::default()
         };

@@ -62,9 +62,25 @@ pub(super) struct Supervision {
     supervisor: Arc<OperatorSupervisor>,
     backoff: ReconnectPolicy,
     dead_letters: Arc<DeadLetterQueue>,
-    /// Per-entry byte budget when capturing a poison frame's payload.
-    capture_bytes: usize,
 }
+
+/// Bytes of the failing frame captured per dead letter (truncated beyond
+/// this, so a poison batch cannot balloon the quarantine).
+const DEAD_LETTER_CAPTURE_BYTES: usize = 64 << 10;
+/// Entries retained in the per-job dead-letter queue; the oldest entry is
+/// evicted when a new poison batch arrives at capacity.
+const DEAD_LETTER_CAPACITY: usize = 64;
+/// Consecutive successful probes that close a half-open breaker.
+const BREAKER_PROBES: u32 = 2;
+/// Seed for the deterministic retry-backoff jitter.
+const RETRY_BACKOFF_SEED: u64 = 7;
+/// Spans retained across the trace ring's shards (oldest overwrite).
+const TRACE_CAPACITY: usize = 4096;
+/// Bound on the in-memory telemetry time series (oldest samples drop first).
+const SERIES_CAPACITY: usize = 1024;
+/// Depth of the bounded queue between worker threads and each TCP
+/// sender's IO task.
+const IO_QUEUE_DEPTH: usize = 128;
 
 /// Barrier-alignment state of one processor instance (ISSUE 10): the
 /// receive side of the Chandy–Lamport-style aligned snapshot. A barrier
@@ -455,8 +471,9 @@ impl ProcessorTask {
                         let mut original_len = 0usize;
                         for message in &frame.messages {
                             original_len += message.len();
-                            if bytes.len() < sup.capture_bytes {
-                                let take = (sup.capture_bytes - bytes.len()).min(message.len());
+                            if bytes.len() < DEAD_LETTER_CAPTURE_BYTES {
+                                let take =
+                                    (DEAD_LETTER_CAPTURE_BYTES - bytes.len()).min(message.len());
                                 bytes.extend_from_slice(&message[..take]);
                             }
                         }
@@ -546,12 +563,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     let telemetry_hub = config.telemetry.enabled.then(|| Arc::new(TelemetryHub::new()));
     // ---- Observability plane (ISSUE 7): causal span ring + flight
     // recorder. Both are `None`-gated so a disabled job pays nothing. ----
-    let spans = (config.telemetry.trace_sample_every > 0).then(|| {
-        Arc::new(SpanRing::new(
-            config.telemetry.trace_capacity,
-            config.telemetry.trace_sample_every,
-        ))
-    });
+    let spans = (config.telemetry.trace_sample_every > 0)
+        .then(|| Arc::new(SpanRing::new(TRACE_CAPACITY, config.telemetry.trace_sample_every)));
     let recorder = (config.telemetry.recorder_capacity > 0)
         .then(|| Arc::new(FlightRecorder::new(config.telemetry.recorder_capacity)));
     let stop_flag = Arc::new(AtomicBool::new(false));
@@ -564,10 +577,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     // Shedding is independent of supervision: `ShedPolicy::None` (the
     // default) keeps every queue losslessly backpressured per §III-B4.
     let shed = ShedConfig::new(config.containment.shed_policy, config.containment.max_stall);
-    let dead_letters = config
-        .containment
-        .enabled
-        .then(|| Arc::new(DeadLetterQueue::new(config.containment.dead_letter_capacity)));
+    let dead_letters =
+        config.containment.enabled.then(|| Arc::new(DeadLetterQueue::new(DEAD_LETTER_CAPACITY)));
 
     // ---- Checkpointing (ISSUE 10): snapshot store, coordinator, and the
     // restore source for stateful recovery. Everything hangs off the
@@ -760,7 +771,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 let built = if use_tcp {
                     let addr = receiver_addr[&(dst_oi, dst_inst)];
                     let (driver, _) = net_driver.as_ref().expect("TCP transport has a reactor");
-                    let sender = TcpSender::connect_reactor(addr, config.io_queue_depth, driver)
+                    let sender = TcpSender::connect_reactor(addr, IO_QUEUE_DEPTH, driver)
                         .map_err(|e| SubmitError::Io(e.to_string()))?;
                     builder.tcp(sender, compression.to_compressor()).build()
                 } else {
@@ -814,7 +825,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 max_retries: config.containment.max_retries,
                 breaker_threshold: config.containment.breaker_threshold,
                 cooldown: config.containment.breaker_cooldown,
-                required_probes: config.containment.breaker_probes,
+                required_probes: BREAKER_PROBES,
             }));
             if let Some(rec) = &recorder {
                 // Breaker transitions, tagged by operator index.
@@ -835,12 +846,11 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 supervisor.as_ref().zip(dead_letters.as_ref()).map(|(s, dlq)| Supervision {
                     supervisor: s.clone(),
                     // Decorrelate retry jitter across instances while
-                    // keeping it a pure function of the configured seed.
+                    // keeping it a pure function of the seed.
                     backoff: ReconnectPolicy::fast(
-                        config.containment.retry_backoff_seed ^ ((oi as u64) << 32 | inst as u64),
+                        RETRY_BACKOFF_SEED ^ ((oi as u64) << 32 | inst as u64),
                     ),
                     dead_letters: dlq.clone(),
-                    capture_bytes: config.containment.dead_letter_capture_bytes,
                 });
             let is_sink = ctx.endpoints().is_empty();
             let task = ProcessorTask {
@@ -1015,7 +1025,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
 
     // ---- Telemetry sampler: periodic timer task (§IV, Fig. 4). ----
     let series = telemetry_hub.as_ref().map(|_| {
-        let ring = Arc::new(SampleRing::new(config.telemetry.series_capacity));
+        let ring = Arc::new(SampleRing::new(SERIES_CAPACITY));
         let registry = registry.clone();
         let pool = pool.clone();
         let queues = all_queues.clone();

@@ -6,7 +6,7 @@
 //!        │
 //!        ├─ flush policy   (batch bytes / deadline / message count —
 //!        │                  owned here, read by the output buffer)
-//!        ├─ trace tagging  (sampled or every-N, FLAG_TRACE minting)
+//!        ├─ trace tagging  (sampled or every-N, trace-id minting)
 //!        ├─ reliability?   (SupervisedLink: seq + replay + reconnect)
 //!        └─ transport      (QueueLink | TcpFrameLink | ChaosLink | custom)
 //! ```
@@ -23,7 +23,7 @@ use crate::{backoff::ReconnectPolicy, stats::RecoveryStats};
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
 use neptune_net::flush::{FlushPolicy, FlushPolicySnapshot};
-use neptune_net::frame::{ControlKind, Frame, FRAME_HEADER_LEN};
+use neptune_net::frame::{wire_len, ControlKind, Frame, FrameHeader};
 use neptune_net::tcp::TcpSender;
 use neptune_net::transport::TransportError;
 use neptune_net::watermark::WatermarkQueue;
@@ -97,7 +97,7 @@ pub struct LinkStatsSnapshot {
 }
 
 enum Delivery {
-    /// Fire-and-forget onto the transport (bare frames, no `FLAG_SEQ`).
+    /// Fire-and-forget onto the transport (bare frames, unsequenced).
     Direct(Arc<dyn FrameLink>),
     /// At-least-once through the reliability layer (sequenced frames).
     Reliable(Arc<SupervisedLink>),
@@ -216,19 +216,21 @@ impl Link {
         }
         let wire = match &self.delivery {
             Delivery::Direct(t) => t.send_frame(&OutboundFrame {
-                link_id: self.id,
-                seq: None,
-                base_seq,
-                count,
+                header: FrameHeader {
+                    link_id: self.id,
+                    base_seq,
+                    count,
+                    sent_at_micros: sent_at,
+                    trace,
+                    ..FrameHeader::default()
+                },
                 encoded,
-                sent_at_micros: sent_at,
-                trace,
             })?,
             Delivery::Reliable(s) => {
                 // The supervisor may deliver via replay after a cut, so
                 // the first transmission's exact length is not always
-                // observable; account the sequenced frame's nominal size.
-                let nominal = FRAME_HEADER_LEN + encoded.len() + 1 + 8;
+                // observable; account the frame's uncompressed size.
+                let nominal = wire_len(encoded.len());
                 s.send_batch_traced(base_seq, encoded, count, sent_at, trace)?;
                 nominal
             }
@@ -458,7 +460,7 @@ mod tests {
             .build();
         let (e, c) = prefixed(&[b"a", b"b"]);
         let wire = link.send_batch(0, e.clone(), c, 0, 0).unwrap();
-        assert_eq!(wire, FRAME_HEADER_LEN + e.len() + 1, "bare frames carry no FLAG_SEQ");
+        assert_eq!(wire, wire_len(e.len()));
         let f = q.pop().unwrap();
         assert_eq!(f.link_id, 42);
         assert_eq!(f.seq, None);

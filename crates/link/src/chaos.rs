@@ -233,6 +233,7 @@ impl AckGate {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use neptune_net::frame::FrameHeader;
     use parking_lot::Mutex as PlMutex;
 
     /// Records delivered frames; never fails.
@@ -244,7 +245,7 @@ mod tests {
 
     impl FrameLink for SinkSpy {
         fn send_frame(&self, f: &OutboundFrame) -> Result<usize, TransportError> {
-            self.frames.lock().push(f.seq.expect("chaos tests send sequenced frames"));
+            self.frames.lock().push(f.header.seq.expect("chaos tests send sequenced frames"));
             Ok(f.encoded.len())
         }
         fn send_control(
@@ -259,15 +260,14 @@ mod tests {
     }
 
     fn of(seq: u64) -> OutboundFrame {
-        OutboundFrame {
+        let header = FrameHeader {
             link_id: 1,
             seq: Some(seq),
             base_seq: seq,
             count: 1,
-            encoded: Bytes::from_static(&[1, 0, 0, 0, 9]),
-            sent_at_micros: 0,
-            trace: None,
-        }
+            ..FrameHeader::default()
+        };
+        OutboundFrame { header, encoded: Bytes::from_static(&[1, 0, 0, 0, 9]) }
     }
 
     #[test]

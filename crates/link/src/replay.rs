@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One retained frame, ready to be replayed.
 #[derive(Debug, Clone)]
 pub struct PendingFrame {
-    /// Per-link frame sequence number ([`neptune_net::frame::FLAG_SEQ`]).
+    /// Per-link frame sequence number
+    /// ([`FrameHeader::seq`](neptune_net::frame::FrameHeader::seq)).
     pub frame_seq: u64,
     /// Message sequence of the first message in the batch.
     pub base_seq: u64,

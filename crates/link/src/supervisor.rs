@@ -15,7 +15,7 @@ use crate::replay::{PendingFrame, ReplayBuffer};
 use crate::stats::RecoveryStats;
 use crate::transport::{FrameLink, OutboundFrame};
 use bytes::Bytes;
-use neptune_net::frame::ControlKind;
+use neptune_net::frame::{ControlKind, FrameHeader};
 use neptune_net::transport::TransportError;
 use neptune_telemetry::{EventKind, FlightRecorder};
 use parking_lot::{Mutex, RwLock};
@@ -160,13 +160,16 @@ impl SupervisedLink {
             self.stats.replay_evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         let frame = OutboundFrame {
-            link_id: self.link_id,
-            seq: Some(seq),
-            base_seq,
-            count,
+            header: FrameHeader {
+                link_id: self.link_id,
+                base_seq,
+                count,
+                sent_at_micros,
+                seq: Some(seq),
+                trace,
+                ..FrameHeader::default()
+            },
             encoded,
-            sent_at_micros,
-            trace,
         };
         let mut active = self.active.lock();
         if active.is_none() {
@@ -281,13 +284,15 @@ impl SupervisedLink {
             let mut completed = true;
             for pf in &pending {
                 let frame = OutboundFrame {
-                    link_id: self.link_id,
-                    seq: Some(pf.frame_seq),
-                    base_seq: pf.base_seq,
-                    count: pf.count,
+                    header: FrameHeader {
+                        link_id: self.link_id,
+                        base_seq: pf.base_seq,
+                        count: pf.count,
+                        sent_at_micros: pf.sent_at_micros,
+                        seq: Some(pf.frame_seq),
+                        ..FrameHeader::default()
+                    },
                     encoded: pf.encoded.clone(),
-                    sent_at_micros: pf.sent_at_micros,
-                    trace: None,
                 };
                 if sink.send_frame(&frame).is_err() {
                     completed = false;

@@ -15,8 +15,7 @@
 //!   and frame number; no span is recorded sender-side (the receiving
 //!   plane records ingest spans).
 //!
-//! Both mint nonzero ids, because 0 means "untraced" on the wire
-//! (`FLAG_TRACE` is only attached for `Some(id)`).
+//! Both mint nonzero ids, because `PendingTrace` keeps 0 for "untagged".
 
 use neptune_telemetry::{PendingTrace, Span, SpanRing, STAGE_BUFFER_WAIT};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use std::sync::Arc;
 /// Trace ids on sampled links are minted from the originating link and
 /// the sampled packet's sequence number — reproducible across runs of the
 /// same stream, unique enough across links to follow in a trace viewer.
-/// Ids are nonzero (seq+1) because 0 means "untraced" on the wire.
+/// Ids are nonzero (seq+1) because `PendingTrace` keeps 0 for "untagged".
 pub fn mint_sampled_trace_id(link_id: u64, seq: u64) -> u64 {
     (link_id << 40) | ((seq + 1) & 0xFF_FFFF_FFFF)
 }

@@ -2,9 +2,8 @@
 //! the destination, flavour by flavour.
 //!
 //! [`FrameLink`] is the pluggable bottom of the stack. It carries data
-//! frames — sequenced (`FLAG_SEQ`, when a reliability layer assigned a
-//! frame sequence number) or bare — and control frames (heartbeats,
-//! acks). Every flavour blocks under backpressure, which is what lets
+//! frames — sequenced (when a reliability layer assigned a frame sequence
+//! number) or bare — and control frames (heartbeats, acks). Every flavour blocks under backpressure, which is what lets
 //! watermark gating propagate upstream (NEPTUNE §III-B4): a worker that
 //! cannot hand off a batch simply does not return from `send_frame`, and
 //! the stream processor that produced it is not rescheduled — *"The
@@ -28,7 +27,8 @@
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
 use neptune_net::frame::{
-    encode_control_frame, encode_frame_into, ControlKind, Frame, FrameMessages, FRAME_HEADER_LEN,
+    encode_control_frame, encode_frame_into, wire_len, ControlKind, Frame, FrameHeader,
+    FrameMessages, FRAME_HEADER_LEN,
 };
 use neptune_net::tcp::TcpSender;
 use neptune_net::transport::TransportError;
@@ -37,25 +37,15 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One frame on its way out: everything a transport needs to send it now
-/// and a [`crate::replay::ReplayBuffer`] needs to send it again.
+/// One data frame on its way out: the header the wire will carry, and the
+/// batch behind it.
 #[derive(Debug, Clone)]
 pub struct OutboundFrame {
-    /// Link identity (routing key for acks).
-    pub link_id: u64,
-    /// Per-link frame sequence number, assigned by the reliability layer
-    /// (`None` on links without ack/replay — nothing rides `FLAG_SEQ`).
-    pub seq: Option<u64>,
-    /// Message sequence of the first message.
-    pub base_seq: u64,
-    /// Messages in the batch.
-    pub count: u32,
+    /// The frame header. `seq` is assigned by the reliability layer
+    /// (`None` on links without ack/replay), `trace` by the tagging layer.
+    pub header: FrameHeader,
     /// Length-prefixed message concatenation.
     pub encoded: Bytes,
-    /// Sender wall clock at flush, µs (0 = unstamped).
-    pub sent_at_micros: u64,
-    /// Causal trace id to carry via `FLAG_TRACE` (`None` = untraced).
-    pub trace: Option<u64>,
 }
 
 /// A transport that can carry data frames and control frames. Returns the
@@ -132,23 +122,21 @@ impl QueueLink {
 
 impl FrameLink for QueueLink {
     fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
-        // Wire-equivalent accounting: header + compression tag + body,
-        // plus the 8-byte `FLAG_SEQ` extension when sequenced.
-        let wire_len =
-            FRAME_HEADER_LEN + frame.encoded.len() + 1 + if frame.seq.is_some() { 8 } else { 0 };
+        let header = &frame.header;
+        let wire_len = wire_len(frame.encoded.len());
         // Zero-copy split: the frame's messages are ranges into `encoded`.
-        let messages = FrameMessages::parse_prefixed(frame.encoded.clone(), Some(frame.count))
+        let messages = FrameMessages::parse_prefixed(frame.encoded.clone(), Some(header.count))
             .map_err(TransportError::Malformed)?;
         let decoded = Frame {
-            link_id: frame.link_id,
-            base_seq: frame.base_seq,
+            link_id: header.link_id,
+            base_seq: header.base_seq,
             messages,
             wire_len,
-            sent_at_micros: frame.sent_at_micros,
+            sent_at_micros: header.sent_at_micros,
             received_at: Some(std::time::Instant::now()),
-            seq: frame.seq,
+            seq: header.seq,
             control: None,
-            trace: frame.trace,
+            trace: header.trace,
         };
         let outcome = self.queue.push_blocking(decoded).map_err(TransportError::from_push)?;
         if !outcome.accepted() {
@@ -176,7 +164,7 @@ impl FrameLink for QueueLink {
             link_id,
             base_seq: value,
             messages: FrameMessages::empty(),
-            wire_len: FRAME_HEADER_LEN + 8,
+            wire_len: FRAME_HEADER_LEN,
             sent_at_micros: 0,
             received_at: Some(std::time::Instant::now()),
             seq: None,
@@ -199,8 +187,8 @@ impl FrameLink for QueueLink {
     }
 }
 
-/// TCP transport: encodes frames onto the wire (with the `FLAG_SEQ`
-/// extension when sequenced) and hands them to a [`TcpSender`].
+/// TCP transport: encodes frames onto the wire and hands them to a
+/// [`TcpSender`].
 pub struct TcpFrameLink {
     sender: TcpSender,
     compressor: SelectiveCompressor,
@@ -221,17 +209,7 @@ impl TcpFrameLink {
 impl FrameLink for TcpFrameLink {
     fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
         let mut wire = self.sender.wire_buffer();
-        encode_frame_into(
-            &mut wire,
-            frame.link_id,
-            frame.base_seq,
-            frame.count,
-            &frame.encoded,
-            &self.compressor,
-            frame.sent_at_micros,
-            frame.seq,
-            frame.trace,
-        );
+        encode_frame_into(&mut wire, &frame.header, &frame.encoded, &self.compressor);
         let len = wire.len();
         self.sender.send(wire)?;
         Ok(len)
@@ -262,7 +240,8 @@ mod tests {
     }
 
     fn frame(seq: Option<u64>, base_seq: u64, encoded: Bytes, count: u32) -> OutboundFrame {
-        OutboundFrame { link_id: 5, seq, base_seq, count, encoded, sent_at_micros: 0, trace: None }
+        let header = FrameHeader { link_id: 5, seq, base_seq, count, ..FrameHeader::default() };
+        OutboundFrame { header, encoded }
     }
 
     #[test]
@@ -283,15 +262,15 @@ mod tests {
     }
 
     #[test]
-    fn bare_frames_skip_the_seq_extension_in_accounting() {
+    fn bare_and_sequenced_frames_account_the_same_wire_bytes() {
         let q = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
         let link = QueueLink::new(q.clone());
         let (encoded, count) = prefixed(&[b"x"]);
         let body = encoded.len();
         let bare = link.send_frame(&frame(None, 0, encoded.clone(), count)).unwrap();
         let sequenced = link.send_frame(&frame(Some(0), 1, encoded, count)).unwrap();
-        assert_eq!(bare, FRAME_HEADER_LEN + body + 1);
-        assert_eq!(sequenced, bare + 8, "FLAG_SEQ adds exactly 8 bytes");
+        assert_eq!(bare, wire_len(body));
+        assert_eq!(sequenced, bare, "the header is one size");
         assert_eq!(q.pop().unwrap().seq, None);
         assert_eq!(q.pop().unwrap().seq, Some(0));
     }

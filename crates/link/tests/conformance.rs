@@ -13,9 +13,12 @@
 //!   top and a [`ReliableIngress`] at the sink, a mid-stream link cut
 //!   (scripted for chaos links, a server-side connection drop for
 //!   TCP) loses nothing and duplicates nothing.
-//! * **Extension flags round-trip.** `FLAG_SEQ` (reliability),
-//!   `FLAG_TRACE` (tagging), and `FLAG_SENT_AT` (latency stamps)
-//!   survive the wire on every flavour, bit-identically.
+//! * **Header fields round-trip.** The frame sequence number
+//!   (reliability), the trace id (tagging) and the sent-at stamp
+//!   (latency) survive the wire on every flavour, bit-identically.
+//! * **One byte count.** The same traffic is accounted the same
+//!   `wire_bytes` on every flavour — what a TCP link really puts on the
+//!   wire with compression off.
 //!
 //! The fault script is positional and seeded; the CI chaos job replays
 //! the whole suite under several seeds (`NEPTUNE_CHAOS_SEED`).
@@ -28,7 +31,7 @@ use neptune_link::{
     QueueLink, ReconnectPolicy, RecoveryStats, ReliableIngress, TcpFrameLink, TraceTagger,
     TransportError,
 };
-use neptune_net::frame::Frame;
+use neptune_net::frame::{wire_len, Frame};
 use neptune_net::tcp::{TcpReceiver, TcpSender};
 use neptune_net::test_support::{wait_for, NetRig};
 use neptune_net::watermark::{PushError, WatermarkConfig, WatermarkQueue};
@@ -266,12 +269,12 @@ fn push_errors_map_onto_distinct_transport_errors() {
     assert!(matches!(TransportError::from_push(closed), TransportError::Closed));
 }
 
-/// FLAG_SEQ, FLAG_TRACE, and FLAG_SENT_AT survive every flavour's wire
-/// bit-identically: the reliability layer stamps the frame sequence,
-/// the every-N tagger mints the trace id, and the caller's send stamp
-/// arrives unchanged.
+/// The frame sequence number, the trace id and the sent-at stamp survive
+/// every flavour's wire bit-identically: the reliability layer assigns
+/// the sequence, the every-N tagger mints the trace id, and the caller's
+/// send stamp arrives unchanged.
 #[test]
-fn extension_flags_round_trip_on_every_flavour() {
+fn header_fields_round_trip_on_every_flavour() {
     let seed = chaos_seed();
     const LINK: u64 = 21;
     for flavour in ALL_FLAVOURS {
@@ -288,13 +291,13 @@ fn extension_flags_round_trip_on_every_flavour() {
                 .unwrap_or_else(|| panic!("{flavour:?}: frame {i} never arrived"));
             assert_eq!(f.link_id, LINK, "{flavour:?}");
             assert_eq!(f.base_seq, i, "{flavour:?}");
-            assert_eq!(f.seq, Some(i), "{flavour:?}: FLAG_SEQ lost or renumbered");
+            assert_eq!(f.seq, Some(i), "{flavour:?}: frame seq lost or renumbered");
             assert_eq!(
                 f.trace,
                 Some(mint_every_n_trace_id(LINK, i)),
-                "{flavour:?}: FLAG_TRACE lost or re-minted"
+                "{flavour:?}: trace id lost or re-minted"
             );
-            assert_eq!(f.sent_at_micros, 777_000 + i, "{flavour:?}: FLAG_SENT_AT mangled");
+            assert_eq!(f.sent_at_micros, 777_000 + i, "{flavour:?}: sent-at stamp mangled");
             let msgs: Vec<Vec<u8>> = f.messages.iter().map(|m| m.to_vec()).collect();
             assert_eq!(msgs, vec![i.to_le_bytes().to_vec()], "{flavour:?}: payload mangled");
             assert!(
@@ -314,6 +317,38 @@ fn extension_flags_round_trip_on_every_flavour() {
             "{flavour:?}: acks never trimmed the replay buffer"
         );
         fx.shutdown();
+    }
+}
+
+/// Identical traffic is accounted identical bytes, whatever carries it and
+/// whichever header fields are in use: stamped and traced on a bare link,
+/// sequenced as well on a reliable one. The number is the real one — what
+/// the TCP receiver saw arrive.
+#[test]
+fn every_flavour_accounts_the_same_wire_bytes() {
+    let seed = chaos_seed();
+    const LINK: u64 = 23;
+    let payloads: [&[u8]; 3] = [b"a", b"bcdefgh", &[7u8; 300]];
+    for reliable in [false, true] {
+        for flavour in ALL_FLAVOURS {
+            let watermark = WatermarkConfig::new(1 << 20, 1 << 10);
+            let fx = build(flavour, LINK, watermark, reliable, 1, None, seed);
+            let (mut returned, mut expected, mut arrived) = (0, 0, 0);
+            for (i, payload) in payloads.iter().enumerate() {
+                let (encoded, count) = batch_of(&[payload]);
+                expected += wire_len(encoded.len());
+                returned += fx.link.send_batch(i as u64, encoded, count, 777_000, 0).expect("send");
+                let f = fx.sink.pop_timeout(Duration::from_secs(10)).expect("frame arrives");
+                assert_eq!(f.seq.is_some(), reliable, "{flavour:?}");
+                assert!(f.trace.is_some() && f.sent_at_micros != 0, "{flavour:?}");
+                arrived += f.wire_len;
+            }
+            let what = format!("{flavour:?}, reliable={reliable}");
+            assert_eq!(returned, expected, "{what}: send_batch's return");
+            assert_eq!(fx.link.stats_snapshot().wire_bytes, expected as u64, "{what}: wire_bytes");
+            assert_eq!(arrived, expected, "{what}: bytes the receiver saw");
+            fx.shutdown();
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! a 10 KB-packet TCP hop the checksum *is* the per-byte cost. Three
 //! kernels compute the same function:
 //!
-//! * [`reference`] — one table lookup per byte. The definition the other
+//! * [`reference()`] — one table lookup per byte. The definition the other
 //!   two are tested against; nothing on the data path calls it.
 //! * [`portable`] — slicing-by-16: sixteen `const` tables consume sixteen
 //!   input bytes per step with independent lookups. Used on any CPU, and

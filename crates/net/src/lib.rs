@@ -12,9 +12,10 @@
 //!   certain time period since arrival of the first message"), bounding
 //!   end-to-end latency.
 //! * **Batch framing**: [`frame`] packs a flushed buffer into one wire frame
-//!   with a CRC32-protected, optionally entropy-compressed body, so a batch
-//!   costs one network-stack traversal instead of hundreds. The checksum
-//!   ([`crc`]) streams over the body as it is written or read, on a
+//!   behind a fixed, versioned header, CRC32-protected end to end and with
+//!   an optionally entropy-compressed body, so a batch costs one
+//!   network-stack traversal instead of hundreds. The checksum ([`crc`])
+//!   streams over the frame as it is written or read, on a
 //!   carry-less-multiply kernel where the CPU has one.
 //! * **Backpressure** (§III-B4): [`WatermarkQueue`] is the bounded inbound
 //!   buffer with high/low watermarks. Once the high watermark is reached
@@ -45,10 +46,9 @@ pub use buffer::{FlushReason, FlushedBatch, OutputBuffer, PushOutcome};
 pub use crc::{crc32, Crc32};
 pub use flush::{FlushPolicy, FlushPolicySnapshot};
 pub use frame::{
-    decode_frame, decode_frame_shared, encode_control_frame, encode_frame, encode_frame_raw,
-    encode_frame_raw_ext, encode_hello_frame, hello_parts, hello_value, read_frame, ControlKind,
-    Frame, FrameDecoder, FrameError, FrameMessages, CAPS_ALL, CAP_COMPRESS, CAP_SEQ_REPLAY,
-    CAP_TRACE, FLAG_CONTROL, FLAG_SENT_AT, FLAG_SEQ, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    decode_frame, encode_control_frame, encode_frame, encode_frame_raw, encode_hello_frame,
+    read_frame, ControlKind, Frame, FrameDecoder, FrameError, FrameHeader, FrameMessages, CAPS_ALL,
+    CAP_COMPRESS, CAP_SEQ_REPLAY, CAP_TRACE, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 pub use pool::{BytesPool, BytesPoolStats};
 pub use tcp::{HandshakeGate, NetDriver, TcpReceiver, TcpSender};

@@ -28,24 +28,23 @@
 //! # Ack backchannel
 //!
 //! TCP links are full duplex, and the fault-tolerance layer uses the
-//! reverse direction: when a receiver decodes a data frame carrying the
-//! [`FLAG_SEQ`](crate::frame::FLAG_SEQ) extension, it writes a cumulative
+//! reverse direction: when a receiver decodes a data frame that carries a
+//! frame sequence number ([`Frame::seq`]), it writes a cumulative
 //! [`ControlKind::Ack`] control frame back on the same socket after the
 //! frame lands on the inbound queue. Heartbeat control frames are answered
 //! the same way (and never surface on the data queue), so an idle link
 //! still proves liveness end to end. A sender built with
 //! [`TcpSender::connect_reactor_with_acks`] parses that backchannel — on
 //! the same task that writes — and hands `(link_id, cumulative_seq)` to a
-//! callback, the hook `neptune-link`'s replay buffer trims from. Frames
-//! without the extension elicit no acks.
+//! callback, the hook `neptune-link`'s replay buffer trims from.
+//! Unsequenced frames elicit no acks.
 //!
 //! A receiver bound with [`TcpReceiver::bind_manual_ack`] leaves the
 //! acknowledging to the application ([`TcpReceiver::send_ack`]) and can
 //! put a [`HandshakeGate`] in front of every connection.
 
 use crate::frame::{
-    encode_control_frame, encode_hello_frame, hello_parts, ControlKind, Frame, FrameDecoder,
-    PROTOCOL_VERSION,
+    encode_control_frame, encode_hello_frame, ControlKind, Frame, FrameDecoder, FrameError,
 };
 use crate::pool::BytesPool;
 use crate::transport::TransportError;
@@ -101,37 +100,26 @@ impl NetDriver {
 
 /// Receiver-side admission rule for the [`ControlKind::Hello`] handshake.
 ///
-/// When installed (see [`TcpReceiver::bind_manual_ack`]), a connection's
-/// hello frame is answered with the receiver's own and checked: a version
-/// other than `version`, or a capability byte missing any of
-/// `required_caps`, is counted, logged, and the connection severed — a
-/// mismatched peer fails on connect, before any data frame can be
-/// mis-decoded. Connections that never send a hello are still admitted;
-/// the gate only rejects peers that *announce* an incompatibility. A
-/// receiver without a gate skips hello frames like any control chatter.
-#[derive(Debug, Clone, Copy)]
+/// Every receiver refuses a frame of another protocol version — the
+/// decoder does. With a gate installed (see
+/// [`TcpReceiver::bind_manual_ack`]) the refusal is a *handshake* outcome
+/// rather than a corrupt stream: the peer is sent this side's hello, whose
+/// header names the version spoken here, then counted
+/// ([`TcpReceiver::handshake_rejects`]), logged and severed. A gate also
+/// answers each hello with its own and checks the announced capability
+/// byte against `required_caps`. Connections that never send a hello are
+/// still admitted; a receiver without a gate skips hello frames like any
+/// control chatter.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HandshakeGate {
-    /// Exact protocol version required ([`PROTOCOL_VERSION`] for this build).
-    pub version: u8,
     /// Capability bits the peer must announce (0 = any peer).
     pub required_caps: u8,
 }
 
 impl HandshakeGate {
-    /// Gate for this build's protocol version with no capability demands.
-    pub fn current() -> Self {
-        HandshakeGate { version: PROTOCOL_VERSION, required_caps: 0 }
-    }
-
-    /// Check an announced `(version, caps)` pair; `Err` holds a
-    /// human-readable reason.
-    pub fn check(&self, version: u8, caps: u8) -> Result<(), String> {
-        if version != self.version {
-            return Err(format!(
-                "protocol version mismatch: peer announces v{version}, this build speaks v{}",
-                self.version
-            ));
-        }
+    /// Check an announced capability byte; `Err` holds a human-readable
+    /// reason.
+    pub fn check(&self, caps: u8) -> Result<(), String> {
         if caps & self.required_caps != self.required_caps {
             return Err(format!(
                 "capability mismatch: peer caps {caps:#04x} miss required {:#04x}",
@@ -610,17 +598,17 @@ impl TcpReceiver {
         Self::bind(addr, watermark, shed, Some(pool), false, None, driver)
     }
 
-    /// Bind with *manual* acknowledgement: data frames carrying
-    /// [`FLAG_SEQ`](crate::frame::FLAG_SEQ) are **not** acked when they
-    /// land on the inbound queue — the application calls
+    /// Bind with *manual* acknowledgement: sequenced data frames
+    /// ([`Frame::seq`]) are **not** acked when they land on the inbound
+    /// queue — the application calls
     /// [`send_ack`](Self::send_ack) once it has actually secured them
     /// (processed, forwarded downstream and had *that* hop acknowledged,
     /// …). Heartbeats are answered with the manually-acked watermark for
     /// the same reason. `neptune-cluster` node ingress uses this so a
     /// killed node's unacked frames stay in the upstream replay buffer.
     ///
-    /// `gate`, when set, enforces the [`ControlKind::Hello`] version
-    /// handshake on every accepted connection. `pool`, when set, supplies
+    /// `gate`, when set, runs the [`ControlKind::Hello`] handshake on
+    /// every accepted connection. `pool`, when set, supplies
     /// the frame-body buffers.
     pub fn bind_manual_ack(
         addr: impl ToSocketAddrs,
@@ -868,7 +856,8 @@ enum Drain {
 enum Sever {
     /// A frame failed CRC or structural validation — no resync mid-stream.
     Corrupt,
-    /// The handshake gate turned the peer's hello down.
+    /// The handshake gate turned the peer down: another protocol version,
+    /// or a hello missing a required capability.
     Rejected,
 }
 
@@ -884,7 +873,7 @@ struct ConnTask {
     /// Frames decoded but not yet on the inbound queue (gate was closed),
     /// each with its pending cumulative ack `(link_id, next_expected)`.
     pending: VecDeque<(Frame, Option<(u64, u64)>)>,
-    /// Cumulative next-expected message seq for FLAG_SEQ traffic.
+    /// Cumulative next-expected message seq for sequenced traffic.
     next_expected: Option<u64>,
     /// Manual mode: links this connection has routed acks to itself for.
     ack_routes: Vec<u64>,
@@ -979,10 +968,8 @@ impl ConnTask {
     fn decode(&mut self, n: usize) -> Result<(), Sever> {
         let mut off = 0;
         while off < n {
-            let (used, frame) = self
-                .decoder
-                .feed(&self.read_buf[off..n], self.pool.as_deref())
-                .map_err(|_| Sever::Corrupt)?;
+            let fed = self.decoder.feed(&self.read_buf[off..n], self.pool.as_deref());
+            let (used, frame) = fed.map_err(|e| self.refuse(e))?;
             off += used;
             if let Some(frame) = frame {
                 self.stash(frame)?;
@@ -993,10 +980,20 @@ impl ConnTask {
 
     /// Account for `n` bytes read straight into the decoder's body buffer.
     fn commit(&mut self, n: usize) -> Result<(), Sever> {
-        match self.decoder.commit(n, self.pool.as_deref()).map_err(|_| Sever::Corrupt)? {
+        match self.decoder.commit(n, self.pool.as_deref()).map_err(|e| self.refuse(e))? {
             Some(frame) => self.stash(frame),
             None => Ok(()),
         }
+    }
+
+    /// What an undecodable frame means for the connection. A gated
+    /// receiver turns a peer of another protocol version away as a
+    /// handshake outcome; everything else is a corrupt stream.
+    fn refuse(&mut self, error: FrameError) -> Sever {
+        if matches!(error, FrameError::UnsupportedVersion(_)) && self.shared.handshake.is_some() {
+            return self.reject(0, error.to_string());
+        }
+        Sever::Corrupt
     }
 
     /// Queue a decoded frame for delivery (or answer it, if it is control
@@ -1060,16 +1057,26 @@ impl ConnTask {
     /// can diagnose a mismatch, then let the gate decide.
     fn admit_hello(&mut self, hello: &Frame) -> Result<(), Sever> {
         let Some(gate) = self.shared.handshake else { return Ok(()) };
-        self.ack_out.extend_from_slice(&encode_hello_frame(hello.link_id, gate.version, 0));
-        let verdict = match hello_parts(hello.base_seq) {
-            Some((version, caps)) => gate.check(version, caps),
-            None => Err("malformed hello value".to_string()),
-        };
-        let Err(reason) = verdict else { return Ok(()) };
+        let verdict = u8::try_from(hello.base_seq)
+            .map_err(|_| "malformed hello value".to_string())
+            .and_then(|caps| gate.check(caps));
+        match verdict {
+            Ok(()) => {
+                self.ack_out.extend_from_slice(&encode_hello_frame(hello.link_id, 0));
+                Ok(())
+            }
+            Err(reason) => Err(self.reject(hello.link_id, reason)),
+        }
+    }
+
+    /// Turn the peer away: queue our hello for the way out (its header
+    /// tells the peer which version is spoken here), count and log.
+    fn reject(&mut self, link_id: u64, reason: String) -> Sever {
+        self.ack_out.extend_from_slice(&encode_hello_frame(link_id, 0));
         self.shared.handshake_rejects.fetch_add(1, Ordering::Relaxed);
         let peer = self.conn.stream.peer_addr().map_or_else(|_| "?".into(), |a| a.to_string());
         eprintln!("neptune-net: rejecting connection from {peer}: {reason}");
-        Err(Sever::Rejected)
+        Sever::Rejected
     }
 
     /// Give the connection up: count a corrupt stream, send a rejected
@@ -1154,8 +1161,10 @@ impl IoTask for ConnTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, encode_frame_raw_ext, read_frame, CAPS_ALL};
-    use crate::test_support::{wait_for, NetRig};
+    use crate::frame::{
+        encode_frame, encode_frame_into, read_frame, FrameHeader, CAPS_ALL, PROTOCOL_VERSION,
+    };
+    use crate::test_support::{wait_for, with_protocol_version, NetRig};
     use neptune_compress::SelectiveCompressor;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -1172,8 +1181,16 @@ mod tests {
             batch.extend_from_slice(&1u32.to_le_bytes());
             batch.push(b'm');
         }
-        let raw = SelectiveCompressor::disabled();
-        encode_frame_raw_ext(link, base, count, &batch, &raw, 0, Some(frame_seq))
+        let header = FrameHeader {
+            link_id: link,
+            base_seq: base,
+            count,
+            seq: Some(frame_seq),
+            ..FrameHeader::default()
+        };
+        let mut wire = Vec::new();
+        encode_frame_into(&mut wire, &header, &batch, &SelectiveCompressor::disabled());
+        wire
     }
 
     /// A sender whose acks land in a shared list.
@@ -1452,23 +1469,26 @@ mod tests {
     fn handshake_gate_rejects_version_mismatch_and_admits_match() {
         let rig = NetRig::new("trx11");
         let driver = rig.driver();
-        let gate = Some(HandshakeGate::current());
+        let gate = Some(HandshakeGate::default());
         let rx = TcpReceiver::bind_manual_ack("127.0.0.1:0", roomy(), gate, None, &driver).unwrap();
-        // Mismatched peer: announces a future protocol version.
+        // Mismatched peer: speaks a future protocol version.
         let mut bad = TcpStream::connect(rx.local_addr()).unwrap();
         bad.set_read_timeout(Some(TIMEOUT)).unwrap();
-        bad.write_all(&encode_hello_frame(1, PROTOCOL_VERSION + 1, 0)).unwrap();
-        // The receiver answers with its own hello, then drops us.
+        let hello = with_protocol_version(encode_hello_frame(1, 0), PROTOCOL_VERSION + 1);
+        bad.write_all(&hello).unwrap();
+        // The receiver answers with its own hello — which this build's
+        // decoder takes, so its header names PROTOCOL_VERSION — then
+        // drops us.
         let answer = read_frame(&mut bad).unwrap();
         assert_eq!(answer.control, Some(ControlKind::Hello));
-        assert_eq!(hello_parts(answer.base_seq).unwrap().0, PROTOCOL_VERSION);
         assert!(wait_for(TIMEOUT, || rx.handshake_rejects() == 1));
+        assert_eq!(rx.decode_errors(), 0, "turned away, not mistaken for corruption");
         let mut rest = Vec::new();
         assert_eq!(bad.read_to_end(&mut rest).expect("EOF, not a timeout"), 0, "closed");
         assert!(wait_for(TIMEOUT, || rx.connections() == 0), "rejected peer must be forgotten");
         // Matching peer: admitted (and answered), data flows.
         let tx = TcpSender::connect_reactor(rx.local_addr(), 8, &driver).unwrap();
-        tx.send(encode_hello_frame(1, PROTOCOL_VERSION, 0)).unwrap();
+        tx.send(encode_hello_frame(1, 0)).unwrap();
         let raw = SelectiveCompressor::disabled();
         tx.send(encode_frame(1, 0, &[b"ok".to_vec()], &raw)).unwrap();
         let f = rx.queue().pop_timeout(TIMEOUT).expect("admitted peer delivers");
@@ -1486,7 +1506,7 @@ mod tests {
         let driver = rig.driver();
         let rx = TcpReceiver::bind_reactor("127.0.0.1:0", roomy(), &driver).unwrap();
         let tx = TcpSender::connect_reactor(rx.local_addr(), 8, &driver).unwrap();
-        tx.send(encode_hello_frame(1, PROTOCOL_VERSION, CAPS_ALL)).unwrap();
+        tx.send(encode_hello_frame(1, CAPS_ALL)).unwrap();
         let raw = SelectiveCompressor::disabled();
         tx.send(encode_frame(1, 5, &[b"after".to_vec()], &raw)).unwrap();
         let f = rx.queue().pop_timeout(TIMEOUT).expect("data after hello");
@@ -1497,6 +1517,26 @@ mod tests {
         );
         assert_eq!(rx.handshake_rejects(), 0);
         tx.close();
+        rx.shutdown();
+    }
+
+    #[test]
+    fn ungated_receiver_severs_a_peer_of_another_version_on_its_first_frame() {
+        // No hello, no gate: the data frame's own header carries the
+        // version, and a foreign one is a decode error like any other.
+        let rig = NetRig::new("trx12b");
+        let driver = rig.driver();
+        let rx = TcpReceiver::bind_reactor("127.0.0.1:0", roomy(), &driver).unwrap();
+        let raw = SelectiveCompressor::disabled();
+        let data = encode_frame(1, 0, &[b"old".to_vec()], &raw);
+        let mut stranger = TcpStream::connect(rx.local_addr()).unwrap();
+        stranger.set_read_timeout(Some(TIMEOUT)).unwrap();
+        stranger.write_all(&with_protocol_version(data, PROTOCOL_VERSION - 1)).unwrap();
+        assert!(wait_for(TIMEOUT, || rx.decode_errors() == 1));
+        let mut rest = Vec::new();
+        assert_eq!(stranger.read_to_end(&mut rest).expect("EOF, not a timeout"), 0, "severed");
+        assert_eq!(rx.handshake_rejects(), 0, "no gate, no handshake");
+        assert!(rx.queue().pop().is_none(), "nothing of it is delivered");
         rx.shutdown();
     }
 

@@ -1,4 +1,5 @@
-//! Test helpers: deadline polling, and the IO tier a TCP endpoint needs.
+//! Test helpers: deadline polling, the IO tier a TCP endpoint needs, and a
+//! peer of another protocol version.
 //!
 //! Synchronizing a test with a background thread via a bare
 //! `thread::sleep(fixed)` is a race with the scheduler: too short and the
@@ -37,6 +38,15 @@ impl NetRig {
     pub fn reactor(&self) -> &Reactor {
         &self.reactor
     }
+}
+
+/// `frame` as a build speaking protocol `version` would head it: the same
+/// bytes under another version byte. A decoder refuses a foreign version
+/// before it reads anything else, so nothing after the byte has to follow
+/// that version's layout.
+pub fn with_protocol_version(mut frame: Vec<u8>, version: u8) -> Vec<u8> {
+    frame[crate::frame::VERSION_AT] = version;
+    frame
 }
 
 /// Poll `pred` until it returns true or `deadline` passes. Returns the

@@ -57,7 +57,7 @@ impl Weighted for crate::frame::Frame {
         self.wire_len
     }
 
-    /// Control frames ([`crate::frame::FLAG_CONTROL`]) are exempt from
+    /// Control frames ([`crate::frame::Frame::control`]) are exempt from
     /// load shedding.
     fn sheddable(&self) -> bool {
         self.control.is_none()

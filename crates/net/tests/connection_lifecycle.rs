@@ -10,7 +10,7 @@
 use neptune_compress::SelectiveCompressor;
 use neptune_net::frame::{encode_frame, encode_hello_frame, PROTOCOL_VERSION};
 use neptune_net::tcp::{HandshakeGate, TcpReceiver, TcpSender};
-use neptune_net::test_support::{wait_for, NetRig};
+use neptune_net::test_support::{wait_for, with_protocol_version, NetRig};
 use neptune_net::watermark::WatermarkConfig;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -88,7 +88,7 @@ fn a_peer_the_receiver_drops_sees_the_connection_end() {
     let _turn = SERIAL.lock().unwrap();
     let rig = NetRig::new("fd-drop");
     let driver = rig.driver();
-    let gate = Some(HandshakeGate::current());
+    let gate = Some(HandshakeGate::default());
     let rx = TcpReceiver::bind_manual_ack("127.0.0.1:0", roomy(), gate, None, &driver).unwrap();
 
     // One bit flipped in the body: the CRC no longer matches.
@@ -101,7 +101,8 @@ fn a_peer_the_receiver_drops_sees_the_connection_end() {
 
     // A hello from a protocol version this build does not speak.
     let mut stranger = TcpStream::connect(rx.local_addr()).unwrap();
-    stranger.write_all(&encode_hello_frame(1, PROTOCOL_VERSION + 1, 0)).unwrap();
+    let hello = with_protocol_version(encode_hello_frame(1, 0), PROTOCOL_VERSION + 1);
+    stranger.write_all(&hello).unwrap();
     assert!(reads_to_the_end(&mut stranger), "rejected peer left on a half-open socket");
     assert_eq!(rx.handshake_rejects(), 1);
 

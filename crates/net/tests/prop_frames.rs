@@ -1,34 +1,29 @@
-//! Property-based tests for the frame header-extension scheme.
+//! Property-based tests for the frame codec.
 //!
 //! Invariants:
-//! * A frame carrying any combination of the [`FLAG_SENT_AT`] and
-//!   [`FLAG_SEQ`] extensions round-trips through every decode path
-//!   (slice, shared-buffer, and stream reader) with the extension values
-//!   and messages intact.
-//! * Setting no extensions produces the exact legacy wire layout.
-//! * A decoder presented with a *reserved* extension bit it does not
-//!   understand skips the unknown word and still decodes the known
-//!   extensions and the body — old and new builds interoperate.
-
+//! * Any [`FrameHeader`] — data or control, any field values — round-trips
+//!   through every decode path (slice, stream reader, incremental decoder
+//!   under any chunking) with every field and the messages intact.
 //! * The incremental [`FrameDecoder`] fed an arbitrary frame stream in
 //!   arbitrary chunks produces exactly the frames the blocking
 //!   [`read_frame`] reader produces, and never panics on truncated or
 //!   bit-flipped input.
 //! * Every CRC-32 kernel — each called directly, so both fast ones run on
 //!   any host that has them — equals the bytewise reference, one-shot and
-//!   under any streaming split; a corrupted body is caught however the
-//!   decoder is fed.
-//! * The wire format is pinned: frames the previous encoder produced
-//!   (`fixtures/golden_frames.txt`) decode, and the current encoder
-//!   reproduces them bit for bit.
+//!   under any streaming split.
+//! * No single flipped bit anywhere in a frame — header or body, data or
+//!   control — yields a frame, however the decoder is fed.
+//! * The wire format is pinned: the frames in `fixtures/golden_frames.txt`
+//!   decode, the encoder reproduces them bit for bit, and the file records
+//!   the protocol version it was written under. Every frame of the
+//!   previous version (`fixtures/golden_frames_v1.txt`) is refused.
 
-use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
 use neptune_net::crc::{self, crc32, Crc32};
 use neptune_net::frame::{
-    decode_frame, decode_frame_shared, encode_control_frame, encode_frame, encode_frame_into,
-    encode_frame_raw_ext, encode_frame_raw_traced, read_frame, ControlKind, Frame, FrameDecoder,
-    FrameError, FLAG_SENT_AT, FLAG_SEQ, FRAME_HEADER_LEN,
+    decode_frame, encode_control_frame, encode_frame, encode_frame_into, encode_frame_raw,
+    encode_hello_frame, read_frame, wire_len, ControlKind, Frame, FrameDecoder, FrameError,
+    FrameHeader, CAPS_ALL, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -126,167 +121,269 @@ fn hex(text: &str) -> Vec<u8> {
     (0..text.len()).step_by(2).map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap()).collect()
 }
 
-/// `name -> wire bytes` from the checked-in fixture.
+/// The `name hex` lines of a fixture file, and its `version N` line if any.
+fn fixture(text: &str) -> (Option<u8>, Vec<(String, Vec<u8>)>) {
+    let mut version = None;
+    let mut frames = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
+        let (name, rest) = line.split_once(' ').expect("`name value`");
+        match name {
+            "version" => version = Some(rest.trim().parse().expect("a version number")),
+            _ => frames.push((name.to_string(), hex(rest.trim()))),
+        }
+    }
+    (version, frames)
+}
+
+/// The current format's fixture. Its recorded version must be the one this
+/// build speaks: changing the bytes without bumping the constant — or the
+/// constant without regenerating the bytes — fails here.
 fn golden() -> Vec<(String, Vec<u8>)> {
-    include_str!("fixtures/golden_frames.txt")
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| {
-            let (name, bytes) = l.split_once(' ').expect("`name hex`");
-            (name.to_string(), hex(bytes.trim()))
-        })
-        .collect()
+    let (version, frames) = fixture(include_str!("fixtures/golden_frames.txt"));
+    assert_eq!(version, Some(PROTOCOL_VERSION), "fixture version != PROTOCOL_VERSION");
+    assert_eq!(frames.len(), 14, "ten data frames and four control frames");
+    frames
 }
 
 const GOLDEN_STAMP: u64 = 1_722_000_000_000_123;
 const GOLDEN_SEQ: u64 = 4242;
 const GOLDEN_TRACE: u64 = 0xDEAD_BEEF_0000_0007;
 
-/// The inputs the fixture's data frames were encoded from.
-fn golden_input(name: &str) -> (Vec<Vec<u8>>, SelectiveCompressor, u64, Option<u64>, Option<u64>) {
-    let (body, ext) = name.split_once('/').expect("`body/ext`");
-    let (messages, policy) = match body {
+/// The header, messages and policy a fixture frame was encoded from.
+fn golden_input(name: &str) -> (FrameHeader, Vec<Vec<u8>>, SelectiveCompressor) {
+    let (body, fields) = name.split_once('/').expect("`body/fields`");
+    if body == "control" {
+        let (kind, value) = match fields {
+            "heartbeat" => (ControlKind::Heartbeat, 3),
+            "ack" => (ControlKind::Ack, 1_000_000),
+            "hello" => (ControlKind::Hello, u64::from(CAPS_ALL)),
+            "barrier" => (ControlKind::Barrier, u64::MAX),
+            other => panic!("unknown fixture control frame {other}"),
+        };
+        let header =
+            FrameHeader { link_id: 7, base_seq: value, control: Some(kind), ..Default::default() };
+        return (header, Vec::new(), SelectiveCompressor::disabled());
+    }
+    let (messages, policy): (Vec<Vec<u8>>, _) = match body {
         "raw" => {
             (vec![b"alpha".to_vec(), b"bravo!".to_vec(), vec![]], SelectiveCompressor::disabled())
         }
         "lz4" => ((0..40u8).map(|i| vec![i / 8; 100]).collect(), SelectiveCompressor::new(4.0)),
         other => panic!("unknown fixture body {other}"),
     };
-    let (stamp, seq, trace) = match ext {
+    let (sent_at_micros, seq, trace) = match fields {
         "none" => (0, None, None),
         "sent_at" => (GOLDEN_STAMP, None, None),
         "seq" => (0, Some(GOLDEN_SEQ), None),
         "trace" => (0, None, Some(GOLDEN_TRACE)),
         "all" => (GOLDEN_STAMP, Some(GOLDEN_SEQ), Some(GOLDEN_TRACE)),
-        other => panic!("unknown fixture extension set {other}"),
+        other => panic!("unknown fixture field set {other}"),
     };
-    (messages, policy, stamp, seq, trace)
+    let header = FrameHeader {
+        link_id: 7,
+        base_seq: 1000,
+        count: messages.len() as u32,
+        control: None,
+        sent_at_micros,
+        seq,
+        trace,
+    };
+    (header, messages, policy)
 }
 
-/// The kind and value the fixture's control frames carry.
-fn golden_control(name: &str) -> (ControlKind, u64) {
-    match name {
-        "heartbeat" => (ControlKind::Heartbeat, 3),
-        "ack" => (ControlKind::Ack, 1_000_000),
-        "barrier" => (ControlKind::Barrier, u64::MAX),
-        other => panic!("unknown fixture control frame {other}"),
+/// What the wire carried, as a header (a decoded frame has no count field;
+/// its messages do).
+fn header_of(f: &Frame) -> FrameHeader {
+    FrameHeader {
+        link_id: f.link_id,
+        base_seq: f.base_seq,
+        count: f.len() as u32,
+        control: f.control,
+        sent_at_micros: f.sent_at_micros,
+        seq: f.seq,
+        trace: f.trace,
+    }
+}
+
+/// `wire` through every decode path: slice, blocking reader, incremental
+/// decoder fed whole and fed `chunk` bytes at a time.
+fn decode_every_way(wire: &[u8], chunk: usize) -> Vec<Frame> {
+    let (sliced, used) = decode_frame(wire).expect("decode_frame");
+    assert_eq!(used, wire.len());
+    let streamed = read_frame(&mut std::io::Cursor::new(wire)).expect("read_frame");
+    let (fed, whole) = FrameDecoder::new().feed(wire, None).expect("feed");
+    assert_eq!(fed, wire.len());
+    let cuts: Vec<usize> = (chunk..wire.len()).step_by(chunk).collect();
+    let Fed::Frame(chunked) = feed_split(wire, &cuts) else { panic!("chunked feed") };
+    vec![sliced, streamed, whole.expect("one whole frame"), chunked]
+}
+
+#[test]
+fn golden_frames_decode_on_every_path() {
+    for (name, wire) in &golden() {
+        let (header, messages, _) = golden_input(name);
+        for f in decode_every_way(wire, 7) {
+            assert_eq!(header_of(&f), header, "{name}");
+            assert_eq!(&f.messages, &messages, "{name}");
+            assert_eq!(f.wire_len, wire.len(), "{name}");
+        }
     }
 }
 
 #[test]
-fn golden_frames_from_the_previous_encoder_still_decode() {
-    let fixtures = golden();
-    assert_eq!(fixtures.len(), 13, "ten data frames and three control frames");
-    for (name, wire) in &fixtures {
-        let (frame, used) = decode_frame(wire).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(used, wire.len(), "{name}");
-        let mut cursor = std::io::Cursor::new(wire);
-        let streamed = read_frame(&mut cursor).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut dec = FrameDecoder::new();
-        let (fed, incremental) = dec.feed(wire, None).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(fed, wire.len(), "{name}");
-        for f in [&frame, &streamed, &incremental.expect("one whole frame")] {
-            assert_eq!(f.link_id, 7, "{name}");
-            if let Some(kind) = name.strip_prefix("control/") {
-                let (want, value) = golden_control(kind);
-                assert_eq!((f.control, f.base_seq), (Some(want), value), "{name}");
-                assert!(f.is_empty(), "{name}");
-            } else {
-                let (messages, _, stamp, seq, trace) = golden_input(name);
-                assert_eq!(f.base_seq, 1000, "{name}");
-                assert_eq!(&f.messages, &messages, "{name}");
-                assert_eq!((f.sent_at_micros, f.seq, f.trace), (stamp, seq, trace), "{name}");
+fn the_encoder_reproduces_the_golden_frames_bit_for_bit() {
+    for (name, wire) in golden() {
+        let (header, messages, policy) = golden_input(&name);
+        let raw = prefixed(&messages);
+        // Into a used buffer, after other bytes: appending is part of the
+        // contract, and stale capacity must not leak into the frame.
+        let mut out = vec![0xEE; 3];
+        encode_frame_into(&mut out, &header, &raw, &policy);
+        assert_eq!(&out[..3], &[0xEE; 3], "{name}");
+        assert_eq!(&out[3..], &wire[..], "{name}");
+        // Each convenience that can express this frame agrees.
+        match (header.control, name.ends_with("/none")) {
+            (Some(ControlKind::Hello), _) => assert_eq!(encode_hello_frame(7, CAPS_ALL), wire),
+            (Some(kind), _) => assert_eq!(encode_control_frame(7, kind, header.base_seq), wire),
+            (None, true) => {
+                assert_eq!(encode_frame(7, 1000, &messages, &policy), wire, "{name}");
+                assert_eq!(encode_frame_raw(7, 1000, header.count, &raw, &policy), wire, "{name}");
+            }
+            (None, false) => {}
+        }
+    }
+}
+
+#[test]
+fn every_version_1_frame_is_refused() {
+    let (_, frames) = fixture(include_str!("fixtures/golden_frames_v1.txt"));
+    assert_eq!(frames.len(), 13, "ten data frames and three control frames");
+    let refused =
+        |e: &FrameError| matches!(e, FrameError::BadMagic(_) | FrameError::UnsupportedVersion(_));
+    for (name, wire) in &frames {
+        // A version-1 header is shorter than ours: a lone control frame is
+        // not even a whole header, so it is offered twice over as well.
+        let doubled = [wire.as_slice(), wire.as_slice()].concat();
+        for input in [wire, &doubled] {
+            match decode_frame(input) {
+                Err(FrameError::Io(_)) if input.len() < FRAME_HEADER_LEN => {}
+                other => assert!(other.as_ref().is_err_and(refused), "{name}: {other:?}"),
+            }
+            match read_frame(&mut std::io::Cursor::new(input)) {
+                Err(FrameError::Io(_)) if input.len() < FRAME_HEADER_LEN => {}
+                other => assert!(other.as_ref().is_err_and(refused), "{name}: {other:?}"),
+            }
+            let mut dec = FrameDecoder::new();
+            match dec.feed(input, None) {
+                Ok((_, None)) => assert!(input.len() < FRAME_HEADER_LEN && !dec.is_idle()),
+                other => assert!(other.as_ref().is_err_and(refused), "{name}: {other:?}"),
             }
         }
     }
 }
 
-#[test]
-fn current_encoder_reproduces_the_golden_frames_bit_for_bit() {
-    for (name, wire) in golden() {
-        if let Some(kind) = name.strip_prefix("control/") {
-            let (kind, value) = golden_control(kind);
-            assert_eq!(encode_control_frame(7, kind, value), wire, "{name}");
-            continue;
-        }
-        let (messages, policy, stamp, seq, trace) = golden_input(&name);
-        let (raw, count) = (prefixed(&messages), messages.len() as u32);
-        // Into a used buffer, after other bytes: appending is part of the
-        // contract, and stale capacity must not leak into the frame.
-        let mut out = vec![0xEE; 3];
-        encode_frame_into(&mut out, 7, 1000, count, &raw, &policy, stamp, seq, trace);
-        assert_eq!(&out[..3], &[0xEE; 3], "{name}");
-        assert_eq!(&out[3..], &wire[..], "{name}");
-        // Every wrapper that can express this frame agrees.
-        assert_eq!(
-            encode_frame_raw_traced(7, 1000, count, &raw, &policy, stamp, seq, trace),
-            wire,
-            "{name}"
-        );
-        if trace.is_none() {
-            assert_eq!(encode_frame_raw_ext(7, 1000, count, &raw, &policy, stamp, seq), wire);
-        }
-        if name.ends_with("/none") {
-            assert_eq!(encode_frame(7, 1000, &messages, &policy), wire, "{name}");
-        }
-    }
+/// What became of some input fed to a decoder.
+#[derive(Debug)]
+enum Fed {
+    Frame(Frame),
+    Refused,
+    /// The input ended with the decoder still inside a frame.
+    Starved,
 }
 
-/// Feed `wire` split at `cuts` (sorted offsets); the first error, if any.
-fn feed_split(wire: &[u8], cuts: &[usize]) -> Result<Option<Frame>, FrameError> {
+/// Feed `wire` split at `cuts` (sorted offsets), up to the first frame or
+/// error.
+fn feed_split(wire: &[u8], cuts: &[usize]) -> Fed {
     let mut dec = FrameDecoder::new();
     let mut edges = vec![0];
     edges.extend_from_slice(cuts);
     edges.push(wire.len());
-    let mut done = None;
     for pair in edges.windows(2) {
         let mut piece = &wire[pair[0]..pair[1]];
         while !piece.is_empty() {
-            let (used, frame) = dec.feed(piece, None)?;
-            piece = &piece[used..];
-            done = done.or(frame);
+            match dec.feed(piece, None) {
+                Ok((_, Some(frame))) => return Fed::Frame(frame),
+                Ok((used, None)) => piece = &piece[used..],
+                Err(_) => {
+                    assert!(dec.is_idle(), "an error leaves the decoder on a frame boundary");
+                    return Fed::Refused;
+                }
+            }
         }
     }
-    Ok(done)
+    assert!(!dec.is_idle(), "input consumed, no frame, no error: must be mid-frame");
+    Fed::Starved
+}
+
+/// The header, then the rest through the in-place window — the reactor's
+/// large-body path. Only meaningful for a frame with a body.
+fn feed_then_commit(wire: &[u8]) -> Fed {
+    let mut dec = FrameDecoder::new();
+    match dec.feed(&wire[..FRAME_HEADER_LEN + 1], None) {
+        Ok((_, Some(frame))) => return Fed::Frame(frame),
+        Ok((used, None)) => assert_eq!(used, FRAME_HEADER_LEN + 1),
+        Err(_) => return Fed::Refused,
+    }
+    let rest = &wire[FRAME_HEADER_LEN + 1..];
+    let n = rest.len().min(dec.body_remaining());
+    dec.body_window()[..n].copy_from_slice(&rest[..n]);
+    match dec.commit(n, None) {
+        Ok(Some(frame)) => Fed::Frame(frame),
+        Ok(None) => {
+            assert!(!dec.is_idle());
+            Fed::Starved
+        }
+        Err(_) => {
+            assert!(dec.is_idle(), "an error leaves the decoder on a frame boundary");
+            Fed::Refused
+        }
+    }
 }
 
 #[test]
-fn a_flipped_body_bit_is_caught_however_the_decoder_is_fed() {
-    let messages: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 50]).collect();
-    let wire = encode_frame_raw_ext(
-        7,
-        3,
-        messages.len() as u32,
-        &prefixed(&messages),
-        &SelectiveCompressor::disabled(),
-        GOLDEN_STAMP,
-        Some(11),
-    );
-    let body_at = FRAME_HEADER_LEN + 16;
-    let every_byte: Vec<usize> = (1..wire.len()).collect();
-    assert!(matches!(feed_split(&wire, &every_byte), Ok(Some(_))), "clean frame, byte by byte");
-    // One flipped bit in each body byte in turn — so in every chunk of
-    // every chunking below.
-    for at in body_at..wire.len() {
-        let mut bad = wire.clone();
-        bad[at] ^= 1 << (at % 8);
-        let crc_error = |fed: Result<Option<Frame>, FrameError>| {
-            matches!(fed, Err(FrameError::CrcMismatch { .. }))
-        };
-        assert!(crc_error(feed_split(&bad, &[])), "flip at {at}, fed whole");
-        assert!(crc_error(feed_split(&bad, &every_byte)), "flip at {at}, fed byte by byte");
-        for cut in 1..wire.len() {
-            assert!(crc_error(feed_split(&bad, &[cut])), "flip at {at}, split at {cut}");
+fn a_flipped_bit_anywhere_is_caught_however_the_decoder_is_fed() {
+    let messages: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 20]).collect();
+    let header = FrameHeader {
+        link_id: 7,
+        base_seq: 3,
+        count: messages.len() as u32,
+        control: None,
+        sent_at_micros: GOLDEN_STAMP,
+        seq: Some(11),
+        trace: Some(GOLDEN_TRACE),
+    };
+    let mut data = Vec::new();
+    encode_frame_into(&mut data, &header, &prefixed(&messages), &SelectiveCompressor::disabled());
+    let control = encode_control_frame(7, ControlKind::Ack, 1_000_000);
+
+    for wire in [&data, &control] {
+        let has_body = wire.len() > FRAME_HEADER_LEN;
+        let every_byte: Vec<usize> = (1..wire.len()).collect();
+        assert!(matches!(feed_split(wire, &every_byte), Fed::Frame(_)), "clean, byte by byte");
+        assert!(!has_body || matches!(feed_then_commit(wire), Fed::Frame(_)), "clean, in place");
+
+        for bit in 0..wire.len() * 8 {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            // With the whole input in hand a starved decode is an error too.
+            assert!(decode_frame(&bad).is_err(), "bit {bit}: decode_frame");
+            assert!(read_frame(&mut std::io::Cursor::new(&bad)).is_err(), "bit {bit}: read_frame");
+            // Streaming, a length flipped upward leaves the decoder
+            // waiting for bytes that never come; anything else errors.
+            let caught = |fed: Fed, how: &str| match fed {
+                Fed::Frame(f) => panic!("bit {bit}, {how}: delivered {f:?}"),
+                Fed::Refused => {}
+                Fed::Starved => assert!((28..32).contains(&(bit / 8)), "bit {bit}, {how}: starved"),
+            };
+            caught(feed_split(&bad, &[]), "fed whole");
+            caught(feed_split(&bad, &every_byte), "fed byte by byte");
+            for cut in 1..wire.len() {
+                caught(feed_split(&bad, &[cut]), "split once");
+            }
+            if has_body {
+                caught(feed_then_commit(&bad), "committed in place");
+            }
         }
-        // And through the in-place window, the reactor's large-body path.
-        let mut dec = FrameDecoder::new();
-        let (used, none) = dec.feed(&bad[..body_at + 1], None).unwrap();
-        assert!(used == body_at + 1 && none.is_none());
-        let rest = &bad[body_at + 1..];
-        assert_eq!(dec.body_remaining(), rest.len());
-        dec.body_window()[..rest.len()].copy_from_slice(rest);
-        assert!(crc_error(dec.commit(rest.len(), None)), "flip at {at}, committed in place");
-        assert!(dec.is_idle(), "an error leaves the decoder on a frame boundary");
     }
 }
 
@@ -299,169 +396,102 @@ fn prefixed(msgs: &[Vec<u8>]) -> Vec<u8> {
     raw
 }
 
+fn encode(header: &FrameHeader, messages: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, header, &prefixed(messages), &SelectiveCompressor::disabled());
+    out
+}
+
+/// Any header the encoder accepts, with the messages of its body (none
+/// for a control frame).
+fn arb_frame() -> impl Strategy<Value = (FrameHeader, Vec<Vec<u8>>)> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..80), 0..12),
+        prop_oneof![
+            Just(None),
+            Just(None),
+            Just(Some(ControlKind::Heartbeat)),
+            Just(Some(ControlKind::Ack)),
+            Just(Some(ControlKind::Hello)),
+            Just(Some(ControlKind::Barrier)),
+        ],
+        any::<u64>(),
+        proptest::option::of(any::<u64>()),
+        proptest::option::of(any::<u64>()),
+    )
+        .prop_map(|(link_id, base_seq, messages, control, sent_at_micros, seq, trace)| {
+            let messages = if control.is_some() { Vec::new() } else { messages };
+            let count = messages.len() as u32;
+            (
+                FrameHeader { link_id, base_seq, count, control, sent_at_micros, seq, trace },
+                messages,
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn any_extension_combination_roundtrips_every_decode_path(
-        link_id in any::<u64>(),
-        base_seq in any::<u64>(),
-        messages in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..80), 0..12),
-        with_stamp in any::<bool>(),
-        stamp in 1u64..u64::MAX,
-        with_seq in any::<bool>(),
-        frame_seq in any::<u64>(),
+    fn any_header_roundtrips_every_decode_path(
+        frame in arb_frame(),
+        chunk in 1usize..64,
     ) {
-        let raw = prefixed(&messages);
-        let sent_at = if with_stamp { stamp } else { 0 };
-        let seq = if with_seq { Some(frame_seq) } else { None };
-        let wire = encode_frame_raw_ext(
-            link_id, base_seq, messages.len() as u32, &raw,
-            &SelectiveCompressor::disabled(), sent_at, seq,
-        );
-
-        // The flags byte is exactly the chosen extension set.
-        let mut expected_flags = 0u8;
-        if with_stamp { expected_flags |= FLAG_SENT_AT; }
-        if with_seq { expected_flags |= FLAG_SEQ; }
-        prop_assert_eq!(wire[4], expected_flags);
-
-        // Slice decode.
-        let (f, used) = decode_frame(&wire).unwrap();
-        prop_assert_eq!(used, wire.len());
-        prop_assert_eq!(f.link_id, link_id);
-        prop_assert_eq!(f.base_seq, base_seq);
-        prop_assert_eq!(f.sent_at_micros, sent_at);
-        prop_assert_eq!(f.seq, seq);
-        prop_assert!(f.control.is_none());
-        prop_assert_eq!(&f.messages, &messages);
-
-        // Zero-copy shared decode.
-        let shared = Bytes::from(wire.clone());
-        let (f2, used2) = decode_frame_shared(&shared, None).unwrap();
-        prop_assert_eq!(used2, wire.len());
-        prop_assert_eq!(f2.sent_at_micros, sent_at);
-        prop_assert_eq!(f2.seq, seq);
-        prop_assert_eq!(&f2.messages, &messages);
-
-        // Blocking stream reader.
-        let mut cursor = std::io::Cursor::new(&wire);
-        let f3 = read_frame(&mut cursor).unwrap();
-        prop_assert_eq!(f3.sent_at_micros, sent_at);
-        prop_assert_eq!(f3.seq, seq);
-        prop_assert_eq!(&f3.messages, &messages);
-
-        // No extensions -> byte-identical to the legacy encoder.
-        if !with_stamp && !with_seq {
-            prop_assert_eq!(wire, encode_frame(
-                link_id, base_seq, &messages, &SelectiveCompressor::disabled()));
+        let (header, messages) = frame;
+        let wire = encode(&header, &messages);
+        // One header size, whatever it carries.
+        let want_len = match header.control {
+            Some(_) => FRAME_HEADER_LEN,
+            None => wire_len(prefixed(&messages).len()),
+        };
+        prop_assert_eq!(wire.len(), want_len);
+        for f in decode_every_way(&wire, chunk) {
+            prop_assert_eq!(header_of(&f), header);
+            prop_assert_eq!(&f.messages, &messages);
+            prop_assert_eq!(f.wire_len, wire.len());
         }
     }
 
-    /// Poison-packet robustness (ISSUE 5): no input — arbitrary garbage,
-    /// truncation, or single-bit corruption of a valid frame — may make
-    /// the decoder *panic*. Errors are fine (that is what quarantine and
-    /// the `seq_violations` counter are for); unwinding out of the TCP
-    /// reader loop is not.
+    /// Poison-packet robustness: no input — arbitrary garbage, truncation,
+    /// or single-bit corruption of a valid frame — may make the decoder
+    /// *panic*. Errors are fine (that is what quarantine and the
+    /// `seq_violations` counter are for); unwinding out of the TCP reader
+    /// loop is not.
     #[test]
     fn decode_frame_never_panics_on_arbitrary_bytes(
         garbage in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = decode_frame(&garbage);
-        let shared = Bytes::from(garbage.clone());
-        let _ = decode_frame_shared(&shared, None);
         let mut cursor = std::io::Cursor::new(&garbage);
         let _ = read_frame(&mut cursor);
     }
 
     #[test]
     fn decode_frame_never_panics_on_truncated_or_bitflipped_frames(
-        link_id in any::<u64>(),
-        base_seq in any::<u64>(),
-        messages in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 0..6),
-        with_stamp in any::<bool>(),
-        stamp in 1u64..u64::MAX,
-        with_seq in any::<bool>(),
-        frame_seq in any::<u64>(),
+        frame in arb_frame(),
         cut in any::<usize>(),
         flip_bit in 0usize..8,
         flip_at in any::<usize>(),
     ) {
-        let raw = prefixed(&messages);
-        let sent_at = if with_stamp { stamp } else { 0 };
-        let seq = if with_seq { Some(frame_seq) } else { None };
-        let wire = encode_frame_raw_ext(
-            link_id, base_seq, messages.len() as u32, &raw,
-            &SelectiveCompressor::disabled(), sent_at, seq,
-        );
+        let wire = encode(&frame.0, &frame.1);
 
         // Truncation at every possible boundary: decode must error or
         // report "need more", never unwind.
         let truncated = &wire[..cut % (wire.len() + 1)];
         let _ = decode_frame(truncated);
-        let shared = Bytes::from(truncated.to_vec());
-        let _ = decode_frame_shared(&shared, None);
         let mut cursor = std::io::Cursor::new(truncated);
         let _ = read_frame(&mut cursor);
 
-        // Single-bit corruption anywhere in the frame (header, extension
-        // words, length prefixes, payload): decode may error or succeed
-        // with different contents, but must not panic.
-        if !wire.is_empty() {
-            let mut flipped = wire.clone();
-            let at = flip_at % flipped.len();
-            flipped[at] ^= 1 << flip_bit;
-            let _ = decode_frame(&flipped);
-            let shared = Bytes::from(flipped.clone());
-            let _ = decode_frame_shared(&shared, None);
-            let mut cursor = std::io::Cursor::new(&flipped);
-            let _ = read_frame(&mut cursor);
-        }
-    }
-
-    #[test]
-    fn reserved_extension_words_are_skipped_not_misparsed(
-        messages in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..60), 0..8),
-        with_stamp in any::<bool>(),
-        stamp in 1u64..u64::MAX,
-        with_seq in any::<bool>(),
-        frame_seq in any::<u64>(),
-        unknown_word in any::<u64>(),
-    ) {
-        // Encode with the known extensions, then forge reserved bit 3:
-        // its 8-byte word sits after the known words (ascending bit
-        // order), immediately before the body.
-        let raw = prefixed(&messages);
-        let sent_at = if with_stamp { stamp } else { 0 };
-        let seq = if with_seq { Some(frame_seq) } else { None };
-        let known = encode_frame_raw_ext(
-            9, 100, messages.len() as u32, &raw,
-            &SelectiveCompressor::disabled(), sent_at, seq,
-        );
-        let known_ext = 8 * (wire_flag_count(known[4]) as usize);
-        let mut wire = Vec::with_capacity(known.len() + 8);
-        wire.extend_from_slice(&known[..FRAME_HEADER_LEN + known_ext]);
-        wire[4] |= 0b0000_1000; // reserved extension bit
-        wire.extend_from_slice(&unknown_word.to_le_bytes());
-        wire.extend_from_slice(&known[FRAME_HEADER_LEN + known_ext..]);
-
-        let (f, used) = decode_frame(&wire).unwrap();
-        prop_assert_eq!(used, wire.len());
-        prop_assert_eq!(f.sent_at_micros, sent_at);
-        prop_assert_eq!(f.seq, seq);
-        prop_assert_eq!(&f.messages, &messages);
-
-        let shared = Bytes::from(wire.clone());
-        let (f2, _) = decode_frame_shared(&shared, None).unwrap();
-        prop_assert_eq!(&f2.messages, &messages);
-
-        let mut cursor = std::io::Cursor::new(&wire);
-        let f3 = read_frame(&mut cursor).unwrap();
-        prop_assert_eq!(f3.seq, seq);
-        prop_assert_eq!(&f3.messages, &messages);
+        // Single-bit corruption anywhere in the frame (header, length
+        // prefixes, payload): decode must error, not panic.
+        let mut flipped = wire.clone();
+        let at = flip_at % flipped.len();
+        flipped[at] ^= 1 << flip_bit;
+        prop_assert!(decode_frame(&flipped).is_err());
+        let mut cursor = std::io::Cursor::new(&flipped);
+        prop_assert!(read_frame(&mut cursor).is_err());
     }
 
     /// The incremental decoder is equivalent to the blocking reader under
@@ -470,34 +500,12 @@ proptest! {
     /// sequence.
     #[test]
     fn incremental_decoder_matches_blocking_reader_under_any_chunking(
-        specs in proptest::collection::vec(
-            (
-                any::<u64>(),                                   // link_id
-                any::<u64>(),                                   // base_seq
-                proptest::collection::vec(
-                    proptest::collection::vec(any::<u8>(), 0..40), 0..5),
-                any::<bool>(),                                  // with_stamp
-                1u64..u64::MAX,                                 // stamp
-                proptest::option::of(any::<u64>()),             // seq
-                any::<bool>(),                                  // control?
-            ),
-            1..5),
+        frames in proptest::collection::vec(arb_frame(), 1..5),
         chunk in 1usize..64,
     ) {
         let mut stream = Vec::new();
-        for (link_id, base_seq, messages, with_stamp, stamp, seq, control) in &specs {
-            if *control {
-                let kind =
-                    if *with_stamp { ControlKind::Heartbeat } else { ControlKind::Ack };
-                stream.extend_from_slice(&encode_control_frame(*link_id, kind, *base_seq));
-            } else {
-                let raw = prefixed(messages);
-                stream.extend_from_slice(&encode_frame_raw_ext(
-                    *link_id, *base_seq, messages.len() as u32, &raw,
-                    &SelectiveCompressor::disabled(),
-                    if *with_stamp { *stamp } else { 0 }, *seq,
-                ));
-            }
+        for (header, messages) in &frames {
+            stream.extend_from_slice(&encode(header, messages));
         }
 
         // Reference: the blocking reader over the whole stream.
@@ -523,14 +531,13 @@ proptest! {
         }
         prop_assert!(dec.is_idle(), "no partial frame may remain");
 
-        prop_assert_eq!(incremental.len(), blocking.len());
-        for (a, b) in incremental.iter().zip(&blocking) {
-            prop_assert_eq!(a.link_id, b.link_id);
-            prop_assert_eq!(a.base_seq, b.base_seq);
-            prop_assert_eq!(a.sent_at_micros, b.sent_at_micros);
-            prop_assert_eq!(a.seq, b.seq);
-            prop_assert_eq!(a.control, b.control);
-            prop_assert_eq!(&a.messages, &b.messages);
+        prop_assert_eq!(incremental.len(), frames.len());
+        prop_assert_eq!(blocking.len(), frames.len());
+        for ((a, b), (header, messages)) in incremental.iter().zip(&blocking).zip(&frames) {
+            prop_assert_eq!(header_of(a), *header);
+            prop_assert_eq!(header_of(b), *header);
+            prop_assert_eq!(&a.messages, messages);
+            prop_assert_eq!(&b.messages, messages);
         }
     }
 
@@ -542,10 +549,14 @@ proptest! {
             proptest::collection::vec(any::<u8>(), 0..200), 1..8),
         steps in proptest::collection::vec((any::<bool>(), 1usize..300), 1..40),
     ) {
-        let wire = encode_frame_raw_ext(
-            5, 9, messages.len() as u32, &prefixed(&messages),
-            &SelectiveCompressor::disabled(), 0, Some(1),
-        );
+        let header = FrameHeader {
+            link_id: 5,
+            base_seq: 9,
+            count: messages.len() as u32,
+            seq: Some(1),
+            ..FrameHeader::default()
+        };
+        let wire = encode(&header, &messages);
         let mut dec = FrameDecoder::new();
         let mut off = 0;
         let mut done = None;
@@ -577,8 +588,7 @@ proptest! {
     #[test]
     fn incremental_decoder_never_panics_on_hostile_input(
         garbage in proptest::collection::vec(any::<u8>(), 0..192),
-        messages in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 0..5),
+        frame in arb_frame(),
         cut in any::<usize>(),
         flip_bit in 0usize..8,
         flip_at in any::<usize>(),
@@ -598,10 +608,7 @@ proptest! {
             }
         }
 
-        let wire = encode_frame_raw_ext(
-            7, 3, messages.len() as u32, &prefixed(&messages),
-            &SelectiveCompressor::disabled(), 0, Some(11),
-        );
+        let wire = encode(&frame.0, &frame.1);
 
         // Truncation at every boundary.
         let truncated = &wire[..cut % (wire.len() + 1)];
@@ -649,8 +656,4 @@ proptest! {
             prop_assert_eq!(streamed, want, "{}: len {}, split {}", name, len, at);
         }
     }
-}
-
-fn wire_flag_count(flags: u8) -> u32 {
-    flags.count_ones()
 }

@@ -10,7 +10,7 @@
 //!   and drop it unrecycled.
 
 use neptune_compress::SelectiveCompressor;
-use neptune_net::frame::{encode_control_frame, encode_frame_into, ControlKind};
+use neptune_net::frame::{encode_control_frame, encode_frame_into, ControlKind, FrameHeader};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
 use neptune_net::test_support::{wait_for, NetRig};
@@ -89,7 +89,8 @@ fn steady_state_megabyte_frames_allocate_nothing_body_sized() {
     // moves only after it has): what is reused is then exact.
     let relay = |seq: u64| {
         let mut wire = tx.wire_buffer();
-        encode_frame_into(&mut wire, 1, seq, 1, &batch, &raw, 0, None, None);
+        let header = FrameHeader { link_id: 1, base_seq: seq, count: 1, ..FrameHeader::default() };
+        encode_frame_into(&mut wire, &header, &batch, &raw);
         tx.send(wire).unwrap();
         let frame = queue.pop_timeout(TIMEOUT).expect("frame");
         assert_eq!(frame.base_seq, seq);

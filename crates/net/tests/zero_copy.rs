@@ -1,18 +1,15 @@
 //! Property and lifetime tests for the zero-copy frame path.
 //!
 //! Invariants:
-//! * Encoding any message sequence and decoding it back — through the
-//!   copying decoder, the shared (`Bytes`-aliasing) decoder, or the pooled
-//!   streaming reader, compressed or not — reproduces the sequence exactly.
+//! * Encoding any message sequence and decoding it back — from a slice or
+//!   through the pooled streaming decoder, compressed or not — reproduces
+//!   the sequence exactly.
 //! * A [`Frame`] parked in a [`WatermarkQueue`] stays valid even after the
 //!   sender tries to recycle the batch buffer it shares: the pool's
 //!   refcount gate refuses the recycle until the frame is dropped.
 
-use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
-use neptune_net::frame::{
-    decode_frame, decode_frame_shared, encode_frame, Frame, FrameDecoder, FrameMessages,
-};
+use neptune_net::frame::{decode_frame, encode_frame, Frame, FrameDecoder, FrameMessages};
 use neptune_net::pool::BytesPool;
 use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use proptest::prelude::*;
@@ -35,23 +32,19 @@ proptest! {
         };
         let wire = encode_frame(link_id, base_seq, &messages, &compressor);
 
-        // Copying decode from a plain slice.
+        // Decode from a plain slice.
         let (frame, consumed) = decode_frame(&wire).unwrap();
         prop_assert_eq!(consumed, wire.len());
         prop_assert_eq!(frame.link_id, link_id);
         prop_assert_eq!(frame.base_seq, base_seq);
         prop_assert_eq!(&frame.messages, &messages);
 
-        // Zero-copy decode sharing the wire buffer, with and without a
-        // pool for compressed bodies; both must agree with the copying
-        // decoder bit for bit.
-        let shared = Bytes::from(wire);
-        let (f2, consumed2) = decode_frame_shared(&shared, None).unwrap();
-        prop_assert_eq!(consumed2, shared.len());
-        prop_assert_eq!(&f2, &frame);
+        // Body (and decompression) storage drawn from a pool must agree
+        // with the unpooled decode bit for bit.
         let pool = BytesPool::new(8);
-        let (f3, _) = decode_frame_shared(&shared, Some(&pool)).unwrap();
-        prop_assert_eq!(&f3, &frame);
+        let (consumed2, f2) = FrameDecoder::new().feed(&wire, Some(&pool)).unwrap();
+        prop_assert_eq!(consumed2, wire.len());
+        prop_assert_eq!(&f2.expect("a whole frame"), &frame);
     }
 
     #[test]

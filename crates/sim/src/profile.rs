@@ -89,7 +89,8 @@ pub fn neptune_profile() -> EngineProfile {
         batched: true,
         bounded_queues: true,
         alloc_overhead_us: 0.0, // object reuse: no per-packet allocation
-        header_per_send: 34,    // NEPTUNE frame header
+        // One frame header + compression tag per batch.
+        header_per_send: neptune_net::frame::wire_len(0),
     }
 }
 
@@ -181,7 +182,7 @@ mod tests {
     #[test]
     fn payload_bytes_accounts_headers() {
         let p = neptune_profile();
-        assert_eq!(p.unit_payload_bytes(100, 50), 5034);
+        assert_eq!(p.unit_payload_bytes(100, 50), 5000 + neptune_net::frame::wire_len(0));
         let s = storm_profile();
         assert_eq!(s.unit_payload_bytes(1, 50), 84);
     }

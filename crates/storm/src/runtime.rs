@@ -29,9 +29,11 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-tuple wire overhead modeled for bandwidth accounting: the same
-/// header NEPTUNE pays **per batch**, Storm pays **per tuple**.
-pub const TUPLE_OVERHEAD: usize = neptune_net::frame::FRAME_HEADER_LEN + 1;
+/// Per-tuple wire overhead modeled for bandwidth accounting: a header
+/// NEPTUNE pays **per batch**, Storm pays **per tuple**. A literal, not
+/// NEPTUNE's header length: the baseline's bandwidth in Fig. 7 must not
+/// move when our own wire format does.
+pub const TUPLE_OVERHEAD: usize = 34;
 
 /// Runtime configuration.
 #[derive(Debug, Clone, Default)]

@@ -2,8 +2,8 @@
 //! exportable as Chrome trace-event JSON (loadable in Perfetto or
 //! `chrome://tracing`).
 //!
-//! A traced packet carries a 64-bit trace id on the wire (the
-//! `FLAG_TRACE` frame extension in `neptune-net`) and leaves one
+//! A traced packet carries a 64-bit trace id on the wire (the frame
+//! header's `trace` field in `neptune-net`) and leaves one
 //! [`Span`] per pipeline stage it crosses: source pump → buffer-wait →
 //! transport → schedule → execution → sink, plus reactor dispatch
 //! stints. Sampling is deterministic — 1 in N source packets by

@@ -16,7 +16,7 @@
 
 use neptune::compress::SelectiveCompressor;
 use neptune::granules::{IoPool, Reactor};
-use neptune::net::frame::{encode_frame_raw_ext, Frame};
+use neptune::net::frame::{encode_frame_into, Frame, FrameHeader};
 use neptune::net::tcp::TcpReceiver;
 use neptune::net::watermark::{WatermarkConfig, WatermarkQueue};
 use neptune::net::NetDriver;
@@ -182,15 +182,15 @@ fn main() {
                     let mut body = Vec::with_capacity(12);
                     body.extend_from_slice(&8u32.to_le_bytes());
                     body.extend_from_slice(&reading.to_le_bytes());
-                    let wire = encode_frame_raw_ext(
-                        device,
-                        round as u64,
-                        1,
-                        &body,
-                        &compressor,
-                        neptune::core::now_micros(),
-                        None,
-                    );
+                    let header = FrameHeader {
+                        link_id: device,
+                        base_seq: round as u64,
+                        count: 1,
+                        sent_at_micros: neptune::core::now_micros(),
+                        ..FrameHeader::default()
+                    };
+                    let mut wire = Vec::new();
+                    encode_frame_into(&mut wire, &header, &body, &compressor);
                     s.write_all(&wire).expect("device write");
                 }
             }
