@@ -92,10 +92,12 @@ pub enum TransportMode {
     Tcp,
 }
 
-/// Telemetry toggles (ISSUE 2). Off by default: the hot-path stage
-/// recorders cost a few clock reads per batch and one per packet, and the
-/// headline bench budget allows at most 2% — disabled means *no* wall-time
-/// reads on the data path, not merely discarded samples.
+/// Telemetry toggles. Off by default: the hot-path stage recorders cost a
+/// few clock reads per batch and one per packet, and the headline bench
+/// budget allows at most 2% — disabled means *no* wall-time reads on the
+/// data path, not merely discarded samples. The job's flight recorder
+/// (gate transitions, shedding, breaker trips, reconnects, ...) is not a
+/// toggle: recording is wait-free and edge-only, so it is always on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch for latency histograms and the background sampler.
@@ -104,17 +106,12 @@ pub struct TelemetryConfig {
     ///
     /// [`TelemetrySampler`]: neptune_telemetry::TelemetrySampler
     pub sample_interval: Duration,
-    /// Causal per-packet tracing (ISSUE 7): deterministically sample one
-    /// in this many source packets and record per-stage spans for them.
-    /// `0` disables tracing entirely (no extra hot-path clock reads —
-    /// the unsampled cost is a single mask test). Must be a power of two
-    /// when nonzero, so sampling is one AND instead of a division.
+    /// Causal per-packet tracing: deterministically sample one in this
+    /// many source packets and record per-stage spans for them. `0`
+    /// disables tracing entirely (no extra hot-path clock reads — the
+    /// unsampled cost is a single mask test). Must be a power of two when
+    /// nonzero, so sampling is one AND instead of a division.
     pub trace_sample_every: u32,
-    /// Structured runtime events retained in the job's flight recorder
-    /// (gate transitions, shedding, breaker trips, reconnects, ...).
-    /// `0` disables the recorder. Recording is wait-free and edge-only,
-    /// so the default leaves it on even with telemetry off.
-    pub recorder_capacity: usize,
     /// Bind address (e.g. `"127.0.0.1:9898"`) for the live scrape
     /// endpoint serving `/metrics`, `/traces`, and `/events` from the IO
     /// tier. `None` (the default) binds nothing. The
@@ -129,7 +126,6 @@ impl Default for TelemetryConfig {
             enabled: false,
             sample_interval: Duration::from_millis(100),
             trace_sample_every: 0,
-            recorder_capacity: 512,
             scrape_addr: std::env::var("NEPTUNE_SCRAPE_ADDR").ok().filter(|s| !s.is_empty()),
         }
     }
@@ -149,42 +145,6 @@ impl TelemetryConfig {
     /// True when per-packet tracing is armed.
     pub fn tracing_enabled(&self) -> bool {
         self.trace_sample_every > 0
-    }
-}
-
-/// Fault-tolerance toggles (ISSUE 3). Off by default: heartbeat beacons,
-/// the failure-detector monitor thread, and recovery accounting cost
-/// timer slots and a background thread per job, which single-machine
-/// benchmarks should not pay for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HaConfig {
-    /// Master switch for heartbeats, failure detection, and recovery
-    /// counters.
-    pub enabled: bool,
-    /// Expected heartbeat period per resource. Each resource stamps a
-    /// liveness beacon on this cadence; the monitor thread feeds the
-    /// beacons into the failure detector.
-    pub heartbeat_interval: Duration,
-    /// Heartbeat silence after which a resource is declared dead.
-    /// Suspicion starts at half this. Must be at least twice the
-    /// heartbeat interval (detector invariant).
-    pub failure_timeout: Duration,
-}
-
-impl Default for HaConfig {
-    fn default() -> Self {
-        HaConfig {
-            enabled: false,
-            heartbeat_interval: Duration::from_millis(50),
-            failure_timeout: Duration::from_millis(250),
-        }
-    }
-}
-
-impl HaConfig {
-    /// An enabled config with default intervals.
-    pub fn enabled() -> Self {
-        HaConfig { enabled: true, ..Default::default() }
     }
 }
 
@@ -329,7 +289,7 @@ pub struct RuntimeConfig {
     pub worker_threads: Option<usize>,
     /// IO-tier threads per job (§IV-C's two-tier model). The IO tier runs
     /// every background activity — source pumps, per-endpoint flush
-    /// tasks, the HA monitor, the telemetry sampler — as cooperatively
+    /// tasks, socket tasks, the telemetry sampler — as cooperatively
     /// scheduled tasks, so this does **not** need to scale with source
     /// parallelism. `None` = sized automatically from the host core
     /// count; the `NEPTUNE_IO_THREADS` environment variable overrides the
@@ -347,10 +307,8 @@ pub struct RuntimeConfig {
     pub net_reactor: bool,
     /// How operator instances map onto resources.
     pub placement: PlacementStrategy,
-    /// Latency/stage instrumentation and background sampling (ISSUE 2).
+    /// Latency/stage instrumentation and background sampling.
     pub telemetry: TelemetryConfig,
-    /// Heartbeats, failure detection, and recovery accounting (ISSUE 3).
-    pub ha: HaConfig,
     /// Operator supervision, poison quarantine, and load shedding
     /// (ISSUE 5).
     pub containment: ContainmentConfig,
@@ -377,7 +335,6 @@ impl Default for RuntimeConfig {
             net_reactor: true,
             placement: PlacementStrategy::RoundRobin,
             telemetry: TelemetryConfig::default(),
-            ha: HaConfig::default(),
             containment: ContainmentConfig::default(),
             checkpoint: CheckpointConfig::default(),
         }
@@ -421,17 +378,6 @@ impl RuntimeConfig {
         if let Some(addr) = &self.telemetry.scrape_addr {
             if addr.parse::<std::net::SocketAddr>().is_err() {
                 return Err(format!("telemetry scrape_addr {addr:?} is not a socket address"));
-            }
-        }
-        if self.ha.enabled {
-            if self.ha.heartbeat_interval.is_zero() {
-                return Err("ha heartbeat_interval must be positive".into());
-            }
-            if self.ha.failure_timeout < self.ha.heartbeat_interval * 2 {
-                return Err(format!(
-                    "ha failure_timeout ({:?}) must be at least twice heartbeat_interval ({:?})",
-                    self.ha.failure_timeout, self.ha.heartbeat_interval
-                ));
             }
         }
         if self.containment.enabled {
@@ -606,24 +552,6 @@ mod tests {
             ..Default::default()
         };
         assert!(good_addr.validate().is_ok());
-    }
-
-    #[test]
-    fn ha_defaults_off_and_validated() {
-        let c = RuntimeConfig::default();
-        assert!(!c.ha.enabled, "fault tolerance must be opt-in");
-        assert!(c.validate().is_ok());
-        let on = RuntimeConfig { ha: HaConfig::enabled(), ..Default::default() };
-        assert!(on.validate().is_ok());
-        let tight = RuntimeConfig {
-            ha: HaConfig {
-                enabled: true,
-                heartbeat_interval: Duration::from_millis(100),
-                failure_timeout: Duration::from_millis(150),
-            },
-            ..Default::default()
-        };
-        assert!(tight.validate().is_err(), "timeout under 2x interval must be rejected");
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use checkpoint::{
 };
 pub use codec::{CodecError, PacketCodec};
 pub use config::{
-    CheckpointConfig, CompressionMode, ContainmentConfig, HaConfig, LinkOptions, PlacementStrategy,
+    CheckpointConfig, CompressionMode, ContainmentConfig, LinkOptions, PlacementStrategy,
     RuntimeConfig, SnapshotStoreKind, TelemetryConfig,
 };
 pub use dead_letter::{DeadLetter, DeadLetterQueue};
@@ -122,8 +122,8 @@ pub use window::{SlidingWindow, TumblingWindow, WindowAggregate};
 pub mod prelude {
     pub use crate::checkpoint::{FileSnapshotStore, MemorySnapshotStore, SnapshotStore};
     pub use crate::config::{
-        CheckpointConfig, CompressionMode, ContainmentConfig, HaConfig, LinkOptions,
-        PlacementStrategy, RuntimeConfig, SnapshotStoreKind, TelemetryConfig,
+        CheckpointConfig, CompressionMode, ContainmentConfig, LinkOptions, PlacementStrategy,
+        RuntimeConfig, SnapshotStoreKind, TelemetryConfig,
     };
     pub use crate::dead_letter::DeadLetter;
     pub use crate::graph::{Graph, GraphBuilder};

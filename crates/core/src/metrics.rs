@@ -169,7 +169,7 @@ impl OperatorMetrics {
 }
 
 /// Gauges of the two-tier execution plane: the event-driven IO tier
-/// (source pumps, flush tasks, HA monitor, telemetry sampler as
+/// (source pumps, flush tasks, socket tasks, telemetry sampler as
 /// cooperatively scheduled tasks over a fixed thread set plus a timer
 /// wheel) and the worker tier (the Granules resource pools). The headline
 /// property — thread count independent of source parallelism — is
@@ -181,7 +181,7 @@ pub struct ThreadModelStats {
     pub io_threads: usize,
     /// Worker threads across all resources (operator execution tier).
     pub worker_threads: usize,
-    /// IO tasks spawned and not yet completed (pumps, flushers, monitors).
+    /// IO tasks spawned and not yet completed (pumps, flushers, samplers).
     pub live_io_tasks: usize,
     /// IO tasks currently waiting in the ready queue.
     pub queued_io_tasks: usize,

@@ -1,9 +1,8 @@
 //! Job lifecycle: waiting for sources, settling in-flight data, and the
 //! ordered teardown in [`JobHandle::stop`].
 
-use super::JobHandle;
+use super::{JobHandle, PlaneStats};
 use crate::metrics::JobMetrics;
-use neptune_granules::IoPoolStats;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -29,7 +28,7 @@ impl JobHandle {
         let deadline = Instant::now() + timeout;
         let mut stable = 0;
         loop {
-            for ep in &self.endpoints {
+            for ep in &self.shared.endpoints {
                 let _ = ep.force_flush();
             }
             // Bounded like the rest of the loop: a caller probing a loaded
@@ -38,15 +37,15 @@ impl JobHandle {
             if !self.resources.iter().all(|r| r.drain_until(deadline)) {
                 return false;
             }
-            let snapshot = self.registry.snapshot();
+            let snapshot = self.shared.registry.snapshot();
             let frames_out: u64 = snapshot.operators.values().map(|m| m.frames_out).sum();
             let frames_in: u64 = snapshot.operators.values().map(|m| m.frames_in).sum();
             // Frames sacrificed by a shed policy were dispatched but will
             // never arrive; without this term a shedding run could never
             // balance its books and settle would always time out.
-            let shed: u64 = self.queues.iter().map(|q| q.shed_total()).sum();
-            let busy = self.queues.iter().any(|q| !q.is_empty())
-                || self.endpoints.iter().any(|ep| !ep.is_empty())
+            let shed: u64 = self.shared.queues.iter().map(|q| q.shed_total()).sum();
+            let busy = self.shared.queues.iter().any(|q| !q.is_empty())
+                || self.shared.endpoints.iter().any(|ep| !ep.is_empty())
                 || frames_out != frames_in + shed;
             if busy {
                 stable = 0;
@@ -91,26 +90,24 @@ impl JobHandle {
         // Network gauges are captured while connections are still open;
         // pool shutdown retires connection tasks and would zero the
         // connection gauge (cumulative counters are re-read below).
-        let mut net = self.net_gauges();
+        let net = self.shared.net_gauges();
         // Shut the IO tier down: the timer wheel stops, parked tasks get a
         // final drain stint (flush tasks force-flush), the ready queue
         // empties, and all IO threads join.
-        let io_stats = match self.io_pool.take() {
-            Some(mut pool) => {
-                pool.shutdown();
-                pool.stats()
-            }
-            None => IoPoolStats::default(),
-        };
-        let worker_threads: usize = self.resources.iter().map(|r| r.worker_count()).sum();
-        let worker_panics: u64 = self.resources.iter().map(|r| r.worker_panics()).sum();
-        for q in &self.queues {
+        let io = self.io_pool.take().map(|mut pool| {
+            pool.shutdown();
+            pool.stats()
+        });
+        // The worker tier is read while it is still up, the IO tier from
+        // the pool itself: its stat handle reads zero from here on.
+        let mut plane = PlaneStats { io: io.unwrap_or_default(), net, ..self.shared.plane() };
+        for q in &self.shared.queues {
             q.close();
         }
         for r in std::mem::take(&mut self.resources) {
             r.shutdown();
         }
-        for rx in self.receivers.lock().drain(..) {
+        for rx in self.shared.receivers.lock().drain(..) {
             rx.shutdown();
         }
         // The reactor goes down last: connection tasks deregistered their
@@ -120,22 +117,9 @@ impl JobHandle {
         if let Some(mut reactor) = self.reactor.take() {
             reactor.shutdown();
             let end = reactor.stats();
-            net.reactor.events_dispatched = end.events_dispatched;
-            net.reactor.rearms = end.rearms;
+            plane.net.reactor.events_dispatched = end.events_dispatched;
+            plane.net.reactor.rearms = end.rearms;
         }
-        self.stopped.store(true, Ordering::Release);
-        let mut m = self.registry.snapshot();
-        m.buffer_pool = self.pool.stats();
-        m.thread_model = super::thread_model_stats(io_stats, worker_threads, net);
-        m.containment.worker_panics = worker_panics;
-        for q in &self.queues {
-            m.containment.shed_total += q.shed_total();
-            m.containment.shed_bytes += q.shed_bytes();
-        }
-        if let Some(dlq) = &self.dead_letters {
-            m.containment.dead_letters = dlq.len() as u64;
-            m.containment.dead_letters_evicted = dlq.evicted();
-        }
-        m
+        self.shared.metrics(&plane)
     }
 }

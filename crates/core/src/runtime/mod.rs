@@ -15,8 +15,8 @@
 //!   pools) never touch sockets; a small event-driven IO tier
 //!   ([`neptune_granules::IoPool`] plus a hierarchical timer wheel) hosts
 //!   *every* background duty — source pumps, per-endpoint flush deadlines,
-//!   the HA heartbeat monitor, the telemetry sampler — so idle cost and
-//!   thread count stay O(io_threads) regardless of source parallelism.
+//!   socket tasks, the telemetry sampler — so idle cost and thread count
+//!   stay O(io_threads) regardless of source parallelism.
 //! * **Backpressure (§III-B4)** — inbound queues are watermark-bounded;
 //!   they form the bounded ingress queue between the tiers: a gated queue
 //!   parks its source pumps, and the gate-release listener wakes them.
@@ -48,8 +48,10 @@ use crate::dead_letter::{DeadLetter, DeadLetterQueue};
 use crate::graph::Graph;
 use crate::metrics::{JobMetrics, MetricsRegistry, ThreadModelStats};
 use crate::telemetry::{QueueGauge, TelemetryHub, TelemetrySample, TelemetrySnapshot};
-use neptune_granules::{IoPool, IoPoolStats, IoTaskHandle, Reactor, ReactorStats, Resource};
-use neptune_link::{FailureDetector, PeerState, RecoverySnapshot, RecoveryStats};
+use neptune_granules::{
+    IoPool, IoPoolStats, IoSpawner, IoTaskHandle, Reactor, ReactorHandle, ReactorStats, Resource,
+    WorkerGauges,
+};
 use neptune_net::frame::Frame;
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::TcpReceiver;
@@ -105,7 +107,6 @@ impl LocalRuntime {
 
 /// A running NEPTUNE job.
 pub struct JobHandle {
-    graph_name: String,
     stop_flag: Arc<AtomicBool>,
     /// Live-pump counter with condvar waiting (`await_sources`).
     pump_gauge: Arc<PumpGauge>,
@@ -121,44 +122,48 @@ pub struct JobHandle {
     resources: Vec<Resource>,
     /// Processor task handles grouped by operator, in topological order.
     processor_handles: Vec<(String, Vec<neptune_granules::TaskHandle>)>,
-    queues: Vec<Arc<WatermarkQueue<Frame>>>,
-    endpoints: Vec<Arc<ChannelEndpoint>>,
-    receivers: Mutex<Vec<TcpReceiver>>,
-    pool: Arc<BytesPool>,
-    registry: MetricsRegistry,
-    stopped: AtomicBool,
     /// `(operator, instance) -> resource index`, for observability and
     /// placement tests.
     placement: Vec<(String, usize, usize)>,
+    /// Bound address of the live scrape endpoint; `None` when no
+    /// `scrape_addr` was configured.
+    scrape_addr: Option<std::net::SocketAddr>,
+    /// Everything a metrics read needs; the sampler and the scrape routes
+    /// hold the same `Arc`.
+    shared: Arc<JobShared>,
+}
+
+/// The job's read-side state: every counter, gauge, ring and stat handle
+/// that [`JobHandle`], the telemetry sampler and the scrape routes fold
+/// into [`JobMetrics`] and [`TelemetrySnapshot`]. It owns no thread — the
+/// execution plane is reached through weak stat handles — so an IO task
+/// may keep it alive without keeping the job alive.
+pub(crate) struct JobShared {
+    graph_name: String,
+    registry: MetricsRegistry,
+    pool: Arc<BytesPool>,
+    queues: Vec<Arc<WatermarkQueue<Frame>>>,
+    endpoints: Vec<Arc<ChannelEndpoint>>,
+    receivers: Mutex<Vec<TcpReceiver>>,
     /// Per-operator latency recorders; `None` when telemetry is disabled.
     telemetry_hub: Option<Arc<TelemetryHub>>,
     /// Time series the periodic sampler task records into; `None` when
     /// telemetry is disabled.
     series: Option<Arc<SampleRing<TelemetrySample>>>,
-    /// Fault-tolerance state; `None` when HA is disabled.
-    ha: Option<HaRuntime>,
     /// Poison-batch quarantine; `None` when containment is disabled.
     dead_letters: Option<Arc<DeadLetterQueue>>,
-    /// Per-stage span ring for causal packet tracing (ISSUE 7); `None`
-    /// when `trace_sample_every` is 0.
+    /// Per-stage span ring for causal packet tracing; `None` when
+    /// `trace_sample_every` is 0.
     spans: Option<Arc<SpanRing>>,
-    /// Flight recorder of structured runtime events; `None` when
-    /// `recorder_capacity` is 0.
-    recorder: Option<Arc<FlightRecorder>>,
-    /// Bound address of the live scrape endpoint; `None` when no
-    /// `scrape_addr` was configured.
-    scrape_addr: Option<std::net::SocketAddr>,
-    /// Aligned-snapshot coordinator (ISSUE 10); `None` when checkpointing
-    /// is disabled.
+    /// Flight recorder of structured runtime events.
+    recorder: Arc<FlightRecorder>,
+    /// Aligned-snapshot coordinator; `None` when checkpointing is disabled.
     checkpoints: Option<Arc<CheckpointCoordinator>>,
-}
-
-/// Fault-tolerance state of a running job (ISSUE 3): shared recovery
-/// counters and the heartbeat failure detector. The monitor that feeds
-/// resource beacons into the detector runs as a periodic IO-tier task.
-struct HaRuntime {
-    stats: Arc<RecoveryStats>,
-    detector: Arc<FailureDetector>,
+    /// Stat handles onto the execution plane; each reads zero once its
+    /// tier has shut down.
+    io: IoSpawner,
+    workers: Vec<WorkerGauges>,
+    reactor: Option<ReactorHandle>,
 }
 
 /// Network-tier gauges folded into [`ThreadModelStats`] alongside the
@@ -171,40 +176,73 @@ struct NetGauges {
     accept_backlog_peak: u64,
 }
 
-/// Fold IO-pool gauges, the worker-tier thread count, and the network
-/// gauges into the exported [`ThreadModelStats`].
-fn thread_model_stats(io: IoPoolStats, worker_threads: usize, net: NetGauges) -> ThreadModelStats {
-    ThreadModelStats {
-        io_threads: io.io_threads,
-        worker_threads,
-        live_io_tasks: io.live_tasks,
-        queued_io_tasks: io.queued_tasks,
-        timer_depth: io.timer_depth,
-        timer_fires: io.timer_fires,
-        io_parks: io.parks,
-        io_wakes: io.wakes,
-        io_polls: io.polls,
-        net_connections: net.connections,
-        net_interests: net.reactor.registered,
-        net_readiness_events: net.reactor.events_dispatched,
-        net_rearms: net.reactor.rearms,
-        net_accept_backlog_peak: net.accept_backlog_peak,
-        ..Default::default()
-    }
+/// One reading of the execution plane. Live reads come from
+/// [`JobShared::plane`]; `stop()` supplies the values it captured around
+/// the teardown, when the stat handles already read zero.
+struct PlaneStats {
+    io: IoPoolStats,
+    worker_threads: usize,
+    worker_panics: u64,
+    net: NetGauges,
 }
 
-impl JobHandle {
-    /// The submitted graph's name.
-    pub fn graph_name(&self) -> &str {
-        &self.graph_name
+impl JobShared {
+    /// Current network-tier gauges (reactor + receivers).
+    fn net_gauges(&self) -> NetGauges {
+        let receivers = self.receivers.lock();
+        NetGauges {
+            reactor: self.reactor.as_ref().map(|r| r.stats()).unwrap_or_default(),
+            connections: receivers.iter().map(|r| r.connections()).sum(),
+            accept_backlog_peak: receivers
+                .iter()
+                .map(|r| r.accept_backlog_peak())
+                .max()
+                .unwrap_or(0),
+        }
     }
 
-    /// Live metrics snapshot.
-    pub fn metrics(&self) -> JobMetrics {
+    fn plane(&self) -> PlaneStats {
+        PlaneStats {
+            io: self.io.stats(),
+            worker_threads: self.workers.iter().map(|w| w.worker_count()).sum(),
+            worker_panics: self.workers.iter().map(|w| w.worker_panics()).sum(),
+            net: self.net_gauges(),
+        }
+    }
+
+    fn thread_model(&self, plane: &PlaneStats) -> ThreadModelStats {
+        let (io, net) = (&plane.io, &plane.net);
+        ThreadModelStats {
+            io_threads: io.io_threads,
+            worker_threads: plane.worker_threads,
+            live_io_tasks: io.live_tasks,
+            queued_io_tasks: io.queued_tasks,
+            timer_depth: io.timer_depth,
+            timer_fires: io.timer_fires,
+            io_parks: io.parks,
+            io_wakes: io.wakes,
+            io_polls: io.polls,
+            net_connections: net.connections,
+            net_interests: net.reactor.registered,
+            net_readiness_events: net.reactor.events_dispatched,
+            net_rearms: net.reactor.rearms,
+            net_accept_backlog_peak: net.accept_backlog_peak,
+            sampler_dropped: self.series.as_ref().map_or(0, |s| s.dropped()),
+            trace_spans: self.spans.as_ref().map_or(0, |s| s.recorded()),
+            trace_dropped: self.spans.as_ref().map_or(0, |s| s.dropped()),
+            recorder_events: self.recorder.events(),
+            recorder_dropped: self.recorder.dropped(),
+        }
+    }
+
+    /// The job's metrics fold — the only one: live reads, the scrape
+    /// route and `stop()` differ in the [`PlaneStats`] they pass, nothing
+    /// else.
+    fn metrics(&self, plane: &PlaneStats) -> JobMetrics {
         let mut m = self.registry.snapshot();
         m.buffer_pool = self.pool.stats();
-        m.thread_model = self.thread_model();
-        m.containment.worker_panics = self.resources.iter().map(|r| r.worker_panics()).sum();
+        m.thread_model = self.thread_model(plane);
+        m.containment.worker_panics = plane.worker_panics;
         for q in &self.queues {
             m.containment.shed_total += q.shed_total();
             m.containment.shed_bytes += q.shed_bytes();
@@ -216,12 +254,61 @@ impl JobHandle {
         m
     }
 
+    fn queue_gauges(&self) -> Vec<QueueGauge> {
+        self.queues.iter().map(|q| QueueGauge::observe(q)).collect()
+    }
+
+    /// What the periodic sampler records: data-plane counters and queue
+    /// gauges only, so a sample never touches the execution plane.
+    fn sample(&self) -> TelemetrySample {
+        let mut metrics = self.registry.snapshot();
+        metrics.buffer_pool = self.pool.stats();
+        TelemetrySample { metrics, queues: self.queue_gauges() }
+    }
+
+    fn link_stats(&self) -> Vec<neptune_link::LinkStatsSnapshot> {
+        self.endpoints.iter().map(|e| e.link().stats_snapshot()).collect()
+    }
+
+    fn dead_letters(&self) -> Vec<DeadLetter> {
+        self.dead_letters.as_ref().map(|d| d.snapshot()).unwrap_or_default()
+    }
+
+    fn checkpoint_stats(&self) -> Option<crate::checkpoint::CheckpointStats> {
+        self.checkpoints.as_ref().map(|c| c.stats(crate::now_micros()))
+    }
+
+    fn telemetry(&self, plane: &PlaneStats) -> TelemetrySnapshot {
+        TelemetrySnapshot {
+            graph_name: self.graph_name.clone(),
+            operators: self.telemetry_hub.as_ref().map(|h| h.snapshot()).unwrap_or_default(),
+            metrics: self.metrics(plane),
+            queues: self.queue_gauges(),
+            series: self.series.as_ref().map(|r| r.series()).unwrap_or_default(),
+            links: self.link_stats(),
+            dead_letters: self.dead_letters(),
+            checkpoints: self.checkpoint_stats(),
+        }
+    }
+}
+
+impl JobHandle {
+    /// The submitted graph's name.
+    pub fn graph_name(&self) -> &str {
+        &self.shared.graph_name
+    }
+
+    /// Live metrics snapshot.
+    pub fn metrics(&self) -> JobMetrics {
+        self.shared.metrics(&self.shared.plane())
+    }
+
     /// Quarantined poison batches, oldest first: the frames an operator
     /// kept panicking on through every retry, with their captured payload
     /// bytes and panic messages. Empty when containment is disabled or
     /// nothing has been quarantined.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        self.dead_letters.as_ref().map(|d| d.snapshot()).unwrap_or_default()
+        self.shared.dead_letters()
     }
 
     /// Live gauges of the two-tier execution plane: IO/worker thread
@@ -229,44 +316,30 @@ impl JobHandle {
     /// counters. The headline invariant — thread count independent of
     /// source parallelism — is directly checkable here.
     pub fn thread_model(&self) -> ThreadModelStats {
-        let io = self.io_pool.as_ref().map(|p| p.stats()).unwrap_or_default();
-        let workers = self.resources.iter().map(|r| r.worker_count()).sum();
-        let mut tm = thread_model_stats(io, workers, self.net_gauges());
-        if let Some(series) = &self.series {
-            tm.sampler_dropped = series.dropped();
-        }
-        if let Some(spans) = &self.spans {
-            tm.trace_spans = spans.recorded();
-            tm.trace_dropped = spans.dropped();
-        }
-        if let Some(rec) = &self.recorder {
-            tm.recorder_events = rec.events();
-            tm.recorder_dropped = rec.dropped();
-        }
-        tm
+        self.shared.thread_model(&self.shared.plane())
     }
 
     /// The flight recorder's current event log, oldest first. Empty when
-    /// `recorder_capacity` is 0 or nothing noteworthy has happened yet.
+    /// nothing noteworthy has happened yet.
     pub fn flight_recorder(&self) -> Vec<RuntimeEvent> {
-        self.recorder.as_ref().map(|r| r.snapshot()).unwrap_or_default()
+        self.shared.recorder.snapshot()
     }
 
-    /// The live flight recorder itself; `None` when disabled. Exposed so
-    /// harnesses can assert causal event ordering.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+    /// The live flight recorder itself. Exposed so harnesses can assert
+    /// causal event ordering.
+    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+        &self.shared.recorder
     }
 
     /// The live span ring; `None` when tracing is disabled.
     pub fn span_ring(&self) -> Option<&Arc<SpanRing>> {
-        self.spans.as_ref()
+        self.shared.spans.as_ref()
     }
 
     /// Chrome trace-event JSON of every recorded span, loadable in
     /// Perfetto / `chrome://tracing`. `None` when tracing is disabled.
     pub fn chrome_trace(&self) -> Option<String> {
-        self.spans.as_ref().map(|s| s.to_chrome_trace())
+        self.shared.spans.as_ref().map(|s| s.to_chrome_trace())
     }
 
     /// Bound address of the `/metrics` · `/traces` · `/events` scrape
@@ -276,23 +349,12 @@ impl JobHandle {
         self.scrape_addr
     }
 
-    /// Current network-tier gauges (reactor + receivers).
-    fn net_gauges(&self) -> NetGauges {
-        let receivers = self.receivers.lock();
-        let backlog = receivers.iter().map(|r| r.accept_backlog_peak()).max().unwrap_or(0);
-        NetGauges {
-            reactor: self.reactor.as_ref().map(|r| r.stats()).unwrap_or_default(),
-            connections: receivers.iter().map(|r| r.connections()).sum(),
-            accept_backlog_peak: backlog,
-        }
-    }
-
     /// Live gauges of every inbound watermark queue, one per processor
     /// instance in deployment order. Gate events count how often
     /// backpressure engaged (§III-B4); the backpressure harness asserts
     /// they actually fire.
     pub fn queue_gauges(&self) -> Vec<QueueGauge> {
-        self.queues.iter().map(|q| QueueGauge::observe(q)).collect()
+        self.shared.queue_gauges()
     }
 
     /// Full telemetry snapshot: per-operator latency histograms (end-to-end
@@ -300,18 +362,8 @@ impl JobHandle {
     /// the background sampler's time series. `None` when telemetry is
     /// disabled in [`RuntimeConfig`].
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        let hub = self.telemetry_hub.as_ref()?;
-        Some(TelemetrySnapshot {
-            graph_name: self.graph_name.clone(),
-            operators: hub.snapshot(),
-            metrics: self.metrics(),
-            queues: self.queue_gauges(),
-            series: self.series.as_ref().map(|r| r.series()).unwrap_or_default(),
-            links: self.link_stats(),
-            recovery: self.recovery(),
-            dead_letters: self.dead_letters(),
-            checkpoints: self.checkpoint_stats(),
-        })
+        self.shared.telemetry_hub.as_ref()?;
+        Some(self.shared.telemetry(&self.shared.plane()))
     }
 
     /// Checkpoint coordinator counters and histograms: completed and
@@ -319,55 +371,26 @@ impl JobHandle {
     /// distributions, and the age of the newest cut. `None` when
     /// checkpointing is disabled in [`RuntimeConfig`].
     pub fn checkpoint_stats(&self) -> Option<crate::checkpoint::CheckpointStats> {
-        self.checkpoints.as_ref().map(|c| c.stats(crate::now_micros()))
+        self.shared.checkpoint_stats()
     }
 
     /// The newest completed checkpoint snapshot, decoded from the backing
     /// store. `None` when checkpointing is disabled or no round has
     /// completed yet.
     pub fn latest_checkpoint(&self) -> Option<crate::checkpoint::CheckpointSnapshot> {
-        self.checkpoints.as_ref()?.latest().ok().flatten()
+        self.shared.checkpoints.as_ref()?.latest().ok().flatten()
     }
 
     /// Per-link stats bundles from the link stack, in deployment order:
     /// flush/packet/byte counters, reliability counters, and the current
     /// flush-policy knobs.
     pub fn link_stats(&self) -> Vec<neptune_link::LinkStatsSnapshot> {
-        self.endpoints.iter().map(|e| e.link().stats_snapshot()).collect()
-    }
-
-    /// Recovery counters: retransmits, reconnects, failure detections and
-    /// their latency distribution. `None` when fault tolerance is disabled
-    /// in [`RuntimeConfig`].
-    pub fn recovery(&self) -> Option<RecoverySnapshot> {
-        self.ha.as_ref().map(|h| h.stats.snapshot())
-    }
-
-    /// Liveness verdict per resource from the heartbeat failure detector,
-    /// in resource order. `None` when fault tolerance is disabled.
-    pub fn resource_states(&self) -> Option<Vec<(String, PeerState)>> {
-        let ha = self.ha.as_ref()?;
-        Some(
-            self.resources
-                .iter()
-                .map(|r| {
-                    let name = r.name().to_string();
-                    let state = ha.detector.state(&name).unwrap_or(PeerState::Alive);
-                    (name, state)
-                })
-                .collect(),
-        )
-    }
-
-    /// Chaos hook: freeze (or thaw) a resource's heartbeat beacon so the
-    /// failure detector sees it fall silent without tearing anything down.
-    pub fn chaos_suspend_resource(&self, resource: usize, suspended: bool) {
-        self.resources[resource].set_heartbeat_suspended(suspended);
+        self.shared.link_stats()
     }
 
     /// Total backpressure gate events across the job.
     pub fn total_gate_events(&self) -> u64 {
-        self.queues.iter().map(|q| q.gate_events()).sum()
+        self.shared.queues.iter().map(|q| q.gate_events()).sum()
     }
 
     /// Where every operator instance was placed:
@@ -962,69 +985,6 @@ mod tests {
         assert_eq!(sum, n * (n - 1) / 2);
         assert_eq!(metrics.total_seq_violations(), 0);
         assert_eq!(metrics.thread_model.io_threads, 1);
-    }
-
-    #[test]
-    fn ha_detects_suspended_resource_and_counts_recovery() {
-        use crate::config::{HaConfig, TelemetryConfig};
-        let graph = GraphBuilder::new("ha-relay")
-            .source("src", || CountingSource { remaining: 100, next_val: 0 })
-            .processor("sink", || Forward)
-            .link("src", "sink", PartitioningScheme::Shuffle)
-            .build()
-            .unwrap();
-        let config = RuntimeConfig {
-            telemetry: TelemetryConfig::enabled(),
-            ha: HaConfig {
-                enabled: true,
-                heartbeat_interval: Duration::from_millis(10),
-                failure_timeout: Duration::from_millis(60),
-            },
-            ..Default::default()
-        };
-        let job = LocalRuntime::new(config).submit(graph).unwrap();
-        assert!(job.await_sources(Duration::from_secs(30)));
-        assert!(
-            wait_for(Duration::from_secs(10), || {
-                job.resource_states()
-                    .expect("ha enabled")
-                    .iter()
-                    .all(|(_, s)| *s == PeerState::Alive)
-            }),
-            "resource never reported alive: {:?}",
-            job.resource_states()
-        );
-        // Chaos: freeze the beacon; the detector must walk suspect→dead.
-        job.chaos_suspend_resource(0, true);
-        assert!(
-            wait_for(Duration::from_secs(10), || job.resource_states().unwrap()[0].1
-                == PeerState::Dead),
-            "suspended resource never declared dead"
-        );
-        let snap = job.recovery().expect("ha enabled");
-        assert!(snap.deaths >= 1, "death must be counted");
-        assert!(snap.suspects >= 1, "suspicion precedes death");
-        assert_eq!(snap.detection_latency.count(), snap.deaths);
-        // Acceptance bound: detection latency stays under 3x the timeout.
-        assert!(
-            snap.detection_latency.p99() < 3 * 60_000,
-            "detection too slow: {}us",
-            snap.detection_latency.p99()
-        );
-        // Thaw: the beacon resumes and the detector revives the peer.
-        job.chaos_suspend_resource(0, false);
-        assert!(
-            wait_for(Duration::from_secs(10), || job.resource_states().unwrap()[0].1
-                == PeerState::Alive),
-            "thawed resource never revived"
-        );
-        assert!(job.recovery().unwrap().recoveries >= 1);
-        let telemetry = job.telemetry().expect("telemetry enabled");
-        let recovery = telemetry.recovery.as_ref().expect("recovery section present when HA is on");
-        assert!(recovery.deaths >= 1);
-        assert!(telemetry.to_json().contains("\"recovery\""));
-        assert!(telemetry.render_prometheus().contains("neptune_recovery_deaths_total"));
-        job.stop();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! IO-tier tasks of the runtime: source pumps, per-endpoint flush tasks,
-//! the HA heartbeat monitor, and the telemetry sampler.
+//! the barrier timer, and the telemetry sampler.
 //!
 //! Before the two-tier refactor every one of these was a dedicated thread
 //! — a job with 512 sources ran 512 pump threads, each sleeping 200µs
@@ -13,22 +13,21 @@
 //!   ingress queue between the IO tier and the worker tier gates admission;
 //! * a flush task parks on the endpoint's **exact** flush deadline via the
 //!   timer wheel (no scan tick, no half-interval firing error);
-//! * the monitor and sampler are periodic timer registrations.
+//! * the barrier timer and the sampler are periodic timer registrations.
 //!
 //! Idle cost is therefore O(io_threads), not O(sources).
 
+use super::JobShared;
 use crate::channel::ChannelEndpoint;
 use crate::checkpoint::{CheckpointCoordinator, CheckpointSnapshot, InstanceState, FINAL_BARRIER};
 use crate::operator::{OperatorContext, SourceStatus, StreamSource};
 use crate::telemetry::TelemetrySample;
 use neptune_granules::io::{IoContext, IoStatus, IoTask};
 use neptune_granules::IoTaskHandle;
-use neptune_link::{FailureDetector, PeerState};
 use neptune_net::frame::Frame;
 use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::{wall_micros, SampleRing, Span, SpanRing, STAGE_SOURCE};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -324,56 +323,11 @@ impl IoTask for FlushTask {
     }
 }
 
-/// HA heartbeat monitor as a periodic IO task: feeds resource beacons into
-/// the failure detector and force-reschedules tasks of dead resources.
-pub(crate) struct MonitorTask {
-    pub(crate) detector: Arc<FailureDetector>,
-    pub(crate) probes: Vec<(String, neptune_granules::HeartbeatProbe)>,
-    pub(crate) last: Vec<u64>,
-    pub(crate) handles_by_resource: HashMap<String, Vec<neptune_granules::TaskHandle>>,
-    pub(crate) primed: bool,
-}
-
-impl IoTask for MonitorTask {
-    fn run(&mut self, io: &IoContext) -> IoStatus {
-        if io.shutting_down() {
-            return IoStatus::Complete;
-        }
-        if !self.primed {
-            // Every resource starts alive: its silence window opens now,
-            // not at an arbitrary earlier instant.
-            self.primed = true;
-            for (name, _) in &self.probes {
-                self.detector.heartbeat(name);
-            }
-        }
-        for (i, (name, probe)) in self.probes.iter().enumerate() {
-            if let Some(count) = probe.count() {
-                if count > self.last[i] {
-                    self.last[i] = count;
-                    self.detector.heartbeat(name);
-                }
-            }
-        }
-        for (peer, state) in self.detector.poll() {
-            if state == PeerState::Dead {
-                if let Some(handles) = self.handles_by_resource.get(&peer) {
-                    for h in handles {
-                        h.force();
-                    }
-                }
-            }
-        }
-        // Periodic registration on the timer wheel re-wakes us.
-        IoStatus::Park
-    }
-}
-
 /// Telemetry sampler as a periodic IO task recording into a shared
 /// [`SampleRing`] — sampling costs a timer registration, not a thread.
 pub(crate) struct SamplerTask {
     pub(crate) ring: Arc<SampleRing<TelemetrySample>>,
-    pub(crate) sample: Box<dyn FnMut() -> TelemetrySample + Send>,
+    pub(crate) job: Arc<JobShared>,
 }
 
 impl IoTask for SamplerTask {
@@ -381,7 +335,7 @@ impl IoTask for SamplerTask {
         if io.shutting_down() {
             return IoStatus::Complete;
         }
-        self.ring.record((self.sample)());
+        self.ring.record(self.job.sample());
         IoStatus::Park
     }
 }

@@ -8,12 +8,15 @@
 //! With the network reactor enabled the task parks until epoll reports
 //! the listener readable; without it the task falls back to a coarse
 //! accept poll (`ParkUntil`), which is fine for a debugging endpoint.
-//! Handlers render from cloneable shared state, so a scrape never locks
-//! the data plane.
+//! Handlers render from the job's shared read-side state through the same
+//! fold `JobHandle::metrics` uses, so a scrape never locks the data plane
+//! and never disagrees with the handle.
 
+use super::JobShared;
 use neptune_granules::{IoContext, IoStatus, IoTask, NetSource};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a handler waits on a slow client before dropping the
@@ -23,8 +26,8 @@ const CLIENT_IO_TIMEOUT: Duration = Duration::from_millis(200);
 /// Accept-poll cadence when no reactor serves readiness events.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// One render closure per route, built over cloneable job state at
-/// deploy time (the task cannot hold the `JobHandle` — it outlives it).
+/// One render closure per route (the task cannot hold the `JobHandle` —
+/// it outlives it).
 pub(super) struct ScrapeRoutes {
     /// `/metrics` — Prometheus text exposition.
     pub metrics: Box<dyn Fn() -> String + Send>,
@@ -32,6 +35,22 @@ pub(super) struct ScrapeRoutes {
     pub traces: Box<dyn Fn() -> String + Send>,
     /// `/events` — flight-recorder JSON.
     pub events: Box<dyn Fn() -> String + Send>,
+}
+
+impl ScrapeRoutes {
+    /// The three routes over a job's shared state.
+    pub(super) fn over(job: &Arc<JobShared>) -> Self {
+        let (metrics, traces, events) = (job.clone(), job.clone(), job.clone());
+        ScrapeRoutes {
+            metrics: Box::new(move || metrics.telemetry(&metrics.plane()).render_prometheus()),
+            traces: Box::new(move || {
+                traces.spans.as_ref().map(|s| s.to_chrome_trace()).unwrap_or_else(|| {
+                    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}".to_string()
+                })
+            }),
+            events: Box::new(move || events.recorder.to_json()),
+        }
+    }
 }
 
 /// The IO-tier task owning the scrape listener.

@@ -1,12 +1,11 @@
 //! Deployment: placement, resources, queues, channels, processor tasks,
-//! and the IO tier (pumps, flush tasks, monitor, sampler).
+//! and the IO tier (pumps, flush tasks, barrier timer, sampler).
 
 use super::pumps::{
-    BarrierTimerTask, FlushTask, MonitorTask, ProgressSignal, PumpGauge, SamplerTask,
-    SourceBarrier, SourcePump,
+    BarrierTimerTask, FlushTask, ProgressSignal, PumpGauge, SamplerTask, SourceBarrier, SourcePump,
 };
 use super::scrape::{ScrapeRoutes, ScrapeTask};
-use super::{HaRuntime, JobHandle, SubmitError};
+use super::{JobHandle, JobShared, SubmitError};
 use crate::channel::{ChannelEndpoint, ChannelId};
 use crate::checkpoint::{
     CheckpointCoordinator, CheckpointSnapshot, FileSnapshotStore, InstanceState,
@@ -19,13 +18,12 @@ use crate::graph::{Factory, Graph, OperatorKind};
 use crate::metrics::{MetricsRegistry, OperatorCounters};
 use crate::operator::{OperatorContext, OutgoingLink, StreamProcessor};
 use crate::packet::StreamPacket;
-use crate::telemetry::{QueueGauge, TelemetryHub, TelemetrySample, TelemetrySnapshot};
+use crate::telemetry::TelemetryHub;
 use neptune_granules::{
     ComputationalTask, IoPool, IoTaskHandle, NetWaker, OperatorSupervisor, Reactor, Resource,
     ScheduleSpec, SupervisedOutcome, SupervisorPolicy, TaskContext, TaskOutcome,
 };
-use neptune_link::{DetectorConfig, FailureDetector, ReconnectPolicy, RecoveryStats};
-use neptune_link::{Link, LinkBuilder};
+use neptune_link::{Link, LinkBuilder, ReconnectPolicy};
 use neptune_net::buffer::OutputBuffer;
 use neptune_net::flush::FlushPolicy;
 use neptune_net::frame::{ControlKind, Frame};
@@ -41,7 +39,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// IO threads when [`RuntimeConfig::io_threads`] is `None`: a quarter of
 /// the host cores, clamped to [1, 4]. The tier is event-driven, so even 1
@@ -76,6 +74,9 @@ const BREAKER_PROBES: u32 = 2;
 const RETRY_BACKOFF_SEED: u64 = 7;
 /// Spans retained across the trace ring's shards (oldest overwrite).
 const TRACE_CAPACITY: usize = 4096;
+/// Structured runtime events retained in the job's flight recorder
+/// (oldest overwrite).
+const RECORDER_CAPACITY: usize = 512;
 /// Bound on the in-memory telemetry time series (oldest samples drop first).
 const SERIES_CAPACITY: usize = 1024;
 /// Depth of the bounded queue between worker threads and each TCP
@@ -242,8 +243,8 @@ pub(super) struct ProcessorTask {
     /// True when this instance has no outgoing links: its execution span
     /// is the trace's terminal `sink` stage.
     is_sink: bool,
-    /// Flight recorder for quarantine/panic events; `None` when disabled.
-    recorder: Option<Arc<FlightRecorder>>,
+    /// Flight recorder for quarantine/panic events.
+    recorder: Arc<FlightRecorder>,
     /// Dump the recorder to stderr only on the *first* quarantine this
     /// instance sees; later ones just record events.
     recorder_dumped: bool,
@@ -454,18 +455,17 @@ impl ProcessorTask {
                         // queue moving so the upstream gate reopens.
                     }
                     SupervisedOutcome::Quarantined { panic_msg, attempts, .. } => {
-                        if let Some(rec) = &self.recorder {
-                            rec.record(EventKind::Panic, frame.link_id, attempts as u64);
-                            rec.record(EventKind::DeadLetter, frame.link_id, frame.base_seq);
-                            if !self.recorder_dumped {
-                                self.recorder_dumped = true;
-                                eprintln!(
-                                    "neptune[{}:{}]: frame quarantined; flight recorder:\n{}",
-                                    self.ctx.operator(),
-                                    self.ctx.instance(),
-                                    rec.render()
-                                );
-                            }
+                        let rec = &self.recorder;
+                        rec.record(EventKind::Panic, frame.link_id, attempts as u64);
+                        rec.record(EventKind::DeadLetter, frame.link_id, frame.base_seq);
+                        if !self.recorder_dumped {
+                            self.recorder_dumped = true;
+                            eprintln!(
+                                "neptune[{}:{}]: frame quarantined; flight recorder:\n{}",
+                                self.ctx.operator(),
+                                self.ctx.instance(),
+                                rec.render()
+                            );
                         }
                         let mut bytes = Vec::new();
                         let mut original_len = 0usize;
@@ -561,12 +561,12 @@ impl ComputationalTask for ProcessorTask {
 pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, SubmitError> {
     let registry = MetricsRegistry::new();
     let telemetry_hub = config.telemetry.enabled.then(|| Arc::new(TelemetryHub::new()));
-    // ---- Observability plane (ISSUE 7): causal span ring + flight
-    // recorder. Both are `None`-gated so a disabled job pays nothing. ----
+    // ---- Observability plane (ISSUE 7): causal span ring, `None`-gated
+    // so an untraced job pays nothing, and the flight recorder, which
+    // records edges only and is always there. ----
     let spans = (config.telemetry.trace_sample_every > 0)
         .then(|| Arc::new(SpanRing::new(TRACE_CAPACITY, config.telemetry.trace_sample_every)));
-    let recorder = (config.telemetry.recorder_capacity > 0)
-        .then(|| Arc::new(FlightRecorder::new(config.telemetry.recorder_capacity)));
+    let recorder = Arc::new(FlightRecorder::new(RECORDER_CAPACITY));
     let stop_flag = Arc::new(AtomicBool::new(false));
     // One batch-buffer pool per job: output buffers check storage out,
     // transports hand it to receiving tasks by refcount, and processed
@@ -655,11 +655,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
             Resource::builder(format!("{}-res{ri}", graph.name())).workers(workers).build()
         })
         .collect();
-    if config.ha.enabled {
-        for r in &resources {
-            r.enable_heartbeat(config.ha.heartbeat_interval);
-        }
-    }
 
     // ---- The IO tier: one event-driven pool for every background duty,
     // created before any socket so TCP tasks can land on it. ----
@@ -673,9 +668,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         .transpose()?
         .map(|r| (NetDriver::new(io_pool.spawner(), r.handle()), r));
     if let Some((_, r)) = &net_driver {
-        if let Some(rec) = &recorder {
-            r.handle().attach_recorder(rec.clone());
-        }
+        r.handle().attach_recorder(recorder.clone());
         if let Some(sp) = &spans {
             r.handle().attach_span_ring(sp.clone());
         }
@@ -730,12 +723,10 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
             queues_by_instance.insert((oi, inst), queue);
         }
     }
-    if let Some(rec) = &recorder {
-        // Gate open/close and shed events, tagged by queue index — the
-        // same index the queue gauges export.
-        for (i, q) in all_queues.iter().enumerate() {
-            q.attach_recorder(rec.clone(), i as u64);
-        }
+    // Gate open/close and shed events, tagged by queue index — the same
+    // index the queue gauges export.
+    for (i, q) in all_queues.iter().enumerate() {
+        q.attach_recorder(recorder.clone(), i as u64);
     }
 
     // ---- Channel endpoints per link x (src_inst, dst_inst). ----
@@ -827,10 +818,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 cooldown: config.containment.breaker_cooldown,
                 required_probes: BREAKER_PROBES,
             }));
-            if let Some(rec) = &recorder {
-                // Breaker transitions, tagged by operator index.
-                s.breaker().attach_recorder(rec.clone(), oi as u64);
-            }
+            // Breaker transitions, tagged by operator index.
+            s.breaker().attach_recorder(recorder.clone(), oi as u64);
             s
         });
         for inst in 0..op.parallelism {
@@ -1023,66 +1012,34 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         .filter_map(|name| handles_by_operator.remove(name).map(|hs| (name.to_string(), hs)))
         .collect();
 
-    // ---- Telemetry sampler: periodic timer task (§IV, Fig. 4). ----
-    let series = telemetry_hub.as_ref().map(|_| {
-        let ring = Arc::new(SampleRing::new(SERIES_CAPACITY));
-        let registry = registry.clone();
-        let pool = pool.clone();
-        let queues = all_queues.clone();
-        let sample = Box::new(move || {
-            let mut metrics = registry.snapshot();
-            metrics.buffer_pool = pool.stats();
-            TelemetrySample {
-                metrics,
-                queues: queues.iter().map(|q| QueueGauge::observe(q)).collect(),
-            }
-        });
-        io_pool.spawn_periodic(
-            config.telemetry.sample_interval,
-            SamplerTask { ring: ring.clone(), sample },
-        );
-        ring
+    // ---- The job's read-side state: everything a metrics read folds,
+    // shared by the handle, the sampler and the scrape routes. ----
+    let series = telemetry_hub.as_ref().map(|_| Arc::new(SampleRing::new(SERIES_CAPACITY)));
+    let shared = Arc::new(JobShared {
+        graph_name: graph.name().to_string(),
+        registry,
+        pool,
+        queues: all_queues,
+        endpoints: all_endpoints,
+        receivers: Mutex::new(receivers),
+        telemetry_hub,
+        series,
+        dead_letters,
+        spans,
+        recorder,
+        checkpoints: checkpoint.map(|(c, _, _)| c),
+        io: io_pool.spawner(),
+        workers: resources.iter().map(|r| r.worker_gauges()).collect(),
+        reactor: net_driver.as_ref().map(|(_, r)| r.handle()),
     });
 
-    // ---- Fault tolerance: heartbeat monitor as a periodic task. ----
-    let ha = if config.ha.enabled {
-        let stats = Arc::new(RecoveryStats::new());
-        let detector = Arc::new(FailureDetector::new(
-            DetectorConfig::new(config.ha.heartbeat_interval, config.ha.failure_timeout),
-            stats.clone(),
-        ));
-        if let Some(rec) = &recorder {
-            // Suspect/dead/alive verdicts land in the flight recorder.
-            detector.attach_recorder(rec.clone());
-        }
-        // Restart-nudge targets: every task handle on each resource. A
-        // dead declaration forces those tasks to run again, resuming from
-        // the inbound queues — the replay point, since frames not yet
-        // consumed are still sitting there.
-        let mut handles_by_resource: HashMap<String, Vec<neptune_granules::TaskHandle>> =
-            HashMap::new();
-        for ((oi, inst), handle) in &task_handles {
-            let name = resources[placement[&(*oi, *inst)]].name().to_string();
-            handles_by_resource.entry(name).or_default().push(handle.clone());
-        }
-        let probes: Vec<_> =
-            resources.iter().map(|r| (r.name().to_string(), r.heartbeat_probe())).collect();
-        let tick = (config.ha.heartbeat_interval / 2).max(Duration::from_micros(500));
-        let last = vec![0u64; probes.len()];
+    // ---- Telemetry sampler: periodic timer task (§IV, Fig. 4). ----
+    if let Some(ring) = &shared.series {
         io_pool.spawn_periodic(
-            tick,
-            MonitorTask {
-                detector: detector.clone(),
-                probes,
-                last,
-                handles_by_resource,
-                primed: false,
-            },
+            config.telemetry.sample_interval,
+            SamplerTask { ring: ring.clone(), job: shared.clone() },
         );
-        Some(HaRuntime { stats, detector })
-    } else {
-        None
-    };
+    }
 
     // ---- Live scrape endpoint: /metrics · /traces · /events served by
     // one IO-tier task (ISSUE 7). Bound eagerly so a bad address fails
@@ -1094,72 +1051,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 .map_err(|e| SubmitError::Io(format!("scrape bind {addr}: {e}")))?;
             listener.set_nonblocking(true).map_err(|e| SubmitError::Io(e.to_string()))?;
             let bound = listener.local_addr().map_err(|e| SubmitError::Io(e.to_string()))?;
-            let routes = {
-                let graph_name = graph.name().to_string();
-                let registry = registry.clone();
-                let pool = pool.clone();
-                let queues = all_queues.clone();
-                let hub = telemetry_hub.clone();
-                let series = series.clone();
-                let recovery = ha.as_ref().map(|h| h.stats.clone());
-                let dlq = dead_letters.clone();
-                let spans_m = spans.clone();
-                let recorder_m = recorder.clone();
-                let endpoints_m = all_endpoints.clone();
-                let checkpoints_m = checkpoint.as_ref().map(|(c, _, _)| c.clone());
-                let metrics = Box::new(move || {
-                    // Rebuild the JobHandle::metrics fold from the shared
-                    // state the closure can own. IO-pool/worker gauges are
-                    // not cloneable into the closure; every counter that a
-                    // dashboard alerts on is.
-                    let mut metrics = registry.snapshot();
-                    metrics.buffer_pool = pool.stats();
-                    for q in &queues {
-                        metrics.containment.shed_total += q.shed_total();
-                        metrics.containment.shed_bytes += q.shed_bytes();
-                    }
-                    if let Some(d) = &dlq {
-                        metrics.containment.dead_letters = d.len() as u64;
-                        metrics.containment.dead_letters_evicted = d.evicted();
-                    }
-                    if let Some(s) = &series {
-                        metrics.thread_model.sampler_dropped = s.dropped();
-                    }
-                    if let Some(sp) = &spans_m {
-                        metrics.thread_model.trace_spans = sp.recorded();
-                        metrics.thread_model.trace_dropped = sp.dropped();
-                    }
-                    if let Some(r) = &recorder_m {
-                        metrics.thread_model.recorder_events = r.events();
-                        metrics.thread_model.recorder_dropped = r.dropped();
-                    }
-                    TelemetrySnapshot {
-                        graph_name: graph_name.clone(),
-                        operators: hub.as_ref().map(|h| h.snapshot()).unwrap_or_default(),
-                        metrics,
-                        queues: queues.iter().map(|q| QueueGauge::observe(q)).collect(),
-                        series: series.as_ref().map(|r| r.series()).unwrap_or_default(),
-                        links: endpoints_m.iter().map(|e| e.link().stats_snapshot()).collect(),
-                        recovery: recovery.as_ref().map(|s| s.snapshot()),
-                        dead_letters: dlq.as_ref().map(|d| d.snapshot()).unwrap_or_default(),
-                        checkpoints: checkpoints_m.as_ref().map(|c| c.stats(crate::now_micros())),
-                    }
-                    .render_prometheus()
-                });
-                let spans_t = spans.clone();
-                let traces = Box::new(move || {
-                    spans_t.as_ref().map(|s| s.to_chrome_trace()).unwrap_or_else(|| {
-                        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}".to_string()
-                    })
-                });
-                let recorder_t = recorder.clone();
-                let events = Box::new(move || {
-                    recorder_t.as_ref().map(|r| r.to_json()).unwrap_or_else(|| {
-                        "{\"events\":[],\"recorded\":0,\"dropped\":0}".to_string()
-                    })
-                });
-                ScrapeRoutes { metrics, traces, events }
-            };
+            let routes = ScrapeRoutes::over(&shared);
             match &net_driver {
                 Some((_, r)) => {
                     use std::os::fd::AsRawFd;
@@ -1182,7 +1074,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     };
 
     Ok(JobHandle {
-        graph_name: graph.name().to_string(),
         stop_flag,
         pump_gauge,
         pump_handles,
@@ -1191,20 +1082,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         reactor: net_driver.map(|(_, r)| r),
         resources,
         processor_handles,
-        queues: all_queues,
-        endpoints: all_endpoints,
-        receivers: Mutex::new(receivers),
-        pool,
-        registry,
-        stopped: AtomicBool::new(false),
         placement: placement_table,
-        telemetry_hub,
-        series,
-        ha,
-        dead_letters,
-        spans,
-        recorder,
         scrape_addr,
-        checkpoints: checkpoint.map(|(c, _, _)| c),
+        shared,
     })
 }

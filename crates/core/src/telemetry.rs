@@ -26,7 +26,6 @@ use crate::dead_letter::DeadLetter;
 use crate::json::{object, JsonValue};
 use crate::metrics::JobMetrics;
 use neptune_link::LinkStatsSnapshot;
-use neptune_link::RecoverySnapshot;
 use neptune_net::frame::Frame;
 use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::export;
@@ -209,9 +208,6 @@ pub struct TelemetrySnapshot {
     /// — in deployment order. Empty on snapshots that predate the links
     /// (tests, external builders).
     pub links: Vec<LinkStatsSnapshot>,
-    /// Recovery counters and detection-latency histogram (ISSUE 3);
-    /// `None` when fault tolerance is disabled in the runtime config.
-    pub recovery: Option<RecoverySnapshot>,
     /// Quarantined poison batches (ISSUE 5), oldest first; empty when
     /// containment is disabled or nothing has been quarantined. Exports
     /// render provenance and panic messages but never the raw bytes.
@@ -271,24 +267,6 @@ fn link_json(l: &LinkStatsSnapshot) -> JsonValue {
         ("flush_batch_bytes", JsonValue::Number(l.flush.batch_bytes as f64)),
         ("flush_max_delay_micros", JsonValue::Number(l.flush.max_delay_micros as f64)),
         ("flush_batch_messages", JsonValue::Number(l.flush.batch_messages as f64)),
-    ])
-}
-
-fn recovery_json(r: &RecoverySnapshot) -> JsonValue {
-    object([
-        ("retransmits", JsonValue::Number(r.retransmits as f64)),
-        ("retransmitted_bytes", JsonValue::Number(r.retransmitted_bytes as f64)),
-        ("reconnects", JsonValue::Number(r.reconnects as f64)),
-        ("reconnect_attempts", JsonValue::Number(r.reconnect_attempts as f64)),
-        ("link_failures", JsonValue::Number(r.link_failures as f64)),
-        ("heartbeats_sent", JsonValue::Number(r.heartbeats_sent as f64)),
-        ("acks_received", JsonValue::Number(r.acks_received as f64)),
-        ("duplicates_dropped", JsonValue::Number(r.duplicates_dropped as f64)),
-        ("replay_evictions", JsonValue::Number(r.replay_evictions as f64)),
-        ("suspects", JsonValue::Number(r.suspects as f64)),
-        ("deaths", JsonValue::Number(r.deaths as f64)),
-        ("recoveries", JsonValue::Number(r.recoveries as f64)),
-        ("detection_latency", histogram_json(&r.detection_latency)),
     ])
 }
 
@@ -381,9 +359,6 @@ impl TelemetrySnapshot {
         if !self.links.is_empty() {
             root.push(("links", JsonValue::Array(self.links.iter().map(link_json).collect())));
         }
-        if let Some(r) = &self.recovery {
-            root.push(("recovery", recovery_json(r)));
-        }
         if !self.dead_letters.is_empty() {
             root.push((
                 "dead_letters",
@@ -469,10 +444,6 @@ impl TelemetrySnapshot {
             ));
         }
         out.push_str(&format!("series: {} samples\n", self.series.len()));
-        if let Some(r) = &self.recovery {
-            out.push_str(&r.render_pretty());
-            out.push('\n');
-        }
         if let Some(c) = &self.checkpoints {
             out.push_str(&format!(
                 "checkpoints: completed={} abandoned={} store_failures={} in_flight={} \
@@ -625,32 +596,6 @@ impl TelemetrySnapshot {
             &[],
             pool.bytes_reused,
         );
-        if let Some(r) = &self.recovery {
-            let recovery_counters: [(&str, u64); 12] = [
-                ("neptune_recovery_retransmits_total", r.retransmits),
-                ("neptune_recovery_retransmitted_bytes_total", r.retransmitted_bytes),
-                ("neptune_recovery_reconnects_total", r.reconnects),
-                ("neptune_recovery_reconnect_attempts_total", r.reconnect_attempts),
-                ("neptune_recovery_link_failures_total", r.link_failures),
-                ("neptune_recovery_heartbeats_sent_total", r.heartbeats_sent),
-                ("neptune_recovery_acks_received_total", r.acks_received),
-                ("neptune_recovery_duplicates_dropped_total", r.duplicates_dropped),
-                ("neptune_recovery_replay_evictions_total", r.replay_evictions),
-                ("neptune_recovery_suspects_total", r.suspects),
-                ("neptune_recovery_deaths_total", r.deaths),
-                ("neptune_recovery_recoveries_total", r.recoveries),
-            ];
-            for (metric, value) in recovery_counters {
-                export::prometheus_counter(&mut out, metric, &[], value);
-            }
-            out.push_str("# TYPE neptune_detection_latency_micros summary\n");
-            export::summary_samples(
-                &mut out,
-                "neptune_detection_latency_micros",
-                &[],
-                &r.detection_latency,
-            );
-        }
         if let Some(c) = &self.checkpoints {
             export::prometheus_counter(
                 &mut out,
@@ -734,7 +679,6 @@ mod tests {
             queues,
             series: vec![(0, sample.clone()), (100_000, sample)],
             links: Vec::new(),
-            recovery: None,
             dead_letters: Vec::new(),
             checkpoints: None,
         }
@@ -756,16 +700,6 @@ mod tests {
                 batch_messages: 0,
             },
         });
-        snap
-    }
-
-    fn with_recovery(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
-        let stats = neptune_link::RecoveryStats::new();
-        stats.retransmits.store(4, std::sync::atomic::Ordering::Relaxed);
-        stats.reconnects.store(2, std::sync::atomic::Ordering::Relaxed);
-        stats.deaths.store(1, std::sync::atomic::Ordering::Relaxed);
-        stats.detection_latency.record(12_000);
-        snap.recovery = Some(stats.snapshot());
         snap
     }
 
@@ -815,27 +749,6 @@ mod tests {
         assert!(text.contains("neptune_gate_events_total{queue=\"0\"} 7\n"));
         assert!(text.contains("neptune_packets_in_total{operator=\"relay\"} 3\n"));
         assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn recovery_section_renders_in_all_formats() {
-        let plain = sample_snapshot();
-        assert!(!plain.to_json().contains("\"recovery\""), "no section when HA is off");
-        assert!(!plain.render_prometheus().contains("neptune_recovery_"));
-
-        let snap = with_recovery(sample_snapshot());
-        let doc = crate::json::parse(&snap.to_json()).unwrap();
-        let rec = doc.get("recovery").expect("recovery object present");
-        assert_eq!(rec.get("retransmits").unwrap().as_u64(), Some(4));
-        assert_eq!(rec.get("deaths").unwrap().as_u64(), Some(1));
-        assert_eq!(rec.get("detection_latency").unwrap().get("count").unwrap().as_u64(), Some(1));
-        let text = snap.render_prometheus();
-        assert!(text.contains("neptune_recovery_retransmits_total 4\n"));
-        assert!(text.contains("neptune_recovery_reconnects_total 2\n"));
-        assert_eq!(text.matches("# TYPE neptune_detection_latency_micros summary").count(), 1);
-        let pretty = snap.render_pretty();
-        assert!(pretty.contains("retransmits=4"));
-        assert!(pretty.contains("deaths=1"));
     }
 
     #[test]

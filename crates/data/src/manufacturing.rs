@@ -259,12 +259,12 @@ mod tests {
             let p = sim.next_packet();
             let r = ManufacturingReading::from_packet(&p).unwrap();
             if let Some(prev) = &prev {
-                for pair in 0..ADDITIVE_PAIRS {
+                for (pair, last) in last_sensor_change.iter_mut().enumerate() {
                     if r.sensors[pair] != prev.sensors[pair] {
-                        last_sensor_change[pair] = Some(r.timestamp_us);
+                        *last = Some(r.timestamp_us);
                     }
                     if r.valves[pair] != prev.valves[pair] {
-                        if let Some(t0) = last_sensor_change[pair] {
+                        if let Some(t0) = *last {
                             delays.push(r.timestamp_us - t0);
                         }
                     }

@@ -3,10 +3,10 @@
 //! NEPTUNE §III-B6: instead of Storm's thread-per-activity model, the
 //! runtime keeps exactly two pools — worker threads for computational tasks
 //! ([`crate::WorkerPool`]) and a small set of IO threads for everything
-//! event-shaped: source pumps, flush deadlines, heartbeat monitors,
-//! samplers. An [`IoTask`] is a cooperatively-scheduled state machine: its
-//! `run` method does a bounded stint of work and then reports whether it has
-//! more ([`IoStatus::Ready`]), wants to sleep until an external wake
+//! event-shaped: source pumps, flush deadlines, socket tasks, samplers.
+//! An [`IoTask`] is a cooperatively-scheduled state machine: its `run`
+//! method does a bounded stint of work and then reports whether it has more
+//! ([`IoStatus::Ready`]), wants to sleep until an external wake
 //! ([`IoStatus::Park`]) or a deadline ([`IoStatus::ParkUntil`]), or is done
 //! ([`IoStatus::Complete`]). Parked tasks cost *nothing* — no thread, no
 //! poll — until an event ([`IoTaskHandle::wake`]) or the pool's
@@ -181,12 +181,27 @@ struct IoPoolInner {
     /// Weak registry of every spawned slot so shutdown can wake/retire
     /// parked tasks it would otherwise never see again.
     slots: Mutex<Vec<Weak<IoSlot>>>,
+    /// The pool's timer wheel; reads zero once shutdown has stopped it.
+    timer: TimerScheduler,
 }
 
 impl IoPoolInner {
     fn enqueue(&self, slot: Arc<IoSlot>) {
         self.queue.lock().push_back(slot);
         self.cv.notify_one();
+    }
+
+    fn stats(&self) -> IoPoolStats {
+        IoPoolStats {
+            io_threads: self.threads,
+            live_tasks: self.live.load(Ordering::Relaxed),
+            queued_tasks: self.queue.lock().len(),
+            parks: self.parks.load(Ordering::Relaxed),
+            wakes: self.wakes.load(Ordering::Relaxed),
+            polls: self.polls.load(Ordering::Relaxed),
+            timer_depth: self.timer.active(),
+            timer_fires: self.timer.fires(),
+        }
     }
 }
 
@@ -239,6 +254,12 @@ impl IoSpawner {
         }
         Some(spawn_on(&inner, task, state))
     }
+
+    /// The pool's gauges, for readers that outlive it (a scrape task, a
+    /// metrics fold); all zero once the pool is gone.
+    pub fn stats(&self) -> IoPoolStats {
+        self.inner.upgrade().map(|p| p.stats()).unwrap_or_default()
+    }
 }
 
 /// Fixed-size event-driven IO thread pool with an owned [`TimerWheel`].
@@ -253,6 +274,7 @@ impl IoPool {
     /// timer wheel thread.
     pub fn new(name: &str, threads: usize) -> IoPool {
         let threads = threads.max(1);
+        let timer = TimerWheel::start();
         let inner = Arc::new(IoPoolInner {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
@@ -263,16 +285,14 @@ impl IoPool {
             polls: AtomicU64::new(0),
             threads,
             slots: Mutex::new(Vec::new()),
+            timer: timer.scheduler(),
         });
-        let timer = TimerWheel::start();
-        let scheduler = timer.scheduler();
         let joins = (0..threads)
             .map(|i| {
                 let pool = inner.clone();
-                let sched = scheduler.clone();
                 std::thread::Builder::new()
                     .name(format!("{name}-io-{i}"))
-                    .spawn(move || io_loop(pool, sched))
+                    .spawn(move || io_loop(pool))
                     .expect("spawn io thread")
             })
             .collect();
@@ -323,20 +343,7 @@ impl IoPool {
 
     /// Snapshot of the tier's gauges.
     pub fn stats(&self) -> IoPoolStats {
-        let (timer_depth, timer_fires) = match &self.timer {
-            Some(t) => (t.active(), t.fires()),
-            None => (0, 0),
-        };
-        IoPoolStats {
-            io_threads: self.inner.threads,
-            live_tasks: self.inner.live.load(Ordering::Relaxed),
-            queued_tasks: self.inner.queue.lock().len(),
-            parks: self.inner.parks.load(Ordering::Relaxed),
-            wakes: self.inner.wakes.load(Ordering::Relaxed),
-            polls: self.inner.polls.load(Ordering::Relaxed),
-            timer_depth,
-            timer_fires,
-        }
+        self.inner.stats()
     }
 
     /// Drain and stop the tier: the timer wheel is stopped first (no more
@@ -386,7 +393,7 @@ impl Drop for IoPool {
     }
 }
 
-fn io_loop(inner: Arc<IoPoolInner>, scheduler: TimerScheduler) {
+fn io_loop(inner: Arc<IoPoolInner>) {
     loop {
         let slot = {
             let mut q = inner.queue.lock();
@@ -437,7 +444,7 @@ fn io_loop(inner: Arc<IoPoolInner>, scheduler: TimerScheduler) {
                         if let IoStatus::ParkUntil(deadline) = status {
                             let handle =
                                 IoTaskHandle { slot: slot.clone(), pool: Arc::downgrade(&inner) };
-                            scheduler.schedule_once(deadline, move || {
+                            inner.timer.schedule_once(deadline, move || {
                                 handle.wake();
                             });
                         }

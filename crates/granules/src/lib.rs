@@ -65,7 +65,7 @@ pub use reactor::{
     NetSource, NetWaker, Reactor, ReactorHandle, ReactorStats, READY_CLOSED, READY_READABLE,
     READY_WRITABLE,
 };
-pub use resource::{HeartbeatProbe, Resource, ResourceBuilder, TaskHandle};
+pub use resource::{Resource, ResourceBuilder, TaskHandle, WorkerGauges};
 pub use scheduler::{ScheduleSpec, TimerService};
 pub use supervisor::{
     BreakerState, CircuitBreaker, OperatorSupervisor, SupervisedOutcome, SupervisorPolicy,

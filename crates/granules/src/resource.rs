@@ -70,13 +70,6 @@ struct ResourceInner {
     shutdown: AtomicBool,
     /// Signals observed by the resource (for diagnostics).
     total_signals: AtomicU64,
-    /// Liveness beacon ticks (see [`Resource::enable_heartbeat`]).
-    heartbeats: AtomicU64,
-    /// Chaos hook: a suspended beacon stops ticking, making the resource
-    /// look dead to a failure detector without tearing down its pool.
-    heartbeat_suspended: AtomicBool,
-    /// Timer registration of the beacon, for idempotent enabling.
-    heartbeat_timer: Mutex<Option<u64>>,
 }
 
 impl ResourceInner {
@@ -201,9 +194,6 @@ impl ResourceBuilder {
                 ids: TaskIdAllocator::default(),
                 shutdown: AtomicBool::new(false),
                 total_signals: AtomicU64::new(0),
-                heartbeats: AtomicU64::new(0),
-                heartbeat_suspended: AtomicBool::new(false),
-                heartbeat_timer: Mutex::new(None),
             }),
         }
     }
@@ -284,47 +274,11 @@ impl Resource {
         self.inner.total_signals.load(Ordering::Relaxed)
     }
 
-    /// Start the liveness beacon: a timer callback increments the
-    /// heartbeat counter every `period` while the resource is up. An
-    /// external failure detector watches the counter advance; a resource
-    /// whose timer thread died — or whose beacon was chaos-suspended —
-    /// goes silent and walks the detector's suspect→dead ladder.
-    /// Idempotent: re-enabling keeps the first registration.
-    pub fn enable_heartbeat(&self, period: std::time::Duration) {
-        let mut timer = self.inner.heartbeat_timer.lock();
-        if timer.is_some() {
-            return;
-        }
-        let weak = Arc::downgrade(&self.inner);
-        let id = self.inner.timer.register(period, move || {
-            if let Some(res) = weak.upgrade() {
-                if !res.heartbeat_suspended.load(Ordering::Acquire)
-                    && !res.shutdown.load(Ordering::Acquire)
-                {
-                    res.heartbeats.fetch_add(1, Ordering::Release);
-                }
-            }
-        });
-        *timer = Some(id);
-    }
-
-    /// Beacon ticks so far (0 until
-    /// [`enable_heartbeat`](Self::enable_heartbeat) fires).
-    pub fn heartbeat_count(&self) -> u64 {
-        self.inner.heartbeats.load(Ordering::Acquire)
-    }
-
-    /// Chaos hook: freeze (or thaw) the beacon, making the resource look
-    /// dead to a failure detector while its tasks keep running.
-    pub fn set_heartbeat_suspended(&self, suspended: bool) {
-        self.inner.heartbeat_suspended.store(suspended, Ordering::Release);
-    }
-
-    /// A cloneable, weakly-held probe onto this resource's beacon — what
-    /// an external failure detector polls from its own thread without
+    /// A cloneable, weakly-held view of this resource's worker-pool
+    /// gauges — what a metrics reader on another tier holds without
     /// keeping the resource alive.
-    pub fn heartbeat_probe(&self) -> HeartbeatProbe {
-        HeartbeatProbe { inner: Arc::downgrade(&self.inner) }
+    pub fn worker_gauges(&self) -> WorkerGauges {
+        WorkerGauges { inner: Arc::downgrade(&self.inner) }
     }
 
     /// Block until no task is scheduled and no undelivered signal could
@@ -365,9 +319,6 @@ impl Resource {
     /// Terminate every task and stop the pool and timer threads.
     pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        if let Some(id) = self.inner.heartbeat_timer.lock().take() {
-            self.inner.timer.cancel(id);
-        }
         let slots: Vec<Arc<TaskSlot>> = self.inner.slots.write().drain().map(|(_, s)| s).collect();
         for slot in &slots {
             // Wait for any in-flight execution to notice the shutdown flag.
@@ -381,17 +332,22 @@ impl Resource {
     }
 }
 
-/// Weak view of a resource's liveness beacon (see
-/// [`Resource::heartbeat_probe`]).
+/// Weak view of a resource's worker-pool gauges (see
+/// [`Resource::worker_gauges`]); reads zero once the resource is gone.
 #[derive(Clone)]
-pub struct HeartbeatProbe {
+pub struct WorkerGauges {
     inner: Weak<ResourceInner>,
 }
 
-impl HeartbeatProbe {
-    /// Beacon ticks so far; `None` once the resource has been dropped.
-    pub fn count(&self) -> Option<u64> {
-        self.inner.upgrade().map(|r| r.heartbeats.load(Ordering::Acquire))
+impl WorkerGauges {
+    /// See [`Resource::worker_count`].
+    pub fn worker_count(&self) -> usize {
+        self.inner.upgrade().map_or(0, |r| r.pool.size())
+    }
+
+    /// See [`Resource::worker_panics`].
+    pub fn worker_panics(&self) -> u64 {
+        self.inner.upgrade().map_or(0, |r| r.pool.panicked())
     }
 }
 
@@ -744,30 +700,6 @@ mod tests {
             assert_eq!(c.load(Ordering::Relaxed), 500, "task {i} lost signals");
         }
         assert_eq!(res.total_signals(), 20 * 500);
-        res.shutdown();
-    }
-
-    #[test]
-    fn heartbeat_beacon_ticks_and_suspends() {
-        let res = Resource::builder("hb").workers(1).build();
-        assert_eq!(res.heartbeat_count(), 0, "beacon must be opt-in");
-        res.enable_heartbeat(Duration::from_millis(2));
-        res.enable_heartbeat(Duration::from_millis(2)); // idempotent
-        assert!(
-            crate::test_support::wait_for(Duration::from_secs(5), || res.heartbeat_count() >= 3),
-            "beacon never ticked"
-        );
-        res.set_heartbeat_suspended(true);
-        std::thread::sleep(Duration::from_millis(10));
-        let frozen = res.heartbeat_count();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(res.heartbeat_count(), frozen, "suspended beacon must go silent");
-        res.set_heartbeat_suspended(false);
-        assert!(
-            crate::test_support::wait_for(Duration::from_secs(5), || res.heartbeat_count()
-                > frozen),
-            "thawed beacon never resumed"
-        );
         res.shutdown();
     }
 

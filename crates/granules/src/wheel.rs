@@ -2,7 +2,7 @@
 //!
 //! The execution plane's single source of time: one wheel thread multiplexes
 //! every deadline in the system — per-endpoint flush deadlines, parked
-//! source-pump backoffs, heartbeat beacons, telemetry sampling ticks — so
+//! source-pump backoffs, checkpoint rounds, telemetry sampling ticks — so
 //! timer precision no longer depends on a scan tick and the thread count no
 //! longer depends on how many timers exist (NEPTUNE §III-B6's argument
 //! against per-activity threads, applied to time).
@@ -376,6 +376,11 @@ impl TimerScheduler {
     /// Live registrations, or 0 once the wheel is gone.
     pub fn active(&self) -> usize {
         self.shared.upgrade().map(|s| s.active()).unwrap_or(0)
+    }
+
+    /// Total callbacks fired, or 0 once the wheel is gone.
+    pub fn fires(&self) -> u64 {
+        self.shared.upgrade().map(|s| s.fires.load(Ordering::Relaxed)).unwrap_or(0)
     }
 }
 

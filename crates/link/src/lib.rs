@@ -17,9 +17,7 @@
 //! ```
 //!
 //! Beside the stack sit the pieces that watch it: the shared
-//! [`RecoveryStats`], the reconnect [`backoff`], and the heartbeat
-//! [`FailureDetector`] (with its [`monotonic_micros`] time base) the
-//! runtime polls to declare a silent peer dead.
+//! [`RecoveryStats`] and the reconnect [`backoff`].
 //!
 //! Before this crate, the repo had hand-grown frame-delivery paths —
 //! in-process queue handover, TCP, the HA supervised link, and the
@@ -32,9 +30,7 @@
 pub mod backoff;
 pub mod builder;
 pub mod chaos;
-pub mod clock;
 pub mod dedup;
-pub mod detector;
 pub mod ingress;
 pub mod replay;
 pub mod stats;
@@ -45,9 +41,7 @@ pub mod transport;
 pub use backoff::ReconnectPolicy;
 pub use builder::{Connector, Link, LinkBuilder, LinkStats, LinkStatsSnapshot};
 pub use chaos::{AckGate, ChaosLink, FaultEvent, FaultPlan};
-pub use clock::monotonic_micros;
 pub use dedup::{Admit, DedupFilter};
-pub use detector::{DetectorConfig, FailureDetector, PeerState};
 pub use ingress::{AckMode, IngressVerdict, ReliableIngress};
 pub use replay::{PendingFrame, ReplayBuffer};
 pub use stats::{RecoverySnapshot, RecoveryStats};

@@ -1,12 +1,10 @@
 //! Recovery counters — the control plane's answer to the data plane's
-//! `JobMetrics`: how often links dropped, how much was replayed, and how
-//! fast failures were detected.
+//! `JobMetrics`: how often links dropped and how much was replayed.
 
-use neptune_telemetry::{HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared, lock-free recovery counters. One instance per job (or per
-/// harness); every HA component records into it so a single snapshot
+/// harness); every link-stack component records into it so a single snapshot
 /// tells the whole recovery story.
 #[derive(Default)]
 pub struct RecoveryStats {
@@ -29,14 +27,6 @@ pub struct RecoveryStats {
     /// Frames evicted from a full replay buffer (delivery degrades to
     /// best-effort for the evicted window).
     pub replay_evictions: AtomicU64,
-    /// Peers transitioned Alive → Suspect.
-    pub suspects: AtomicU64,
-    /// Peers declared dead by the failure detector.
-    pub deaths: AtomicU64,
-    /// Peers that recovered after being suspected or declared dead.
-    pub recoveries: AtomicU64,
-    /// Time from the last expected heartbeat to the dead declaration, µs.
-    pub detection_latency: LatencyHistogram,
 }
 
 impl RecoveryStats {
@@ -62,10 +52,6 @@ impl RecoveryStats {
             acks_received: self.acks_received.load(Ordering::Relaxed),
             duplicates_dropped: self.duplicates_dropped.load(Ordering::Relaxed),
             replay_evictions: self.replay_evictions.load(Ordering::Relaxed),
-            suspects: self.suspects.load(Ordering::Relaxed),
-            deaths: self.deaths.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            detection_latency: self.detection_latency.snapshot(),
         }
     }
 }
@@ -91,24 +77,14 @@ pub struct RecoverySnapshot {
     pub duplicates_dropped: u64,
     /// See [`RecoveryStats::replay_evictions`].
     pub replay_evictions: u64,
-    /// See [`RecoveryStats::suspects`].
-    pub suspects: u64,
-    /// See [`RecoveryStats::deaths`].
-    pub deaths: u64,
-    /// See [`RecoveryStats::recoveries`].
-    pub recoveries: u64,
-    /// Detection-latency distribution, µs.
-    pub detection_latency: HistogramSnapshot,
 }
 
 impl RecoverySnapshot {
     /// Human-readable multi-line rendering.
     pub fn render_pretty(&self) -> String {
-        let d = &self.detection_latency;
         format!(
             "recovery: retransmits={} ({} B) reconnects={}/{} attempts link_failures={}\n\
-             heartbeats={} acks={} dup_dropped={} evictions={} suspects={} deaths={} recoveries={}\n\
-             detection latency µs: n={} p50={} p99={} max={}",
+             heartbeats={} acks={} dup_dropped={} evictions={}",
             self.retransmits,
             self.retransmitted_bytes,
             self.reconnects,
@@ -118,13 +94,6 @@ impl RecoverySnapshot {
             self.acks_received,
             self.duplicates_dropped,
             self.replay_evictions,
-            self.suspects,
-            self.deaths,
-            self.recoveries,
-            d.count(),
-            d.p50(),
-            d.p99(),
-            d.max(),
         )
     }
 }
@@ -138,11 +107,9 @@ mod tests {
         let s = RecoveryStats::new();
         s.retransmits.fetch_add(3, Ordering::Relaxed);
         s.reconnects.fetch_add(1, Ordering::Relaxed);
-        s.detection_latency.record(1500);
         let snap = s.snapshot();
         assert_eq!(snap.retransmits, 3);
         assert_eq!(snap.reconnects, 1);
-        assert_eq!(snap.detection_latency.count(), 1);
         assert!(snap.render_pretty().contains("retransmits=3"));
     }
 }

@@ -53,12 +53,7 @@ pub enum EventKind {
     Replay = 9,
     /// Supervised link gave up (subject = link id).
     LinkFailed = 10,
-    /// Failure detector moved a peer to Suspect (subject = peer id).
-    PeerSuspect = 11,
-    /// Failure detector declared a peer Dead (subject = peer id).
-    PeerDead = 12,
-    /// A Suspect/Dead peer came back (subject = peer id).
-    PeerAlive = 13,
+    // 11–13 named failure-detector verdicts; retired, not reused.
     /// Poison batch admitted to the dead-letter queue (subject =
     /// link id, detail = base seq).
     DeadLetter = 14,
@@ -85,9 +80,6 @@ impl EventKind {
             EventKind::Reconnected => "reconnected",
             EventKind::Replay => "replay",
             EventKind::LinkFailed => "link_failed",
-            EventKind::PeerSuspect => "peer_suspect",
-            EventKind::PeerDead => "peer_dead",
-            EventKind::PeerAlive => "peer_alive",
             EventKind::DeadLetter => "dead_letter",
             EventKind::ReactorStall => "reactor_stall",
             EventKind::Panic => "panic",
@@ -107,9 +99,6 @@ impl EventKind {
             8 => EventKind::Reconnected,
             9 => EventKind::Replay,
             10 => EventKind::LinkFailed,
-            11 => EventKind::PeerSuspect,
-            12 => EventKind::PeerDead,
-            13 => EventKind::PeerAlive,
             14 => EventKind::DeadLetter,
             15 => EventKind::ReactorStall,
             _ => EventKind::Panic,
@@ -124,7 +113,7 @@ pub struct RuntimeEvent {
     pub at_micros: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Event-specific subject (queue id, link id, peer id, ...).
+    /// Event-specific subject (queue id, link id, breaker id, ...).
     pub subject: u64,
     /// Event-specific detail (bytes, counts, attempt numbers, ...).
     pub detail: u64,
@@ -272,7 +261,7 @@ mod tests {
     fn snapshot_preserves_record_order() {
         let r = FlightRecorder::new(64);
         r.record_at(10, EventKind::LinkCut, 1, 0);
-        r.record_at(11, EventKind::PeerSuspect, 1, 0);
+        r.record_at(11, EventKind::Reconnecting, 1, 0);
         r.record_at(12, EventKind::Reconnected, 1, 1);
         r.record_at(13, EventKind::Replay, 1, 5);
         let kinds: Vec<EventKind> = r.snapshot().iter().map(|e| e.kind).collect();
@@ -280,7 +269,7 @@ mod tests {
             kinds,
             vec![
                 EventKind::LinkCut,
-                EventKind::PeerSuspect,
+                EventKind::Reconnecting,
                 EventKind::Reconnected,
                 EventKind::Replay
             ]
@@ -293,12 +282,12 @@ mod tests {
         r.record(EventKind::GateClosed, 0, 0);
         r.record(EventKind::LinkCut, 1, 0);
         r.record(EventKind::Shed, 0, 100);
-        r.record(EventKind::PeerSuspect, 1, 0);
+        r.record(EventKind::Reconnecting, 1, 0);
         r.record(EventKind::Reconnected, 1, 2);
         r.record(EventKind::Replay, 1, 7);
         assert!(r.contains_sequence(&[
             EventKind::LinkCut,
-            EventKind::PeerSuspect,
+            EventKind::Reconnecting,
             EventKind::Reconnected,
             EventKind::Replay
         ]));

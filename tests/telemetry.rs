@@ -248,6 +248,10 @@ fn tracing_job_emits_causal_spans_and_serves_scrape_endpoints() {
     assert!(head.contains("text/plain"), "{head}");
     assert!(body.contains("# TYPE neptune_e2e_latency_micros summary"), "{body}");
     assert!(body.contains("neptune_trace_spans_total"), "{body}");
+    // The scrape folds the same execution-plane gauges the handle does.
+    assert!(tm.io_threads > 0 && tm.worker_threads > 0, "{tm:?}");
+    assert!(body.contains(&format!("neptune_io_threads {}\n", tm.io_threads)), "{body}");
+    assert!(body.contains(&format!("neptune_worker_threads {}\n", tm.worker_threads)), "{body}");
 
     let (head, body) = scrape(addr, "/traces");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -265,6 +269,53 @@ fn tracing_job_emits_causal_spans_and_serves_scrape_endpoints() {
     job.stop();
 }
 
+/// `stop()` returns the same fold a live `metrics()` does: what the
+/// observability rings had counted by the last live read is still there
+/// in the final metrics, not zeroed.
+#[test]
+fn final_metrics_keep_what_the_last_live_read_saw() {
+    /// 100µs of worker CPU per packet: against 2 KiB watermarks the gate
+    /// must close, which is what puts events in the flight recorder.
+    struct SlowCount(Arc<AtomicU64>);
+    impl StreamProcessor for SlowCount {
+        fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {
+            let until = std::time::Instant::now() + Duration::from_micros(100);
+            while std::time::Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let seen = Arc::new(AtomicU64::new(0));
+    let s2 = seen.clone();
+    let n = 2_000u64;
+    let graph = GraphBuilder::new("final-fold")
+        .source("src", move || StampedSource { remaining: n, pause: Duration::ZERO })
+        .processor("sink", move || SlowCount(s2.clone()))
+        .link("src", "sink", PartitioningScheme::Shuffle)
+        .build()
+        .unwrap();
+    let config = RuntimeConfig {
+        buffer_bytes: 256,
+        watermark_high: 2048,
+        watermark_low: 512,
+        telemetry: TelemetryConfig::with_tracing(1),
+        ..Default::default()
+    };
+    let job = LocalRuntime::new(config).submit(graph).unwrap();
+    assert!(job.await_sources(Duration::from_secs(60)));
+    assert!(job.settle(Duration::from_secs(30)));
+    let live = job.metrics().thread_model;
+    assert!(live.trace_spans > 0 && live.recorder_events > 0, "nothing to lose: {live:?}");
+    let last = job.stop().thread_model;
+    assert_eq!(seen.load(Ordering::Relaxed), n);
+    assert!(last.trace_spans >= live.trace_spans, "{last:?} lost spans of {live:?}");
+    assert!(last.recorder_events >= live.recorder_events, "{last:?} lost events of {live:?}");
+    assert!(
+        last.trace_dropped >= live.trace_dropped && last.sampler_dropped >= live.sampler_dropped
+    );
+}
+
 /// Satellite (c): lint the Prometheus exposition itself. Every sample
 /// line must parse as `name[{labels}] value`, every series must be
 /// TYPE-declared exactly once and *before* its first sample, and TYPE
@@ -275,7 +326,6 @@ fn prometheus_exposition_lint() {
     let graph = relay_graph(2_000, Duration::ZERO, seen.clone());
     let config = RuntimeConfig {
         telemetry: TelemetryConfig::with_tracing(64),
-        ha: HaConfig::enabled(),
         containment: ContainmentConfig::enabled(),
         checkpoint: CheckpointConfig::every(Duration::from_millis(5)),
         ..Default::default()

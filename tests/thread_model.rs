@@ -113,8 +113,8 @@ impl StreamProcessor for Count {
 }
 
 /// A job with every background facility active (source pumps, flush
-/// tasks, the HA monitor, the telemetry sampler) must join every thread
-/// it spawned, and the IO tier must drain before exit.
+/// tasks, the telemetry sampler) must join every thread it spawned, and
+/// the IO tier must drain before exit.
 #[test]
 fn shutdown_leaves_no_job_threads_and_drains_io_tier() {
     let seen = Arc::new(AtomicU64::new(0));
@@ -129,7 +129,6 @@ fn shutdown_leaves_no_job_threads_and_drains_io_tier() {
         .unwrap();
     let config = RuntimeConfig {
         telemetry: TelemetryConfig::enabled(),
-        ha: HaConfig::enabled(),
         io_threads: Some(2),
         ..Default::default()
     };
@@ -403,8 +402,8 @@ fn a_live_cut_edge_runs_on_the_data_planes_io_pools() {
     down_plane.shutdown();
 }
 
-/// A single IO thread must still serve all pumps, flush tasks, the HA
-/// monitor, and the sampler: full relay completes exactly-once.
+/// A single IO thread must still serve all pumps, flush tasks, and the
+/// sampler: full relay completes exactly-once.
 #[test]
 fn single_io_thread_serves_full_job() {
     let seen = Arc::new(AtomicU64::new(0));
@@ -420,7 +419,6 @@ fn single_io_thread_serves_full_job() {
     let config = RuntimeConfig {
         io_threads: Some(1),
         telemetry: TelemetryConfig::enabled(),
-        ha: HaConfig::enabled(),
         ..Default::default()
     };
     let rt = LocalRuntime::new(config);
