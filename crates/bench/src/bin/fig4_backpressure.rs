@@ -131,7 +131,6 @@ fn main() {
         snap.series.len(),
         gate_events
     );
-    print!("{}", snap.render_pretty());
 
     // Verdict: in the second (settled) cycle, the source rate must be
     // monotonically decreasing in the sleep interval, and the 0 ms phase

@@ -208,8 +208,6 @@ fn main() {
     // headline number — e2e quantiles plus the four-stage breakdown.
     let (_, snap) = live_relay(live_n.min(200_000), true);
     let snap = snap.expect("telemetry was enabled");
-    println!("\n# live relay latency breakdown (telemetry on)\n");
-    print!("{}", snap.render_pretty());
 
     let doc = object([
         ("bench", JsonValue::String("headline".into())),

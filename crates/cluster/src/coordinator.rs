@@ -38,7 +38,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use neptune_core::json::{self, JsonValue};
-use neptune_telemetry::HistogramSnapshot;
+use neptune_telemetry::exporter::{counter, gauge, summary};
+use neptune_telemetry::{Exporter, FieldDef, HistogramSnapshot, PrometheusExporter};
 use parking_lot::Mutex;
 
 use crate::placement::{partition_graph, reassign_dead, NodeSlot, OpDemand, Placement};
@@ -316,64 +317,61 @@ fn decode_sparse(j: &JsonValue) -> HistogramSnapshot {
     )
 }
 
+/// The `neptune_cluster_*` families. `/metrics` is the only schema-walked
+/// format here (`/nodes` and `/cluster` are hand-shaped JSON views), so
+/// rows carry no JSON key — except the data-plane counters, whose key is
+/// the counter's name in a node report's `dataplane` object.
+const NODES: FieldDef = gauge("", "neptune_cluster_nodes");
+const GENERATION: FieldDef = counter("", "neptune_cluster_generation");
+const REASSIGNMENTS: FieldDef = counter("", "neptune_cluster_reassignments_total");
+const SINK_FIELDS: [FieldDef; 3] = [
+    counter("", "neptune_cluster_sink_unique_total"),
+    counter("", "neptune_cluster_sink_duplicates_total"),
+    gauge("", "neptune_cluster_expected_unique"),
+];
+const DATAPLANE_FIELDS: [FieldDef; 6] = [
+    counter("frames_in", "neptune_cluster_frames_in_total"),
+    counter("dup_frames", "neptune_cluster_dup_frames_total"),
+    counter("packets_in", "neptune_cluster_packets_in_total"),
+    counter("traced_in", "neptune_cluster_traced_in_total"),
+    counter("frames_out", "neptune_cluster_frames_out_total"),
+    counter("traced_out", "neptune_cluster_traced_out_total"),
+];
+const LATENCY: FieldDef = summary("", "neptune_cluster_latency_micros");
+
 /// Render the Prometheus text exposition of the merged cluster state.
+/// Job, node, operator and stage names arrive from descriptors and peers;
+/// the exporter escapes them as label values.
 fn render_prometheus(s: &Shared) -> String {
-    let mut out = String::with_capacity(4096);
+    let mut e = PrometheusExporter::new();
     let alive = s.nodes.iter().filter(|n| n.alive).count();
-    out.push_str("# TYPE neptune_cluster_nodes gauge\n");
-    out.push_str(&format!("neptune_cluster_nodes{{state=\"alive\"}} {alive}\n"));
-    out.push_str(&format!("neptune_cluster_nodes{{state=\"dead\"}} {}\n", s.nodes.len() - alive));
-    out.push_str("# TYPE neptune_cluster_generation counter\n");
-    out.push_str(&format!("neptune_cluster_generation {}\n", s.generation));
-    out.push_str("# TYPE neptune_cluster_reassignments_total counter\n");
-    out.push_str(&format!("neptune_cluster_reassignments_total {}\n", s.reassignments));
+    e.group(&[], &[("state", "alive")]);
+    e.field(&NODES, alive as u64);
+    e.group(&[], &[("state", "dead")]);
+    e.field(&NODES, (s.nodes.len() - alive) as u64);
+    e.group(&[], &[]);
+    e.field(&GENERATION, s.generation);
+    e.field(&REASSIGNMENTS, s.reassignments);
     let (unique, duplicates, _) = s.sink();
-    out.push_str("# TYPE neptune_cluster_sink_unique_total counter\n");
-    out.push_str(&format!("neptune_cluster_sink_unique_total{{job=\"{}\"}} {unique}\n", s.job));
-    out.push_str("# TYPE neptune_cluster_sink_duplicates_total counter\n");
-    out.push_str(&format!(
-        "neptune_cluster_sink_duplicates_total{{job=\"{}\"}} {duplicates}\n",
-        s.job
-    ));
-    out.push_str("# TYPE neptune_cluster_expected_unique gauge\n");
-    out.push_str(&format!("neptune_cluster_expected_unique{{job=\"{}\"}} {}\n", s.job, s.expected));
-    for key in ["frames_in", "dup_frames", "packets_in", "traced_in", "frames_out", "traced_out"] {
-        out.push_str(&format!("# TYPE neptune_cluster_{key}_total counter\n"));
-        for n in &s.nodes {
-            let v = n
-                .last_report
-                .as_ref()
-                .and_then(|r| r.get("dataplane"))
-                .and_then(|d| d.get(key))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0);
-            out.push_str(&format!("neptune_cluster_{key}_total{{node=\"{}\"}} {v}\n", n.name));
+    e.group(&[], &[("job", &s.job)]);
+    e.fields(&SINK_FIELDS, &[unique, duplicates, s.expected]);
+    for n in &s.nodes {
+        let dataplane = n.last_report.as_ref().and_then(|r| r.get("dataplane"));
+        e.group(&[], &[("node", &n.name)]);
+        for def in &DATAPLANE_FIELDS {
+            let reported = dataplane.and_then(|d| d.get(def.json_key)).and_then(|v| v.as_u64());
+            e.field(def, reported.unwrap_or(0));
         }
     }
-    // Merged latency histograms: one summary-style block per operator and
-    // stage, computed after cross-node merge (mergeable snapshots).
-    out.push_str("# TYPE neptune_cluster_latency_micros summary\n");
+    // Merged latency histograms: one summary per operator and stage,
+    // computed after cross-node merge (mergeable snapshots).
     for (op, stages) in s.merged_telemetry() {
-        for (stage, h) in stages {
-            if h.count() == 0 {
-                continue;
-            }
-            for (q, v) in [("0.5", h.p50()), ("0.95", h.p95()), ("0.99", h.p99())] {
-                out.push_str(&format!(
-                    "neptune_cluster_latency_micros{{op=\"{op}\",stage=\"{stage}\",quantile=\"{q}\"}} {v}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "neptune_cluster_latency_micros_sum{{op=\"{op}\",stage=\"{stage}\"}} {}\n",
-                h.sum()
-            ));
-            out.push_str(&format!(
-                "neptune_cluster_latency_micros_count{{op=\"{op}\",stage=\"{stage}\"}} {}\n",
-                h.count()
-            ));
+        for (stage, h) in stages.iter().filter(|(_, h)| h.count() > 0) {
+            e.group(&[], &[("op", &op), ("stage", stage)]);
+            e.histogram(&LATENCY, h);
         }
     }
-    out
+    e.finish()
 }
 
 /// `/nodes`: per-node JSON, pids included (the chaos test's kill target).
@@ -957,30 +955,35 @@ mod tests {
         assert!(sub.contains("uid_source"));
     }
 
-    #[test]
-    fn prometheus_rendering_merges_sparse_histograms_across_nodes() {
-        let report = |count: u64| {
-            json::parse(&format!(
-                r#"{{"dataplane": {{"frames_in": 5, "traced_in": 2}},
-                    "sink": {{"unique": 7, "duplicates": 1, "mean_sum": 3.5}},
-                    "telemetry": {{"win": {{"e2e": {{"buckets": [[3, {count}]],
-                        "count": {count}, "sum": 100, "max": 40}}}}}}}}"#
-            ))
-            .unwrap()
-        };
-        let mk = |name: &str, r: JsonValue| NodeView {
+    fn node(name: &str, report: JsonValue) -> NodeView {
+        NodeView {
             name: name.into(),
             data_addr: "x".into(),
             pid: 1,
             capacity: 8,
             alive: true,
             last_seen: Instant::now(),
-            last_report: Some(r),
-        };
+            last_report: Some(report),
+        }
+    }
+
+    /// A node report; `{op:?}` quotes and escapes the operator name.
+    fn report(op: &str, count: u64) -> JsonValue {
+        json::parse(&format!(
+            r#"{{"dataplane": {{"frames_in": 5, "traced_in": 2}},
+                "sink": {{"unique": 7, "duplicates": 1, "mean_sum": 3.5}},
+                "telemetry": {{{op:?}: {{"e2e": {{"buckets": [[3, {count}]],
+                    "count": {count}, "sum": 100, "max": 40}}}}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn prometheus_rendering_merges_sparse_histograms_across_nodes() {
         let s = Shared {
             job: "t".into(),
             expected: 10,
-            nodes: vec![mk("a", report(4)), mk("b", report(6))],
+            nodes: vec![node("a", report("win", 4)), node("b", report("win", 6))],
             generation: 1,
             reassignments: 1,
             placement: None,
@@ -996,5 +999,30 @@ mod tests {
         assert!(nodes_json.contains("\"pid\""));
         let cluster_json = render_cluster(&s);
         assert!(cluster_json.contains("\"traced_in\""));
+    }
+
+    // The line-level lint the job exposition passes in tests/telemetry.rs.
+    include!("../../../tests/support/prometheus_lint.rs");
+
+    /// A node name is a peer-supplied `Register` field and a job or
+    /// operator name comes from a descriptor: none may break the
+    /// exposition.
+    #[test]
+    fn prometheus_rendering_escapes_hostile_names() {
+        let s = Shared {
+            job: "nightly\nrun \\1".into(),
+            expected: 10,
+            nodes: vec![node("a\"b", report("w\"in", 4)), node("plain", report("w\"in", 6))],
+            generation: 2,
+            reassignments: 0,
+            placement: None,
+        };
+        let text = render_prometheus(&s);
+        let declared = lint_exposition(&text);
+        assert_eq!(declared.len(), 13, "3 cluster + 3 sink + 6 data-plane + 1 latency family");
+        assert!(text.contains("neptune_cluster_frames_in_total{node=\"a\\\"b\"} 5\n"));
+        assert!(text.contains("neptune_cluster_expected_unique{job=\"nightly\\nrun \\\\1\"} 10\n"));
+        assert!(text
+            .contains("neptune_cluster_latency_micros_count{op=\"w\\\"in\",stage=\"e2e\"} 10\n"));
     }
 }

@@ -324,8 +324,8 @@ impl SnapshotStore for FileSnapshotStore {
     }
 }
 
-/// Point-in-time view of checkpoint health, exported through all three
-/// telemetry surfaces (JSON, Prometheus, pretty).
+/// Point-in-time view of checkpoint health, the `checkpoints` section of
+/// both telemetry exports.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CheckpointStats {
     /// Rounds assembled, stored, and acknowledged.

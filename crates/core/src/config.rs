@@ -102,9 +102,8 @@ pub enum TransportMode {
 pub struct TelemetryConfig {
     /// Master switch for latency histograms and the background sampler.
     pub enabled: bool,
-    /// Interval between background [`TelemetrySampler`] snapshots.
-    ///
-    /// [`TelemetrySampler`]: neptune_telemetry::TelemetrySampler
+    /// Interval between the sampler task's snapshots into the job's
+    /// [`SampleRing`](neptune_telemetry::SampleRing).
     pub sample_interval: Duration,
     /// Causal per-packet tracing: deterministically sample one in this
     /// many source packets and record per-stage spans for them. `0`

@@ -4,22 +4,19 @@
 //! by the benchmark harness; the paper's three evaluation metrics —
 //! throughput, latency, and bandwidth consumption (§IV) — are all derived
 //! from these plus packet timestamps.
+//!
+//! Each snapshot struct declares its export schema once — a `FIELDS`
+//! table of [`FieldDef`] rows — and a `walk` that feeds it to an
+//! [`Exporter`]; [`JobMetrics::walk`] is the `metrics` section of both
+//! telemetry exports (see [`crate::telemetry`]). A new counter is one
+//! struct field, one table row and one entry in the walk's value list.
 
 use neptune_net::pool::BytesPoolStats;
-use neptune_telemetry::{Exporter, FieldDef, FieldKind};
+use neptune_telemetry::exporter::{counter, gauge};
+use neptune_telemetry::{Exporter, FieldDef};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Shorthand for the walk tables below.
-const fn fd(
-    json_key: &'static str,
-    pretty_key: &'static str,
-    prom_name: &'static str,
-    prom_kind: FieldKind,
-) -> FieldDef {
-    FieldDef { json_key, pretty_key, prom_name, prom_kind }
-}
 
 /// Shared counters for one operator (all instances aggregate into one set;
 /// per-instance attribution is recoverable from instance-tagged snapshots
@@ -123,48 +120,44 @@ impl OperatorMetrics {
         }
     }
 
-    /// Render schema: every scalar declared once, walked by all three
-    /// exporters (ISSUE 7 satellite — no more triple-maintained lists).
-    /// `frames_in` and `executions` stay JSON-only, matching the
-    /// pre-refactor Prometheus surface.
+    /// `frames_in` and `executions` are JSON-only: no Prometheus family
+    /// has ever carried them.
     const FIELDS: [FieldDef; 12] = [
-        fd("packets_in", "", "neptune_packets_in_total", FieldKind::Counter),
-        fd("packets_out", "", "neptune_packets_out_total", FieldKind::Counter),
-        fd("frames_in", "", "", FieldKind::Counter),
-        fd("frames_out", "", "neptune_frames_out_total", FieldKind::Counter),
-        fd("bytes_out", "", "neptune_bytes_out_total", FieldKind::Counter),
-        fd("executions", "", "", FieldKind::Counter),
-        fd("seq_violations", "", "neptune_seq_violations_total", FieldKind::Counter),
-        fd("panics", "", "neptune_operator_panics_total", FieldKind::Counter),
-        fd("retries", "", "neptune_operator_retries_total", FieldKind::Counter),
-        fd("quarantined", "", "neptune_operator_quarantined_total", FieldKind::Counter),
-        fd("breaker_trips", "", "neptune_breaker_trips_total", FieldKind::Counter),
-        fd("breaker_dropped", "", "neptune_breaker_dropped_total", FieldKind::Counter),
+        counter("packets_in", "neptune_packets_in_total"),
+        counter("packets_out", "neptune_packets_out_total"),
+        counter("frames_in", ""),
+        counter("frames_out", "neptune_frames_out_total"),
+        counter("bytes_out", "neptune_bytes_out_total"),
+        counter("executions", ""),
+        counter("seq_violations", "neptune_seq_violations_total"),
+        counter("panics", "neptune_operator_panics_total"),
+        counter("retries", "neptune_operator_retries_total"),
+        counter("quarantined", "neptune_operator_quarantined_total"),
+        counter("breaker_trips", "neptune_breaker_trips_total"),
+        counter("breaker_dropped", "neptune_breaker_dropped_total"),
     ];
 
-    /// Walk this operator's counters into `exporter`, labelled with the
-    /// operator name. Invisible in pretty output (histogram lines render
-    /// the operator there).
+    /// Walk this operator's counters into `exporter` as
+    /// `metrics.operators.<operator>`, labelled with the operator name.
     pub fn walk(&self, exporter: &mut dyn Exporter, operator: &str) {
-        let values = [
-            self.packets_in,
-            self.packets_out,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_out,
-            self.executions,
-            self.seq_violations,
-            self.panics,
-            self.retries,
-            self.quarantined,
-            self.breaker_trips,
-            self.breaker_dropped,
-        ];
-        exporter.begin_group("", "operator", &[("operator", operator)]);
-        for (def, value) in Self::FIELDS.iter().zip(values) {
-            exporter.field(def, value);
-        }
-        exporter.end_group();
+        exporter.group(&["metrics", "operators", operator], &[("operator", operator)]);
+        exporter.fields(
+            &Self::FIELDS,
+            &[
+                self.packets_in,
+                self.packets_out,
+                self.frames_in,
+                self.frames_out,
+                self.bytes_out,
+                self.executions,
+                self.seq_violations,
+                self.panics,
+                self.retries,
+                self.quarantined,
+                self.breaker_trips,
+                self.breaker_dropped,
+            ],
+        );
     }
 }
 
@@ -223,99 +216,55 @@ pub struct ThreadModelStats {
 }
 
 impl ThreadModelStats {
-    const IO_FIELDS: [FieldDef; 9] = [
-        fd("io_threads", "threads", "neptune_io_threads", FieldKind::Gauge),
-        fd("worker_threads", "workers", "neptune_worker_threads", FieldKind::Gauge),
-        fd("live_io_tasks", "live_tasks", "neptune_io_tasks_live", FieldKind::Gauge),
-        fd("queued_io_tasks", "queued", "neptune_io_queue_depth", FieldKind::Gauge),
-        fd("timer_depth", "timer_depth", "neptune_timer_depth", FieldKind::Gauge),
-        fd("timer_fires", "", "neptune_timer_fires_total", FieldKind::Counter),
-        fd("io_parks", "parks", "neptune_io_parks_total", FieldKind::Counter),
-        fd("io_wakes", "wakes", "neptune_io_wakes_total", FieldKind::Counter),
-        fd("io_polls", "", "neptune_io_polls_total", FieldKind::Counter),
+    const FIELDS: [FieldDef; 19] = [
+        gauge("io_threads", "neptune_io_threads"),
+        gauge("worker_threads", "neptune_worker_threads"),
+        gauge("live_io_tasks", "neptune_io_tasks_live"),
+        gauge("queued_io_tasks", "neptune_io_queue_depth"),
+        gauge("timer_depth", "neptune_timer_depth"),
+        counter("timer_fires", "neptune_timer_fires_total"),
+        counter("io_parks", "neptune_io_parks_total"),
+        counter("io_wakes", "neptune_io_wakes_total"),
+        counter("io_polls", "neptune_io_polls_total"),
+        gauge("net_connections", "neptune_net_connections"),
+        gauge("net_interests", "neptune_net_interests"),
+        counter("net_readiness_events", "neptune_net_readiness_events_total"),
+        counter("net_rearms", "neptune_net_rearms_total"),
+        gauge("net_accept_backlog_peak", "neptune_net_accept_backlog_peak"),
+        counter("sampler_dropped", "neptune_sampler_dropped_total"),
+        counter("trace_spans", "neptune_trace_spans_total"),
+        counter("trace_dropped", "neptune_trace_dropped_total"),
+        counter("recorder_events", "neptune_recorder_events_total"),
+        counter("recorder_dropped", "neptune_recorder_dropped_total"),
     ];
 
-    const NET_FIELDS: [FieldDef; 5] = [
-        fd("net_connections", "connections", "neptune_net_connections", FieldKind::Gauge),
-        fd("net_interests", "interests", "neptune_net_interests", FieldKind::Gauge),
-        fd(
-            "net_readiness_events",
-            "readiness_events",
-            "neptune_net_readiness_events_total",
-            FieldKind::Counter,
-        ),
-        fd("net_rearms", "rearms", "neptune_net_rearms_total", FieldKind::Counter),
-        fd(
-            "net_accept_backlog_peak",
-            "accept_backlog_peak",
-            "neptune_net_accept_backlog_peak",
-            FieldKind::Gauge,
-        ),
-    ];
-
-    const OBSERVABILITY_FIELDS: [FieldDef; 5] = [
-        fd(
-            "sampler_dropped",
-            "sampler_dropped",
-            "neptune_sampler_dropped_total",
-            FieldKind::Counter,
-        ),
-        fd("trace_spans", "trace_spans", "neptune_trace_spans_total", FieldKind::Counter),
-        fd("trace_dropped", "trace_dropped", "neptune_trace_dropped_total", FieldKind::Counter),
-        fd(
-            "recorder_events",
-            "recorder_events",
-            "neptune_recorder_events_total",
-            FieldKind::Counter,
-        ),
-        fd(
-            "recorder_dropped",
-            "recorder_dropped",
-            "neptune_recorder_dropped_total",
-            FieldKind::Counter,
-        ),
-    ];
-
-    /// Walk the tier gauges into `exporter` as three pretty groups —
-    /// "io tier", "net tier", "observability" — all merging into the
-    /// `thread_model` JSON object.
+    /// Walk the tier gauges into `exporter` as `metrics.thread_model`.
     pub fn walk(&self, exporter: &mut dyn Exporter) {
-        let io_values = [
-            self.io_threads as u64,
-            self.worker_threads as u64,
-            self.live_io_tasks as u64,
-            self.queued_io_tasks as u64,
-            self.timer_depth as u64,
-            self.timer_fires,
-            self.io_parks,
-            self.io_wakes,
-            self.io_polls,
-        ];
-        let net_values = [
-            self.net_connections as u64,
-            self.net_interests as u64,
-            self.net_readiness_events,
-            self.net_rearms,
-            self.net_accept_backlog_peak,
-        ];
-        let obs_values = [
-            self.sampler_dropped,
-            self.trace_spans,
-            self.trace_dropped,
-            self.recorder_events,
-            self.recorder_dropped,
-        ];
-        for (label, defs, values) in [
-            ("io tier", &Self::IO_FIELDS[..], &io_values[..]),
-            ("net tier", &Self::NET_FIELDS[..], &net_values[..]),
-            ("observability", &Self::OBSERVABILITY_FIELDS[..], &obs_values[..]),
-        ] {
-            exporter.begin_group(label, "thread_model", &[]);
-            for (def, value) in defs.iter().zip(values) {
-                exporter.field(def, *value);
-            }
-            exporter.end_group();
-        }
+        exporter.group(&["metrics", "thread_model"], &[]);
+        exporter.fields(
+            &Self::FIELDS,
+            &[
+                self.io_threads as u64,
+                self.worker_threads as u64,
+                self.live_io_tasks as u64,
+                self.queued_io_tasks as u64,
+                self.timer_depth as u64,
+                self.timer_fires,
+                self.io_parks,
+                self.io_wakes,
+                self.io_polls,
+                self.net_connections as u64,
+                self.net_interests as u64,
+                self.net_readiness_events,
+                self.net_rearms,
+                self.net_accept_backlog_peak,
+                self.sampler_dropped,
+                self.trace_spans,
+                self.trace_dropped,
+                self.recorder_events,
+                self.recorder_dropped,
+            ],
+        );
     }
 }
 
@@ -349,57 +298,37 @@ pub struct ContainmentStats {
 
 impl ContainmentStats {
     const FIELDS: [FieldDef; 10] = [
-        fd("worker_panics", "worker_panics", "neptune_worker_panics_total", FieldKind::Counter),
-        fd("panics", "panics", "neptune_containment_panics_total", FieldKind::Counter),
-        fd("retries", "retries", "neptune_containment_retries_total", FieldKind::Counter),
-        fd(
-            "quarantined",
-            "quarantined",
-            "neptune_containment_quarantined_total",
-            FieldKind::Counter,
-        ),
-        fd(
-            "breaker_trips",
-            "breaker_trips",
-            "neptune_containment_breaker_trips_total",
-            FieldKind::Counter,
-        ),
-        fd(
-            "breaker_dropped",
-            "breaker_dropped",
-            "neptune_containment_breaker_dropped_total",
-            FieldKind::Counter,
-        ),
-        fd("dead_letters", "dead_letters", "neptune_dead_letters", FieldKind::Gauge),
-        fd(
-            "dead_letters_evicted",
-            "dead_letters_evicted",
-            "neptune_dead_letters_evicted_total",
-            FieldKind::Counter,
-        ),
-        fd("shed_total", "shed_total", "neptune_shed_total", FieldKind::Counter),
-        fd("shed_bytes", "shed_bytes", "neptune_shed_bytes_total", FieldKind::Counter),
+        counter("worker_panics", "neptune_worker_panics_total"),
+        counter("panics", "neptune_containment_panics_total"),
+        counter("retries", "neptune_containment_retries_total"),
+        counter("quarantined", "neptune_containment_quarantined_total"),
+        counter("breaker_trips", "neptune_containment_breaker_trips_total"),
+        counter("breaker_dropped", "neptune_containment_breaker_dropped_total"),
+        gauge("dead_letters", "neptune_dead_letters"),
+        counter("dead_letters_evicted", "neptune_dead_letters_evicted_total"),
+        counter("shed_total", "neptune_shed_total"),
+        counter("shed_bytes", "neptune_shed_bytes_total"),
     ];
 
-    /// Walk the containment counters into `exporter` as one group.
+    /// Walk the containment counters into `exporter` as
+    /// `metrics.containment`.
     pub fn walk(&self, exporter: &mut dyn Exporter) {
-        let values = [
-            self.worker_panics,
-            self.panics,
-            self.retries,
-            self.quarantined,
-            self.breaker_trips,
-            self.breaker_dropped,
-            self.dead_letters,
-            self.dead_letters_evicted,
-            self.shed_total,
-            self.shed_bytes,
-        ];
-        exporter.begin_group("containment", "containment", &[]);
-        for (def, value) in Self::FIELDS.iter().zip(values) {
-            exporter.field(def, value);
-        }
-        exporter.end_group();
+        exporter.group(&["metrics", "containment"], &[]);
+        exporter.fields(
+            &Self::FIELDS,
+            &[
+                self.worker_panics,
+                self.panics,
+                self.retries,
+                self.quarantined,
+                self.breaker_trips,
+                self.breaker_dropped,
+                self.dead_letters,
+                self.dead_letters_evicted,
+                self.shed_total,
+                self.shed_bytes,
+            ],
+        );
     }
 }
 
@@ -442,6 +371,32 @@ impl JobMetrics {
     /// Total sequencing violations across the job (exactly-once check).
     pub fn total_seq_violations(&self) -> u64 {
         self.operators.values().map(|m| m.seq_violations).sum()
+    }
+
+    /// `returns` and `discards` are JSON-only: the hit/miss pair is what
+    /// a dashboard reads, the other two explain it in a dump.
+    const POOL_FIELDS: [FieldDef; 5] = [
+        counter("hits", "neptune_pool_hits_total"),
+        counter("misses", "neptune_pool_misses_total"),
+        counter("returns", ""),
+        counter("discards", ""),
+        counter("bytes_reused", "neptune_pool_bytes_reused_total"),
+    ];
+
+    /// Walk the whole `metrics` section: per-operator counters, the
+    /// buffer pool, the thread model and containment.
+    pub fn walk(&self, exporter: &mut dyn Exporter) {
+        for (name, operator) in &self.operators {
+            operator.walk(exporter, name);
+        }
+        let pool = &self.buffer_pool;
+        exporter.group(&["metrics", "buffer_pool"], &[]);
+        exporter.fields(
+            &Self::POOL_FIELDS,
+            &[pool.hits, pool.misses, pool.returns, pool.discards, pool.bytes_reused],
+        );
+        self.thread_model.walk(exporter);
+        self.containment.walk(exporter);
     }
 }
 
@@ -535,30 +490,26 @@ mod tests {
     }
 
     #[test]
-    fn walk_drives_pretty_and_prometheus_from_one_schema() {
-        let tm = ThreadModelStats {
-            io_threads: 2,
-            worker_threads: 8,
-            io_parks: 5,
-            trace_spans: 7,
-            ..Default::default()
+    fn walk_drives_prometheus_from_the_tables() {
+        let metrics = JobMetrics {
+            operators: [(
+                "relay".to_string(),
+                OperatorMetrics { packets_in: 11, executions: 5, ..Default::default() },
+            )]
+            .into(),
+            buffer_pool: BytesPoolStats { hits: 9, ..Default::default() },
+            thread_model: ThreadModelStats { io_threads: 2, trace_spans: 7, ..Default::default() },
+            containment: ContainmentStats { worker_panics: 3, ..Default::default() },
         };
-        let mut pretty = neptune_telemetry::PrettyExporter::new();
-        tm.walk(&mut pretty);
-        let text = pretty.finish();
-        assert!(text.contains("io tier: threads=2 workers=8"));
-        assert!(text.contains("parks=5"));
-        assert!(text.contains("observability: sampler_dropped=0 trace_spans=7"));
-
         let mut prom = neptune_telemetry::PrometheusExporter::new();
-        tm.walk(&mut prom);
-        ContainmentStats { worker_panics: 3, ..Default::default() }.walk(&mut prom);
-        OperatorMetrics { packets_in: 11, ..Default::default() }.walk(&mut prom, "relay");
+        metrics.walk(&mut prom);
         let out = prom.finish();
         assert!(out.contains("# TYPE neptune_io_threads gauge\nneptune_io_threads 2\n"));
         assert!(out.contains("neptune_trace_spans_total 7\n"));
         assert!(out.contains("neptune_worker_panics_total 3\n"));
+        assert!(out.contains("neptune_pool_hits_total 9\n"));
         assert!(out.contains("neptune_packets_in_total{operator=\"relay\"} 11\n"));
+        assert!(!out.contains("executions"), "JSON-only rows stay out of the exposition");
     }
 
     #[test]

@@ -464,7 +464,7 @@ impl ProcessorTask {
                                 "neptune[{}:{}]: frame quarantined; flight recorder:\n{}",
                                 self.ctx.operator(),
                                 self.ctx.instance(),
-                                rec.render()
+                                rec.to_json()
                             );
                         }
                         let mut bytes = Vec::new();

@@ -18,8 +18,18 @@
 //!
 //! Recording is wired in only when [`crate::config::TelemetryConfig`]
 //! enables it; a disabled job takes zero extra clock reads on the hot
-//! path. Snapshots render as pretty text, JSON (via the repo's own
-//! [`crate::json`]), and Prometheus text exposition.
+//! path.
+//!
+//! # Exports
+//!
+//! A [`TelemetrySnapshot`] leaves the process as a JSON document (via the
+//! repo's own [`crate::json`]) or as Prometheus text exposition, and both
+//! are rendered from one schema: every section of the snapshot declares a
+//! table of [`FieldDef`] rows (JSON key, Prometheus family, kind) and a
+//! walk that feeds the rows to an [`Exporter`]. The tables for the
+//! `metrics` section live beside their structs in [`crate::metrics`]; the
+//! rest are below. Adding a number to both exports is one row; a row with
+//! an empty string is in one export only, on purpose.
 
 use crate::checkpoint::CheckpointStats;
 use crate::dead_letter::DeadLetter;
@@ -28,63 +38,90 @@ use crate::metrics::JobMetrics;
 use neptune_link::LinkStatsSnapshot;
 use neptune_net::frame::Frame;
 use neptune_net::watermark::WatermarkQueue;
-use neptune_telemetry::export;
+use neptune_telemetry::exporter::{counter, gauge, summary};
 use neptune_telemetry::{
     Exporter, FieldDef, HistogramSnapshot, OperatorTelemetry, OperatorTelemetrySnapshot,
-    PrettyExporter, PrometheusExporter,
+    PrometheusExporter,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// JSON renderer for schema walks over the repo's own [`JsonValue`].
-/// Groups sharing a `json_key` merge into one object; fields with an
-/// empty `json_key` are dropped, mirroring the other exporters.
+/// JSON renderer for schema walks over the repo's own [`JsonValue`]: a
+/// group's path names the object its fields land in, created on first
+/// use; fields with an empty `json_key` are dropped.
 #[derive(Debug, Default)]
 struct JsonExporter {
-    objects: Vec<(String, BTreeMap<String, JsonValue>)>,
-    current: usize,
+    root: BTreeMap<String, JsonValue>,
+    /// Keys from the root to the current group. A key that holds an
+    /// array stands for the array's last element.
+    path: Vec<String>,
 }
 
 impl JsonExporter {
-    fn new() -> Self {
-        Self::default()
+    /// The object the current group's fields land in.
+    fn current(&mut self) -> &mut BTreeMap<String, JsonValue> {
+        let mut node = &mut self.root;
+        for key in &self.path {
+            let child =
+                node.entry(key.clone()).or_insert_with(|| JsonValue::Object(BTreeMap::new()));
+            node = match child {
+                JsonValue::Object(fields) => fields,
+                JsonValue::Array(items) => match items.last_mut() {
+                    Some(JsonValue::Object(fields)) => fields,
+                    _ => unreachable!("{key}: `item` appends objects only"),
+                },
+                _ => unreachable!("{key}: a field where a group path descends"),
+            };
+        }
+        node
     }
 
-    /// `(json_key, object)` pairs in first-seen group order.
-    fn finish(self) -> Vec<(String, JsonValue)> {
-        self.objects.into_iter().map(|(k, m)| (k, JsonValue::Object(m))).collect()
-    }
-
-    /// The lone object produced by a single-group walk.
-    fn into_single(self) -> JsonValue {
-        self.finish()
-            .into_iter()
-            .next()
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| JsonValue::Object(BTreeMap::new()))
+    fn insert(&mut self, def: &FieldDef, value: JsonValue) {
+        if !def.json_key.is_empty() {
+            self.current().insert(def.json_key.to_string(), value);
+        }
     }
 }
 
 impl Exporter for JsonExporter {
-    fn begin_group(&mut self, _pretty_label: &str, json_key: &str, _labels: &[(&str, &str)]) {
-        self.current = match self.objects.iter().position(|(k, _)| k == json_key) {
-            Some(i) => i,
-            None => {
-                self.objects.push((json_key.to_string(), BTreeMap::new()));
-                self.objects.len() - 1
-            }
-        };
+    fn group(&mut self, path: &[&str], _labels: &[(&str, &str)]) {
+        self.path = path.iter().map(|key| key.to_string()).collect();
+    }
+
+    fn item(&mut self, path: &[&str], _labels: &[(&str, &str)]) {
+        let (section, parent) = path.split_last().expect("a repeated section has a name");
+        self.group(parent, &[]);
+        let items = self.current().entry(section.to_string());
+        match items.or_insert_with(|| JsonValue::Array(Vec::new())) {
+            JsonValue::Array(items) => items.push(JsonValue::Object(BTreeMap::new())),
+            _ => unreachable!("{section}: `item` on a section that is not repeated"),
+        }
+        self.path.push(section.to_string());
     }
 
     fn field(&mut self, def: &FieldDef, value: u64) {
-        if !def.json_key.is_empty() {
-            self.objects[self.current]
-                .1
-                .insert(def.json_key.to_string(), JsonValue::Number(value as f64));
-        }
+        self.insert(def, JsonValue::Number(value as f64));
     }
 
-    fn end_group(&mut self) {}
+    fn text(&mut self, def: &FieldDef, value: &str) {
+        self.insert(def, JsonValue::String(value.to_string()));
+    }
+
+    fn histogram(&mut self, def: &FieldDef, snap: &HistogramSnapshot) {
+        let number = |v: u64| JsonValue::Number(v as f64);
+        self.insert(
+            def,
+            object([
+                ("count", number(snap.count())),
+                ("sum_micros", number(snap.sum())),
+                ("max_micros", number(snap.max())),
+                ("p50_micros", number(snap.p50())),
+                ("p95_micros", number(snap.p95())),
+                ("p99_micros", number(snap.p99())),
+                ("mean_micros", JsonValue::Number(snap.mean())),
+            ]),
+        );
+    }
 }
 
 /// Named view of one inbound watermark queue, replacing the old
@@ -128,6 +165,33 @@ impl QueueGauge {
         } else {
             self.depth_bytes as f64 / self.capacity as f64
         }
+    }
+
+    /// `capacity` is configuration, not a reading: JSON-only.
+    const FIELDS: [FieldDef; 6] = [
+        gauge("depth", "neptune_queue_depth_frames"),
+        gauge("depth_bytes", "neptune_queue_depth_bytes"),
+        gauge("capacity", ""),
+        counter("gate_events", "neptune_gate_events_total"),
+        counter("shed_total", "neptune_queue_shed_total"),
+        counter("shed_bytes", "neptune_queue_shed_bytes_total"),
+    ];
+
+    /// Walk this queue's gauges into `exporter` as one element of
+    /// `queues`, labelled with its deployment-order `index`.
+    fn walk(&self, exporter: &mut dyn Exporter, index: usize) {
+        exporter.item(&["queues"], &[("queue", &index.to_string())]);
+        exporter.fields(
+            &Self::FIELDS,
+            &[
+                self.depth as u64,
+                self.depth_bytes as u64,
+                self.capacity as u64,
+                self.gate_events,
+                self.shed_total,
+                self.shed_bytes,
+            ],
+        );
     }
 }
 
@@ -217,158 +281,186 @@ pub struct TelemetrySnapshot {
     pub checkpoints: Option<CheckpointStats>,
 }
 
-fn histogram_json(snap: &HistogramSnapshot) -> JsonValue {
-    object([
-        ("count", JsonValue::Number(snap.count() as f64)),
-        ("sum_micros", JsonValue::Number(snap.sum() as f64)),
-        ("max_micros", JsonValue::Number(snap.max() as f64)),
-        ("p50_micros", JsonValue::Number(snap.p50() as f64)),
-        ("p95_micros", JsonValue::Number(snap.p95() as f64)),
-        ("p99_micros", JsonValue::Number(snap.p99() as f64)),
-        ("mean_micros", JsonValue::Number(snap.mean())),
-    ])
+/// The document's one root-level field. Strings have no Prometheus form.
+const GRAPH: FieldDef = gauge("graph", "");
+
+/// End-to-end latency is the one histogram whose maximum is also a
+/// family of its own (the Fig. 2 bound is stated on the tail); in JSON
+/// every histogram object carries its `max_micros`.
+const E2E: FieldDef = summary("e2e", "neptune_e2e_latency_micros");
+const E2E_MAX: FieldDef = gauge("", "neptune_e2e_latency_micros_max");
+
+/// The four stages share one family: a stage's row is its name (the JSON
+/// key, and the `stage` label that tells the samples apart) under this.
+const STAGE_FAMILY: &str = "neptune_stage_latency_micros";
+
+fn walk_operator(exporter: &mut dyn Exporter, name: &str, op: &OperatorTelemetrySnapshot) {
+    exporter.group(&["operators", name], &[("operator", name)]);
+    exporter.histogram(&E2E, &op.e2e);
+    exporter.field(&E2E_MAX, op.e2e.max());
+    for (stage, snap) in op.stages() {
+        exporter.group(&["operators", name, "stages"], &[("operator", name), ("stage", stage)]);
+        exporter.histogram(&summary(stage, STAGE_FAMILY), snap);
+    }
 }
 
-fn queue_json(q: &QueueGauge) -> JsonValue {
-    object([
-        ("depth", JsonValue::Number(q.depth as f64)),
-        ("depth_bytes", JsonValue::Number(q.depth_bytes as f64)),
-        ("capacity", JsonValue::Number(q.capacity as f64)),
-        ("gate_events", JsonValue::Number(q.gate_events as f64)),
-        ("shed_total", JsonValue::Number(q.shed_total as f64)),
-        ("shed_bytes", JsonValue::Number(q.shed_bytes as f64)),
-    ])
-}
+/// `link_id` is the `link` label of every family below it.
+const LINK_FIELDS: [FieldDef; 10] = [
+    gauge("link_id", ""),
+    counter("flushes", "neptune_link_flushes_total"),
+    counter("packets", "neptune_link_packets_total"),
+    counter("wire_bytes", "neptune_link_wire_bytes_total"),
+    counter("traced", "neptune_link_traced_total"),
+    counter("replayed", "neptune_link_replayed_total"),
+    counter("acks", "neptune_link_acks_total"),
+    counter("dedup_drops", "neptune_link_dedup_drops_total"),
+    gauge("flush_batch_bytes", "neptune_link_flush_batch_bytes"),
+    gauge("flush_max_delay_micros", "neptune_link_flush_max_delay_micros"),
+];
 
-fn dead_letter_json(d: &DeadLetter) -> JsonValue {
-    object([
-        ("operator", JsonValue::String(d.operator.clone())),
-        ("instance", JsonValue::Number(d.instance as f64)),
-        ("link_id", JsonValue::Number(d.link_id as f64)),
-        ("base_seq", JsonValue::Number(d.base_seq as f64)),
-        ("messages", JsonValue::Number(d.messages as f64)),
-        ("attempts", JsonValue::Number(d.attempts as f64)),
-        ("panic_msg", JsonValue::String(d.panic_msg.clone())),
-        ("captured_bytes", JsonValue::Number(d.bytes.len() as f64)),
-        ("original_len", JsonValue::Number(d.original_len as f64)),
-    ])
-}
-
-fn link_json(l: &LinkStatsSnapshot) -> JsonValue {
-    object([
-        ("link_id", JsonValue::Number(l.link_id as f64)),
-        ("flushes", JsonValue::Number(l.flushes as f64)),
-        ("packets", JsonValue::Number(l.packets as f64)),
-        ("wire_bytes", JsonValue::Number(l.wire_bytes as f64)),
-        ("traced", JsonValue::Number(l.traced as f64)),
-        ("replayed", JsonValue::Number(l.replayed as f64)),
-        ("acks", JsonValue::Number(l.acks as f64)),
-        ("dedup_drops", JsonValue::Number(l.dedup_drops as f64)),
-        ("flush_batch_bytes", JsonValue::Number(l.flush.batch_bytes as f64)),
-        ("flush_max_delay_micros", JsonValue::Number(l.flush.max_delay_micros as f64)),
-        ("flush_batch_messages", JsonValue::Number(l.flush.batch_messages as f64)),
-    ])
-}
-
-fn checkpoint_json(c: &CheckpointStats) -> JsonValue {
-    object([
-        ("completed", JsonValue::Number(c.completed as f64)),
-        ("abandoned", JsonValue::Number(c.abandoned as f64)),
-        ("store_failures", JsonValue::Number(c.store_failures as f64)),
-        ("in_flight", JsonValue::Number(c.in_flight as f64)),
-        ("last_completed_id", JsonValue::Number(c.last_completed_id.unwrap_or(0) as f64)),
-        ("last_age_micros", JsonValue::Number(c.last_age_micros.unwrap_or(0) as f64)),
-        ("duration", histogram_json(&c.duration_micros)),
-        ("size_bytes", histogram_json(&c.size_bytes)),
-    ])
-}
-
-fn metrics_json(m: &JobMetrics) -> JsonValue {
-    let operators = JsonValue::Object(
-        m.operators
-            .iter()
-            .map(|(name, om)| {
-                let mut e = JsonExporter::new();
-                om.walk(&mut e, name);
-                (name.clone(), e.into_single())
-            })
-            .collect(),
+fn walk_link(exporter: &mut dyn Exporter, l: &LinkStatsSnapshot) {
+    exporter.item(&["links"], &[("link", &format!("{:#x}", l.link_id))]);
+    exporter.fields(
+        &LINK_FIELDS,
+        &[
+            l.link_id,
+            l.flushes,
+            l.packets,
+            l.wire_bytes,
+            l.traced,
+            l.replayed,
+            l.acks,
+            l.dedup_drops,
+            l.flush.batch_bytes as u64,
+            l.flush.max_delay_micros,
+        ],
     );
-    // Buffer-pool gauges carry derived ratios elsewhere and stay
-    // hand-rolled; everything scalar walks the shared schema.
-    let pool = object([
-        ("hits", JsonValue::Number(m.buffer_pool.hits as f64)),
-        ("misses", JsonValue::Number(m.buffer_pool.misses as f64)),
-        ("returns", JsonValue::Number(m.buffer_pool.returns as f64)),
-        ("discards", JsonValue::Number(m.buffer_pool.discards as f64)),
-        ("bytes_reused", JsonValue::Number(m.buffer_pool.bytes_reused as f64)),
-    ]);
-    let mut walked = JsonExporter::new();
-    m.thread_model.walk(&mut walked);
-    m.containment.walk(&mut walked);
-    let mut root: BTreeMap<String, JsonValue> =
-        [("operators".to_string(), operators), ("buffer_pool".to_string(), pool)].into();
-    root.extend(walked.finish());
-    JsonValue::Object(root)
+}
+
+/// A dead letter is a record to read, not a series to plot: JSON-only,
+/// strings included. `neptune_dead_letters` (containment) counts them.
+const DEAD_LETTER_OPERATOR: FieldDef = gauge("operator", "");
+const DEAD_LETTER_PANIC: FieldDef = gauge("panic_msg", "");
+const DEAD_LETTER_FIELDS: [FieldDef; 7] = [
+    gauge("instance", ""),
+    gauge("link_id", ""),
+    gauge("base_seq", ""),
+    gauge("messages", ""),
+    gauge("attempts", ""),
+    gauge("captured_bytes", ""),
+    gauge("original_len", ""),
+];
+
+fn walk_dead_letter(exporter: &mut dyn Exporter, d: &DeadLetter) {
+    exporter.item(&["dead_letters"], &[]);
+    exporter.text(&DEAD_LETTER_OPERATOR, &d.operator);
+    exporter.text(&DEAD_LETTER_PANIC, &d.panic_msg);
+    exporter.fields(
+        &DEAD_LETTER_FIELDS,
+        &[
+            d.instance as u64,
+            d.link_id,
+            d.base_seq,
+            d.messages as u64,
+            d.attempts as u64,
+            d.bytes.len() as u64,
+            d.original_len as u64,
+        ],
+    );
+}
+
+const CHECKPOINT_FIELDS: [FieldDef; 6] = [
+    counter("completed", "neptune_checkpoint_completed_total"),
+    counter("abandoned", "neptune_checkpoint_abandoned_total"),
+    counter("store_failures", "neptune_checkpoint_store_failures_total"),
+    gauge("in_flight", "neptune_checkpoint_in_flight"),
+    gauge("last_completed_id", "neptune_checkpoint_last_completed_id"),
+    gauge("last_age_micros", "neptune_checkpoint_last_age_micros"),
+];
+const CHECKPOINT_DURATION: FieldDef = summary("duration", "neptune_checkpoint_duration_micros");
+const CHECKPOINT_SIZE: FieldDef = summary("size_bytes", "neptune_checkpoint_size_bytes");
+
+fn walk_checkpoints(exporter: &mut dyn Exporter, c: &CheckpointStats) {
+    exporter.group(&["checkpoints"], &[]);
+    exporter.fields(
+        &CHECKPOINT_FIELDS,
+        &[
+            c.completed,
+            c.abandoned,
+            c.store_failures,
+            c.in_flight,
+            c.last_completed_id.unwrap_or(0),
+            c.last_age_micros.unwrap_or(0),
+        ],
+    );
+    exporter.histogram(&CHECKPOINT_DURATION, &c.duration_micros);
+    exporter.histogram(&CHECKPOINT_SIZE, &c.size_bytes);
+}
+
+/// The series exports as per-tick aggregates — enough to plot a Fig. 4
+/// style oscillation without exploding the document — and in JSON only:
+/// a scraper builds its own time series from the live families.
+const SERIES_FIELDS: [FieldDef; 5] = [
+    gauge("t_micros", ""),
+    gauge("queued_bytes", ""),
+    counter("gate_events", ""),
+    counter("source_packets", ""),
+    counter("bytes_out", ""),
+];
+
+fn walk_tick(exporter: &mut dyn Exporter, t_micros: u64, s: &TelemetrySample) {
+    exporter.item(&["series"], &[]);
+    exporter.fields(
+        &SERIES_FIELDS,
+        &[
+            t_micros,
+            s.total_queued_bytes() as u64,
+            s.total_gate_events(),
+            s.metrics.total_source_packets(),
+            s.metrics.total_bytes_out(),
+        ],
+    );
 }
 
 impl TelemetrySnapshot {
+    /// Feed every section of the snapshot to `exporter`.
+    fn walk(&self, exporter: &mut dyn Exporter) {
+        exporter.group(&[], &[]);
+        exporter.text(&GRAPH, &self.graph_name);
+        for (name, op) in &self.operators {
+            walk_operator(exporter, name, op);
+        }
+        self.metrics.walk(exporter);
+        for (index, queue) in self.queues.iter().enumerate() {
+            queue.walk(exporter, index);
+        }
+        for (t_micros, sample) in &self.series {
+            walk_tick(exporter, *t_micros, sample);
+        }
+        for link in &self.links {
+            walk_link(exporter, link);
+        }
+        for dead_letter in &self.dead_letters {
+            walk_dead_letter(exporter, dead_letter);
+        }
+        if let Some(checkpoints) = &self.checkpoints {
+            walk_checkpoints(exporter, checkpoints);
+        }
+    }
+
     /// Structured JSON document for programmatic consumers (bench bins
-    /// dump this next to their tables).
+    /// dump this next to their tables; anything human-facing is a view
+    /// over it).
     pub fn to_json_value(&self) -> JsonValue {
-        let operators = JsonValue::Object(
-            self.operators
-                .iter()
-                .map(|(name, op)| {
-                    let stages = JsonValue::Object(
-                        op.stages()
-                            .iter()
-                            .map(|(stage, snap)| (stage.to_string(), histogram_json(snap)))
-                            .collect(),
-                    );
-                    (name.clone(), object([("e2e", histogram_json(&op.e2e)), ("stages", stages)]))
-                })
-                .collect(),
-        );
-        // The series serializes as per-tick aggregates — enough to plot a
-        // Fig. 4 style oscillation without exploding the document.
-        let series = JsonValue::Array(
-            self.series
-                .iter()
-                .map(|(t, s)| {
-                    object([
-                        ("t_micros", JsonValue::Number(*t as f64)),
-                        ("queued_bytes", JsonValue::Number(s.total_queued_bytes() as f64)),
-                        ("gate_events", JsonValue::Number(s.total_gate_events() as f64)),
-                        (
-                            "source_packets",
-                            JsonValue::Number(s.metrics.total_source_packets() as f64),
-                        ),
-                        ("bytes_out", JsonValue::Number(s.metrics.total_bytes_out() as f64)),
-                    ])
-                })
-                .collect(),
-        );
-        let mut root = vec![
-            ("graph", JsonValue::String(self.graph_name.clone())),
-            ("operators", operators),
-            ("metrics", metrics_json(&self.metrics)),
-            ("queues", JsonValue::Array(self.queues.iter().map(queue_json).collect())),
-            ("series", series),
-        ];
-        if !self.links.is_empty() {
-            root.push(("links", JsonValue::Array(self.links.iter().map(link_json).collect())));
+        let mut exporter = JsonExporter::default();
+        // These two repeated sections are in the document even when
+        // empty; `links` and `dead_letters` appear with their first
+        // element, `checkpoints` when checkpointing is on.
+        for section in ["queues", "series"] {
+            exporter.root.insert(section.to_string(), JsonValue::Array(Vec::new()));
         }
-        if !self.dead_letters.is_empty() {
-            root.push((
-                "dead_letters",
-                JsonValue::Array(self.dead_letters.iter().map(dead_letter_json).collect()),
-            ));
-        }
-        if let Some(c) = &self.checkpoints {
-            root.push(("checkpoints", checkpoint_json(c)));
-        }
-        object(root)
+        self.walk(&mut exporter);
+        JsonValue::Object(exporter.root)
     }
 
     /// Compact JSON text.
@@ -376,272 +468,14 @@ impl TelemetrySnapshot {
         self.to_json_value().to_json()
     }
 
-    /// Human-readable multi-line report.
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("telemetry: job '{}'\n", self.graph_name));
-        for (name, op) in &self.operators {
-            out.push_str(&format!("operator {name}\n"));
-            out.push_str(&format!("  {}\n", export::pretty_line("e2e", &op.e2e)));
-            for (stage, snap) in op.stages() {
-                out.push_str(&format!("  {}\n", export::pretty_line(stage, snap)));
-            }
-        }
-        for (i, q) in self.queues.iter().enumerate() {
-            out.push_str(&format!(
-                "queue {i}: depth={} bytes={}/{} ({:.0}%) gate_events={} shed={}/{}B\n",
-                q.depth,
-                q.depth_bytes,
-                q.capacity,
-                q.saturation() * 100.0,
-                q.gate_events,
-                q.shed_total,
-                q.shed_bytes
-            ));
-        }
-        for l in &self.links {
-            out.push_str(&format!(
-                "link {:#x}: flushes={} packets={} wire_bytes={} traced={} replayed={} \
-                 acks={} dedup_drops={} flush={}B/{}µs/{}msg\n",
-                l.link_id,
-                l.flushes,
-                l.packets,
-                l.wire_bytes,
-                l.traced,
-                l.replayed,
-                l.acks,
-                l.dedup_drops,
-                l.flush.batch_bytes,
-                l.flush.max_delay_micros,
-                l.flush.batch_messages
-            ));
-        }
-        let pool = &self.metrics.buffer_pool;
-        out.push_str(&format!(
-            "pool: hits={} misses={} hit_rate={:.1}% bytes_reused={}\n",
-            pool.hits,
-            pool.misses,
-            pool.hit_rate() * 100.0,
-            pool.bytes_reused
-        ));
-        let mut walked = PrettyExporter::new();
-        self.metrics.thread_model.walk(&mut walked);
-        self.metrics.containment.walk(&mut walked);
-        out.push_str(&walked.finish());
-        for (i, d) in self.dead_letters.iter().enumerate() {
-            out.push_str(&format!(
-                "dead letter {i}: operator={} instance={} link={} seq={} msgs={} \
-                 attempts={} bytes={}/{} panic=\"{}\"\n",
-                d.operator,
-                d.instance,
-                d.link_id,
-                d.base_seq,
-                d.messages,
-                d.attempts,
-                d.bytes.len(),
-                d.original_len,
-                d.panic_msg
-            ));
-        }
-        out.push_str(&format!("series: {} samples\n", self.series.len()));
-        if let Some(c) = &self.checkpoints {
-            out.push_str(&format!(
-                "checkpoints: completed={} abandoned={} store_failures={} in_flight={} \
-                 last_id={} age={}µs\n",
-                c.completed,
-                c.abandoned,
-                c.store_failures,
-                c.in_flight,
-                c.last_completed_id.map(|id| id.to_string()).unwrap_or_else(|| "-".into()),
-                c.last_age_micros.unwrap_or(0),
-            ));
-            out.push_str(&format!("  {}\n", export::pretty_line("duration", &c.duration_micros)));
-            out.push_str(&format!("  {}\n", export::pretty_line("size_bytes", &c.size_bytes)));
-        }
-        out
-    }
-
     /// Prometheus text-exposition document. Latency histograms export as
-    /// `summary` metrics with precomputed quantiles; counters and gauges
-    /// map directly. `# TYPE` headers are written once per metric, as the
-    /// format requires, even when many operators share it.
+    /// `summary` families with precomputed quantiles; counters and gauges
+    /// map directly. Each family's `# TYPE` header is written once, as
+    /// the format requires, even when many operators share it.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        if !self.operators.is_empty() {
-            out.push_str("# TYPE neptune_e2e_latency_micros summary\n");
-            for (name, op) in &self.operators {
-                export::summary_samples(
-                    &mut out,
-                    "neptune_e2e_latency_micros",
-                    &[("operator", name)],
-                    &op.e2e,
-                );
-            }
-            out.push_str("# TYPE neptune_e2e_latency_micros_max gauge\n");
-            for (name, op) in &self.operators {
-                export::sample_line(
-                    &mut out,
-                    "neptune_e2e_latency_micros_max",
-                    &[("operator", name)],
-                    op.e2e.max(),
-                );
-            }
-            out.push_str("# TYPE neptune_stage_latency_micros summary\n");
-            for (name, op) in &self.operators {
-                for (stage, snap) in op.stages() {
-                    export::summary_samples(
-                        &mut out,
-                        "neptune_stage_latency_micros",
-                        &[("operator", name), ("stage", stage)],
-                        snap,
-                    );
-                }
-            }
-        }
-        if !self.queues.is_empty() {
-            out.push_str("# TYPE neptune_queue_depth_frames gauge\n");
-            for (i, q) in self.queues.iter().enumerate() {
-                let idx = i.to_string();
-                export::sample_line(
-                    &mut out,
-                    "neptune_queue_depth_frames",
-                    &[("queue", &idx)],
-                    q.depth as u64,
-                );
-            }
-            out.push_str("# TYPE neptune_queue_depth_bytes gauge\n");
-            for (i, q) in self.queues.iter().enumerate() {
-                let idx = i.to_string();
-                export::sample_line(
-                    &mut out,
-                    "neptune_queue_depth_bytes",
-                    &[("queue", &idx)],
-                    q.depth_bytes as u64,
-                );
-            }
-            out.push_str("# TYPE neptune_gate_events_total counter\n");
-            for (i, q) in self.queues.iter().enumerate() {
-                let idx = i.to_string();
-                export::sample_line(
-                    &mut out,
-                    "neptune_gate_events_total",
-                    &[("queue", &idx)],
-                    q.gate_events,
-                );
-            }
-            out.push_str("# TYPE neptune_queue_shed_total counter\n");
-            for (i, q) in self.queues.iter().enumerate() {
-                let idx = i.to_string();
-                export::sample_line(
-                    &mut out,
-                    "neptune_queue_shed_total",
-                    &[("queue", &idx)],
-                    q.shed_total,
-                );
-            }
-            out.push_str("# TYPE neptune_queue_shed_bytes_total counter\n");
-            for (i, q) in self.queues.iter().enumerate() {
-                let idx = i.to_string();
-                export::sample_line(
-                    &mut out,
-                    "neptune_queue_shed_bytes_total",
-                    &[("queue", &idx)],
-                    q.shed_bytes,
-                );
-            }
-        }
-        if !self.links.is_empty() {
-            type LinkMetric = (&'static str, fn(&LinkStatsSnapshot) -> u64);
-            let link_counters: [LinkMetric; 6] = [
-                ("neptune_link_flushes_total", |l| l.flushes),
-                ("neptune_link_packets_total", |l| l.packets),
-                ("neptune_link_wire_bytes_total", |l| l.wire_bytes),
-                ("neptune_link_traced_total", |l| l.traced),
-                ("neptune_link_replayed_total", |l| l.replayed),
-                ("neptune_link_dedup_drops_total", |l| l.dedup_drops),
-            ];
-            for (metric, get) in link_counters {
-                out.push_str(&format!("# TYPE {metric} counter\n"));
-                for l in &self.links {
-                    let id = format!("{:#x}", l.link_id);
-                    export::sample_line(&mut out, metric, &[("link", &id)], get(l));
-                }
-            }
-            let link_gauges: [LinkMetric; 3] = [
-                ("neptune_link_flush_batch_bytes", |l| l.flush.batch_bytes as u64),
-                ("neptune_link_flush_max_delay_micros", |l| l.flush.max_delay_micros),
-                ("neptune_link_flush_batch_messages", |l| l.flush.batch_messages as u64),
-            ];
-            for (metric, get) in link_gauges {
-                out.push_str(&format!("# TYPE {metric} gauge\n"));
-                for l in &self.links {
-                    let id = format!("{:#x}", l.link_id);
-                    export::sample_line(&mut out, metric, &[("link", &id)], get(l));
-                }
-            }
-        }
-        let mut walked = PrometheusExporter::new();
-        for (name, om) in &self.metrics.operators {
-            om.walk(&mut walked, name);
-        }
-        self.metrics.thread_model.walk(&mut walked);
-        self.metrics.containment.walk(&mut walked);
-        out.push_str(&walked.finish());
-        let pool = &self.metrics.buffer_pool;
-        export::prometheus_counter(&mut out, "neptune_pool_hits_total", &[], pool.hits);
-        export::prometheus_counter(&mut out, "neptune_pool_misses_total", &[], pool.misses);
-        export::prometheus_counter(
-            &mut out,
-            "neptune_pool_bytes_reused_total",
-            &[],
-            pool.bytes_reused,
-        );
-        if let Some(c) = &self.checkpoints {
-            export::prometheus_counter(
-                &mut out,
-                "neptune_checkpoint_completed_total",
-                &[],
-                c.completed,
-            );
-            export::prometheus_counter(
-                &mut out,
-                "neptune_checkpoint_abandoned_total",
-                &[],
-                c.abandoned,
-            );
-            export::prometheus_counter(
-                &mut out,
-                "neptune_checkpoint_store_failures_total",
-                &[],
-                c.store_failures,
-            );
-            out.push_str("# TYPE neptune_checkpoint_in_flight gauge\n");
-            export::sample_line(&mut out, "neptune_checkpoint_in_flight", &[], c.in_flight);
-            out.push_str("# TYPE neptune_checkpoint_last_completed_id gauge\n");
-            export::sample_line(
-                &mut out,
-                "neptune_checkpoint_last_completed_id",
-                &[],
-                c.last_completed_id.unwrap_or(0),
-            );
-            out.push_str("# TYPE neptune_checkpoint_last_age_micros gauge\n");
-            export::sample_line(
-                &mut out,
-                "neptune_checkpoint_last_age_micros",
-                &[],
-                c.last_age_micros.unwrap_or(0),
-            );
-            out.push_str("# TYPE neptune_checkpoint_duration_micros summary\n");
-            export::summary_samples(
-                &mut out,
-                "neptune_checkpoint_duration_micros",
-                &[],
-                &c.duration_micros,
-            );
-            out.push_str("# TYPE neptune_checkpoint_size_bytes summary\n");
-            export::summary_samples(&mut out, "neptune_checkpoint_size_bytes", &[], &c.size_bytes);
-        }
-        out
+        let mut exporter = PrometheusExporter::new();
+        self.walk(&mut exporter);
+        exporter.finish()
     }
 }
 
@@ -697,7 +531,6 @@ mod tests {
             flush: neptune_net::flush::FlushPolicySnapshot {
                 batch_bytes: 32 << 10,
                 max_delay_micros: 2_000,
-                batch_messages: 0,
             },
         });
         snap
@@ -752,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn containment_section_renders_in_all_formats() {
+    fn containment_section_renders_in_both_formats() {
         let mut snap = sample_snapshot();
         snap.metrics.containment = crate::metrics::ContainmentStats {
             worker_panics: 1,
@@ -797,11 +630,6 @@ mod tests {
         assert!(text.contains("neptune_queue_shed_total{queue=\"0\"} 0\n"));
         assert!(text.contains("neptune_operator_panics_total{operator=\"relay\"}"));
 
-        let pretty = snap.render_pretty();
-        assert!(pretty.contains("containment: worker_panics=1 panics=9"));
-        assert!(pretty.contains("dead letter 0: operator=relay"));
-        assert!(pretty.contains("panic=\"poison value\""));
-
         // No root dead-letter array in JSON when nothing is quarantined
         // (the containment counter object still carries the gauge).
         let plain = crate::json::parse(&sample_snapshot().to_json()).unwrap();
@@ -809,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn link_section_renders_in_all_formats() {
+    fn link_section_renders_in_both_formats() {
         let plain = sample_snapshot();
         assert!(!plain.to_json().contains("\"links\""), "no section without links");
         assert!(!plain.render_prometheus().contains("neptune_link_"));
@@ -827,20 +655,16 @@ mod tests {
         assert!(text.contains("neptune_link_flushes_total{link=\"0x10000\"} 12\n"));
         assert!(text.contains("neptune_link_wire_bytes_total{link=\"0x10000\"} 4096\n"));
         assert!(text.contains("neptune_link_replayed_total{link=\"0x10000\"} 2\n"));
+        assert!(text.contains("neptune_link_acks_total{link=\"0x10000\"} 5\n"));
         assert!(text.contains("neptune_link_flush_batch_bytes{link=\"0x10000\"} 32768\n"));
         assert_eq!(text.matches("# TYPE neptune_link_flushes_total counter").count(), 1);
-
-        let pretty = snap.render_pretty();
-        assert!(pretty.contains("link 0x10000: flushes=12 packets=48"));
-        assert!(pretty.contains("flush=32768B/2000µs/0msg"));
     }
 
     #[test]
-    fn checkpoint_section_renders_in_all_formats() {
+    fn checkpoint_section_renders_in_both_formats() {
         let plain = sample_snapshot();
         assert!(!plain.to_json().contains("\"checkpoints\""), "no section when checkpointing off");
         assert!(!plain.render_prometheus().contains("neptune_checkpoint_"));
-        assert!(!plain.render_pretty().contains("checkpoints:"));
 
         let mut snap = sample_snapshot();
         let duration = {
@@ -883,20 +707,5 @@ mod tests {
         assert!(text.contains("neptune_checkpoint_last_age_micros 42000\n"));
         assert_eq!(text.matches("# TYPE neptune_checkpoint_duration_micros summary").count(), 1);
         assert_eq!(text.matches("# TYPE neptune_checkpoint_size_bytes summary").count(), 1);
-
-        let pretty = snap.render_pretty();
-        assert!(pretty.contains("checkpoints: completed=5 abandoned=1"));
-        assert!(pretty.contains("last_id=5 age=42000µs"));
-    }
-
-    #[test]
-    fn pretty_report_lists_operators_and_queues() {
-        let text = sample_snapshot().render_pretty();
-        assert!(text.contains("job 'demo'"));
-        assert!(text.contains("operator relay"));
-        assert!(text.contains("e2e"));
-        assert!(text.contains("schedule_delay"));
-        assert!(text.contains("queue 0:"));
-        assert!(text.contains("series: 2 samples"));
     }
 }

@@ -79,25 +79,6 @@ pub struct RecoverySnapshot {
     pub replay_evictions: u64,
 }
 
-impl RecoverySnapshot {
-    /// Human-readable multi-line rendering.
-    pub fn render_pretty(&self) -> String {
-        format!(
-            "recovery: retransmits={} ({} B) reconnects={}/{} attempts link_failures={}\n\
-             heartbeats={} acks={} dup_dropped={} evictions={}",
-            self.retransmits,
-            self.retransmitted_bytes,
-            self.reconnects,
-            self.reconnect_attempts,
-            self.link_failures,
-            self.heartbeats_sent,
-            self.acks_received,
-            self.duplicates_dropped,
-            self.replay_evictions,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +91,5 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.retransmits, 3);
         assert_eq!(snap.reconnects, 1);
-        assert!(snap.render_pretty().contains("retransmits=3"));
     }
 }

@@ -195,10 +195,7 @@ impl OutputBuffer {
     fn finish_push(&mut self) -> PushOutcome {
         self.count += 1;
         self.next_seq += 1;
-        let batch_messages = self.policy.batch_messages();
-        if self.data.len() >= self.policy.batch_bytes()
-            || (batch_messages > 0 && self.count as usize >= batch_messages)
-        {
+        if self.data.len() >= self.policy.batch_bytes() {
             PushOutcome::Flush(self.take_batch(FlushReason::Capacity))
         } else {
             PushOutcome::Buffered

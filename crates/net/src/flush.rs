@@ -2,13 +2,12 @@
 //! retunable at runtime.
 //!
 //! NEPTUNE flushes an output buffer when its byte capacity is reached or
-//! its per-buffer timer fires (§III-B1). Historically both knobs were
-//! frozen into each [`crate::buffer::OutputBuffer`] at construction; a
-//! [`FlushPolicy`] lifts them into a shared, atomically-retunable object
-//! so one handle — held by the link, surfaced in telemetry, and later by
-//! a QoS controller (Nephele-style SLO adaptation) — can adjust a live
-//! link's batching without touching the hot path: the buffer reads two
-//! relaxed atomics per push, exactly what a field read cost before.
+//! its per-buffer timer fires (§III-B1) — those two knobs and no third.
+//! A [`FlushPolicy`] holds them in a shared, atomically-retunable object
+//! so one handle — held by the link, surfaced in both telemetry exports,
+//! and later by a QoS controller (Nephele-style SLO adaptation) — can
+//! adjust a live link's batching without touching the hot path: the
+//! [`crate::buffer::OutputBuffer`] reads one relaxed atomic per push.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,9 +20,6 @@ pub struct FlushPolicy {
     batch_bytes: AtomicUsize,
     /// Flush this long after the first buffered message, µs (0 = no timer).
     max_delay_micros: AtomicU64,
-    /// Flush once this many messages are buffered (0 = bytes-only, the
-    /// paper's rule; used by the cluster egress, which batches by count).
-    batch_messages: AtomicUsize,
 }
 
 /// Point-in-time copy of a policy's knobs, for telemetry exports.
@@ -33,8 +29,6 @@ pub struct FlushPolicySnapshot {
     pub batch_bytes: usize,
     /// Deadline in µs (0 = no timer).
     pub max_delay_micros: u64,
-    /// Message-count threshold (0 = unlimited).
-    pub batch_messages: usize,
 }
 
 impl FlushPolicy {
@@ -49,7 +43,6 @@ impl FlushPolicy {
             max_delay_micros: AtomicU64::new(
                 max_delay.map(|d| (d.as_micros() as u64).max(1)).unwrap_or(0),
             ),
-            batch_messages: AtomicUsize::new(0),
         })
     }
 
@@ -80,28 +73,11 @@ impl FlushPolicy {
         );
     }
 
-    /// Message-count threshold (0 = bytes-only).
-    pub fn batch_messages(&self) -> usize {
-        self.batch_messages.load(Ordering::Relaxed)
-    }
-
-    /// Retune the message-count threshold (0 disables it).
-    pub fn set_batch_messages(&self, messages: usize) {
-        self.batch_messages.store(messages, Ordering::Relaxed);
-    }
-
-    /// Builder-style message-count threshold.
-    pub fn with_batch_messages(self: Arc<Self>, messages: usize) -> Arc<Self> {
-        self.set_batch_messages(messages);
-        self
-    }
-
     /// Snapshot every knob at once.
     pub fn snapshot(&self) -> FlushPolicySnapshot {
         FlushPolicySnapshot {
             batch_bytes: self.batch_bytes(),
             max_delay_micros: self.max_delay_micros.load(Ordering::Relaxed),
-            batch_messages: self.batch_messages(),
         }
     }
 }
@@ -115,15 +91,9 @@ mod tests {
         let p = FlushPolicy::new(4096, Some(Duration::from_millis(5)));
         assert_eq!(p.batch_bytes(), 4096);
         assert_eq!(p.max_delay(), Some(Duration::from_millis(5)));
-        assert_eq!(p.batch_messages(), 0);
         p.set_batch_bytes(1024);
         p.set_max_delay(None);
-        p.set_batch_messages(64);
-        let snap = p.snapshot();
-        assert_eq!(
-            snap,
-            FlushPolicySnapshot { batch_bytes: 1024, max_delay_micros: 0, batch_messages: 64 }
-        );
+        assert_eq!(p.snapshot(), FlushPolicySnapshot { batch_bytes: 1024, max_delay_micros: 0 });
         assert_eq!(p.max_delay(), None);
     }
 

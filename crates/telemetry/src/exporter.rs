@@ -1,28 +1,35 @@
-//! One schema, three renderers: the `Exporter` trait.
+//! One schema, two renders: the [`Exporter`] trait.
 //!
-//! The repo's scalar stats blocks (thread-model gauges, containment
-//! counters, per-operator counters, ...) used to be rendered by three
-//! hand-rolled walkers — pretty text, JSON, and Prometheus — that
-//! drifted: every new gauge had to be added in three places. Now each
-//! stats struct declares its fields **once** as a [`FieldDef`] table
-//! and walks any [`Exporter`]; this module ships the text renderers
-//! ([`PrettyExporter`], [`PrometheusExporter`]) and `neptune-core`
-//! implements the JSON one over its own `JsonValue` type.
+//! Every number a process exports is one row of a [`FieldDef`] table: its
+//! JSON key, its Prometheus family and the family's kind. The struct that
+//! owns the number declares the table and a `walk` that feeds any
+//! [`Exporter`]; this module ships the Prometheus text renderer
+//! ([`PrometheusExporter`], the only code in the workspace that writes
+//! exposition lines or escapes a label value) and `neptune-core`
+//! implements the JSON one over its own `JsonValue`. An empty string in a
+//! row opts the field out of that format, so a one-format-only field is
+//! visible as such in its table.
 //!
-//! A walk is a flat sequence of groups: `begin_group(...)`, `field(...)`
-//! per field, `end_group()`. Groups with the same `json_key` merge into
-//! one JSON object (e.g. the "io tier" and "net tier" pretty lines both
-//! land in `thread_model`); Prometheus samples buffer per metric so the
-//! `# TYPE` header appears exactly once even when many label sets share
-//! a metric.
+//! A walk is a flat sequence: [`group`](Exporter::group) (or
+//! [`item`](Exporter::item) for an element of a repeated section) names
+//! where the following fields land in the JSON document and which labels
+//! their Prometheus samples carry; then one [`field`](Exporter::field),
+//! [`text`](Exporter::text) or [`histogram`](Exporter::histogram) call
+//! per row.
 
-/// How a scalar exports to Prometheus.
+use crate::histogram::HistogramSnapshot;
+use std::fmt::Write;
+
+/// The Prometheus type of a family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldKind {
     /// Monotonic counter.
     Counter,
     /// Point-in-time gauge.
     Gauge,
+    /// A histogram exported with server-side quantiles plus `_sum` and
+    /// `_count` — what a log-bucketed histogram can answer exactly.
+    Summary,
 }
 
 impl FieldKind {
@@ -31,88 +38,80 @@ impl FieldKind {
         match self {
             FieldKind::Counter => "counter",
             FieldKind::Gauge => "gauge",
+            FieldKind::Summary => "summary",
         }
     }
 }
 
-/// One scalar field's render schema, declared once per stats struct.
-/// An empty string opts the field out of that format.
+/// One exported field, declared once in its owner's table. An empty
+/// string opts the field out of that format.
 #[derive(Debug, Clone, Copy)]
 pub struct FieldDef {
     /// Key in the JSON export (`""` = omit from JSON).
     pub json_key: &'static str,
-    /// `key=value` label on the pretty line (`""` = omit from pretty).
-    pub pretty_key: &'static str,
-    /// Prometheus metric name (`""` = omit from Prometheus).
+    /// Prometheus family name (`""` = omit from Prometheus).
     pub prom_name: &'static str,
-    /// Prometheus metric type.
+    /// Prometheus family type.
     pub prom_kind: FieldKind,
 }
 
-/// A renderer fed by a stats struct's schema walk.
+/// Table row for a monotonic counter.
+pub const fn counter(json_key: &'static str, prom_name: &'static str) -> FieldDef {
+    FieldDef { json_key, prom_name, prom_kind: FieldKind::Counter }
+}
+
+/// Table row for a gauge.
+pub const fn gauge(json_key: &'static str, prom_name: &'static str) -> FieldDef {
+    FieldDef { json_key, prom_name, prom_kind: FieldKind::Gauge }
+}
+
+/// Table row for a histogram.
+pub const fn summary(json_key: &'static str, prom_name: &'static str) -> FieldDef {
+    FieldDef { json_key, prom_name, prom_kind: FieldKind::Summary }
+}
+
+/// A renderer fed by schema walks.
 pub trait Exporter {
-    /// Start a group of fields. `pretty_label` prefixes the pretty line
-    /// (`""` = the whole group is invisible in pretty); `json_key`
-    /// names the JSON object the fields land in (groups sharing a key
-    /// merge); `labels` attach to every Prometheus sample the group
-    /// emits.
-    fn begin_group(&mut self, pretty_label: &str, json_key: &str, labels: &[(&str, &str)]);
+    /// The fields that follow land in the JSON object at `path` (groups
+    /// naming the same path merge into one object; the empty path is the
+    /// document root) and carry `labels` on every Prometheus sample.
+    fn group(&mut self, path: &[&str], labels: &[(&str, &str)]);
+
+    /// As [`group`](Self::group), for one element of a repeated section:
+    /// the fields land in a new object appended to the JSON array at
+    /// `path`. A format without arrays tells elements apart by `labels`
+    /// alone, which is the default.
+    fn item(&mut self, path: &[&str], labels: &[(&str, &str)]) {
+        self.group(path, labels);
+    }
+
     /// One scalar field of the current group.
     fn field(&mut self, def: &FieldDef, value: u64);
-    /// End the current group.
-    fn end_group(&mut self);
-}
 
-/// Renders each group as one `label: k=v k=v ...` line.
-#[derive(Debug, Default)]
-pub struct PrettyExporter {
-    out: String,
-    line: String,
-    visible: bool,
-}
+    /// One string field of the current group. Strings have no Prometheus
+    /// form; one worth selecting on is a label of its group instead.
+    fn text(&mut self, def: &FieldDef, value: &str);
 
-impl PrettyExporter {
-    /// Empty renderer.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// One histogram field of the current group.
+    fn histogram(&mut self, def: &FieldDef, snap: &HistogramSnapshot);
 
-    /// The rendered lines (each `\n`-terminated).
-    pub fn finish(self) -> String {
-        self.out
-    }
-}
-
-impl Exporter for PrettyExporter {
-    fn begin_group(&mut self, pretty_label: &str, _json_key: &str, _labels: &[(&str, &str)]) {
-        self.visible = !pretty_label.is_empty();
-        if self.visible {
-            self.line = format!("{pretty_label}:");
-        }
-    }
-
-    fn field(&mut self, def: &FieldDef, value: u64) {
-        if self.visible && !def.pretty_key.is_empty() {
-            self.line.push_str(&format!(" {}={value}", def.pretty_key));
-        }
-    }
-
-    fn end_group(&mut self) {
-        if self.visible {
-            self.out.push_str(&self.line);
-            self.out.push('\n');
-            self.line.clear();
+    /// A table of scalar fields and their values, row by row.
+    fn fields(&mut self, defs: &[FieldDef], values: &[u64]) {
+        debug_assert_eq!(defs.len(), values.len(), "one value per table row");
+        for (def, value) in defs.iter().zip(values) {
+            self.field(def, *value);
         }
     }
 }
 
-/// Renders Prometheus text exposition. Samples buffer per metric (in
-/// first-seen order) so each metric gets exactly one `# TYPE` header
+/// Renders Prometheus text exposition. Samples buffer per family (in
+/// first-seen order) so each family gets exactly one `# TYPE` header
 /// with all its label sets grouped under it, as the format requires.
 #[derive(Debug, Default)]
 pub struct PrometheusExporter {
-    /// `(metric name, kind, sample lines)` in first-seen order.
-    metrics: Vec<(String, FieldKind, Vec<String>)>,
+    /// `(family, kind, sample lines)` in first-seen order.
+    families: Vec<(&'static str, FieldKind, String)>,
+    /// `k="v",...` of the current group, values escaped.
     labels: String,
 }
 
@@ -122,22 +121,37 @@ impl PrometheusExporter {
         Self::default()
     }
 
-    /// The rendered exposition block.
+    /// The rendered exposition.
     pub fn finish(self) -> String {
         let mut out = String::new();
-        for (name, kind, samples) in self.metrics {
-            out.push_str(&format!("# TYPE {name} {}\n", kind.as_str()));
-            for s in samples {
-                out.push_str(&s);
-            }
+        for (name, kind, samples) in self.families {
+            let _ = writeln!(out, "# TYPE {name} {}", kind.as_str());
+            out.push_str(&samples);
         }
         out
     }
+
+    /// Append `family+suffix{group labels,extra} value` under `def`'s
+    /// family.
+    fn sample(&mut self, def: &FieldDef, suffix: &str, extra: &str, value: u64) {
+        let at = self.families.iter().position(|(name, ..)| *name == def.prom_name);
+        let at = at.unwrap_or_else(|| {
+            self.families.push((def.prom_name, def.prom_kind, String::new()));
+            self.families.len() - 1
+        });
+        let out = &mut self.families[at].2;
+        let _ = write!(out, "{}{suffix}", def.prom_name);
+        if !(self.labels.is_empty() && extra.is_empty()) {
+            let sep = if self.labels.is_empty() || extra.is_empty() { "" } else { "," };
+            let _ = write!(out, "{{{}{sep}{extra}}}", self.labels);
+        }
+        let _ = writeln!(out, " {value}");
+    }
 }
 
-fn escape_prom_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
+/// Escape a label value per the text format (`\`, `"`, newline).
+fn escape_label(value: &str, out: &mut String) {
+    for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
@@ -145,85 +159,66 @@ fn escape_prom_label(v: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 impl Exporter for PrometheusExporter {
-    fn begin_group(&mut self, _pretty_label: &str, _json_key: &str, labels: &[(&str, &str)]) {
-        self.labels = if labels.is_empty() {
-            String::new()
-        } else {
-            let pairs: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_prom_label(v))).collect();
-            format!("{{{}}}", pairs.join(","))
-        };
+    fn group(&mut self, _path: &[&str], labels: &[(&str, &str)]) {
+        self.labels.clear();
+        for (i, (key, value)) in labels.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(self.labels, "{sep}{key}=\"");
+            escape_label(value, &mut self.labels);
+            self.labels.push('"');
+        }
     }
 
     fn field(&mut self, def: &FieldDef, value: u64) {
-        if def.prom_name.is_empty() {
-            return;
-        }
-        let line = format!("{}{} {value}\n", def.prom_name, self.labels);
-        match self.metrics.iter_mut().find(|(name, _, _)| name == def.prom_name) {
-            Some((_, _, samples)) => samples.push(line),
-            None => self.metrics.push((def.prom_name.to_string(), def.prom_kind, vec![line])),
+        if !def.prom_name.is_empty() {
+            self.sample(def, "", "", value);
         }
     }
 
-    fn end_group(&mut self) {}
+    fn text(&mut self, _def: &FieldDef, _value: &str) {}
+
+    fn histogram(&mut self, def: &FieldDef, snap: &HistogramSnapshot) {
+        if def.prom_name.is_empty() {
+            return;
+        }
+        self.sample(def, "", "quantile=\"0.5\"", snap.p50());
+        self.sample(def, "", "quantile=\"0.95\"", snap.p95());
+        self.sample(def, "", "quantile=\"0.99\"", snap.p99());
+        self.sample(def, "_sum", "", snap.sum());
+        self.sample(def, "_count", "", snap.count());
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::LatencyHistogram;
 
     const FIELDS: [FieldDef; 3] = [
-        FieldDef {
-            json_key: "io_parks",
-            pretty_key: "parks",
-            prom_name: "neptune_io_parks_total",
-            prom_kind: FieldKind::Counter,
-        },
-        FieldDef {
-            json_key: "io_polls",
-            pretty_key: "",
-            prom_name: "neptune_io_polls_total",
-            prom_kind: FieldKind::Counter,
-        },
-        FieldDef {
-            json_key: "depth",
-            pretty_key: "depth",
-            prom_name: "neptune_queue_depth",
-            prom_kind: FieldKind::Gauge,
-        },
+        counter("io_parks", "neptune_io_parks_total"),
+        counter("io_polls", ""),
+        gauge("depth", "neptune_queue_depth"),
     ];
 
-    fn walk(e: &mut dyn Exporter, label: &str, labels: &[(&str, &str)], values: [u64; 3]) {
-        e.begin_group(label, "tier", labels);
-        for (def, v) in FIELDS.iter().zip(values) {
-            e.field(def, v);
-        }
-        e.end_group();
-    }
-
-    #[test]
-    fn pretty_renders_one_line_per_group_skipping_hidden() {
-        let mut e = PrettyExporter::new();
-        walk(&mut e, "io tier", &[], [5, 6, 7]);
-        walk(&mut e, "", &[], [1, 2, 3]); // invisible group
-        assert_eq!(e.finish(), "io tier: parks=5 depth=7\n");
+    fn walk(e: &mut dyn Exporter, labels: &[(&str, &str)], values: [u64; 3]) {
+        e.item(&["queues"], labels);
+        e.fields(&FIELDS, &values);
     }
 
     #[test]
     fn prometheus_groups_samples_under_one_type_header() {
         let mut e = PrometheusExporter::new();
-        walk(&mut e, "q", &[("queue", "0")], [1, 2, 3]);
-        walk(&mut e, "q", &[("queue", "1")], [4, 5, 6]);
+        walk(&mut e, &[("queue", "0")], [1, 2, 3]);
+        walk(&mut e, &[("queue", "1")], [4, 5, 6]);
         let out = e.finish();
         assert_eq!(out.matches("# TYPE neptune_queue_depth gauge").count(), 1);
         assert!(out.contains("neptune_queue_depth{queue=\"0\"} 3\n"));
         assert!(out.contains("neptune_queue_depth{queue=\"1\"} 6\n"));
-        // All samples of a metric are contiguous under its header.
+        assert!(!out.contains("io_polls"), "an empty family name opts out");
+        // All samples of a family are contiguous under its header.
         let header = out.find("# TYPE neptune_queue_depth gauge").unwrap();
         let q0 = out.find("neptune_queue_depth{queue=\"0\"}").unwrap();
         let q1 = out.find("neptune_queue_depth{queue=\"1\"}").unwrap();
@@ -233,7 +228,32 @@ mod tests {
     #[test]
     fn prometheus_escapes_label_values() {
         let mut e = PrometheusExporter::new();
-        walk(&mut e, "q", &[("op", "a\"b")], [1, 0, 0]);
-        assert!(e.finish().contains("{op=\"a\\\"b\"}"));
+        walk(&mut e, &[("op", "a\"b\\c\nd")], [1, 0, 0]);
+        assert!(e.finish().contains("neptune_io_parks_total{op=\"a\\\"b\\\\c\\nd\"} 1\n"));
+    }
+
+    #[test]
+    fn summary_has_quantiles_sum_and_count_under_one_header() {
+        let h = LatencyHistogram::new();
+        for v in [100u64, 200, 5_000, 1_000_000] {
+            h.record(v);
+        }
+        let def = summary("e2e", "neptune_e2e_latency_us");
+        let mut e = PrometheusExporter::new();
+        e.group(&["operators", "relay"], &[("operator", "relay")]);
+        e.histogram(&def, &h.snapshot());
+        e.group(&[], &[]);
+        e.histogram(&def, &h.snapshot());
+        e.text(&gauge("graph", ""), "strings have no exposition");
+        let out = e.finish();
+        assert_eq!(out.matches("# TYPE").count(), 1);
+        assert!(out.starts_with("# TYPE neptune_e2e_latency_us summary\n"));
+        assert!(out.contains("neptune_e2e_latency_us{operator=\"relay\",quantile=\"0.5\"}"));
+        assert!(out.contains("neptune_e2e_latency_us{operator=\"relay\",quantile=\"0.99\"}"));
+        assert!(out.contains("neptune_e2e_latency_us_sum{operator=\"relay\"} 1005300\n"));
+        assert!(out.contains("neptune_e2e_latency_us_count{operator=\"relay\"} 4\n"));
+        assert!(out.contains("neptune_e2e_latency_us{quantile=\"0.95\"}"));
+        assert!(out.contains("neptune_e2e_latency_us_count 4\n"));
+        assert!(out.ends_with('\n'));
     }
 }

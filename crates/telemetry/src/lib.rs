@@ -2,7 +2,7 @@
 //!
 //! Observability primitives for the NEPTUNE reproduction: lock-free
 //! log-bucketed latency histograms, per-operator stage timing, a bounded
-//! background time-series sampler, and text/Prometheus exporters.
+//! time-series ring, and the schema both exports are rendered from.
 //!
 //! The paper evaluates exactly three axes — throughput, end-to-end
 //! latency, and bandwidth (§IV) — and its headline claims are about
@@ -17,17 +17,16 @@
 //!   (buffer-wait, transport, schedule delay, execution) plus end-to-end.
 //! * [`SampleRing`] — a thread-safe bounded `(elapsed_micros, sample)`
 //!   time series any scheduler can record into (the runtime's IO-tier
-//!   timer task does), with [`TelemetrySampler`] as the self-threaded
-//!   driver for standalone use.
+//!   timer task does).
 //! * [`SpanRing`] — causal per-packet tracing: deterministically sampled
 //!   per-stage [`Span`]s in a lock-free thread-sharded seqlock ring,
 //!   exportable as Chrome trace-event JSON (Perfetto-loadable).
 //! * [`FlightRecorder`] — a bounded lock-free timeline of structured
 //!   [`RuntimeEvent`]s (gate transitions, shedding, breaker trips,
 //!   reconnects, dead-letter admits), dumped on failure and served live.
-//! * [`export`] — Prometheus text-exposition and pretty-text rendering —
-//!   and [`exporter`], the schema-driven [`Exporter`] trait that keeps
-//!   the pretty/JSON/Prometheus walkers from drifting.
+//! * [`exporter`] — the [`Exporter`] trait and [`FieldDef`] tables every
+//!   exported number is declared in once, and [`PrometheusExporter`], the
+//!   one place exposition lines are written.
 //!
 //! This crate is deliberately dependency-free and job-agnostic: it knows
 //! nothing about operators, queues, or configs. `neptune-core` owns the
@@ -40,17 +39,16 @@ mod sampler;
 mod stages;
 mod trace;
 
-pub mod export;
 pub mod exporter;
 
-pub use exporter::{Exporter, FieldDef, FieldKind, PrettyExporter, PrometheusExporter};
+pub use exporter::{Exporter, FieldDef, FieldKind, PrometheusExporter};
 pub use histogram::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, HistogramSnapshot, LatencyHistogram,
     N_BUCKETS,
 };
 pub use recorder::{EventKind, FlightRecorder, RuntimeEvent};
 pub use ring::{Packable, SeqRing};
-pub use sampler::{SampleRing, TelemetrySampler};
+pub use sampler::SampleRing;
 pub use stages::{OperatorTelemetry, OperatorTelemetrySnapshot, STAGE_NAMES};
 pub use trace::{
     chrome_trace_json, wall_micros, PendingTrace, Span, SpanRing, STAGE_BUFFER_WAIT,

@@ -190,7 +190,8 @@ impl FlightRecorder {
         next.is_none()
     }
 
-    /// JSON document for the `/events` scrape route:
+    /// JSON document for the `/events` scrape route and the stderr dump on
+    /// a quarantined frame:
     /// `{"events":[{"seq":..,"at_micros":..,"kind":"..","subject":..,"detail":..}]}`.
     pub fn to_json(&self) -> String {
         let events = self.ring.snapshot_indexed();
@@ -210,29 +211,6 @@ impl FlightRecorder {
             ));
         }
         out.push_str(&format!("],\"recorded\":{},\"dropped\":{}}}", self.events(), self.dropped()));
-        out
-    }
-
-    /// Human-readable dump, one line per event — what lands in stderr
-    /// when a job panics.
-    pub fn render(&self) -> String {
-        let events = self.ring.snapshot_indexed();
-        let mut out = String::with_capacity(32 + events.len() * 64);
-        out.push_str(&format!(
-            "flight recorder: {} events ({} recorded, {} dropped)\n",
-            events.len(),
-            self.events(),
-            self.dropped()
-        ));
-        for (seq, ev) in events {
-            out.push_str(&format!(
-                "  [{seq}] t={}us {} subject={} detail={}\n",
-                ev.at_micros,
-                ev.kind.as_str(),
-                ev.subject,
-                ev.detail
-            ));
-        }
         out
     }
 }
@@ -306,15 +284,6 @@ mod tests {
         assert!(json.contains("\"subject\":3"));
         assert!(json.contains("\"recorded\":1"));
         assert!(json.ends_with('}'));
-    }
-
-    #[test]
-    fn render_lists_events() {
-        let r = FlightRecorder::new(8);
-        r.record_at(5, EventKind::BreakerOpen, 2, 4);
-        let text = r.render();
-        assert!(text.contains("flight recorder: 1 events"));
-        assert!(text.contains("breaker_open subject=2 detail=4"));
     }
 
     #[test]

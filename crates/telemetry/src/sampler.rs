@@ -1,37 +1,29 @@
-//! Background time-series sampling.
+//! Time-series sampling.
 //!
 //! NEPTUNE's backpressure behavior (§III-B4, Fig. 4) is an *oscillation* —
 //! throughput rises and falls as the watermark gate opens and closes — and
-//! a single end-of-run number cannot show it. This module turns any
-//! cheap-to-take snapshot into a bounded in-memory time series.
+//! a single end-of-run number cannot show it. [`SampleRing`] turns any
+//! cheap-to-take snapshot into a bounded in-memory time series: a
+//! thread-safe ring of `(elapsed_micros, sample)` pairs that any scheduler
+//! can drive. The runtime's IO tier records into one from a periodic timer
+//! task, so a job's sampling costs a timer registration, not a thread.
 //!
-//! Two layers:
-//!
-//! * [`SampleRing`] — the storage: a thread-safe bounded ring of
-//!   `(elapsed_micros, sample)` pairs. Any scheduler can drive it; the
-//!   runtime's IO tier records into one from a periodic timer task, so a
-//!   job's sampling costs a timer registration instead of a dedicated
-//!   thread.
-//! * [`TelemetrySampler`] — the legacy self-threaded driver: spawns a
-//!   background thread that invokes a closure at a fixed interval and
-//!   records into its own ring. Kept for standalone use outside a runtime.
-//!
-//! Both are generic over the sample type so this crate stays free of
-//! job-level types; `neptune-core` instantiates them with its own
+//! The ring is generic over the sample type so this crate stays free of
+//! job-level types; `neptune-core` instantiates it with its own
 //! `TelemetrySample`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// A thread-safe bounded time series of `(elapsed_micros, sample)` pairs.
 ///
 /// Elapsed time is measured from ring construction; once `capacity`
 /// entries are retained the oldest drop first, and [`SampleRing::dropped`]
 /// counts every eviction — bounded retention is by design, but the loss
-/// is no longer silent (the counter surfaces in `ThreadModelStats` and
-/// all exporters).
+/// is not silent (the counter surfaces in `ThreadModelStats` and
+/// both exports).
 #[derive(Debug)]
 pub struct SampleRing<T> {
     series: Mutex<VecDeque<(u64, T)>>,
@@ -87,134 +79,9 @@ impl<T> SampleRing<T> {
     }
 }
 
-struct SamplerShared<T> {
-    ring: SampleRing<T>,
-    stop: AtomicBool,
-}
-
-/// A background thread sampling a closure into a bounded time series.
-pub struct TelemetrySampler<T: Send + 'static> {
-    shared: Arc<SamplerShared<T>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> TelemetrySampler<T> {
-    /// Start sampling `f` every `interval` into a ring of at most
-    /// `capacity` entries. One sample is taken immediately so even very
-    /// short runs produce a non-empty series.
-    pub fn start(
-        interval: Duration,
-        capacity: usize,
-        f: impl Fn() -> T + Send + 'static,
-    ) -> TelemetrySampler<T> {
-        let shared = Arc::new(SamplerShared {
-            ring: SampleRing::new(capacity),
-            stop: AtomicBool::new(false),
-        });
-        let worker = shared.clone();
-        let thread = std::thread::Builder::new()
-            .name("neptune-telemetry-sampler".to_string())
-            .spawn(move || loop {
-                worker.ring.record(f());
-                if worker.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                // Sleep in short slices so stop() is responsive even
-                // with a long sampling interval.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    if worker.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep((deadline - Instant::now()).min(Duration::from_millis(5)));
-                }
-            })
-            .expect("spawn telemetry sampler thread");
-        TelemetrySampler { shared, thread: Some(thread) }
-    }
-
-    /// Number of samples currently retained.
-    pub fn len(&self) -> usize {
-        self.shared.ring.len()
-    }
-
-    /// True when no samples have been taken yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy of the retained series as `(elapsed_micros, sample)` pairs in
-    /// chronological order.
-    pub fn series(&self) -> Vec<(u64, T)>
-    where
-        T: Clone,
-    {
-        self.shared.ring.series()
-    }
-
-    /// Stop the background thread. Idempotent; also invoked on drop.
-    pub fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl<T: Send + 'static> Drop for TelemetrySampler<T> {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn samples_at_interval_and_stops() {
-        let n = Arc::new(AtomicU64::new(0));
-        let src = n.clone();
-        let mut s = TelemetrySampler::start(Duration::from_millis(5), 1024, move || {
-            src.fetch_add(1, Ordering::Relaxed)
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        s.stop();
-        let series = s.series();
-        assert!(series.len() >= 3, "expected several samples, got {}", series.len());
-        // Chronological and strictly increasing sample values.
-        for w in series.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        let len_after_stop = s.len();
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(s.len(), len_after_stop, "no samples after stop");
-    }
-
-    #[test]
-    fn ring_is_bounded() {
-        let mut s = TelemetrySampler::start(Duration::from_micros(100), 8, || 0u8);
-        std::thread::sleep(Duration::from_millis(30));
-        s.stop();
-        assert!(s.len() <= 8);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn immediate_sample_on_start() {
-        let mut s = TelemetrySampler::start(Duration::from_secs(3600), 4, || 42u32);
-        // Give the thread a moment to run its first iteration.
-        for _ in 0..200 {
-            if !s.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(s.series().first().map(|(_, v)| *v), Some(42));
-        s.stop();
-    }
 
     #[test]
     fn standalone_ring_bounds_and_orders() {

@@ -1,8 +1,8 @@
 //! End-to-end telemetry integration: a relay job run with telemetry
 //! enabled must report per-operator end-to-end latency quantiles, the
 //! four-stage breakdown (buffer wait, transport, schedule delay,
-//! execution), a non-empty sampler time series, and snapshots in all
-//! three export formats.
+//! execution), a non-empty sampler time series, and snapshots in both
+//! export formats.
 //!
 //! The latency test pins down the Fig. 2 invariant: with a buffer far too
 //! large to fill, *only the flush timer moves packets*, so observed
@@ -11,6 +11,9 @@
 //! cost of application-level buffering (§III-B1).
 
 use neptune::prelude::*;
+
+#[path = "support/prometheus_lint.rs"]
+mod prometheus_lint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,7 +115,7 @@ fn flush_timer_bounds_p99_latency() {
 }
 
 #[test]
-fn telemetry_reports_breakdown_sampler_and_all_export_formats() {
+fn telemetry_reports_breakdown_sampler_and_both_export_formats() {
     let seen = Arc::new(AtomicU64::new(0));
     let n = 20_000u64;
     let graph = relay_graph(n, Duration::ZERO, seen.clone());
@@ -155,11 +158,7 @@ fn telemetry_reports_breakdown_sampler_and_all_export_formats() {
     let (_, last) = snap.series.last().unwrap();
     assert_eq!(last.queues.len(), 2);
 
-    // All three export formats are non-empty and structurally sound.
-    let pretty = snap.render_pretty();
-    assert!(pretty.contains("operator relay"));
-    assert!(pretty.contains("p99="));
-
+    // Both export formats are non-empty and structurally sound.
     let doc = neptune::core::json::parse(&snap.to_json()).expect("JSON export parses");
     let relay = doc.get("operators").unwrap().get("relay").unwrap();
     assert!(relay.get("e2e").unwrap().get("p99_micros").unwrap().as_u64().is_some());
@@ -316,10 +315,8 @@ fn final_metrics_keep_what_the_last_live_read_saw() {
     );
 }
 
-/// Satellite (c): lint the Prometheus exposition itself. Every sample
-/// line must parse as `name[{labels}] value`, every series must be
-/// TYPE-declared exactly once and *before* its first sample, and TYPE
-/// kinds must be legal.
+/// Lint the Prometheus exposition of a live job with every optional
+/// section on (see [`prometheus_lint::lint_exposition`] for the rules).
 #[test]
 fn prometheus_exposition_lint() {
     let seen = Arc::new(AtomicU64::new(0));
@@ -336,57 +333,10 @@ fn prometheus_exposition_lint() {
     let snap = job.telemetry().expect("telemetry enabled");
     job.stop();
 
-    let text = snap.render_prometheus();
-    assert!(text.ends_with('\n'), "exposition must end with a newline");
-    let mut declared: std::collections::BTreeMap<String, usize> = Default::default();
-    let mut sampled: std::collections::BTreeSet<String> = Default::default();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().expect("TYPE without name").to_string();
-            let kind = it.next().expect("TYPE without kind");
-            assert!(
-                matches!(kind, "counter" | "gauge" | "summary" | "histogram"),
-                "illegal TYPE {kind:?} for {name}"
-            );
-            assert!(it.next().is_none(), "trailing tokens in {line:?}");
-            assert!(!sampled.contains(&name), "{name}: TYPE declared after first sample");
-            *declared.entry(name).or_default() += 1;
-        } else if !line.starts_with('#') && !line.is_empty() {
-            let (series, value) = line.rsplit_once(' ').expect("sample line needs a value");
-            value.parse::<f64>().unwrap_or_else(|_| panic!("unparsable value in {line:?}"));
-            let name = series.split('{').next().unwrap();
-            assert!(
-                name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "bad metric name {name:?}"
-            );
-            if let Some(idx) = series.find('{') {
-                assert!(series.ends_with('}'), "unterminated label block in {line:?}");
-                for pair in series[idx + 1..series.len() - 1].split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair.split_once('=').expect("label must be k=\"v\"");
-                    assert!(k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-                    assert!(
-                        v.starts_with('"') && v.ends_with('"') && v.len() >= 2,
-                        "unquoted label value in {line:?}"
-                    );
-                }
-            }
-            // Summaries sample through name_sum / name_count companions.
-            let base = if declared.contains_key(name) {
-                name
-            } else {
-                name.strip_suffix("_sum").or_else(|| name.strip_suffix("_count")).unwrap_or(name)
-            };
-            assert!(declared.contains_key(base), "{name}: sample without a TYPE declaration");
-            sampled.insert(base.to_string());
-        }
-    }
-    for (name, count) in &declared {
-        assert_eq!(*count, 1, "{name}: TYPE declared {count} times");
-    }
+    let declared = prometheus_lint::lint_exposition(&snap.render_prometheus());
     // The observability families from this PR are present.
     for family in ["neptune_trace_spans_total", "neptune_sampler_dropped_total"] {
-        assert!(declared.contains_key(family), "missing family {family}");
+        assert!(declared.contains(family), "missing family {family}");
     }
     // With checkpointing enabled, the whole checkpoint family must be
     // declared and pass the same lint as everything else.
@@ -400,6 +350,6 @@ fn prometheus_exposition_lint() {
         "neptune_checkpoint_duration_micros",
         "neptune_checkpoint_size_bytes",
     ] {
-        assert!(declared.contains_key(family), "missing family {family}");
+        assert!(declared.contains(family), "missing family {family}");
     }
 }
