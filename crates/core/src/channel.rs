@@ -210,8 +210,11 @@ impl ChannelEndpoint {
     fn after_push(&self, buf: &mut OutputBuffer, outcome: PushOutcome) -> Result<(), EmitError> {
         match outcome {
             PushOutcome::Buffered => {
-                let was_empty = !self.has_data.swap(true, Ordering::AcqRel);
-                if was_empty {
+                // The buffer lock is held and the buffer knows the
+                // empty → non-empty edge: only that push touches the flag
+                // and the flush task, every other push just appends.
+                if buf.buffered_count() == 1 {
+                    self.has_data.store(true, Ordering::Release);
                     if let Some(waker) = self.flush_waker.read().as_ref() {
                         waker();
                     }
@@ -520,6 +523,47 @@ mod tests {
         assert!(ep.has_data.load(Ordering::Acquire), "push must raise the flag");
         ep.force_flush().unwrap();
         assert!(!ep.has_data.load(Ordering::Acquire), "flush must clear the flag");
+    }
+
+    #[test]
+    fn has_data_mirrors_the_buffer_and_the_waker_fires_once_per_edge() {
+        use std::sync::atomic::AtomicU64;
+        let (ep, q) = make_inproc_endpoint(64);
+        let wakes = Arc::new(AtomicU64::new(0));
+        let w = wakes.clone();
+        ep.set_flush_waker(move || {
+            w.fetch_add(1, Ordering::Relaxed);
+        });
+        // The flag is true exactly while the buffer holds a message.
+        let check = |edges: u64, what: &str| {
+            let buffered = ep.buffer.lock().buffered_count();
+            assert_eq!(ep.has_data.load(Ordering::Acquire), buffered > 0, "{what}");
+            assert_eq!(wakes.load(Ordering::Relaxed), edges, "waker count {what}");
+        };
+        check(0, "fresh");
+        ep.push(&[0u8; 10]).unwrap();
+        check(1, "first push is the edge");
+        ep.push(&[0u8; 10]).unwrap();
+        ep.push_preencoded(&[2, 0, 0, 0, 9, 9]).unwrap();
+        check(1, "later pushes only append");
+        ep.push(&[0u8; 40]).unwrap(); // 14 + 14 + 6 + 44 >= 64: capacity flush
+        check(1, "capacity flush empties");
+        assert_eq!(q.pop().unwrap().messages.len(), 4);
+        ep.push(&[0u8; 100]).unwrap(); // flushes by itself: never buffered
+        check(1, "a push that flushes alone is no edge");
+        ep.push(b"timer").unwrap();
+        check(2, "second edge");
+        std::thread::sleep(std::time::Duration::from_millis(8));
+        ep.flush_if_due(Instant::now()).unwrap();
+        check(2, "timer flush empties");
+        ep.push(b"forced").unwrap();
+        check(3, "third edge");
+        ep.force_flush().unwrap();
+        check(3, "force_flush empties");
+        ep.push(b"before the barrier").unwrap();
+        check(4, "fourth edge");
+        ep.barrier(1).unwrap();
+        check(4, "barrier flushes what it sits behind");
     }
 
     #[test]

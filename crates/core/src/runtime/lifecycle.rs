@@ -58,9 +58,9 @@ impl JobHandle {
             if Instant::now() >= deadline {
                 return false;
             }
-            // Pump progress cuts the wait short; otherwise re-check after
-            // a bounded pause.
-            self.progress.wait_for(Duration::from_micros(500));
+            // A finishing pump cuts the wait short; otherwise re-check
+            // after a bounded pause.
+            self.pump_gauge.wait_change(Duration::from_micros(500));
         }
     }
 

@@ -58,7 +58,7 @@ use neptune_net::tcp::TcpReceiver;
 use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::{FlightRecorder, RuntimeEvent, SampleRing, SpanRing};
 use parking_lot::Mutex;
-use pumps::{ProgressSignal, PumpGauge};
+use pumps::PumpGauge;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -108,12 +108,11 @@ impl LocalRuntime {
 /// A running NEPTUNE job.
 pub struct JobHandle {
     stop_flag: Arc<AtomicBool>,
-    /// Live-pump counter with condvar waiting (`await_sources`).
+    /// Live-pump counter and the job's one lifecycle condvar: pumps notify
+    /// it when they finish, `await_sources` and `settle` wait on it.
     pump_gauge: Arc<PumpGauge>,
     /// IO-task handles of every source pump, for the stop-time wake sweep.
     pump_handles: Vec<IoTaskHandle>,
-    /// Edge-triggered progress signal pumps notify on emit/finish.
-    progress: Arc<ProgressSignal>,
     /// The job's IO tier; `None` only after `stop` has consumed it.
     io_pool: Option<IoPool>,
     /// The network reactor serving readiness events to TCP IO tasks;
@@ -539,6 +538,50 @@ mod tests {
         assert_eq!((bare.0, bare.1), (n, n));
         assert_eq!(bare, supervised, "both branches consult the hook and count alike");
         assert!(bare.2 < n / 10, "frames, not packets: {}", bare.2);
+    }
+
+    #[test]
+    fn an_undecodable_message_counts_the_same_bare_and_supervised() {
+        // A source that stays quiet: the only frame the sink sees is the
+        // one pushed through the source's endpoint below, holding a
+        // message no codec wrote.
+        struct Silent;
+        impl crate::operator::StreamSource for Silent {
+            fn next(&mut self, _ctx: &mut OperatorContext) -> SourceStatus {
+                SourceStatus::Idle
+            }
+        }
+        let run = |containment: crate::config::ContainmentConfig| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let sum = Arc::new(AtomicU64::new(0));
+            let (s2, m2) = (seen.clone(), sum.clone());
+            let graph = GraphBuilder::new("bad-message")
+                .source("sender", || Silent)
+                .processor("receiver", move || SinkCollect { seen: s2.clone(), sum: m2.clone() })
+                .link("sender", "receiver", PartitioningScheme::Shuffle)
+                .build()
+                .unwrap();
+            let config = RuntimeConfig { containment, ..Default::default() };
+            let job = LocalRuntime::new(config).submit(graph).unwrap();
+            let good = |n: u64| {
+                let mut p = StreamPacket::new();
+                p.push_field("n", FieldValue::U64(n));
+                crate::codec::PacketCodec::new().encode(&p).unwrap()
+            };
+            let ep = &job.shared.endpoints[0];
+            for message in [good(1), vec![0xFF; 3], good(2)] {
+                ep.push(&message).unwrap();
+            }
+            ep.force_flush().unwrap();
+            assert!(wait_for(Duration::from_secs(10), || seen.load(Ordering::Relaxed) == 2));
+            let m = job.stop().operator("receiver");
+            assert_eq!(sum.load(Ordering::Relaxed), 3, "both good packets, whole");
+            (m.frames_in, m.packets_in, m.seq_violations)
+        };
+        let bare = run(crate::config::ContainmentConfig::default());
+        let supervised = run(crate::config::ContainmentConfig::enabled());
+        assert_eq!(bare, (1, 2, 1), "one frame, two packets, one undecodable message");
+        assert_eq!(bare, supervised);
     }
 
     #[test]

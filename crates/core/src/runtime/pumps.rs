@@ -15,7 +15,11 @@
 //!   timer wheel (no scan tick, no half-interval firing error);
 //! * the barrier timer and the sampler are periodic timer registrations.
 //!
-//! Idle cost is therefore O(io_threads), not O(sources).
+//! Idle cost is therefore O(io_threads), not O(sources). Busy cost is per
+//! packet only for the packet itself: inside its emit loop a pump reads
+//! two flags, the clock and each downstream gate's lock-free mirror, and
+//! calls the source; it signals nobody and takes no lock but its own
+//! endpoint's. The one condvar ([`PumpGauge`]) fires when a pump finishes.
 
 use super::JobShared;
 use crate::channel::ChannelEndpoint;
@@ -44,8 +48,11 @@ pub(crate) const EMIT_BUDGET: usize = 64;
 /// flush deadline — for a whole emit budget.
 pub(crate) const STINT_BUDGET: Duration = Duration::from_millis(1);
 
-/// Counts live source pumps and lets `await_sources` block on zero without
-/// polling: `dec` notifies, waiters sleep on the condvar.
+/// Counts live source pumps and is the job's one lifecycle signal: `dec`
+/// notifies, `await_sources` sleeps on zero and `settle` paces its
+/// re-checks on the same condvar. Nothing signals per packet — a job whose
+/// sources are still emitting cannot settle, and an unheard notify is a
+/// futex syscall all the same.
 #[derive(Default)]
 pub(crate) struct PumpGauge {
     count: Mutex<usize>,
@@ -83,29 +90,11 @@ impl PumpGauge {
         }
         true
     }
-}
 
-/// Edge-triggered "the job made progress" signal: pumps notify on emit and
-/// on completion, `settle` waits on it instead of sleeping blind.
-#[derive(Default)]
-pub(crate) struct ProgressSignal {
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl ProgressSignal {
-    pub(crate) fn new() -> Self {
-        ProgressSignal::default()
-    }
-
-    pub(crate) fn notify(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Wait for a notification, at most `timeout`.
-    pub(crate) fn wait_for(&self, timeout: Duration) {
-        let mut g = self.lock.lock();
-        self.cv.wait_for(&mut g, timeout);
+    /// Sleep until a pump finishes, at most `timeout`.
+    pub(crate) fn wait_change(&self, timeout: Duration) {
+        let mut c = self.count.lock();
+        self.cv.wait_for(&mut c, timeout);
     }
 }
 
@@ -129,7 +118,6 @@ pub(crate) struct SourcePump {
     pub(crate) ctx: OperatorContext,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) gauge: Arc<PumpGauge>,
-    pub(crate) progress: Arc<ProgressSignal>,
     /// Downstream in-process watermark queues; when any is gated the pump
     /// parks and the queue's gate-release listener wakes it (IO-tier
     /// admission control).
@@ -168,7 +156,6 @@ impl SourcePump {
                 }
             }
             self.gauge.dec();
-            self.progress.notify();
         }
         IoStatus::Complete
     }
@@ -277,10 +264,7 @@ impl SourcePump {
                 return IoStatus::Park;
             }
             match self.source.next(&mut self.ctx) {
-                SourceStatus::Emitted(_) => {
-                    self.idle_backoff = MIN_IDLE_BACKOFF;
-                    self.progress.notify();
-                }
+                SourceStatus::Emitted(_) => self.idle_backoff = MIN_IDLE_BACKOFF,
                 SourceStatus::Idle => {
                     let backoff = self.idle_backoff;
                     self.idle_backoff = (self.idle_backoff * 2).min(MAX_IDLE_BACKOFF);
@@ -289,8 +273,9 @@ impl SourcePump {
                 SourceStatus::Exhausted => return self.finish(),
             }
         }
-        // Budget exhausted: requeue at the back so pumps share IO threads
-        // fairly even when every source is saturated.
+        // Budget exhausted: yield, so pumps share IO threads fairly even
+        // when every source is saturated. With nothing else queued the
+        // pool runs this pump again at once, on this thread.
         IoStatus::Ready
     }
 }

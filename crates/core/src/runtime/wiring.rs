@@ -2,7 +2,7 @@
 //! and the IO tier (pumps, flush tasks, barrier timer, sampler).
 
 use super::pumps::{
-    BarrierTimerTask, FlushTask, ProgressSignal, PumpGauge, SamplerTask, SourceBarrier, SourcePump,
+    BarrierTimerTask, FlushTask, PumpGauge, SamplerTask, SourceBarrier, SourcePump,
 };
 use super::scrape::{ScrapeRoutes, ScrapeTask};
 use super::{JobHandle, JobShared, SubmitError};
@@ -26,7 +26,7 @@ use neptune_granules::{
 use neptune_link::{Link, LinkBuilder, ReconnectPolicy};
 use neptune_net::buffer::OutputBuffer;
 use neptune_net::flush::FlushPolicy;
-use neptune_net::frame::{ControlKind, Frame};
+use neptune_net::frame::{ControlKind, Frame, FrameMessages};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
 use neptune_net::watermark::{ShedConfig, WatermarkConfig, WatermarkQueue};
@@ -379,31 +379,18 @@ impl ProcessorTask {
             }
         }
         let span_start = traced.map(|_| Instant::now());
-        match &self.supervision {
-            // An operator that forwards encoded batches claims the frame
-            // whole: nothing is decoded, so there is no per-packet e2e
-            // sample either — only the frame-level stages above.
-            None if self.processor.process_encoded(&frame.messages, &mut self.ctx) => {
-                self.counters.packets_in.fetch_add(frame.messages.len() as u64, Ordering::Relaxed);
-            }
-            None => {
-                for message in &frame.messages {
-                    match self.codec.decode_into(message, &mut self.workhorse) {
-                        Ok(()) => {
-                            self.counters.packets_in.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = &self.telemetry {
-                                if let Some(ts) = self.workhorse.source_timestamp() {
-                                    t.e2e.record(now.saturating_sub(ts));
-                                }
-                            }
-                            self.processor.process(&self.workhorse, &mut self.ctx);
-                        }
-                        Err(_) => {
-                            self.counters.seq_violations.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
+        // The frame is the unit of accounting in both arms: packets are
+        // counted locally while it decodes and published once below.
+        let counted = match &self.supervision {
+            None => Some(run_frame(
+                self.processor.as_mut(),
+                &mut self.ctx,
+                &mut self.codec,
+                &mut self.workhorse,
+                self.telemetry.as_deref(),
+                &frame.messages,
+                now,
+            )),
             Some(sup) => {
                 // The frame is the poison unit: the whole message
                 // loop runs under the supervisor so a panic anywhere
@@ -416,44 +403,27 @@ impl ProcessorTask {
                 let ctx = &mut self.ctx;
                 let workhorse = &mut self.workhorse;
                 let codec = &mut self.codec;
-                let telemetry = &self.telemetry;
-                let frame_ref = &frame;
+                let telemetry = self.telemetry.as_deref();
+                let messages = &frame.messages;
                 let outcome = sup.supervisor.run_batch(
                     || {
-                        if processor.process_encoded(&frame_ref.messages, ctx) {
-                            return (frame_ref.messages.len() as u64, 0);
-                        }
-                        let mut decoded = 0u64;
-                        let mut bad = 0u64;
-                        for message in &frame_ref.messages {
-                            match codec.decode_into(message, workhorse) {
-                                Ok(()) => {
-                                    decoded += 1;
-                                    if let Some(t) = telemetry {
-                                        if let Some(ts) = workhorse.source_timestamp() {
-                                            t.e2e.record(now.saturating_sub(ts));
-                                        }
-                                    }
-                                    processor.process(workhorse, ctx);
-                                }
-                                Err(_) => bad += 1,
-                            }
-                        }
-                        (decoded, bad)
+                        run_frame(
+                            processor.as_mut(),
+                            ctx,
+                            codec,
+                            workhorse,
+                            telemetry,
+                            messages,
+                            now,
+                        )
                     },
                     |attempt| sup.backoff.delay_for(attempt),
                 );
-                match outcome {
-                    SupervisedOutcome::Completed((decoded, bad)) => {
-                        self.counters.packets_in.fetch_add(decoded, Ordering::Relaxed);
-                        if bad > 0 {
-                            self.counters.seq_violations.fetch_add(bad, Ordering::Relaxed);
-                        }
-                    }
-                    SupervisedOutcome::Rejected => {
-                        // Breaker open: drain-and-drop keeps the
-                        // queue moving so the upstream gate reopens.
-                    }
+                let counted = match outcome {
+                    SupervisedOutcome::Completed(counted) => Some(counted),
+                    // Breaker open: drain-and-drop keeps the queue
+                    // moving so the upstream gate reopens.
+                    SupervisedOutcome::Rejected => None,
                     SupervisedOutcome::Quarantined { panic_msg, attempts, .. } => {
                         let rec = &self.recorder;
                         rec.record(EventKind::Panic, frame.link_id, attempts as u64);
@@ -488,8 +458,9 @@ impl ProcessorTask {
                             bytes,
                             original_len,
                         });
+                        None
                     }
-                }
+                };
                 // The per-operator supervisor (shared by all
                 // instances) is the source of truth for containment
                 // counters; mirror its monotonic totals into the
@@ -500,6 +471,13 @@ impl ProcessorTask {
                 self.counters.quarantined.store(stats.quarantined, Ordering::Relaxed);
                 self.counters.breaker_trips.store(stats.breaker_trips, Ordering::Relaxed);
                 self.counters.breaker_dropped.store(stats.breaker_rejected, Ordering::Relaxed);
+                counted
+            }
+        };
+        if let Some((decoded, undecodable)) = counted {
+            self.counters.packets_in.fetch_add(decoded, Ordering::Relaxed);
+            if undecodable > 0 {
+                self.counters.seq_violations.fetch_add(undecodable, Ordering::Relaxed);
             }
         }
         if let Some((t0, id)) = span_start.zip(traced) {
@@ -517,6 +495,42 @@ impl ProcessorTask {
         // frames still share the buffer.
         self.pool.recycle(frame.messages.into_batch());
     }
+}
+
+/// Run one admitted frame through the processor — the loop the bare and
+/// the supervised arm of [`ProcessorTask::process_frame`] share. Returns
+/// `(packets decoded, messages that failed to decode)`; the caller
+/// publishes both once per frame. An operator that forwards encoded
+/// batches claims the frame whole: nothing is decoded, so there is no
+/// per-packet e2e sample either — only the frame-level stages.
+fn run_frame(
+    processor: &mut dyn StreamProcessor,
+    ctx: &mut OperatorContext,
+    codec: &mut PacketCodec,
+    workhorse: &mut StreamPacket,
+    telemetry: Option<&OperatorTelemetry>,
+    messages: &FrameMessages,
+    now: u64,
+) -> (u64, u64) {
+    if processor.process_encoded(messages, ctx) {
+        return (messages.len() as u64, 0);
+    }
+    let (mut decoded, mut undecodable) = (0u64, 0u64);
+    for message in messages {
+        match codec.decode_into(message, workhorse) {
+            Ok(()) => {
+                decoded += 1;
+                if let Some(t) = telemetry {
+                    if let Some(ts) = workhorse.source_timestamp() {
+                        t.e2e.record(now.saturating_sub(ts));
+                    }
+                }
+                processor.process(workhorse, ctx);
+            }
+            Err(_) => undecodable += 1,
+        }
+    }
+    (decoded, undecodable)
 }
 
 impl ComputationalTask for ProcessorTask {
@@ -931,7 +945,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
 
     // ---- Source pumps: cooperatively scheduled IO tasks. ----
     let pump_gauge = Arc::new(PumpGauge::new());
-    let progress = Arc::new(ProgressSignal::new());
     let mut pump_handles: Vec<IoTaskHandle> = Vec::new();
     for (oi, op) in graph.operators().iter().enumerate() {
         let Factory::Source(factory) = &op.factory else {
@@ -963,7 +976,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 ctx,
                 stop: stop_flag.clone(),
                 gauge: pump_gauge.clone(),
-                progress: progress.clone(),
                 gates: gates.clone(),
                 idle_backoff: super::pumps::MIN_IDLE_BACKOFF,
                 opened: false,
@@ -1077,7 +1089,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         stop_flag,
         pump_gauge,
         pump_handles,
-        progress,
         io_pool: Some(io_pool),
         reactor: net_driver.map(|(_, r)| r),
         resources,

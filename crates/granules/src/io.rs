@@ -11,7 +11,11 @@
 //! ([`IoStatus::Complete`]). Parked tasks cost *nothing* — no thread, no
 //! poll — until an event ([`IoTaskHandle::wake`]) or the pool's
 //! [`TimerWheel`] re-queues them, which is what lets one node host hundreds
-//! of idle sources on a handful of threads.
+//! of idle sources on a handful of threads. A *busy* task is as cheap to
+//! keep going: a `Ready` task with nothing queued behind it runs again on
+//! the thread it is on, and the ready queue signals its condvar only when
+//! a thread is asleep there — the queue and the futex are paid when work
+//! changes hands, not once per stint.
 //!
 //! Wake/park races are resolved by a per-task atomic state machine
 //! (PARKED / QUEUED / RUNNING / NOTIFIED / DONE): a wake that arrives while
@@ -29,7 +33,9 @@ use std::time::{Duration, Instant};
 /// What an [`IoTask`] wants after a run stint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoStatus {
-    /// More work immediately available: re-queue at the back (fairness).
+    /// More work immediately available. The task runs again at once, on
+    /// the same thread, when nothing else is queued; otherwise it is
+    /// re-queued at the back (fairness).
     Ready,
     /// Nothing to do until an external [`IoTaskHandle::wake`].
     Park,
@@ -169,8 +175,17 @@ pub struct IoPoolStats {
     pub timer_fires: u64,
 }
 
+/// The ready queue and, under the same lock, how many IO threads are
+/// asleep on the pool's condvar — so an enqueue signals only a thread that
+/// is there to hear it.
+#[derive(Default)]
+struct ReadyQueue {
+    tasks: VecDeque<Arc<IoSlot>>,
+    parked_threads: usize,
+}
+
 struct IoPoolInner {
-    queue: Mutex<VecDeque<Arc<IoSlot>>>,
+    queue: Mutex<ReadyQueue>,
     cv: Condvar,
     shutdown: AtomicBool,
     live: AtomicUsize,
@@ -187,15 +202,23 @@ struct IoPoolInner {
 
 impl IoPoolInner {
     fn enqueue(&self, slot: Arc<IoSlot>) {
-        self.queue.lock().push_back(slot);
-        self.cv.notify_one();
+        // A thread checks the queue under this lock before it sleeps, so
+        // with none asleep every thread will still see the task.
+        let wake = {
+            let mut q = self.queue.lock();
+            q.tasks.push_back(slot);
+            q.parked_threads > 0
+        };
+        if wake {
+            self.cv.notify_one();
+        }
     }
 
     fn stats(&self) -> IoPoolStats {
         IoPoolStats {
             io_threads: self.threads,
             live_tasks: self.live.load(Ordering::Relaxed),
-            queued_tasks: self.queue.lock().len(),
+            queued_tasks: self.queue.lock().tasks.len(),
             parks: self.parks.load(Ordering::Relaxed),
             wakes: self.wakes.load(Ordering::Relaxed),
             polls: self.polls.load(Ordering::Relaxed),
@@ -276,7 +299,7 @@ impl IoPool {
         let threads = threads.max(1);
         let timer = TimerWheel::start();
         let inner = Arc::new(IoPoolInner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(ReadyQueue::default()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -365,13 +388,18 @@ impl IoPool {
             let handle = IoTaskHandle { slot: slot.clone(), pool: Arc::downgrade(&self.inner) };
             handle.wake();
         }
-        self.inner.cv.notify_all();
+        // Under the queue lock: a thread reads the flag and goes to sleep
+        // under it, so none can slip between the two and miss this.
+        {
+            let _q = self.inner.queue.lock();
+            self.inner.cv.notify_all();
+        }
         for t in self.joins.drain(..) {
             let _ = t.join();
         }
         // Anything still queued (e.g. woken after the threads decided to
         // exit) is retired synchronously so the queue ends empty.
-        let leftovers: Vec<Arc<IoSlot>> = self.inner.queue.lock().drain(..).collect();
+        let leftovers: Vec<Arc<IoSlot>> = self.inner.queue.lock().tasks.drain(..).collect();
         for slot in leftovers {
             slot.retire(false);
             self.inner.live.fetch_sub(1, Ordering::Relaxed);
@@ -394,17 +422,25 @@ impl Drop for IoPool {
 }
 
 fn io_loop(inner: Arc<IoPoolInner>) {
+    // A task that returned `Ready` to an empty queue: it runs again here
+    // without a trip through the queue or the condvar.
+    let mut again: Option<Arc<IoSlot>> = None;
     loop {
-        let slot = {
-            let mut q = inner.queue.lock();
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
+        let slot = match again.take() {
+            Some(s) => s,
+            None => {
+                let mut q = inner.queue.lock();
+                loop {
+                    if let Some(s) = q.tasks.pop_front() {
+                        break s;
+                    }
+                    if inner.shutdown.load(Ordering::Acquire) {
+                        return;
+                    }
+                    q.parked_threads += 1;
+                    inner.cv.wait(&mut q);
+                    q.parked_threads -= 1;
                 }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                inner.cv.wait(&mut q);
             }
         };
         let shutting = inner.shutdown.load(Ordering::Acquire);
@@ -425,8 +461,15 @@ fn io_loop(inner: Arc<IoPoolInner>) {
         }
         match status {
             IoStatus::Ready => {
-                slot.state.store(ST_QUEUED, Ordering::Release);
-                inner.enqueue(slot);
+                // Silent only when the queue is empty: a task kept off the
+                // queue behind one that then blocks this thread would be
+                // stranded where no idle thread can see it.
+                if inner.queue.lock().tasks.is_empty() {
+                    again = Some(slot);
+                } else {
+                    slot.state.store(ST_QUEUED, Ordering::Release);
+                    inner.enqueue(slot);
+                }
             }
             IoStatus::Complete => {
                 slot.retire(true);
@@ -578,6 +621,111 @@ mod tests {
         }));
         assert!(a.load(Ordering::Relaxed) >= 200);
         assert!(b.load(Ordering::Relaxed) >= 200);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_lone_ready_task_stays_on_its_thread_and_off_the_queue() {
+        let mut pool = IoPool::new("t", 2);
+        // Runs `Ready` for ever; notes each stint whose thread differs from
+        // the one before.
+        struct Sticky {
+            stints: Arc<AtomicU64>,
+            migrations: Arc<AtomicU64>,
+            last: Option<std::thread::ThreadId>,
+        }
+        impl IoTask for Sticky {
+            fn run(&mut self, ctx: &IoContext) -> IoStatus {
+                if ctx.shutting_down() {
+                    return IoStatus::Complete;
+                }
+                let me = std::thread::current().id();
+                if self.last.replace(me).is_some_and(|prev| prev != me) {
+                    self.migrations.fetch_add(1, Ordering::Relaxed);
+                }
+                self.stints.fetch_add(1, Ordering::Relaxed);
+                IoStatus::Ready
+            }
+        }
+        let stints = Arc::new(AtomicU64::new(0));
+        let migrations = Arc::new(AtomicU64::new(0));
+        pool.spawn(Sticky { stints: stints.clone(), migrations: migrations.clone(), last: None });
+        let ran = |n: u64| {
+            wait_until(Instant::now() + Duration::from_secs(10), || {
+                stints.load(Ordering::Relaxed) >= n
+            })
+        };
+        assert!(ran(100), "warm-up");
+        let (warm, moved) = (pool.stats(), migrations.load(Ordering::Relaxed));
+        let target = stints.load(Ordering::Relaxed) + 10_000;
+        assert!(ran(target), "the task stopped running");
+        let after = pool.stats();
+        assert_eq!((after.parks, after.wakes), (warm.parks, warm.wakes), "a Ready task parked");
+        assert_eq!(after.queued_tasks, 0, "a lone Ready task must not sit in the queue");
+        assert_eq!(
+            migrations.load(Ordering::Relaxed),
+            moved,
+            "the idle thread was woken to take a task that never left its own"
+        );
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_ready_task_is_not_stranded_behind_a_task_that_blocks_its_thread() {
+        let mut pool = IoPool::new("t", 2);
+        // Sleeps on its thread when woken, and reports how many stints the
+        // Ready task got in meanwhile.
+        struct Blocker {
+            stints: Arc<AtomicU64>,
+            progress: Arc<AtomicU64>,
+        }
+        impl IoTask for Blocker {
+            fn run(&mut self, ctx: &IoContext) -> IoStatus {
+                if !ctx.shutting_down() {
+                    let before = self.stints.load(Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_millis(200));
+                    self.progress.store(
+                        (self.stints.load(Ordering::Relaxed) - before).max(1),
+                        Ordering::Release,
+                    );
+                }
+                IoStatus::Complete
+            }
+        }
+        // Always `Ready`; wakes the blocker from inside a stint, so the
+        // blocker is queued at the very moment this task's own thread
+        // looks for what to run next.
+        struct Busy {
+            stints: Arc<AtomicU64>,
+            blocker: Option<IoTaskHandle>,
+        }
+        impl IoTask for Busy {
+            fn run(&mut self, ctx: &IoContext) -> IoStatus {
+                if ctx.shutting_down() {
+                    return IoStatus::Complete;
+                }
+                if self.stints.fetch_add(1, Ordering::Relaxed) == 50 {
+                    self.blocker.take().expect("woken once").wake();
+                }
+                IoStatus::Ready
+            }
+        }
+        let stints = Arc::new(AtomicU64::new(0));
+        let progress = Arc::new(AtomicU64::new(0));
+        let blocker =
+            pool.spawn_parked(Blocker { stints: stints.clone(), progress: progress.clone() });
+        pool.spawn(Busy { stints: stints.clone(), blocker: Some(blocker) });
+        assert!(
+            wait_until(Instant::now() + Duration::from_secs(10), || {
+                progress.load(Ordering::Acquire) > 0
+            }),
+            "the blocker never ran"
+        );
+        assert!(
+            progress.load(Ordering::Acquire) > 100,
+            "the Ready task got {} stints while the other task held a thread for 200 ms",
+            progress.load(Ordering::Acquire)
+        );
         pool.shutdown();
     }
 

@@ -25,7 +25,7 @@
 use neptune_telemetry::{EventKind, FlightRecorder};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -233,6 +233,10 @@ struct QueueState<T> {
 /// Byte-weighted MPMC queue with high/low watermark flow control.
 pub struct WatermarkQueue<T: Weighted> {
     state: Mutex<QueueState<T>>,
+    /// Mirror of `QueueState::gated`, written under the state lock at each
+    /// transition ([`set_gated`](Self::set_gated)) so producers can poll
+    /// the gate per packet without taking the lock consumers pop under.
+    gated: AtomicBool,
     not_full: Condvar,
     not_empty: Condvar,
     config: WatermarkConfig,
@@ -277,6 +281,7 @@ impl<T: Weighted> WatermarkQueue<T> {
                 release_pending: false,
                 shed_rng: seed,
             }),
+            gated: AtomicBool::new(false),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             config,
@@ -343,8 +348,27 @@ impl<T: Weighted> WatermarkQueue<T> {
     }
 
     /// True while producers are gated (between high and low watermark).
+    ///
+    /// Lock-free. An open gate costs one load. "Gated" is the answer a
+    /// producer task parks on, so it is confirmed behind a `SeqCst` fence
+    /// paired with the one in [`set_gated`](Self::set_gated): either this
+    /// read sees the release, or the gate listener's wake (fired after the
+    /// release) sees the task running and flags it to run again — the
+    /// ordering the state lock used to give.
     pub fn is_gated(&self) -> bool {
-        self.state.lock().gated
+        if !self.gated.load(Ordering::Acquire) {
+            return false;
+        }
+        fence(Ordering::SeqCst);
+        self.gated.load(Ordering::Acquire)
+    }
+
+    /// Flip the gate: the locked flag and its lock-free mirror together.
+    fn set_gated(&self, st: &mut QueueState<T>, gated: bool) {
+        st.gated = gated;
+        st.gated_since = gated.then(Instant::now);
+        self.gated.store(gated, Ordering::Release);
+        fence(Ordering::SeqCst);
     }
 
     /// Items pushed over the queue's lifetime.
@@ -535,8 +559,7 @@ impl<T: Weighted> WatermarkQueue<T> {
         if st.gated && st.level <= self.config.low {
             let gated_for =
                 st.gated_since.map(|since| since.elapsed().as_micros() as u64).unwrap_or(0);
-            st.gated = false;
-            st.gated_since = None;
+            self.set_gated(st, false);
             st.release_pending = true;
             self.not_full.notify_all();
             self.record_event(EventKind::GateOpened, gated_for);
@@ -547,8 +570,7 @@ impl<T: Weighted> WatermarkQueue<T> {
         st.level += item.weight();
         st.items.push_back(item);
         if st.level >= self.config.high && !st.gated {
-            st.gated = true;
-            st.gated_since = Some(Instant::now());
+            self.set_gated(st, true);
             self.record_event(EventKind::GateClosed, st.level as u64);
         }
         self.pushed.fetch_add(1, Ordering::Relaxed);
@@ -957,6 +979,70 @@ mod tests {
         }
         assert!(shed_seen > 0, "at full occupancy the drop probability is ~1");
         assert_eq!(q.shed_total(), shed_seen);
+    }
+
+    /// The lock-free mirror and the locked flag, read together.
+    fn gate_views(q: &WatermarkQueue<Vec<u8>>) -> (bool, bool) {
+        let st = q.state.lock();
+        (q.gated.load(Ordering::Acquire), st.gated)
+    }
+
+    #[test]
+    fn lock_free_gate_agrees_with_locked_state_at_every_transition() {
+        let shed = ShedConfig::new(ShedPolicy::DropOldest, Duration::from_millis(5));
+        let q: WatermarkQueue<Vec<u8>> =
+            WatermarkQueue::with_shed(WatermarkConfig::new(100, 40), shed);
+        assert_eq!(gate_views(&q), (false, false));
+        q.push_blocking(item(60)).unwrap();
+        assert_eq!(gate_views(&q), (false, false), "below high");
+        q.push_blocking(item(60)).unwrap();
+        assert_eq!(gate_views(&q), (true, true), "push to high closes");
+        assert!(q.is_gated());
+        q.pop().unwrap();
+        assert_eq!(gate_views(&q), (true, true), "60 > low: still closed");
+        q.pop().unwrap();
+        assert_eq!(gate_views(&q), (false, false), "pop to low opens");
+        assert!(!q.is_gated());
+        // Evict-to-low: gated at 100, then a 90-byte push armed by the
+        // stall has to evict both queued items to fit (level 0 <= low).
+        q.push_blocking(item(50)).unwrap();
+        q.push_blocking(item(50)).unwrap();
+        assert_eq!(gate_views(&q), (true, true));
+        assert_eq!(q.push_blocking(item(90)).unwrap(), Pushed::Evicted(2));
+        assert_eq!(gate_views(&q), (false, false), "eviction to low opens");
+        // close() leaves the gate as it found it, in both views.
+        q.push_blocking(item(80)).unwrap();
+        assert_eq!(gate_views(&q), (true, true));
+        q.close();
+        assert_eq!(gate_views(&q), (true, true));
+        assert!(q.is_gated());
+    }
+
+    #[test]
+    fn lock_free_gate_tracks_the_lock_under_a_push_pop_hammer() {
+        let q = Arc::new(WatermarkQueue::<Vec<u8>>::new(WatermarkConfig::new(256, 64)));
+        const ITEMS: usize = 20_000;
+        let producer = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                for _ in 0..ITEMS {
+                    q.push_blocking(item(16)).unwrap();
+                }
+            })
+        };
+        let mut popped = 0;
+        while popped < ITEMS {
+            if q.pop_timeout(Duration::from_secs(5)).is_some() {
+                popped += 1;
+            }
+            // Both views under the lock: they may only ever differ while a
+            // transition holds it, which this read excludes.
+            let (mirror, locked) = gate_views(&q);
+            assert_eq!(mirror, locked, "mirror diverged after {popped} pops");
+        }
+        producer.join().unwrap();
+        assert!(q.gate_events() > 0, "the hammer never reached the high watermark");
+        assert_eq!(gate_views(&q), (false, false));
     }
 
     #[test]

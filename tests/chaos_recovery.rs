@@ -187,14 +187,25 @@ fn reactor_link_cut_replays_exactly_once_over_tcp() {
     for i in 0..TOTAL {
         if i == cut_at {
             // Sever every established connection server-side. The sender
-            // only learns when the reactor reports the socket closed.
-            rx.chaos_drop_connections();
+            // only learns when the reactor reports the socket closed. A
+            // cut that finds nothing accepted yet cuts nothing — a fast
+            // build's first hundred sends can outrun the acceptor task —
+            // so wait for a connection to sever.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while rx.chaos_drop_connections() == 0 {
+                assert!(std::time::Instant::now() < deadline, "seed {seed}: nothing to cut");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         let payload = i.to_le_bytes();
         let (encoded, count) = batch_of(&[&payload]);
         link.send_batch(i, encoded, count, 0, 0)
             .expect("link must recover within its retry budget");
-        if i % 7 == 6 {
+        // The last drain before the cut is skipped: a drain acks, and a
+        // cut landing on an empty replay buffer owes no retransmit — the
+        // `retransmits > 0` below needs a frame unacked when it fires.
+        let before_cut = i < cut_at && cut_at - i <= 7;
+        if i % 7 == 6 && !before_cut {
             drain(&mut delivered);
         }
     }

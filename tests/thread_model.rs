@@ -83,15 +83,22 @@ impl StreamSource for Burst {
     }
 }
 
-/// Never exhausts, never emits: exercises the idle-park path until the
-/// job is stopped.
+/// Never exhausts and, after `first` opening packets, never emits:
+/// exercises the idle-park path until the job is stopped.
 struct Quiet {
     stopped: Arc<AtomicBool>,
+    first: u64,
 }
 impl StreamSource for Quiet {
-    fn next(&mut self, _ctx: &mut OperatorContext) -> SourceStatus {
+    fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
         if self.stopped.load(Ordering::Acquire) {
             SourceStatus::Exhausted
+        } else if self.first > 0 {
+            self.first -= 1;
+            let mut p = StreamPacket::new();
+            p.push_field("n", FieldValue::U64(self.first));
+            ctx.emit(&p).unwrap();
+            SourceStatus::Emitted(1)
         } else {
             SourceStatus::Idle
         }
@@ -234,7 +241,7 @@ fn idle_thread_count_does_not_scale_with_sources() {
     ) -> JobHandle {
         let s = stopped.clone();
         let graph = GraphBuilder::new(name)
-            .source_n("src", sources, move || Quiet { stopped: s.clone() })
+            .source_n("src", sources, move || Quiet { stopped: s.clone(), first: 0 })
             .processor("sink", || Count(Arc::new(AtomicU64::new(0))))
             .link("src", "sink", PartitioningScheme::Shuffle)
             .build()
@@ -285,7 +292,7 @@ fn reactor_tcp_spawns_no_per_connection_threads() {
     let stopped = Arc::new(AtomicBool::new(false));
     let s = stopped.clone();
     let graph = GraphBuilder::new("tmr")
-        .source_n("src", 2, move || Quiet { stopped: s.clone() })
+        .source_n("src", 2, move || Quiet { stopped: s.clone(), first: 1 })
         .processor_n("relay", 2, || Forward)
         .processor("sink", move || Count(s2.clone()))
         .link("src", "relay", PartitioningScheme::Shuffle)
@@ -320,6 +327,14 @@ fn reactor_tcp_spawns_no_per_connection_threads() {
     }
     assert!(tm.net_connections > 0, "TCP links must register as open connections");
     assert!(tm.net_interests > 0, "sockets must be registered with the reactor");
+
+    // One packet per source across both TCP hops: the readiness events
+    // asserted below are then owed by the data path, not left to
+    // connection set-up racing `stop()`.
+    while seen.load(Ordering::Relaxed) < 2 {
+        assert!(std::time::Instant::now() < deadline, "packets stalled on the TCP hops");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     stopped.store(true, Ordering::Release);
     let metrics = job.stop();
@@ -429,4 +444,81 @@ fn single_io_thread_serves_full_job() {
     assert_eq!(metrics.thread_model.io_threads, 1);
     assert!(metrics.thread_model.io_parks > 0, "tasks never parked");
     assert!(metrics.thread_model.io_wakes > 0, "tasks never woke");
+}
+
+/// Nothing wakes `settle()` per emitted packet any more — only a
+/// finishing pump does, and a bounded re-check covers the rest. Once a
+/// finite stream has been consumed, `settle()` must still return at once,
+/// on one IO thread and on two.
+#[test]
+fn settle_is_prompt_without_a_per_emit_wake() {
+    const PACKETS: u64 = 100_000;
+    for io_threads in [1, 2] {
+        let seen = Arc::new(AtomicU64::new(0));
+        let s2 = seen.clone();
+        let graph = GraphBuilder::new(format!("tms{io_threads}"))
+            .source("src", || Burst { remaining: PACKETS })
+            .processor("relay", || Forward)
+            .processor("sink", move || Count(s2.clone()))
+            .link("src", "relay", PartitioningScheme::Shuffle)
+            .link("relay", "sink", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let config = RuntimeConfig { io_threads: Some(io_threads), ..Default::default() };
+        let job = LocalRuntime::new(config).submit(graph).unwrap();
+        assert!(job.await_sources(Duration::from_secs(30)), "source stalled");
+        // The stream's tail may still sit in a buffer; `settle` flushes it.
+        // Time only the call that finds the job already drained.
+        assert!(job.settle(Duration::from_secs(30)), "job did not drain");
+        assert_eq!(seen.load(Ordering::Relaxed), PACKETS, "packets lost");
+        let t = std::time::Instant::now();
+        assert!(job.settle(Duration::from_secs(5)), "a drained job must settle");
+        assert!(
+            t.elapsed() < Duration::from_millis(50),
+            "settle() of a drained job took {:?} at io_threads = {io_threads}",
+            t.elapsed()
+        );
+        job.stop();
+    }
+}
+
+/// A source that never idles keeps its pump `Ready` for ever; `stop()`
+/// must still cut it at the next packet and drain what is queued, on one
+/// IO thread (the pump shares it with the flush tasks) and on two.
+#[test]
+fn stop_of_a_saturating_job_returns_promptly() {
+    struct Saturate;
+    impl StreamSource for Saturate {
+        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+            let mut p = StreamPacket::new();
+            p.push_field("payload", FieldValue::Bytes(vec![7u8; 1024]));
+            ctx.emit(&p).unwrap();
+            SourceStatus::Emitted(1)
+        }
+    }
+    for io_threads in [1, 2] {
+        let seen = Arc::new(AtomicU64::new(0));
+        let s2 = seen.clone();
+        let graph = GraphBuilder::new(format!("tmq{io_threads}"))
+            .source("src", || Saturate)
+            .processor("relay", || Forward)
+            .processor("sink", move || Count(s2.clone()))
+            .link("src", "relay", PartitioningScheme::Shuffle)
+            .link("relay", "sink", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let config = RuntimeConfig { io_threads: Some(io_threads), ..Default::default() };
+        let job = LocalRuntime::new(config).submit(graph).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        let t = std::time::Instant::now();
+        let metrics = job.stop();
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "stop() took {:?} at io_threads = {io_threads}",
+            t.elapsed()
+        );
+        let emitted = metrics.operator("src").packets_out;
+        assert!(emitted > 0, "the source never ran");
+        assert_eq!(seen.load(Ordering::Relaxed), emitted, "stop() lost queued packets");
+    }
 }
