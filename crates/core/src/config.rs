@@ -157,8 +157,8 @@ impl TelemetryConfig {
 ///   dead-letter queue, and a per-operator circuit breaker
 ///   (Closed→Open→HalfOpen) drains-and-drops while an operator is sick so
 ///   upstream watermark gates never wedge. Off by default: a panic then
-///   unwinds to the worker pool exactly as before (batch lost, counter
-///   bumped).
+///   unwinds to the worker pool, which retires that operator instance and
+///   counts it (`worker_panics`); the job still stops.
 /// * `shed_policy` arms **SLO-driven load shedding** on the inbound
 ///   watermark queues, active only once a gate has been closed for longer
 ///   than `max_stall`. The default [`ShedPolicy::None`] preserves the

@@ -276,6 +276,9 @@ pub struct ContainmentStats {
     /// Panics caught by the worker pools themselves — the last-resort
     /// layer below supervision (a panic that unwound out of a task).
     pub worker_panics: u64,
+    /// The same on the IO tier: a pump, flush, socket or sampler task
+    /// that panicked and was retired.
+    pub io_task_panics: u64,
     /// Panicking executions caught by operator supervisors.
     pub panics: u64,
     /// Supervised retries after caught panics.
@@ -297,8 +300,9 @@ pub struct ContainmentStats {
 }
 
 impl ContainmentStats {
-    const FIELDS: [FieldDef; 10] = [
+    const FIELDS: [FieldDef; 11] = [
         counter("worker_panics", "neptune_worker_panics_total"),
+        counter("io_task_panics", "neptune_io_task_panics_total"),
         counter("panics", "neptune_containment_panics_total"),
         counter("retries", "neptune_containment_retries_total"),
         counter("quarantined", "neptune_containment_quarantined_total"),
@@ -318,6 +322,7 @@ impl ContainmentStats {
             &Self::FIELDS,
             &[
                 self.worker_panics,
+                self.io_task_panics,
                 self.panics,
                 self.retries,
                 self.quarantined,

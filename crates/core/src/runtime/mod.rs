@@ -50,7 +50,6 @@ use crate::metrics::{JobMetrics, MetricsRegistry, ThreadModelStats};
 use crate::telemetry::{QueueGauge, TelemetryHub, TelemetrySample, TelemetrySnapshot};
 use neptune_granules::{
     IoPool, IoPoolStats, IoSpawner, IoTaskHandle, Reactor, ReactorHandle, ReactorStats, Resource,
-    WorkerGauges,
 };
 use neptune_net::frame::Frame;
 use neptune_net::pool::BytesPool;
@@ -161,7 +160,7 @@ pub(crate) struct JobShared {
     /// Stat handles onto the execution plane; each reads zero once its
     /// tier has shut down.
     io: IoSpawner,
-    workers: Vec<WorkerGauges>,
+    workers: Vec<IoSpawner>,
     reactor: Option<ReactorHandle>,
 }
 
@@ -201,12 +200,12 @@ impl JobShared {
     }
 
     fn plane(&self) -> PlaneStats {
-        PlaneStats {
-            io: self.io.stats(),
-            worker_threads: self.workers.iter().map(|w| w.worker_count()).sum(),
-            worker_panics: self.workers.iter().map(|w| w.worker_panics()).sum(),
-            net: self.net_gauges(),
-        }
+        let (worker_threads, worker_panics) = self
+            .workers
+            .iter()
+            .map(|w| w.stats())
+            .fold((0, 0), |(threads, panics), w| (threads + w.io_threads, panics + w.panics));
+        PlaneStats { io: self.io.stats(), worker_threads, worker_panics, net: self.net_gauges() }
     }
 
     fn thread_model(&self, plane: &PlaneStats) -> ThreadModelStats {
@@ -242,6 +241,7 @@ impl JobShared {
         m.buffer_pool = self.pool.stats();
         m.thread_model = self.thread_model(plane);
         m.containment.worker_panics = plane.worker_panics;
+        m.containment.io_task_panics = plane.io.panics;
         for q in &self.queues {
             m.containment.shed_total += q.shed_total();
             m.containment.shed_bytes += q.shed_bytes();
@@ -1013,6 +1013,41 @@ mod tests {
         assert!(tm.io_polls > 0, "pumps never ran");
         assert!(tm.io_parks > 0, "pumps never parked");
         assert!(tm.io_wakes > 0, "pumps never woke");
+    }
+
+    #[test]
+    fn a_processor_only_burst_moves_no_io_tier_gauge() {
+        // Both tiers are instances of one executor; the `io_*` and timer
+        // gauges must go on reading the IO tier's instance alone.
+        let graph = GraphBuilder::new("burst")
+            .source("src", || CountingSource { remaining: 10, next_val: 0 })
+            .processor("sink", || Forward)
+            .link("src", "sink", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let job = LocalRuntime::new(RuntimeConfig::default()).submit(graph).unwrap();
+        assert!(job.await_sources(Duration::from_secs(30)));
+        assert!(job.settle(Duration::from_secs(10)));
+        let io_tier = |tm: ThreadModelStats| {
+            (
+                (tm.io_polls, tm.io_parks, tm.io_wakes, tm.timer_fires),
+                (tm.live_io_tasks, tm.queued_io_tasks, tm.timer_depth),
+            )
+        };
+        // With its source exhausted the IO tier is at rest; whatever moves
+        // from here on is the worker tier's doing.
+        let before = job.thread_model();
+        let executed = job.metrics().operator("sink").executions;
+        let sink = &job.processor_handles[0].1[0];
+        for _ in 0..10_000 {
+            sink.signal();
+        }
+        for r in &job.resources {
+            r.drain();
+        }
+        assert!(job.metrics().operator("sink").executions > executed, "the burst never ran");
+        assert_eq!(io_tier(job.thread_model()), io_tier(before));
+        job.stop();
     }
 
     #[test]

@@ -673,6 +673,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     // ---- The IO tier: one event-driven pool for every background duty,
     // created before any socket so TCP tasks can land on it. ----
     let io_pool = IoPool::new(graph.name(), config.io_threads.unwrap_or_else(auto_io_threads));
+    io_pool.attach_recorder(recorder.clone());
 
     // ---- The network reactor: every TCP acceptor/connection/sender runs
     // as an IO-pool task woken by epoll readiness — no per-connection

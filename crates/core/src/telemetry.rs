@@ -589,6 +589,7 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.metrics.containment = crate::metrics::ContainmentStats {
             worker_panics: 1,
+            io_task_panics: 5,
             panics: 9,
             retries: 6,
             quarantined: 3,
@@ -623,6 +624,7 @@ mod tests {
 
         let text = snap.render_prometheus();
         assert!(text.contains("neptune_worker_panics_total 1\n"));
+        assert!(text.contains("neptune_io_task_panics_total 5\n"));
         assert!(text.contains("neptune_containment_quarantined_total 3\n"));
         assert!(text.contains("neptune_containment_breaker_trips_total 1\n"));
         assert!(text.contains("neptune_shed_total 11\n"));

@@ -92,6 +92,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
     };
     metrics.containment = ContainmentStats {
         worker_panics: 61,
+        io_task_panics: 60,
         panics: 62,
         retries: 63,
         quarantined: 64,

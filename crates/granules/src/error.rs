@@ -5,8 +5,6 @@ use crate::task::TaskId;
 /// Errors surfaced by the Granules runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GranulesError {
-    /// The resource has been shut down; no further deployments or signals.
-    ResourceShutDown,
     /// No task with this id is deployed on the resource.
     UnknownTask(TaskId),
     /// The task exists but has already terminated.
@@ -20,7 +18,6 @@ pub enum GranulesError {
 impl std::fmt::Display for GranulesError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            GranulesError::ResourceShutDown => write!(f, "resource has been shut down"),
             GranulesError::UnknownTask(id) => write!(f, "unknown task {id:?}"),
             GranulesError::TaskTerminated(id) => write!(f, "task {id:?} already terminated"),
             GranulesError::InvalidSchedule(msg) => write!(f, "invalid schedule: {msg}"),

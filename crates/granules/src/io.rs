@@ -1,9 +1,13 @@
-//! The IO-thread tier of the two-tier execution plane.
+//! The executor: a fixed pool of threads running cooperatively-scheduled
+//! tasks, with one timer wheel.
 //!
 //! NEPTUNE §III-B6: instead of Storm's thread-per-activity model, the
 //! runtime keeps exactly two pools — worker threads for computational tasks
-//! ([`crate::WorkerPool`]) and a small set of IO threads for everything
-//! event-shaped: source pumps, flush deadlines, socket tasks, samplers.
+//! and a small set of IO threads for everything event-shaped: source pumps,
+//! flush deadlines, socket tasks, samplers. Both are instances of the pool
+//! in this module: the IO tier is an [`IoPool`] used directly, the worker
+//! tier is the one inside each [`crate::Resource`], which runs every
+//! deployed [`crate::ComputationalTask`] as one [`IoTask`].
 //! An [`IoTask`] is a cooperatively-scheduled state machine: its `run`
 //! method does a bounded stint of work and then reports whether it has more
 //! ([`IoStatus::Ready`]), wants to sleep until an external wake
@@ -21,11 +25,19 @@
 //! (PARKED / QUEUED / RUNNING / NOTIFIED / DONE): a wake that arrives while
 //! the task is mid-run flags NOTIFIED and the pool re-queues the task
 //! instead of parking it, so no event is ever lost between "checked for
-//! work" and "parked".
+//! work" and "parked". It is the only wake/park protocol in the workspace.
+//!
+//! A panic that unwinds out of a stint is caught on the pool thread: the
+//! thread goes on serving the others, the task is retired *without* its
+//! shutdown hook (its state was left mid-stint; retrying is a supervisor's
+//! job, one layer up), counted in [`IoPoolStats::panics`], and reads
+//! complete, so whoever drains, terminates or shuts down does not wait on it.
 
 use crate::wheel::{TimerScheduler, TimerWheel};
+use neptune_telemetry::{EventKind, FlightRecorder};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -79,16 +91,23 @@ const ST_DONE: u8 = 4;
 struct IoSlot {
     state: AtomicU8,
     task: Mutex<Option<Box<dyn IoTask>>>,
+    /// Signalled at `ST_DONE`, under the `task` lock.
+    done: Condvar,
 }
 
 impl IoSlot {
-    fn retire(&self, finished: bool) {
-        if let Some(mut t) = self.task.lock().take() {
-            if !finished {
+    /// Drop the task — after its shutdown hook, with `hook` — and mark the
+    /// slot done.
+    fn retire(&self, hook: bool) {
+        let mut task = self.task.lock();
+        if let Some(mut t) = task.take() {
+            if hook {
                 t.on_shutdown();
             }
         }
         self.state.store(ST_DONE, Ordering::Release);
+        drop(task);
+        self.done.notify_all();
     }
 }
 
@@ -148,9 +167,24 @@ impl IoTaskHandle {
         }
     }
 
-    /// True once the task has completed (or been retired at shutdown).
+    /// True once the task has completed (or been retired: at shutdown, or
+    /// by a panic).
     pub fn is_complete(&self) -> bool {
         self.slot.state.load(Ordering::Acquire) == ST_DONE
+    }
+
+    /// True while the task is neither queued nor running.
+    pub(crate) fn is_parked(&self) -> bool {
+        self.slot.state.load(Ordering::Acquire) == ST_PARKED
+    }
+
+    /// Block until the task is complete. Must not be called from the task
+    /// itself.
+    pub(crate) fn wait_complete(&self) {
+        let mut task = self.slot.task.lock();
+        while !self.is_complete() {
+            self.slot.done.wait(&mut task);
+        }
     }
 }
 
@@ -169,6 +203,8 @@ pub struct IoPoolStats {
     pub wakes: u64,
     /// Cumulative run stints executed.
     pub polls: u64,
+    /// Cumulative stints that panicked; each retired its task.
+    pub panics: u64,
     /// Live registrations on the pool's timer wheel.
     pub timer_depth: usize,
     /// Cumulative timer callbacks fired.
@@ -192,12 +228,16 @@ struct IoPoolInner {
     parks: AtomicU64,
     wakes: AtomicU64,
     polls: AtomicU64,
+    panics: AtomicU64,
     threads: usize,
     /// Weak registry of every spawned slot so shutdown can wake/retire
     /// parked tasks it would otherwise never see again.
     slots: Mutex<Vec<Weak<IoSlot>>>,
     /// The pool's timer wheel; reads zero once shutdown has stopped it.
     timer: TimerScheduler,
+    /// Optional flight recorder: a task panic is timelined as
+    /// [`EventKind::Panic`].
+    recorder: Mutex<Option<Arc<FlightRecorder>>>,
 }
 
 impl IoPoolInner {
@@ -222,6 +262,7 @@ impl IoPoolInner {
             parks: self.parks.load(Ordering::Relaxed),
             wakes: self.wakes.load(Ordering::Relaxed),
             polls: self.polls.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
             timer_depth: self.timer.active(),
             timer_fires: self.timer.fires(),
         }
@@ -232,7 +273,11 @@ impl IoPoolInner {
 /// `ST_QUEUED`) hand it to the ready queue. Shared by [`IoPool`]'s
 /// spawn methods and the late-bound [`IoSpawner`].
 fn spawn_on(inner: &Arc<IoPoolInner>, task: Box<dyn IoTask>, state: u8) -> IoTaskHandle {
-    let slot = Arc::new(IoSlot { state: AtomicU8::new(state), task: Mutex::new(Some(task)) });
+    let slot = Arc::new(IoSlot {
+        state: AtomicU8::new(state),
+        task: Mutex::new(Some(task)),
+        done: Condvar::new(),
+    });
     inner.live.fetch_add(1, Ordering::Relaxed);
     {
         let mut slots = inner.slots.lock();
@@ -296,6 +341,11 @@ impl IoPool {
     /// Spawn `threads` IO threads (named `{name}-io-{i}`) plus the shared
     /// timer wheel thread.
     pub fn new(name: &str, threads: usize) -> IoPool {
+        Self::with_thread_prefix(&format!("{name}-io"), threads)
+    }
+
+    /// [`new`](Self::new) with the threads named `{prefix}-{i}`.
+    pub(crate) fn with_thread_prefix(prefix: &str, threads: usize) -> IoPool {
         let threads = threads.max(1);
         let timer = TimerWheel::start();
         let inner = Arc::new(IoPoolInner {
@@ -306,15 +356,17 @@ impl IoPool {
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
             polls: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             threads,
             slots: Mutex::new(Vec::new()),
             timer: timer.scheduler(),
+            recorder: Mutex::new(None),
         });
         let joins = (0..threads)
             .map(|i| {
                 let pool = inner.clone();
                 std::thread::Builder::new()
-                    .name(format!("{name}-io-{i}"))
+                    .name(format!("{prefix}-{i}"))
                     .spawn(move || io_loop(pool))
                     .expect("spawn io thread")
             })
@@ -344,14 +396,27 @@ impl IoPool {
 
     /// Spawn a task that runs immediately and is then woken every `period`
     /// by the timer wheel (the task should end each stint with
-    /// [`IoStatus::Park`]).
+    /// [`IoStatus::Park`]) until it completes.
     pub fn spawn_periodic(&self, period: Duration, task: impl IoTask) -> IoTaskHandle {
         let handle = self.spawn_with_state(task, ST_QUEUED);
         let wake = handle.clone();
-        self.scheduler().register(period, move || {
-            wake.wake();
-        });
+        self.every(period, move || wake.wake());
         handle
+    }
+
+    /// Call `fire` every `period` for as long as it returns `true` (its
+    /// task is still live): the registration cancels itself after the
+    /// first `false`.
+    pub(crate) fn every(&self, period: Duration, fire: impl Fn() -> bool + Send + Sync + 'static) {
+        let wheel = self.scheduler();
+        let own_id = Arc::new(AtomicU64::new(0));
+        let (timer, id) = (wheel.clone(), own_id.clone());
+        let registered = wheel.register(period, move || {
+            if !fire() {
+                timer.cancel(id.load(Ordering::Acquire));
+            }
+        });
+        own_id.store(registered.unwrap_or(0), Ordering::Release);
     }
 
     fn spawn_with_state(&self, task: impl IoTask, state: u8) -> IoTaskHandle {
@@ -367,6 +432,12 @@ impl IoPool {
     /// Snapshot of the tier's gauges.
     pub fn stats(&self) -> IoPoolStats {
         self.inner.stats()
+    }
+
+    /// Attach a flight recorder: a task panic is timelined as
+    /// [`EventKind::Panic`] (subject = the pool's panic count so far).
+    pub fn attach_recorder(&self, recorder: Arc<FlightRecorder>) {
+        *self.inner.recorder.lock() = Some(recorder);
     }
 
     /// Drain and stop the tier: the timer wheel is stopped first (no more
@@ -401,14 +472,14 @@ impl IoPool {
         // exit) is retired synchronously so the queue ends empty.
         let leftovers: Vec<Arc<IoSlot>> = self.inner.queue.lock().tasks.drain(..).collect();
         for slot in leftovers {
-            slot.retire(false);
+            slot.retire(true);
             self.inner.live.fetch_sub(1, Ordering::Relaxed);
         }
         // Final sweep: any task the threads never got to (all joined by
         // now, so this cannot race a run stint) is retired here.
         for slot in slots {
             if slot.state.load(Ordering::Acquire) != ST_DONE {
-                slot.retire(false);
+                slot.retire(true);
                 self.inner.live.fetch_sub(1, Ordering::Relaxed);
             }
         }
@@ -445,17 +516,29 @@ fn io_loop(inner: Arc<IoPoolInner>) {
         };
         let shutting = inner.shutdown.load(Ordering::Acquire);
         slot.state.store(ST_RUNNING, Ordering::Release);
-        let status = {
+        let stint = {
             let mut task = slot.task.lock();
             match task.as_mut() {
-                Some(t) => t.run(&IoContext { shutting_down: shutting }),
-                None => IoStatus::Complete,
+                Some(t) => {
+                    catch_unwind(AssertUnwindSafe(|| t.run(&IoContext { shutting_down: shutting })))
+                }
+                None => Ok(IoStatus::Complete),
             }
         };
         inner.polls.fetch_add(1, Ordering::Relaxed);
+        let Ok(status) = stint else {
+            // The task's state unwound mid-stint: no hook, no second run.
+            let panics = inner.panics.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(r) = inner.recorder.lock().as_ref() {
+                r.record(EventKind::Panic, panics, 0);
+            }
+            slot.retire(false);
+            inner.live.fetch_sub(1, Ordering::Relaxed);
+            continue;
+        };
         if shutting {
             // Drain mode: one final stint, then retire regardless of status.
-            slot.retire(matches!(status, IoStatus::Complete));
+            slot.retire(!matches!(status, IoStatus::Complete));
             inner.live.fetch_sub(1, Ordering::Relaxed);
             continue;
         }
@@ -472,7 +555,7 @@ fn io_loop(inner: Arc<IoPoolInner>) {
                 }
             }
             IoStatus::Complete => {
-                slot.retire(true);
+                slot.retire(false);
                 inner.live.fetch_sub(1, Ordering::Relaxed);
             }
             IoStatus::Park | IoStatus::ParkUntil(_) => {
@@ -727,6 +810,43 @@ mod tests {
             progress.load(Ordering::Acquire)
         );
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_io_task_leaves_its_thread_serving_the_others() {
+        let mut pool = IoPool::new("t", 1);
+        let recorder = Arc::new(FlightRecorder::new(8));
+        pool.attach_recorder(recorder.clone());
+        struct Bomb(Arc<AtomicU64>);
+        impl IoTask for Bomb {
+            fn run(&mut self, _ctx: &IoContext) -> IoStatus {
+                panic!("boom");
+            }
+            fn on_shutdown(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let hooked = Arc::new(AtomicU64::new(0));
+        let bomb = pool.spawn(Bomb(hooked.clone()));
+        assert!(
+            wait_until(Instant::now() + Duration::from_secs(5), || bomb.is_complete()),
+            "a panicked task must read complete"
+        );
+        assert!(!bomb.wake(), "and must not run again");
+        bomb.wait_complete();
+        // The pool's only thread is still there for a task spawned afterwards.
+        let runs = Arc::new(AtomicU64::new(0));
+        let next = pool.spawn(CountTask { runs: runs.clone(), status: IoStatus::Complete });
+        assert!(
+            wait_until(Instant::now() + Duration::from_secs(5), || next.is_complete()),
+            "the panic took the IO thread with it"
+        );
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let stats = pool.stats();
+        assert_eq!((stats.panics, stats.live_tasks), (1, 0));
+        assert!(recorder.snapshot().iter().any(|e| e.kind == EventKind::Panic && e.subject == 1));
+        pool.shutdown();
+        assert_eq!(hooked.load(Ordering::Relaxed), 0, "no hook on state that unwound mid-stint");
     }
 
     #[test]

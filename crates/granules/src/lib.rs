@@ -17,9 +17,11 @@
 //! * **Scheduling strategy** — data-driven, periodic, count-based, or a
 //!   combination, changeable during execution ([`ScheduleSpec`]).
 //!
-//! The execution engine is a fixed worker **thread pool** (built from
-//! scratch on crossbeam channels) plus a timer thread for periodic
-//! strategies. Task executions are *coalesced*: when data signals arrive
+//! The execution engine is one executor ([`io`]): a fixed pool of threads
+//! running cooperatively-scheduled tasks, plus a timer-wheel thread. A
+//! [`Resource`] owns one instance and runs its computational tasks on it;
+//! NEPTUNE's IO tier is a second instance ([`IoPool`]), used directly.
+//! Task executions are *coalesced*: when data signals arrive
 //! faster than a task drains them, the task stays resident on a worker and
 //! re-executes without being re-enqueued — this is the mechanism NEPTUNE's
 //! batched scheduling (§III-B2) leans on to cut context switches.
@@ -55,7 +57,6 @@ pub mod scheduler;
 pub mod supervisor;
 pub mod task;
 pub mod test_support;
-pub mod threadpool;
 pub mod wheel;
 
 pub use dataset::{Dataset, DatasetId, InMemoryDataset, QueueDataset};
@@ -65,12 +66,11 @@ pub use reactor::{
     NetSource, NetWaker, Reactor, ReactorHandle, ReactorStats, READY_CLOSED, READY_READABLE,
     READY_WRITABLE,
 };
-pub use resource::{Resource, ResourceBuilder, TaskHandle, WorkerGauges};
-pub use scheduler::{ScheduleSpec, TimerService};
+pub use resource::{Resource, ResourceBuilder, TaskHandle};
+pub use scheduler::ScheduleSpec;
 pub use supervisor::{
     BreakerState, CircuitBreaker, OperatorSupervisor, SupervisedOutcome, SupervisorPolicy,
     SupervisorStats,
 };
 pub use task::{ComputationalTask, TaskContext, TaskId, TaskOutcome, TaskState};
-pub use threadpool::WorkerPool;
 pub use wheel::{TimerScheduler, TimerWheel};

@@ -6,164 +6,130 @@
 //! cycles of computational tasks in addition to launching and terminating
 //! computational tasks running on these resources."*
 //!
+//! A resource owns one executor pool ([`crate::io`]) and runs every deployed
+//! task on it as one [`IoTask`]: signals, forces and periodic fires update
+//! the task's counters and wake it; a stint executes while the task is
+//! runnable and parks it when it is not.
+//!
 //! ## Execution coalescing
 //!
-//! Each deployed task owns a *slot* with an atomic pending-signal counter
-//! and a scheduled flag. Signals arriving while the task is executing do
-//! not enqueue more pool jobs: the resident execution loops and consumes
-//! them. One pool job therefore drains an arbitrarily long burst — this is
-//! the scheduling substrate for NEPTUNE's batched processing (§III-B2,
-//! Table I: 22× fewer context switches than per-message scheduling).
+//! Each deployed task owns a *slot* with an atomic pending-signal counter.
+//! Signals arriving while the task is executing do not queue it again: the
+//! resident stint loops and consumes them. One hand-off to a worker
+//! therefore drains an arbitrarily long burst — this is the scheduling
+//! substrate for NEPTUNE's batched processing (§III-B2, Table I: 22× fewer
+//! context switches than per-message scheduling).
 
 use crate::error::GranulesError;
-use crate::scheduler::{ScheduleSpec, TimerService};
+use crate::io::{IoContext, IoPool, IoSpawner, IoStatus, IoTask, IoTaskHandle};
+use crate::scheduler::ScheduleSpec;
 use crate::task::{
     ComputationalTask, TaskContext, TaskId, TaskIdAllocator, TaskOutcome, TaskState,
 };
-use crate::threadpool::WorkerPool;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-struct SlotInner {
+/// What a task's handles, its periodic fire and its stint share.
+struct TaskSlot {
+    id: TaskId,
+    /// Data signals not yet consumed by an execution.
+    pending: AtomicU64,
+    /// `pending` at or above this makes the task runnable: the schedule's
+    /// `count`, or `u64::MAX` when it is not data-driven.
+    threshold: AtomicU64,
+    /// The schedule's `max_consecutive_runs`.
+    max_runs: AtomicU64,
+    /// Fixed at deployment.
+    period: Option<Duration>,
+    /// Set by the periodic fire, `force` and `TaskOutcome::Reschedule`:
+    /// runnable whatever `pending` says.
+    forced: AtomicBool,
+    /// Set by `TaskHandle::terminate`: the next stint runs the terminate
+    /// hook instead of executing.
+    terminating: AtomicBool,
+    executions: AtomicU64,
+}
+
+impl TaskSlot {
+    fn set_schedule(&self, spec: &ScheduleSpec) {
+        let threshold = if spec.data_driven { spec.count } else { u64::MAX };
+        self.threshold.store(threshold, Ordering::Release);
+        self.max_runs.store(spec.max_consecutive_runs, Ordering::Release);
+    }
+
+    fn runnable(&self) -> bool {
+        self.forced.load(Ordering::Acquire)
+            || self.pending.load(Ordering::Acquire) >= self.threshold.load(Ordering::Acquire)
+    }
+}
+
+/// One deployed task as the pool sees it.
+struct TaskRunner {
+    slot: Arc<TaskSlot>,
     task: Box<dyn ComputationalTask>,
     initialized: bool,
 }
 
-struct TaskSlot {
-    id: TaskId,
-    inner: Mutex<SlotInner>,
-    spec: RwLock<ScheduleSpec>,
-    /// Data signals not yet consumed by an execution.
-    pending: AtomicU64,
-    /// Set while an execution loop owns this slot.
-    scheduled: AtomicBool,
-    /// Set by the periodic timer (forces an execution even with no data).
-    forced: AtomicBool,
-    /// Terminated tasks never execute again.
-    terminated: AtomicBool,
-    executions: AtomicU64,
-    /// Timer registration for periodic schedules.
-    timer_id: Mutex<Option<u64>>,
+impl TaskRunner {
+    fn terminate(&mut self) {
+        if std::mem::take(&mut self.initialized) {
+            let executions = self.slot.executions.load(Ordering::Relaxed);
+            self.task.terminate(&TaskContext::new(self.slot.id, 0, executions));
+        }
+    }
 }
 
-impl TaskSlot {
-    fn state(&self) -> TaskState {
-        if self.terminated.load(Ordering::Acquire) {
-            TaskState::Terminated
-        } else if self.scheduled.load(Ordering::Acquire) {
-            TaskState::Scheduled
-        } else {
-            TaskState::Idle
+impl IoTask for TaskRunner {
+    fn run(&mut self, io: &IoContext) -> IoStatus {
+        if io.shutting_down() || self.slot.terminating.load(Ordering::Acquire) {
+            self.terminate();
+            return IoStatus::Complete;
         }
+        for _ in 0..self.slot.max_runs.load(Ordering::Acquire) {
+            let slot = &self.slot;
+            let forced = slot.forced.swap(false, Ordering::AcqRel);
+            if !forced && !slot.runnable() {
+                return IoStatus::Park;
+            }
+            let coalesced = slot.pending.swap(0, Ordering::AcqRel);
+            let index = slot.executions.fetch_add(1, Ordering::Relaxed);
+            let ctx = TaskContext::new(slot.id, coalesced, index);
+            if !self.initialized {
+                self.task.initialize(&ctx);
+                self.initialized = true;
+            }
+            match self.task.execute(&ctx) {
+                TaskOutcome::Finished => {
+                    self.terminate();
+                    return IoStatus::Complete;
+                }
+                // The task left work behind: run again even though its
+                // signals were consumed above.
+                TaskOutcome::Reschedule => slot.forced.store(true, Ordering::Release),
+                TaskOutcome::Continue => {}
+            }
+        }
+        // The stint's budget is spent: let whatever else is queued have
+        // the worker first.
+        if self.slot.runnable() {
+            IoStatus::Ready
+        } else {
+            IoStatus::Park
+        }
+    }
+
+    fn on_shutdown(&mut self) {
+        self.terminate();
     }
 }
 
 struct ResourceInner {
-    name: String,
-    pool: WorkerPool,
-    timer: TimerService,
-    slots: RwLock<HashMap<TaskId, Arc<TaskSlot>>>,
-    ids: TaskIdAllocator,
-    shutdown: AtomicBool,
+    tasks: RwLock<HashMap<TaskId, TaskHandle>>,
     /// Signals observed by the resource (for diagnostics).
     total_signals: AtomicU64,
-}
-
-impl ResourceInner {
-    /// Try to transition the slot to scheduled and submit its run loop.
-    fn try_schedule(self: &Arc<Self>, slot: &Arc<TaskSlot>) {
-        if self.shutdown.load(Ordering::Acquire) || slot.terminated.load(Ordering::Acquire) {
-            return;
-        }
-        let count = slot.spec.read().count;
-        let runnable =
-            slot.forced.load(Ordering::Acquire) || slot.pending.load(Ordering::Acquire) >= count;
-        if !runnable {
-            return;
-        }
-        if slot.scheduled.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
-        {
-            self.submit_run(slot.clone());
-        }
-    }
-
-    fn submit_run(self: &Arc<Self>, slot: Arc<TaskSlot>) {
-        let weak: Weak<ResourceInner> = Arc::downgrade(self);
-        self.pool.submit(move || {
-            if let Some(res) = weak.upgrade() {
-                res.run_slot(&slot);
-            }
-        });
-    }
-
-    /// The resident execution loop for one slot; owns the `scheduled` flag.
-    fn run_slot(self: &Arc<Self>, slot: &Arc<TaskSlot>) {
-        let mut runs = 0u64;
-        let max_runs = slot.spec.read().max_consecutive_runs;
-        loop {
-            if slot.terminated.load(Ordering::Acquire) || self.shutdown.load(Ordering::Acquire) {
-                slot.scheduled.store(false, Ordering::Release);
-                return;
-            }
-            let forced = slot.forced.swap(false, Ordering::AcqRel);
-            let count = slot.spec.read().count;
-            let available = slot.pending.load(Ordering::Acquire);
-            if !forced && available < count {
-                // Nothing runnable: release the slot, then re-check for
-                // signals that raced in between the check and the release.
-                slot.scheduled.store(false, Ordering::Release);
-                self.try_schedule(slot);
-                return;
-            }
-            let coalesced = slot.pending.swap(0, Ordering::AcqRel);
-            let exec_index = slot.executions.fetch_add(1, Ordering::Relaxed);
-            let ctx = TaskContext::new(slot.id, coalesced, exec_index);
-            let outcome = {
-                let mut inner = slot.inner.lock();
-                if !inner.initialized {
-                    inner.task.initialize(&ctx);
-                    inner.initialized = true;
-                }
-                inner.task.execute(&ctx)
-            };
-            match outcome {
-                TaskOutcome::Finished => {
-                    self.terminate_slot(slot, &ctx);
-                    slot.scheduled.store(false, Ordering::Release);
-                    return;
-                }
-                TaskOutcome::Reschedule => {
-                    // The task left work behind: force another execution
-                    // even though its signals were consumed above.
-                    slot.forced.store(true, Ordering::Release);
-                }
-                TaskOutcome::Continue => {}
-            }
-            runs += 1;
-            if runs >= max_runs {
-                // Yield the worker; resubmit if still runnable.
-                slot.scheduled.store(false, Ordering::Release);
-                self.try_schedule(slot);
-                return;
-            }
-        }
-    }
-
-    fn terminate_slot(self: &Arc<Self>, slot: &Arc<TaskSlot>, ctx: &TaskContext) {
-        if slot.terminated.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        if let Some(timer_id) = slot.timer_id.lock().take() {
-            self.timer.cancel(timer_id);
-        }
-        let mut inner = slot.inner.lock();
-        if inner.initialized {
-            inner.task.terminate(ctx);
-        }
-    }
 }
 
 /// Builder for a [`Resource`].
@@ -179,20 +145,20 @@ impl ResourceBuilder {
         self
     }
 
-    /// Launch the resource: spawns the worker pool and timer thread.
+    /// Launch the resource: spawns the worker threads (named
+    /// `{name}-worker-{i}`) and the pool's timer thread. Unsized, the pool
+    /// gets `available_parallelism` workers, min 2 — the paper's "determined
+    /// automatically depending on the number of cores".
     pub fn build(self) -> Resource {
-        let pool = match self.workers {
-            Some(n) => WorkerPool::new(&format!("{}-worker", self.name), n),
-            None => WorkerPool::sized_for_host(&format!("{}-worker", self.name)),
-        };
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).max(2)
+        });
         Resource {
+            pool: IoPool::with_thread_prefix(&format!("{}-worker", self.name), workers),
+            name: self.name,
+            ids: TaskIdAllocator::default(),
             inner: Arc::new(ResourceInner {
-                name: self.name,
-                pool,
-                timer: TimerService::start(),
-                slots: RwLock::new(HashMap::new()),
-                ids: TaskIdAllocator::default(),
-                shutdown: AtomicBool::new(false),
+                tasks: RwLock::new(HashMap::new()),
                 total_signals: AtomicU64::new(0),
             }),
         }
@@ -202,6 +168,9 @@ impl ResourceBuilder {
 /// A Granules resource: a container hosting computational tasks on one
 /// machine (or one simulated machine).
 pub struct Resource {
+    name: String,
+    pool: IoPool,
+    ids: TaskIdAllocator,
     inner: Arc<ResourceInner>,
 }
 
@@ -213,18 +182,19 @@ impl Resource {
 
     /// The resource's name.
     pub fn name(&self) -> &str {
-        &self.inner.name
+        &self.name
     }
 
     /// Number of worker threads serving this resource.
     pub fn worker_count(&self) -> usize {
-        self.inner.pool.size()
+        self.pool.threads()
     }
 
-    /// Panics that unwound out of tasks and were absorbed by the worker
-    /// pool (the containment layer below operator supervision).
+    /// Panics that unwound out of a task and were caught by its worker;
+    /// each retired the task it came from (the containment layer below
+    /// operator supervision).
     pub fn worker_panics(&self) -> u64 {
-        self.inner.pool.panicked()
+        self.pool.stats().panics
     }
 
     /// Deploy a computational task under the given scheduling strategy.
@@ -233,40 +203,39 @@ impl Resource {
         task: T,
         spec: ScheduleSpec,
     ) -> Result<TaskHandle, GranulesError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(GranulesError::ResourceShutDown);
-        }
         spec.validate().map_err(GranulesError::InvalidSchedule)?;
-        let id = self.inner.ids.allocate();
+        let id = self.ids.allocate();
         let slot = Arc::new(TaskSlot {
             id,
-            inner: Mutex::new(SlotInner { task: Box::new(task), initialized: false }),
-            spec: RwLock::new(spec),
             pending: AtomicU64::new(0),
-            scheduled: AtomicBool::new(false),
+            threshold: AtomicU64::new(0),
+            max_runs: AtomicU64::new(0),
+            period: spec.period,
             forced: AtomicBool::new(false),
-            terminated: AtomicBool::new(false),
+            terminating: AtomicBool::new(false),
             executions: AtomicU64::new(0),
-            timer_id: Mutex::new(None),
+        });
+        slot.set_schedule(&spec);
+        let io = self.pool.spawn_parked(TaskRunner {
+            slot: slot.clone(),
+            task: Box::new(task),
+            initialized: false,
         });
         if let Some(period) = spec.period {
-            let weak_res = Arc::downgrade(&self.inner);
-            let weak_slot = Arc::downgrade(&slot);
-            let timer_id = self.inner.timer.register(period, move || {
-                if let (Some(res), Some(slot)) = (weak_res.upgrade(), weak_slot.upgrade()) {
-                    slot.forced.store(true, Ordering::Release);
-                    res.try_schedule(&slot);
-                }
+            let (fired, woken) = (slot.clone(), io.clone());
+            self.pool.every(period, move || {
+                fired.forced.store(true, Ordering::Release);
+                woken.wake()
             });
-            *slot.timer_id.lock() = Some(timer_id);
         }
-        self.inner.slots.write().insert(id, slot.clone());
-        Ok(TaskHandle { id, slot, resource: Arc::downgrade(&self.inner) })
+        let handle = TaskHandle { slot, io, resource: Arc::downgrade(&self.inner) };
+        self.inner.tasks.write().insert(id, handle.clone());
+        Ok(handle)
     }
 
     /// Number of deployed (non-removed) tasks.
     pub fn task_count(&self) -> usize {
-        self.inner.slots.read().len()
+        self.inner.tasks.read().len()
     }
 
     /// Total data signals this resource has observed.
@@ -274,11 +243,13 @@ impl Resource {
         self.inner.total_signals.load(Ordering::Relaxed)
     }
 
-    /// A cloneable, weakly-held view of this resource's worker-pool
-    /// gauges — what a metrics reader on another tier holds without
-    /// keeping the resource alive.
-    pub fn worker_gauges(&self) -> WorkerGauges {
-        WorkerGauges { inner: Arc::downgrade(&self.inner) }
+    /// A cloneable, weakly-held view of this resource's pool — what a
+    /// metrics reader on another tier holds without keeping the resource
+    /// alive: [`IoSpawner::stats`] gives the worker count as `io_threads`
+    /// and the caught panics as `panics`, and reads zero once the resource
+    /// is gone.
+    pub fn worker_gauges(&self) -> IoSpawner {
+        self.pool.spawner()
     }
 
     /// Block until no task is scheduled and no undelivered signal could
@@ -297,16 +268,8 @@ impl Resource {
 
     fn drain_inner(&self, deadline: Option<Instant>) -> bool {
         loop {
-            let busy = {
-                let slots = self.inner.slots.read();
-                slots.values().any(|s| {
-                    !s.terminated.load(Ordering::Acquire)
-                        && (s.scheduled.load(Ordering::Acquire)
-                            || s.forced.load(Ordering::Acquire)
-                            || s.pending.load(Ordering::Acquire) >= s.spec.read().count)
-                })
-            };
-            if !busy && self.inner.pool.is_idle() {
+            let busy = self.inner.tasks.read().values().any(|t| t.state() == TaskState::Scheduled);
+            if !busy {
                 return true;
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -316,53 +279,26 @@ impl Resource {
         }
     }
 
-    /// Terminate every task and stop the pool and timer threads.
-    pub fn shutdown(self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        let slots: Vec<Arc<TaskSlot>> = self.inner.slots.write().drain().map(|(_, s)| s).collect();
-        for slot in &slots {
-            // Wait for any in-flight execution to notice the shutdown flag.
-            while slot.scheduled.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            let ctx = TaskContext::new(slot.id, 0, slot.executions.load(Ordering::Relaxed));
-            self.inner.terminate_slot(slot, &ctx);
-        }
-        self.inner.pool.wait_idle();
-    }
-}
-
-/// Weak view of a resource's worker-pool gauges (see
-/// [`Resource::worker_gauges`]); reads zero once the resource is gone.
-#[derive(Clone)]
-pub struct WorkerGauges {
-    inner: Weak<ResourceInner>,
-}
-
-impl WorkerGauges {
-    /// See [`Resource::worker_count`].
-    pub fn worker_count(&self) -> usize {
-        self.inner.upgrade().map_or(0, |r| r.pool.size())
-    }
-
-    /// See [`Resource::worker_panics`].
-    pub fn worker_panics(&self) -> u64 {
-        self.inner.upgrade().map_or(0, |r| r.pool.panicked())
+    /// Terminate every task and stop the worker and timer threads: each
+    /// task gets one last stint that runs its terminate hook, not
+    /// `execute`.
+    pub fn shutdown(mut self) {
+        self.pool.shutdown();
     }
 }
 
 /// Handle to a deployed task: signalling, schedule updates, lifecycle.
 #[derive(Clone)]
 pub struct TaskHandle {
-    id: TaskId,
     slot: Arc<TaskSlot>,
+    io: IoTaskHandle,
     resource: Weak<ResourceInner>,
 }
 
 impl TaskHandle {
     /// The task's id.
     pub fn task_id(&self) -> TaskId {
-        self.id
+        self.slot.id
     }
 
     /// Deliver one data-availability signal (a dataset notification).
@@ -370,41 +306,41 @@ impl TaskHandle {
         self.signal_many(1);
     }
 
-    /// Deliver `n` signals at once (a batch arrival).
+    /// Deliver `n` signals at once (a batch arrival). A task that is not
+    /// data-driven counts them; only its timer schedules it.
     pub fn signal_many(&self, n: u64) {
-        if n == 0 || self.slot.terminated.load(Ordering::Acquire) {
+        if n == 0 || self.io.is_complete() {
             return;
         }
         let Some(res) = self.resource.upgrade() else {
             return;
         };
-        if !self.slot.spec.read().data_driven {
-            // Signals are counted but only the timer schedules this task.
-            self.slot.pending.fetch_add(n, Ordering::AcqRel);
-            res.total_signals.fetch_add(n, Ordering::Relaxed);
-            return;
-        }
-        self.slot.pending.fetch_add(n, Ordering::AcqRel);
         res.total_signals.fetch_add(n, Ordering::Relaxed);
-        res.try_schedule(&self.slot);
+        let pending = self.slot.pending.fetch_add(n, Ordering::AcqRel) + n;
+        if pending >= self.slot.threshold.load(Ordering::Acquire) {
+            self.io.wake();
+        }
     }
 
     /// Force an immediate execution regardless of pending count (used by
     /// flush timers).
     pub fn force(&self) {
-        let Some(res) = self.resource.upgrade() else {
-            return;
-        };
         self.slot.forced.store(true, Ordering::Release);
-        res.try_schedule(&self.slot);
+        self.io.wake();
     }
 
-    /// Current lifecycle state.
+    /// Current lifecycle state. A task a panic retired reads `Terminated`.
     pub fn state(&self) -> TaskState {
-        self.slot.state()
+        if self.io.is_complete() {
+            TaskState::Terminated
+        } else if self.io.is_parked() && !self.slot.runnable() {
+            TaskState::Idle
+        } else {
+            TaskState::Scheduled
+        }
     }
 
-    /// Number of completed scheduled executions.
+    /// Number of scheduled executions started.
     pub fn executions(&self) -> u64 {
         self.slot.executions.load(Ordering::Relaxed)
     }
@@ -420,40 +356,34 @@ impl TaskHandle {
     /// data-driven/count parts change.
     pub fn update_schedule(&self, spec: ScheduleSpec) -> Result<(), GranulesError> {
         spec.validate().map_err(GranulesError::InvalidSchedule)?;
-        let old = *self.slot.spec.read();
-        if old.period != spec.period {
+        if self.slot.period != spec.period {
             return Err(GranulesError::InvalidSchedule(
                 "periodic component cannot change after deployment".to_string(),
             ));
         }
-        *self.slot.spec.write() = spec;
-        if let Some(res) = self.resource.upgrade() {
-            res.try_schedule(&self.slot);
+        self.slot.set_schedule(&spec);
+        if self.slot.runnable() {
+            self.io.wake();
         }
         Ok(())
     }
 
-    /// Terminate the task explicitly.
+    /// Terminate the task explicitly: its next stint runs the terminate
+    /// hook instead of executing, and this returns once it has. Must not be
+    /// called from the task itself.
     pub fn terminate(&self) {
-        let Some(res) = self.resource.upgrade() else {
-            return;
-        };
-        // Wait for an in-flight execution to finish before invoking the
-        // task's terminate hook.
-        while self.slot.scheduled.load(Ordering::Acquire) {
-            std::thread::yield_now();
+        self.slot.terminating.store(true, Ordering::Release);
+        self.io.wake();
+        self.io.wait_complete();
+        if let Some(res) = self.resource.upgrade() {
+            res.tasks.write().remove(&self.slot.id);
         }
-        let ctx = TaskContext::new(self.id, 0, self.slot.executions.load(Ordering::Relaxed));
-        res.terminate_slot(&self.slot, &ctx);
-        res.slots.write().remove(&self.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::time::Duration;
 
     struct Recorder {
         executions: Arc<AtomicU64>,
@@ -633,17 +563,213 @@ mod tests {
     }
 
     #[test]
-    fn deploy_after_shutdown_fails() {
+    fn a_handle_outliving_its_resource_is_inert() {
         let res = Resource::builder("r").workers(1).build();
-        let inner = res.inner.clone();
+        let (rec, execs, _) = Recorder::new();
+        let term = rec.term.clone();
+        let h = res.deploy(rec, ScheduleSpec::data_driven()).unwrap();
+        h.signal();
+        res.drain();
         res.shutdown();
-        let res2 = Resource { inner };
-        let (rec, _, _) = Recorder::new();
-        assert!(matches!(
-            res2.deploy(rec, ScheduleSpec::data_driven()),
-            Err(GranulesError::ResourceShutDown)
-        ));
-        std::mem::forget(res2); // inner already shut down
+        assert_eq!(term.load(Ordering::Relaxed), 1, "shutdown runs the terminate hook");
+        assert_eq!(h.state(), TaskState::Terminated);
+        h.signal();
+        h.force();
+        h.terminate(); // returns at once: nothing is left to wait for
+        assert_eq!(execs.load(Ordering::Relaxed), 1);
+        assert_eq!(term.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dropping_a_resource_shuts_it_down() {
+        let (rec, execs, _) = Recorder::new();
+        let term = rec.term.clone();
+        {
+            let res = Resource::builder("r").workers(2).build();
+            let h = res.deploy(rec, ScheduleSpec::data_driven()).unwrap();
+            h.signal();
+            res.drain();
+            // No explicit shutdown: drop must run the hooks and join.
+        }
+        assert_eq!(execs.load(Ordering::Relaxed), 1);
+        assert_eq!(term.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn shutdown_runs_the_terminate_hook_and_never_execute() {
+        // One worker, held by the first task while the second is signalled:
+        // the second is queued, not yet run, when shutdown starts.
+        struct Held(std::sync::mpsc::Receiver<()>);
+        impl ComputationalTask for Held {
+            fn execute(&mut self, _ctx: &TaskContext) -> TaskOutcome {
+                let _ = self.0.recv();
+                TaskOutcome::Continue
+            }
+        }
+        let res = Resource::builder("r").workers(1).build();
+        let (release, held) = std::sync::mpsc::channel();
+        let holder = res.deploy(Held(held), ScheduleSpec::data_driven()).unwrap();
+        let (rec, execs, _) = Recorder::new();
+        let (init, term) = (rec.init.clone(), rec.term.clone());
+        let queued = res.deploy(rec, ScheduleSpec::data_driven()).unwrap();
+        holder.signal();
+        assert!(crate::test_support::wait_for(Duration::from_secs(5), || {
+            holder.executions() == 1
+        }));
+        queued.signal();
+        let stopper = std::thread::spawn(move || res.shutdown());
+        std::thread::sleep(Duration::from_millis(20));
+        release.send(()).unwrap();
+        stopper.join().unwrap();
+        assert_eq!(execs.load(Ordering::Relaxed), 0, "a shutdown stint must not execute");
+        assert_eq!(init.load(Ordering::Relaxed), 0);
+        assert_eq!(term.load(Ordering::Relaxed), 0, "never initialised, so no hook either");
+        assert_eq!(queued.state(), TaskState::Terminated);
+    }
+
+    #[test]
+    fn terminate_returns_only_after_the_hook_ran_on_a_busy_task() {
+        /// Executes slowly, and notes whether an execution was still in
+        /// flight when the hook ran.
+        struct Slow {
+            executing: Arc<AtomicBool>,
+            hook_overlapped: Arc<AtomicBool>,
+            term: Arc<AtomicU64>,
+        }
+        impl ComputationalTask for Slow {
+            fn execute(&mut self, _ctx: &TaskContext) -> TaskOutcome {
+                self.executing.store(true, Ordering::Release);
+                std::thread::sleep(Duration::from_millis(30));
+                self.executing.store(false, Ordering::Release);
+                TaskOutcome::Continue
+            }
+            fn terminate(&mut self, _ctx: &TaskContext) {
+                self.hook_overlapped
+                    .store(self.executing.load(Ordering::Acquire), Ordering::Release);
+                self.term.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let res = Resource::builder("r").workers(2).build();
+        let executing = Arc::new(AtomicBool::new(false));
+        let overlapped = Arc::new(AtomicBool::new(false));
+        let term = Arc::new(AtomicU64::new(0));
+        let h = res
+            .deploy(
+                Slow {
+                    executing: executing.clone(),
+                    hook_overlapped: overlapped.clone(),
+                    term: term.clone(),
+                },
+                ScheduleSpec::data_driven(),
+            )
+            .unwrap();
+        h.signal();
+        assert!(crate::test_support::wait_for(Duration::from_secs(5), || {
+            executing.load(Ordering::Acquire)
+        }));
+        // Several callers at once: each returns after the hook, which runs
+        // once.
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                let (h, term) = (h.clone(), term.clone());
+                std::thread::spawn(move || {
+                    h.terminate();
+                    assert_eq!(term.load(Ordering::Relaxed), 1, "back before the hook");
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().unwrap();
+        }
+        assert!(!overlapped.load(Ordering::Acquire), "the hook ran beside an execution");
+        assert_eq!(h.state(), TaskState::Terminated);
+        assert_eq!(res.task_count(), 0);
+        res.shutdown();
+    }
+
+    /// The worker tier's half of the one panic policy (the pool's own half
+    /// is `io::tests::a_panicking_io_task_leaves_its_thread_serving_the_others`).
+    #[test]
+    fn a_panicking_task_is_retired_and_the_resource_still_drains_terminates_and_shuts_down() {
+        let res = Resource::builder("r").workers(1).build();
+        let term = Arc::new(AtomicU64::new(0));
+        struct Bomb(Arc<AtomicU64>);
+        impl ComputationalTask for Bomb {
+            fn execute(&mut self, _ctx: &TaskContext) -> TaskOutcome {
+                panic!("boom");
+            }
+            fn terminate(&mut self, _ctx: &TaskContext) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let bomb = res.deploy(Bomb(term.clone()), ScheduleSpec::data_driven()).unwrap();
+        let (rec, execs, _) = Recorder::new();
+        let bystander = res.deploy(rec, ScheduleSpec::data_driven()).unwrap();
+        bomb.signal();
+        assert!(
+            res.drain_until(Instant::now() + Duration::from_secs(5)),
+            "a retired task must not read busy"
+        );
+        assert_eq!(res.worker_panics(), 1);
+        assert_eq!(bomb.state(), TaskState::Terminated);
+        assert_eq!(bomb.executions(), 1);
+        // Its signals go nowhere; the worker it panicked on serves the rest.
+        bomb.signal();
+        bystander.signal();
+        assert!(res.drain_until(Instant::now() + Duration::from_secs(5)));
+        assert_eq!(execs.load(Ordering::Relaxed), 1, "the only worker died with the task");
+        assert_eq!(bomb.executions(), 1);
+        let (done, terminated) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            bomb.terminate();
+            res.shutdown();
+            done.send(()).unwrap();
+        });
+        assert!(
+            terminated.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "terminate() or shutdown() hung on a task a panic retired"
+        );
+        stopper.join().unwrap();
+        assert_eq!(term.load(Ordering::Relaxed), 0, "no hook on state that unwound mid-run");
+    }
+
+    #[test]
+    fn a_terminated_periodic_task_leaves_the_timer_wheel() {
+        let res = Resource::builder("r").workers(1).build();
+        let (rec, execs, _) = Recorder::new();
+        let h = res.deploy(rec, ScheduleSpec::periodic(Duration::from_millis(2))).unwrap();
+        assert!(crate::test_support::wait_for(Duration::from_secs(5), || {
+            execs.load(Ordering::Relaxed) >= 2
+        }));
+        assert_eq!(res.worker_gauges().stats().timer_depth, 1);
+        h.terminate();
+        assert!(
+            crate::test_support::wait_for(Duration::from_secs(5), || {
+                res.worker_gauges().stats().timer_depth == 0
+            }),
+            "the periodic registration outlived its task"
+        );
+        res.shutdown();
+    }
+
+    #[test]
+    fn workers_are_named_after_the_resource_and_never_fewer_than_one() {
+        struct Name(std::sync::mpsc::Sender<String>);
+        impl ComputationalTask for Name {
+            fn execute(&mut self, _ctx: &TaskContext) -> TaskOutcome {
+                let _ = self.0.send(std::thread::current().name().unwrap_or("").to_string());
+                TaskOutcome::Continue
+            }
+        }
+        let res = Resource::builder("relay").workers(0).build();
+        assert_eq!(res.worker_count(), 1, "a resource with no worker could run nothing");
+        let (tx, rx) = std::sync::mpsc::channel();
+        res.deploy(Name(tx), ScheduleSpec::data_driven()).unwrap().signal();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "relay-worker-0");
+        res.shutdown();
+        let unsized_ = Resource::builder("auto").build();
+        assert!(unsized_.worker_count() >= 2, "sized for the host, min 2");
+        unsized_.shutdown();
     }
 
     #[test]

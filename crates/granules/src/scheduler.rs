@@ -1,4 +1,4 @@
-//! Scheduling strategies and the timer service.
+//! Scheduling strategies.
 //!
 //! §II of the NEPTUNE paper: *"Computational tasks are scheduled to run
 //! based on a scheduling strategy that can be changed during execution. The
@@ -7,7 +7,6 @@
 //! to run every 500 milliseconds or when data is available in a particular
 //! dataset."*
 
-use crate::wheel::TimerWheel;
 use std::time::Duration;
 
 /// When a deployed task should be scheduled for execution.
@@ -27,7 +26,7 @@ pub struct ScheduleSpec {
     /// Also execute on this fixed period, independent of data.
     pub period: Option<Duration>,
     /// How many consecutive executions a task may run on one worker stint
-    /// before the slot is re-queued on the pool. The default (64) lets a
+    /// before it goes back to the pool's scheduler. The default (64) lets a
     /// burst be drained with a single thread handoff — NEPTUNE's batched
     /// scheduling. Setting 1 forces a scheduler crossing per execution,
     /// which is the per-message ablation of Table I.
@@ -101,47 +100,9 @@ impl Default for ScheduleSpec {
     }
 }
 
-/// Periodic-schedule service for a resource: a thin facade over the
-/// hierarchical [`TimerWheel`] (see [`crate::wheel`]), kept for API
-/// stability — one wheel thread per resource (not per task) keeps the
-/// thread count flat no matter how many periodic operators a job deploys.
-pub struct TimerService {
-    wheel: TimerWheel,
-}
-
-impl TimerService {
-    /// Start the timer-wheel thread.
-    pub fn start() -> Self {
-        TimerService { wheel: TimerWheel::start() }
-    }
-
-    /// Register a periodic callback; returns a registration id for
-    /// [`cancel`](Self::cancel).
-    pub fn register<F: Fn() + Send + Sync + 'static>(&self, period: Duration, f: F) -> u64 {
-        self.wheel.register(period, f)
-    }
-
-    /// Cancel a periodic registration. Idempotent; at most one already
-    /// in-flight fire may still land after this returns.
-    pub fn cancel(&self, id: u64) {
-        self.wheel.cancel(id);
-    }
-
-    /// Number of live registrations.
-    pub fn active(&self) -> usize {
-        self.wheel.active()
-    }
-
-    /// Stop the timer thread (also happens on drop).
-    pub fn shutdown(self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn spec_constructors_validate() {
@@ -172,66 +133,5 @@ mod tests {
     #[should_panic(expected = "count >= 1")]
     fn count_based_zero_panics() {
         ScheduleSpec::count_based(0);
-    }
-
-    #[test]
-    fn timer_fires_periodically() {
-        let timer = TimerService::start();
-        let fired = Arc::new(AtomicU64::new(0));
-        let f = fired.clone();
-        timer.register(Duration::from_millis(5), move || {
-            f.fetch_add(1, Ordering::Relaxed);
-        });
-        std::thread::sleep(Duration::from_millis(60));
-        let n = fired.load(Ordering::Relaxed);
-        assert!(n >= 3, "expected several fires, got {n}");
-        timer.shutdown();
-    }
-
-    #[test]
-    fn timer_cancel_stops_fires() {
-        let timer = TimerService::start();
-        let fired = Arc::new(AtomicU64::new(0));
-        let f = fired.clone();
-        let id = timer.register(Duration::from_millis(5), move || {
-            f.fetch_add(1, Ordering::Relaxed);
-        });
-        std::thread::sleep(Duration::from_millis(25));
-        timer.cancel(id);
-        assert_eq!(timer.active(), 0);
-        let snapshot = fired.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(30));
-        let after = fired.load(Ordering::Relaxed);
-        // At most one in-flight fire may land after cancel.
-        assert!(after <= snapshot + 1, "cancel did not stop timer: {snapshot} -> {after}");
-        timer.shutdown();
-    }
-
-    #[test]
-    fn multiple_registrations_independent() {
-        let timer = TimerService::start();
-        let fast = Arc::new(AtomicU64::new(0));
-        let slow = Arc::new(AtomicU64::new(0));
-        let f = fast.clone();
-        let s = slow.clone();
-        timer.register(Duration::from_millis(4), move || {
-            f.fetch_add(1, Ordering::Relaxed);
-        });
-        timer.register(Duration::from_millis(20), move || {
-            s.fetch_add(1, Ordering::Relaxed);
-        });
-        std::thread::sleep(Duration::from_millis(70));
-        let nf = fast.load(Ordering::Relaxed);
-        let ns = slow.load(Ordering::Relaxed);
-        assert!(nf > ns, "fast ({nf}) should outpace slow ({ns})");
-        assert!(ns >= 1);
-        timer.shutdown();
-    }
-
-    #[test]
-    fn shutdown_via_drop_does_not_hang() {
-        let timer = TimerService::start();
-        timer.register(Duration::from_secs(3600), || {});
-        drop(timer); // must not block for an hour
     }
 }

@@ -7,11 +7,10 @@
 //!   batching must never drop work).
 //! * Schedule specs round-trip their builder forms and validate exactly
 //!   the documented constraints.
-//! * The worker pool completes every submitted job exactly once.
+//! * A resource's pool runs every signalled task, once per signal batch,
+//!   whatever the ratio of tasks to workers.
 
-use neptune_granules::{
-    ComputationalTask, Resource, ScheduleSpec, TaskContext, TaskOutcome, WorkerPool,
-};
+use neptune_granules::{ComputationalTask, Resource, ScheduleSpec, TaskContext, TaskOutcome};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,23 +91,36 @@ proptest! {
     }
 
     #[test]
-    fn worker_pool_runs_every_job_once(
+    fn every_signalled_task_runs_once_per_signal_batch(
         workers in 1usize..6,
-        jobs in 1usize..200,
+        tasks in 1usize..200,
+        batch in 1u64..50,
     ) {
-        let pool = WorkerPool::new("prop", workers);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..jobs {
-            let c = counter.clone();
-            let accepted = pool.submit(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-            prop_assert!(accepted);
+        let resource = Resource::builder("prop").workers(workers).build();
+        let deployed: Vec<_> = (0..tasks)
+            .map(|_| {
+                let (seen, execs) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+                let task = SignalSum(seen.clone(), execs.clone());
+                (resource.deploy(task, ScheduleSpec::data_driven()).unwrap(), seen, execs)
+            })
+            .collect();
+        // Every third task is left alone.
+        let signalled = |i: usize| i % 3 != 2;
+        for (i, (handle, _, _)) in deployed.iter().enumerate() {
+            if signalled(i) {
+                handle.signal_many(batch);
+            }
         }
-        pool.wait_idle();
-        prop_assert_eq!(counter.load(Ordering::Relaxed), jobs as u64);
-        prop_assert_eq!(pool.completed(), jobs as u64);
-        prop_assert_eq!(pool.panicked(), 0);
-        pool.shutdown();
+        resource.drain();
+        for (i, (handle, seen, execs)) in deployed.iter().enumerate() {
+            let (want_signals, want_execs) = if signalled(i) { (batch, 1) } else { (0, 0) };
+            prop_assert_eq!(seen.load(Ordering::Relaxed), want_signals, "task {}", i);
+            prop_assert_eq!(execs.load(Ordering::Relaxed), want_execs, "task {}", i);
+            prop_assert_eq!(handle.executions(), want_execs);
+        }
+        prop_assert_eq!(resource.total_signals(), deployed.iter().enumerate()
+            .filter(|(i, _)| signalled(*i)).count() as u64 * batch);
+        prop_assert_eq!(resource.worker_panics(), 0);
+        resource.shutdown();
     }
 }

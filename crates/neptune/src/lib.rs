@@ -24,8 +24,7 @@
 //!   [`LinkBuilder`](neptune_link::LinkBuilder) behind every
 //!   frame-delivery path (in-process, TCP, chaos), with optional
 //!   reliability (replay, dedup, supervision), trace tagging, and a
-//!   retunable flush policy per link — plus the heartbeat failure
-//!   detector that watches them.
+//!   retunable flush policy per link.
 //! * [`cluster`](neptune_cluster) — real multi-process distribution:
 //!   the `neptuned` node daemon, the coordinator control plane, graph
 //!   partitioning, and the cross-process data plane.

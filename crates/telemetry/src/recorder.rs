@@ -61,7 +61,9 @@ pub enum EventKind {
     /// wake delivered to a retired task (subject = events in batch).
     ReactorStall = 15,
     /// Operator panic caught by the supervisor (subject = link id,
-    /// detail = attempt).
+    /// detail = attempt), or an IO task's panic caught by its pool
+    /// thread (subject = the pool's panic count, detail = 0: the task
+    /// is retired, not retried).
     Panic = 16,
 }
 

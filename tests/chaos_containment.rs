@@ -331,3 +331,40 @@ fn lossless_policy_delivers_everything_under_same_overload() {
     assert_eq!(delivered, total, "lossless backpressure must deliver every packet");
     assert_eq!(metrics.total_seq_violations(), 0);
 }
+
+/// Containment off is the default: nothing supervises the operator, so its
+/// panic unwinds into the worker tier — which retires the task and counts
+/// it. The job must still stop; it used to wait for ever on a task that
+/// would never run again.
+#[test]
+fn stop_returns_after_a_processor_panic_with_containment_off() {
+    let emitted = Arc::new(AtomicU64::new(0));
+    // One packet, so one frame: the books `stop()` settles against balance
+    // without the frames a dead operator will never take.
+    let job = build_job(
+        "panic-bare",
+        1,
+        RuntimeConfig::default(),
+        emitted.clone(),
+        Arc::new(Mutex::new(Vec::new())),
+        || AlwaysPanics,
+    );
+    assert!(job.await_sources(Duration::from_secs(10)), "source stalled");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while job.metrics().containment.worker_panics == 0 {
+        assert!(Instant::now() < deadline, "the panic never reached the worker tier");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (done, stopped) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let _ = done.send(job.stop());
+    });
+    let metrics = stopped
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("stop() still out after {:?}", started.elapsed()));
+    assert_eq!(metrics.containment.worker_panics, 1);
+    assert_eq!(metrics.containment.io_task_panics, 0, "the IO tier saw none of it");
+    assert_eq!(metrics.containment.panics, 0, "nothing supervised it");
+    assert_eq!(metrics.operator("sink").frames_in, 1);
+}

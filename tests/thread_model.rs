@@ -263,6 +263,20 @@ fn idle_thread_count_does_not_scale_with_sources() {
     let job64 = spawn_idle_job("idj64-", 64, &rt, &stop64);
     let threads_for_64 = settled_count_prefixed("idj64-");
     let tm = job64.thread_model();
+    // Idle cost, as a count: once its backoff has decayed to the 20 ms cap
+    // (≈ 25 ms after the last emit) an idle source is one timer fire and
+    // one stint per 20 ms — never a sleep loop on a thread.
+    std::thread::sleep(Duration::from_millis(100));
+    let (idle_from, before) = (std::time::Instant::now(), job64.thread_model());
+    std::thread::sleep(Duration::from_millis(200));
+    let (after, window) = (job64.thread_model(), idle_from.elapsed());
+    let spent = (after.io_polls - before.io_polls) + (after.timer_fires - before.timer_fires);
+    let owed = 2 * 64 * (window.as_millis() as u64 / 20 + 1);
+    assert!(
+        spent <= 2 * owed,
+        "64 idle sources cost {spent} stints + timer fires in {window:?}; one of each per \
+         source per 20 ms is {owed}"
+    );
     stop64.store(true, Ordering::Release);
     job64.stop();
 
