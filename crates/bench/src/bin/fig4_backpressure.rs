@@ -122,13 +122,17 @@ fn main() {
     table.print();
 
     // The sampler watched the whole oscillation: its series carries the
-    // queue fill levels and gate events behind the staircase above.
+    // queue fill levels behind the staircase above. Backpressure engaging
+    // is a gate *closing*; whether anyone then blocked in a push (a gate
+    // event) depends on who the producer was — a pump parks instead.
     assert!(!snap.series.is_empty(), "sampler produced no samples");
+    let gate_closures: u64 = snap.queues.iter().map(|q| q.gate_closures).sum();
     let gate_events: u64 = snap.queues.iter().map(|q| q.gate_events).sum();
-    assert!(gate_events > 0, "backpressure never engaged — Fig. 4 setup broken");
+    assert!(gate_closures > 0, "backpressure never engaged — Fig. 4 setup broken");
     println!(
-        "\ntelemetry: {} sampler ticks, {} backpressure gate events",
+        "\ntelemetry: {} sampler ticks, {} gate closures, {} producers blocked in a push",
         snap.series.len(),
+        gate_closures,
         gate_events
     );
 
@@ -169,6 +173,7 @@ fn main() {
                 ("r3", JsonValue::Number(r3)),
             ]),
         ),
+        ("gate_closures", JsonValue::Number(gate_closures as f64)),
         ("gate_events", JsonValue::Number(gate_events as f64)),
         ("telemetry", snap.to_json_value()),
     ]);

@@ -11,15 +11,10 @@
 //! cluster_bench [--max-nodes 3] [--count 50000] [--out BENCH_cluster.json]
 //! ```
 
-use neptune_cluster::coordinator::{demo_descriptor, run_cluster, CoordinatorOptions};
+use neptune_cluster::coordinator::{demo_descriptor, run_cluster_on, CoordinatorOptions};
 use std::io::Write as _;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
-
-fn free_port() -> u16 {
-    // Bind-drop: racy in principle, fine for a bench on loopback.
-    std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port()
-}
 
 fn neptuned_path() -> std::path::PathBuf {
     let mut p = std::env::current_exe().expect("current_exe");
@@ -40,8 +35,9 @@ struct Run {
 }
 
 fn run_once(nodes: usize, count: u64) -> Result<Run, String> {
-    let port = free_port();
-    let listen = format!("127.0.0.1:{port}");
+    // An OS-picked port, held from here until the coordinator owns it.
+    let control = std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
+    let listen = control.local_addr().map_err(|e| format!("bound address: {e}"))?.to_string();
     let daemon = neptuned_path();
     let mut children: Vec<Child> = Vec::new();
     for i in 0..nodes {
@@ -57,7 +53,7 @@ fn run_once(nodes: usize, count: u64) -> Result<Run, String> {
     let descriptor = demo_descriptor(&job, count, 16);
     let mut opts = CoordinatorOptions::new(listen, nodes);
     opts.deadline = Duration::from_secs(120);
-    let result = run_cluster(&opts, &descriptor, count);
+    let result = run_cluster_on(control, None, &opts, &descriptor, count);
     for mut child in children {
         let _ = child.kill();
         let _ = child.wait();

@@ -569,9 +569,25 @@ pub fn run_cluster(
     descriptor: &str,
     expected_unique: u64,
 ) -> Result<ClusterSummary, ProtoError> {
+    let control = TcpListener::bind(&opts.listen)?;
+    let http = opts.http.as_ref().map(TcpListener::bind).transpose()?;
+    run_cluster_on(control, http, opts, descriptor, expected_unique)
+}
+
+/// [`run_cluster`] on listeners the caller already holds — `opts.listen`
+/// and `opts.http` are not read. For a harness that lets the OS pick its
+/// ports: binding port 0 *and keeping the listener* is the only way to
+/// learn a free port without a window in which someone else can take it,
+/// and the daemons must be told the address before the coordinator runs.
+pub fn run_cluster_on(
+    listener: TcpListener,
+    http: Option<TcpListener>,
+    opts: &CoordinatorOptions,
+    descriptor: &str,
+    expected_unique: u64,
+) -> Result<ClusterSummary, ProtoError> {
     let spec = JobSpec::parse(descriptor)?;
     let demands = spec.demands();
-    let listener = TcpListener::bind(&opts.listen)?;
     listener.set_nonblocking(true)?;
     let deadline = Instant::now() + opts.deadline;
 
@@ -656,9 +672,8 @@ pub fn run_cluster(
         placement: Some(placement.clone()),
     }));
     let http_stop = Arc::new(AtomicBool::new(false));
-    let http_thread = match &opts.http {
-        Some(addr) => {
-            let l = TcpListener::bind(addr)?;
+    let http_thread = match http {
+        Some(l) => {
             eprintln!("coordinator: http export on {}", l.local_addr()?);
             let s = shared.clone();
             let stop = http_stop.clone();

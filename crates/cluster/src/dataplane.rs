@@ -32,11 +32,16 @@
 //!   ids crossing the process boundary, and pushes the frame — its
 //!   messages still one refcounted buffer, plus how many of them a replay
 //!   already delivered — onto the edge's byte-weighted route queue, keyed
-//!   by the low 32 bits of the link id. One push and one wake per frame.
+//!   by the low 32 bits of the link id. One push and one wake per frame:
+//!   the route holds the waker of the `__ingress` pump it feeds
+//!   ([`OperatorContext::waker`]) and fires it after each routed frame.
 //!   `__ingress` pops a frame, hands the fresh messages to the consumer's
 //!   channels as they are ([`OperatorContext::emit_encoded`]), flushes
 //!   those channels — the frame has already waited out the producer's
-//!   flush policy — and returns the buffer to the pool;
+//!   flush policy — and returns the buffer to the pool. With the route
+//!   empty it answers [`SourceStatus::Pending`] and its pump parks: an
+//!   idle cut edge polls nothing and holds no IO thread, which matters
+//!   because the consumer's node may run one, shared with a source;
 //! * acks are **withheld** until the node is quiescent (local queues
 //!   drained, own egress replay buffers empty) in
 //!   [`AckMode::Quiescent`] — the upstream replay buffer then covers
@@ -64,7 +69,7 @@ use neptune_core::channel::EmitError;
 use neptune_core::descriptor::OperatorRegistry;
 use neptune_core::json::JsonValue;
 use neptune_core::now_micros;
-use neptune_core::operator::{OperatorContext, SourceStatus, StreamProcessor, StreamSource};
+use neptune_core::operator::{OperatorContext, SourceStatus, StreamProcessor, StreamSource, Waker};
 use neptune_core::packet::StreamPacket;
 use neptune_granules::{IoPool, Reactor};
 pub use neptune_link::AckMode;
@@ -154,9 +159,29 @@ struct IngressRoute {
     /// `__ingress` is in the middle of handing to the consumer, and the
     /// node would release acks for packets it has not yet taken in.
     emitted: AtomicU64,
+    /// The waker of the `__ingress` pump this route feeds, once that pump
+    /// has found the route empty. Whoever changes what `__ingress` would
+    /// see — a routed frame, a drain, a shutdown — fires it afterwards.
+    waker: Mutex<Option<Waker>>,
 }
 
 impl IngressRoute {
+    fn new() -> Self {
+        IngressRoute {
+            queue: WatermarkQueue::new(INGRESS_QUEUE),
+            emitted: AtomicU64::new(0),
+            waker: Mutex::new(None),
+        }
+    }
+
+    /// Wake the `__ingress` pump, if one is registered.
+    fn wake(&self) {
+        let waker = self.waker.lock().clone();
+        if let Some(waker) = waker {
+            waker();
+        }
+    }
+
     /// Pairs with the `Release` increment `__ingress` makes *after* a
     /// frame's last message is in the consumer's channel: whoever sees the
     /// counts equal also sees those messages when it goes on to check that
@@ -322,15 +347,18 @@ impl DataPlane {
             }
             let edge = edge_of(frame.link_id);
             // Blocks while the route's gate is shut — the node's ingress
-            // backpressure, in bytes. `Closed` (route gone for good) stays
-            // distinct from `Backpressure` in the shared error space.
-            let pushed = self
-                .ingress_route(edge)
+            // backpressure, in bytes; this thread is the demux's own.
+            // `Closed` (route gone for good) stays distinct from
+            // `Backpressure` in the shared error space.
+            let route = self.ingress_route(edge);
+            let pushed = route
                 .queue
                 .push_blocking(RoutedFrame { messages: frame.messages, skip })
                 .map_err(TransportError::from_push);
             match pushed {
                 Ok(_) => {
+                    // One wake per frame, which is thousands of packets.
+                    route.wake();
                     self.packets_in.fetch_add((count - skip) as u64, Ordering::Relaxed);
                     self.stage_ack(frame.link_id);
                 }
@@ -415,12 +443,22 @@ impl DataPlane {
     /// empty instead of idling forever (job teardown path).
     pub fn drain_ingress(&self) {
         self.ingress_draining.store(true, Ordering::Release);
+        self.wake_ingress();
     }
 
     /// Stop pump/heartbeat threads and close the inbound queue.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.receiver.queue().close();
+        self.wake_ingress();
+    }
+
+    /// A flag every `__ingress` reads has changed: parked ones must look.
+    fn wake_ingress(&self) {
+        let routes: Vec<Arc<IngressRoute>> = self.routes.lock().values().cloned().collect();
+        for route in routes {
+            route.wake();
+        }
     }
 
     /// Snapshot of the counters for reports.
@@ -524,16 +562,7 @@ impl DataPlane {
     }
 
     fn ingress_route(&self, edge: u32) -> Arc<IngressRoute> {
-        self.routes
-            .lock()
-            .entry(edge)
-            .or_insert_with(|| {
-                Arc::new(IngressRoute {
-                    queue: WatermarkQueue::new(INGRESS_QUEUE),
-                    emitted: AtomicU64::new(0),
-                })
-            })
-            .clone()
+        self.routes.lock().entry(edge).or_insert_with(|| Arc::new(IngressRoute::new())).clone()
     }
 
     /// Register the `__ingress` / `__egress` boundary factories on a
@@ -565,7 +594,9 @@ impl DataPlane {
 }
 
 /// Boundary source: feeds frames demuxed off the wire into the local
-/// sub-graph, message bytes untouched.
+/// sub-graph, message bytes untouched. It never waits for a frame: with
+/// the route empty it leaves its pump's waker with the route and answers
+/// [`SourceStatus::Pending`].
 struct IngressSource {
     route: Arc<IngressRoute>,
     /// The receiver's frame-body pool; emitted frames go back to it.
@@ -593,31 +624,45 @@ impl IngressSource {
         // The frame already waited out the producer's flush policy, the
         // one policy of this edge. The consumer's channels only sort its
         // messages by instance: what was flushed together upstream is
-        // delivered together here, not held for a second timer.
+        // delivered together here, not held for a second timer. (On the
+        // pump's context this does not wait either: a batch the consumer
+        // cannot take now stays staged in its channel, and the pump parks
+        // on that link before it asks for the next frame.)
         ctx.force_flush_all().map_err(|_| ())?;
         let fresh = messages.len() - skip as usize;
         self.pool.recycle(messages.into_batch());
         Ok(fresh)
     }
+
+    /// The next routed frame, or why there is none.
+    fn poll(&self) -> Result<RoutedFrame, SourceStatus> {
+        let queue = &self.route.queue;
+        if let Some(frame) = queue.pop() {
+            return Ok(frame);
+        }
+        // Flags first, queue second: a frame routed before `draining` was
+        // raised is seen by the pop that follows the flag.
+        let done = self.shutdown.load(Ordering::Acquire)
+            || (self.draining.load(Ordering::Acquire) && queue.is_empty());
+        Err(if done { SourceStatus::Exhausted } else { SourceStatus::Pending })
+    }
 }
 
 impl StreamSource for IngressSource {
     fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
-        let queue = &self.route.queue;
-        let frame = match queue.pop() {
-            Some(frame) => frame,
-            None => {
-                if self.shutdown.load(Ordering::Acquire)
-                    || (self.draining.load(Ordering::Acquire) && queue.is_empty())
-                {
-                    return SourceStatus::Exhausted;
-                }
-                // Block briefly for the next frame instead of spinning.
-                match queue.pop_timeout(Duration::from_millis(2)) {
-                    Some(frame) => frame,
-                    None => return SourceStatus::Idle,
+        let frame = match self.poll() {
+            Ok(frame) => frame,
+            Err(SourceStatus::Pending) => {
+                // Register, then look once more: a frame, a drain or a
+                // shutdown that came before the registration woke nobody.
+                // Once per park, which is at most once per frame.
+                *self.route.waker.lock() = Some(ctx.waker());
+                match self.poll() {
+                    Ok(frame) => frame,
+                    Err(status) => return status,
                 }
             }
+            Err(status) => return status,
         };
         let emitted = self.emit_frame(frame, ctx);
         // Done with the frame either way: a consumer that is gone cannot
@@ -821,6 +866,157 @@ mod tests {
         up.shutdown();
         down.shutdown();
         assert_eq!(ingress.next(&mut ctx), SourceStatus::Exhausted);
+    }
+
+    /// `__ingress` behind a meter: how often its pump called it, and the
+    /// longest an empty-handed call kept the IO thread.
+    struct MeteredIngress {
+        inner: IngressSource,
+        polls: Arc<AtomicU64>,
+        longest_empty_call_us: Arc<AtomicU64>,
+    }
+
+    impl StreamSource for MeteredIngress {
+        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            let t = Instant::now();
+            let status = self.inner.next(ctx);
+            if !matches!(status, SourceStatus::Emitted(_)) {
+                let us = t.elapsed().as_micros() as u64;
+                self.longest_empty_call_us.fetch_max(us, Ordering::Relaxed);
+            }
+            status
+        }
+    }
+
+    /// Shares the job's IO thread with `__ingress`: never idle, never done
+    /// until told, counts how often it got the thread.
+    struct Ticker {
+        ticks: Arc<AtomicU64>,
+        stop: Arc<AtomicBool>,
+    }
+
+    impl StreamSource for Ticker {
+        fn next(&mut self, _ctx: &mut OperatorContext) -> SourceStatus {
+            if self.stop.load(Ordering::Acquire) {
+                return SourceStatus::Exhausted;
+            }
+            self.ticks.fetch_add(1, Ordering::Relaxed);
+            SourceStatus::Emitted(0)
+        }
+    }
+
+    struct CountSink(Arc<AtomicU64>);
+
+    impl StreamProcessor for CountSink {
+        fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A one-IO-thread job: a metered `__ingress` on `edge` of `plane`, and
+    /// optionally a ticker beside it, both feeding a counting sink.
+    struct IngressRig {
+        job: neptune_core::runtime::JobHandle,
+        polls: Arc<AtomicU64>,
+        longest_empty_call_us: Arc<AtomicU64>,
+        ticks: Arc<AtomicU64>,
+        stop_ticker: Arc<AtomicBool>,
+        delivered: Arc<AtomicU64>,
+    }
+
+    fn ingress_rig(plane: &Arc<DataPlane>, edge: u32, with_ticker: bool) -> IngressRig {
+        use neptune_core::prelude::*;
+        let polls = Arc::new(AtomicU64::new(0));
+        let longest = Arc::new(AtomicU64::new(0));
+        let ticks = Arc::new(AtomicU64::new(0));
+        let stop_ticker = Arc::new(AtomicBool::new(false));
+        let delivered = Arc::new(AtomicU64::new(0));
+        let (pl, po, lo) = (plane.clone(), polls.clone(), longest.clone());
+        let d = delivered.clone();
+        let mut graph = GraphBuilder::new(format!("ingress-rig-{edge}"))
+            .source("ingress", move || MeteredIngress {
+                inner: IngressSource {
+                    route: pl.ingress_route(edge),
+                    pool: pl.pool.clone(),
+                    edge,
+                    draining: pl.ingress_draining.clone(),
+                    shutdown: pl.shutdown.clone(),
+                },
+                polls: po.clone(),
+                longest_empty_call_us: lo.clone(),
+            })
+            .processor("sink", move || CountSink(d.clone()))
+            .link("ingress", "sink", PartitioningScheme::Shuffle);
+        if with_ticker {
+            let (t, st) = (ticks.clone(), stop_ticker.clone());
+            graph = graph
+                .source("ticker", move || Ticker { ticks: t.clone(), stop: st.clone() })
+                .link("ticker", "sink", PartitioningScheme::Shuffle);
+        }
+        let config = RuntimeConfig { io_threads: Some(1), ..RuntimeConfig::default() };
+        let job = LocalRuntime::new(config).submit(graph.build().unwrap()).unwrap();
+        IngressRig { job, polls, longest_empty_call_us: longest, ticks, stop_ticker, delivered }
+    }
+
+    #[test]
+    fn an_idle_ingress_holds_no_io_thread_and_a_routed_frame_wakes_it() {
+        let down = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+        let up = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+        let rig = ingress_rig(&down, 6, true);
+        // Let `__ingress` find its route empty, then watch 100 ms of that.
+        wait_until("the ingress pump has polled", || rig.polls.load(Ordering::Relaxed) > 0);
+        std::thread::sleep(Duration::from_millis(20));
+        let (polls_before, ticks_before) =
+            (rig.polls.load(Ordering::Relaxed), rig.ticks.load(Ordering::Relaxed));
+        std::thread::sleep(Duration::from_millis(100));
+        let idle_polls = rig.polls.load(Ordering::Relaxed) - polls_before;
+        let ticks = rig.ticks.load(Ordering::Relaxed) - ticks_before;
+        // Parked on the route's waker: not one poll, where a 2 ms wait
+        // plus back-off made about ten — each holding the only IO thread.
+        assert_eq!(idle_polls, 0, "an empty route must cost its pump nothing");
+        assert!(ticks > 1_000, "the other source had the thread to itself: {ticks} calls");
+        let longest = rig.longest_empty_call_us.load(Ordering::Relaxed);
+        assert!(longest < 2_000, "an empty-handed `next()` kept the IO thread {longest} µs");
+
+        // A frame routed while the pump is parked: no back-off stands
+        // between it and the sink, only the wake.
+        let core = up.egress_core(6, 0, down.local_addr().to_string(), 0);
+        core.forward(&batch(0..50)).unwrap();
+        wait_until("the routed frame reaches the sink", || {
+            rig.delivered.load(Ordering::Relaxed) == 50
+        });
+        let woken_polls = rig.polls.load(Ordering::Relaxed) - polls_before;
+        assert!((1..=3).contains(&woken_polls), "one wake, one frame: {woken_polls} polls");
+
+        rig.stop_ticker.store(true, Ordering::Release);
+        down.drain_ingress();
+        assert!(rig.job.await_sources(Duration::from_secs(5)));
+        rig.job.stop();
+        up.shutdown();
+        down.shutdown();
+    }
+
+    #[test]
+    fn drain_and_shutdown_end_a_parked_ingress() {
+        for by_shutdown in [false, true] {
+            let plane = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
+            let rig = ingress_rig(&plane, 8, false);
+            wait_until("the ingress pump has polled", || rig.polls.load(Ordering::Relaxed) > 0);
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(rig.job.active_sources(), 1, "parked, not finished");
+            if by_shutdown {
+                plane.shutdown();
+            } else {
+                plane.drain_ingress();
+            }
+            assert!(
+                rig.job.await_sources(Duration::from_secs(5)),
+                "a parked `__ingress` must be woken to see the flag (shutdown: {by_shutdown})"
+            );
+            rig.job.stop();
+            plane.shutdown();
+        }
     }
 
     #[test]

@@ -14,10 +14,16 @@ use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use neptune_cluster::coordinator::{demo_descriptor, run_cluster, CoordinatorOptions};
+use neptune_cluster::coordinator::{demo_descriptor, run_cluster_on, CoordinatorOptions};
 
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port()
+/// A listener on an OS-picked loopback port, and its address. The listener
+/// is kept and handed to the coordinator: a port learned by binding and
+/// dropping is anybody's again before the coordinator binds it — the
+/// other test of this file, picking its own in parallel, included.
+fn bound() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    (listener, addr)
 }
 
 fn spawn_daemons(coordinator: &str, n: usize, tag: &str) -> Vec<Child> {
@@ -53,16 +59,17 @@ fn http_get(addr: &str, path: &str) -> Option<String> {
 #[test]
 fn three_node_cluster_delivers_every_uid_and_serves_the_merged_export() {
     const COUNT: u64 = 20_000;
-    let listen = format!("127.0.0.1:{}", free_port());
-    let http = format!("127.0.0.1:{}", free_port());
+    let (control, listen) = bound();
+    let (http_listener, http) = bound();
     let children = spawn_daemons(&listen, 3, "e2e");
     let descriptor = demo_descriptor("e2e-job", COUNT, 16);
     let mut opts = CoordinatorOptions::new(listen, 3);
-    opts.http = Some(http.clone());
     opts.deadline = Duration::from_secs(90);
 
     // Drive the coordinator on a thread so this one can scrape mid-run.
-    let driver = std::thread::spawn(move || run_cluster(&opts, &descriptor, COUNT));
+    let driver = std::thread::spawn(move || {
+        run_cluster_on(control, Some(http_listener), &opts, &descriptor, COUNT)
+    });
 
     // Scrape the live endpoints while the job runs: /nodes must list all
     // three daemons with pids, /metrics must carry the merged counters.
@@ -104,16 +111,17 @@ fn chaos_kill_mid_run_reassigns_and_loses_no_uids() {
     // unoptimized one), few enough that the upstream replay buffers
     // (64 MB) still hold every unacked frame when it does.
     const COUNT: u64 = 1_000_000;
-    let listen = format!("127.0.0.1:{}", free_port());
-    let http = format!("127.0.0.1:{}", free_port());
+    let (control, listen) = bound();
+    let (http_listener, http) = bound();
     let children = spawn_daemons(&listen, 3, "chaos");
     let descriptor = demo_descriptor("chaos-job", COUNT, 16);
     let mut opts = CoordinatorOptions::new(listen, 3);
-    opts.http = Some(http.clone());
     opts.heartbeat_timeout = Duration::from_millis(800);
     opts.deadline = Duration::from_secs(90);
 
-    let driver = std::thread::spawn(move || run_cluster(&opts, &descriptor, COUNT));
+    let driver = std::thread::spawn(move || {
+        run_cluster_on(control, Some(http_listener), &opts, &descriptor, COUNT)
+    });
 
     // Find the daemon hosting the windowed stage via the live /nodes
     // export, give the pipeline a moment to be genuinely mid-run, then

@@ -6,22 +6,49 @@
 //! * an [`OutputBuffer`] on the sending side (application-level buffering,
 //!   §III-B1), governed by its link's retunable flush policy,
 //! * a built [`Link`] stack — transport flavour (in-process or TCP),
-//!   optional trace tagging, optional reliability — that blocks under
+//!   optional trace tagging, optional reliability — that pushes back under
 //!   backpressure (§III-B4),
 //! * contiguous per-channel sequence numbers that let the receiver verify
 //!   in-order, exactly-once delivery (§I-B's correctness requirement).
 //!
-//! The channel's buffer mutex is held across the flush-and-dispatch step
-//! on purpose: batches of one channel must reach the transport in flush
-//! order, or sequence validation downstream would flag reordering.
+//! The channel's lock is held across the flush and the hand-over *or
+//! staging* of a batch, on purpose: batches of one channel must reach the
+//! transport in flush order, or sequence validation downstream would flag
+//! reordering. It is never held across a wait. A hand-over asks the link
+//! ([`Link::try_deliver`]); what the link cannot take now — one flushed
+//! batch, a barrier behind it — is **staged** here, in order, and goes
+//! first the next time anyone comes by: the producer's next push, the
+//! endpoint's flush task when the link's space listener wakes it, a
+//! teardown flush. Who waits for that depends on who is asking:
+//!
+//! * a caller that owns its thread — a worker-tier processor emitting
+//!   (§III-B4's blocking write), teardown, a test — uses [`push`],
+//!   [`force_flush`], [`barrier`]: they stage like everyone else, release
+//!   the lock, and wait for the link's space signal before trying again;
+//! * a task on the IO tier — a source pump, the flush task — uses the
+//!   `_nowait` forms and [`flush_if_due`]: they stage and return, and the
+//!   task parks on the link's space listener.
+//!
+//! Staging is bounded by the producer, not here: a worker waits until the
+//! endpoint is clear again before it returns, and a pump that is told its
+//! push left work staged does not call its source again until
+//! [`retry_staged`] has cleared it — so at most one batch (the flush
+//! task's, or the producer's own), plus what a single `next()` call
+//! flushed past it, is ever staged.
+//!
+//! [`push`]: ChannelEndpoint::push
+//! [`force_flush`]: ChannelEndpoint::force_flush
+//! [`barrier`]: ChannelEndpoint::barrier
+//! [`flush_if_due`]: ChannelEndpoint::flush_if_due
+//! [`retry_staged`]: ChannelEndpoint::retry_staged
 
 use crate::metrics::OperatorCounters;
-use neptune_link::{Link, TraceTagger};
+use neptune_link::{Link, OutboundFrame, TraceTagger};
 use neptune_net::buffer::{FlushedBatch, OutputBuffer, PushOutcome};
 use neptune_net::transport::TransportError;
-use neptune_net::watermark::WatermarkQueue;
 use neptune_telemetry::{OperatorTelemetry, SpanRing};
 use parking_lot::{Mutex, RwLock};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,14 +113,29 @@ impl std::fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
+/// Something the link could not take when it was flushed.
+enum Staged {
+    /// A prepared data frame: counted and tagged once, offered until taken.
+    Frame(OutboundFrame),
+    /// A checkpoint barrier, behind the data it was flushed after.
+    Barrier(u64),
+}
+
+/// What the channel lock guards: the buffer packets collect in, and what
+/// has left it but not yet reached the link, oldest first.
+struct Outbox {
+    buffer: OutputBuffer,
+    staged: VecDeque<Staged>,
+}
+
 /// The sending half of one channel: an [`OutputBuffer`] feeding a built
 /// [`Link`] stack.
 pub struct ChannelEndpoint {
     channel: ChannelId,
-    buffer: Mutex<OutputBuffer>,
-    /// Mirror of "the buffer holds at least one message", maintained under
-    /// the buffer lock. Lets the flusher thread skip idle endpoints with a
-    /// single atomic load instead of taking every buffer mutex each tick.
+    outbox: Mutex<Outbox>,
+    /// Mirror of "the endpoint holds something — a buffered message or
+    /// staged work", maintained under the lock. Lets the flush task skip an
+    /// idle endpoint with a single atomic load instead of taking its mutex.
     has_data: AtomicBool,
     /// Set once the downstream link fails terminally (dispatch error or an
     /// explicit [`fail_link`](Self::fail_link)). Emitters fast-fail with
@@ -130,7 +172,7 @@ impl ChannelEndpoint {
     ) -> Self {
         ChannelEndpoint {
             channel,
-            buffer: Mutex::new(buffer),
+            outbox: Mutex::new(Outbox { buffer, staged: VecDeque::new() }),
             has_data: AtomicBool::new(false),
             failed: AtomicBool::new(false),
             link,
@@ -171,118 +213,178 @@ impl ChannelEndpoint {
         *self.flush_waker.write() = Some(Arc::new(f));
     }
 
-    /// Deadline by which the currently buffered data must flush; `None`
-    /// when the buffer is empty or the link has no flush timer.
+    /// When the flush task should look at this endpoint again on its own:
+    /// the deadline by which the buffered data must flush. `None` when the
+    /// buffer is empty, the link has no flush timer, or staged work is
+    /// waiting for the link — then the link's space listener says when,
+    /// not the clock.
     pub fn flush_deadline(&self) -> Option<Instant> {
-        self.buffer.lock().flush_deadline()
-    }
-
-    /// The destination watermark queue for an in-process link; `None` for
-    /// TCP channels (their backpressure lives in the sender's IO queue).
-    pub fn inproc_queue(&self) -> Option<&Arc<WatermarkQueue<neptune_net::frame::Frame>>> {
-        self.link.queue()
-    }
-
-    /// Buffer one serialized packet; dispatches a batch if the push filled
-    /// the buffer. Blocks under downstream backpressure.
-    pub fn push(&self, message: &[u8]) -> Result<(), EmitError> {
-        if self.failed.load(Ordering::Acquire) {
-            return Err(EmitError::Closed);
+        let out = self.outbox.lock();
+        if out.staged.is_empty() {
+            out.buffer.flush_deadline()
+        } else {
+            None
         }
-        let mut buf = self.buffer.lock();
-        let outcome = buf.push(message);
-        self.after_push(&mut buf, outcome)
+    }
+
+    /// Buffer one serialized packet; hands a batch over if the push filled
+    /// the buffer. Waits under downstream backpressure — for callers that
+    /// own their thread.
+    pub fn push(&self, message: &[u8]) -> Result<(), EmitError> {
+        let staged = self.push_with(|buf| buf.push(message))?;
+        self.settle_staged(staged)
     }
 
     /// Buffer one packet that already carries its 4-byte length prefix —
     /// the serialize-once fan-out path ([`crate::operator::OperatorContext`]
     /// encodes `[len | bytes]` once and appends the same slice to every
-    /// destination endpoint).
+    /// destination endpoint). Waits under downstream backpressure — for
+    /// callers that own their thread.
     pub fn push_preencoded(&self, prefixed: &[u8]) -> Result<(), EmitError> {
+        let staged = self.push_with(|buf| buf.push_prefixed(prefixed))?;
+        self.settle_staged(staged)
+    }
+
+    /// [`push_preencoded`](Self::push_preencoded) for a task on the IO
+    /// tier: a batch the link cannot take now is staged, and the call
+    /// returns — `Ok(true)` when it leaves work staged, which is the
+    /// producer's cue to stop producing until [`retry_staged`] clears it.
+    ///
+    /// [`retry_staged`]: Self::retry_staged
+    pub fn push_preencoded_nowait(&self, prefixed: &[u8]) -> Result<bool, EmitError> {
+        self.push_with(|buf| buf.push_prefixed(prefixed))
+    }
+
+    /// One push under the lock: staged work first, then the message, then
+    /// the batch if that filled the buffer. `Ok(true)` when work is left
+    /// staged.
+    fn push_with(
+        &self,
+        push: impl FnOnce(&mut OutputBuffer) -> PushOutcome,
+    ) -> Result<bool, EmitError> {
         if self.failed.load(Ordering::Acquire) {
             return Err(EmitError::Closed);
         }
-        let mut buf = self.buffer.lock();
-        let outcome = buf.push_prefixed(prefixed);
-        self.after_push(&mut buf, outcome)
-    }
-
-    fn after_push(&self, buf: &mut OutputBuffer, outcome: PushOutcome) -> Result<(), EmitError> {
-        match outcome {
+        let mut out = self.outbox.lock();
+        if !out.staged.is_empty() {
+            self.drain_staged(&mut out)?;
+        }
+        match push(&mut out.buffer) {
             PushOutcome::Buffered => {
-                // The buffer lock is held and the buffer knows the
-                // empty → non-empty edge: only that push touches the flag
-                // and the flush task, every other push just appends.
-                if buf.buffered_count() == 1 {
+                // The lock is held and the buffer knows the empty →
+                // non-empty edge: only that push touches the flag and the
+                // flush task, every other push just appends.
+                if out.buffer.buffered_count() == 1 {
                     self.has_data.store(true, Ordering::Release);
                     if let Some(waker) = self.flush_waker.read().as_ref() {
                         waker();
                     }
                 }
-                Ok(())
             }
             PushOutcome::Flush(batch) => {
-                self.has_data.store(false, Ordering::Release);
-                self.dispatch(buf, batch)
+                self.dispatch(&mut out, batch)?;
+                self.sync_has_data(&out);
             }
         }
+        Ok(!out.staged.is_empty())
     }
 
-    /// Timer path: flush if the oldest buffered message is older than the
-    /// link's flush interval. Cheap when idle: an empty endpoint is skipped
-    /// on an atomic load, without touching the buffer mutex.
+    /// Timer path, never waits: hand staged work over, then flush if the
+    /// oldest buffered message is older than the link's flush interval and
+    /// nothing is staged ahead of it. Cheap when idle: an empty endpoint is
+    /// skipped on an atomic load, without touching the mutex.
     pub fn flush_if_due(&self, now: Instant) -> Result<(), EmitError> {
         if !self.has_data.load(Ordering::Acquire) {
             return Ok(());
         }
-        if self.failed.load(Ordering::Acquire) {
-            return Err(EmitError::Closed);
-        }
-        let mut buf = self.buffer.lock();
-        match buf.take_if_due(now) {
-            Some(batch) => {
-                self.has_data.store(false, Ordering::Release);
-                self.dispatch(&mut buf, batch)
+        let due = |out: &mut Outbox| {
+            if out.staged.is_empty() {
+                out.buffer.take_if_due(now)
+            } else {
+                None
             }
-            None => Ok(()),
-        }
+        };
+        self.flush_with(due, None).map(|_| ())
     }
 
-    /// Unconditional flush (teardown / explicit).
+    /// Unconditional flush (teardown / explicit). Waits until the link has
+    /// taken everything — for callers that own their thread.
     pub fn force_flush(&self) -> Result<(), EmitError> {
+        let staged = self.flush_with(|out| out.buffer.force_flush(), None)?;
+        self.settle_staged(staged)
+    }
+
+    /// [`force_flush`](Self::force_flush) for a task on the IO tier: what
+    /// the link cannot take now is staged, and the call returns —
+    /// `Ok(true)` when it leaves work staged.
+    pub fn flush_nowait(&self) -> Result<bool, EmitError> {
+        self.flush_with(|out| out.buffer.force_flush(), None)
+    }
+
+    /// Offer staged work to the link again, flushing nothing new; never
+    /// waits. `Ok(true)` when the link still refuses some of it — its
+    /// space listener says when to come back.
+    pub fn retry_staged(&self) -> Result<bool, EmitError> {
+        self.flush_with(|_| None, None)
+    }
+
+    /// One flush under the lock: staged work first, then the batch `take`
+    /// picks, if any, then `barrier` behind it. `Ok(true)` when work is
+    /// left staged.
+    fn flush_with(
+        &self,
+        take: impl FnOnce(&mut Outbox) -> Option<FlushedBatch>,
+        barrier: Option<u64>,
+    ) -> Result<bool, EmitError> {
         if self.failed.load(Ordering::Acquire) {
             return Err(EmitError::Closed);
         }
-        let mut buf = self.buffer.lock();
-        match buf.force_flush() {
-            Some(batch) => {
-                self.has_data.store(false, Ordering::Release);
-                self.dispatch(&mut buf, batch)
-            }
-            None => Ok(()),
+        let mut out = self.outbox.lock();
+        self.drain_staged(&mut out)?;
+        if let Some(batch) = take(&mut out) {
+            self.dispatch(&mut out, batch)?;
         }
+        if let Some(id) = barrier {
+            out.staged.push_back(Staged::Barrier(id));
+            self.drain_staged(&mut out)?;
+        }
+        self.sync_has_data(&out);
+        Ok(!out.staged.is_empty())
     }
 
     /// Emit an aligned-snapshot barrier (ISSUE 10) behind everything
-    /// buffered so far: force-flush pending data, then send the barrier
-    /// control frame down the link stack. Barriers are control traffic —
-    /// they bypass the output buffer, take no sequence number, and do not
-    /// count toward `frames_out` (the settle invariant balances data
-    /// frames only).
+    /// buffered so far: flush pending data, then send the barrier control
+    /// frame down the link stack — or stage it behind a batch the link has
+    /// not taken yet; a barrier never overtakes data of its channel.
+    /// Barriers are control traffic — they bypass the output buffer, take
+    /// no sequence number, and do not count toward `frames_out` (the settle
+    /// invariant balances data frames only). Waits until the link has taken
+    /// it — for callers that own their thread.
     pub fn barrier(&self, checkpoint_id: u64) -> Result<(), EmitError> {
-        self.force_flush()?;
-        self.link.barrier(checkpoint_id).map_err(|e| match e {
-            TransportError::Closed => EmitError::Closed,
-            other => EmitError::Transport(other.to_string()),
-        })
+        let staged = self.flush_with(|out| out.buffer.force_flush(), Some(checkpoint_id))?;
+        self.settle_staged(staged)
     }
 
-    /// True when nothing is buffered.
+    /// [`barrier`](Self::barrier) for a task on the IO tier: staged behind
+    /// whatever the link cannot take now, and the call returns — `Ok(true)`
+    /// when it leaves work staged.
+    pub fn barrier_nowait(&self, checkpoint_id: u64) -> Result<bool, EmitError> {
+        self.flush_with(|out| out.buffer.force_flush(), Some(checkpoint_id))
+    }
+
+    /// Items the link has not taken yet (tests: the staging bound).
+    #[cfg(test)]
+    pub(crate) fn staged_len(&self) -> usize {
+        self.outbox.lock().staged.len()
+    }
+
+    /// True when nothing is buffered and nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.buffer.lock().buffered_count() == 0
+        let out = self.outbox.lock();
+        out.buffer.buffered_count() == 0 && out.staged.is_empty()
     }
 
-    /// True once the downstream link failed (dispatch error or explicit
+    /// True once the downstream link failed (hand-over error or explicit
     /// [`fail_link`](Self::fail_link)).
     pub fn is_failed(&self) -> bool {
         self.failed.load(Ordering::Acquire)
@@ -293,31 +395,62 @@ impl ChannelEndpoint {
     ///
     /// Beyond marking the endpoint so emitters fast-fail, this closes an
     /// in-process destination queue: the backpressure gate only reopens
-    /// on *consumption*, so a producer parked in `push_blocking` behind a
-    /// closed high-watermark gate would otherwise wait forever on a link
-    /// that will never drain. `WatermarkQueue::close` wakes every gated
-    /// producer with an error, which surfaces here as
-    /// [`EmitError::Closed`].
+    /// on *consumption*, so a producer waiting behind a closed
+    /// high-watermark gate would otherwise wait forever on a link that
+    /// will never drain. `WatermarkQueue::close` wakes every waiting
+    /// producer and fires the space listeners parked tasks sleep on; what
+    /// they then find is [`EmitError::Closed`].
     pub fn fail_link(&self) {
         self.failed.store(true, Ordering::Release);
+        {
+            // Nobody waits under this lock, so taking it here is safe; what
+            // was staged for the dead link goes with it.
+            let mut out = self.outbox.lock();
+            out.staged.clear();
+            self.sync_has_data(&out);
+        }
         self.link.close();
     }
 
-    /// Dispatch a batch to the link. Called with the buffer lock held so
-    /// batches leave in flush order (per-channel ordering invariant).
-    fn dispatch(&self, buf: &mut OutputBuffer, batch: FlushedBatch) -> Result<(), EmitError> {
-        let out = self.dispatch_inner(buf, batch);
-        if out.is_err() {
-            // A channel whose link errored is done: the transports behind
-            // every flavour fail terminally, so later emits would only
-            // block or error again. Latch the failure so they fast-fail.
-            self.failed.store(true, Ordering::Release);
+    /// The waiting half of the hand-over, for callers that own their
+    /// thread: offer what is staged, and while the link refuses, wait for
+    /// its space signal — with the lock released, so the flush task and
+    /// teardown are never queued behind a blocked producer.
+    fn settle_staged(&self, mut staged: bool) -> Result<(), EmitError> {
+        while staged {
+            self.link.wait_space();
+            staged = self.retry_staged()?;
         }
-        out
+        Ok(())
     }
 
-    fn dispatch_inner(&self, buf: &mut OutputBuffer, batch: FlushedBatch) -> Result<(), EmitError> {
-        let count = batch.count;
+    /// Offer staged work to the link, oldest first, until it is gone or
+    /// the link refuses. Called with the lock held; never waits.
+    fn drain_staged(&self, out: &mut Outbox) -> Result<(), EmitError> {
+        while let Some(head) = out.staged.front() {
+            let taken = match head {
+                Staged::Frame(frame) => self.link.try_deliver(frame).map(Some),
+                Staged::Barrier(id) => self.link.try_barrier(*id).map(|()| None),
+            };
+            match taken {
+                Ok(wire) => {
+                    if let (Some(Staged::Frame(frame)), Some(wire)) = (out.staged.pop_front(), wire)
+                    {
+                        self.handed_over(&mut out.buffer, frame, wire);
+                    }
+                }
+                Err(TransportError::Backpressure) => break,
+                Err(e) => return Err(self.fail(out, e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Prepare a flushed batch and queue it behind what the link has not
+    /// taken yet — usually nothing, and it goes at once. Called with the
+    /// lock held so batches leave in flush order (per-channel ordering
+    /// invariant); never waits.
+    fn dispatch(&self, out: &mut Outbox, batch: FlushedBatch) -> Result<(), EmitError> {
         let wait = batch.queueing_delay.as_micros() as u64;
         // Telemetry point (ISSUE 2): the buffer already measured how long
         // its oldest message waited; one wall-clock read per *batch* stamps
@@ -331,22 +464,39 @@ impl ChannelEndpoint {
             }
             None => 0,
         };
-        let wire = self
-            .link
-            .send_batch(batch.base_seq, batch.encoded.clone(), count, sent_at, wait)
-            .map_err(|e| match e {
-                TransportError::Closed => EmitError::Closed,
-                other => EmitError::Transport(other.to_string()),
-            })?;
+        let frame = self.link.prepare(batch.base_seq, batch.encoded, batch.count, sent_at, wait);
+        out.staged.push_back(Staged::Frame(frame));
+        self.drain_staged(out)
+    }
+
+    /// Account for one frame the link took.
+    fn handed_over(&self, buf: &mut OutputBuffer, frame: OutboundFrame, wire: usize) {
         // In-process flavours hand the same bytes to the receiver, which
         // recycles them once consumed — this call is then a refcount-gated
         // no-op. Wire flavours copy onto the wire, so the storage goes
         // straight back to the buffer (sole handle → reclaimed).
-        buf.recycle(batch.encoded);
-        self.link.stats().record_packets(count as u64);
+        buf.recycle(frame.encoded);
+        self.link.stats().record_packets(frame.header.count as u64);
         self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes_out.fetch_add(wire as u64, Ordering::Relaxed);
-        Ok(())
+    }
+
+    /// A channel whose link errored is done: the transports behind every
+    /// flavour fail terminally, so later emits would only wait or error
+    /// again. Latch the failure so they fast-fail, and let go of what was
+    /// staged for it.
+    fn fail(&self, out: &mut Outbox, error: TransportError) -> EmitError {
+        self.failed.store(true, Ordering::Release);
+        out.staged.clear();
+        match error {
+            TransportError::Closed => EmitError::Closed,
+            other => EmitError::Transport(other.to_string()),
+        }
+    }
+
+    fn sync_has_data(&self, out: &Outbox) {
+        let holds = out.buffer.buffered_count() > 0 || !out.staged.is_empty();
+        self.has_data.store(holds, Ordering::Release);
     }
 }
 
@@ -498,6 +648,111 @@ mod tests {
         assert_eq!(ep.flush_if_due(Instant::now()), Ok(()), "idle endpoint stays cheap");
     }
 
+    /// An endpoint whose every push flushes a frame, over a queue whose
+    /// gate every frame closes: the link refuses whatever comes next until
+    /// the frame before it has been popped.
+    fn make_choked_endpoint() -> (Arc<ChannelEndpoint>, Arc<WatermarkQueue<Frame>>) {
+        let queue = Arc::new(WatermarkQueue::new(WatermarkConfig::new(8, 4)));
+        let channel = ChannelId::new(0, 0, 0);
+        let endpoint = Arc::new(ChannelEndpoint::new(
+            channel,
+            OutputBuffer::new(8, Some(std::time::Duration::from_millis(5))),
+            inproc_link(channel, &queue),
+            Arc::new(OperatorCounters::default()),
+            None,
+        ));
+        (endpoint, queue)
+    }
+
+    fn prefixed(byte: u8) -> Vec<u8> {
+        let mut m = 16u32.to_le_bytes().to_vec();
+        m.extend_from_slice(&[byte; 16]);
+        m
+    }
+
+    #[test]
+    fn a_refused_batch_is_staged_and_a_barrier_never_overtakes_it() {
+        let (ep, q) = make_choked_endpoint();
+        let frames_out = || ep.counters.frames_out.load(Ordering::Relaxed);
+        let space = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let s = space.clone();
+        ep.link().add_space_listener(Arc::new(move || {
+            s.fetch_add(1, Ordering::Relaxed);
+        }));
+
+        ep.push_preencoded_nowait(&prefixed(b'a')).unwrap();
+        assert_eq!((q.len(), frames_out()), (1, 1), "the first frame is taken and closes the gate");
+        assert!(!ep.link().admits());
+        // Refused: staged, not counted, not lost — and the call came back.
+        ep.push_preencoded_nowait(&prefixed(b'b')).unwrap();
+        ep.barrier_nowait(7).unwrap();
+        ep.push_preencoded_nowait(&prefixed(b'c')).unwrap();
+        assert_eq!((q.len(), frames_out()), (1, 1));
+        assert!(!ep.is_empty(), "staged work keeps the endpoint busy for settle()");
+        assert_eq!(ep.flush_deadline(), None, "the space listener, not the clock, ends this wait");
+        ep.flush_if_due(Instant::now()).unwrap();
+        assert_eq!(q.len(), 1, "offering again to a closed gate changes nothing");
+
+        // Each pop reopens the gate for exactly one more frame; whoever
+        // comes by next hands the oldest staged item over.
+        let mut got = Vec::new();
+        for round in 1..=4u64 {
+            let frame = q.pop().expect("one frame per round");
+            assert_eq!(space.load(Ordering::Relaxed), round, "the reopened gate signals space");
+            got.push((frame.control, frame.base_seq, frame.messages.len()));
+            ep.flush_if_due(Instant::now()).unwrap();
+        }
+        assert_eq!(
+            got,
+            vec![
+                (None, 0, 1),
+                (None, 1, 1),
+                (Some(neptune_net::frame::ControlKind::Barrier), 7, 0),
+                (None, 2, 1),
+            ],
+            "flush order, barrier in its place, sequence numbers contiguous"
+        );
+        assert_eq!(frames_out(), 3, "a frame counts once, when the link takes it");
+        assert!(ep.is_empty() && q.is_empty());
+        assert!(!ep.has_data.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn a_waiting_producer_does_not_hold_the_channel_lock() {
+        let (ep, q) = make_choked_endpoint();
+        ep.push(&[b'a'; 16]).unwrap(); // taken; closes the gate
+        let producer = {
+            let ep = ep.clone();
+            std::thread::spawn(move || ep.push(&[b'b'; 16]))
+        };
+        // The gate-event counter ticks when the producer starts waiting
+        // for space — by then its batch is staged and the lock released.
+        assert!(neptune_net::test_support::wait_for(std::time::Duration::from_secs(5), || {
+            q.gate_events() == 1
+        }));
+        // What a flush task does on its IO thread: were the lock held by
+        // the waiting producer, these would never come back.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flusher = {
+            let ep = ep.clone();
+            std::thread::spawn(move || {
+                let due = ep.flush_if_due(Instant::now());
+                let deadline = ep.flush_deadline();
+                let _ = tx.send((due, deadline));
+            })
+        };
+        let (due, deadline) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the flush path must not queue behind a waiting producer");
+        assert_eq!((due, deadline), (Ok(()), None));
+        flusher.join().unwrap();
+        assert!(!producer.is_finished(), "the producer still waits for the link");
+        assert_eq!(q.pop().unwrap().base_seq, 0);
+        producer.join().unwrap().unwrap();
+        assert_eq!(q.pop().unwrap().base_seq, 1, "the staged batch went, in order");
+        assert!(ep.is_empty());
+    }
+
     #[test]
     fn push_preencoded_matches_push() {
         let (ep, q) = make_inproc_endpoint(1 << 20);
@@ -536,7 +791,7 @@ mod tests {
         });
         // The flag is true exactly while the buffer holds a message.
         let check = |edges: u64, what: &str| {
-            let buffered = ep.buffer.lock().buffered_count();
+            let buffered = ep.outbox.lock().buffer.buffered_count();
             assert_eq!(ep.has_data.load(Ordering::Acquire), buffered > 0, "{what}");
             assert_eq!(wakes.load(Ordering::Relaxed), edges, "waker count {what}");
         };

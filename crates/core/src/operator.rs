@@ -23,20 +23,52 @@ use std::sync::Arc;
 /// What a source's `next` call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceStatus {
-    /// Emitted this many packets; call again immediately.
+    /// Emitted this many packets; call again.
     Emitted(usize),
-    /// No data available right now; back off briefly.
+    /// No data available right now and nobody to say when there will be:
+    /// the pump polls again after a back-off (0.2 ms, doubling to 20 ms
+    /// while the source stays idle).
     Idle,
-    /// The source is done; the pump thread exits.
+    /// No data available right now, and whoever feeds this source holds
+    /// its pump's waker ([`OperatorContext::waker`]) and will fire it when
+    /// there is: the pump parks until then and polls nothing. From a
+    /// source that never took the waker this means [`Idle`](Self::Idle).
+    Pending,
+    /// The source is done; its pump finishes and is not polled again.
     Exhausted,
 }
 
+/// A task's waker: call it, from any thread, to have the task run again.
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 /// Ingests an external stream and emits packets into the graph.
 ///
-/// Each instance runs on its own pump thread: `next` is called in a loop
-/// until it returns [`SourceStatus::Exhausted`] or the job stops. Emits
-/// block under backpressure, which is how throttling reaches the source
-/// (Fig. 4 of the paper).
+/// Each instance is driven by a *pump*: a cooperatively scheduled task on
+/// the job's IO pool, sharing a few IO threads with every other pump,
+/// flush deadline and socket of the job. The pump calls `next` for a
+/// bounded stint (a packet budget and a time budget), yields, and is
+/// called again, until `next` returns [`SourceStatus::Exhausted`] or the
+/// job stops — so `next` should return promptly and must not sleep or
+/// block: every other task on that thread waits with it.
+///
+/// Backpressure reaches a source by not calling it (Fig. 4 of the paper):
+/// the pump asks every outgoing link whether it can take a batch before
+/// each `next`, and parks until the link says so when one cannot. Emits
+/// inside `next` therefore never wait; a batch flushed past a link that
+/// just filled is kept by its channel and goes first afterwards.
+///
+/// A source with nothing to emit has two answers. [`SourceStatus::Idle`]
+/// makes the pump poll it again after a back-off. A source that is *fed*
+/// — by a queue, a socket, another thread — should instead hand its
+/// feeder the pump's waker and answer [`SourceStatus::Pending`]:
+///
+/// 1. take [`OperatorContext::waker`] and register it with the feeder,
+/// 2. **then check for data once more** — what arrived before the
+///    registration woke nobody,
+/// 3. return `Pending` only if there is still none.
+///
+/// The feeder fires the waker after making data visible. A wake that
+/// lands while `next` is still running is not lost: the pump runs again.
 pub trait StreamSource: Send {
     /// Called once before the first `next`.
     fn open(&mut self, _ctx: &mut OperatorContext) {}
@@ -124,14 +156,22 @@ enum ContextSink {
 }
 
 /// Append one length-prefixed message to the endpoint(s) `route` picks on
-/// every link (or only the link toward `only`). Returns how many endpoints
-/// took it.
+/// every link (or only the link toward `only`). With `staged` the pushes
+/// never wait, and the flag is raised when one left work staged in its
+/// channel; without, they wait under backpressure. Returns how many
+/// endpoints took it.
 fn push_to_links(
     links: &mut [OutgoingLink],
     only: Option<&str>,
     prefixed: &[u8],
+    staged: Option<&mut bool>,
     mut route: impl FnMut(&mut Partitioner, usize) -> Result<Route, EmitError>,
 ) -> Result<u64, EmitError> {
+    let mut left_staged = false;
+    let mut push = |ep: &ChannelEndpoint| match staged {
+        None => ep.push_preencoded(prefixed),
+        Some(_) => ep.push_preencoded_nowait(prefixed).map(|s| left_staged |= s),
+    };
     let mut delivered = 0u64;
     for link in links.iter_mut() {
         if only.is_some_and(|name| link.dst_operator != name) {
@@ -139,16 +179,19 @@ fn push_to_links(
         }
         match route(&mut link.partitioner, link.endpoints.len())? {
             Route::One(i) => {
-                link.endpoints[i].push_preencoded(prefixed)?;
+                push(&link.endpoints[i])?;
                 delivered += 1;
             }
             Route::All => {
                 for ep in &link.endpoints {
-                    ep.push_preencoded(prefixed)?;
+                    push(ep)?;
                     delivered += 1;
                 }
             }
         }
+    }
+    if let Some(flag) = staged {
+        *flag |= left_staged;
     }
     Ok(delivered)
 }
@@ -163,6 +206,16 @@ pub struct OperatorContext {
     /// Per-instance packet pool (§III-B3): operators that build new
     /// packets check them out here instead of allocating per message.
     pool: crate::pool::PacketPool,
+    /// Set when a task on the IO tier drives this context (a source
+    /// pump): emits and flushes through it never wait, and the operator
+    /// can hand this waker to whoever feeds it.
+    task_waker: Option<Waker>,
+    /// The operator asked for the waker: its `Pending` can be believed.
+    waker_taken: bool,
+    /// A non-waiting emit or flush through this context left work staged
+    /// in a channel: the driving task must not produce more until
+    /// [`hand_over_staged`](Self::hand_over_staged) clears it.
+    staged: bool,
 }
 
 impl OperatorContext {
@@ -187,6 +240,9 @@ impl OperatorContext {
             },
             emitted: 0,
             pool: crate::pool::PacketPool::for_batch(64),
+            task_waker: None,
+            waker_taken: false,
+            staged: false,
         }
     }
 
@@ -200,7 +256,48 @@ impl OperatorContext {
             sink: ContextSink::Collector(Vec::new()),
             emitted: 0,
             pool: crate::pool::PacketPool::for_batch(8),
+            task_waker: None,
+            waker_taken: false,
+            staged: false,
         }
+    }
+
+    /// Mark this context as driven by a task on the IO tier, woken by
+    /// `waker`: from here on nothing emitted or flushed through it waits.
+    pub(crate) fn set_task_waker(&mut self, waker: Waker) {
+        self.task_waker = Some(waker);
+    }
+
+    /// The waker of the task driving this operator, for whoever feeds it:
+    /// fire it, from any thread, after making data available, and the
+    /// task runs again. See [`StreamSource`] for the register-then-re-check
+    /// rule that goes with [`SourceStatus::Pending`]. On a context no task
+    /// drives (a worker-tier processor's, a test collector) it wakes
+    /// nothing.
+    pub fn waker(&mut self) -> Waker {
+        match &self.task_waker {
+            Some(waker) => {
+                self.waker_taken = true;
+                waker.clone()
+            }
+            None => Arc::new(|| {}),
+        }
+    }
+
+    /// True once the operator took a live waker.
+    pub(crate) fn waker_taken(&self) -> bool {
+        self.waker_taken
+    }
+
+    /// For the driving task, before it produces more: offer the links
+    /// whatever earlier emits left staged. `true` when every channel is
+    /// clear (the common case costs one field read); on `false` a link
+    /// still refuses, and its space listener says when to ask again.
+    pub(crate) fn hand_over_staged(&mut self) -> bool {
+        if self.staged {
+            self.staged = self.endpoints().iter().any(|ep| ep.retry_staged().unwrap_or(false));
+        }
+        !self.staged
     }
 
     /// The operator's name.
@@ -255,6 +352,7 @@ impl OperatorContext {
     }
 
     fn emit_inner(&mut self, packet: &StreamPacket, only: Option<&str>) -> Result<(), EmitError> {
+        let staged = self.task_waker.is_some().then_some(&mut self.staged);
         match &mut self.sink {
             ContextSink::Collector(collected) => {
                 collected.push((only.map(str::to_string), packet.clone()));
@@ -278,8 +376,9 @@ impl OperatorContext {
                 codec.encode_into(packet, scratch).map_err(|e| EmitError::Codec(e.to_string()))?;
                 let body_len = (scratch.len() - 4) as u32;
                 scratch[..4].copy_from_slice(&body_len.to_le_bytes());
-                let delivered =
-                    push_to_links(links, only, scratch, |part, n| Ok(part.route(packet, n)))?;
+                let delivered = push_to_links(links, only, scratch, staged, |part, n| {
+                    Ok(part.route(packet, n))
+                })?;
                 self.emitted += delivered;
                 counters.packets_out.fetch_add(delivered, Ordering::Relaxed);
                 Ok(())
@@ -303,6 +402,7 @@ impl OperatorContext {
                 "emit_encoded expects a [len u32 LE | bytes] message".into(),
             ));
         }
+        let staged = self.task_waker.is_some().then_some(&mut self.staged);
         match &mut self.sink {
             ContextSink::Collector(collected) => {
                 let packet = PacketCodec::new()
@@ -314,7 +414,7 @@ impl OperatorContext {
             }
             ContextSink::Channels { links, codec, workhorse, counters, .. } => {
                 let mut decoded = false;
-                let delivered = push_to_links(links, None, prefixed, |part, n| {
+                let delivered = push_to_links(links, None, prefixed, staged, |part, n| {
                     if let Some(route) = part.route_keyless(n) {
                         return Ok(route);
                     }
@@ -343,12 +443,16 @@ impl OperatorContext {
         }
     }
 
-    /// Flush every outgoing buffer unconditionally (teardown path).
-    pub fn force_flush_all(&self) -> Result<(), EmitError> {
+    /// Flush every outgoing buffer now, full or not. On a worker's
+    /// context this returns once every link has taken its batch; on a
+    /// pump's it never waits — a batch a link cannot take now stays with
+    /// its channel and goes first afterwards.
+    pub fn force_flush_all(&mut self) -> Result<(), EmitError> {
         if let ContextSink::Channels { links, .. } = &self.sink {
-            for link in links {
-                for ep in &link.endpoints {
-                    ep.force_flush()?;
+            for ep in links.iter().flat_map(|l| &l.endpoints) {
+                match self.task_waker {
+                    None => ep.force_flush()?,
+                    Some(_) => self.staged |= ep.flush_nowait()?,
                 }
             }
         }

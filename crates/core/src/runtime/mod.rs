@@ -18,8 +18,10 @@
 //!   socket tasks, the telemetry sampler — so idle cost and thread count
 //!   stay O(io_threads) regardless of source parallelism.
 //! * **Backpressure (§III-B4)** — inbound queues are watermark-bounded;
-//!   they form the bounded ingress queue between the tiers: a gated queue
-//!   parks its source pumps, and the gate-release listener wakes them.
+//!   they form the bounded ingress queue between the tiers. A link that
+//!   cannot take a batch — a gated queue, a full TCP sender queue — parks
+//!   the source pumps that feed it, and the link's space listener wakes
+//!   them; nothing on the IO tier waits on its thread.
 //! * **Correctness (§I-B)** — per-channel contiguous sequence numbers are
 //!   validated on receive; any loss, duplication, or reordering increments
 //!   `seq_violations` (asserted zero by the test suite).
@@ -30,11 +32,13 @@
 //!   (threads, live/queued tasks, timer depth, parks/wakes) surface via
 //!   [`JobHandle::thread_model`]. See [`JobHandle::telemetry`].
 //!
-//! Deadlock freedom: a worker thread can block while emitting downstream,
+//! Deadlock freedom: a worker thread can wait while emitting downstream,
 //! so each resource's pool is sized to at least the number of processor
-//! instances placed on it — every instance can always make progress, and
-//! the blocking chain terminates at the source pumps, which park rather
-//! than block when a downstream gate is closed.
+//! instances placed on it — every instance can always make progress. The
+//! chain of waiting workers ends at the IO tier, where nothing waits: a
+//! pump parks when a link is full, a flush task stages what its link
+//! refuses and parks, a sender task parks on its socket — so the tasks
+//! that make room always find a thread, even the only one.
 
 mod lifecycle;
 mod pumps;
@@ -349,9 +353,9 @@ impl JobHandle {
     }
 
     /// Live gauges of every inbound watermark queue, one per processor
-    /// instance in deployment order. Gate events count how often
+    /// instance in deployment order. Gate closures count how often
     /// backpressure engaged (§III-B4); the backpressure harness asserts
-    /// they actually fire.
+    /// they actually happen.
     pub fn queue_gauges(&self) -> Vec<QueueGauge> {
         self.shared.queue_gauges()
     }
@@ -387,9 +391,19 @@ impl JobHandle {
         self.shared.link_stats()
     }
 
-    /// Total backpressure gate events across the job.
+    /// Times a producer blocked in a push at a closed gate, across the
+    /// job. Few producers do: pumps park and workers wait for the space
+    /// signal outside the push — see
+    /// [`total_gate_closures`](Self::total_gate_closures) for "did
+    /// backpressure engage".
     pub fn total_gate_events(&self) -> u64 {
         self.shared.queues.iter().map(|q| q.gate_events()).sum()
+    }
+
+    /// Times an inbound queue's gate closed, across the job: backpressure
+    /// engaging (§III-B4), however the producers it turned away waited.
+    pub fn total_gate_closures(&self) -> u64 {
+        self.shared.queues.iter().map(|q| q.gate_closures()).sum()
     }
 
     /// Where every operator instance was placed:
@@ -409,7 +423,7 @@ mod tests {
     use crate::partition::PartitioningScheme;
     use neptune_granules::test_support::wait_for;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::{Duration, Instant};
 
     struct CountingSource {
@@ -877,6 +891,200 @@ mod tests {
         let metrics = job.stop();
         assert_eq!(seen.load(Ordering::Relaxed), n, "backpressure must not drop packets");
         assert_eq!(metrics.total_seq_violations(), 0);
+    }
+
+    /// Spins a while per packet on its worker thread, then counts it.
+    struct SpinSink(Arc<AtomicU64>, Duration);
+    impl StreamProcessor for SpinSink {
+        fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {
+            let until = Instant::now() + self.1;
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn staging_is_bounded_by_one_batch_plus_what_one_next_call_flushes() {
+        // Every packet is a frame, a handful of frames closes the sink's
+        // gate, and each `next()` emits a burst of them — so the pump keeps
+        // running into a link that refuses mid-burst. What the link
+        // refuses is staged in the channel; the source must not be called
+        // again until the channel is clear, so never more than one burst
+        // (the batch that met the closed gate and what the same call
+        // flushed past it) is staged on top of the one batch the flush
+        // task may have staged, however long the source outruns the sink —
+        // and whichever of pump and flush task gets to a reopened gate
+        // first.
+        const BURST: u64 = 5;
+        struct Bursts(u64);
+        impl crate::operator::StreamSource for Bursts {
+            fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+                if self.0 == 0 {
+                    return SourceStatus::Exhausted;
+                }
+                let mut p = StreamPacket::new();
+                for _ in 0..BURST {
+                    p.clear();
+                    p.push_field("n", FieldValue::U64(self.0));
+                    if ctx.emit(&p).is_err() {
+                        return SourceStatus::Exhausted;
+                    }
+                    self.0 -= 1;
+                }
+                SourceStatus::Emitted(BURST as usize)
+            }
+        }
+        /// Holds its first packet until told to go, then spins a little
+        /// per packet.
+        struct HeldSink(Arc<AtomicBool>, SpinSink);
+        impl StreamProcessor for HeldSink {
+            fn process(&mut self, p: &StreamPacket, ctx: &mut OperatorContext) {
+                while !self.0.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                self.1.process(p, ctx);
+            }
+        }
+        let n = 400 * BURST;
+        let seen = Arc::new(AtomicU64::new(0));
+        let go = Arc::new(AtomicBool::new(false));
+        let (s2, g2) = (seen.clone(), go.clone());
+        let graph = GraphBuilder::new("staging-bound")
+            .source("src", move || Bursts(n))
+            .processor("slow", move || {
+                HeldSink(g2.clone(), SpinSink(s2.clone(), Duration::from_micros(50)))
+            })
+            .link("src", "slow", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let config = RuntimeConfig {
+            buffer_bytes: 1,
+            watermark_high: 256,
+            watermark_low: 64,
+            ..Default::default()
+        };
+        let job = LocalRuntime::new(config).submit(graph).unwrap();
+        let staged = || job.shared.endpoints[0].staged_len();
+        // With the sink held the gate closes and stays closed, and the pump
+        // comes to rest: with the rest of a burst staged, unless the gate
+        // happened to close on a burst's last frame. (Nothing is asserted
+        // before the sink is let go: it spins on its worker until then.)
+        let closed = wait_for(Duration::from_secs(5), || job.total_gate_closures() > 0);
+        std::thread::sleep(Duration::from_millis(20));
+        let mut deepest = staged();
+        go.store(true, Ordering::Release);
+        assert!(closed, "the held sink's gate never closed");
+        while job.active_sources() > 0 {
+            deepest = deepest.max(staged());
+            std::thread::yield_now();
+        }
+        let closures = job.total_gate_closures();
+        let metrics = job.stop();
+        assert_eq!(seen.load(Ordering::Relaxed), n, "staged batches are delivered, all of them");
+        assert_eq!(metrics.total_seq_violations(), 0, "and in order");
+        assert!(closures > 10, "the gate must have closed over and over: {closures}");
+        assert!(deepest >= 1, "nothing was ever seen staged");
+        assert!(deepest <= 1 + BURST as usize, "staged {deepest} batches, a burst is {BURST}");
+    }
+
+    /// A source fed by another thread: empty until `feed` is raised.
+    struct Fed {
+        feed: Arc<AtomicBool>,
+        /// Where the source leaves its pump's waker for the feeder.
+        mailbox: Arc<Mutex<Option<crate::operator::Waker>>>,
+        polls: Arc<AtomicU64>,
+        remaining: u64,
+    }
+    impl crate::operator::StreamSource for Fed {
+        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            if !self.feed.load(Ordering::Acquire) {
+                // Register, then look once more.
+                *self.mailbox.lock() = Some(ctx.waker());
+                if !self.feed.load(Ordering::Acquire) {
+                    return SourceStatus::Pending;
+                }
+            }
+            if self.remaining == 0 {
+                return SourceStatus::Exhausted;
+            }
+            self.remaining -= 1;
+            let mut p = StreamPacket::new();
+            p.push_field("n", FieldValue::U64(self.remaining));
+            match ctx.emit(&p) {
+                Ok(()) => SourceStatus::Emitted(1),
+                Err(_) => SourceStatus::Exhausted,
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_source_is_not_polled_until_its_feeder_fires_the_waker() {
+        let feed = Arc::new(AtomicBool::new(false));
+        let mailbox = Arc::new(Mutex::new(None));
+        let polls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(AtomicU64::new(0));
+        let (f, m, p, s) = (feed.clone(), mailbox.clone(), polls.clone(), seen.clone());
+        let graph = GraphBuilder::new("pending")
+            .source("fed", move || Fed {
+                feed: f.clone(),
+                mailbox: m.clone(),
+                polls: p.clone(),
+                remaining: 10,
+            })
+            .processor("sink", move || SpinSink(s.clone(), Duration::ZERO))
+            .link("fed", "sink", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let config = RuntimeConfig { io_threads: Some(1), ..Default::default() };
+        let job = LocalRuntime::new(config).submit(graph).unwrap();
+        assert!(wait_for(Duration::from_secs(5), || mailbox.lock().is_some()));
+        // Parked, not backing off: ten idle back-offs fit in this pause.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(polls.load(Ordering::Relaxed), 1, "a parked pump polls nothing");
+        // Data first, waker second.
+        feed.store(true, Ordering::Release);
+        let waker = mailbox.lock().clone().expect("registered above");
+        waker();
+        assert!(job.await_sources(Duration::from_secs(5)), "the wake must end the park");
+        job.stop();
+        assert_eq!(seen.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn pending_from_a_source_that_never_took_its_waker_is_an_idle() {
+        // Nobody can end this source's wait but the clock: had the pump
+        // believed the `Pending` and parked for good, the job would hang.
+        struct Shy(u64);
+        impl crate::operator::StreamSource for Shy {
+            fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+                self.0 += 1;
+                match self.0 {
+                    1..=3 => SourceStatus::Pending,
+                    4 => {
+                        let mut p = StreamPacket::new();
+                        p.push_field("n", FieldValue::U64(4));
+                        let _ = ctx.emit(&p);
+                        SourceStatus::Emitted(1)
+                    }
+                    _ => SourceStatus::Exhausted,
+                }
+            }
+        }
+        let seen = Arc::new(AtomicU64::new(0));
+        let s = seen.clone();
+        let graph = GraphBuilder::new("shy")
+            .source("shy", || Shy(0))
+            .processor("sink", move || SpinSink(s.clone(), Duration::ZERO))
+            .link("shy", "sink", PartitioningScheme::Shuffle)
+            .build()
+            .unwrap();
+        let job = LocalRuntime::new(RuntimeConfig::default()).submit(graph).unwrap();
+        assert!(job.await_sources(Duration::from_secs(10)), "polled again after a back-off");
+        job.stop();
+        assert_eq!(seen.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,25 +1,36 @@
 //! IO-tier tasks of the runtime: source pumps, per-endpoint flush tasks,
-//! the barrier timer, and the telemetry sampler.
+//! the barrier timer, and the telemetry sampler — [`IoTask`] state machines
+//! on the job's shared [`neptune_granules::IoPool`].
 //!
-//! Before the two-tier refactor every one of these was a dedicated thread
-//! — a job with 512 sources ran 512 pump threads, each sleeping 200µs
-//! between `next()` polls even when fully idle. Now they are
-//! [`IoTask`] state machines on the job's shared [`neptune_granules::IoPool`]:
+//! None of them waits on its thread. A task with nothing to do parks, and
+//! whoever feeds it holds its waker:
 //!
-//! * a pump that has nothing to emit parks with exponential backoff
-//!   ([`IoStatus::ParkUntil`]) instead of sleeping on a thread;
-//! * a pump blocked by downstream backpressure parks *indefinitely* and is
-//!   woken by the watermark queue's gate-release listener — the bounded
-//!   ingress queue between the IO tier and the worker tier gates admission;
+//! * a pump whose source has nothing to emit parks with exponential
+//!   back-off ([`IoStatus::ParkUntil`]) — or, if the source took the
+//!   pump's waker and answered [`SourceStatus::Pending`], indefinitely,
+//!   until the source's feeder fires it;
+//! * a pump one of whose outgoing links cannot take a batch — a closed
+//!   watermark gate in process, a full sender queue over TCP; the pump
+//!   asks [`Link::admits`] either way — parks indefinitely and is woken
+//!   by that link's space listener;
 //! * a flush task parks on the endpoint's **exact** flush deadline via the
-//!   timer wheel (no scan tick, no half-interval firing error);
+//!   timer wheel (no scan tick, no half-interval firing error), or, when
+//!   the link refused the batch and the endpoint staged it, on the same
+//!   space listener;
 //! * the barrier timer and the sampler are periodic timer registrations.
+//!
+//! That includes finishing: a pump that is done flushes and seals its
+//! channels with the `_nowait` forms, and what a link cannot take then is
+//! handed over by the flush task when there is room, or by `settle()` from
+//! its caller's thread — with one IO thread, the sender task that makes
+//! the room needs the very thread a waiting pump would be holding.
 //!
 //! Idle cost is therefore O(io_threads), not O(sources). Busy cost is per
 //! packet only for the packet itself: inside its emit loop a pump reads
-//! two flags, the clock and each downstream gate's lock-free mirror, and
-//! calls the source; it signals nobody and takes no lock but its own
-//! endpoint's. The one condvar ([`PumpGauge`]) fires when a pump finishes.
+//! two flags, the clock and each outgoing link's lock-free admission
+//! mirror, and calls the source; it signals nobody and takes no lock but
+//! its own endpoint's. The one condvar ([`PumpGauge`]) fires when a pump
+//! finishes, and it is the job's caller who waits there.
 
 use super::JobShared;
 use crate::channel::ChannelEndpoint;
@@ -28,8 +39,7 @@ use crate::operator::{OperatorContext, SourceStatus, StreamSource};
 use crate::telemetry::TelemetrySample;
 use neptune_granules::io::{IoContext, IoStatus, IoTask};
 use neptune_granules::IoTaskHandle;
-use neptune_net::frame::Frame;
-use neptune_net::watermark::WatermarkQueue;
+use neptune_link::Link;
 use neptune_telemetry::{wall_micros, SampleRing, Span, SpanRing, STAGE_SOURCE};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,10 +128,9 @@ pub(crate) struct SourcePump {
     pub(crate) ctx: OperatorContext,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) gauge: Arc<PumpGauge>,
-    /// Downstream in-process watermark queues; when any is gated the pump
-    /// parks and the queue's gate-release listener wakes it (IO-tier
-    /// admission control).
-    pub(crate) gates: Vec<Arc<WatermarkQueue<Frame>>>,
+    /// Every outgoing link; while any cannot take a batch the pump parks,
+    /// and that link's space listener wakes it (IO-tier admission control).
+    pub(crate) gates: Vec<Arc<Link>>,
     pub(crate) idle_backoff: Duration,
     pub(crate) opened: bool,
     pub(crate) closed: bool,
@@ -139,6 +148,8 @@ pub(crate) struct SourcePump {
 
 impl SourcePump {
     /// Close-once path shared by exhaustion, stop, and pool shutdown.
+    /// Nothing here waits: what a link cannot take now stays staged in its
+    /// channel, in order, for the flush task or `settle()` to hand over.
     fn finish(&mut self) -> IoStatus {
         if !self.closed {
             self.closed = true;
@@ -152,7 +163,7 @@ impl SourcePump {
             }
             if self.checkpoint.is_some() {
                 for ep in self.ctx.endpoints() {
-                    let _ = ep.barrier(FINAL_BARRIER);
+                    let _ = ep.barrier_nowait(FINAL_BARRIER);
                 }
             }
             self.gauge.dec();
@@ -181,7 +192,7 @@ impl SourcePump {
             ));
         }
         for ep in self.ctx.endpoints() {
-            let _ = ep.barrier(requested);
+            let _ = ep.barrier_nowait(requested);
         }
         cp.coordinator.report(requested, crate::now_micros(), states, Vec::new());
     }
@@ -254,18 +265,26 @@ impl SourcePump {
             if stint_start.elapsed() >= STINT_BUDGET {
                 break;
             }
-            // Admission gate: a closed watermark gate downstream means the
-            // worker tier is saturated — park instead of blocking the IO
-            // thread inside push; the gate listener wakes us on release.
-            // A *shedding* queue is the exception: its push blocks at most
-            // `max_stall` before the policy degrades, so the pump must keep
-            // pushing or the shed path would never run.
-            if self.gates.iter().any(|q| q.is_gated() && !q.sheds()) {
+            // Admission: a link that cannot take a batch now — a closed
+            // watermark gate, a full sender queue — means downstream is
+            // saturated, and so does a batch an earlier emit left staged
+            // that its link still refuses. Park instead of emitting into
+            // that; the link's space listener wakes us. (A *shedding*
+            // queue always admits: its policy only runs if producers keep
+            // pushing.)
+            if !self.ctx.hand_over_staged() || self.gates.iter().any(|link| !link.admits()) {
                 return IoStatus::Park;
             }
             match self.source.next(&mut self.ctx) {
                 SourceStatus::Emitted(_) => self.idle_backoff = MIN_IDLE_BACKOFF,
-                SourceStatus::Idle => {
+                // Whoever feeds the source holds our waker: nothing to
+                // poll until it fires.
+                SourceStatus::Pending if self.ctx.waker_taken() => {
+                    self.idle_backoff = MIN_IDLE_BACKOFF;
+                    return IoStatus::Park;
+                }
+                // A `Pending` nobody can end is an `Idle`.
+                SourceStatus::Idle | SourceStatus::Pending => {
                     let backoff = self.idle_backoff;
                     self.idle_backoff = (self.idle_backoff * 2).min(MAX_IDLE_BACKOFF);
                     return IoStatus::ParkUntil(Instant::now() + backoff);
@@ -284,16 +303,47 @@ impl SourcePump {
 ///
 /// The endpoint's push path wakes this task when its buffer goes empty →
 /// non-empty (the moment the flush clock starts); the task then parks on
-/// the exact deadline via the timer wheel. Idle endpoints cost nothing.
+/// the exact deadline via the timer wheel. When the link cannot take the
+/// batch the endpoint stages it and the task parks without a deadline: the
+/// link's space listener, which the wiring points at this task, wakes it to
+/// hand the staged batch over. Idle endpoints cost nothing.
 pub(crate) struct FlushTask {
     pub(crate) endpoint: Arc<ChannelEndpoint>,
     pub(crate) stop: Arc<AtomicBool>,
 }
 
+impl FlushTask {
+    /// Spawn the flush task of `endpoint` parked, and hand its waker to
+    /// the two things that feed it: the endpoint (a flush deadline started
+    /// ticking) and the endpoint's link (it has room again for the batch
+    /// it refused). Kicked once if data already arrived — a processor's
+    /// `open()` may have emitted.
+    pub(crate) fn spawn(
+        pool: &neptune_granules::IoPool,
+        endpoint: &Arc<ChannelEndpoint>,
+        stop: &Arc<AtomicBool>,
+    ) -> IoTaskHandle {
+        let handle =
+            pool.spawn_parked(FlushTask { endpoint: endpoint.clone(), stop: stop.clone() });
+        let waker = handle.clone();
+        endpoint.set_flush_waker(move || {
+            waker.wake();
+        });
+        let waker = handle.clone();
+        endpoint.link().add_space_listener(Arc::new(move || {
+            waker.wake();
+        }));
+        if !endpoint.is_empty() {
+            handle.wake();
+        }
+        handle
+    }
+}
+
 impl IoTask for FlushTask {
     fn run(&mut self, io: &IoContext) -> IoStatus {
         if self.stop.load(Ordering::Acquire) || io.shutting_down() {
-            let _ = self.endpoint.force_flush();
+            let _ = self.endpoint.flush_nowait();
             return IoStatus::Complete;
         }
         let _ = self.endpoint.flush_if_due(Instant::now());
@@ -304,7 +354,7 @@ impl IoTask for FlushTask {
     }
 
     fn on_shutdown(&mut self) {
-        let _ = self.endpoint.force_flush();
+        let _ = self.endpoint.flush_nowait();
     }
 }
 
@@ -350,5 +400,97 @@ impl IoTask for BarrierTimerTask {
             pump.wake();
         }
         IoStatus::Park
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::ChannelId;
+    use crate::metrics::OperatorCounters;
+    use neptune_granules::test_support::wait_for;
+    use neptune_granules::IoPool;
+    use neptune_link::LinkBuilder;
+    use neptune_net::buffer::OutputBuffer;
+    use neptune_net::frame::Frame;
+    use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
+
+    fn endpoint(
+        link: u16,
+        buffer: OutputBuffer,
+        watermark: WatermarkConfig,
+    ) -> (Arc<ChannelEndpoint>, Arc<WatermarkQueue<Frame>>) {
+        let queue = Arc::new(WatermarkQueue::new(watermark));
+        let channel = ChannelId::new(link, 0, 0);
+        let ep = Arc::new(ChannelEndpoint::new(
+            channel,
+            buffer,
+            LinkBuilder::new(channel.raw()).in_process(queue.clone()).build(),
+            Arc::new(OperatorCounters::default()),
+            None,
+        ));
+        (ep, queue)
+    }
+
+    /// The flush task of a channel whose link is full, and whose producer
+    /// is waiting for that link, must give its IO thread back: with one
+    /// thread in the pool, another channel's flush deadline is served by
+    /// it — on time.
+    #[test]
+    fn a_flush_task_behind_a_full_link_parks_and_other_deadlines_fire_on_time() {
+        const INTERVAL: Duration = Duration::from_millis(100);
+        let mut pool = IoPool::new("flush-park", 1);
+        let stop = Arc::new(AtomicBool::new(false));
+        // `full`: every frame closes the destination's gate, so the second
+        // batch finds the link full. `timed`: roomy, flushes by timer only.
+        let (full, full_q) =
+            endpoint(0, OutputBuffer::new(8, Some(INTERVAL)), WatermarkConfig::new(8, 4));
+        let (timed, timed_q) = endpoint(
+            1,
+            OutputBuffer::new(1 << 20, Some(INTERVAL)),
+            WatermarkConfig::new(1 << 20, 1),
+        );
+        let full_task = FlushTask::spawn(&pool, &full, &stop);
+        FlushTask::spawn(&pool, &timed, &stop);
+
+        full.push(&[b'a'; 16]).unwrap(); // taken; the link is full from here
+        let producer = {
+            let full = full.clone();
+            std::thread::spawn(move || {
+                full.push(&[b'b'; 16])?; // staged; waits for the link
+                full.push(&[b'c'; 2]) // buffered; the timer's to flush
+            })
+        };
+        assert!(wait_for(Duration::from_secs(5), || full_q.gate_events() == 1));
+        // Make the flush task look at the blocked channel, as a deadline
+        // or an empty → non-empty edge would: it must come back and park.
+        let polls = pool.stats().polls;
+        full_task.wake();
+        assert!(wait_for(Duration::from_secs(5), || {
+            let s = pool.stats();
+            s.polls > polls && s.queued_tasks == 0
+        }));
+        assert_eq!(full_q.len(), 1, "nothing got past the full link");
+
+        // The pool's one thread is free: the other channel's deadline is
+        // served within a tenth of its interval.
+        let pushed = Instant::now();
+        timed.push(b"on time").unwrap();
+        let frame = timed_q.pop_timeout(Duration::from_secs(5)).expect("the timer flush");
+        let waited = pushed.elapsed();
+        assert_eq!(frame.messages.len(), 1);
+        assert!(waited >= INTERVAL, "flushed early: {waited:?}");
+        assert!(waited < INTERVAL + INTERVAL / 10, "deadline served late: {waited:?}");
+        assert!(!producer.is_finished(), "the producer still waits");
+
+        // Room again: the link's space listener wakes the flush task (and
+        // the producer's wait ends); the staged batch goes first.
+        assert_eq!(full_q.pop().unwrap().base_seq, 0);
+        assert!(wait_for(Duration::from_secs(5), || full_q.len() == 1));
+        assert_eq!(full_q.pop().unwrap().base_seq, 1);
+        producer.join().unwrap().unwrap();
+        let tail = full_q.pop_timeout(Duration::from_secs(5)).expect("the buffered tail, by timer");
+        assert_eq!((tail.base_seq, tail.messages.len()), (2, 1));
+        pool.shutdown();
     }
 }

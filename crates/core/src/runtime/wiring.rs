@@ -16,7 +16,7 @@ use crate::config::{PlacementStrategy, RuntimeConfig, SnapshotStoreKind, Transpo
 use crate::dead_letter::{DeadLetter, DeadLetterQueue};
 use crate::graph::{Factory, Graph, OperatorKind};
 use crate::metrics::{MetricsRegistry, OperatorCounters};
-use crate::operator::{OperatorContext, OutgoingLink, StreamProcessor};
+use crate::operator::{OperatorContext, OutgoingLink, StreamProcessor, Waker};
 use crate::packet::StreamPacket;
 use crate::telemetry::TelemetryHub;
 use neptune_granules::{
@@ -38,7 +38,7 @@ use neptune_telemetry::{
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// IO threads when [`RuntimeConfig::io_threads`] is `None`: a quarter of
@@ -930,18 +930,9 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     }
 
     // Per-endpoint flush tasks, wired *before* pumps so no pump can emit
-    // ahead of its endpoint's waker. Spawn parked → install waker → kick
-    // once if data already arrived (processor open() may have emitted).
+    // ahead of its endpoint's waker.
     for ep in &all_endpoints {
-        let handle =
-            io_pool.spawn_parked(FlushTask { endpoint: ep.clone(), stop: stop_flag.clone() });
-        let waker = handle.clone();
-        ep.set_flush_waker(move || {
-            waker.wake();
-        });
-        if !ep.is_empty() {
-            handle.wake();
-        }
+        FlushTask::spawn(&io_pool, ep, &stop_flag);
     }
 
     // ---- Source pumps: cooperatively scheduled IO tasks. ----
@@ -954,23 +945,30 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         let counters = registry.for_operator(&op.name);
         for inst in 0..op.parallelism {
             let links = outgoing.remove(&(oi, inst)).unwrap_or_default();
-            let ctx = OperatorContext::for_channels(
+            let mut ctx = OperatorContext::for_channels(
                 op.name.clone(),
                 inst,
                 op.parallelism,
                 links,
                 counters.clone(),
             );
-            // Downstream in-process gates this pump must respect, deduped
-            // (several endpoints can share one destination queue).
-            let mut gates: Vec<Arc<WatermarkQueue<Frame>>> = Vec::new();
-            for ep in ctx.endpoints() {
-                if let Some(q) = ep.inproc_queue() {
-                    if !gates.iter().any(|g| Arc::ptr_eq(g, q)) {
-                        gates.push(q.clone());
+            // The pump's handle exists only once the pump — which owns the
+            // context — is spawned; the waker reaches it through a slot
+            // filled right after.
+            let slot: Arc<OnceLock<IoTaskHandle>> = Arc::new(OnceLock::new());
+            let waker: Waker = {
+                let slot = slot.clone();
+                Arc::new(move || {
+                    if let Some(handle) = slot.get() {
+                        handle.wake();
                     }
-                }
-            }
+                })
+            };
+            ctx.set_task_waker(waker.clone());
+            // Every outgoing link is a gate this pump must respect,
+            // whatever its flavour.
+            let gates: Vec<Arc<Link>> =
+                ctx.endpoints().iter().map(|ep| ep.link().clone()).collect();
             pump_gauge.inc();
             let pump = SourcePump {
                 source: factory(),
@@ -990,15 +988,14 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     restored: restored.clone(),
                 }),
             };
-            // Spawn parked, install the gate listeners that reference the
-            // handle, then kick the first run — so a gate release can never
-            // fall into a window where no listener exists (lost wake).
+            // Spawn parked, fill the waker's slot, install the space
+            // listeners, then kick the first run — so a link regaining room
+            // can never fall into a window where no listener exists (lost
+            // wake).
             let handle = io_pool.spawn_parked(pump);
-            for q in &gates {
-                let waker = handle.clone();
-                q.add_gate_listener(move || {
-                    waker.wake();
-                });
+            let _ = slot.set(handle.clone());
+            for link in &gates {
+                link.add_space_listener(waker.clone());
             }
             handle.wake();
             pump_handles.push(handle);

@@ -135,8 +135,12 @@ pub struct QueueGauge {
     /// High watermark in bytes — the level at which the gate closes and
     /// backpressure engages (§III-B4).
     pub capacity: usize,
-    /// Times the backpressure gate has engaged so far.
+    /// Times a producer blocked in a push at the closed gate so far.
     pub gate_events: u64,
+    /// Times the gate closed so far — backpressure engaging (§III-B4),
+    /// whether the producers it turned away blocked, parked their task or
+    /// stopped reading their socket.
+    pub gate_closures: u64,
     /// Items sacrificed by the queue's shed policy (0 under the default
     /// lossless [`neptune_net::watermark::ShedPolicy::None`]).
     pub shed_total: u64,
@@ -152,6 +156,7 @@ impl QueueGauge {
             depth_bytes: q.level(),
             capacity: q.config().high,
             gate_events: q.gate_events(),
+            gate_closures: q.gate_closures(),
             shed_total: q.shed_total(),
             shed_bytes: q.shed_bytes(),
         }
@@ -168,11 +173,12 @@ impl QueueGauge {
     }
 
     /// `capacity` is configuration, not a reading: JSON-only.
-    const FIELDS: [FieldDef; 6] = [
+    const FIELDS: [FieldDef; 7] = [
         gauge("depth", "neptune_queue_depth_frames"),
         gauge("depth_bytes", "neptune_queue_depth_bytes"),
         gauge("capacity", ""),
         counter("gate_events", "neptune_gate_events_total"),
+        counter("gate_closures", "neptune_gate_closures_total"),
         counter("shed_total", "neptune_queue_shed_total"),
         counter("shed_bytes", "neptune_queue_shed_bytes_total"),
     ];
@@ -188,6 +194,7 @@ impl QueueGauge {
                 self.depth_bytes as u64,
                 self.capacity as u64,
                 self.gate_events,
+                self.gate_closures,
                 self.shed_total,
                 self.shed_bytes,
             ],
@@ -305,7 +312,7 @@ fn walk_operator(exporter: &mut dyn Exporter, name: &str, op: &OperatorTelemetry
 }
 
 /// `link_id` is the `link` label of every family below it.
-const LINK_FIELDS: [FieldDef; 10] = [
+const LINK_FIELDS: [FieldDef; 11] = [
     gauge("link_id", ""),
     counter("flushes", "neptune_link_flushes_total"),
     counter("packets", "neptune_link_packets_total"),
@@ -314,6 +321,7 @@ const LINK_FIELDS: [FieldDef; 10] = [
     counter("replayed", "neptune_link_replayed_total"),
     counter("acks", "neptune_link_acks_total"),
     counter("dedup_drops", "neptune_link_dedup_drops_total"),
+    counter("sender_full", "neptune_link_sender_full_total"),
     gauge("flush_batch_bytes", "neptune_link_flush_batch_bytes"),
     gauge("flush_max_delay_micros", "neptune_link_flush_max_delay_micros"),
 ];
@@ -331,6 +339,7 @@ fn walk_link(exporter: &mut dyn Exporter, l: &LinkStatsSnapshot) {
             l.replayed,
             l.acks,
             l.dedup_drops,
+            l.sender_full,
             l.flush.batch_bytes as u64,
             l.flush.max_delay_micros,
         ],
@@ -502,6 +511,7 @@ mod tests {
             depth_bytes: 512,
             capacity: 4096,
             gate_events: 7,
+            gate_closures: 11,
             shed_total: 0,
             shed_bytes: 0,
         }];
@@ -528,6 +538,7 @@ mod tests {
             replayed: 2,
             acks: 5,
             dedup_drops: 1,
+            sender_full: 4,
             flush: neptune_net::flush::FlushPolicySnapshot {
                 batch_bytes: 32 << 10,
                 max_delay_micros: 2_000,

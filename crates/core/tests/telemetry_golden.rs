@@ -10,7 +10,10 @@
 //! link's message-count flush threshold — a JSON key and a gauge family
 //! that could only read 0, deleted with the knob — was cut from the
 //! fixture by hand, and [`ROWS_ADDED`] is the one family the exposition
-//! gained.
+//! gained. Rows the engine has gained since are written into the fixture
+//! as they would have rendered: the two closure counts, `gate_closures`
+//! per queue and `sender_full` per link (one JSON key and one counter
+//! family each).
 
 use neptune_core::checkpoint::CheckpointStats;
 use neptune_core::dead_letter::DeadLetter;
@@ -109,6 +112,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
             depth_bytes: 512,
             capacity: 4096,
             gate_events: 7,
+            gate_closures: 11,
             shed_total: 1,
             shed_bytes: 64,
         },
@@ -117,6 +121,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
             depth_bytes: 768,
             capacity: 8192,
             gate_events: 9,
+            gate_closures: 13,
             shed_total: 0,
             shed_bytes: 0,
         },
@@ -138,6 +143,7 @@ fn golden_snapshot() -> TelemetrySnapshot {
             replayed: 2,
             acks: 5,
             dedup_drops: 1,
+            sender_full: 4,
             flush: FlushPolicySnapshot { batch_bytes: 32 << 10, max_delay_micros: 2_000 },
         }],
         dead_letters: vec![DeadLetter {

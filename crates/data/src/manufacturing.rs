@@ -322,7 +322,7 @@ mod tests {
             match src.next(&mut ctx) {
                 SourceStatus::Emitted(n) => emitted += n,
                 SourceStatus::Exhausted => break,
-                SourceStatus::Idle => {}
+                SourceStatus::Idle | SourceStatus::Pending => {}
             }
         }
         assert_eq!(emitted, 40);

@@ -81,7 +81,10 @@ proptest! {
         let windows = 10u32;
         std::thread::sleep(period * windows);
         wheel.cancel(id);
-        let stamps = stamps.lock().unwrap();
+        // A copy, not the guard: a fire already in flight when `cancel`
+        // returned takes this lock on the wheel thread, which `shutdown`
+        // below joins.
+        let stamps = stamps.lock().unwrap().clone();
         // At least half the beats landed (missing >1 period in a row would
         // drop below this floor), at most cadence + 1 catch-up.
         prop_assert!(

@@ -15,10 +15,19 @@
 //! stack, with per-link [`LinkStats`] and the retunable
 //! [`FlushPolicy`](neptune_net::flush::FlushPolicy) handle exposed for
 //! telemetry and future QoS control.
+//!
+//! [`Link::send_batch`] is [`Link::prepare`] (count the flush, tag the
+//! batch — once) followed by [`Link::deliver`], which waits under
+//! backpressure and so belongs to callers that own their thread. A task
+//! on an IO pool prepares the same way and then [`Link::try_deliver`]s:
+//! on [`TransportError::Backpressure`] it keeps the prepared frame, parks,
+//! and offers it again when the listener it registered with
+//! [`Link::add_space_listener`] fires; [`Link::admits`] is the same
+//! question without a frame. See [`FrameLink`] for the contract.
 
 use crate::supervisor::SupervisedLink;
 use crate::tag::TraceTagger;
-use crate::transport::{FrameLink, OutboundFrame, QueueLink, TcpFrameLink};
+use crate::transport::{FrameLink, OutboundFrame, QueueLink, SpaceListener, TcpFrameLink};
 use crate::{backoff::ReconnectPolicy, stats::RecoveryStats};
 use bytes::Bytes;
 use neptune_compress::SelectiveCompressor;
@@ -92,6 +101,11 @@ pub struct LinkStatsSnapshot {
     /// Duplicate frames dropped at the far end (filled by ingress-side
     /// exporters; egress-side snapshots report 0).
     pub dedup_drops: u64,
+    /// Times the link's bounded TCP sender queue went full — backpressure
+    /// episodes on this link, whether its producer blocked or parked (0 on
+    /// in-process links, whose destination queue counts its gate closures,
+    /// and on reliable ones, whose sender changes with every reconnect).
+    pub sender_full: u64,
     /// Current flush-policy knobs.
     pub flush: FlushPolicySnapshot,
 }
@@ -155,16 +169,40 @@ impl Link {
         }
     }
 
-    /// The destination watermark queue for in-process flavours; `None`
-    /// for wire transports (their backpressure lives in the sender's IO
-    /// queue).
+    /// The destination watermark queue when the transport flavour is
+    /// in-process; `None` otherwise. Backpressure is not asked here — see
+    /// [`admits`](Self::admits), which every flavour answers.
     pub fn queue(&self) -> Option<&Arc<WatermarkQueue<Frame>>> {
-        if let Some(l) = &self.inproc {
-            return Some(l.queue());
-        }
+        self.inproc.as_ref().map(|l| l.queue())
+    }
+
+    /// The admission question, whatever the flavour: could this link take
+    /// a batch now? Lock-free — a producer task asks it before every
+    /// packet and parks on `false`; a listener registered with
+    /// [`add_space_listener`](Self::add_space_listener) wakes it. A
+    /// reliable link always admits: its recovery loop waits on its
+    /// caller's thread as it is, so it is driven with the waiting forms.
+    pub fn admits(&self) -> bool {
         match &self.delivery {
-            Delivery::Direct(t) => t.queue(),
-            Delivery::Reliable(_) => None,
+            Delivery::Direct(t) => t.admits(),
+            Delivery::Reliable(_) => true,
+        }
+    }
+
+    /// Register a callback fired when the link admits batches again after
+    /// refusing them, or is closed. Cheap, and it must not send.
+    pub fn add_space_listener(&self, listener: SpaceListener) {
+        if let Delivery::Direct(t) = &self.delivery {
+            t.add_space_listener(listener);
+        }
+    }
+
+    /// Wait until the link [`admits`](Self::admits) again (or is closed).
+    /// For a caller that owns its thread and keeps what
+    /// [`try_deliver`](Self::try_deliver) refused.
+    pub fn wait_space(&self) {
+        if let Delivery::Direct(t) = &self.delivery {
+            t.wait_space();
         }
     }
 
@@ -196,8 +234,9 @@ impl Link {
 
     /// Send one flushed batch down the stack: tag it, then deliver —
     /// directly (bare frame) or through the reliability layer (sequenced
-    /// frame). Returns the wire-equivalent bytes sent. `sent_at_micros`
-    /// may be 0 (unstamped); a traced batch is stamped lazily.
+    /// frame) — waiting under backpressure. Returns the wire-equivalent
+    /// bytes sent. `sent_at_micros` may be 0 (unstamped); a traced batch
+    /// is stamped lazily.
     pub fn send_batch(
         &self,
         base_seq: u64,
@@ -206,6 +245,21 @@ impl Link {
         sent_at_micros: u64,
         queueing_delay_micros: u64,
     ) -> Result<usize, TransportError> {
+        self.deliver(&self.prepare(base_seq, encoded, count, sent_at_micros, queueing_delay_micros))
+    }
+
+    /// The once-per-batch half of a send: count the flush, run the tagging
+    /// layer, and build the frame the transport will carry. What comes
+    /// back can be offered to [`try_deliver`](Self::try_deliver) any
+    /// number of times.
+    pub fn prepare(
+        &self,
+        base_seq: u64,
+        encoded: Bytes,
+        count: u32,
+        sent_at_micros: u64,
+        queueing_delay_micros: u64,
+    ) -> OutboundFrame {
         let frame_no = self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let mut sent_at = sent_at_micros;
         let trace = self.tagger.read().as_ref().and_then(|t| {
@@ -214,25 +268,49 @@ impl Link {
         if trace.is_some() {
             self.stats.traced.fetch_add(1, Ordering::Relaxed);
         }
+        OutboundFrame {
+            header: FrameHeader {
+                link_id: self.id,
+                base_seq,
+                count,
+                sent_at_micros: sent_at,
+                trace,
+                ..FrameHeader::default()
+            },
+            encoded,
+        }
+    }
+
+    /// Hand a prepared frame to the transport, waiting under
+    /// backpressure. Only for callers that own their thread.
+    pub fn deliver(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.hand_over(frame, true)
+    }
+
+    /// [`deliver`](Self::deliver) that never waits:
+    /// [`TransportError::Backpressure`] when the link cannot take the
+    /// frame now, and nothing has happened to it.
+    pub fn try_deliver(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.hand_over(frame, false)
+    }
+
+    fn hand_over(&self, frame: &OutboundFrame, wait: bool) -> Result<usize, TransportError> {
         let wire = match &self.delivery {
-            Delivery::Direct(t) => t.send_frame(&OutboundFrame {
-                header: FrameHeader {
-                    link_id: self.id,
-                    base_seq,
-                    count,
-                    sent_at_micros: sent_at,
-                    trace,
-                    ..FrameHeader::default()
-                },
-                encoded,
-            })?,
+            Delivery::Direct(t) if wait => t.send_frame(frame)?,
+            Delivery::Direct(t) => t.try_send_frame(frame)?,
             Delivery::Reliable(s) => {
                 // The supervisor may deliver via replay after a cut, so
                 // the first transmission's exact length is not always
                 // observable; account the frame's uncompressed size.
-                let nominal = wire_len(encoded.len());
-                s.send_batch_traced(base_seq, encoded, count, sent_at, trace)?;
-                nominal
+                let h = &frame.header;
+                s.send_batch_traced(
+                    h.base_seq,
+                    frame.encoded.clone(),
+                    h.count,
+                    h.sent_at_micros,
+                    h.trace,
+                )?;
+                wire_len(frame.encoded.len())
             }
         };
         self.stats.wire_bytes.fetch_add(wire as u64, Ordering::Relaxed);
@@ -262,6 +340,15 @@ impl Link {
         }
     }
 
+    /// [`barrier`](Self::barrier) that never waits:
+    /// [`TransportError::Backpressure`] when the link cannot take it now.
+    pub fn try_barrier(&self, checkpoint_id: u64) -> Result<(), TransportError> {
+        match &self.delivery {
+            Delivery::Reliable(s) => s.barrier(checkpoint_id),
+            Delivery::Direct(t) => t.try_send_control(self.id, ControlKind::Barrier, checkpoint_id),
+        }
+    }
+
     /// Deliver a cumulative ack to the reliability layer (no-op on bare
     /// links — nothing is retained).
     pub fn ack(&self, cum_msg_seq: u64) {
@@ -272,9 +359,9 @@ impl Link {
 
     /// Export the per-link stats bundle.
     pub fn stats_snapshot(&self) -> LinkStatsSnapshot {
-        let (replayed, acks) = match &self.delivery {
-            Delivery::Reliable(s) => (s.frames_replayed(), s.acks_received()),
-            Delivery::Direct(_) => (0, 0),
+        let (replayed, acks, sender_full) = match &self.delivery {
+            Delivery::Reliable(s) => (s.frames_replayed(), s.acks_received(), 0),
+            Delivery::Direct(t) => (0, 0, t.sender_full()),
         };
         LinkStatsSnapshot {
             link_id: self.id,
@@ -285,6 +372,7 @@ impl Link {
             replayed,
             acks,
             dedup_drops: 0,
+            sender_full,
             flush: self.policy.snapshot(),
         }
     }

@@ -9,7 +9,7 @@
 //! replays the exact same failure interleaving in CI every time.
 
 use crate::backoff::xorshift;
-use crate::transport::{FrameLink, OutboundFrame};
+use crate::transport::{FrameLink, OutboundFrame, SpaceListener};
 use neptune_net::frame::ControlKind;
 use neptune_net::transport::TransportError;
 use parking_lot::Mutex;
@@ -164,14 +164,42 @@ impl ChaosLink {
     }
 }
 
-impl FrameLink for ChaosLink {
-    fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+impl ChaosLink {
+    /// Count one data-frame send attempt; `Err` while a cut is scripted.
+    fn attempt(&self) -> Result<(), TransportError> {
         let n = self.attempts.fetch_add(1, Ordering::Relaxed);
         if self.in_window(n) {
             self.injected_failures.fetch_add(1, Ordering::Relaxed);
             return Err(TransportError::Io(format!("chaos: link down (attempt {n})")));
         }
+        Ok(())
+    }
+
+    /// Control frames share the link's fate but do not advance the
+    /// deterministic data-frame counter.
+    fn control_attempt(&self) -> Result<(), TransportError> {
+        if self.in_window(self.attempts.load(Ordering::Relaxed)) {
+            self.injected_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(TransportError::Io("chaos: link down (control)".into()));
+        }
+        Ok(())
+    }
+}
+
+impl FrameLink for ChaosLink {
+    fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.attempt()?;
         self.inner.send_frame(frame)
+    }
+
+    fn try_send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        // A refusal is not an attempt: the script counts frames that went
+        // for the wire, not how often a producer came back to ask.
+        if !self.inner.admits() {
+            return Err(TransportError::Backpressure);
+        }
+        self.attempt()?;
+        self.inner.try_send_frame(frame)
     }
 
     fn send_control(
@@ -180,13 +208,34 @@ impl FrameLink for ChaosLink {
         kind: ControlKind,
         value: u64,
     ) -> Result<(), TransportError> {
-        // Control frames share the link's fate but do not advance the
-        // deterministic data-frame counter.
-        if self.in_window(self.attempts.load(Ordering::Relaxed)) {
-            self.injected_failures.fetch_add(1, Ordering::Relaxed);
-            return Err(TransportError::Io("chaos: link down (control)".into()));
-        }
+        self.control_attempt()?;
         self.inner.send_control(link_id, kind, value)
+    }
+
+    fn try_send_control(
+        &self,
+        link_id: u64,
+        kind: ControlKind,
+        value: u64,
+    ) -> Result<(), TransportError> {
+        self.control_attempt()?;
+        self.inner.try_send_control(link_id, kind, value)
+    }
+
+    fn admits(&self) -> bool {
+        self.inner.admits()
+    }
+
+    fn add_space_listener(&self, listener: SpaceListener) {
+        self.inner.add_space_listener(listener);
+    }
+
+    fn wait_space(&self) {
+        self.inner.wait_space();
+    }
+
+    fn sender_full(&self) -> u64 {
+        self.inner.sender_full()
     }
 }
 

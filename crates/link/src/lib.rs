@@ -47,7 +47,7 @@ pub use replay::{PendingFrame, ReplayBuffer};
 pub use stats::{RecoverySnapshot, RecoveryStats};
 pub use supervisor::{LinkEvent, SupervisedLink};
 pub use tag::TraceTagger;
-pub use transport::{FrameLink, OutboundFrame, QueueLink, TcpFrameLink};
+pub use transport::{FrameLink, OutboundFrame, QueueLink, SpaceListener, TcpFrameLink};
 
 // The shared vocabulary the stack composes over lives in `neptune-net`
 // (which cannot depend on this crate); re-export it so link users need

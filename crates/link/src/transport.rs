@@ -3,12 +3,30 @@
 //!
 //! [`FrameLink`] is the pluggable bottom of the stack. It carries data
 //! frames — sequenced (when a reliability layer assigned a frame sequence
-//! number) or bare — and control frames (heartbeats, acks). Every flavour blocks under backpressure, which is what lets
-//! watermark gating propagate upstream (NEPTUNE §III-B4): a worker that
-//! cannot hand off a batch simply does not return from `send_frame`, and
-//! the stream processor that produced it is not rescheduled — *"The
-//! stream processors are not scheduled again until these write operations
-//! are successful."*
+//! number) or bare — and control frames (heartbeats, acks, barriers).
+//!
+//! Every flavour pushes back, which is what lets watermark gating
+//! propagate upstream (NEPTUNE §III-B4: *"The stream processors are not
+//! scheduled again until these write operations are successful"*), and
+//! every flavour offers the two ways a producer can take that:
+//!
+//! * **wait** — [`FrameLink::send_frame`] / [`FrameLink::send_control`] do
+//!   not return until the frame is handed over. For callers that own the
+//!   thread they wait on: a worker-tier processor (a resource has at least
+//!   one worker per instance, so a blocked one starves nobody), the
+//!   reliability layer's reconnect loop, teardown, a test or a probe.
+//! * **ask, park, retry** — [`FrameLink::try_send_frame`] /
+//!   [`FrameLink::try_send_control`] answer
+//!   [`TransportError::Backpressure`] instead of waiting,
+//!   [`FrameLink::admits`] is the same question without a frame (one
+//!   lock-free load, cheap enough to ask per packet), and
+//!   [`FrameLink::add_space_listener`] is who calls back when the answer
+//!   changes. For tasks on an IO pool — a source pump, a flush task: the
+//!   thread they would sleep on is the one the transport needs to make
+//!   room.
+//!
+//! Both forms feed the same queue; waiting is "try, else wait for the
+//! space signal", not a second path.
 //!
 //! Flavours shipping here:
 //!
@@ -32,7 +50,7 @@ use neptune_net::frame::{
 };
 use neptune_net::tcp::TcpSender;
 use neptune_net::transport::TransportError;
-use neptune_net::watermark::WatermarkQueue;
+use neptune_net::watermark::{Pushed, WatermarkQueue};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,13 +68,20 @@ pub struct OutboundFrame {
 
 /// A transport that can carry data frames and control frames. Returns the
 /// wire-equivalent byte count of what was sent so every flavour accounts
-/// identically.
+/// identically. See the [module docs](self) for who calls the waiting
+/// forms and who the `try_` ones.
+///
+/// The provided methods describe a transport that never pushes back (a
+/// test spy): it always admits, so trying is sending and nobody needs
+/// waking.
 pub trait FrameLink: Send + Sync {
-    /// Deliver one data frame. Blocks under backpressure; returns the
-    /// frame's wire-equivalent length in bytes.
+    /// Deliver one data frame, waiting under backpressure; returns the
+    /// frame's wire-equivalent length in bytes. Only for callers that own
+    /// their thread.
     fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError>;
 
-    /// Deliver one control frame (heartbeat probe, explicit ack).
+    /// Deliver one control frame (heartbeat probe, explicit ack, barrier),
+    /// waiting under backpressure. Only for callers that own their thread.
     fn send_control(
         &self,
         link_id: u64,
@@ -64,14 +89,52 @@ pub trait FrameLink: Send + Sync {
         value: u64,
     ) -> Result<(), TransportError>;
 
-    /// The destination watermark queue, for in-process flavours whose
-    /// backpressure gate the runtime wires pumps and wakers to. `None`
-    /// for wire transports (their backpressure lives in the sender's IO
-    /// queue).
-    fn queue(&self) -> Option<&Arc<WatermarkQueue<Frame>>> {
-        None
+    /// [`send_frame`](Self::send_frame) that never waits:
+    /// [`TransportError::Backpressure`] when the transport cannot take the
+    /// frame now — keep it, and retry once a space listener fires.
+    fn try_send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.send_frame(frame)
+    }
+
+    /// [`send_control`](Self::send_control) that never waits.
+    fn try_send_control(
+        &self,
+        link_id: u64,
+        kind: ControlKind,
+        value: u64,
+    ) -> Result<(), TransportError> {
+        self.send_control(link_id, kind, value)
+    }
+
+    /// The admission question: could the transport take a frame now?
+    /// Lock-free, one load while the answer is yes. `false` is the answer
+    /// a task parks on; a listener registered *before* asking is
+    /// guaranteed to fire after the answer turns `true` again.
+    fn admits(&self) -> bool {
+        true
+    }
+
+    /// Register a callback fired when the transport admits frames again
+    /// after refusing them, or is closed for good. It may run on any
+    /// thread, under no lock of the transport's; it must be cheap and must
+    /// not send.
+    fn add_space_listener(&self, _listener: SpaceListener) {}
+
+    /// Wait until the transport [`admits`](Self::admits) again (or is
+    /// closed): the other half of "try, else wait for the space signal",
+    /// for a caller that owns its thread and keeps what it could not send.
+    fn wait_space(&self) {}
+
+    /// Times a bounded sender queue behind this transport went full (0 for
+    /// flavours without one: an in-process destination counts its own gate
+    /// closures).
+    fn sender_full(&self) -> u64 {
+        0
     }
 }
+
+/// Callback a transport fires when it has room again.
+pub type SpaceListener = Arc<dyn Fn() + Send + Sync>;
 
 type DeliverHook = Arc<dyn Fn() + Send + Sync>;
 
@@ -120,8 +183,21 @@ impl QueueLink {
     }
 }
 
-impl FrameLink for QueueLink {
-    fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+impl QueueLink {
+    /// Push, waiting at a closed gate if `wait`. A shedding queue is the
+    /// exception it has always been: it must see every push for its stall
+    /// clock and policy to apply, and it bounds the wait itself
+    /// (`max_stall`), after which it degrades instead of refusing.
+    fn push(&self, frame: Frame, wait: bool) -> Result<Pushed, TransportError> {
+        if wait || self.queue.sheds() {
+            self.queue.push_blocking(frame)
+        } else {
+            self.queue.try_push(frame)
+        }
+        .map_err(TransportError::from_push)
+    }
+
+    fn deliver_frame(&self, frame: &OutboundFrame, wait: bool) -> Result<usize, TransportError> {
         let header = &frame.header;
         let wire_len = wire_len(frame.encoded.len());
         // Zero-copy split: the frame's messages are ranges into `encoded`.
@@ -138,8 +214,7 @@ impl FrameLink for QueueLink {
             control: None,
             trace: header.trace,
         };
-        let outcome = self.queue.push_blocking(decoded).map_err(TransportError::from_push)?;
-        if !outcome.accepted() {
+        if !self.push(decoded, wait)?.accepted() {
             // The queue's armed ShedPolicy dropped the incoming frame to
             // bound latency; it was never enqueued, so nothing was "sent"
             // and there is no delivery to signal.
@@ -147,18 +222,16 @@ impl FrameLink for QueueLink {
         }
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(wire_len as u64, Ordering::Relaxed);
-        let hook = self.on_deliver.read().clone();
-        if let Some(hook) = hook {
-            hook();
-        }
+        self.signal();
         Ok(wire_len)
     }
 
-    fn send_control(
+    fn deliver_control(
         &self,
         link_id: u64,
         kind: ControlKind,
         value: u64,
+        wait: bool,
     ) -> Result<(), TransportError> {
         let frame = Frame {
             link_id,
@@ -171,19 +244,64 @@ impl FrameLink for QueueLink {
             control: Some(kind),
             trace: None,
         };
-        self.queue.push_blocking(frame).map_err(TransportError::from_push)?;
+        self.push(frame, wait)?;
         // Control frames must wake the consumer too: a checkpoint barrier
         // delivered to an idle task would otherwise sit unprocessed until
         // the next data frame, wedging alignment on quiet channels.
+        self.signal();
+        Ok(())
+    }
+
+    fn signal(&self) {
         let hook = self.on_deliver.read().clone();
         if let Some(hook) = hook {
             hook();
         }
-        Ok(())
+    }
+}
+
+impl FrameLink for QueueLink {
+    fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.deliver_frame(frame, true)
     }
 
-    fn queue(&self) -> Option<&Arc<WatermarkQueue<Frame>>> {
-        Some(&self.queue)
+    fn try_send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        self.deliver_frame(frame, false)
+    }
+
+    fn send_control(
+        &self,
+        link_id: u64,
+        kind: ControlKind,
+        value: u64,
+    ) -> Result<(), TransportError> {
+        self.deliver_control(link_id, kind, value, true)
+    }
+
+    fn try_send_control(
+        &self,
+        link_id: u64,
+        kind: ControlKind,
+        value: u64,
+    ) -> Result<(), TransportError> {
+        self.deliver_control(link_id, kind, value, false)
+    }
+
+    /// A closed queue admits too — so that whoever parked on its gate
+    /// comes back to be told `Closed` — and so does a shedding one, whose
+    /// policy only runs if producers keep pushing.
+    fn admits(&self) -> bool {
+        !self.queue.is_gated() || self.queue.sheds() || self.queue.is_closed()
+    }
+
+    fn add_space_listener(&self, listener: SpaceListener) {
+        self.queue.add_gate_listener(move || listener());
+    }
+
+    fn wait_space(&self) {
+        if !self.queue.sheds() {
+            self.queue.wait_open();
+        }
     }
 }
 
@@ -204,14 +322,31 @@ impl TcpFrameLink {
     pub fn sender(&self) -> &TcpSender {
         &self.sender
     }
+
+    fn encode(&self, frame: &OutboundFrame) -> Vec<u8> {
+        let mut wire = self.sender.wire_buffer();
+        encode_frame_into(&mut wire, &frame.header, &frame.encoded, &self.compressor);
+        wire
+    }
 }
 
 impl FrameLink for TcpFrameLink {
     fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
-        let mut wire = self.sender.wire_buffer();
-        encode_frame_into(&mut wire, &frame.header, &frame.encoded, &self.compressor);
+        let wire = self.encode(frame);
         let len = wire.len();
         self.sender.send(wire)?;
+        Ok(len)
+    }
+
+    fn try_send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+        // Asked first, so a full queue costs no encode. A channel has one
+        // sender and hands over under its own lock, so the answer holds.
+        if !self.sender.has_room() {
+            return Err(TransportError::Backpressure);
+        }
+        let wire = self.encode(frame);
+        let len = wire.len();
+        self.sender.try_send(wire).map_err(TransportError::from_push)?;
         Ok(len)
     }
 
@@ -222,6 +357,33 @@ impl FrameLink for TcpFrameLink {
         value: u64,
     ) -> Result<(), TransportError> {
         self.sender.send(encode_control_frame(link_id, kind, value))
+    }
+
+    fn try_send_control(
+        &self,
+        link_id: u64,
+        kind: ControlKind,
+        value: u64,
+    ) -> Result<(), TransportError> {
+        self.sender
+            .try_send(encode_control_frame(link_id, kind, value))
+            .map_err(TransportError::from_push)
+    }
+
+    fn admits(&self) -> bool {
+        self.sender.has_room()
+    }
+
+    fn add_space_listener(&self, listener: SpaceListener) {
+        self.sender.add_space_listener(move || listener());
+    }
+
+    fn wait_space(&self) {
+        self.sender.wait_room();
+    }
+
+    fn sender_full(&self) -> u64 {
+        self.sender.full_events()
     }
 }
 

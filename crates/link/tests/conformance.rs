@@ -6,6 +6,11 @@
 //! * **Backpressure gates, it does not drop.** When the destination
 //!   queue crosses its high watermark, sends park until the consumer
 //!   drains; every frame still arrives, in order.
+//! * **Ask, park, retry.** Asked with the `try_` forms, a link under
+//!   backpressure answers `Backpressure` at once and nothing has
+//!   happened to the frame; [`Link::admits`] gives the same answer
+//!   without a frame; and a listener registered before asking fires when
+//!   the link admits again — the contract a task on an IO pool parks on.
 //! * **Closed is not Gated.** A closed destination surfaces
 //!   [`TransportError::Closed`] (and TCP teardown at worst `Io`) —
 //!   never `Backpressure`, which callers may retry forever.
@@ -186,6 +191,83 @@ fn backpressure_gates_sends_without_loss() {
             fx.sink.pop_timeout(Duration::from_millis(50)).is_none(),
             "{flavour:?}: duplicate frames after drain"
         );
+        fx.shutdown();
+    }
+}
+
+/// The non-waiting half of the contract, the one IO-tier tasks live by:
+/// a full link refuses at once, says so without being handed a frame,
+/// signals when it has room again, and then takes the refused frame —
+/// once, in order.
+#[test]
+fn a_full_link_refuses_at_once_and_signals_when_it_admits_again() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let seed = chaos_seed();
+    // 64 KB frames: a handful closes an in-process gate, and ~130 fill a
+    // stalled TCP hop (the receiver's queue, ~4 MB of loopback kernel
+    // buffers, the 64-frame sender queue).
+    let payload = vec![0x5Au8; 64 << 10];
+    for flavour in ALL_FLAVOURS {
+        let fx =
+            build(flavour, 13, WatermarkConfig::new(256 << 10, 64 << 10), false, 0, None, seed);
+        let signals = Arc::new(AtomicU64::new(0));
+        let s = signals.clone();
+        fx.link.add_space_listener(Arc::new(move || {
+            s.fetch_add(1, Ordering::Relaxed);
+        }));
+        assert!(fx.link.admits(), "{flavour:?}: an idle link admits");
+
+        // Offer frames until one is refused. Each is prepared once.
+        let mut taken = 0u64;
+        let refused = loop {
+            assert!(taken < 1_000, "{flavour:?}: nothing ever pushed back");
+            let (encoded, count) = batch_of(&[&payload[..], &taken.to_le_bytes()[..]]);
+            let frame = fx.link.prepare(taken * 2, encoded, count, 0, 0);
+            let asked = Instant::now();
+            match fx.link.try_deliver(&frame) {
+                Ok(_) => taken += 1,
+                Err(TransportError::Backpressure) => {
+                    assert!(asked.elapsed() < Duration::from_millis(250), "{flavour:?}: it waited");
+                    break frame;
+                }
+                Err(e) => panic!("{flavour:?}: {e:?}"),
+            }
+            // A TCP hop backs up asynchronously: give its tasks a moment
+            // once the first refusal must be near.
+            if flavour == Flavour::Tcp && taken.is_multiple_of(16) {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        assert!(!fx.link.admits(), "{flavour:?}: the question without a frame agrees");
+        assert!(
+            matches!(fx.link.try_deliver(&refused), Err(TransportError::Backpressure)),
+            "{flavour:?}: asking again changes nothing"
+        );
+        assert_eq!(signals.load(Ordering::Relaxed), 0, "{flavour:?}: no space signal while full");
+
+        // Drain: the link signals, admits, and takes the refused frame.
+        let pop = |next: u64, what: &str| {
+            let f = fx
+                .sink
+                .pop_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("{flavour:?}: frame {next} never arrived ({what})"));
+            assert_eq!(f.base_seq, next * 2, "{flavour:?}: reordered ({what})");
+        };
+        let mut popped = 0u64;
+        while signals.load(Ordering::Relaxed) == 0 {
+            pop(popped, "draining until the space signal");
+            popped += 1;
+        }
+        assert!(wait_for(Duration::from_secs(10), || fx.link.admits()), "{flavour:?}");
+        fx.link.try_deliver(&refused).unwrap_or_else(|e| panic!("{flavour:?}: {e:?}"));
+        for next in popped..=taken {
+            pop(next, "the rest, the refused frame last");
+        }
+        assert!(
+            fx.sink.pop_timeout(Duration::from_millis(50)).is_none(),
+            "{flavour:?}: a refused offer must not have delivered anything"
+        );
+        assert_eq!(fx.link.stats().flushes(), taken + 1, "{flavour:?}: one flush per prepare");
         fx.shutdown();
     }
 }

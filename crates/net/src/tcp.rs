@@ -11,10 +11,15 @@
 //! * The **sender task** drains a **bounded** outbound queue until
 //!   `WouldBlock`, then arms a one-shot writable interest and parks. When
 //!   the remote end stops reading, the kernel send buffer fills, the task
-//!   parks, the bounded queue fills, and [`TcpSender::send`] blocks the
-//!   calling worker thread — the paper's *"shared bounded buffers at IO
-//!   threads that are handling outbound traffic ... prevents worker
-//!   threads from writing to these shared buffers"*.
+//!   parks, the bounded queue fills and closes to producers until it has
+//!   drained to half — the paper's *"shared bounded buffers at IO threads
+//!   that are handling outbound traffic ... prevents worker threads from
+//!   writing to these shared buffers"*. A producer that owns its thread
+//!   waits that out in [`TcpSender::send`]; one that is itself a task on
+//!   the IO tier asks [`TcpSender::has_room`], keeps what
+//!   [`TcpSender::try_send`] handed back, parks, and is woken by the
+//!   sender's space listener ([`TcpSender::add_space_listener`]) — it
+//!   must not sleep on the thread the sender task needs to make room.
 //! * The **connection task** reads whatever the kernel has, feeds it
 //!   through the incremental [`FrameDecoder`], and pushes decoded frames
 //!   onto the shared inbound [`WatermarkQueue`]. While the queue is gated
@@ -57,7 +62,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -178,6 +183,10 @@ impl WireBuffers {
 /// `send`) and the sender task on the IO tier.
 struct SendQueue {
     frames: VecDeque<Vec<u8>>,
+    /// True from the push that fills the queue until the task has drained
+    /// it to half: producers are turned away in between, so a saturated
+    /// link signals space once per half queue, not once per frame.
+    full: bool,
     /// `close()` was called: no new sends; the task completes once drained.
     closed: bool,
     /// The socket died: sends fail immediately, queued frames are dropped.
@@ -188,7 +197,15 @@ struct SendQueue {
 
 struct SenderShared {
     queue: Mutex<SendQueue>,
-    /// Producers wait here when the bounded queue is full.
+    /// Mirror of `SendQueue::full`, written under the queue lock at each
+    /// edge so a producer can ask per packet without taking it.
+    full: AtomicBool,
+    /// Times the queue went full.
+    full_events: AtomicU64,
+    /// Fired after the queue reopens (or the link dies): wakes producer
+    /// tasks parked on a full queue.
+    space_listeners: Mutex<Vec<SpaceListener>>,
+    /// Producers that own their thread wait here while the queue is full.
     not_full: Condvar,
     /// `close()` waits here for the drain to finish.
     drained: Condvar,
@@ -201,18 +218,58 @@ struct SenderShared {
 }
 
 impl SenderShared {
-    /// Mark the link dead and release everyone blocked on it.
+    /// Flip `full`: the locked flag and its lock-free mirror together. The
+    /// fence pairs with the one in [`TcpSender::has_room`], as the
+    /// watermark gate's does.
+    fn set_full(&self, q: &mut SendQueue, full: bool) {
+        q.full = full;
+        if full {
+            self.full_events.fetch_add(1, Ordering::Relaxed);
+        }
+        self.full.store(full, Ordering::Release);
+        fence(Ordering::SeqCst);
+    }
+
+    /// Queue `wire` if producers are admitted; hands it back otherwise.
+    fn offer(&self, q: &mut SendQueue, wire: Vec<u8>) -> Result<(), PushError<Vec<u8>>> {
+        if q.dead || q.closed {
+            return Err(PushError::Closed(wire));
+        }
+        if q.full {
+            return Err(PushError::Gated(wire));
+        }
+        q.frames.push_back(wire);
+        if q.frames.len() >= self.capacity {
+            self.set_full(q, true);
+        }
+        Ok(())
+    }
+
+    /// Tell everyone waiting for room — blocked threads and parked tasks —
+    /// to look again. Called with the queue lock released.
+    fn signal_space(&self) {
+        self.not_full.notify_all();
+        let listeners: Vec<SpaceListener> = self.space_listeners.lock().clone();
+        for l in listeners {
+            l();
+        }
+    }
+
+    /// Mark the link dead and release everyone blocked or parked on it:
+    /// the queue reads as having room, so their next send sees `Closed`.
     fn fail(&self) {
         let mut q = self.queue.lock();
         q.dead = true;
         q.frames.clear();
+        self.set_full(&mut q, false);
         drop(q);
-        self.not_full.notify_all();
+        self.signal_space();
         self.drained.notify_all();
     }
 }
 
 type AckCallback = Box<dyn Fn(u64, u64) + Send>;
+type SpaceListener = Arc<dyn Fn() + Send + Sync>;
 
 /// Outbound side of a TCP link: a bounded queue drained by one task on
 /// the IO pool.
@@ -263,10 +320,14 @@ impl TcpSender {
         let shared = Arc::new(SenderShared {
             queue: Mutex::new(SendQueue {
                 frames: VecDeque::with_capacity(queue_depth.min(1024)),
+                full: false,
                 closed: false,
                 dead: false,
                 done: false,
             }),
+            full: AtomicBool::new(false),
+            full_events: AtomicU64::new(0),
+            space_listeners: Mutex::new(Vec::new()),
             not_full: Condvar::new(),
             drained: Condvar::new(),
             capacity: queue_depth,
@@ -305,23 +366,69 @@ impl TcpSender {
         self.shared.spent.take()
     }
 
-    /// Queue one encoded wire frame. Blocks while the bounded queue is
-    /// full (backpressure). Fails once the connection is closed or dead.
-    pub fn send(&self, wire: Vec<u8>) -> Result<(), TransportError> {
+    /// Queue one encoded wire frame, waiting while the bounded queue is
+    /// full (backpressure): "try, else wait for the space signal" for a
+    /// caller that owns its thread — a worker, a reconnect loop, teardown.
+    /// A task on the IO tier uses [`try_send`](Self::try_send). Fails once
+    /// the connection is closed or dead.
+    pub fn send(&self, mut wire: Vec<u8>) -> Result<(), TransportError> {
         let mut q = self.shared.queue.lock();
         loop {
-            if q.dead || q.closed {
-                return Err(TransportError::Closed);
-            }
-            if q.frames.len() < self.shared.capacity {
-                q.frames.push_back(wire);
-                break;
+            match self.shared.offer(&mut q, wire) {
+                Ok(()) => break,
+                Err(PushError::Closed(_)) => return Err(TransportError::Closed),
+                Err(PushError::Gated(back)) => wire = back,
             }
             self.shared.not_full.wait(&mut q);
         }
         drop(q);
         self.handle.wake();
         Ok(())
+    }
+
+    /// Queue one encoded wire frame if the queue admits it now; never
+    /// waits. [`PushError::Gated`] hands the frame back while the queue is
+    /// full — keep it, park, and retry when the space listener fires.
+    pub fn try_send(&self, wire: Vec<u8>) -> Result<(), PushError<Vec<u8>>> {
+        self.shared.offer(&mut self.shared.queue.lock(), wire)?;
+        self.handle.wake();
+        Ok(())
+    }
+
+    /// Wait until the queue admits frames again (or the link is closed or
+    /// dead) without sending — for a caller that owns its thread and keeps
+    /// what [`try_send`](Self::try_send) handed back somewhere of its own.
+    pub fn wait_room(&self) {
+        let mut q = self.shared.queue.lock();
+        while q.full && !q.dead && !q.closed {
+            self.shared.not_full.wait(&mut q);
+        }
+    }
+
+    /// True while the queue admits frames. Lock-free: one load while there
+    /// is room; "full" — the answer a producer task parks on — is
+    /// confirmed behind a fence paired with the one at the reopening edge,
+    /// so either this read sees the edge or the space listener fired after
+    /// it finds the task still running and flags it to run again.
+    pub fn has_room(&self) -> bool {
+        if !self.shared.full.load(Ordering::Acquire) {
+            return true;
+        }
+        fence(Ordering::SeqCst);
+        !self.shared.full.load(Ordering::Acquire)
+    }
+
+    /// Register a callback fired when a full queue has drained to half, or
+    /// the link died — the wake for producer tasks parked on
+    /// [`has_room`](Self::has_room). Must be cheap and must not send.
+    pub fn add_space_listener(&self, f: impl Fn() + Send + Sync + 'static) {
+        self.shared.space_listeners.lock().push(Arc::new(f));
+    }
+
+    /// Times the queue went full: backpressure episodes on this link,
+    /// whether its producer blocked or parked.
+    pub fn full_events(&self) -> u64 {
+        self.shared.full_events.load(Ordering::Relaxed)
     }
 
     /// Frames written to the socket so far. By the time a frame counts
@@ -361,7 +468,7 @@ impl TcpSender {
             }
             q.closed = true;
         }
-        self.shared.not_full.notify_all();
+        self.shared.signal_space();
         self.handle.wake();
         let deadline = Instant::now() + CLOSE_DRAIN_TIMEOUT;
         let mut q = self.shared.queue.lock();
@@ -459,8 +566,14 @@ impl IoTask for SenderTask {
                 let mut q = self.shared.queue.lock();
                 match q.frames.pop_front() {
                     Some(wire) => {
+                        let reopened = q.full && q.frames.len() <= self.shared.capacity / 2;
+                        if reopened {
+                            self.shared.set_full(&mut q, false);
+                        }
                         drop(q);
-                        self.shared.not_full.notify_one();
+                        if reopened {
+                            self.shared.signal_space();
+                        }
                         self.partial = Some((wire, 0));
                     }
                     None => {
@@ -1324,6 +1437,105 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(sent.load(Ordering::Relaxed), N_FRAMES);
+        rx.shutdown();
+    }
+
+    #[test]
+    fn a_full_sender_queue_refuses_at_once_and_signals_at_half() {
+        // A stalled receiver and frames big enough that the kernel's
+        // loopback buffers (~4 MB) fill after a few: the writer parks on
+        // the socket and the 8-frame queue fills behind it.
+        let rig = NetRig::new("trx-full");
+        let driver = rig.driver();
+        let rx = TcpReceiver::bind_reactor("127.0.0.1:0", WatermarkConfig::new(4096, 512), &driver)
+            .unwrap();
+        let tx = Arc::new(TcpSender::connect_reactor(rx.local_addr(), 8, &driver).unwrap());
+        let signals = Arc::new(AtomicU64::new(0));
+        let s = signals.clone();
+        tx.add_space_listener(move || {
+            s.fetch_add(1, Ordering::Relaxed);
+        });
+        let wire = encode_frame(1, 0, &[vec![0u8; 512 * 1024]], &SelectiveCompressor::disabled());
+        assert!(tx.has_room());
+        let mut sent = 0u64;
+        let refused = loop {
+            assert!(sent < 200, "the queue never filled");
+            match tx.try_send(wire.clone()) {
+                Ok(()) => sent += 1,
+                Err(PushError::Gated(back)) => break back,
+                Err(PushError::Closed(_)) => panic!("link died"),
+            }
+            // Full is sticky, so a racing writer cannot unfill it under us.
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(refused, wire, "a refused frame comes back whole");
+        assert!(!tx.has_room());
+        assert_eq!(tx.full_events(), 1);
+        assert_eq!(signals.load(Ordering::Relaxed), 0);
+
+        // Drain the receiver. Room is signalled once, when the queue is
+        // down to half — not once per frame the writer takes — and a
+        // thread that waited for it finds room.
+        let waiter = {
+            let tx = tx.clone();
+            std::thread::spawn(move || tx.wait_room())
+        };
+        let q = rx.queue();
+        for _ in 0..sent {
+            q.pop_timeout(TIMEOUT).expect("every accepted frame arrives");
+        }
+        waiter.join().unwrap();
+        assert!(tx.has_room());
+        assert_eq!(signals.load(Ordering::Relaxed), 1, "one edge, one signal");
+        assert_eq!(tx.full_events(), 1);
+        tx.try_send(refused).expect("room again");
+        assert!(q.pop_timeout(TIMEOUT).is_some());
+        rx.shutdown();
+    }
+
+    #[test]
+    fn has_room_is_answered_without_the_queue_lock() {
+        let rig = NetRig::new("trx-lockfree");
+        let driver = rig.driver();
+        let rx = TcpReceiver::bind_reactor("127.0.0.1:0", roomy(), &driver).unwrap();
+        let tx = Arc::new(TcpSender::connect_reactor(rx.local_addr(), 4, &driver).unwrap());
+        // Hold the lock every send takes; a producer asking per packet
+        // must still get its answer.
+        let guard = tx.shared.queue.lock();
+        let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+        let asker = {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let _ = answer_tx.send(tx.has_room());
+            })
+        };
+        let answer = answer_rx.recv_timeout(TIMEOUT).expect("has_room() must not take the lock");
+        assert!(answer);
+        drop(guard);
+        asker.join().unwrap();
+        rx.shutdown();
+    }
+
+    #[test]
+    fn a_dead_link_wakes_parked_producers_to_be_told_closed() {
+        let rig = NetRig::new("trx-dead");
+        let driver = rig.driver();
+        let rx = TcpReceiver::bind_reactor("127.0.0.1:0", roomy(), &driver).unwrap();
+        let tx = TcpSender::connect_reactor(rx.local_addr(), 4, &driver).unwrap();
+        let signals = Arc::new(AtomicU64::new(0));
+        let s = signals.clone();
+        tx.add_space_listener(move || {
+            s.fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(wait_for(TIMEOUT, || rx.connections() == 1));
+        rx.chaos_drop_connections();
+        // The sender task sees the hangup: whoever parked on this link is
+        // signalled, finds it admitting, and is told `Closed` by the send.
+        assert!(wait_for(TIMEOUT, || signals.load(Ordering::Relaxed) > 0));
+        assert!(tx.has_room());
+        assert!(matches!(tx.try_send(vec![1, 2, 3]), Err(PushError::Closed(_))));
+        assert_eq!(tx.send(vec![1, 2, 3]), Err(TransportError::Closed));
+        tx.wait_room(); // returns: nothing to wait for on a dead link
         rx.shutdown();
     }
 

@@ -20,7 +20,11 @@
 //! The IO tier subscribes to the *release* edge of that hysteresis:
 //! [`WatermarkQueue::add_gate_listener`] registers a callback fired when
 //! the gate opens (or the queue closes), which is how parked source-pump
-//! tasks are woken by capacity events instead of polling the gate.
+//! tasks are woken by capacity events instead of polling the gate. A
+//! producer that owns its thread waits the same edge out in
+//! [`WatermarkQueue::push_blocking`] or [`WatermarkQueue::wait_open`]; one
+//! that does not asks [`WatermarkQueue::is_gated`], parks its task, and is
+//! woken by the listener.
 
 use neptune_telemetry::{EventKind, FlightRecorder};
 use parking_lot::{Condvar, Mutex};
@@ -245,6 +249,10 @@ pub struct WatermarkQueue<T: Weighted> {
     popped: AtomicU64,
     /// Number of times a producer had to block at the high watermark.
     gate_events: AtomicU64,
+    /// Number of times the gate closed (the edge, whoever was there to
+    /// see it): what backpressure looks like when producers park their
+    /// tasks instead of blocking in a push.
+    gate_closures: AtomicU64,
     /// Items sacrificed by the shed policy over the queue's lifetime.
     shed_total: AtomicU64,
     /// Bytes sacrificed by the shed policy over the queue's lifetime.
@@ -289,6 +297,7 @@ impl<T: Weighted> WatermarkQueue<T> {
             pushed: AtomicU64::new(0),
             popped: AtomicU64::new(0),
             gate_events: AtomicU64::new(0),
+            gate_closures: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             shed_bytes: AtomicU64::new(0),
             gate_listeners: Mutex::new(Vec::new()),
@@ -367,6 +376,9 @@ impl<T: Weighted> WatermarkQueue<T> {
     fn set_gated(&self, st: &mut QueueState<T>, gated: bool) {
         st.gated = gated;
         st.gated_since = gated.then(Instant::now);
+        if gated {
+            self.gate_closures.fetch_add(1, Ordering::Relaxed);
+        }
         self.gated.store(gated, Ordering::Release);
         fence(Ordering::SeqCst);
     }
@@ -384,6 +396,15 @@ impl<T: Weighted> WatermarkQueue<T> {
     /// How many times a producer blocked at the high watermark.
     pub fn gate_events(&self) -> u64 {
         self.gate_events.load(Ordering::Relaxed)
+    }
+
+    /// How many times the gate closed. Unlike
+    /// [`gate_events`](Self::gate_events) this ticks whether or not a
+    /// producer was blocked in a push at the time — a parked task, a
+    /// reader that stopped re-arming its socket and a blocked thread all
+    /// look the same from here.
+    pub fn gate_closures(&self) -> u64 {
+        self.gate_closures.load(Ordering::Relaxed)
     }
 
     /// Items sacrificed by the shed policy (evicted or dropped).
@@ -427,49 +448,52 @@ impl<T: Weighted> WatermarkQueue<T> {
         self.push_bounded(item, Some(timeout))
     }
 
+    /// Block until the gate is open or the queue closed, without pushing:
+    /// the waiting half of "try, else wait for the space signal" for a
+    /// producer that owns its thread and keeps what it could not push
+    /// somewhere of its own. Counts as a gate event when it had to wait.
+    pub fn wait_open(&self) {
+        let mut st = self.state.lock();
+        if st.gated && !st.closed {
+            self.gate_events.fetch_add(1, Ordering::Relaxed);
+            while st.gated && !st.closed {
+                self.not_full.wait(&mut st);
+            }
+        }
+    }
+
     fn push_bounded(&self, item: T, timeout: Option<Duration>) -> Result<Pushed, PushError<T>> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut st = self.state.lock();
         if st.gated && !st.closed {
             self.gate_events.fetch_add(1, Ordering::Relaxed);
             while st.gated && !st.closed {
+                let mut wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
                 if self.shed.policy != ShedPolicy::None {
-                    if let Some(since) = st.gated_since {
-                        let stalled = since.elapsed();
-                        if stalled >= self.shed.max_stall {
-                            let outcome = self.shed_push(&mut st, item);
-                            let fire = std::mem::take(&mut st.release_pending);
-                            drop(st);
-                            if fire {
-                                self.fire_gate_listeners();
-                            }
-                            return Ok(outcome);
+                    // Gate raced open between the loop check and here.
+                    let Some(since) = st.gated_since else { continue };
+                    let stalled = since.elapsed();
+                    if stalled >= self.shed.max_stall {
+                        let outcome = self.shed_push(&mut st, item);
+                        let fire = std::mem::take(&mut st.release_pending);
+                        drop(st);
+                        if fire {
+                            self.fire_gate_listeners();
                         }
-                        // Not armed yet: sleep only until arming time so a
-                        // wedged consumer can't park us forever.
-                        let until_armed = self.shed.max_stall - stalled;
-                        let wait = match deadline {
-                            Some(d) => until_armed.min(d.saturating_duration_since(Instant::now())),
-                            None => until_armed,
-                        };
-                        self.not_full.wait_for(&mut st, wait);
-                    } else {
-                        // Gate raced open between the loop check and here.
-                        continue;
+                        return Ok(outcome);
                     }
-                } else {
-                    match deadline {
-                        Some(d) => {
-                            let left = d.saturating_duration_since(Instant::now());
-                            self.not_full.wait_for(&mut st, left);
-                        }
-                        None => self.not_full.wait(&mut st),
-                    }
+                    // Not armed yet: sleep only until arming time so a
+                    // wedged consumer can't park us forever.
+                    let until_armed = self.shed.max_stall - stalled;
+                    wait = Some(wait.map_or(until_armed, |w| w.min(until_armed)));
                 }
-                if let Some(d) = deadline {
-                    if st.gated && !st.closed && Instant::now() >= d {
-                        return Err(PushError::Gated(item));
+                match wait {
+                    // Out of time — a zero timeout never touches the condvar.
+                    Some(w) if w.is_zero() => return Err(PushError::Gated(item)),
+                    Some(w) => {
+                        self.not_full.wait_for(&mut st, w);
                     }
+                    None => self.not_full.wait(&mut st),
                 }
             }
         }
@@ -728,6 +752,44 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q.gate_events(), 1);
+    }
+
+    #[test]
+    fn closures_count_the_closing_edge_whoever_is_there_to_see_it() {
+        let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(100, 40));
+        assert_eq!(q.gate_closures(), 0);
+        q.push_blocking(item(120)).unwrap(); // closes
+        q.push_timeout(item(1), Duration::ZERO).unwrap_err(); // refused: no new edge
+        assert!(q.try_push(item(1)).is_err());
+        assert_eq!(q.gate_closures(), 1, "one episode, however many were turned away");
+        q.pop().unwrap(); // reopens
+        q.push_blocking(item(120)).unwrap(); // closes again
+        assert_eq!(q.gate_closures(), 2);
+        // Nobody blocked *in a push* for longer than a zero timeout, but
+        // backpressure engaged twice: that is what the closure count is for.
+        assert_eq!(q.gate_events(), 1, "only the bounded push counted as an event");
+    }
+
+    #[test]
+    fn wait_open_waits_the_gate_out_without_pushing() {
+        let q = Arc::new(WatermarkQueue::<Vec<u8>>::new(WatermarkConfig::new(100, 10)));
+        q.wait_open(); // open gate: returns at once, no event
+        assert_eq!(q.gate_events(), 0);
+        q.push_blocking(item(100)).unwrap(); // gated
+        let q2 = q.clone();
+        let waiter = std::thread::spawn(move || q2.wait_open());
+        assert!(wait_for(Duration::from_secs(5), || q.gate_events() == 1));
+        assert!(!waiter.is_finished(), "still gated: still waiting");
+        q.pop().unwrap();
+        waiter.join().unwrap();
+        assert_eq!(q.total_pushed(), 1, "waiting pushed nothing");
+        // A closed queue never reopens its gate; waiters must not hang.
+        q.push_blocking(item(100)).unwrap();
+        let q2 = q.clone();
+        let waiter = std::thread::spawn(move || q2.wait_open());
+        assert!(wait_for(Duration::from_secs(5), || q.gate_events() == 2));
+        q.close();
+        waiter.join().unwrap();
     }
 
     #[test]
