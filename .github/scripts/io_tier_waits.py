@@ -48,6 +48,10 @@ MAY_WAIT = {
     ("crates/link/src/transport.rs", "until_taken"),
     # Pool threads (ROADMAP item 2): a supervised processor's retry pause.
     ("crates/granules/src/supervisor.rs", "run_batch"),
+    # The lock module's condvar: it waits on its caller's thread, and every
+    # caller's own `.wait(`/`.wait_for(` is matched here in turn.
+    ("crates/granules/src/sync.rs", "wait"),
+    ("crates/granules/src/sync.rs", "wait_for"),
 }
 
 WAIT = re.compile(r"pop_timeout\(|thread::sleep\(|epoll_wait\(|\.wait(_for|_while|_timeout|_until)?\(")

@@ -245,6 +245,30 @@ impl EgressCore {
         Ok(())
     }
 
+    /// Offer the link what it retains and the frame it refused: `true`
+    /// when it could take another batch now — or never will (`forward`
+    /// then says why). `__egress` asks this before each frame.
+    pub fn admits(&self) -> bool {
+        let (link, mut out) = (&self.link, self.out.lock());
+        let retried = link.reliability().map_or(Ok(false), |s| s.retry_staged());
+        let offered = match (retried, &out.refused) {
+            (Err(e), _) => Err(e),
+            (Ok(_), Some(frame)) => link.deliver(frame).map(drop),
+            (Ok(_), None) => Ok(()),
+        };
+        match offered {
+            Err(TransportError::Backpressure) => false,
+            Ok(()) => {
+                out.refused = None;
+                link.admits()
+            }
+            Err(_) => {
+                out.refused = None; // the link is gone for good
+                true
+            }
+        }
+    }
+
     /// The built link stack (reliability, stats).
     pub fn link(&self) -> &Arc<Link> {
         &self.link
@@ -749,28 +773,8 @@ impl StreamProcessor for EgressOp {
         self.core.link().add_space_listener(ctx.waker());
     }
 
-    /// Offer the link what it retains and the frame it refused: `true`
-    /// when it could take another batch now — or never will (`forward`
-    /// then says why).
     fn admits(&mut self, _ctx: &mut OperatorContext) -> bool {
-        let (link, mut out) = (&self.core.link, self.core.out.lock());
-        let retried = link.reliability().map_or(Ok(false), |s| s.retry_staged());
-        let offered = match (retried, &out.refused) {
-            (Err(e), _) => Err(e),
-            (Ok(_), Some(frame)) => link.deliver(frame).map(drop),
-            (Ok(_), None) => Ok(()),
-        };
-        match offered {
-            Err(TransportError::Backpressure) => false,
-            Ok(()) => {
-                out.refused = None;
-                link.admits()
-            }
-            Err(_) => {
-                out.refused = None; // the link is gone for good
-                true
-            }
-        }
+        self.core.admits()
     }
 
     fn process_encoded(&mut self, batch: &FrameMessages, _ctx: &mut OperatorContext) -> bool {
@@ -824,6 +828,15 @@ mod tests {
         assert!(wait_for(Duration::from_secs(5), cond), "timed out waiting until {what}");
     }
 
+    /// Forward `batch` the way `__egress` does: only once the link admits
+    /// it, and until a frame the link refused (its heartbeat may be
+    /// dialling) has been re-offered and taken.
+    fn ship(core: &EgressCore, batch: &FrameMessages) {
+        wait_until("the egress link admits a frame", || core.admits());
+        core.forward(batch).unwrap();
+        wait_until("the egress link takes the frame", || core.admits());
+    }
+
     #[test]
     fn link_id_packs_edge_and_epoch() {
         assert_eq!(link_id(7, 0), 7);
@@ -838,7 +851,7 @@ mod tests {
         let core = up.egress_core(3, 0, down.local_addr().to_string(), 2);
         let sent = [batch(0..4), batch(4..8), batch(8..10)];
         for b in &sent {
-            core.forward(b).unwrap();
+            ship(&core, b);
         }
         let route = down.ingress_route(3);
         let mut got = Vec::new();
@@ -857,7 +870,13 @@ mod tests {
         // Quiescent mode: acks withheld, replay retains the frames.
         assert!(!core.replay_empty(), "no acks released yet");
         assert!(down.release_acks() > 0);
-        wait_until("the released ack empties the replay buffer", || core.replay_empty());
+        // The demux stages a frame's ack just after it routes the frame, so
+        // the last ack may not be staged yet when the frames are popped:
+        // release again until it is.
+        wait_until("the released ack empties the replay buffer", || {
+            down.release_acks();
+            core.replay_empty()
+        });
         // Trace sampling crossed the boundary.
         wait_until("a traced frame is counted", || down.stats().traced_in > 0);
         let dstats = down.stats();
@@ -901,17 +920,17 @@ mod tests {
         let down = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
         let up = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
         let core = up.egress_core(1, 0, down.local_addr().to_string(), 0);
-        core.forward(&batch(1..2)).unwrap();
+        ship(&core, &batch(1..2));
         // Replay the identical frame by hand: a fresh core on the SAME
         // link identity (epoch unchanged) restarts its frame seq and its
         // base_seq at 0, so the demux sees a duplicate.
         let core2 = up.egress_core(1, 0, down.local_addr().to_string(), 0);
-        core2.forward(&batch(1..2)).unwrap();
+        ship(&core2, &batch(1..2));
         wait_until("the duplicate is counted", || down.stats().dup_frames == 1);
         assert_eq!(down.stats().packets_in, 1, "duplicate packet not delivered");
         // A fresh epoch is a fresh identity: same payload now admitted.
         let core3 = up.egress_core(1, 1, down.local_addr().to_string(), 0);
-        core3.forward(&batch(1..2)).unwrap();
+        ship(&core3, &batch(1..2));
         wait_until("the epoch bump re-admits the restarted producer", || {
             down.stats().packets_in == 2
         });
@@ -939,7 +958,7 @@ mod tests {
         };
 
         let core = up.egress_core(4, 0, down.local_addr().to_string(), 0);
-        core.forward(&batch(0..3)).unwrap();
+        ship(&core, &batch(0..3));
         wait_until("the first frame is routed", || down.stats().packets_in == 3);
         assert!(!down.quiescent(), "a routed frame counts until `__ingress` has emitted it");
         assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(3));
@@ -948,7 +967,7 @@ mod tests {
         // Same link identity, message sequence restarted at 0: a five-
         // message frame now overlaps the dedup cursor (3) by three.
         let replayer = up.egress_core(4, 0, down.local_addr().to_string(), 0);
-        replayer.forward(&batch(0..5)).unwrap();
+        ship(&replayer, &batch(0..5));
         wait_until("the overlapping frame is routed", || down.stats().packets_in == 5);
         assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(2), "fresh suffix only");
         assert_eq!(emitted_uids(&mut ctx), vec![3, 4]);
@@ -1075,7 +1094,7 @@ mod tests {
         // A frame routed while the pump is parked: no back-off stands
         // between it and the sink, only the wake.
         let core = up.egress_core(6, 0, down.local_addr().to_string(), 0);
-        core.forward(&batch(0..50)).unwrap();
+        ship(&core, &batch(0..50));
         wait_until("the routed frame reaches the sink", || {
             rig.delivered.load(Ordering::Relaxed) == 50
         });
@@ -1262,7 +1281,7 @@ mod tests {
         // stays unacked in the upstream replay buffer.
         down.ingress_route(9).queue.close();
         let core = up.egress_core(9, 0, down.local_addr().to_string(), 0);
-        core.forward(&batch(7..9)).unwrap();
+        ship(&core, &batch(7..9));
         wait_until("the closed route is detected", || down.undelivered_frames() == 1);
         assert_eq!(down.stats().packets_in, 0, "nothing delivered");
         std::thread::sleep(Duration::from_millis(50));

@@ -12,9 +12,11 @@
 //! * `encode_into` appends to a caller-owned buffer (the link's output
 //!   buffer), allocating nothing;
 //! * `decode_into` rebuilds a packet **in place**, reusing the packet's
-//!   field vector and, where field types line up (the common case — IoT
-//!   streams have a fixed schema), the existing `String`/`Vec<u8>`
-//!   allocations of string and byte fields.
+//!   field slots — those a `clear` retained included. Where the layout
+//!   lines up (the common case — IoT streams have a fixed schema) a slot's
+//!   name already equals the wire's and is neither validated nor copied,
+//!   and string and byte fields reuse their `String`/`Vec<u8>` buffers: a
+//!   warm decode allocates nothing.
 //!
 //! The REUSE experiment regenerates the paper's GC-share measurement by
 //! toggling this path against a naive allocate-per-packet decoder.
@@ -168,9 +170,11 @@ impl PacketCodec {
         Ok(out)
     }
 
-    /// Deserialize into `packet`, reusing its field vector and — when the
-    /// layout matches the packet's previous contents — its string/bytes
-    /// allocations. The entire input must be consumed.
+    /// Deserialize into `packet`, reusing its field slots — retained ones
+    /// past its length included: a slot whose name already equals the
+    /// wire's keeps it untouched (an equal name is valid UTF-8 already),
+    /// and a value of the slot's type reuses its string/bytes allocation.
+    /// The entire input must be consumed; on error `packet` is left empty.
     pub fn decode_into(
         &mut self,
         bytes: &[u8],
@@ -178,31 +182,40 @@ impl PacketCodec {
     ) -> Result<(), CodecError> {
         let mut r = Reader { bytes, pos: 0 };
         let count = r.u16()? as usize;
-        let fields = packet.fields_vec_mut();
-        let reusable = fields.len().min(count);
+        let (fields, len) = packet.slots_mut();
+        *len = 0;
         let mut reused_any = false;
 
         for i in 0..count {
             let name_len = r.u8()? as usize;
             let name_bytes = r.take(name_len, "field name")?;
-            let name = std::str::from_utf8(name_bytes).map_err(|_| CodecError::InvalidUtf8)?;
-            let tag = r.u8()?;
-            if i < reusable {
-                // In-place update path: reuse the slot's allocations.
-                let slot = &mut fields[i];
-                slot.name.clear();
-                slot.name.push_str(name);
-                reused_any |= decode_value_into(&mut r, tag, &mut slot.value)?;
+            // An equal name is valid UTF-8 already: keep it, skip the check.
+            let same = fields.get(i).is_some_and(|f| f.name.as_bytes() == name_bytes);
+            let name = if same {
+                ""
             } else {
-                let mut value = FieldValue::Bool(false);
-                decode_value_into(&mut r, tag, &mut value)?;
-                fields.push(Field { name: name.to_string(), value });
+                std::str::from_utf8(name_bytes).map_err(|_| CodecError::InvalidUtf8)?
+            };
+            let tag = r.u8()?;
+            match fields.get_mut(i) {
+                Some(slot) => {
+                    if !same {
+                        slot.name.clear();
+                        slot.name.push_str(name);
+                    }
+                    reused_any |= decode_value_into(&mut r, tag, &mut slot.value)?;
+                }
+                None => {
+                    let mut value = FieldValue::Bool(false);
+                    decode_value_into(&mut r, tag, &mut value)?;
+                    fields.push(Field { name: name.to_owned(), value });
+                }
             }
         }
-        fields.truncate(count);
         if r.pos != bytes.len() {
             return Err(CodecError::TrailingBytes(bytes.len() - r.pos));
         }
+        *len = count;
         self.decoded += 1;
         if reused_any {
             self.reused_allocations += 1;
@@ -401,6 +414,51 @@ mod tests {
     }
 
     #[test]
+    fn a_shorter_decode_then_a_longer_one_roundtrips() {
+        let mut codec = PacketCodec::new();
+        let long = sample();
+        let mut short = StreamPacket::new();
+        short.push_field("delta", FieldValue::Str("was an i64".into()));
+        let (long_bytes, short_bytes) =
+            (codec.encode(&long).unwrap(), codec.encode(&short).unwrap());
+        let mut target = StreamPacket::new();
+        for (bytes, expected) in
+            [(&long_bytes, &long), (&short_bytes, &short), (&long_bytes, &long)]
+        {
+            codec.decode_into(bytes, &mut target).unwrap();
+            assert_eq!(&target, expected);
+            assert_eq!(codec.encode(&target).unwrap(), *bytes);
+        }
+    }
+
+    #[test]
+    fn an_equal_name_keeps_its_allocation() {
+        let mut codec = PacketCodec::new();
+        let bytes = codec.encode(&sample()).unwrap();
+        let mut target = codec.decode(&bytes).unwrap();
+        let before: Vec<*const u8> = target.iter().map(|(n, _)| n.as_ptr()).collect();
+        target.clear();
+        codec.decode_into(&bytes, &mut target).unwrap();
+        let after: Vec<*const u8> = target.iter().map(|(n, _)| n.as_ptr()).collect();
+        assert_eq!(before, after);
+        assert_eq!(target, sample());
+    }
+
+    #[test]
+    fn an_invalid_name_into_a_slot_of_another_name_is_rejected() {
+        let mut codec = PacketCodec::new();
+        let mut target = StreamPacket::new();
+        target.push_field("ab", FieldValue::U64(1));
+        // count=1, name of two bytes, the second not UTF-8, tag u64.
+        let mut bytes = vec![1, 0, 2, b'a', 0xFF, TAG_U64];
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        assert_eq!(codec.decode_into(&bytes, &mut target).unwrap_err(), CodecError::InvalidUtf8);
+        assert!(target.is_empty(), "a failed decode leaves the packet empty");
+        // The same bytes into a slot that never held a name.
+        assert_eq!(codec.decode(&bytes).unwrap_err(), CodecError::InvalidUtf8);
+    }
+
+    #[test]
     fn rejects_truncated_input() {
         let mut codec = PacketCodec::new();
         let bytes = codec.encode(&sample()).unwrap();
@@ -473,5 +531,52 @@ mod tests {
         }
         assert_eq!(codec.packets_decoded(), 50);
         assert_eq!(codec.reused_allocations(), 49, "all but the first decode must reuse");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_value() -> impl Strategy<Value = FieldValue> {
+            prop_oneof![
+                any::<i64>().prop_map(FieldValue::I64),
+                any::<u64>().prop_map(FieldValue::U64),
+                (-1e6f64..1e6).prop_map(FieldValue::F64),
+                any::<bool>().prop_map(FieldValue::Bool),
+                "[a-z]{0,12}".prop_map(FieldValue::Str),
+                proptest::collection::vec(any::<u8>(), 0..24).prop_map(FieldValue::Bytes),
+                any::<u64>().prop_map(FieldValue::Timestamp),
+            ]
+        }
+
+        /// Few, short names, so consecutive packets share names at some
+        /// positions and differ at others.
+        fn arb_packet() -> impl Strategy<Value = StreamPacket> {
+            proptest::collection::vec(("[ab]{1,2}", arb_value()), 0..10).prop_map(|fields| {
+                let mut p = StreamPacket::new();
+                for (name, value) in fields {
+                    p.push_field(name, value);
+                }
+                p
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn decoding_into_one_workhorse_equals_fresh_decodes(
+                packets in proptest::collection::vec(arb_packet(), 1..16)
+            ) {
+                let mut codec = PacketCodec::new();
+                let mut workhorse = StreamPacket::new();
+                for p in &packets {
+                    let bytes = codec.encode(p).unwrap();
+                    codec.decode_into(&bytes, &mut workhorse).unwrap();
+                    prop_assert_eq!(&workhorse, &codec.decode(&bytes).unwrap());
+                    prop_assert_eq!(&workhorse, p);
+                }
+            }
+        }
     }
 }

@@ -142,87 +142,132 @@ pub struct Field {
 }
 
 /// A stream packet: an ordered collection of named, typed fields.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// A packet owns field *slots* and a live count. [`clear`](Self::clear)
+/// only resets the count: the slots keep their names and their string and
+/// byte buffers, so refilling a reused packet with the same layout writes
+/// no name and allocates nothing (object reuse, §III-B3). Only the live
+/// prefix is ever observable — accessors, iteration, `==`, `clone()` and
+/// `{:?}` all stop at [`len`](Self::len).
+#[derive(Default)]
 pub struct StreamPacket {
+    /// Field slots; the first `len` are the packet's fields.
     fields: Vec<Field>,
+    len: usize,
 }
 
 impl StreamPacket {
     /// New empty packet.
     pub fn new() -> Self {
-        StreamPacket { fields: Vec::new() }
+        Self::default()
     }
 
     /// New packet with pre-reserved field capacity.
     pub fn with_capacity(n: usize) -> Self {
-        StreamPacket { fields: Vec::with_capacity(n) }
+        StreamPacket { fields: Vec::with_capacity(n), len: 0 }
+    }
+
+    fn live(&self) -> &[Field] {
+        &self.fields[..self.len]
     }
 
     /// Append a field. Names are not deduplicated; `get` returns the first
-    /// match.
-    pub fn push_field(&mut self, name: impl Into<String>, value: FieldValue) -> &mut Self {
-        self.fields.push(Field { name: name.into(), value });
+    /// match. A slot left by [`clear`](Self::clear) is reused: its name is
+    /// rewritten only when it differs, so only a packet that grows past
+    /// its earlier length allocates.
+    pub fn push_field(&mut self, name: impl AsRef<str>, value: FieldValue) -> &mut Self {
+        let name = name.as_ref();
+        match self.fields.get_mut(self.len) {
+            Some(slot) => {
+                if slot.name != name {
+                    slot.name.clear();
+                    slot.name.push_str(name);
+                }
+                slot.value = value;
+            }
+            None => self.fields.push(Field { name: name.to_owned(), value }),
+        }
+        self.len += 1;
         self
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.len
     }
 
     /// True when there are no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.len == 0
     }
 
     /// Field by position — the fast accessor for schema-stable streams.
     pub fn field_at(&self, i: usize) -> Option<&FieldValue> {
-        self.fields.get(i).map(|f| &f.value)
+        self.live().get(i).map(|f| &f.value)
     }
 
     /// Field name by position.
     pub fn name_at(&self, i: usize) -> Option<&str> {
-        self.fields.get(i).map(|f| f.name.as_str())
+        self.live().get(i).map(|f| f.name.as_str())
     }
 
     /// First field with this name.
     pub fn get(&self, name: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|f| f.name == name).map(|f| &f.value)
+        self.live().iter().find(|f| f.name == name).map(|f| &f.value)
     }
 
     /// Mutable access by name.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut FieldValue> {
-        self.fields.iter_mut().find(|f| f.name == name).map(|f| &mut f.value)
+        self.fields[..self.len].iter_mut().find(|f| f.name == name).map(|f| &mut f.value)
     }
 
     /// The packet's source timestamp: the first `Timestamp`-typed field,
-    /// in µs since the Unix epoch. This is the end-to-end latency anchor
-    /// (ISSUE 2) — sources that want e2e measurement stamp packets with
+    /// in µs since the Unix epoch. This is the end-to-end latency anchor:
+    /// sources that want e2e measurement stamp packets with
     /// [`crate::now_micros`] at ingestion, the convention the telemetry
     /// layer reads back at every downstream operator.
     pub fn source_timestamp(&self) -> Option<u64> {
-        self.fields.iter().find_map(|f| f.value.as_timestamp())
+        self.live().iter().find_map(|f| f.value.as_timestamp())
     }
 
     /// Iterate `(name, value)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &FieldValue)> {
-        self.fields.iter().map(|f| (f.name.as_str(), &f.value))
+        self.live().iter().map(|f| (f.name.as_str(), &f.value))
     }
 
-    /// Remove all fields, keeping the allocation (object reuse).
+    /// Remove all fields, keeping every slot for the next fill (object
+    /// reuse).
     pub fn clear(&mut self) {
-        self.fields.clear();
+        self.len = 0;
     }
 
     /// Approximate serialized size in bytes.
     pub fn encoded_size(&self) -> usize {
-        2 + self.fields.iter().map(|f| 2 + f.name.len() + f.value.encoded_size()).sum::<usize>()
+        2 + self.live().iter().map(|f| 2 + f.name.len() + f.value.encoded_size()).sum::<usize>()
     }
 
-    /// Crate-internal access for the codec's in-place, allocation-reusing
-    /// deserialization path.
-    pub(crate) fn fields_vec_mut(&mut self) -> &mut Vec<Field> {
-        &mut self.fields
+    /// Crate-internal access for the codec's in-place deserialization: all
+    /// slots, retained ones included, and the live count.
+    pub(crate) fn slots_mut(&mut self) -> (&mut Vec<Field>, &mut usize) {
+        (&mut self.fields, &mut self.len)
+    }
+}
+
+impl Clone for StreamPacket {
+    fn clone(&self) -> Self {
+        StreamPacket { fields: self.live().to_vec(), len: self.len }
+    }
+}
+
+impl PartialEq for StreamPacket {
+    fn eq(&self, other: &Self) -> bool {
+        self.live() == other.live()
+    }
+}
+
+impl std::fmt::Debug for StreamPacket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamPacket").field("fields", &self.live()).finish()
     }
 }
 
@@ -396,6 +441,52 @@ mod tests {
         p.clear();
         assert!(p.is_empty());
         assert_eq!(p.fields.capacity(), cap);
+    }
+
+    #[test]
+    fn clear_then_other_names_gives_exactly_the_new_packet() {
+        let mut p = sample_packet();
+        p.clear();
+        p.push_field("temp", FieldValue::I64(-3)).push_field("b", FieldValue::Bool(false));
+        let mut expected = StreamPacket::new();
+        expected.push_field("temp", FieldValue::I64(-3)).push_field("b", FieldValue::Bool(false));
+        assert_eq!(p, expected);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.name_at(1), Some("b"));
+        assert!(p.get("site").is_none() && p.get_mut("ts").is_none(), "retained slots are dead");
+        assert!(p.field_at(2).is_none() && p.name_at(2).is_none());
+        assert_eq!(p.source_timestamp(), None, "a retained timestamp is not the anchor");
+        assert_eq!(p.iter().count(), 2);
+        assert_eq!(p.encoded_size(), expected.encoded_size());
+    }
+
+    #[test]
+    fn push_after_clear_keeps_an_equal_name_and_rewrites_another() {
+        let mut p = StreamPacket::new();
+        p.push_field("same", FieldValue::U64(1)).push_field("old", FieldValue::U64(2));
+        let kept = p.fields[0].name.as_ptr();
+        p.clear();
+        p.push_field("same", FieldValue::U64(3)).push_field("new", FieldValue::U64(4));
+        assert_eq!(p.fields[0].name.as_ptr(), kept, "an equal name is not rewritten");
+        assert_eq!(p.name_at(1), Some("new"));
+        assert_eq!(p.fields.len(), 2, "no slot was added");
+    }
+
+    #[test]
+    fn equality_clone_and_debug_ignore_retained_slots() {
+        let mut reused = sample_packet();
+        reused.clear();
+        reused.push_field("id", FieldValue::U64(7));
+        let mut fresh = StreamPacket::new();
+        fresh.push_field("id", FieldValue::U64(7));
+        assert_eq!(reused, fresh);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+        let copy = reused.clone();
+        assert_eq!(copy, fresh);
+        assert_eq!(copy.fields.len(), 1, "a clone carries only the live fields");
+        let mut longer = fresh.clone();
+        longer.push_field("temp", FieldValue::F64(21.5));
+        assert_ne!(reused, longer);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! Rust has no GC, but the paper's mechanism translates directly: pooled
 //! [`StreamPacket`]s and scratch byte buffers mean the hot path performs no
 //! heap allocation per packet, which the REUSE experiment measures with a
-//! counting allocator. Pools are intentionally *not* thread-safe — one pool
+//! counting allocator. A checked-out packet is cleared, not emptied: it
+//! keeps its field slots and their names, so an operator that refills it
+//! with the same layout writes no name and allocates nothing
+//! (`crates/core/tests/warm_path_alloc.rs` counts it). Pools are
+//! intentionally *not* thread-safe — one pool
 //! lives inside each operator instance, which Granules guarantees is
 //! single-threaded — so checkout/checkin are plain vector ops.
 

@@ -20,6 +20,7 @@
 
 use neptune_core::{FieldValue, OperatorContext, SourceStatus, StreamPacket, StreamSource};
 use neptune_prop::Rng;
+use std::sync::OnceLock;
 
 /// Number of data fields in a DEBS 2012 reading.
 pub const TOTAL_FIELDS: usize = 66;
@@ -28,6 +29,18 @@ pub const ADDITIVE_PAIRS: usize = 3;
 /// Auxiliary analog channels filling the remaining fields
 /// (66 = 1 timestamp + 3 sensors + 3 valves + 59 analog channels).
 pub const ANALOG_CHANNELS: usize = TOTAL_FIELDS - 1 - 2 * ADDITIVE_PAIRS;
+/// Field names of the chemical additive sensors.
+pub const SENSOR_FIELDS: [&str; ADDITIVE_PAIRS] =
+    ["additive_sensor_0", "additive_sensor_1", "additive_sensor_2"];
+/// Field names of the valves, pair by pair with [`SENSOR_FIELDS`].
+pub const VALVE_FIELDS: [&str; ADDITIVE_PAIRS] = ["valve_0", "valve_1", "valve_2"];
+
+/// Field names of the analog channels, `ch_00` to `ch_58`, formatted once
+/// so a reading writes no name.
+fn channel_names() -> &'static [String] {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(|| (0..ANALOG_CHANNELS).map(|ci| format!("ch_{ci:02}")).collect())
+}
 
 /// One decoded reading (used by tests and the monitoring examples).
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +61,8 @@ impl ManufacturingReading {
         let mut sensors = [false; ADDITIVE_PAIRS];
         let mut valves = [false; ADDITIVE_PAIRS];
         for i in 0..ADDITIVE_PAIRS {
-            sensors[i] = p.get(&format!("additive_sensor_{i}"))?.as_bool()?;
-            valves[i] = p.get(&format!("valve_{i}"))?.as_bool()?;
+            sensors[i] = p.get(SENSOR_FIELDS[i])?.as_bool()?;
+            valves[i] = p.get(VALVE_FIELDS[i])?.as_bool()?;
         }
         Some(ManufacturingReading { timestamp_us, sensors, valves })
     }
@@ -125,7 +138,9 @@ impl ManufacturingSimulator {
     }
 
     /// Advance the simulation one step and fill `packet` with the full
-    /// 66-field reading.
+    /// 66-field reading, whatever it held before. The names come from
+    /// fixed tables, so a packet reused from the previous reading keeps
+    /// every name and allocates nothing.
     pub fn fill_next(&mut self, packet: &mut StreamPacket) {
         self.clock_us += self.interval_us;
         // Fire due actuations.
@@ -154,17 +169,14 @@ impl ManufacturingSimulator {
         packet.clear();
         packet.push_field("ts", FieldValue::Timestamp(self.clock_us));
         for pair in 0..ADDITIVE_PAIRS {
-            packet.push_field(
-                format!("additive_sensor_{pair}"),
-                FieldValue::Bool(self.sensors[pair]),
-            );
-            packet.push_field(format!("valve_{pair}"), FieldValue::Bool(self.valves[pair]));
+            packet.push_field(SENSOR_FIELDS[pair], FieldValue::Bool(self.sensors[pair]));
+            packet.push_field(VALVE_FIELDS[pair], FieldValue::Bool(self.valves[pair]));
         }
-        for (ci, a) in self.analog.iter().enumerate() {
+        for (name, a) in channel_names().iter().zip(&self.analog) {
             // Quantize to whole units: real PLC channels report integer
             // register values, which is what makes consecutive readings
             // byte-identical (the low-entropy property of the DEBS data).
-            packet.push_field(format!("ch_{ci:02}"), FieldValue::F64(a.round()));
+            packet.push_field(name, FieldValue::F64(a.round()));
         }
         self.readings += 1;
         debug_assert_eq!(packet.len(), TOTAL_FIELDS);
@@ -301,6 +313,33 @@ mod tests {
             batch.len(),
             compressed.len()
         );
+    }
+
+    #[test]
+    fn filling_a_reused_packet_equals_a_fresh_one() {
+        let mut fresh = ManufacturingSimulator::new(1);
+        let mut reused = ManufacturingSimulator::new(1);
+        let mut packet = StreamPacket::new();
+        for _ in 0..1_000 {
+            reused.fill_next(&mut packet);
+            assert_eq!(packet, fresh.next_packet());
+        }
+    }
+
+    #[test]
+    fn filling_overwrites_a_packet_of_a_foreign_layout() {
+        // Longer and shorter than a reading, other names, other types at
+        // every position.
+        for foreign_len in [TOTAL_FIELDS + 14, 7] {
+            let mut packet = StreamPacket::new();
+            for i in 0..foreign_len {
+                packet.push_field(format!("other_{i}"), FieldValue::Str("x".repeat(i)));
+            }
+            let mut sim = ManufacturingSimulator::new(1);
+            sim.fill_next(&mut packet);
+            assert_eq!(packet, ManufacturingSimulator::new(1).next_packet());
+            assert_eq!(packet.len(), TOTAL_FIELDS);
+        }
     }
 
     #[test]

@@ -19,16 +19,23 @@
 //! cargo run --release --example manufacturing_monitor
 //! ```
 
-use neptune::data::manufacturing::{ManufacturingSource, ADDITIVE_PAIRS};
+use neptune::data::manufacturing::{
+    ManufacturingSource, ADDITIVE_PAIRS, SENSOR_FIELDS, VALVE_FIELDS,
+};
 use neptune::granules::sync::Mutex;
 use neptune::prelude::*;
 use neptune::stats::OnlineStats;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Names of the projected sensor and valve fields.
+const S_FIELDS: [&str; ADDITIVE_PAIRS] = ["s0", "s1", "s2"];
+const V_FIELDS: [&str; ADDITIVE_PAIRS] = ["v0", "v1", "v2"];
+
 /// Stage 2: project the 66-field reading down to the monitored fields.
-/// Output packets come from the instance's pool (§III-B3 object reuse) so
-/// the projection allocates nothing per reading in steady state.
+/// Output packets come from the instance's pool (§III-B3 object reuse) and
+/// keep their names, so the projection allocates nothing per reading in
+/// steady state.
 struct Extract;
 impl StreamProcessor for Extract {
     fn process(&mut self, packet: &StreamPacket, ctx: &mut OperatorContext) {
@@ -36,15 +43,14 @@ impl StreamProcessor for Extract {
         let Some(ts) = packet.get("ts") else { return };
         out.push_field("ts", ts.clone());
         for pair in 0..ADDITIVE_PAIRS {
-            let (Some(s), Some(v)) = (
-                packet.get(&format!("additive_sensor_{pair}")),
-                packet.get(&format!("valve_{pair}")),
-            ) else {
+            let (Some(s), Some(v)) =
+                (packet.get(SENSOR_FIELDS[pair]), packet.get(VALVE_FIELDS[pair]))
+            else {
                 ctx.checkin_packet(out);
                 return;
             };
-            out.push_field(format!("s{pair}"), s.clone());
-            out.push_field(format!("v{pair}"), v.clone());
+            out.push_field(S_FIELDS[pair], s.clone());
+            out.push_field(V_FIELDS[pair], v.clone());
         }
         let _ = ctx.emit(&out);
         ctx.checkin_packet(out);
@@ -67,10 +73,10 @@ impl StreamProcessor for DetectDelays {
             return;
         };
         for pair in 0..ADDITIVE_PAIRS {
-            let Some(sensor) = packet.get(&format!("s{pair}")).and_then(|v| v.as_bool()) else {
+            let Some(sensor) = packet.get(S_FIELDS[pair]).and_then(|v| v.as_bool()) else {
                 continue;
             };
-            let Some(valve) = packet.get(&format!("v{pair}")).and_then(|v| v.as_bool()) else {
+            let Some(valve) = packet.get(V_FIELDS[pair]).and_then(|v| v.as_bool()) else {
                 continue;
             };
             // Sensor toggled: remember when.
