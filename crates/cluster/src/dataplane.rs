@@ -24,8 +24,12 @@
 //!   every-N [`TraceTagger`] and a [`SupervisedLink`] reliability layer
 //!   over a [`TcpSender`] connector; frames are sequenced,
 //!   unacked frames sit in the replay buffer, and the connection opens
-//!   with a protocol hello. While that link refuses — full, or backing
-//!   off from a cut — `__egress` parks ([`StreamProcessor::admits`]);
+//!   with a protocol hello. `__egress` owns its [`EgressCore`] outright —
+//!   the message sequence, and the one frame the link refused, which
+//!   `forward` hands back to it — and the plane keeps only the link. While
+//!   that link refuses — full, or backing off from a cut — `__egress`
+//!   parks ([`StreamProcessor::admits`]) and offers its refused frame
+//!   first when the link's space listener wakes it;
 //! * **ingress** is one [`TcpReceiver::bind_manual_ack`] per node with a
 //!   [`HandshakeGate`] and a [`BytesPool`] for frame bodies: a demux task
 //!   classifies each inbound frame against the shared [`ReliableIngress`]
@@ -197,41 +201,36 @@ impl IngressRoute {
     }
 }
 
-/// One egress edge: a builder-assembled reliable link and the message
-/// sequence it stamps on forwarded batches. Trace stamping lives in the
-/// link's every-N [`TraceTagger`]; frame sequencing, replay and reconnects
-/// in its reliability layer.
+/// One egress edge, owned by its `__egress` instance: a builder-assembled
+/// reliable link and the message sequence it stamps on forwarded batches.
+/// Trace stamping lives in the link's every-N [`TraceTagger`]; frame
+/// sequencing, replay and reconnects in its reliability layer. The plane
+/// keeps only the link, for its heartbeat, quiescence test and stats.
 pub struct EgressCore {
     link: Arc<Link>,
-    out: Mutex<EgressOut>,
-}
-
-/// Under one lock, so batches leave in the order they were numbered.
-#[derive(Default)]
-struct EgressOut {
     /// Message sequence of the next batch's first message.
     next_msg_seq: u64,
-    /// A prepared frame the link refused. At most one: `__egress` admits
-    /// no frame while it holds one.
-    refused: Option<OutboundFrame>,
 }
 
 impl EgressCore {
     /// Ship one encoded batch as one frame, without waiting. The batch
     /// buffer is shared, not copied: the replay buffer holds a refcount on
     /// it until the peer acks, and the transport reads it once to put it
-    /// on the wire. A frame the link refuses in a race is kept, and
-    /// `__egress`'s next `admits` offers it first: forward only once that
-    /// said yes. `Err` once the link has failed for good.
-    pub fn forward(&self, batch: &FrameMessages) -> Result<(), TransportError> {
+    /// on the wire. Call it only once [`admits`](Self::admits) said yes. A
+    /// frame the link refuses — in a race with the heartbeat's dial, say —
+    /// comes back as `Ok(Some(frame))`: the caller keeps it and hands it to
+    /// the next `admits`, which offers it first. `Err` once the link has
+    /// failed for good.
+    pub fn forward(
+        &mut self,
+        batch: &FrameMessages,
+    ) -> Result<Option<OutboundFrame>, TransportError> {
         let count = batch.len() as u32;
         if count == 0 {
-            return Ok(());
+            return Ok(None);
         }
-        let mut out = self.out.lock();
-        assert!(out.refused.is_none(), "forward while a refused frame waits");
-        let base = out.next_msg_seq;
-        out.next_msg_seq += count as u64;
+        let base = self.next_msg_seq;
+        self.next_msg_seq += count as u64;
         self.link.stats().record_packets(count as u64);
         // The link stack stamps every-N trace ids (ingress on the peer
         // counts these — how trace-id propagation across process
@@ -239,19 +238,19 @@ impl EgressCore {
         // frame through the replay buffer.
         let frame = self.link.prepare(base, batch.batch().clone(), count, now_micros(), 0);
         match self.link.deliver(&frame) {
-            Err(TransportError::Backpressure) => out.refused = Some(frame),
-            sent => drop(sent?),
+            Err(TransportError::Backpressure) => Ok(Some(frame)),
+            sent => sent.map(|_| None),
         }
-        Ok(())
     }
 
-    /// Offer the link what it retains and the frame it refused: `true`
+    /// Offer the link what it retains, then the frame in `refused`: `true`
     /// when it could take another batch now — or never will (`forward`
-    /// then says why). `__egress` asks this before each frame.
-    pub fn admits(&self) -> bool {
-        let (link, mut out) = (&self.link, self.out.lock());
+    /// then says why). A frame the link still refuses stays in `refused`.
+    /// Ask this before each `forward`.
+    pub fn admits(&self, refused: &mut Option<OutboundFrame>) -> bool {
+        let link = &self.link;
         let retried = link.reliability().map_or(Ok(false), |s| s.retry_staged());
-        let offered = match (retried, &out.refused) {
+        let offered = match (retried, refused.as_ref()) {
             (Err(e), _) => Err(e),
             (Ok(_), Some(frame)) => link.deliver(frame).map(drop),
             (Ok(_), None) => Ok(()),
@@ -259,25 +258,20 @@ impl EgressCore {
         match offered {
             Err(TransportError::Backpressure) => false,
             Ok(()) => {
-                out.refused = None;
+                *refused = None;
                 link.admits()
             }
             Err(_) => {
-                out.refused = None; // the link is gone for good
+                *refused = None; // the link is gone for good
                 true
             }
         }
     }
+}
 
-    /// The built link stack (reliability, stats).
-    pub fn link(&self) -> &Arc<Link> {
-        &self.link
-    }
-
-    /// True when every sent frame has been acked by the peer.
-    pub fn replay_empty(&self) -> bool {
-        self.link.reliability().map(|s| s.replay().is_empty()).unwrap_or(true)
-    }
+/// True when every frame sent on `link` has been acked by the peer.
+fn replay_empty(link: &Link) -> bool {
+    link.reliability().is_none_or(|s| s.replay().is_empty())
 }
 
 /// Per-node data-plane endpoint shared by the boundary operators, its two
@@ -296,7 +290,8 @@ pub struct DataPlane {
     routes: Mutex<HashMap<u32, Arc<IngressRoute>>>,
     /// Current downstream address per egress edge (Rewire target).
     edge_addrs: Mutex<HashMap<u32, String>>,
-    egress: Mutex<HashMap<u32, Arc<EgressCore>>>,
+    /// Each egress edge's link; its `__egress` owns the rest.
+    egress: Mutex<HashMap<u32, Arc<Link>>>,
     /// Shared with every `__ingress` instance.
     ingress_draining: Arc<AtomicBool>,
     /// Shared with every `__ingress` instance.
@@ -366,11 +361,6 @@ impl DataPlane {
     /// The bound data-plane address (what `Register` advertises).
     pub fn local_addr(&self) -> std::net::SocketAddr {
         self.receiver.local_addr()
-    }
-
-    /// Recovery counters shared with supervised links.
-    pub fn recovery_stats(&self) -> &Arc<RecoveryStats> {
-        &self.stats
     }
 
     fn driver(&self) -> NetDriver {
@@ -469,29 +459,24 @@ impl DataPlane {
     /// quiescence test.
     pub fn quiescent(&self) -> bool {
         self.routes.lock().values().all(|r| r.drained())
-            && self.egress.lock().values().all(|e| e.replay_empty())
+            && self.egress.lock().values().all(|link| replay_empty(link))
     }
 
     /// The heartbeat task's stint, every [`HEARTBEAT_EVERY`] and at the
     /// earliest redial deadline of a link backing off: probe each egress
     /// link. The probe steps the link's reliability layer first, so it also
     /// redials an idle edge that holds unacked frames and replays them; a
-    /// refused frame `__egress` holds goes when the recovery wakes it.
+    /// refused frame `__egress` keeps goes when the recovery wakes it.
     fn beat(&self, ctx: &IoContext) -> IoStatus {
         if ctx.shutting_down() || self.shutdown.load(Ordering::Acquire) {
             return IoStatus::Complete;
         }
-        let links: Vec<Arc<Link>> = self.egress.lock().values().map(|c| c.link.clone()).collect();
+        let links: Vec<Arc<Link>> = self.egress.lock().values().cloned().collect();
         let redial = links.iter().filter_map(|link| {
             let _ = link.heartbeat();
             link.reliability()?.retry_at()
         });
         redial.min().map_or(IoStatus::Park, IoStatus::ParkUntil)
-    }
-
-    /// Point an egress edge at a (new) downstream address.
-    pub fn set_edge_addr(&self, edge: u32, addr: String) {
-        self.edge_addrs.lock().insert(edge, addr);
     }
 
     /// Handle [`ControlMsg::Rewire`]: repoint the edge and force the
@@ -500,7 +485,7 @@ impl DataPlane {
     ///
     /// [`ControlMsg::Rewire`]: crate::proto::ControlMsg::Rewire
     pub fn rewire(&self, edge: u32, addr: String) {
-        self.set_edge_addr(edge, addr);
+        self.edge_addrs.lock().insert(edge, addr);
         // The reliability layer notices the stale connection on its next
         // send or heartbeat failure and reconnects through the connector,
         // which reads the address table again. Nothing to tear down here:
@@ -538,8 +523,8 @@ impl DataPlane {
     /// Snapshot of the counters for reports.
     pub fn stats(&self) -> DataPlaneStats {
         let (mut frames_out, mut packets_out, mut traced_out) = (0, 0, 0);
-        for core in self.egress.lock().values() {
-            let s = core.link().stats();
+        for link in self.egress.lock().values() {
+            let s = link.stats();
             frames_out += s.flushes();
             packets_out += s.packets();
             traced_out += s.traced();
@@ -564,8 +549,8 @@ impl DataPlane {
         self.egress
             .lock()
             .values()
-            .map(|core| {
-                let mut snap = core.link().stats_snapshot();
+            .map(|link| {
+                let mut snap = link.stats_snapshot();
                 snap.dedup_drops = self.ingress.dedup_drops(snap.link_id);
                 snap
             })
@@ -585,8 +570,8 @@ impl DataPlane {
         epoch: u32,
         addr: String,
         trace_every: u64,
-    ) -> Arc<EgressCore> {
-        self.set_edge_addr(edge, addr);
+    ) -> EgressCore {
+        self.edge_addrs.lock().insert(edge, addr);
         let id = link_id(edge, epoch);
         let plane = self.clone();
         // The ack callback needs the replay buffer, which only exists
@@ -630,9 +615,8 @@ impl DataPlane {
             .build();
         let _ = replay_slot
             .set(link.reliability().expect("cluster egress links are reliable").replay().clone());
-        let core = Arc::new(EgressCore { link, out: Mutex::default() });
-        self.egress.lock().insert(edge, core.clone());
-        core
+        self.egress.lock().insert(edge, link.clone());
+        EgressCore { link, next_msg_seq: 0 }
     }
 
     fn ingress_route(&self, edge: u32) -> Arc<IngressRoute> {
@@ -672,7 +656,7 @@ impl DataPlane {
             let epoch = params.get("epoch").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
             let addr = params.get("addr").and_then(|v| v.as_str()).unwrap_or_default().to_string();
             let trace_every = params.get("trace_every").and_then(|v| v.as_u64()).unwrap_or(64);
-            EgressOp { core: plane.egress_core(edge, epoch, addr, trace_every) }
+            EgressOp { core: plane.egress_core(edge, epoch, addr, trace_every), refused: None }
         });
     }
 }
@@ -763,23 +747,26 @@ impl StreamSource for IngressSource {
 /// Boundary processor: ships the producer's batches to the downstream
 /// node as they are, and parks while its link cannot take them.
 struct EgressOp {
-    core: Arc<EgressCore>,
+    core: EgressCore,
+    /// The frame the link refused last, offered again before the next one.
+    refused: Option<OutboundFrame>,
 }
 
 impl StreamProcessor for EgressOp {
     fn open(&mut self, ctx: &mut OperatorContext) {
         // Before any `admits`: no signal can fall between a refusal and
         // the park.
-        self.core.link().add_space_listener(ctx.waker());
+        self.core.link.add_space_listener(ctx.waker());
     }
 
     fn admits(&mut self, _ctx: &mut OperatorContext) -> bool {
-        self.core.admits()
+        self.core.admits(&mut self.refused)
     }
 
     fn process_encoded(&mut self, batch: &FrameMessages, _ctx: &mut OperatorContext) -> bool {
-        if let Err(e) = self.core.forward(batch) {
-            eprintln!("neptuned: egress send failed terminally: {e:?}");
+        match self.core.forward(batch) {
+            Ok(refused) => self.refused = refused,
+            Err(e) => eprintln!("neptuned: egress send failed terminally: {e:?}"),
         }
         true
     }
@@ -831,10 +818,11 @@ mod tests {
     /// Forward `batch` the way `__egress` does: only once the link admits
     /// it, and until a frame the link refused (its heartbeat may be
     /// dialling) has been re-offered and taken.
-    fn ship(core: &EgressCore, batch: &FrameMessages) {
-        wait_until("the egress link admits a frame", || core.admits());
-        core.forward(batch).unwrap();
-        wait_until("the egress link takes the frame", || core.admits());
+    fn ship(core: &mut EgressCore, batch: &FrameMessages) {
+        let mut refused = None;
+        wait_until("the egress link admits a frame", || core.admits(&mut refused));
+        refused = core.forward(batch).unwrap();
+        wait_until("the egress link takes the frame", || core.admits(&mut refused));
     }
 
     #[test]
@@ -848,10 +836,10 @@ mod tests {
     fn planes_ship_batches_end_to_end_with_quiescent_acks() {
         let up = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).unwrap();
         let down = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).unwrap();
-        let core = up.egress_core(3, 0, down.local_addr().to_string(), 2);
+        let mut core = up.egress_core(3, 0, down.local_addr().to_string(), 2);
         let sent = [batch(0..4), batch(4..8), batch(8..10)];
         for b in &sent {
-            ship(&core, b);
+            ship(&mut core, b);
         }
         let route = down.ingress_route(3);
         let mut got = Vec::new();
@@ -864,18 +852,18 @@ mod tests {
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>(), "in order, zero loss");
         // The egress side shares the producer's buffer instead of copying it.
-        let replay = core.link().reliability().unwrap().replay().unacked();
+        let replay = core.link.reliability().unwrap().replay().unacked();
         assert_eq!(replay.len(), 3);
         assert_eq!(replay[0].encoded.as_ptr(), sent[0].batch().as_ptr(), "held by refcount");
         // Quiescent mode: acks withheld, replay retains the frames.
-        assert!(!core.replay_empty(), "no acks released yet");
+        assert!(!replay_empty(&core.link), "no acks released yet");
         assert!(down.release_acks() > 0);
         // The demux stages a frame's ack just after it routes the frame, so
         // the last ack may not be staged yet when the frames are popped:
         // release again until it is.
         wait_until("the released ack empties the replay buffer", || {
             down.release_acks();
-            core.replay_empty()
+            replay_empty(&core.link)
         });
         // Trace sampling crossed the boundary.
         wait_until("a traced frame is counted", || down.stats().traced_in > 0);
@@ -919,18 +907,18 @@ mod tests {
     fn duplicate_frames_are_dropped_by_the_demux() {
         let down = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
         let up = DataPlane::bind("127.0.0.1:0", AckMode::Immediate).unwrap();
-        let core = up.egress_core(1, 0, down.local_addr().to_string(), 0);
-        ship(&core, &batch(1..2));
+        let mut core = up.egress_core(1, 0, down.local_addr().to_string(), 0);
+        ship(&mut core, &batch(1..2));
         // Replay the identical frame by hand: a fresh core on the SAME
         // link identity (epoch unchanged) restarts its frame seq and its
         // base_seq at 0, so the demux sees a duplicate.
-        let core2 = up.egress_core(1, 0, down.local_addr().to_string(), 0);
-        ship(&core2, &batch(1..2));
+        let mut core2 = up.egress_core(1, 0, down.local_addr().to_string(), 0);
+        ship(&mut core2, &batch(1..2));
         wait_until("the duplicate is counted", || down.stats().dup_frames == 1);
         assert_eq!(down.stats().packets_in, 1, "duplicate packet not delivered");
         // A fresh epoch is a fresh identity: same payload now admitted.
-        let core3 = up.egress_core(1, 1, down.local_addr().to_string(), 0);
-        ship(&core3, &batch(1..2));
+        let mut core3 = up.egress_core(1, 1, down.local_addr().to_string(), 0);
+        ship(&mut core3, &batch(1..2));
         wait_until("the epoch bump re-admits the restarted producer", || {
             down.stats().packets_in == 2
         });
@@ -957,8 +945,8 @@ mod tests {
                 .collect()
         };
 
-        let core = up.egress_core(4, 0, down.local_addr().to_string(), 0);
-        ship(&core, &batch(0..3));
+        let mut core = up.egress_core(4, 0, down.local_addr().to_string(), 0);
+        ship(&mut core, &batch(0..3));
         wait_until("the first frame is routed", || down.stats().packets_in == 3);
         assert!(!down.quiescent(), "a routed frame counts until `__ingress` has emitted it");
         assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(3));
@@ -966,8 +954,8 @@ mod tests {
         assert_eq!(emitted_uids(&mut ctx), vec![0, 1, 2]);
         // Same link identity, message sequence restarted at 0: a five-
         // message frame now overlaps the dedup cursor (3) by three.
-        let replayer = up.egress_core(4, 0, down.local_addr().to_string(), 0);
-        ship(&replayer, &batch(0..5));
+        let mut replayer = up.egress_core(4, 0, down.local_addr().to_string(), 0);
+        ship(&mut replayer, &batch(0..5));
         wait_until("the overlapping frame is routed", || down.stats().packets_in == 5);
         assert_eq!(ingress.next(&mut ctx), SourceStatus::Emitted(2), "fresh suffix only");
         assert_eq!(emitted_uids(&mut ctx), vec![3, 4]);
@@ -1093,8 +1081,8 @@ mod tests {
 
         // A frame routed while the pump is parked: no back-off stands
         // between it and the sink, only the wake.
-        let core = up.egress_core(6, 0, down.local_addr().to_string(), 0);
-        ship(&core, &batch(0..50));
+        let mut core = up.egress_core(6, 0, down.local_addr().to_string(), 0);
+        ship(&mut core, &batch(0..50));
         wait_until("the routed frame reaches the sink", || {
             rig.delivered.load(Ordering::Relaxed) == 50
         });
@@ -1219,8 +1207,8 @@ mod tests {
             // Nothing takes the route: its gate shuts, then the receiver's
             // queue fills, the socket, and the link's sender queue.
             wait_for_stall(&emitted);
-            let core = up.egress.lock().get(&EDGE).cloned().unwrap();
-            assert!(!core.link().admits(), "the stall reached the egress link");
+            let link = up.egress.lock().get(&EDGE).cloned().unwrap();
+            assert!(!link.admits(), "the stall reached the egress link");
 
             let (next, misordered) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
             let open_route = || {
@@ -1280,13 +1268,13 @@ mod tests {
         // surface `Closed` (not a swallowed generic error) and the frame
         // stays unacked in the upstream replay buffer.
         down.ingress_route(9).queue.close();
-        let core = up.egress_core(9, 0, down.local_addr().to_string(), 0);
-        ship(&core, &batch(7..9));
+        let mut core = up.egress_core(9, 0, down.local_addr().to_string(), 0);
+        ship(&mut core, &batch(7..9));
         wait_until("the closed route is detected", || down.undelivered_frames() == 1);
         assert_eq!(down.stats().packets_in, 0, "nothing delivered");
         std::thread::sleep(Duration::from_millis(50));
-        assert!(!core.replay_empty(), "unacked frame retained for replay");
-        assert_eq!(core.link().reliability().unwrap().replay().len(), 1, "the whole frame");
+        assert!(!replay_empty(&core.link), "unacked frame retained for replay");
+        assert_eq!(core.link.reliability().unwrap().replay().len(), 1, "the whole frame");
         up.shutdown();
         down.shutdown();
     }

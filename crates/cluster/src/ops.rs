@@ -94,9 +94,11 @@ impl StreamProcessor for WindowMean {
             }
         }
         let mean = self.sum / self.values.len() as f64;
+        // The pooled packet's slots keep their buffers: a copy, not a
+        // clone, so a byte or string field allocates nothing.
         let mut out = ctx.checkout_packet();
         for (name, value) in packet.iter() {
-            out.push_field(name, value.clone());
+            out.push_field_from(name, value);
         }
         out.push_field("mean", FieldValue::F64(mean));
         let _ = ctx.emit(&out);

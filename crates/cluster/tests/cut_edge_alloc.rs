@@ -1,12 +1,16 @@
 //! The cut edge allocates per frame, never per packet.
 //!
-//! `src → forward → __egress → loopback TCP → __ingress → forward → sink`
+//! `src → relay → __egress → loopback TCP → __ingress → forward → sink`
 //! between two [`DataPlane`]s, with a source, relays and a sink that reuse
 //! their packets (so what is left is the boundary's own): after a warm-up,
 //! 100 k packets must cost fewer than 0.05 allocations each, process-wide,
 //! counted by a global allocator as `crates/net/tests/wire_reuse.rs` does.
 //! Before batches were forwarded encoded, every packet cost a `Vec<u8>` on
-//! the route queue alone.
+//! the route queue alone. The upstream relay is `forward`, or the
+//! benchmark's `window_mean` over packets that carry a byte payload — which
+//! cost a `Vec<u8>` per packet while it cloned each field into its output.
+//!
+//! The count is process-wide, so the cases take turns.
 
 use neptune_cluster::dataplane::{AckMode, DataPlane};
 use neptune_cluster::ops::builtin_registry;
@@ -17,7 +21,7 @@ use neptune_core::prelude::*;
 use neptune_net::test_support::wait_for;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -48,6 +52,8 @@ static ALLOCATOR: CountAll = CountAll;
 const WARM_UP: u64 = 20_000;
 const MEASURED: u64 = 100_000;
 const TIMEOUT: Duration = Duration::from_secs(60);
+/// Held by the case that is counting.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Emits uids up to a limit the test raises, mutating one packet in place.
 struct GatedSource {
@@ -111,6 +117,18 @@ fn wait_until(what: &str, cond: impl FnMut() -> bool) {
 
 #[test]
 fn a_warm_cut_edge_allocates_per_frame_not_per_packet() {
+    assert_allocates_per_frame("forward", None);
+}
+
+#[test]
+fn a_warm_window_mean_before_the_cut_allocates_per_frame_not_per_packet() {
+    assert_allocates_per_frame("window_mean", Some(64));
+}
+
+/// Run the cut edge with `relay` upstream, over packets that carry a
+/// `pad` of that many bytes if given, and hold it to the bound.
+fn assert_allocates_per_frame(relay: &str, pad: Option<usize>) {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let up_plane = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).expect("bind up plane");
     let down_plane = DataPlane::bind("127.0.0.1:0", AckMode::Quiescent).expect("bind down plane");
     let received = Arc::new(AtomicU64::new(0));
@@ -143,9 +161,12 @@ fn a_warm_cut_edge_allocates_per_frame_not_per_packet() {
             let mut packet = StreamPacket::new();
             packet.push_field("uid", FieldValue::U64(0));
             packet.push_field("v", FieldValue::F64(0.5));
+            if let Some(bytes) = pad {
+                packet.push_field("pad", FieldValue::Bytes(vec![7; bytes]));
+            }
             GatedSource { packet, next: 0, limit: src_limit.clone(), done: src_done.clone() }
         })
-        .operator_spec(registered(&up_registry, "forward", "relay", ""))
+        .operator_spec(registered(&up_registry, relay, "relay", ""))
         .operator_spec(registered(&up_registry, "__egress", "out", &down_addr))
         .link("src", "relay", PartitioningScheme::Shuffle)
         .link("relay", "out", PartitioningScheme::Shuffle)
@@ -177,7 +198,7 @@ fn a_warm_cut_edge_allocates_per_frame_not_per_packet() {
     let per_packet = allocations as f64 / MEASURED as f64;
     assert!(
         per_packet < 0.05,
-        "{allocations} allocations for {MEASURED} warm packets ({per_packet:.4} each, \
+        "{relay}: {allocations} allocations for {MEASURED} warm packets ({per_packet:.4} each, \
          {frames} frames crossed in all)"
     );
 }

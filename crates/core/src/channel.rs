@@ -12,16 +12,20 @@
 //! * contiguous per-channel sequence numbers that let the receiver verify
 //!   in-order, exactly-once delivery (§I-B's correctness requirement).
 //!
-//! The channel's lock is held across the flush and the hand-over *or
-//! staging* of a batch, on purpose: batches of one channel must reach the
-//! transport in flush order, or sequence validation downstream would flag
-//! reordering. Nothing here waits. A hand-over asks the link
-//! ([`Link::deliver`]); what the link cannot take now — one flushed batch,
-//! a barrier behind it — is **staged** here, in order, and goes first the
-//! next time anyone comes by: the producer's next push, flush or
-//! [`retry_staged`] (after the link's space listener woke it), `settle()`.
-//! Each hand-over answers `Ok(true)` when it leaves work staged: the
-//! producer's cue to stop producing and park until that listener wakes it.
+//! Each endpoint has **one owner**: the task that fills it — a source's
+//! pump or a processor's task — flushes it and hands its batches over, so
+//! batches of one channel reach the transport in flush order (sequence
+//! validation downstream flags any reordering) without a lock. Nothing
+//! here waits. A hand-over asks the link ([`Link::deliver`]); what the
+//! link cannot take now — one flushed batch, a barrier behind it — is
+//! **staged** here, in order, and goes first the next time the owner comes
+//! by: its next push, flush or [`retry_staged`] (after the link's space
+//! listener woke it). Each hand-over answers `Ok(true)` when it leaves work
+//! staged: the owner's cue to stop producing and park until that listener
+//! wakes it. An owner that ends with work staged — a processor whose
+//! `close()` output a link refused — hands the endpoint to its job, and
+//! `settle()` offers it from there. Everyone else reads one flag, raised
+//! while the endpoint holds anything ([`has_data`]).
 //!
 //! Staging is bounded by the producer, not here: a source pump does not
 //! call its source again, and a processor task does not take its next
@@ -30,9 +34,9 @@
 //! flushed past it, is ever staged.
 //!
 //! [`retry_staged`]: ChannelEndpoint::retry_staged
+//! [`has_data`]: ChannelEndpoint::has_data
 
 use crate::metrics::OperatorCounters;
-use neptune_granules::sync::Mutex;
 use neptune_link::{Link, OutboundFrame, TraceTagger};
 use neptune_net::buffer::{FlushedBatch, OutputBuffer, PushOutcome};
 use neptune_net::transport::TransportError;
@@ -110,26 +114,20 @@ enum Staged {
     Barrier(u64),
 }
 
-/// What the channel lock guards: the buffer packets collect in, and what
-/// has left it but not yet reached the link, oldest first.
-struct Outbox {
-    buffer: OutputBuffer,
-    staged: VecDeque<Staged>,
-}
-
 /// The sending half of one channel: an [`OutputBuffer`] feeding a built
-/// [`Link`] stack.
+/// [`Link`] stack, owned by the task that fills it.
 pub struct ChannelEndpoint {
-    channel: ChannelId,
-    outbox: Mutex<Outbox>,
-    /// Mirror of "the endpoint holds something — a buffered message or
-    /// staged work", maintained under the lock. Lets a flush skip an idle
-    /// endpoint with a single atomic load instead of taking its mutex.
-    has_data: AtomicBool,
-    /// Set once the downstream link fails terminally (dispatch error or an
-    /// explicit [`fail_link`](Self::fail_link)). Emitters fast-fail with
-    /// [`EmitError::Closed`] instead of buffering into a black hole.
-    failed: AtomicBool,
+    buffer: OutputBuffer,
+    /// What has left the buffer but not yet reached the link, oldest first.
+    staged: VecDeque<Staged>,
+    /// Raised while the endpoint holds something — a buffered message or
+    /// staged work — and stored only on the empty ↔ non-empty edges. A
+    /// flush skips an idle endpoint on it, and the job settles on it
+    /// without touching the endpoint.
+    has_data: Arc<AtomicBool>,
+    /// Set once the downstream link fails terminally: emitters fast-fail
+    /// with [`EmitError::Closed`] instead of buffering into a black hole.
+    failed: bool,
     /// The link stack batches are dispatched into: tagging, optional
     /// reliability, transport.
     link: Arc<Link>,
@@ -146,17 +144,16 @@ impl ChannelEndpoint {
     /// turns on sent-at stamping for transport-latency measurement
     /// downstream.
     pub fn new(
-        channel: ChannelId,
         buffer: OutputBuffer,
         link: Arc<Link>,
         counters: Arc<OperatorCounters>,
         telemetry: Option<Arc<OperatorTelemetry>>,
     ) -> Self {
         ChannelEndpoint {
-            channel,
-            outbox: Mutex::new(Outbox { buffer, staged: VecDeque::new() }),
-            has_data: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
+            buffer,
+            staged: VecDeque::new(),
+            has_data: Arc::new(AtomicBool::new(false)),
+            failed: false,
             link,
             counters,
             telemetry,
@@ -177,14 +174,15 @@ impl ChannelEndpoint {
         self.link.tag_inbound(trace_id);
     }
 
-    /// The channel this endpoint serves.
-    pub fn channel(&self) -> ChannelId {
-        self.channel
-    }
-
     /// The link stack this endpoint dispatches into (stats export, QoS).
     pub fn link(&self) -> &Arc<Link> {
         &self.link
+    }
+
+    /// The flag this endpoint raises while it holds a buffered message or
+    /// staged work: what the job reads to settle, from any thread.
+    pub fn has_data(&self) -> Arc<AtomicBool> {
+        self.has_data.clone()
     }
 
     /// Buffer one packet that already carries its 4-byte length prefix —
@@ -193,40 +191,37 @@ impl ChannelEndpoint {
     /// destination endpoint) — and hand a batch over if that filled the
     /// buffer. Staged work goes first. `Ok(true)` when work is left
     /// staged.
-    pub fn push(&self, prefixed: &[u8]) -> Result<bool, EmitError> {
-        if self.failed.load(Ordering::Acquire) {
+    pub fn push(&mut self, prefixed: &[u8]) -> Result<bool, EmitError> {
+        if self.failed {
             return Err(EmitError::Closed);
         }
-        let mut out = self.outbox.lock();
-        if !out.staged.is_empty() {
-            self.drain_staged(&mut out)?;
+        if !self.staged.is_empty() {
+            self.drain_staged()?;
         }
-        match out.buffer.push_prefixed(prefixed) {
+        match self.buffer.push_prefixed(prefixed) {
             PushOutcome::Buffered => {
-                // The lock is held and the buffer knows the empty →
-                // non-empty edge: only that push touches the flag, every
-                // other push just appends.
-                if out.buffer.buffered_count() == 1 {
+                // The buffer knows the empty → non-empty edge: only that
+                // push touches the flag, every other push just appends.
+                if self.buffer.buffered_count() == 1 {
                     self.has_data.store(true, Ordering::Release);
                 }
             }
             PushOutcome::Flush(batch) => {
-                self.dispatch(&mut out, batch)?;
-                self.sync_has_data(&out);
+                self.dispatch(batch)?;
+                self.sync_has_data();
             }
         }
-        Ok(!out.staged.is_empty())
+        Ok(!self.staged.is_empty())
     }
 
-    /// Timer path, for the task that fills this endpoint: hand staged work
-    /// over, then flush if the oldest buffered message has waited out the
-    /// flush interval as of `now` and nothing is staged ahead of it.
-    /// `Ok(true)` when work is left staged. `next_due` is lowered to the
-    /// flush deadline still ahead, if any — none while work is staged: the
-    /// link's space listener ends that wait, not the clock. An idle
-    /// endpoint costs one atomic load, without touching the mutex.
+    /// Timer path: hand staged work over, then flush if the oldest buffered
+    /// message has waited out the flush interval as of `now` and nothing is
+    /// staged ahead of it. `Ok(true)` when work is left staged. `next_due`
+    /// is lowered to the flush deadline still ahead, if any — none while
+    /// work is staged: the link's space listener ends that wait, not the
+    /// clock. An idle endpoint costs one atomic load.
     pub fn flush_if_due(
-        &self,
+        &mut self,
         now: Instant,
         next_due: &mut Option<Instant>,
     ) -> Result<bool, EmitError> {
@@ -234,13 +229,13 @@ impl ChannelEndpoint {
             return Ok(false);
         }
         self.flush_with(
-            |out| {
-                if !out.staged.is_empty() {
+            |ep| {
+                if !ep.staged.is_empty() {
                     return None;
                 }
-                let due = out.buffer.take_if_due(now);
+                let due = ep.buffer.take_if_due(now);
                 if due.is_none() {
-                    *next_due = next_due.iter().copied().chain(out.buffer.flush_deadline()).min();
+                    *next_due = next_due.iter().copied().chain(ep.buffer.flush_deadline()).min();
                 }
                 due
             },
@@ -251,42 +246,40 @@ impl ChannelEndpoint {
     /// Unconditional flush (a processor whose input ran out, teardown).
     /// `Ok(true)` when work is left staged. An idle endpoint costs one
     /// atomic load, like [`flush_if_due`](Self::flush_if_due).
-    pub fn force_flush(&self) -> Result<bool, EmitError> {
+    pub fn force_flush(&mut self) -> Result<bool, EmitError> {
         if !self.has_data.load(Ordering::Acquire) {
             return Ok(false);
         }
-        self.flush_with(|out| out.buffer.force_flush(), None)
+        self.flush_with(|ep| ep.buffer.force_flush(), None)
     }
 
     /// Offer staged work to the link again, flushing nothing new.
     /// `Ok(true)` when the link still refuses some of it — its space
     /// listener says when to come back.
-    pub fn retry_staged(&self) -> Result<bool, EmitError> {
+    pub fn retry_staged(&mut self) -> Result<bool, EmitError> {
         self.flush_with(|_| None, None)
     }
 
-    /// One flush under the lock: staged work first, then the batch `take`
-    /// picks, if any, then `barrier` behind it. `Ok(true)` when work is
-    /// left staged.
+    /// One flush: staged work first, then the batch `take` picks, if any,
+    /// then `barrier` behind it. `Ok(true)` when work is left staged.
     fn flush_with(
-        &self,
-        take: impl FnOnce(&mut Outbox) -> Option<FlushedBatch>,
+        &mut self,
+        take: impl FnOnce(&mut Self) -> Option<FlushedBatch>,
         barrier: Option<u64>,
     ) -> Result<bool, EmitError> {
-        if self.failed.load(Ordering::Acquire) {
+        if self.failed {
             return Err(EmitError::Closed);
         }
-        let mut out = self.outbox.lock();
-        self.drain_staged(&mut out)?;
-        if let Some(batch) = take(&mut out) {
-            self.dispatch(&mut out, batch)?;
+        self.drain_staged()?;
+        if let Some(batch) = take(self) {
+            self.dispatch(batch)?;
         }
         if let Some(id) = barrier {
-            out.staged.push_back(Staged::Barrier(id));
-            self.drain_staged(&mut out)?;
+            self.staged.push_back(Staged::Barrier(id));
+            self.drain_staged()?;
         }
-        self.sync_has_data(&out);
-        Ok(!out.staged.is_empty())
+        self.sync_has_data();
+        Ok(!self.staged.is_empty())
     }
 
     /// Emit an aligned-snapshot barrier (ISSUE 10) behind everything
@@ -297,76 +290,48 @@ impl ChannelEndpoint {
     /// no sequence number, and do not count toward `frames_out` (the settle
     /// invariant balances data frames only). `Ok(true)` when work is left
     /// staged.
-    pub fn barrier(&self, checkpoint_id: u64) -> Result<bool, EmitError> {
-        self.flush_with(|out| out.buffer.force_flush(), Some(checkpoint_id))
+    pub fn barrier(&mut self, checkpoint_id: u64) -> Result<bool, EmitError> {
+        self.flush_with(|ep| ep.buffer.force_flush(), Some(checkpoint_id))
     }
 
     /// Items the link has not taken yet (tests: the staging bound).
     #[cfg(test)]
     pub(crate) fn staged_len(&self) -> usize {
-        self.outbox.lock().staged.len()
+        self.staged.len()
     }
 
     /// True when nothing is buffered and nothing is staged.
     pub fn is_empty(&self) -> bool {
-        let out = self.outbox.lock();
-        out.buffer.buffered_count() == 0 && out.staged.is_empty()
-    }
-
-    /// True once the downstream link failed (hand-over error or explicit
-    /// [`fail_link`](Self::fail_link)).
-    pub fn is_failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    /// Declare this channel's downstream link dead (the link supervisor
-    /// exhausted its retries, or a fault was injected).
-    ///
-    /// Beyond marking the endpoint so emitters fast-fail, this closes an
-    /// in-process destination queue: the backpressure gate only reopens
-    /// on *consumption*, so a producer parked behind a closed
-    /// high-watermark gate would otherwise never hear from a link that
-    /// will never drain. `WatermarkQueue::close` fires the space listeners
-    /// parked tasks sleep on; what they then find is
-    /// [`EmitError::Closed`].
-    pub fn fail_link(&self) {
-        self.failed.store(true, Ordering::Release);
-        {
-            // What was staged for the dead link goes with it.
-            let mut out = self.outbox.lock();
-            out.staged.clear();
-            self.sync_has_data(&out);
-        }
-        self.link.close();
+        self.buffer.buffered_count() == 0 && self.staged.is_empty()
     }
 
     /// Offer staged work to the link, oldest first, until it is gone or
-    /// the link refuses. Called with the lock held.
-    fn drain_staged(&self, out: &mut Outbox) -> Result<(), EmitError> {
-        while let Some(head) = out.staged.front() {
+    /// the link refuses.
+    fn drain_staged(&mut self) -> Result<(), EmitError> {
+        while let Some(head) = self.staged.front() {
             let taken = match head {
                 Staged::Frame(frame) => self.link.deliver(frame).map(Some),
                 Staged::Barrier(id) => self.link.barrier(*id).map(|()| None),
             };
             match taken {
                 Ok(wire) => {
-                    if let (Some(Staged::Frame(frame)), Some(wire)) = (out.staged.pop_front(), wire)
+                    if let (Some(Staged::Frame(frame)), Some(wire)) =
+                        (self.staged.pop_front(), wire)
                     {
-                        self.handed_over(&mut out.buffer, frame, wire);
+                        self.handed_over(frame, wire);
                     }
                 }
                 Err(TransportError::Backpressure) => break,
-                Err(e) => return Err(self.fail(out, e)),
+                Err(e) => return Err(self.fail(e)),
             }
         }
         Ok(())
     }
 
     /// Prepare a flushed batch and queue it behind what the link has not
-    /// taken yet — usually nothing, and it goes at once. Called with the
-    /// lock held so batches leave in flush order (per-channel ordering
-    /// invariant).
-    fn dispatch(&self, out: &mut Outbox, batch: FlushedBatch) -> Result<(), EmitError> {
+    /// taken yet — usually nothing, and it goes at once — so batches leave
+    /// in flush order (per-channel ordering invariant).
+    fn dispatch(&mut self, batch: FlushedBatch) -> Result<(), EmitError> {
         let wait = batch.queueing_delay.as_micros() as u64;
         // Telemetry point (ISSUE 2): the buffer already measured how long
         // its oldest message waited; one wall-clock read per *batch* stamps
@@ -381,37 +346,38 @@ impl ChannelEndpoint {
             None => 0,
         };
         let frame = self.link.prepare(batch.base_seq, batch.encoded, batch.count, sent_at, wait);
-        out.staged.push_back(Staged::Frame(frame));
-        self.drain_staged(out)
+        self.staged.push_back(Staged::Frame(frame));
+        self.drain_staged()
     }
 
     /// Account for one frame the link took.
-    fn handed_over(&self, buf: &mut OutputBuffer, frame: OutboundFrame, wire: usize) {
+    fn handed_over(&mut self, frame: OutboundFrame, wire: usize) {
         // In-process flavours hand the same bytes to the receiver, which
         // recycles them once consumed — this call is then a refcount-gated
         // no-op. Wire flavours copy onto the wire, so the storage goes
         // straight back to the buffer (sole handle → reclaimed).
-        buf.recycle(frame.encoded);
+        self.buffer.recycle(frame.encoded);
         self.link.stats().record_packets(frame.header.count as u64);
         self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes_out.fetch_add(wire as u64, Ordering::Relaxed);
     }
 
     /// A channel whose link errored is done: the transports behind every
-    /// flavour fail terminally, so later emits would only error again. Latch the failure so they fast-fail, and let go of what was
-    /// staged for it.
-    fn fail(&self, out: &mut Outbox, error: TransportError) -> EmitError {
-        self.failed.store(true, Ordering::Release);
-        out.staged.clear();
+    /// flavour fail terminally, so later emits would only error again.
+    /// Latch the failure so they fast-fail, and let go of what was staged
+    /// for it.
+    fn fail(&mut self, error: TransportError) -> EmitError {
+        self.failed = true;
+        self.staged.clear();
+        self.sync_has_data();
         match error {
             TransportError::Closed => EmitError::Closed,
             other => EmitError::Transport(other.to_string()),
         }
     }
 
-    fn sync_has_data(&self, out: &Outbox) {
-        let holds = out.buffer.buffered_count() > 0 || !out.staged.is_empty();
-        self.has_data.store(holds, Ordering::Release);
+    fn sync_has_data(&self) {
+        self.has_data.store(!self.is_empty(), Ordering::Release);
     }
 }
 
@@ -436,16 +402,15 @@ pub(crate) mod tests {
 
     fn make_inproc_endpoint(
         capacity: usize,
-    ) -> (Arc<ChannelEndpoint>, Arc<WatermarkQueue<neptune_net::frame::Frame>>) {
+    ) -> (ChannelEndpoint, Arc<WatermarkQueue<neptune_net::frame::Frame>>) {
         let queue = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
         let channel = ChannelId::new(0, 0, 0);
-        let endpoint = Arc::new(ChannelEndpoint::new(
-            channel,
+        let endpoint = ChannelEndpoint::new(
             OutputBuffer::new(capacity, Some(std::time::Duration::from_millis(5))),
             inproc_link(channel, &queue),
             Arc::new(OperatorCounters::default()),
             None,
-        ));
+        );
         (endpoint, queue)
     }
 
@@ -463,7 +428,7 @@ pub(crate) mod tests {
 
     #[test]
     fn push_buffers_until_capacity_then_delivers() {
-        let (ep, q) = make_inproc_endpoint(64);
+        let (mut ep, q) = make_inproc_endpoint(64);
         for _ in 0..3 {
             ep.push(&framed(&[0u8; 10])).unwrap(); // 14 bytes each with prefix
         }
@@ -476,7 +441,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sequence_numbers_continue_across_batches() {
-        let (ep, q) = make_inproc_endpoint(16);
+        let (mut ep, q) = make_inproc_endpoint(16);
         for _ in 0..6 {
             ep.push(&framed(&[0u8; 16])).unwrap(); // every push flushes (20 >= 16)
         }
@@ -490,7 +455,7 @@ pub(crate) mod tests {
 
     #[test]
     fn flush_if_due_and_force_flush() {
-        let (ep, q) = make_inproc_endpoint(1 << 20);
+        let (mut ep, q) = make_inproc_endpoint(1 << 20);
         let pushed = Instant::now();
         ep.push(&framed(b"slow")).unwrap();
         let mut next_due = None;
@@ -515,8 +480,7 @@ pub(crate) mod tests {
         let queue = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
         let counters = Arc::new(OperatorCounters::default());
         let channel = ChannelId::new(0, 0, 0);
-        let ep = ChannelEndpoint::new(
-            channel,
+        let mut ep = ChannelEndpoint::new(
             OutputBuffer::new(8, None),
             inproc_link(channel, &queue),
             counters.clone(),
@@ -535,51 +499,23 @@ pub(crate) mod tests {
 
     #[test]
     fn closed_downstream_surfaces_emit_error() {
-        let (ep, q) = make_inproc_endpoint(8);
+        let (mut ep, q) = make_inproc_endpoint(8);
         q.close();
         assert_eq!(ep.push(&framed(&[0u8; 16])).unwrap_err(), EmitError::Closed);
-    }
-
-    #[test]
-    fn fail_link_lets_go_of_staged_work_and_fast_fails() {
-        // Tiny watermark: the first delivered batch closes the gate, so
-        // the second is staged. The gate only reopens on consumption — if
-        // the link dies instead, `fail_link` must drop what was staged for
-        // it, wake whoever parked on its space listener, and leave every
-        // later emit failing fast with `Closed`.
-        let (ep, _queue) = make_choked_endpoint();
-        let space = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let s = space.clone();
-        ep.link().add_space_listener(Arc::new(move || {
-            s.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert_eq!(ep.push(&prefixed(b'a')), Ok(false), "taken; closes the gate");
-        assert_eq!(ep.push(&prefixed(b'b')), Ok(true), "refused: staged");
-        ep.fail_link();
-        assert!(ep.is_failed());
-        assert!(ep.is_empty(), "staged work for a dead link is let go");
-        assert_eq!(space.load(Ordering::Relaxed), 1, "the parked producer is woken");
-        assert_eq!(
-            ep.push(&prefixed(b'c')).unwrap_err(),
-            EmitError::Closed,
-            "endpoint fast-fails after link failure"
-        );
-        assert_eq!(ep.flush_if_due(Instant::now(), &mut None), Ok(false), "idle stays cheap");
     }
 
     /// An endpoint whose every push flushes a frame, over a queue whose
     /// gate every frame closes: the link refuses whatever comes next until
     /// the frame before it has been popped.
-    fn make_choked_endpoint() -> (Arc<ChannelEndpoint>, Arc<WatermarkQueue<Frame>>) {
+    pub(crate) fn make_choked_endpoint() -> (ChannelEndpoint, Arc<WatermarkQueue<Frame>>) {
         let queue = Arc::new(WatermarkQueue::new(WatermarkConfig::new(8, 4)));
         let channel = ChannelId::new(0, 0, 0);
-        let endpoint = Arc::new(ChannelEndpoint::new(
-            channel,
+        let endpoint = ChannelEndpoint::new(
             OutputBuffer::new(8, Some(std::time::Duration::from_millis(5))),
             inproc_link(channel, &queue),
             Arc::new(OperatorCounters::default()),
             None,
-        ));
+        );
         (endpoint, queue)
     }
 
@@ -590,8 +526,9 @@ pub(crate) mod tests {
 
     #[test]
     fn a_refused_batch_is_staged_and_a_barrier_never_overtakes_it() {
-        let (ep, q) = make_choked_endpoint();
-        let frames_out = || ep.counters.frames_out.load(Ordering::Relaxed);
+        let (mut ep, q) = make_choked_endpoint();
+        let counters = ep.counters.clone();
+        let frames_out = || counters.frames_out.load(Ordering::Relaxed);
         let space = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let s = space.clone();
         ep.link().add_space_listener(Arc::new(move || {
@@ -641,7 +578,7 @@ pub(crate) mod tests {
     fn idle_endpoint_skips_flush_without_locking() {
         // White-box: an endpoint that never buffered anything keeps its
         // non-empty flag clear, and flush_if_due is a no-op returning Ok.
-        let (ep, q) = make_inproc_endpoint(1 << 20);
+        let (mut ep, q) = make_inproc_endpoint(1 << 20);
         assert!(!ep.has_data.load(Ordering::Acquire));
         assert_eq!(ep.flush_if_due(Instant::now(), &mut None), Ok(false));
         assert_eq!(ep.force_flush(), Ok(false));
@@ -654,36 +591,36 @@ pub(crate) mod tests {
 
     #[test]
     fn has_data_mirrors_the_buffer() {
-        let (ep, q) = make_inproc_endpoint(64);
+        let (mut ep, q) = make_inproc_endpoint(64);
         // The flag is true exactly while the buffer holds a message.
-        let check = |what: &str| {
-            let buffered = ep.outbox.lock().buffer.buffered_count();
+        let check = |ep: &ChannelEndpoint, what: &str| {
+            let buffered = ep.buffer.buffered_count();
             assert_eq!(ep.has_data.load(Ordering::Acquire), buffered > 0, "{what}");
         };
-        check("fresh");
+        check(&ep, "fresh");
         ep.push(&framed(&[0u8; 10])).unwrap();
-        check("first push is the edge");
+        check(&ep, "first push is the edge");
         ep.push(&framed(&[0u8; 10])).unwrap();
         ep.push(&[2, 0, 0, 0, 9, 9]).unwrap(); // prefixed by hand: length 2, then 9, 9
-        check("later pushes only append");
+        check(&ep, "later pushes only append");
         ep.push(&framed(&[0u8; 40])).unwrap(); // 14 + 14 + 6 + 44 >= 64: capacity flush
-        check("capacity flush empties");
+        check(&ep, "capacity flush empties");
         assert_eq!(q.pop().unwrap().messages.len(), 4);
         ep.push(&framed(&[0u8; 100])).unwrap(); // flushes by itself: never buffered
-        check("a push that flushes alone is no edge");
+        check(&ep, "a push that flushes alone is no edge");
         ep.push(&framed(b"timer")).unwrap();
-        check("second edge");
+        check(&ep, "second edge");
         let late = Instant::now() + std::time::Duration::from_millis(8);
         ep.flush_if_due(late, &mut None).unwrap();
-        check("timer flush empties");
+        check(&ep, "timer flush empties");
         ep.push(&framed(b"forced")).unwrap();
-        check("third edge");
+        check(&ep, "third edge");
         ep.force_flush().unwrap();
-        check("force_flush empties");
+        check(&ep, "force_flush empties");
         ep.push(&framed(b"before the barrier")).unwrap();
-        check("fourth edge");
+        check(&ep, "fourth edge");
         ep.barrier(1).unwrap();
-        check("barrier flushes what it sits behind");
+        check(&ep, "barrier flushes what it sits behind");
     }
 
     #[test]
@@ -691,8 +628,7 @@ pub(crate) mod tests {
         let queue = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
         let telemetry = Arc::new(OperatorTelemetry::new());
         let channel = ChannelId::new(0, 0, 0);
-        let ep = ChannelEndpoint::new(
-            channel,
+        let mut ep = ChannelEndpoint::new(
             OutputBuffer::new(1 << 20, Some(std::time::Duration::from_millis(5))),
             inproc_link(channel, &queue),
             Arc::new(OperatorCounters::default()),
@@ -713,7 +649,7 @@ pub(crate) mod tests {
     fn tracing_originates_sampled_ids_and_propagates_tags() {
         use neptune_telemetry::{SpanRing, STAGE_BUFFER_WAIT};
         // Originating endpoint, sampling 1-in-4 by sequence number.
-        let (ep, q) = make_inproc_endpoint(16);
+        let (mut ep, q) = make_inproc_endpoint(16);
         let ring = Arc::new(SpanRing::new(256, 4));
         let track = ring.register_track("src");
         ep.set_tracing(ring.clone(), track, true);
@@ -730,7 +666,7 @@ pub(crate) mod tests {
         assert_eq!(Some(spans[0].trace_id), traces[0]);
 
         // Downstream endpoint: propagates a tagged id, never mints.
-        let (ep2, q2) = make_inproc_endpoint(1 << 20);
+        let (mut ep2, q2) = make_inproc_endpoint(1 << 20);
         ep2.set_tracing(ring.clone(), ring.register_track("relay"), false);
         ep2.push(&framed(b"untagged")).unwrap();
         ep2.force_flush().unwrap();
@@ -754,8 +690,7 @@ pub(crate) mod tests {
         let tx = neptune_net::tcp::TcpSender::connect_reactor(rx.local_addr(), 8, &driver).unwrap();
         let channel = ChannelId::new(2, 1, 0);
         let link = LinkBuilder::new(channel.raw()).tcp(tx, SelectiveCompressor::disabled()).build();
-        let ep = ChannelEndpoint::new(
-            channel,
+        let mut ep = ChannelEndpoint::new(
             OutputBuffer::new(8, None),
             link,
             Arc::new(OperatorCounters::default()),

@@ -75,16 +75,6 @@ impl OperatorRegistry {
         self
     }
 
-    /// Names of registered source factories.
-    pub fn source_names(&self) -> Vec<&str> {
-        self.sources.keys().map(String::as_str).collect()
-    }
-
-    /// Names of registered processor factories.
-    pub fn processor_names(&self) -> Vec<&str> {
-        self.processors.keys().map(String::as_str).collect()
-    }
-
     /// Build a graph [`Factory`] for a registered source, binding `params`
     /// now — the programmatic equivalent of a descriptor's
     /// `{"kind": "source", "factory": name, "params": …}` entry. `None`

@@ -140,7 +140,7 @@ pub struct OutgoingLink {
     /// Router across the destination's instances.
     pub partitioner: Partitioner,
     /// One endpoint per destination instance.
-    pub endpoints: Vec<Arc<ChannelEndpoint>>,
+    pub endpoints: Vec<ChannelEndpoint>,
 }
 
 impl OutgoingLink {
@@ -148,7 +148,7 @@ impl OutgoingLink {
     pub fn new(
         dst_operator: impl Into<String>,
         scheme: &PartitioningScheme,
-        endpoints: Vec<Arc<ChannelEndpoint>>,
+        endpoints: Vec<ChannelEndpoint>,
     ) -> Self {
         OutgoingLink {
             dst_operator: dst_operator.into(),
@@ -195,7 +195,7 @@ fn push_to_links(
                 delivered += 1;
             }
             Route::All => {
-                for ep in &link.endpoints {
+                for ep in &mut link.endpoints {
                     *staged |= ep.push(prefixed)?;
                     delivered += 1;
                 }
@@ -304,7 +304,7 @@ impl OperatorContext {
             // Every endpoint is offered: one that still refuses must not
             // keep those behind it waiting for its space signal.
             let mut refused = false;
-            for ep in endpoints_of(&self.sink) {
+            for ep in endpoints_mut(&mut self.sink) {
                 refused |= ep.retry_staged().unwrap_or(false);
             }
             self.staged = refused;
@@ -459,7 +459,7 @@ impl OperatorContext {
     /// a link cannot take now stays with its channel and goes first
     /// afterwards. An endpoint with nothing buffered costs one atomic load.
     pub fn force_flush_all(&mut self) -> Result<(), EmitError> {
-        for ep in endpoints_of(&self.sink) {
+        for ep in endpoints_mut(&mut self.sink) {
             self.staged |= ep.force_flush()?;
         }
         Ok(())
@@ -471,7 +471,7 @@ impl OperatorContext {
     /// still ahead. Never waits: a batch a link refuses is staged.
     pub(crate) fn flush_due(&mut self, now: Instant) -> Option<Instant> {
         let mut next_due = None;
-        for ep in endpoints_of(&self.sink) {
+        for ep in endpoints_mut(&mut self.sink) {
             self.staged |= ep.flush_if_due(now, &mut next_due).unwrap_or(false);
         }
         next_due
@@ -482,25 +482,40 @@ impl OperatorContext {
     /// barrier a link cannot take now is staged behind the batch it
     /// follows; a channel whose link failed is skipped.
     pub(crate) fn barrier(&mut self, checkpoint_id: u64) {
-        for ep in endpoints_of(&self.sink) {
+        for ep in endpoints_mut(&mut self.sink) {
             self.staged |= ep.barrier(checkpoint_id).unwrap_or(false);
         }
     }
 
     /// Every outgoing channel endpoint of this context, link by link.
-    pub fn endpoints(&self) -> impl Iterator<Item = &Arc<ChannelEndpoint>> {
-        endpoints_of(&self.sink)
+    pub fn endpoints(&self) -> impl Iterator<Item = &ChannelEndpoint> {
+        let links: &[OutgoingLink] = match &self.sink {
+            ContextSink::Channels { links, .. } => links,
+            ContextSink::Collector(_) => &[],
+        };
+        links.iter().flat_map(|l| &l.endpoints)
+    }
+
+    /// For the driving task, as it ends with work staged: give up its
+    /// endpoints, which nobody else may touch while this context owns
+    /// them. The context emits nothing after.
+    pub(crate) fn take_staged_endpoints(&mut self) -> Vec<ChannelEndpoint> {
+        if !std::mem::take(&mut self.staged) {
+            return Vec::new();
+        }
+        let ContextSink::Channels { links, .. } = &mut self.sink else { return Vec::new() };
+        links.drain(..).flat_map(|l| l.endpoints).collect()
     }
 }
 
 /// The endpoints behind a context's sink, borrowed from the sink alone so
 /// the context's other fields stay free while they are walked.
-fn endpoints_of(sink: &ContextSink) -> impl Iterator<Item = &Arc<ChannelEndpoint>> {
-    let links: &[OutgoingLink] = match sink {
+fn endpoints_mut(sink: &mut ContextSink) -> impl Iterator<Item = &mut ChannelEndpoint> {
+    let links: &mut [OutgoingLink] = match sink {
         ContextSink::Channels { links, .. } => links,
-        ContextSink::Collector(_) => &[],
+        ContextSink::Collector(_) => &mut [],
     };
-    links.iter().flat_map(|l| &l.endpoints)
+    links.iter_mut().flat_map(|l| &mut l.endpoints)
 }
 
 #[cfg(test)]
@@ -547,13 +562,12 @@ mod tests {
                 let q = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
                 queues.push(q.clone());
                 let id = ChannelId::new(li as u16, 0, di as u16);
-                endpoints.push(Arc::new(ChannelEndpoint::new(
-                    id,
+                endpoints.push(ChannelEndpoint::new(
                     OutputBuffer::new(1, None), // flush every packet
                     LinkBuilder::new(id.raw()).in_process(q).build(),
                     counters.clone(),
                     None,
-                )));
+                ));
             }
             links.push(OutgoingLink::new(*name, &PartitioningScheme::Shuffle, endpoints));
         }
@@ -632,13 +646,12 @@ mod tests {
             let q = Arc::new(WatermarkQueue::new(WatermarkConfig::new(1 << 20, 1 << 10)));
             queues.push(q.clone());
             let id = ChannelId::new(0, 0, di as u16);
-            endpoints.push(Arc::new(ChannelEndpoint::new(
-                id,
+            endpoints.push(ChannelEndpoint::new(
                 OutputBuffer::new(1, None),
                 LinkBuilder::new(id.raw()).in_process(q).build(),
                 counters.clone(),
                 None,
-            )));
+            ));
         }
         let links = vec![OutgoingLink::new("dst", scheme, endpoints)];
         (OperatorContext::for_channels("src", 0, 1, links, counters), queues)
@@ -653,13 +666,12 @@ mod tests {
         for di in 0..2u16 {
             let q = Arc::new(WatermarkQueue::new(WatermarkConfig::new(8, 4)));
             let id = ChannelId::new(0, 0, di);
-            endpoints.push(Arc::new(ChannelEndpoint::new(
-                id,
+            endpoints.push(ChannelEndpoint::new(
                 OutputBuffer::new(8, None),
                 LinkBuilder::new(id.raw()).in_process(q.clone()).build(),
                 counters.clone(),
                 None,
-            )));
+            ));
             queues.push(q);
         }
         let links = vec![OutgoingLink::new("dst", &PartitioningScheme::Broadcast, endpoints)];
@@ -678,6 +690,53 @@ mod tests {
         queues[0].pop().unwrap();
         assert!(ctx.hand_over_staged(), "both channels clear");
         assert_eq!((queues[0].len(), queues[1].len()), (1, 1));
+    }
+
+    #[test]
+    fn staging_is_bounded_by_one_batch_plus_what_one_next_call_flushes() {
+        // A pump's loop over a link whose gate every frame closes, against
+        // a sink that takes one frame for every two rounds. The source — a
+        // burst of BURST frames per call — is called only once
+        // `hand_over_staged` has cleared the channel and the link admits,
+        // and a deadline pass follows each round. However far the source
+        // outruns the sink, never more than one burst (the batch that met
+        // the closed gate and what the same call flushed past it) plus one
+        // deadline batch is staged, and all of it arrives, in order.
+        const BURST: u64 = 5;
+        let (ep, queue) = crate::channel::tests::make_choked_endpoint();
+        let link = ep.link().clone();
+        let counters = Arc::new(OperatorCounters::default());
+        let links = vec![OutgoingLink::new("dst", &PartitioningScheme::Shuffle, vec![ep])];
+        let mut ctx = OperatorContext::for_channels("src", 0, 1, links, counters);
+        let mut codec = PacketCodec::new();
+        let mut take = |got: &mut Vec<u64>| match queue.pop() {
+            Some(frame) => {
+                for m in &frame.messages {
+                    got.push(codec.decode(m).unwrap().get("n").unwrap().as_u64().unwrap());
+                }
+                true
+            }
+            None => false,
+        };
+        let (mut emitted, mut deepest, mut got) = (0u64, 0usize, Vec::new());
+        for round in 0..400 {
+            if ctx.hand_over_staged() && link.admits() {
+                for _ in 0..BURST {
+                    ctx.emit(&packet(emitted)).unwrap();
+                    emitted += 1;
+                }
+            }
+            ctx.flush_due(Instant::now() + std::time::Duration::from_secs(1));
+            deepest = deepest.max(ctx.endpoints().map(|ep| ep.staged_len()).sum());
+            if round % 2 == 1 {
+                take(&mut got);
+            }
+        }
+        while take(&mut got) || !ctx.hand_over_staged() {}
+        assert!(emitted >= 10 * BURST, "the source was called over and over: {emitted}");
+        assert_eq!(got, (0..emitted).collect::<Vec<_>>(), "staged batches arrive, all, in order");
+        assert!(deepest >= 1, "nothing was ever seen staged");
+        assert!(deepest <= 1 + BURST as usize, "staged {deepest} batches, a burst is {BURST}");
     }
 
     #[test]

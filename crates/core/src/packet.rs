@@ -191,6 +191,28 @@ impl StreamPacket {
         self
     }
 
+    /// Append a copy of `value`: a retained slot of the same string or
+    /// byte type takes it into its own buffer, so relaying fields into a
+    /// pooled packet allocates nothing.
+    pub fn push_field_from(&mut self, name: impl AsRef<str>, value: &FieldValue) -> &mut Self {
+        let copy = match (self.fields.get_mut(self.len).map(|f| &mut f.value), value) {
+            (Some(FieldValue::Str(kept)), FieldValue::Str(s)) => {
+                let mut kept = std::mem::take(kept);
+                kept.clear();
+                kept.push_str(s);
+                FieldValue::Str(kept)
+            }
+            (Some(FieldValue::Bytes(kept)), FieldValue::Bytes(b)) => {
+                let mut kept = std::mem::take(kept);
+                kept.clear();
+                kept.extend_from_slice(b);
+                FieldValue::Bytes(kept)
+            }
+            _ => value.clone(),
+        };
+        self.push_field(name, copy)
+    }
+
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.len
@@ -470,6 +492,34 @@ mod tests {
         assert_eq!(p.fields[0].name.as_ptr(), kept, "an equal name is not rewritten");
         assert_eq!(p.name_at(1), Some("new"));
         assert_eq!(p.fields.len(), 2, "no slot was added");
+    }
+
+    #[test]
+    fn push_field_from_copies_into_a_retained_buffer_of_its_type() {
+        let source = sample_packet();
+        let mut p = StreamPacket::new();
+        for (name, value) in source.iter() {
+            p.push_field_from(name, value);
+        }
+        assert_eq!(p, source, "a fresh packet gets a copy of every field");
+        let buffers = |p: &StreamPacket| {
+            (
+                p.get("site").unwrap().as_str().unwrap().as_ptr(),
+                p.get("raw").unwrap().as_bytes().unwrap().as_ptr(),
+            )
+        };
+        let kept = buffers(&p);
+        p.clear();
+        for (name, value) in source.iter() {
+            p.push_field_from(name, value);
+        }
+        assert_eq!(p, source);
+        assert_eq!(buffers(&p), kept, "the string and byte buffers are reused");
+        // A slot of another type takes a clone.
+        p.clear();
+        p.push_field_from("id", &FieldValue::Str("now a string".into()));
+        assert_eq!(p.get("id"), Some(&FieldValue::Str("now a string".into())));
+        assert_eq!(p.len(), 1);
     }
 
     #[test]

@@ -19,18 +19,21 @@ impl JobHandle {
         self.pump_gauge.wait_zero(Instant::now() + timeout)
     }
 
-    /// Flush all buffers and wait until every queue and buffer is empty,
-    /// every task is idle, **and every dispatched frame has been received**
-    /// — the last condition covers frames that are in flight inside TCP
-    /// sender queues or kernel socket buffers, which no local queue can
-    /// see. Returns false on timeout.
+    /// Wait until every queue and buffer is empty, every task is idle,
+    /// **and every dispatched frame has been received** — the last
+    /// condition covers frames that are in flight inside TCP sender queues
+    /// or kernel socket buffers, which no local queue can see. Returns
+    /// false on timeout.
+    ///
+    /// Live tasks flush their own buffers — a processor when its input
+    /// runs out, a pump at each deadline and when it finishes — so this
+    /// only reads each endpoint's flag. The one thing it hands over is
+    /// what terminated processors left staged.
     pub fn settle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut stable = 0;
         loop {
-            for ep in &self.shared.endpoints {
-                let _ = ep.force_flush();
-            }
+            self.handed_over.lock().retain_mut(|ep| ep.retry_staged().unwrap_or(false));
             // Bounded like the rest of the loop: a caller probing a loaded
             // pipeline with a short timeout (a node's quiescence tick) must
             // get its `false` back on time, not once the load lets up.
@@ -45,7 +48,7 @@ impl JobHandle {
             // balance its books and settle would always time out.
             let shed: u64 = self.shared.queues.iter().map(|q| q.shed_total()).sum();
             let busy = self.shared.queues.iter().any(|q| !q.is_empty())
-                || self.shared.endpoints.iter().any(|ep| !ep.is_empty())
+                || self.has_data.iter().any(|flag| flag.load(Ordering::Acquire))
                 || frames_out != frames_in + shed;
             if busy {
                 stable = 0;
@@ -67,7 +70,7 @@ impl JobHandle {
     /// Stop the job: sources first, then a full drain, then processor
     /// close hooks in topological order (each followed by a drain so
     /// close-time emissions are fully processed downstream), then the IO
-    /// tier (which force-flushes every endpoint and drains its queue),
+    /// tier (every parked task gets a final stint and its queue drains),
     /// then teardown. Returns the final metrics.
     pub fn stop(mut self) -> JobMetrics {
         self.stop_flag.store(true, Ordering::Release);

@@ -54,6 +54,7 @@ use neptune_granules::sync::Mutex;
 use neptune_granules::{
     IoPool, IoPoolStats, IoSpawner, IoTaskHandle, Reactor, ReactorHandle, ReactorStats, Resource,
 };
+use neptune_link::Link;
 use neptune_net::frame::Frame;
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::TcpReceiver;
@@ -122,6 +123,13 @@ pub struct JobHandle {
     resources: Vec<Resource>,
     /// Processor task handles grouped by operator, in topological order.
     processor_handles: Vec<(String, Vec<neptune_granules::TaskHandle>)>,
+    /// Every channel endpoint's "holds a buffered message or staged work"
+    /// flag, in deployment order: what `settle()` reads of endpoints that
+    /// live tasks own.
+    has_data: Vec<Arc<AtomicBool>>,
+    /// Endpoints terminated processors left with staged work: no task owns
+    /// them any more, so `settle()` offers them to their links.
+    handed_over: Arc<Mutex<Vec<ChannelEndpoint>>>,
     /// `(operator, instance) -> resource index`, for observability and
     /// placement tests.
     placement: Vec<(String, usize, usize)>,
@@ -143,7 +151,8 @@ pub(crate) struct JobShared {
     registry: MetricsRegistry,
     pool: Arc<BytesPool>,
     queues: Vec<Arc<WatermarkQueue<Frame>>>,
-    endpoints: Vec<Arc<ChannelEndpoint>>,
+    /// Every channel's link stack, in deployment order (link stats).
+    links: Vec<Arc<Link>>,
     receivers: Mutex<Vec<TcpReceiver>>,
     /// Per-operator latency recorders; `None` when telemetry is disabled.
     telemetry_hub: Option<Arc<TelemetryHub>>,
@@ -268,7 +277,7 @@ impl JobShared {
     }
 
     fn link_stats(&self) -> Vec<neptune_link::LinkStatsSnapshot> {
-        self.endpoints.iter().map(|e| e.link().stats_snapshot()).collect()
+        self.links.iter().map(|l| l.stats_snapshot()).collect()
     }
 
     fn dead_letters(&self) -> Vec<DeadLetter> {
@@ -330,11 +339,6 @@ impl JobHandle {
     /// causal event ordering.
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.shared.recorder
-    }
-
-    /// The live span ring; `None` when tracing is disabled.
-    pub fn span_ring(&self) -> Option<&Arc<SpanRing>> {
-        self.shared.spans.as_ref()
     }
 
     /// Chrome trace-event JSON of every recorded span, loadable in
@@ -552,37 +556,36 @@ mod tests {
 
     #[test]
     fn an_undecodable_message_counts_the_same_bare_and_supervised() {
-        // A source that stays quiet: the only frame the sink sees is the
-        // one pushed through the source's endpoint below, holding a
+        // A source that injects three encoded messages, untouched, and
+        // ends: the sink sees them as one frame, and the middle one is a
         // message no codec wrote.
-        struct Silent;
-        impl crate::operator::StreamSource for Silent {
-            fn next(&mut self, _ctx: &mut OperatorContext) -> SourceStatus {
-                SourceStatus::Idle
+        struct Injects(Vec<Vec<u8>>);
+        impl crate::operator::StreamSource for Injects {
+            fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+                for message in self.0.drain(..) {
+                    ctx.emit_encoded(&crate::channel::tests::framed(&message)).unwrap();
+                }
+                SourceStatus::Exhausted
             }
         }
+        let good = |n: u64| {
+            let mut p = StreamPacket::new();
+            p.push_field("n", FieldValue::U64(n));
+            crate::codec::PacketCodec::new().encode(&p).unwrap()
+        };
+        let messages = vec![good(1), vec![0xFF; 3], good(2)];
         let run = |containment: crate::config::ContainmentConfig| {
             let seen = Arc::new(AtomicU64::new(0));
             let sum = Arc::new(AtomicU64::new(0));
-            let (s2, m2) = (seen.clone(), sum.clone());
+            let (s2, m2, injected) = (seen.clone(), sum.clone(), messages.clone());
             let graph = GraphBuilder::new("bad-message")
-                .source("sender", || Silent)
+                .source("sender", move || Injects(injected.clone()))
                 .processor("receiver", move || SinkCollect { seen: s2.clone(), sum: m2.clone() })
                 .link("sender", "receiver", PartitioningScheme::Shuffle)
                 .build()
                 .unwrap();
             let config = RuntimeConfig { containment, ..Default::default() };
             let job = LocalRuntime::new(config).submit(graph).unwrap();
-            let good = |n: u64| {
-                let mut p = StreamPacket::new();
-                p.push_field("n", FieldValue::U64(n));
-                crate::codec::PacketCodec::new().encode(&p).unwrap()
-            };
-            let ep = &job.shared.endpoints[0];
-            for message in [good(1), vec![0xFF; 3], good(2)] {
-                ep.push(&crate::channel::tests::framed(&message)).unwrap();
-            }
-            ep.force_flush().unwrap();
             assert!(wait_for(Duration::from_secs(10), || seen.load(Ordering::Relaxed) == 2));
             let m = job.stop().operator("receiver");
             assert_eq!(sum.load(Ordering::Relaxed), 3, "both good packets, whole");
@@ -838,77 +841,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn staging_is_bounded_by_one_batch_plus_what_one_next_call_flushes() {
-        // Every packet is a frame, a handful of frames closes the sink's
-        // gate, and each `next()` emits a burst of them — so the pump keeps
-        // running into a link that refuses mid-burst. What the link
-        // refuses is staged in the channel; the source must not be called
-        // again until the channel is clear, so never more than one burst
-        // (the batch that met the closed gate and what the same call
-        // flushed past it) is staged on top of the one batch the flush
-        // pump's deadline pass may have staged, however long the source
-        // outruns the sink.
-        const BURST: u64 = 5;
-        /// Emits 0, 1, 2, … up to `.1`, a burst per call.
-        struct Bursts(u64, u64);
-        impl crate::operator::StreamSource for Bursts {
-            fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
-                if self.0 == self.1 {
-                    return SourceStatus::Exhausted;
-                }
-                let mut p = StreamPacket::new();
-                for _ in 0..BURST {
-                    p.clear();
-                    p.push_field("n", FieldValue::U64(self.0));
-                    if ctx.emit(&p).is_err() {
-                        return SourceStatus::Exhausted;
-                    }
-                    self.0 += 1;
-                }
-                SourceStatus::Emitted(BURST as usize)
-            }
-        }
-        let n = 400 * BURST;
-        let sink = HeldInOrder { spin: Duration::from_micros(50), ..Default::default() };
-        let probe = sink.clone();
-        let graph = GraphBuilder::new("staging-bound")
-            .source("src", move || Bursts(0, n))
-            .processor("slow", move || sink.clone())
-            .link("src", "slow", PartitioningScheme::Shuffle)
-            .build()
-            .unwrap();
-        let config = RuntimeConfig {
-            buffer_bytes: 1,
-            watermark_high: 256,
-            watermark_low: 64,
-            ..Default::default()
-        };
-        let job = LocalRuntime::new(config).submit(graph).unwrap();
-        let staged = || job.shared.endpoints[0].staged_len();
-        // With the sink held the gate closes and stays closed, and the pump
-        // comes to rest: with the rest of a burst staged, unless the gate
-        // happened to close on a burst's last frame. (Nothing is asserted
-        // before the sink is let go: it spins on its worker until then.)
-        let closed = wait_for(Duration::from_secs(5), || job.total_gate_closures() > 0);
-        std::thread::sleep(Duration::from_millis(20));
-        let mut deepest = staged();
-        probe.go.store(true, Ordering::Release);
-        assert!(closed, "the held sink's gate never closed");
-        while job.active_sources() > 0 {
-            deepest = deepest.max(staged());
-            std::thread::yield_now();
-        }
-        let closures = job.total_gate_closures();
-        let metrics = job.stop();
-        assert_eq!(probe.seen.load(Ordering::Relaxed), n, "staged batches are delivered, all");
-        assert_eq!(probe.out_of_order.load(Ordering::Relaxed), 0, "in order");
-        assert_eq!(metrics.total_seq_violations(), 0);
-        assert!(closures > 10, "the gate must have closed over and over: {closures}");
-        assert!(deepest >= 1, "nothing was ever seen staged");
-        assert!(deepest <= 1 + BURST as usize, "staged {deepest} batches, a burst is {BURST}");
-    }
-
     /// Every packet its own frame, a few frames close a gate.
     fn choked() -> RuntimeConfig {
         RuntimeConfig {
@@ -933,13 +865,16 @@ mod tests {
             .build()
             .unwrap();
         let job = LocalRuntime::new(choked()).submit(graph).unwrap();
-        let (relay_in, relay_out) = (&job.shared.queues[0], &job.shared.endpoints[1]);
+        let (relay_in, relay_out) = (&job.shared.queues[0], &job.has_data[1]);
         let relay = job.processor_handles[0].1[0].clone();
         let executions = || job.metrics().operator("relay").executions;
-        // The held sink's gate closes and the relay's output is staged: the
-        // relay must give its worker back, not wait in `execute`.
-        let blocked =
-            || relay_out.staged_len() > 0 && relay.state() == neptune_granules::TaskState::Idle;
+        // The held sink's gate closes and the relay's output is staged (a
+        // relay flushes when its input runs out, so output it still holds
+        // idle is output its link refused): the relay must give its worker
+        // back, not wait in `execute`.
+        let blocked = || {
+            relay_out.load(Ordering::Acquire) && relay.state() == neptune_granules::TaskState::Idle
+        };
         if !wait_for(Duration::from_secs(10), blocked) {
             probe.go.store(true, Ordering::Release); // so the job can stop
             panic!("the relay is still inside execute while its link refuses");
@@ -962,30 +897,43 @@ mod tests {
     }
 
     #[test]
-    fn processor_close_emissions_propagate() {
+    fn close_output_a_link_refuses_is_handed_to_the_job_and_arrives_in_order() {
         // A windowing processor that holds everything until close(), then
-        // emits a packet per packet it saw: ~25 times the high watermark,
-        // into a sink that holds until well after close() has run.
+        // emits a packet per packet it saw — ~25 times the high watermark —
+        // into a sink held until the closer's task is gone: its link still
+        // refuses then, so the endpoint holding the refused batches went to
+        // the job. Nothing else owns it from then on: `stop()`'s settle
+        // must hand it over.
         const N: u64 = 5_000;
-        struct Holder(u64);
-        impl StreamProcessor for Holder {
+        struct Closer {
+            seen: u64,
+            gone: Arc<AtomicBool>,
+        }
+        impl Drop for Closer {
+            fn drop(&mut self) {
+                self.gone.store(true, Ordering::Release);
+            }
+        }
+        impl StreamProcessor for Closer {
             fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {
-                self.0 += 1;
+                self.seen += 1;
             }
             fn close(&mut self, ctx: &mut OperatorContext) {
                 let mut p = StreamPacket::new();
-                for n in 0..self.0 {
+                for n in 0..self.seen {
                     p.clear();
                     p.push_field("n", FieldValue::U64(n));
                     ctx.emit(&p).expect("downstream open");
                 }
             }
         }
+        let gone = Arc::new(AtomicBool::new(false));
         let sink = HeldInOrder::default();
         let probe = sink.clone();
-        let graph = GraphBuilder::new("close-floods")
+        let g = gone.clone();
+        let graph = GraphBuilder::new("close-handed-over")
             .source("src", || CountingSource { remaining: N, next_val: 0 })
-            .processor("closer", || Holder(0))
+            .processor("closer", move || Closer { seen: 0, gone: g.clone() })
             .processor("sink", move || sink.clone())
             .link("src", "closer", PartitioningScheme::Shuffle)
             .link("closer", "sink", PartitioningScheme::Shuffle)
@@ -996,13 +944,14 @@ mod tests {
         assert!(job.await_sources(Duration::from_secs(30)));
         let go = probe.go.clone();
         let release = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(300));
+            let ended = wait_for(Duration::from_secs(30), || gone.load(Ordering::Acquire));
             go.store(true, Ordering::Release);
+            ended
         });
         let metrics = job.stop();
-        release.join().unwrap();
+        assert!(release.join().unwrap(), "the closer's task never ended");
         assert_eq!(probe.seen.load(Ordering::Relaxed), N, "close-time emits lost");
-        assert_eq!(probe.out_of_order.load(Ordering::Relaxed), 0);
+        assert_eq!(probe.out_of_order.load(Ordering::Relaxed), 0, "in order");
         assert_eq!(metrics.total_seq_violations(), 0);
     }
 

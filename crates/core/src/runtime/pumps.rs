@@ -17,22 +17,23 @@
 //!   source's feeder fires it;
 //! * a pump one of whose outgoing links cannot take a batch — a closed
 //!   watermark gate in process, a full sender queue over TCP; the pump
-//!   asks [`Link::admits`] either way — parks until that link's space
-//!   listener wakes it;
+//!   asks [`Link::admits`](neptune_link::Link::admits) either way —
+//!   parks until that link's space listener wakes it;
 //! * either way, while a channel holds buffered packets, not past that
 //!   channel's flush deadline;
 //! * the barrier timer and the sampler are periodic timer registrations.
 //!
 //! That includes finishing: a pump that is done flushes and seals its
 //! channels, and stays parked on its links' space listeners until they
-//! have taken what they refused then (or `settle()` hands it over first).
+//! have taken what they refused then. Its channels are its own till the
+//! end: `settle()` only watches them.
 //!
 //! Idle cost is therefore O(io_threads), not O(sources). Busy cost is per
 //! packet only for the packet itself: inside its emit loop a pump reads
 //! two flags, the clock (once, for its stint budget and its next flush
 //! deadline) and each outgoing link's lock-free admission mirror, and
-//! calls the source; it signals nobody and takes no lock but its own
-//! endpoint's. The one condvar ([`PumpGauge`]) fires when a pump finishes,
+//! calls the source; it signals nobody and takes no lock — its endpoints
+//! are its own. The one condvar ([`PumpGauge`]) fires when a pump finishes,
 //! and it is the job's caller who waits there.
 
 use super::JobShared;
@@ -42,7 +43,6 @@ use crate::telemetry::TelemetrySample;
 use neptune_granules::io::{IoContext, IoStatus, IoTask};
 use neptune_granules::sync::{Condvar, Mutex};
 use neptune_granules::IoTaskHandle;
-use neptune_link::Link;
 use neptune_telemetry::{wall_micros, SampleRing, Span, SpanRing, STAGE_SOURCE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,9 +130,6 @@ pub(crate) struct SourcePump {
     pub(crate) ctx: OperatorContext,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) gauge: Arc<PumpGauge>,
-    /// Every outgoing link; while any cannot take a batch the pump parks,
-    /// and that link's space listener wakes it (IO-tier admission control).
-    pub(crate) gates: Vec<Arc<Link>>,
     pub(crate) idle_backoff: Duration,
     /// Earliest flush deadline among the pump's channels, as of its last
     /// pass over them (once per stint, and when it passes).
@@ -155,7 +152,7 @@ impl SourcePump {
     /// Close-once path shared by exhaustion, stop, and pool shutdown.
     /// Nothing here waits: what a link cannot take now stays staged in its
     /// channel, in order, and the pump parks on that link's space listener
-    /// until it is handed over — by the pump, or by `settle()`.
+    /// until it has handed it over.
     fn finish(&mut self) -> IoStatus {
         if !self.closed {
             self.closed = true;
@@ -293,7 +290,7 @@ impl SourcePump {
             // that; the link's space listener wakes us. (A *shedding*
             // queue always admits: its policy only runs if producers keep
             // pushing.)
-            if !self.ctx.hand_over_staged() || self.gates.iter().any(|link| !link.admits()) {
+            if !self.ctx.hand_over_staged() || self.ctx.endpoints().any(|ep| !ep.link().admits()) {
                 return self.park(None);
             }
             match self.source.next(&mut self.ctx) {

@@ -252,6 +252,9 @@ pub(super) struct ProcessorTask {
     /// checkpointing is disabled — the drain loop is then a straight
     /// pass-through, bit-identical to a pre-checkpoint build.
     alignment: Option<Alignment>,
+    /// Where this task leaves, as it terminates, the endpoints whose
+    /// staged work a link still refuses: the job's, for `settle()`.
+    handed_over: Arc<Mutex<Vec<ChannelEndpoint>>>,
 }
 
 impl ProcessorTask {
@@ -278,21 +281,18 @@ impl ProcessorTask {
                 self.process_frame(frame);
                 continue;
             }
-            if !drain_fully && admitted == 1 {
-                // Ask for a fresh execution if frames whose signals were
-                // coalesced into this one are still waiting.
-                return if self.inbox.is_empty() && self.queue.is_empty() {
-                    TaskOutcome::Continue
-                } else {
-                    TaskOutcome::Reschedule
-                };
-            }
             if self.inbox.is_empty() && self.queue.pop_batch(self.batch_max, &mut self.inbox) == 0 {
-                // A batch a link refuses here is staged, and its space
-                // listener forces this task to hand it over.
+                // The input ran out, so the output leaves — in either
+                // mode. A batch a link refuses here is staged, and its
+                // space listener forces this task to hand it over.
                 let _ = self.ctx.force_flush_all();
                 self.next_due = None;
                 return TaskOutcome::Continue;
+            }
+            if !drain_fully && admitted == 1 {
+                // Ask for a fresh execution: frames whose signals were
+                // coalesced into this one are still waiting.
+                return TaskOutcome::Reschedule;
             }
             let frame = self.inbox.pop_front().expect("the inbox was refilled");
             admitted += 1;
@@ -584,9 +584,11 @@ impl ComputationalTask for ProcessorTask {
 
     fn terminate(&mut self, _gctx: &TaskContext) {
         self.processor.close(&mut self.ctx);
-        // close() may have emitted; flush it. What a link cannot take now
-        // stays staged, for settle() to hand over.
+        // close() may have emitted; flush it. This task runs no more, so
+        // an endpoint whose link refuses part of that goes to the job,
+        // whose `settle()` offers it from then on.
         let _ = self.ctx.force_flush_all();
+        self.handed_over.lock().extend(self.ctx.take_staged_endpoints());
     }
 }
 
@@ -770,7 +772,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     let op_index: HashMap<&str, usize> =
         graph.operators().iter().enumerate().map(|(i, o)| (o.name.as_str(), i)).collect();
     let mut outgoing: HashMap<(usize, usize), Vec<OutgoingLink>> = HashMap::new();
-    let mut all_endpoints: Vec<Arc<ChannelEndpoint>> = Vec::new();
+    let mut all_links: Vec<Arc<Link>> = Vec::new();
+    let mut has_data: Vec<Arc<AtomicBool>> = Vec::new();
     // Deliver hooks installed after tasks exist: channel -> (oi, inst).
     let mut inproc_links: Vec<(Arc<Link>, (usize, usize))> = Vec::new();
 
@@ -804,15 +807,14 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     inproc_links.push((l.clone(), (dst_oi, dst_inst)));
                     l
                 };
-                let ep = Arc::new(ChannelEndpoint::new(
-                    channel,
+                let ep = ChannelEndpoint::new(
                     OutputBuffer::with_pool(buffer_bytes, Some(flush_interval), pool.clone()),
                     built,
                     src_counters.clone(),
                     // Buffer-wait latency is attributed to the *sending*
                     // operator: its output buffer is where packets wait.
                     telemetry_hub.as_ref().map(|h| h.for_operator(&link.from)),
-                ));
+                );
                 if let Some(sp) = &spans {
                     // Source-fed endpoints *originate* trace ids (1-in-N of
                     // their packets); downstream endpoints only propagate
@@ -820,7 +822,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     let originate = graph.operators()[src_oi].kind() == OperatorKind::Source;
                     ep.set_tracing(sp.clone(), sp.register_track(&link.from), originate);
                 }
-                all_endpoints.push(ep.clone());
+                all_links.push(ep.link().clone());
+                has_data.push(ep.has_data());
                 endpoints.push(ep);
             }
             outgoing.entry((src_oi, src_inst)).or_default().push(OutgoingLink::new(
@@ -833,6 +836,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
 
     // ---- Deploy processor tasks. ----
     let batch_max = config.effective_batch_max();
+    let handed_over = Arc::new(Mutex::new(Vec::new()));
     let mut task_handles: HashMap<(usize, usize), neptune_granules::TaskHandle> = HashMap::new();
     let mut handles_by_operator: HashMap<String, Vec<neptune_granules::TaskHandle>> =
         HashMap::new();
@@ -864,14 +868,20 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 links,
                 counters.clone(),
             );
-            // The processor's waker forces its task, once deployed.
+            // The processor's waker forces its task, once deployed. A link
+            // that had no room for its output fires it when it has; the
+            // task first runs after deploy, so no refusal precedes that.
             let slot: Arc<OnceLock<neptune_granules::TaskHandle>> = Arc::new(OnceLock::new());
             let waker_slot = slot.clone();
-            ctx.set_task_waker(Arc::new(move || {
+            let waker: Waker = Arc::new(move || {
                 if let Some(handle) = waker_slot.get() {
                     handle.force();
                 }
-            }));
+            });
+            for ep in ctx.endpoints() {
+                ep.link().add_space_listener(waker.clone());
+            }
+            ctx.set_task_waker(waker);
             let supervision =
                 supervisor.as_ref().zip(dead_letters.as_ref()).map(|(s, dlq)| Supervision {
                     supervisor: s.clone(),
@@ -882,9 +892,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     ),
                     dead_letters: dlq.clone(),
                 });
-            // Every outgoing link is a gate this processor must respect.
-            let gates: Vec<Arc<Link>> = ctx.endpoints().map(|ep| ep.link().clone()).collect();
-            let is_sink = gates.is_empty();
+            let is_sink = ctx.endpoints().next().is_none();
             let task = ProcessorTask {
                 processor: factory(),
                 ctx,
@@ -931,6 +939,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                         restored: restored.clone(),
                     }
                 }),
+                handed_over: handed_over.clone(),
             };
             let resource = &resources[placement[&(oi, inst)]];
             // Batched scheduling lets a slot drain bursts on one worker
@@ -945,13 +954,6 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
             let handle =
                 resource.deploy(task, spec).map_err(|e| SubmitError::Config(e.to_string()))?;
             let _ = slot.set(handle.clone());
-            // A link that had no room for this task's output wakes it when
-            // it has, as the pumps' links do below. Installed before any
-            // data can flow: the task first runs on its first signal.
-            for link in &gates {
-                let handle = handle.clone();
-                link.add_space_listener(Arc::new(move || handle.force()));
-            }
             task_handles.insert((oi, inst), handle.clone());
             handles_by_operator.entry(op.name.clone()).or_default().push(handle);
         }
@@ -1002,17 +1004,18 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     }
                 })
             };
-            ctx.set_task_waker(waker.clone());
-            // Every outgoing link is a gate this pump must respect,
-            // whatever its flavour.
-            let gates: Vec<Arc<Link>> = ctx.endpoints().map(|ep| ep.link().clone()).collect();
+            // Every outgoing link is a gate this pump must respect, whatever
+            // its flavour: one that had no room wakes it when it has.
+            for ep in ctx.endpoints() {
+                ep.link().add_space_listener(waker.clone());
+            }
+            ctx.set_task_waker(waker);
             pump_gauge.inc();
             let pump = SourcePump {
                 source: factory(),
                 ctx,
                 stop: stop_flag.clone(),
                 gauge: pump_gauge.clone(),
-                gates: gates.clone(),
                 idle_backoff: super::pumps::MIN_IDLE_BACKOFF,
                 next_due: None,
                 opened: false,
@@ -1026,15 +1029,11 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     restored: restored.clone(),
                 }),
             };
-            // Spawn parked, fill the waker's slot, install the space
-            // listeners, then kick the first run — so a link regaining room
-            // can never fall into a window where no listener exists (lost
-            // wake).
+            // Spawn parked, fill the waker's slot, then kick the first run:
+            // a listener that fires before the slot is filled wakes nobody,
+            // but that first run asks every link anyway.
             let handle = io_pool.spawn_parked(pump);
             let _ = slot.set(handle.clone());
-            for link in &gates {
-                link.add_space_listener(waker.clone());
-            }
             handle.wake();
             pump_handles.push(handle);
         }
@@ -1068,7 +1067,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         registry,
         pool,
         queues: all_queues,
-        endpoints: all_endpoints,
+        links: all_links,
         receivers: Mutex::new(receivers),
         telemetry_hub,
         series,
@@ -1129,6 +1128,8 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         reactor: net_driver.map(|(_, r)| r),
         resources,
         processor_handles,
+        has_data,
+        handed_over,
         placement: placement_table,
         scrape_addr,
         shared,

@@ -211,7 +211,6 @@ struct SenderShared {
     drained: Condvar,
     capacity: usize,
     frames: AtomicU64,
-    bytes: AtomicU64,
     acks: AtomicU64,
     /// Where fully-written wire buffers go back to the encoder.
     spent: WireBuffers,
@@ -339,7 +338,6 @@ impl TcpSender {
             drained: Condvar::new(),
             capacity: queue_depth,
             frames: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             acks: AtomicU64::new(0),
             spent: WireBuffers::new(),
         });
@@ -413,11 +411,6 @@ impl TcpSender {
     /// (the task's `Release` increment pairs with this `Acquire` load).
     pub fn frames_sent(&self) -> u64 {
         self.shared.frames.load(Ordering::Acquire)
-    }
-
-    /// Bytes written to the socket so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.shared.bytes.load(Ordering::Relaxed)
     }
 
     /// Ack control frames received on the backchannel (always 0 unless
@@ -572,11 +565,10 @@ impl IoTask for SenderTask {
                 Ok(n) => {
                     *off += n;
                     if *off == wire.len() {
-                        let (wire, len) = self.partial.take().expect("partial frame set above");
-                        // Buffer first, counters second: whoever observes
+                        let (wire, _) = self.partial.take().expect("partial frame set above");
+                        // Buffer first, counter second: whoever observes
                         // `frames_sent` move can already take the buffer.
                         self.shared.spent.give(wire);
-                        self.shared.bytes.fetch_add(len as u64, Ordering::Relaxed);
                         self.shared.frames.fetch_add(1, Ordering::Release);
                     }
                 }
@@ -1361,7 +1353,6 @@ mod tests {
         let counters = tx.shared.clone();
         tx.close(); // close() waits for the task to drain
         assert_eq!(counters.frames.load(Ordering::Relaxed), 201);
-        assert!(counters.bytes.load(Ordering::Relaxed) > 201 * 8);
         rx.shutdown();
     }
 

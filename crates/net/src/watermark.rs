@@ -417,11 +417,6 @@ impl<T: Weighted> WatermarkQueue<T> {
         self.shed_bytes.load(Ordering::Relaxed)
     }
 
-    /// The configured shed policy.
-    pub fn shed_config(&self) -> ShedConfig {
-        self.shed
-    }
-
     /// True when this queue may sacrifice items under sustained gating
     /// (its policy is not [`ShedPolicy::None`]). Producers that normally
     /// park on a closed gate should keep pushing into a shedding queue:

@@ -216,15 +216,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// Per-bucket (lower_bound, count) pairs for non-empty buckets.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lower_bound(i), c))
-    }
-
     /// Sparse `(bucket_index, count)` pairs for non-empty buckets — the
     /// wire form `neptune-cluster` nodes ship in telemetry reports.
     /// Latency histograms are overwhelmingly sparse (a handful of octaves
