@@ -5,7 +5,8 @@ Fails when non-test code in the files whose functions run as tasks on a
 pool (processors, pumps and socket tasks) or are called by them
 contains a thread wait (`pop_timeout(`, `thread::sleep(`, `epoll_wait(`, a
 condvar `.wait*(`) outside MAY_WAIT, the complete inventory of what may
-still wait, or calls `.send_batch(` — the link stack's waiting send, for
+still wait, or calls `.send_batch(` or `.push_blocking(` — the link
+stack's waiting send and the watermark queue's waiting push, both for
 threads of their own. A task with nothing to do parks and is woken by
 whoever feeds it; see DESIGN §5e. Run from the repository root.
 """
@@ -37,14 +38,13 @@ MAY_WAIT = {
     ("crates/core/src/runtime/pumps.rs", "wait_change"),
     ("crates/granules/src/io.rs", "wait_complete"),
     ("crates/net/src/tcp.rs", "close_inner"),
-    # `push_blocking`/`push_timeout`/`pop_timeout`: probes and tests — and a
-    # push into a shedding queue, on its producer's pool thread, bounded by
-    # `max_stall` (ROADMAP item 2).
-    ("crates/net/src/watermark.rs", "push_bounded"),
+    # `push_blocking`/`pop_timeout`: probes and tests only; no pool calls
+    # them (OWN_THREAD_ONLY below).
+    ("crates/net/src/watermark.rs", "push_blocking"),
     ("crates/net/src/watermark.rs", "pop_timeout"),
     # The one "try, else wait for the space signal": the thread of a
     # `Link::send_batch` caller, a thread of its own (tests, probes,
-    # examples); no pool calls it (SEND_BATCH below).
+    # examples); no pool calls it (OWN_THREAD_ONLY below).
     ("crates/link/src/transport.rs", "until_taken"),
     # Pool threads (ROADMAP item 2): a supervised processor's retry pause.
     ("crates/granules/src/supervisor.rs", "run_batch"),
@@ -55,7 +55,8 @@ MAY_WAIT = {
 }
 
 WAIT = re.compile(r"pop_timeout\(|thread::sleep\(|epoll_wait\(|\.wait(_for|_while|_timeout|_until)?\(")
-SEND_BATCH = re.compile(r"\.send_batch\(")
+# The waiting calls of threads of their own: no guarded code calls them.
+OWN_THREAD_ONLY = re.compile(r"\.send_batch\(|\.push_blocking\(")
 FN = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?(const\s+)?(unsafe\s+)?fn\s+(\w+)")
 
 bad = []
@@ -68,11 +69,11 @@ for path in GUARDED:
             code = line.split("//", 1)[0]
             if m := FN.match(code):
                 current = m.group(5)
-            if WAIT.search(code) and (path, current) not in MAY_WAIT or SEND_BATCH.search(code):
+            if WAIT.search(code) and (path, current) not in MAY_WAIT or OWN_THREAD_ONLY.search(code):
                 bad.append(f"{path}:{number}: in `{current}`: {line.strip()}")
 
 if bad:
-    print("a thread wait, or a waiting `send_batch`, where pool tasks run (park the")
+    print("a thread wait, or a waiting `send_batch`/`push_blocking`, where pool tasks run (park the")
     print("task instead, or name the function in .github/scripts/io_tier_waits.py and")
     print("say whose thread it is):")
     print("\n".join(bad))

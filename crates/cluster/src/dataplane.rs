@@ -1159,14 +1159,16 @@ mod tests {
         }
     }
 
-    /// Wait until `emitted` has not moved for 300 ms: the edge is full.
-    fn wait_for_stall(emitted: &AtomicU64) {
-        let stalled = wait_for(Duration::from_secs(30), || {
-            let before = emitted.load(Ordering::Relaxed);
-            let moved = || emitted.load(Ordering::Relaxed) != before;
-            before > 0 && !wait_for(Duration::from_millis(300), moved)
+    /// Wait until the route toward `edge` has shut its gate and the egress
+    /// link from `up` refuses: the stall has reached the link. (A link
+    /// also refuses while it dials; a shut route means it got through.)
+    fn wait_for_refusal(up: &DataPlane, down: &DataPlane, edge: u32) {
+        let route = down.ingress_route(edge);
+        let refuses = wait_for(Duration::from_secs(30), || {
+            let link = up.egress.lock().get(&edge).cloned();
+            route.queue.is_gated() && link.is_some_and(|l| !l.admits())
         });
-        assert!(stalled, "the cut edge never filled");
+        assert!(refuses, "the stall reached the egress link");
     }
 
     /// `__egress` parks behind a route held shut. Its worker is free, so
@@ -1206,9 +1208,7 @@ mod tests {
             let job = LocalRuntime::new(config).submit(graph).unwrap();
             // Nothing takes the route: its gate shuts, then the receiver's
             // queue fills, the socket, and the link's sender queue.
-            wait_for_stall(&emitted);
-            let link = up.egress.lock().get(&EDGE).cloned().unwrap();
-            assert!(!link.admits(), "the stall reached the egress link");
+            wait_for_refusal(&up, &down, EDGE);
 
             let (next, misordered) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
             let open_route = || {

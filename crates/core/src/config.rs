@@ -6,7 +6,6 @@
 //! number of cores in the machine it is running on."*
 
 use neptune_compress::SelectiveCompressor;
-use neptune_net::watermark::ShedPolicy;
 use std::time::Duration;
 
 /// Per-link compression policy (§III-B5: *"should be enabled and configured
@@ -159,10 +158,13 @@ impl TelemetryConfig {
 ///   upstream watermark gates never wedge. Off by default: a panic then
 ///   unwinds to the worker pool, which retires that operator instance and
 ///   counts it (`worker_panics`); the job still stops.
-/// * `shed_policy` arms **SLO-driven load shedding** on the inbound
-///   watermark queues, active only once a gate has been closed for longer
-///   than `max_stall`. The default [`ShedPolicy::None`] preserves the
-///   paper's lossless backpressure (§III-B4) exactly.
+/// * `max_stall` arms **SLO-driven load shedding at the sources**: a source
+///   pump that backpressure has held back for `max_stall` drops what its
+///   source emits, unencoded, until every outgoing link admits again.
+///   Nothing inside the graph ever drops a packet — the watermark queues
+///   stay lossless (§III-B4) — and barriers are never shed. The default
+///   `None` is the paper's lossless backpressure, all the way to the
+///   source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContainmentConfig {
     /// Master switch for supervision, quarantine, and circuit breaking.
@@ -173,11 +175,9 @@ pub struct ContainmentConfig {
     pub breaker_threshold: u32,
     /// How long a tripped breaker rejects batches before probing.
     pub breaker_cooldown: Duration,
-    /// Load-shedding policy for inbound queues. Independent of `enabled`;
-    /// [`ShedPolicy::None`] keeps backpressure lossless.
-    pub shed_policy: ShedPolicy,
-    /// Continuous gate-closed time after which `shed_policy` arms.
-    pub max_stall: Duration,
+    /// How long backpressure may hold a source back before it sheds.
+    /// Independent of `enabled`; `None` keeps the job lossless.
+    pub max_stall: Option<Duration>,
 }
 
 impl Default for ContainmentConfig {
@@ -187,8 +187,7 @@ impl Default for ContainmentConfig {
             max_retries: 2,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
-            shed_policy: ShedPolicy::None,
-            max_stall: Duration::from_millis(250),
+            max_stall: None,
         }
     }
 }
@@ -390,8 +389,7 @@ impl RuntimeConfig {
                 return Err("containment breaker_cooldown must be positive".into());
             }
         }
-        if self.containment.shed_policy != ShedPolicy::None && self.containment.max_stall.is_zero()
-        {
+        if self.containment.max_stall == Some(Duration::ZERO) {
             return Err("containment max_stall must be positive when shedding is enabled".into());
         }
         if self.checkpoint.enabled {
@@ -560,7 +558,7 @@ mod tests {
     fn containment_defaults_off_and_validated() {
         let c = RuntimeConfig::default();
         assert!(!c.containment.enabled, "supervision must be opt-in");
-        assert_eq!(c.containment.shed_policy, ShedPolicy::None, "shedding must be opt-in");
+        assert_eq!(c.containment.max_stall, None, "shedding must be opt-in");
         assert!(c.validate().is_ok());
         let on = RuntimeConfig { containment: ContainmentConfig::enabled(), ..Default::default() };
         assert!(on.validate().is_ok());
@@ -571,8 +569,7 @@ mod tests {
         assert!(bad_breaker.validate().is_err());
         let bad_stall = RuntimeConfig {
             containment: ContainmentConfig {
-                shed_policy: ShedPolicy::DropOldest,
-                max_stall: Duration::ZERO,
+                max_stall: Some(Duration::ZERO),
                 ..Default::default()
             },
             ..Default::default()

@@ -293,14 +293,13 @@ pub struct ContainmentStats {
     pub dead_letters: u64,
     /// Dead letters evicted because the queue was at capacity.
     pub dead_letters_evicted: u64,
-    /// Items sacrificed by queue shed policies.
+    /// Packets source pumps dropped unencoded while shedding
+    /// (`ContainmentConfig::max_stall`), counted as each episode ends.
     pub shed_total: u64,
-    /// Bytes sacrificed by queue shed policies.
-    pub shed_bytes: u64,
 }
 
 impl ContainmentStats {
-    const FIELDS: [FieldDef; 11] = [
+    const FIELDS: [FieldDef; 10] = [
         counter("worker_panics", "neptune_worker_panics_total"),
         counter("io_task_panics", "neptune_io_task_panics_total"),
         counter("panics", "neptune_containment_panics_total"),
@@ -311,7 +310,6 @@ impl ContainmentStats {
         gauge("dead_letters", "neptune_dead_letters"),
         counter("dead_letters_evicted", "neptune_dead_letters_evicted_total"),
         counter("shed_total", "neptune_shed_total"),
-        counter("shed_bytes", "neptune_shed_bytes_total"),
     ];
 
     /// Walk the containment counters into `exporter` as
@@ -331,7 +329,6 @@ impl ContainmentStats {
                 self.dead_letters,
                 self.dead_letters_evicted,
                 self.shed_total,
-                self.shed_bytes,
             ],
         );
     }

@@ -56,7 +56,10 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 /// the pump asks every outgoing link whether it can take a batch before
 /// each `next`, and parks until the link says so when one cannot. Emits
 /// inside `next` therefore never wait; a batch flushed past a link that
-/// just filled is kept by its channel and goes first afterwards.
+/// just filled is kept by its channel and goes first afterwards. A job
+/// that sets `ContainmentConfig::max_stall` stops holding a source back
+/// once backpressure has lasted that long: the pump calls `next` again,
+/// and what it emits is dropped, unencoded, until every link admits.
 ///
 /// A source with nothing to emit has two answers. [`SourceStatus::Idle`]
 /// makes the pump poll it again after a back-off. A source that is *fed*
@@ -223,6 +226,9 @@ pub struct OperatorContext {
     /// a channel: the driving task must not produce more until
     /// [`hand_over_staged`](Self::hand_over_staged) clears it.
     staged: bool,
+    /// Packets dropped unencoded since the driving task set this context
+    /// to shed; `None` while it emits.
+    shed: Option<u64>,
 }
 
 impl OperatorContext {
@@ -250,6 +256,7 @@ impl OperatorContext {
             task_waker: None,
             waker_taken: false,
             staged: false,
+            shed: None,
         }
     }
 
@@ -266,6 +273,7 @@ impl OperatorContext {
             task_waker: None,
             waker_taken: false,
             staged: false,
+            shed: None,
         }
     }
 
@@ -312,6 +320,31 @@ impl OperatorContext {
         !self.staged
     }
 
+    /// For the driving task that backpressure has held back past its
+    /// stall budget: from now on every emit counts its packet and drops
+    /// it, unencoded. Barriers still go out.
+    pub(crate) fn shed(&mut self) {
+        self.shed.get_or_insert(0);
+    }
+
+    /// End shedding: the packets dropped since [`shed`](Self::shed), or
+    /// `None` if the context was not shedding.
+    pub(crate) fn stop_shedding(&mut self) -> Option<u64> {
+        self.shed.take()
+    }
+
+    /// Count and drop one packet, if this context is shedding.
+    #[inline]
+    fn shed_one(&mut self) -> bool {
+        match &mut self.shed {
+            Some(dropped) => {
+                *dropped += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// The operator's name.
     pub fn operator(&self) -> &str {
         &self.operator
@@ -351,7 +384,10 @@ impl OperatorContext {
     }
 
     /// Emit a packet over **all** outgoing links (§III-A3: an operator
-    /// emits over one or more outgoing streams).
+    /// emits over one or more outgoing streams). A source that is
+    /// shedding (`ContainmentConfig::max_stall`) drops the packet here,
+    /// before encoding it, and is told `Ok`; so do `emit_to` and
+    /// `emit_encoded`.
     pub fn emit(&mut self, packet: &StreamPacket) -> Result<(), EmitError> {
         self.emit_inner(packet, None)
     }
@@ -364,6 +400,9 @@ impl OperatorContext {
     }
 
     fn emit_inner(&mut self, packet: &StreamPacket, only: Option<&str>) -> Result<(), EmitError> {
+        if self.shed_one() {
+            return Ok(());
+        }
         match &mut self.sink {
             ContextSink::Collector(collected) => {
                 collected.push((only.map(str::to_string), packet.clone()));
@@ -406,6 +445,9 @@ impl OperatorContext {
     /// the original bytes are what every destination receives. Counts
     /// toward `packets_out` like [`emit`](Self::emit).
     pub fn emit_encoded(&mut self, prefixed: &[u8]) -> Result<(), EmitError> {
+        if self.shed_one() {
+            return Ok(());
+        }
         let framed = prefixed.len() >= 4
             && u32::from_le_bytes(prefixed[..4].try_into().expect("slice len")) as usize
                 == prefixed.len() - 4;
@@ -589,6 +631,26 @@ mod tests {
         ctx.emit_to("b", &packet(5)).unwrap();
         assert_eq!(queues[0].len(), 0);
         assert_eq!(queues[1].len(), 1);
+    }
+
+    #[test]
+    fn a_shedding_context_counts_and_drops_every_emit_but_not_barriers() {
+        let (mut ctx, queues) = channel_ctx(&[("a", 1), ("b", 1)]);
+        ctx.shed();
+        ctx.emit(&packet(1)).unwrap();
+        ctx.emit_to("b", &packet(2)).unwrap();
+        ctx.emit_encoded(&prefixed(&packet(3))).unwrap();
+        assert!(queues.iter().all(|q| q.is_empty()), "a shed packet was sent");
+        assert_eq!(ctx.packets_emitted(), 0);
+        ctx.barrier(7);
+        for q in &queues {
+            let barrier = q.pop().expect("the barrier went out");
+            assert_eq!(barrier.control, Some(neptune_net::frame::ControlKind::Barrier));
+        }
+        assert_eq!(ctx.stop_shedding(), Some(3));
+        ctx.emit(&packet(4)).unwrap();
+        assert_eq!(ctx.packets_emitted(), 2, "emits go out again");
+        assert_eq!(ctx.stop_shedding(), None);
     }
 
     #[test]

@@ -43,13 +43,9 @@ impl JobHandle {
             let snapshot = self.shared.registry.snapshot();
             let frames_out: u64 = snapshot.operators.values().map(|m| m.frames_out).sum();
             let frames_in: u64 = snapshot.operators.values().map(|m| m.frames_in).sum();
-            // Frames sacrificed by a shed policy were dispatched but will
-            // never arrive; without this term a shedding run could never
-            // balance its books and settle would always time out.
-            let shed: u64 = self.shared.queues.iter().map(|q| q.shed_total()).sum();
             let busy = self.shared.queues.iter().any(|q| !q.is_empty())
                 || self.has_data.iter().any(|flag| flag.load(Ordering::Acquire))
-                || frames_out != frames_in + shed;
+                || frames_out != frames_in;
             if busy {
                 stable = 0;
             } else {

@@ -18,7 +18,12 @@
 //! * a pump one of whose outgoing links cannot take a batch — a closed
 //!   watermark gate in process, a full sender queue over TCP; the pump
 //!   asks [`Link::admits`](neptune_link::Link::admits) either way —
-//!   parks until that link's space listener wakes it;
+//!   parks until that link's space listener wakes it — or, if the job
+//!   sets `ContainmentConfig::max_stall`, until that long after the
+//!   refusals began. A pump still refused then sheds: it runs its source
+//!   again, and its context drops each packet unencoded until every link
+//!   admits (one [`EventKind::Shed`] per episode). Nothing past the pump
+//!   ever drops a packet;
 //! * either way, while a channel holds buffered packets, not past that
 //!   channel's flush deadline;
 //! * the barrier timer and the sampler are periodic timer registrations.
@@ -31,10 +36,10 @@
 //! Idle cost is therefore O(io_threads), not O(sources). Busy cost is per
 //! packet only for the packet itself: inside its emit loop a pump reads
 //! two flags, the clock (once, for its stint budget and its next flush
-//! deadline) and each outgoing link's lock-free admission mirror, and
-//! calls the source; it signals nobody and takes no lock — its endpoints
-//! are its own. The one condvar ([`PumpGauge`]) fires when a pump finishes,
-//! and it is the job's caller who waits there.
+//! deadline), each outgoing link's lock-free admission mirror and whether
+//! it may shed, and calls the source; it signals nobody and takes no lock
+//! — its endpoints are its own. The one condvar ([`PumpGauge`]) fires when
+//! a pump finishes, and it is the job's caller who waits there.
 
 use super::JobShared;
 use crate::checkpoint::{CheckpointCoordinator, CheckpointSnapshot, InstanceState, FINAL_BARRIER};
@@ -43,7 +48,9 @@ use crate::telemetry::TelemetrySample;
 use neptune_granules::io::{IoContext, IoStatus, IoTask};
 use neptune_granules::sync::{Condvar, Mutex};
 use neptune_granules::IoTaskHandle;
-use neptune_telemetry::{wall_micros, SampleRing, Span, SpanRing, STAGE_SOURCE};
+use neptune_telemetry::{
+    wall_micros, EventKind, FlightRecorder, SampleRing, Span, SpanRing, STAGE_SOURCE,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -124,6 +131,18 @@ pub(crate) struct SourceBarrier {
     pub(crate) restored: Option<Arc<CheckpointSnapshot>>,
 }
 
+/// Source-side load shedding of one pump (`ContainmentConfig::max_stall`).
+pub(crate) struct SourceShed {
+    /// How long backpressure may hold the pump back before it sheds.
+    pub(crate) max_stall: Duration,
+    /// When the links' refusals began; `None` while they admit.
+    pub(crate) throttled_since: Option<Instant>,
+    /// The job's count of shed packets.
+    pub(crate) total: Arc<AtomicU64>,
+    /// Where each episode is timelined.
+    pub(crate) recorder: Arc<FlightRecorder>,
+}
+
 /// One source instance as a cooperatively scheduled IO task.
 pub(crate) struct SourcePump {
     pub(crate) source: Box<dyn StreamSource>,
@@ -146,6 +165,8 @@ pub(crate) struct SourcePump {
     /// disabled — the pump then runs bit-identically to a pre-checkpoint
     /// build.
     pub(crate) checkpoint: Option<SourceBarrier>,
+    /// `None` unless the job sheds: the pump then only parks.
+    pub(crate) shed: Option<SourceShed>,
 }
 
 impl SourcePump {
@@ -156,6 +177,8 @@ impl SourcePump {
     fn finish(&mut self) -> IoStatus {
         if !self.closed {
             self.closed = true;
+            // What the source emits as it closes goes out, or is staged.
+            self.end_shedding();
             // Contribute to any round requested before the source ended,
             // then seal every outgoing channel with FINAL_BARRIER so
             // downstream alignment treats them as permanently aligned.
@@ -184,6 +207,33 @@ impl SourcePump {
         match until.into_iter().chain(self.next_due).min() {
             Some(at) => IoStatus::ParkUntil(at),
             None => IoStatus::Park,
+        }
+    }
+
+    /// The links refused at `now`. Park until one makes room — and, with
+    /// a stall budget, not past its end; `None` once the budget is spent:
+    /// the context sheds, and the pump runs the source on.
+    fn held_back(&mut self, now: Instant) -> Option<IoStatus> {
+        let Some(shed) = &mut self.shed else { return Some(self.park(None)) };
+        let until = *shed.throttled_since.get_or_insert(now) + shed.max_stall;
+        if now < until {
+            return Some(self.park(Some(until)));
+        }
+        self.ctx.shed();
+        None
+    }
+
+    /// End the shedding episode, if one ran: the links admit again, or
+    /// the source is closing.
+    #[inline]
+    fn end_shedding(&mut self) {
+        let Some(shed) = &mut self.shed else { return };
+        if shed.throttled_since.take().is_none() {
+            return;
+        }
+        if let Some(dropped) = self.ctx.stop_shedding().filter(|&n| n > 0) {
+            shed.total.fetch_add(dropped, Ordering::Relaxed);
+            shed.recorder.record(EventKind::Shed, self.ctx.instance() as u64, dropped);
         }
     }
 
@@ -287,11 +337,13 @@ impl SourcePump {
             // watermark gate, a full sender queue — means downstream is
             // saturated, and so does a batch an earlier emit left staged
             // that its link still refuses. Park instead of emitting into
-            // that; the link's space listener wakes us. (A *shedding*
-            // queue always admits: its policy only runs if producers keep
-            // pushing.)
+            // that; the link's space listener wakes us.
             if !self.ctx.hand_over_staged() || self.ctx.endpoints().any(|ep| !ep.link().admits()) {
-                return self.park(None);
+                if let Some(parked) = self.held_back(now) {
+                    return parked;
+                }
+            } else {
+                self.end_shedding();
             }
             match self.source.next(&mut self.ctx) {
                 SourceStatus::Emitted(_) => self.idle_backoff = MIN_IDLE_BACKOFF,

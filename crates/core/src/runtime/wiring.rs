@@ -1,7 +1,9 @@
 //! Deployment: placement, resources, queues, channels, processor tasks,
 //! and the IO tier (pumps, barrier timer, sampler).
 
-use super::pumps::{BarrierTimerTask, PumpGauge, SamplerTask, SourceBarrier, SourcePump};
+use super::pumps::{
+    BarrierTimerTask, PumpGauge, SamplerTask, SourceBarrier, SourcePump, SourceShed,
+};
 use super::scrape::{ScrapeRoutes, ScrapeTask};
 use super::{JobHandle, JobShared, SubmitError};
 use crate::channel::{ChannelEndpoint, ChannelId};
@@ -27,7 +29,7 @@ use neptune_net::buffer::OutputBuffer;
 use neptune_net::frame::{ControlKind, Frame, FrameMessages};
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
-use neptune_net::watermark::{ShedConfig, WatermarkConfig, WatermarkQueue};
+use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use neptune_net::NetDriver;
 use neptune_telemetry::{
     EventKind, FlightRecorder, OperatorTelemetry, SampleRing, Span, SpanRing, STAGE_EXECUTION,
@@ -607,10 +609,9 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
     // frames recycle it (§III-B3 object reuse, now across threads).
     let pool = Arc::new(BytesPool::default());
 
-    // ---- Failure containment: dead-letter queue + shed config. ----
-    // Shedding is independent of supervision: `ShedPolicy::None` (the
-    // default) keeps every queue losslessly backpressured per §III-B4.
-    let shed = ShedConfig::new(config.containment.shed_policy, config.containment.max_stall);
+    // ---- Failure containment: dead-letter queue, and the count of what
+    // the sources shed (only they do, and only with a `max_stall`). ----
+    let shed_total = Arc::new(AtomicU64::new(0));
     let dead_letters =
         config.containment.enabled.then(|| Arc::new(DeadLetterQueue::new(DEAD_LETTER_CAPACITY)));
 
@@ -742,10 +743,9 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 });
             let queue = if needs_tcp {
                 let (driver, _) = net_driver.as_ref().expect("TCP transport has a reactor");
-                let rx = TcpReceiver::bind_reactor_pooled_with_shed(
+                let rx = TcpReceiver::bind_reactor_pooled(
                     "127.0.0.1:0",
                     watermark,
-                    shed,
                     pool.clone(),
                     driver,
                 )
@@ -756,13 +756,13 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                 receivers.push(rx);
                 q
             } else {
-                Arc::new(WatermarkQueue::with_shed(watermark, shed))
+                Arc::new(WatermarkQueue::new(watermark))
             };
             all_queues.push(queue.clone());
             queues_by_instance.insert((oi, inst), queue);
         }
     }
-    // Gate open/close and shed events, tagged by queue index — the same
+    // Gate open/close events, tagged by queue index — the same
     // index the queue gauges export.
     for (i, q) in all_queues.iter().enumerate() {
         q.attach_recorder(recorder.clone(), i as u64);
@@ -1028,6 +1028,12 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
                     emitted: 0,
                     restored: restored.clone(),
                 }),
+                shed: config.containment.max_stall.map(|max_stall| SourceShed {
+                    max_stall,
+                    throttled_since: None,
+                    total: shed_total.clone(),
+                    recorder: recorder.clone(),
+                }),
             };
             // Spawn parked, fill the waker's slot, then kick the first run:
             // a listener that fires before the slot is filled wakes nobody,
@@ -1074,6 +1080,7 @@ pub(super) fn deploy(graph: Graph, config: RuntimeConfig) -> Result<JobHandle, S
         dead_letters,
         spans,
         recorder,
+        shed_total,
         checkpoints: checkpoint.map(|(c, _, _)| c),
         io: io_pool.spawner(),
         workers: resources.iter().map(|r| r.worker_gauges()).collect(),

@@ -141,11 +141,6 @@ pub struct QueueGauge {
     /// whether the producers it turned away blocked, parked their task or
     /// stopped reading their socket.
     pub gate_closures: u64,
-    /// Items sacrificed by the queue's shed policy (0 under the default
-    /// lossless [`neptune_net::watermark::ShedPolicy::None`]).
-    pub shed_total: u64,
-    /// Bytes sacrificed by the queue's shed policy.
-    pub shed_bytes: u64,
 }
 
 impl QueueGauge {
@@ -157,8 +152,6 @@ impl QueueGauge {
             capacity: q.config().high,
             gate_events: q.gate_events(),
             gate_closures: q.gate_closures(),
-            shed_total: q.shed_total(),
-            shed_bytes: q.shed_bytes(),
         }
     }
 
@@ -173,14 +166,12 @@ impl QueueGauge {
     }
 
     /// `capacity` is configuration, not a reading: JSON-only.
-    const FIELDS: [FieldDef; 7] = [
+    const FIELDS: [FieldDef; 5] = [
         gauge("depth", "neptune_queue_depth_frames"),
         gauge("depth_bytes", "neptune_queue_depth_bytes"),
         gauge("capacity", ""),
         counter("gate_events", "neptune_gate_events_total"),
         counter("gate_closures", "neptune_gate_closures_total"),
-        counter("shed_total", "neptune_queue_shed_total"),
-        counter("shed_bytes", "neptune_queue_shed_bytes_total"),
     ];
 
     /// Walk this queue's gauges into `exporter` as one element of
@@ -195,8 +186,6 @@ impl QueueGauge {
                 self.capacity as u64,
                 self.gate_events,
                 self.gate_closures,
-                self.shed_total,
-                self.shed_bytes,
             ],
         );
     }
@@ -508,8 +497,6 @@ mod tests {
             capacity: 4096,
             gate_events: 7,
             gate_closures: 11,
-            shed_total: 0,
-            shed_bytes: 0,
         }];
         let sample = TelemetrySample { metrics: metrics.clone(), queues: queues.clone() };
         TelemetrySnapshot {
@@ -601,7 +588,6 @@ mod tests {
             dead_letters: 2,
             dead_letters_evicted: 1,
             shed_total: 11,
-            shed_bytes: 2048,
         };
         snap.dead_letters.push(crate::dead_letter::DeadLetter {
             operator: "relay".into(),
@@ -632,7 +618,7 @@ mod tests {
         assert!(text.contains("neptune_containment_breaker_trips_total 1\n"));
         assert!(text.contains("neptune_shed_total 11\n"));
         assert!(text.contains("neptune_dead_letters 2\n"));
-        assert!(text.contains("neptune_queue_shed_total{queue=\"0\"} 0\n"));
+        assert!(!text.contains("shed_bytes"), "a shed packet is never encoded: no bytes");
         assert!(text.contains("neptune_operator_panics_total{operator=\"relay\"}"));
 
         // No root dead-letter array in JSON when nothing is quarantined

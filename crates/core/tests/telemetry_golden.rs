@@ -15,7 +15,10 @@
 //! per queue and `sender_full` per link (one JSON key and one counter
 //! family each). Rows it has lost are cut the same way: the link's two
 //! flush-threshold gauges, `flush_batch_bytes` and
-//! `flush_max_delay_micros`, which echoed configuration.
+//! `flush_max_delay_micros`, which echoed configuration; and the shed
+//! rows that went when shedding moved from the queues to the sources —
+//! `shed_total` and `shed_bytes` per queue, and the job's `shed_bytes`
+//! (a packet shed at its source is never encoded, so it has no bytes).
 
 use neptune_core::checkpoint::CheckpointStats;
 use neptune_core::dead_letter::DeadLetter;
@@ -105,7 +108,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
         dead_letters: 67,
         dead_letters_evicted: 68,
         shed_total: 69,
-        shed_bytes: 70,
     };
     let queues = vec![
         QueueGauge {
@@ -114,8 +116,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
             capacity: 4096,
             gate_events: 7,
             gate_closures: 11,
-            shed_total: 1,
-            shed_bytes: 64,
         },
         QueueGauge {
             depth: 3,
@@ -123,8 +123,6 @@ fn golden_snapshot() -> TelemetrySnapshot {
             capacity: 8192,
             gate_events: 9,
             gate_closures: 13,
-            shed_total: 0,
-            shed_bytes: 0,
         },
     ];
     let first_tick = TelemetrySample { metrics: registry.snapshot(), queues: queues[..1].to_vec() };

@@ -44,7 +44,7 @@ use neptune_net::frame::{
 };
 use neptune_net::tcp::TcpSender;
 use neptune_net::transport::TransportError;
-use neptune_net::watermark::{Pushed, WatermarkQueue};
+use neptune_net::watermark::WatermarkQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -193,17 +193,9 @@ impl QueueLink {
 }
 
 impl QueueLink {
-    /// Push without waiting at a closed gate. A shedding queue is the
-    /// exception it has always been: it must see every push for its stall
-    /// clock and policy to apply, and it bounds the wait itself
-    /// (`max_stall`), after which it degrades instead of refusing.
-    fn push(&self, frame: Frame) -> Result<Pushed, TransportError> {
-        if self.queue.sheds() {
-            self.queue.push_blocking(frame)
-        } else {
-            self.queue.try_push(frame)
-        }
-        .map_err(TransportError::from_push)
+    /// Push without waiting at a closed gate.
+    fn push(&self, frame: Frame) -> Result<(), TransportError> {
+        self.queue.try_push(frame).map_err(TransportError::from_push)
     }
 
     fn signal(&self) {
@@ -237,12 +229,7 @@ impl FrameLink for QueueLink {
             control: None,
             trace: header.trace,
         };
-        if !self.push(decoded)?.accepted() {
-            // The queue's armed ShedPolicy dropped the incoming frame to
-            // bound latency; it was never enqueued, so nothing was "sent"
-            // and there is no delivery to signal.
-            return Ok(wire_len);
-        }
+        self.push(decoded)?;
         self.signal();
         Ok(wire_len)
     }
@@ -273,10 +260,9 @@ impl FrameLink for QueueLink {
     }
 
     /// A closed queue admits too — so that whoever parked on its gate
-    /// comes back to be told `Closed` — and so does a shedding one, whose
-    /// policy only runs if producers keep pushing.
+    /// comes back to be told `Closed`.
     fn admits(&self) -> bool {
-        !self.queue.is_gated() || self.queue.sheds() || self.queue.is_closed()
+        !self.queue.is_gated() || self.queue.is_closed()
     }
 
     fn add_space_listener(&self, listener: SpaceListener) {

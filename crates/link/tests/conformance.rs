@@ -450,12 +450,12 @@ fn push_errors_map_onto_distinct_transport_errors() {
     let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(8, 4));
     // First push crosses the high watermark and gates the queue; the
     // second bounces as Gated.
-    q.push_timeout(vec![0u8; 16], Duration::from_millis(10)).expect("first push admitted");
-    let gated = q.push_timeout(vec![1u8; 16], Duration::from_millis(10)).expect_err("gated");
+    q.try_push(vec![0u8; 16]).expect("first push admitted");
+    let gated = q.try_push(vec![1u8; 16]).expect_err("gated");
     assert!(matches!(gated, PushError::Gated(_)));
     assert!(matches!(TransportError::from_push(gated), TransportError::Backpressure));
     q.close();
-    let closed = q.push_timeout(vec![2u8; 16], Duration::from_millis(10)).expect_err("closed");
+    let closed = q.try_push(vec![2u8; 16]).expect_err("closed");
     assert!(matches!(closed, PushError::Closed(_)));
     assert!(matches!(TransportError::from_push(closed), TransportError::Closed));
 }

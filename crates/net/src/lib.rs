@@ -20,9 +20,10 @@
 //! * **Backpressure** (§III-B4): [`WatermarkQueue`] is the bounded inbound
 //!   buffer with high/low watermarks. Once the high watermark is reached
 //!   the queue stays gated until consumers drain it to the low watermark:
-//!   in-process producers block in [`WatermarkQueue::push_blocking`], and
-//!   on the TCP transport the connection task stops reading its socket —
-//!   the TCP window closes and throttles the sender.
+//!   an in-process producer task is refused by [`WatermarkQueue::try_push`]
+//!   and parks until the gate reopens, and on the TCP transport the
+//!   connection task stops reading its socket — the TCP window closes and
+//!   throttles the sender. The queue never drops what it was handed.
 //!
 //! Frames travel over the `neptune-link` crate's transport flavours:
 //! in-process queue handover (links between operators co-located in one
@@ -51,4 +52,4 @@ pub use frame::{
 pub use pool::{BytesPool, BytesPoolStats};
 pub use tcp::{HandshakeGate, NetDriver, TcpReceiver, TcpSender};
 pub use transport::TransportError;
-pub use watermark::{PushError, Pushed, ShedConfig, ShedPolicy, WatermarkConfig, WatermarkQueue};
+pub use watermark::{PushError, WatermarkConfig, WatermarkQueue};

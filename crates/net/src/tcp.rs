@@ -51,7 +51,7 @@ use crate::frame::{
     encode_control_frame, encode_hello_frame, ControlKind, Frame, FrameDecoder, FrameError,
 };
 use crate::pool::BytesPool;
-use crate::watermark::{PushError, ShedConfig, WatermarkConfig, WatermarkQueue};
+use crate::watermark::{PushError, WatermarkConfig, WatermarkQueue};
 use neptune_granules::sync::{Condvar, Mutex, RwLock};
 use neptune_granules::{
     IoContext, IoSpawner, IoStatus, IoTask, IoTaskHandle, NetSource, NetWaker, ReactorHandle,
@@ -652,32 +652,28 @@ pub struct TcpReceiver {
 impl TcpReceiver {
     /// Bind a listener; frames from every accepted connection land on one
     /// watermark-bounded inbound queue. Frame bodies come from fresh
-    /// allocations; see
-    /// [`bind_reactor_pooled_with_shed`](Self::bind_reactor_pooled_with_shed)
+    /// allocations; see [`bind_reactor_pooled`](Self::bind_reactor_pooled)
     /// for the recycling variant the runtime uses.
     pub fn bind_reactor(
         addr: impl ToSocketAddrs,
         watermark: WatermarkConfig,
         driver: &NetDriver,
     ) -> std::io::Result<Self> {
-        Self::bind(addr, watermark, ShedConfig::disabled(), None, false, None, driver)
+        Self::bind(addr, watermark, None, false, None, driver)
     }
 
     /// Like [`bind_reactor`](Self::bind_reactor), but connection tasks
     /// draw frame-body buffers from `pool` — the job-wide [`BytesPool`] —
     /// so the steady-state receive path performs no per-frame allocation
     /// (the consumer returns each frame's batch to the pool when done, see
-    /// [`crate::frame::FrameMessages::into_batch`]), and the inbound queue
-    /// degrades per `shed` instead of gating forever once the gate has
-    /// been closed longer than the configured stall.
-    pub fn bind_reactor_pooled_with_shed(
+    /// [`crate::frame::FrameMessages::into_batch`]).
+    pub fn bind_reactor_pooled(
         addr: impl ToSocketAddrs,
         watermark: WatermarkConfig,
-        shed: ShedConfig,
         pool: Arc<BytesPool>,
         driver: &NetDriver,
     ) -> std::io::Result<Self> {
-        Self::bind(addr, watermark, shed, Some(pool), false, None, driver)
+        Self::bind(addr, watermark, Some(pool), false, None, driver)
     }
 
     /// Bind with *manual* acknowledgement: sequenced data frames
@@ -699,13 +695,12 @@ impl TcpReceiver {
         pool: Option<Arc<BytesPool>>,
         driver: &NetDriver,
     ) -> std::io::Result<Self> {
-        Self::bind(addr, watermark, ShedConfig::disabled(), pool, true, gate, driver)
+        Self::bind(addr, watermark, pool, true, gate, driver)
     }
 
     fn bind(
         addr: impl ToSocketAddrs,
         watermark: WatermarkConfig,
-        shed: ShedConfig,
         pool: Option<Arc<BytesPool>>,
         manual_ack: bool,
         handshake: Option<HandshakeGate>,
@@ -715,7 +710,7 @@ impl TcpReceiver {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(RecvShared {
-            queue: Arc::new(WatermarkQueue::with_shed(watermark, shed)),
+            queue: Arc::new(WatermarkQueue::new(watermark)),
             shutdown: AtomicBool::new(false),
             decode_errors: AtomicU64::new(0),
             on_deliver: RwLock::new(None),
@@ -1009,24 +1004,22 @@ impl ConnTask {
     }
 
     /// Push stashed frames onto the inbound queue without blocking. While
-    /// the gate is closed (and the queue does not shed) nothing is
-    /// pushed and nothing is read — the backpressure lever.
+    /// the gate is closed nothing is pushed and nothing is read — the
+    /// backpressure lever.
     fn drain_pending(&mut self) -> Drain {
         while let Some((frame, ack)) = self.pending.pop_front() {
-            // A lossless queue that is gated cannot accept the frame;
-            // don't burn a push (and a gate event) per poll tick. A
-            // shedding queue must see the push so its stall clock and
-            // policy apply.
-            if self.shared.queue.is_gated() && !self.shared.queue.sheds() {
+            // A gated queue cannot accept the frame; don't take its lock
+            // per poll tick.
+            if self.shared.queue.is_gated() {
                 self.pending.push_front((frame, ack));
                 return Drain::Gated;
             }
-            match self.shared.queue.push_timeout(frame, Duration::ZERO) {
-                Ok(_) => {
-                    // Ack only after the frame landed (or was shed after
-                    // the policy's stall) — a replayed duplicate just
-                    // re-acks the same watermark. In manual mode there is
-                    // no ack here: the application acks, once secured.
+            match self.shared.queue.try_push(frame) {
+                Ok(()) => {
+                    // Ack only after the frame landed — a replayed
+                    // duplicate just re-acks the same watermark. In manual
+                    // mode there is no ack here: the application acks,
+                    // once secured.
                     if let Some((link_id, next)) = ack {
                         self.queue_ack(link_id, next);
                     }
@@ -1779,14 +1772,8 @@ mod tests {
         let rig = NetRig::new("trx17");
         let driver = rig.driver();
         let pool = Arc::new(BytesPool::new(16));
-        let rx = TcpReceiver::bind_reactor_pooled_with_shed(
-            "127.0.0.1:0",
-            roomy(),
-            ShedConfig::disabled(),
-            pool.clone(),
-            &driver,
-        )
-        .unwrap();
+        let rx = TcpReceiver::bind_reactor_pooled("127.0.0.1:0", roomy(), pool.clone(), &driver)
+            .unwrap();
         let tx = TcpSender::connect_reactor(rx.local_addr(), 16, &driver).unwrap();
         let raw = SelectiveCompressor::disabled();
         let q = rx.queue();

@@ -4,10 +4,10 @@
 //! queue handover, TCP, chaos-injected), composed
 //! under optional reliability and flush-policy layers. What stays here is
 //! the error space they all map into — in particular the closed-vs-gated
-//! distinction [`TransportError::from_push`] preserves, which shedding
-//! and containment depend on: `Closed` means the destination is gone for
-//! good, `Backpressure` means the watermark gate is shut and the send
-//! should park or shed (§III-B4), never abort.
+//! distinction [`TransportError::from_push`] preserves, which containment
+//! depends on: `Closed` means the destination is gone for good,
+//! `Backpressure` means the watermark gate is shut and the send should
+//! park (§III-B4), never abort.
 
 /// Errors from handing a batch to a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,9 +22,13 @@
 //! the gate opens (or the queue closes). A producer task asks
 //! [`WatermarkQueue::is_gated`] or is refused by
 //! [`WatermarkQueue::try_push`], parks, and is woken by the listener. A
-//! thread that is its own — the cluster demux, a probe — waits the same
-//! edge out in [`WatermarkQueue::push_blocking`], and so does every push
-//! into a shedding queue, whose policy bounds the wait.
+//! thread that is its own — a probe, a test — waits the same edge out in
+//! [`WatermarkQueue::push_blocking`].
+//!
+//! The queue never drops an item it was handed: backpressure is the only
+//! overload answer inside the graph. Shedding, where a job opts in, happens
+//! at the source, before a packet is encoded (`ContainmentConfig::max_stall`
+//! in `neptune-core`).
 
 use neptune_granules::sync::{Condvar, Mutex};
 use neptune_telemetry::{EventKind, FlightRecorder};
@@ -38,16 +42,6 @@ use std::time::{Duration, Instant};
 pub trait Weighted {
     /// Size of this item for watermark accounting, in bytes.
     fn weight(&self) -> usize;
-
-    /// Whether a [`ShedPolicy`] may sacrifice this item. Control-plane
-    /// items (checkpoint barriers, acks, heartbeats) return `false`:
-    /// dropping a barrier would wedge checkpoint alignment forever, and
-    /// shedding exists to bound *data* latency, not to lose signalling.
-    /// Non-sheddable items are still weighed — they occupy watermark
-    /// budget like everything else — they just survive every policy.
-    fn sheddable(&self) -> bool {
-        true
-    }
 }
 
 impl Weighted for Vec<u8> {
@@ -59,12 +53,6 @@ impl Weighted for Vec<u8> {
 impl Weighted for crate::frame::Frame {
     fn weight(&self) -> usize {
         self.wire_len
-    }
-
-    /// Control frames ([`crate::frame::Frame::control`]) are exempt from
-    /// load shedding.
-    fn sheddable(&self) -> bool {
-        self.control.is_none()
     }
 }
 
@@ -104,7 +92,7 @@ pub enum PushError<T> {
     /// backpressure. The item is handed back.
     Closed(T),
     /// The queue is gated at the high watermark — backpressure, not
-    /// shutdown. Returned by the non-blocking and bounded-wait push paths;
+    /// shutdown. Returned by [`WatermarkQueue::try_push`];
     /// `push_blocking` never returns it (it waits the gate out).
     Gated(T),
 }
@@ -128,110 +116,19 @@ impl<T> PushError<T> {
     }
 }
 
-/// What a successful push did with the item. Anything other than
-/// [`Pushed::Enqueued`] means the queue's [`ShedPolicy`] degraded service
-/// to keep latency bounded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pushed {
-    /// The item was enqueued normally.
-    Enqueued,
-    /// The incoming item itself was shed (dropped) by `DropNewest` or the
-    /// probabilistic policy.
-    Shed,
-    /// The item was enqueued after evicting this many older items
-    /// (`DropOldest`).
-    Evicted(usize),
-}
-
-impl Pushed {
-    /// True unless the incoming item was dropped.
-    pub fn accepted(&self) -> bool {
-        !matches!(self, Pushed::Shed)
-    }
-}
-
-/// Load-shedding policy applied by [`WatermarkQueue::push_blocking`] once
-/// the gate has been closed for longer than [`ShedConfig::max_stall`].
-///
-/// The paper's backpressure (§III-B4) is lossless: producers block until
-/// consumers drain. That remains the default ([`ShedPolicy::None`]).
-/// Shedding is an explicit opt-in degradation mode for sources that cannot
-/// be throttled (IoT sensors keep sensing): it bounds producer-side latency
-/// by sacrificing data, and every sacrificed item is counted in
-/// [`WatermarkQueue::shed_total`] / [`WatermarkQueue::shed_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Lossless backpressure (the paper's semantics): block until drained.
-    None,
-    /// Drop the incoming item; queued items are preserved. Favours data
-    /// already in flight (oldest-first delivery).
-    DropNewest,
-    /// Evict queued items from the front until the incoming item fits below
-    /// the high watermark, then enqueue it. Favours fresh data — the right
-    /// choice when stale sensor readings are worthless.
-    DropOldest,
-    /// Drop the incoming item with probability proportional to occupancy
-    /// above the low watermark (`p = (level - low) / (high - low)`,
-    /// clamped to [0, 1]), using a deterministic xorshift stream seeded
-    /// here. Smooths degradation instead of hard-dropping everything.
-    Probabilistic {
-        /// Seed for the deterministic drop-decision stream.
-        seed: u64,
-    },
-}
-
-/// When and how a queue sheds. Constructed via [`ShedConfig::disabled`] by
-/// default; pass a policy to [`WatermarkQueue::with_shed`] to opt in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShedConfig {
-    /// What to drop once armed.
-    pub policy: ShedPolicy,
-    /// How long the gate must stay continuously closed before the policy
-    /// arms. Below this threshold producers block losslessly, so brief
-    /// bursts are absorbed exactly as the paper describes.
-    pub max_stall: Duration,
-}
-
-impl ShedConfig {
-    /// Lossless default: never shed.
-    pub fn disabled() -> Self {
-        ShedConfig { policy: ShedPolicy::None, max_stall: Duration::from_secs(1) }
-    }
-
-    /// Shed with `policy` after the gate has been closed for `max_stall`.
-    pub fn new(policy: ShedPolicy, max_stall: Duration) -> Self {
-        ShedConfig { policy, max_stall }
-    }
-}
-
-impl Default for ShedConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-fn xorshift(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
 struct QueueState<T> {
     items: VecDeque<T>,
     level: usize,
     /// True between hitting the high watermark and draining to the low one.
     gated: bool,
     /// When the current gating episode began; `None` while the gate is
-    /// open. Drives [`ShedConfig::max_stall`] arming.
+    /// open. Timelined as the gated time of [`EventKind::GateOpened`].
     gated_since: Option<Instant>,
     closed: bool,
     /// Set when the gate opened under the lock; the public entry points
     /// fire the listeners *after* releasing it (listeners may take other
     /// locks, e.g. an IO pool's ready queue).
     release_pending: bool,
-    /// Deterministic xorshift state for `ShedPolicy::Probabilistic`.
-    shed_rng: u64,
 }
 
 /// Byte-weighted MPMC queue with high/low watermark flow control.
@@ -244,7 +141,6 @@ pub struct WatermarkQueue<T: Weighted> {
     not_full: Condvar,
     not_empty: Condvar,
     config: WatermarkConfig,
-    shed: ShedConfig,
     pushed: AtomicU64,
     popped: AtomicU64,
     /// Number of times a producer had to block at the high watermark.
@@ -253,32 +149,17 @@ pub struct WatermarkQueue<T: Weighted> {
     /// see it): what backpressure looks like when producers park their
     /// tasks instead of blocking in a push.
     gate_closures: AtomicU64,
-    /// Items sacrificed by the shed policy over the queue's lifetime.
-    shed_total: AtomicU64,
-    /// Bytes sacrificed by the shed policy over the queue's lifetime.
-    shed_bytes: AtomicU64,
     /// Callbacks fired when the gate opens or the queue closes.
     gate_listeners: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
-    /// Optional flight recorder timelining gate/shed transitions; the
+    /// Optional flight recorder timelining gate transitions; the
     /// `u64` is the subject id events are recorded under. Locked only on
     /// the (rare) transition edges, never on the per-item fast path.
     recorder: Mutex<Option<(Arc<FlightRecorder>, u64)>>,
 }
 
 impl<T: Weighted> WatermarkQueue<T> {
-    /// New queue with the given watermark configuration and lossless
-    /// backpressure (no shedding).
+    /// New queue with the given watermark configuration.
     pub fn new(config: WatermarkConfig) -> Self {
-        Self::with_shed(config, ShedConfig::disabled())
-    }
-
-    /// New queue that degrades per `shed` once the gate has been closed
-    /// longer than [`ShedConfig::max_stall`].
-    pub fn with_shed(config: WatermarkConfig, shed: ShedConfig) -> Self {
-        let seed = match shed.policy {
-            ShedPolicy::Probabilistic { seed } if seed != 0 => seed,
-            _ => 0x9E37_79B9_7F4A_7C15,
-        };
         WatermarkQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -287,29 +168,24 @@ impl<T: Weighted> WatermarkQueue<T> {
                 gated_since: None,
                 closed: false,
                 release_pending: false,
-                shed_rng: seed,
             }),
             gated: AtomicBool::new(false),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             config,
-            shed,
             pushed: AtomicU64::new(0),
             popped: AtomicU64::new(0),
             gate_events: AtomicU64::new(0),
             gate_closures: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
-            shed_bytes: AtomicU64::new(0),
             gate_listeners: Mutex::new(Vec::new()),
             recorder: Mutex::new(None),
         }
     }
 
-    /// Attach a flight recorder: gate close/open and shed transitions are
-    /// timelined as [`EventKind::GateClosed`] (detail = buffered bytes),
-    /// [`EventKind::GateOpened`] (detail = gated microseconds) and
-    /// [`EventKind::Shed`] (detail = bytes sacrificed), with `subject`
-    /// identifying this queue.
+    /// Attach a flight recorder: gate close/open transitions are timelined
+    /// as [`EventKind::GateClosed`] (detail = buffered bytes) and
+    /// [`EventKind::GateOpened`] (detail = gated microseconds), with
+    /// `subject` identifying this queue.
     pub fn attach_recorder(&self, recorder: Arc<FlightRecorder>, subject: u64) {
         *self.recorder.lock() = Some((recorder, subject));
     }
@@ -407,87 +283,29 @@ impl<T: Weighted> WatermarkQueue<T> {
         self.gate_closures.load(Ordering::Relaxed)
     }
 
-    /// Items sacrificed by the shed policy (evicted or dropped).
-    pub fn shed_total(&self) -> u64 {
-        self.shed_total.load(Ordering::Relaxed)
-    }
-
-    /// Bytes sacrificed by the shed policy (evicted or dropped).
-    pub fn shed_bytes(&self) -> u64 {
-        self.shed_bytes.load(Ordering::Relaxed)
-    }
-
-    /// True when this queue may sacrifice items under sustained gating
-    /// (its policy is not [`ShedPolicy::None`]). Producers that normally
-    /// park on a closed gate should keep pushing into a shedding queue:
-    /// the push itself blocks no longer than `max_stall` before the
-    /// policy degrades instead of waiting.
-    pub fn sheds(&self) -> bool {
-        self.shed.policy != ShedPolicy::None
-    }
-
     /// Push, blocking while the queue is gated. Returns
     /// [`PushError::Closed`] if the queue was closed — `push_blocking`
-    /// never fails with backpressure; it waits the gate out (or, with a
-    /// non-`None` [`ShedPolicy`] armed after `max_stall`, degrades instead
-    /// of waiting forever).
-    pub fn push_blocking(&self, item: T) -> Result<Pushed, PushError<T>> {
-        self.push_bounded(item, None)
-    }
-
-    /// Push, blocking at the gate for at most `timeout`. Returns
-    /// [`PushError::Gated`] (item handed back) if the gate stayed closed
-    /// for the whole wait — the caller can now tell backpressure apart
-    /// from shutdown ([`PushError::Closed`]).
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<Pushed, PushError<T>> {
-        self.push_bounded(item, Some(timeout))
-    }
-
-    fn push_bounded(&self, item: T, timeout: Option<Duration>) -> Result<Pushed, PushError<T>> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+    /// never fails with backpressure; it waits the gate out. For threads
+    /// that are their own; a task asks [`try_push`](Self::try_push) and
+    /// parks on a gate listener instead.
+    pub fn push_blocking(&self, item: T) -> Result<(), PushError<T>> {
         let mut st = self.state.lock();
         if st.gated && !st.closed {
             self.gate_events.fetch_add(1, Ordering::Relaxed);
             while st.gated && !st.closed {
-                let mut wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if self.shed.policy != ShedPolicy::None {
-                    // Gate raced open between the loop check and here.
-                    let Some(since) = st.gated_since else { continue };
-                    let stalled = since.elapsed();
-                    if stalled >= self.shed.max_stall {
-                        let outcome = self.shed_push(&mut st, item);
-                        let fire = std::mem::take(&mut st.release_pending);
-                        drop(st);
-                        if fire {
-                            self.fire_gate_listeners();
-                        }
-                        return Ok(outcome);
-                    }
-                    // Not armed yet: sleep only until arming time so a
-                    // wedged consumer can't park us forever.
-                    let until_armed = self.shed.max_stall - stalled;
-                    wait = Some(wait.map_or(until_armed, |w| w.min(until_armed)));
-                }
-                match wait {
-                    // Out of time — a zero timeout never touches the condvar.
-                    Some(w) if w.is_zero() => return Err(PushError::Gated(item)),
-                    Some(w) => {
-                        self.not_full.wait_for(&mut st, w);
-                    }
-                    None => self.not_full.wait(&mut st),
-                }
+                self.not_full.wait(&mut st);
             }
         }
         if st.closed {
             return Err(PushError::Closed(item));
         }
         self.finish_push(&mut st, item);
-        Ok(Pushed::Enqueued)
+        Ok(())
     }
 
     /// Non-blocking push. [`PushError::Gated`] under backpressure,
     /// [`PushError::Closed`] after shutdown.
-    pub fn try_push(&self, item: T) -> Result<Pushed, PushError<T>> {
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut st = self.state.lock();
         if st.closed {
             return Err(PushError::Closed(item));
@@ -496,70 +314,10 @@ impl<T: Weighted> WatermarkQueue<T> {
             return Err(PushError::Gated(item));
         }
         self.finish_push(&mut st, item);
-        Ok(Pushed::Enqueued)
+        Ok(())
     }
 
-    fn note_shed(&self, bytes: usize) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-        self.shed_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.record_event(EventKind::Shed, bytes as u64);
-    }
-
-    /// Apply the armed shed policy to an incoming item while gated.
-    fn shed_push(&self, st: &mut QueueState<T>, item: T) -> Pushed {
-        if !item.sheddable() {
-            // Control-plane items (barriers, acks) bypass every policy:
-            // they are small, rare, and dropping one wedges the protocol
-            // that sent it. They enqueue despite the gate.
-            self.finish_push(st, item);
-            return Pushed::Enqueued;
-        }
-        match self.shed.policy {
-            ShedPolicy::None => unreachable!("shed_push called with ShedPolicy::None"),
-            ShedPolicy::DropNewest => {
-                self.note_shed(item.weight());
-                Pushed::Shed
-            }
-            ShedPolicy::DropOldest => {
-                let need = item.weight();
-                let mut evicted = 0usize;
-                // Evict from the oldest end but step over non-sheddable
-                // items — a queued barrier survives the purge in place, so
-                // its ordering relative to surviving data frames holds.
-                let mut idx = 0usize;
-                while st.level + need > self.config.high && idx < st.items.len() {
-                    if !st.items[idx].sheddable() {
-                        idx += 1;
-                        continue;
-                    }
-                    let old = st.items.remove(idx).expect("index bounded by len");
-                    st.level -= old.weight();
-                    self.note_shed(old.weight());
-                    evicted += 1;
-                }
-                self.maybe_release(st);
-                self.finish_push(st, item);
-                Pushed::Evicted(evicted)
-            }
-            ShedPolicy::Probabilistic { .. } => {
-                // p = (level - low) / (high - low), deterministic roll.
-                let span = (self.config.high - self.config.low).max(1) as u64;
-                let over = st.level.saturating_sub(self.config.low) as u64;
-                st.shed_rng = xorshift(st.shed_rng);
-                if st.shed_rng % span < over.min(span) {
-                    self.note_shed(item.weight());
-                    Pushed::Shed
-                } else {
-                    // Accept despite the gate: occupancy-proportional
-                    // admission self-limits the overshoot.
-                    self.finish_push(st, item);
-                    Pushed::Enqueued
-                }
-            }
-        }
-    }
-
-    /// Open the gate if eviction drained us to the low watermark.
+    /// Open the gate if a pop drained us to the low watermark.
     fn maybe_release(&self, st: &mut QueueState<T>) {
         if st.gated && st.level <= self.config.low {
             let gated_for =
@@ -740,15 +498,15 @@ mod tests {
         let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(100, 40));
         assert_eq!(q.gate_closures(), 0);
         q.push_blocking(item(120)).unwrap(); // closes
-        q.push_timeout(item(1), Duration::ZERO).unwrap_err(); // refused: no new edge
+        assert!(q.try_push(item(1)).is_err()); // refused: no new edge
         assert!(q.try_push(item(1)).is_err());
         assert_eq!(q.gate_closures(), 1, "one episode, however many were turned away");
         q.pop().unwrap(); // reopens
         q.push_blocking(item(120)).unwrap(); // closes again
         assert_eq!(q.gate_closures(), 2);
-        // Nobody blocked *in a push* for longer than a zero timeout, but
-        // backpressure engaged twice: that is what the closure count is for.
-        assert_eq!(q.gate_events(), 1, "only the bounded push counted as an event");
+        // Nobody blocked in a push, but backpressure engaged twice: that
+        // is what the closure count is for.
+        assert_eq!(q.gate_events(), 0, "a refused try_push is not a blocked producer");
     }
 
     #[test]
@@ -819,26 +577,17 @@ mod tests {
     }
 
     #[test]
-    fn recorder_timelines_gate_and_shed_transitions() {
+    fn recorder_timelines_gate_transitions() {
         let recorder = Arc::new(FlightRecorder::new(32));
-        let shed = ShedConfig::new(ShedPolicy::DropNewest, Duration::from_millis(5));
-        let q: WatermarkQueue<Vec<u8>> =
-            WatermarkQueue::with_shed(WatermarkConfig::new(10, 4), shed);
+        let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(10, 4));
         q.attach_recorder(recorder.clone(), 7);
         q.push_blocking(item(10)).unwrap(); // gate closes
-        q.push_blocking(item(3)).unwrap(); // stalls past max_stall, then sheds
         q.pop().unwrap(); // gate opens
-        assert!(recorder.contains_sequence(&[
-            EventKind::GateClosed,
-            EventKind::Shed,
-            EventKind::GateOpened,
-        ]));
+        assert!(recorder.contains_sequence(&[EventKind::GateClosed, EventKind::GateOpened]));
         let events = recorder.snapshot();
         let closed = events.iter().find(|e| e.kind == EventKind::GateClosed).unwrap();
         assert_eq!(closed.subject, 7);
         assert_eq!(closed.detail, 10, "detail carries buffered bytes at close");
-        let shed_ev = events.iter().find(|e| e.kind == EventKind::Shed).unwrap();
-        assert_eq!(shed_ev.detail, 3, "detail carries shed bytes");
     }
 
     #[test]
@@ -857,149 +606,13 @@ mod tests {
     fn try_push_distinguishes_gated_from_closed() {
         let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(10, 1));
         q.push_blocking(item(10)).unwrap(); // gated
-        match q.try_push(item(1)) {
-            Err(PushError::Gated(it)) => assert_eq!(it.len(), 1),
-            other => panic!("expected Gated, got {other:?}"),
-        }
+        let err = q.try_push(item(1)).unwrap_err();
+        assert!(err.is_gated() && !err.is_closed(), "backpressure, not shutdown: {err:?}");
+        assert_eq!(err.into_item().len(), 1, "the refused item is handed back");
         q.close();
-        match q.try_push(item(2)) {
-            Err(PushError::Closed(it)) => assert_eq!(it.len(), 2),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn push_timeout_reports_backpressure_distinct_from_shutdown() {
-        let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(10, 1));
-        q.push_blocking(item(10)).unwrap(); // gated
-        let err = q.push_timeout(item(3), Duration::from_millis(10)).unwrap_err();
-        assert!(err.is_gated());
-        assert!(!err.is_closed());
-        assert_eq!(err.into_item().len(), 3);
-        q.close();
-        let err = q.push_timeout(item(4), Duration::from_millis(10)).unwrap_err();
-        assert!(err.is_closed());
-    }
-
-    #[test]
-    fn shedding_stays_lossless_before_max_stall() {
-        let shed = ShedConfig::new(ShedPolicy::DropNewest, Duration::from_secs(60));
-        let q = Arc::new(WatermarkQueue::<Vec<u8>>::with_shed(WatermarkConfig::new(10, 1), shed));
-        q.push_blocking(item(10)).unwrap(); // gated
-        let q2 = q.clone();
-        let producer = std::thread::spawn(move || q2.push_blocking(item(2)));
-        assert!(wait_for(Duration::from_secs(5), || q.gate_events() == 1));
-        // Far below max_stall: the producer must still be blocked, nothing shed.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.shed_total(), 0);
-        assert_eq!(q.len(), 1, "producer must still be parked at the gate");
-        q.pop().unwrap();
-        assert!(matches!(producer.join().unwrap().unwrap(), Pushed::Enqueued));
-    }
-
-    #[test]
-    fn drop_newest_sheds_incoming_after_stall() {
-        let shed = ShedConfig::new(ShedPolicy::DropNewest, Duration::from_millis(10));
-        let q: WatermarkQueue<Vec<u8>> =
-            WatermarkQueue::with_shed(WatermarkConfig::new(10, 1), shed);
-        q.push_blocking(item(10)).unwrap(); // gated
-        let t0 = Instant::now();
-        let outcome = q.push_blocking(item(4)).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(9), "must wait out max_stall first");
-        assert_eq!(outcome, Pushed::Shed);
-        assert_eq!(q.shed_total(), 1);
-        assert_eq!(q.shed_bytes(), 4);
-        assert_eq!(q.len(), 1, "queued item preserved, incoming dropped");
-    }
-
-    #[test]
-    fn drop_oldest_evicts_to_admit_fresh_data() {
-        let shed = ShedConfig::new(ShedPolicy::DropOldest, Duration::from_millis(10));
-        let q: WatermarkQueue<Vec<u8>> =
-            WatermarkQueue::with_shed(WatermarkConfig::new(10, 4), shed);
-        q.push_blocking(vec![1u8; 5]).unwrap();
-        q.push_blocking(vec![2u8; 5]).unwrap(); // level 10: gated
-        assert!(q.is_gated());
-        let outcome = q.push_blocking(vec![3u8; 5]).unwrap();
-        assert!(matches!(outcome, Pushed::Evicted(n) if n >= 1));
-        assert!(q.shed_total() >= 1);
-        // Freshest item must be present; the front of the queue was sacrificed.
-        let drained: Vec<Vec<u8>> = std::iter::from_fn(|| q.pop()).collect();
-        assert!(drained.iter().any(|v| v[0] == 3), "fresh item must survive");
-        assert!(!drained.iter().any(|v| v[0] == 1), "oldest item must be shed");
-    }
-
-    /// A weighted item that opts out of shedding, like control frames do.
-    #[derive(Debug)]
-    struct Pinned(usize);
-
-    impl Weighted for Pinned {
-        fn weight(&self) -> usize {
-            self.0
-        }
-
-        fn sheddable(&self) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn non_sheddable_items_survive_every_policy() {
-        for policy in
-            [ShedPolicy::DropNewest, ShedPolicy::DropOldest, ShedPolicy::Probabilistic { seed: 9 }]
-        {
-            let shed = ShedConfig::new(policy, Duration::from_millis(5));
-            let q: WatermarkQueue<Pinned> =
-                WatermarkQueue::with_shed(WatermarkConfig::new(10, 4), shed);
-            q.push_blocking(Pinned(10)).unwrap(); // gated
-            let outcome = q.push_blocking(Pinned(4)).unwrap();
-            assert_eq!(outcome, Pushed::Enqueued, "{policy:?} must not drop control items");
-            assert_eq!(q.shed_total(), 0, "{policy:?} shed a non-sheddable item");
-            assert_eq!(q.len(), 2, "{policy:?} lost a queued non-sheddable item");
-        }
-    }
-
-    #[test]
-    fn control_frames_never_shed_and_data_eviction_skips_them() {
-        use crate::frame::{decode_frame, encode_control_frame, encode_frame, ControlKind};
-        use neptune_compress::SelectiveCompressor;
-        let frame = |wire: Vec<u8>| decode_frame(&wire).unwrap().0;
-        let barrier = frame(encode_control_frame(1, ControlKind::Barrier, 7));
-        assert!(!barrier.sheddable(), "control frames must be shed-exempt");
-        let data = frame(encode_frame(1, 0, &[vec![0u8; 64]], &SelectiveCompressor::disabled()));
-        assert!(data.sheddable());
-        let high = barrier.weight() + data.weight();
-        let shed = ShedConfig::new(ShedPolicy::DropOldest, Duration::from_millis(5));
-        let q = WatermarkQueue::with_shed(WatermarkConfig::new(high, high / 2), shed);
-        q.push_blocking(barrier).unwrap();
-        q.push_blocking(data.clone()).unwrap(); // level = high: gated
-        assert!(q.is_gated());
-        // DropOldest must evict the data frame, never the older barrier.
-        q.push_blocking(data.clone()).unwrap();
-        let survivor = q.pop().unwrap();
-        assert_eq!(
-            survivor.control,
-            Some(ControlKind::Barrier),
-            "barrier must survive DropOldest eviction in FIFO position"
-        );
-        assert!(q.shed_total() >= 1, "the data frame was the one sacrificed");
-    }
-
-    #[test]
-    fn probabilistic_shed_is_deterministic_and_counts() {
-        let shed =
-            ShedConfig::new(ShedPolicy::Probabilistic { seed: 42 }, Duration::from_millis(5));
-        let q: WatermarkQueue<Vec<u8>> =
-            WatermarkQueue::with_shed(WatermarkConfig::new(64, 8), shed);
-        q.push_blocking(item(64)).unwrap(); // gated, level = high -> p ~ 1
-        let mut shed_seen = 0;
-        for _ in 0..8 {
-            if let Pushed::Shed = q.push_blocking(item(4)).unwrap() {
-                shed_seen += 1;
-            }
-        }
-        assert!(shed_seen > 0, "at full occupancy the drop probability is ~1");
-        assert_eq!(q.shed_total(), shed_seen);
+        let err = q.try_push(item(2)).unwrap_err();
+        assert!(err.is_closed() && !err.is_gated(), "shutdown, not backpressure: {err:?}");
+        assert_eq!(err.into_item().len(), 2);
     }
 
     /// The lock-free mirror and the locked flag, read together.
@@ -1010,9 +623,7 @@ mod tests {
 
     #[test]
     fn lock_free_gate_agrees_with_locked_state_at_every_transition() {
-        let shed = ShedConfig::new(ShedPolicy::DropOldest, Duration::from_millis(5));
-        let q: WatermarkQueue<Vec<u8>> =
-            WatermarkQueue::with_shed(WatermarkConfig::new(100, 40), shed);
+        let q: WatermarkQueue<Vec<u8>> = WatermarkQueue::new(WatermarkConfig::new(100, 40));
         assert_eq!(gate_views(&q), (false, false));
         q.push_blocking(item(60)).unwrap();
         assert_eq!(gate_views(&q), (false, false), "below high");
@@ -1024,15 +635,14 @@ mod tests {
         q.pop().unwrap();
         assert_eq!(gate_views(&q), (false, false), "pop to low opens");
         assert!(!q.is_gated());
-        // Evict-to-low: gated at 100, then a 90-byte push armed by the
-        // stall has to evict both queued items to fit (level 0 <= low).
+        // A batch pop that drains through low opens the gate once.
         q.push_blocking(item(50)).unwrap();
         q.push_blocking(item(50)).unwrap();
         assert_eq!(gate_views(&q), (true, true));
-        assert_eq!(q.push_blocking(item(90)).unwrap(), Pushed::Evicted(2));
-        assert_eq!(gate_views(&q), (false, false), "eviction to low opens");
+        assert_eq!(q.pop_batch(2, &mut Vec::new()), 2);
+        assert_eq!(gate_views(&q), (false, false), "batch pop to low opens");
         // close() leaves the gate as it found it, in both views.
-        q.push_blocking(item(80)).unwrap();
+        q.push_blocking(item(100)).unwrap();
         assert_eq!(gate_views(&q), (true, true));
         q.close();
         assert_eq!(gate_views(&q), (true, true));

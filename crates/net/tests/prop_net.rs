@@ -12,7 +12,7 @@
 
 use neptune_net::buffer::{FlushedBatch, OutputBuffer, PushOutcome};
 use neptune_net::frame::FrameMessages;
-use neptune_net::watermark::{Pushed, WatermarkConfig, WatermarkQueue};
+use neptune_net::watermark::{WatermarkConfig, WatermarkQueue};
 use proptest::prelude::*;
 
 /// A flushed batch's messages, split the way a receiver splits them.
@@ -88,12 +88,9 @@ proptest! {
             if is_push {
                 // Model the non-blocking path only.
                 match q.try_push(vec![0u8; size]) {
-                    // Default ShedPolicy::None: an accepted push is always
-                    // a plain enqueue, never a shed or eviction.
-                    Ok(pushed) => {
-                        prop_assert!(matches!(pushed, Pushed::Enqueued));
-                        model.push_back(size);
-                    }
+                    // An accepted push is always a plain enqueue: the
+                    // queue never drops what it was handed.
+                    Ok(()) => model.push_back(size),
                     Err(_) => {
                         // try_push refuses exactly when gated or closed;
                         // the model's level must be in the gated band.

@@ -14,7 +14,7 @@ use neptune_net::frame::{encode_control_frame, encode_frame_into, ControlKind, F
 use neptune_net::pool::BytesPool;
 use neptune_net::tcp::{TcpReceiver, TcpSender};
 use neptune_net::test_support::{wait_for, NetRig};
-use neptune_net::watermark::{ShedConfig, WatermarkConfig};
+use neptune_net::watermark::WatermarkConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -60,10 +60,9 @@ const TIMEOUT: Duration = Duration::from_secs(20);
 /// A connected pooled receiver/sender pair.
 fn connect(rig: &NetRig, pool: &Arc<BytesPool>) -> (TcpReceiver, TcpSender) {
     let driver = rig.driver();
-    let rx = TcpReceiver::bind_reactor_pooled_with_shed(
+    let rx = TcpReceiver::bind_reactor_pooled(
         "127.0.0.1:0",
         WatermarkConfig::new(16 << 20, 1 << 20),
-        ShedConfig::disabled(),
         pool.clone(),
         &driver,
     )

@@ -29,8 +29,8 @@ pub enum EventKind {
     /// Backpressure gate released (subject = queue id, detail = gated
     /// microseconds).
     GateOpened = 1,
-    /// Shed policy sacrificed items (subject = queue id, detail =
-    /// bytes).
+    /// A source pump ended a shedding episode (subject = source
+    /// instance, detail = packets dropped).
     Shed = 2,
     /// Circuit breaker tripped open (subject = breaker id, detail =
     /// consecutive failures).

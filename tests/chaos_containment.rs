@@ -10,13 +10,15 @@
 //! 2. **Circuit breaking** — a *persistently* panicking operator trips its
 //!    breaker; subsequent frames are drained-and-dropped instead of
 //!    wedging the upstream gate, so the source still finishes.
-//! 3. **SLO-driven shedding** — under ~2x overload, `DropOldest` keeps the
-//!    source-side emit latency bounded while `shed_total` grows; the same
-//!    overload under the default `ShedPolicy::None` delivers losslessly.
+//! 3. **SLO-driven shedding** — under overload, a source held back for
+//!    `max_stall` sheds: its emit latency stays bounded while `shed_total`
+//!    grows, every packet it did not shed arrives, and nothing past the
+//!    source drops one; the same overload without a `max_stall` delivers
+//!    losslessly.
 
 use neptune::granules::sync::Mutex;
-use neptune::net::watermark::ShedPolicy;
 use neptune::prelude::*;
+use neptune::telemetry::EventKind;
 use proptest::chaos_seed;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -261,13 +263,12 @@ fn drop_oldest_bounds_source_latency_under_overload() {
     let emit_micros = Arc::new(Mutex::new(Vec::new()));
     let mut config = containment_config();
     // Small watermarks so the slow sink gates quickly, and a short stall
-    // budget so the policy arms within the test's patience.
+    // budget so the source sheds within the test's patience.
     config.watermark_high = 4 * 1024;
     config.watermark_low = 1024;
-    config.containment.shed_policy = ShedPolicy::DropOldest;
-    config.containment.max_stall = Duration::from_millis(10);
+    config.containment.max_stall = Some(Duration::from_millis(10));
     let job = build_job(
-        "shed-drop-oldest",
+        "shed-at-source",
         total,
         config,
         emitted.clone(),
@@ -282,8 +283,8 @@ fn drop_oldest_bounds_source_latency_under_overload() {
     assert!(job.await_sources(Duration::from_secs(60)), "shedding source must not stall");
     assert!(job.settle(Duration::from_secs(60)));
     let metrics = job.stop();
-    assert!(metrics.containment.shed_total > 0, "overload must actually shed");
-    assert!(metrics.containment.shed_bytes > 0);
+    let shed = metrics.containment.shed_total;
+    assert!(shed > 0, "overload must actually shed");
 
     // The SLO: no single emit may block longer than the shed stall budget
     // plus generous scheduling slack — far below the unbounded waits a
@@ -293,11 +294,74 @@ fn drop_oldest_bounds_source_latency_under_overload() {
     lat.sort_unstable();
     let p99 = lat[(lat.len() - 1) * 99 / 100];
     assert!(p99 < 250_000, "p99 emit latency {p99}us breaches the shed SLO (max_stall=10ms)");
-    // Shedding sacrifices frames: the sink must have seen strictly fewer
-    // packets than were emitted, and the books must balance.
+    // Shedding sacrifices packets at the source and only there: the sink
+    // saw strictly fewer than were emitted, and every one the source did
+    // not shed.
     let delivered = seen.lock().iter().filter(|s| **s).count() as u64;
-    assert!(delivered < total, "2x overload with DropOldest must lose something");
+    assert!(delivered < total, "overload with a stall budget must lose something");
     assert!(delivered > 0);
+    assert_eq!(delivered, total - shed, "a packet the source did not shed went missing");
+}
+
+/// Only the source sheds: a relay between it and a slow sink is held back
+/// like any processor, and delivers every packet it received.
+#[test]
+fn a_relay_behind_a_shedding_source_delivers_everything_it_received() {
+    struct Relay;
+    impl StreamProcessor for Relay {
+        fn process(&mut self, p: &StreamPacket, ctx: &mut OperatorContext) {
+            ctx.emit(p).expect("downstream open");
+        }
+    }
+    let total = 1_500u64;
+    let emitted = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(Mutex::new(vec![false; total as usize]));
+    let seen2 = seen.clone();
+    let mut config = containment_config();
+    config.watermark_high = 4 * 1024;
+    config.watermark_low = 1024;
+    config.containment.max_stall = Some(Duration::from_millis(10));
+    let graph = GraphBuilder::new("shed-behind-relay")
+        .source("src", move || Firehose {
+            emitted: emitted.clone(),
+            limit: total,
+            emit_micros: Arc::new(Mutex::new(Vec::new())),
+        })
+        .processor("relay", || Relay)
+        .processor("sink", move || PoisonSink {
+            seen: seen2.clone(),
+            poison: None,
+            delay: Duration::from_micros(400),
+        })
+        .link("src", "relay", PartitioningScheme::Shuffle)
+        .link("relay", "sink", PartitioningScheme::Shuffle)
+        .build()
+        .unwrap();
+    let job = LocalRuntime::new(config).submit(graph).unwrap();
+    assert!(job.await_sources(Duration::from_secs(60)), "shedding source must not stall");
+    assert!(job.settle(Duration::from_secs(60)));
+    // One event per episode, each counting what it dropped.
+    let episodes: Vec<u64> = job
+        .flight_recorder()
+        .iter()
+        .filter(|e| e.kind == EventKind::Shed)
+        .map(|e| e.detail)
+        .collect();
+    let metrics = job.stop();
+    let shed = metrics.containment.shed_total;
+    assert!(shed > 0, "the slow sink must push back until the source sheds");
+    assert!(!episodes.is_empty(), "no shedding episode was timelined");
+    assert!(episodes.iter().all(|&n| n > 0), "an episode that dropped nothing: {episodes:?}");
+    assert!(episodes.iter().sum::<u64>() <= shed, "episodes {episodes:?} exceed {shed}");
+    let (src, relay, sink) =
+        (metrics.operator("src"), metrics.operator("relay"), metrics.operator("sink"));
+    assert_eq!(src.packets_out + shed, total, "the source emitted or shed each packet");
+    assert_eq!(relay.packets_in, src.packets_out, "the source→relay hop dropped packets");
+    assert_eq!(relay.packets_out, relay.packets_in);
+    assert_eq!(sink.packets_in, relay.packets_out, "the relay→sink hop dropped packets");
+    let delivered = seen.lock().iter().filter(|s| **s).count() as u64;
+    assert_eq!(delivered, total - shed);
+    assert_eq!(metrics.total_seq_violations(), 0);
 }
 
 #[test]
@@ -309,7 +373,7 @@ fn lossless_policy_delivers_everything_under_same_overload() {
     let mut config = containment_config();
     config.watermark_high = 4 * 1024;
     config.watermark_low = 1024;
-    // Default ShedPolicy::None: same overload, zero loss (§III-B4).
+    // No `max_stall` (the default): same overload, zero loss (§III-B4).
     let job = build_job(
         "shed-none-lossless",
         total,
