@@ -273,10 +273,13 @@ pub struct RuntimeConfig {
     /// Paper default: 1 MB.
     pub buffer_bytes: usize,
     /// Flush-timer bound on buffering delay since the first buffered
-    /// message (§III-B1's latency soft upper bound). It bounds the source
-    /// hop, where packets are batched; a processor flushes when its input
-    /// runs out, and the timer is only its backstop when a link refused
-    /// that flush.
+    /// message (§III-B1's latency soft upper bound) — a backstop, not the
+    /// usual flush. A source's batch leaves when its source stops keeping
+    /// its pump busy (it answers `Idle` or `Pending`, or sleeps or blocks
+    /// in `next()`), and a processor's when its input runs out. The timer
+    /// fires for the rest: a source that keeps its pump busy without
+    /// filling a buffer, a pump parked on one refusing link while its
+    /// other channels hold data, and a processor drain that outlasts it.
     pub flush_interval: Duration,
     /// Inbound-queue high watermark, bytes (§III-B4).
     pub watermark_high: usize,
@@ -286,13 +289,12 @@ pub struct RuntimeConfig {
     pub compression: CompressionMode,
     /// Worker threads per resource. `None` = sized automatically from the
     /// host core count (and never below the number of processor instances
-    /// placed on the resource, which keeps blocking emits deadlock-free).
+    /// placed on the resource).
     pub worker_threads: Option<usize>,
     /// IO-tier threads per job (§IV-C's two-tier model). The IO tier runs
-    /// every background activity — source pumps, per-endpoint flush
-    /// tasks, socket tasks, the telemetry sampler — as cooperatively
-    /// scheduled tasks, so this does **not** need to scale with source
-    /// parallelism. `None` = sized automatically from the host core
+    /// every background activity — source pumps, socket tasks, the
+    /// telemetry sampler — as cooperatively scheduled tasks, so this does
+    /// **not** need to scale with source parallelism. `None` = sized automatically from the host core
     /// count; the `NEPTUNE_IO_THREADS` environment variable overrides the
     /// default (mirroring `NEPTUNE_CHAOS_SEED`).
     pub io_threads: Option<usize>,

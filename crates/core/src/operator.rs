@@ -52,6 +52,13 @@ pub type Waker = Arc<dyn Fn() + Send + Sync>;
 /// job stops — so `next` should return promptly and must not sleep or
 /// block: every other task on that thread waits with it.
 ///
+/// The pump batches what `next` emits only while the source keeps it busy,
+/// every call answered at once; a stint that ends any other way — the
+/// source answered `Idle` or `Pending`, or its calls used up the stint's
+/// 1 ms time budget — flushes its buffers. A source that does sleep in
+/// `next` therefore costs its packets at most one stint of latency, not a
+/// flush interval.
+///
 /// Backpressure reaches a source by not calling it (Fig. 4 of the paper):
 /// the pump asks every outgoing link whether it can take a batch before
 /// each `next`, and parks until the link says so when one cannot. Emits

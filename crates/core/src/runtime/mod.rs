@@ -658,10 +658,11 @@ mod tests {
 
     #[test]
     fn flush_timer_bounds_latency_for_slow_streams() {
-        // A trickle source with a huge buffer: only the flush timer can
-        // move packets, and packets must still all arrive. The source
-        // paces itself by *reporting Idle* until 2ms have passed — the
-        // pump's park/backoff provides the waiting, no sleeps anywhere.
+        // A trickle source with a huge buffer that never fills: its batch
+        // leaves as it answers Idle (the flush timer is the backstop), and
+        // packets must still all arrive. The source paces itself by
+        // *reporting Idle* until 2ms have passed — the pump's park/backoff
+        // provides the waiting, no sleeps anywhere.
         let seen = Arc::new(AtomicU64::new(0));
         let s2 = seen.clone();
         struct Trickle {

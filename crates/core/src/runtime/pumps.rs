@@ -2,11 +2,18 @@
 //! telemetry sampler — [`IoTask`] state machines on the job's shared
 //! [`neptune_granules::IoPool`].
 //!
-//! A pump fills its source's output buffers, so it also serves their flush
-//! timers: it flushes a buffer whose deadline has passed as it runs, and
-//! never sleeps past the earliest deadline of its channels. (A processor
-//! does the same for its own buffers during a drain, and flushes them all
-//! when its input runs out.)
+//! A pump fills its source's output buffers, and batches only while its
+//! source keeps it busy. A stint that ends on its emit budget — every call
+//! answered at once — leaves the buffers filling toward their byte
+//! capacity. A stint that ends any other way flushes them all before the
+//! pump yields or parks: the source answered `Idle` or `Pending`, or its
+//! calls used up the stint's time budget because it sleeps or blocks in
+//! `next()`. That is a processor's rule — output leaves when the input
+//! runs out — applied to a source. The flush timer is the backstop for the
+//! rest: a source that keeps its pump busy without filling a buffer, and a
+//! pump parked on one refusing link while its other channels hold data. A
+//! pump flushes a buffer whose deadline has passed as it runs, and never
+//! sleeps past the earliest deadline of its channels.
 //!
 //! None of these tasks waits on its thread. A task with nothing to do
 //! parks, and whoever feeds it holds its waker:
@@ -64,7 +71,8 @@ pub(crate) const EMIT_BUDGET: usize = 64;
 /// Wall-clock cap on one pump stint. Sources are supposed to return
 /// promptly from `next()`, but one that blocks inside it (paced test
 /// sources, slow devices) must not hold an IO thread — and with it every
-/// other pump's flush deadlines — for a whole emit budget.
+/// other pump's flush deadlines — for a whole emit budget. A stint that
+/// ends on this cap flushes its source's buffers.
 pub(crate) const STINT_BUDGET: Duration = Duration::from_millis(1);
 
 /// Counts live source pumps and is the job's one lifecycle signal: `dec`
@@ -327,9 +335,6 @@ impl SourcePump {
                 return self.finish();
             }
             let now = Instant::now();
-            if now.duration_since(stint_start) >= STINT_BUDGET {
-                break;
-            }
             if self.next_due.is_some_and(|due| now >= due) {
                 self.next_due = self.ctx.flush_due(now);
             }
@@ -345,26 +350,40 @@ impl SourcePump {
             } else {
                 self.end_shedding();
             }
+            if now.duration_since(stint_start) >= STINT_BUDGET {
+                // The source sleeps or blocks inside `next()` (or the host
+                // preempted this thread): it does not keep the pump busy,
+                // so its batches leave now. After admission: a pump a link
+                // holds back parks above, and its other channels keep
+                // their deadlines.
+                let _ = self.ctx.force_flush_all();
+                break;
+            }
             match self.source.next(&mut self.ctx) {
                 SourceStatus::Emitted(_) => self.idle_backoff = MIN_IDLE_BACKOFF,
                 // Whoever feeds the source holds our waker: nothing to
-                // poll until it fires.
+                // poll until it fires. The source ran out, so its output
+                // leaves.
                 SourceStatus::Pending if self.ctx.waker_taken() => {
                     self.idle_backoff = MIN_IDLE_BACKOFF;
+                    let _ = self.ctx.force_flush_all();
                     return self.park(None);
                 }
                 // A `Pending` nobody can end is an `Idle`.
                 SourceStatus::Idle | SourceStatus::Pending => {
                     let backoff = self.idle_backoff;
                     self.idle_backoff = (self.idle_backoff * 2).min(MAX_IDLE_BACKOFF);
+                    let _ = self.ctx.force_flush_all();
                     return self.park(Some(Instant::now() + backoff));
                 }
                 SourceStatus::Exhausted => return self.finish(),
             }
         }
-        // Budget exhausted: yield, so pumps share IO threads fairly even
-        // when every source is saturated. With nothing else queued the
-        // pool runs this pump again at once, on this thread.
+        // Emit budget spent, every call answered at once: the source keeps
+        // the pump busy, so its buffers keep filling. Yield, so pumps share
+        // IO threads fairly even when every source is saturated. With
+        // nothing else queued the pool runs this pump again at once, on
+        // this thread.
         self.next_due = self.ctx.flush_due(Instant::now());
         IoStatus::Ready
     }

@@ -67,6 +67,8 @@ struct State {
     /// The first frame never transmitted: below it, a transmission is a
     /// replay.
     fresh_from: u64,
+    /// Sender-queue full events of the transports cut so far.
+    cut_sender_full: u64,
 }
 
 impl State {
@@ -287,7 +289,9 @@ impl SupervisedLink {
     /// The transport failed, or a dial did: back off, or give up once the
     /// attempt budget is spent.
     fn cut(&self, st: &mut State, wake: &mut bool) -> Result<(), TransportError> {
-        st.transport = None;
+        if let Some(transport) = st.transport.take() {
+            st.cut_sender_full += transport.sender_full();
+        }
         if st.recovering {
             st.attempts += 1;
         } else {
@@ -379,6 +383,13 @@ impl FrameLink for SupervisedLink {
 
     fn add_space_listener(&self, listener: SpaceListener) {
         self.listeners.lock().push(listener);
+    }
+
+    /// The live transport's count plus those of the transports cut before
+    /// it: a redial does not reset it.
+    fn sender_full(&self) -> u64 {
+        let st = self.state.lock();
+        st.cut_sender_full + st.transport.as_ref().map_or(0, |t| t.sender_full())
     }
 }
 
@@ -626,5 +637,54 @@ mod tests {
         assert!(link.admits());
         link.send_frame(&batch(0, &[b"a"])).unwrap();
         assert_eq!(q.pop().unwrap().seq, Some(0));
+    }
+
+    /// A transport that refuses nothing and reports a fixed count of
+    /// sender-queue full events, until it is told to fail.
+    struct Counting {
+        full: u64,
+        down: AtomicBool,
+    }
+
+    impl FrameLink for Counting {
+        fn send_frame(&self, frame: &OutboundFrame) -> Result<usize, TransportError> {
+            if self.down.load(Ordering::Acquire) {
+                return Err(TransportError::Io("cut".into()));
+            }
+            Ok(wire_len(frame.encoded.len()))
+        }
+
+        fn send_control(&self, _: u64, _: ControlKind, _: u64) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn sender_full(&self) -> u64 {
+            self.full
+        }
+    }
+
+    #[test]
+    fn sender_full_counts_the_live_transport_and_those_cut_before_it() {
+        let dialled: Arc<Mutex<Vec<Arc<Counting>>>> = Arc::default();
+        let d = dialled.clone();
+        let connector = move || {
+            let mut dialled = d.lock();
+            // The first connection reports 3 full events, the second 4.
+            let transport =
+                Arc::new(Counting { full: 3 + dialled.len() as u64, down: AtomicBool::new(false) });
+            dialled.push(transport.clone());
+            Ok(transport as Arc<dyn FrameLink>)
+        };
+        let stats = Arc::new(RecoveryStats::new());
+        let link = SupervisedLink::new(1, connector, immediate(3), 1 << 20, stats.clone());
+        assert_eq!(link.sender_full(), 0, "nothing dialled yet");
+        link.send_frame(&batch(0, &[b"a"])).unwrap();
+        assert_eq!(link.sender_full(), 3);
+        dialled.lock()[0].down.store(true, Ordering::Release);
+        link.send_frame(&batch(1, &[b"b"])).unwrap(); // retained; the send cuts
+        assert_eq!(link.sender_full(), 3, "the cut transport's count stays");
+        while link.retry_staged().unwrap() {}
+        assert_eq!(stats.snapshot().reconnects, 1);
+        assert_eq!(link.sender_full(), 3 + 4, "the redial adds the new transport's count");
     }
 }

@@ -1,22 +1,34 @@
 //! One buffering rule: packets are batched once, where they are born.
 //!
-//! A source's output buffer flushes at its byte capacity or when its flush
-//! timer fires (§III-B1). A processor's input already arrives batched, so
-//! its output leaves when that input runs out — it does not wait out a
-//! second timer. Latency therefore does not grow with graph depth, and a
-//! processor sends no more frames per endpoint than it receives.
+//! A source's output buffer fills while its source keeps the pump busy —
+//! every call answered at once — and flushes at its byte capacity. When
+//! the source stops keeping the pump busy (it answers `Idle` or `Pending`,
+//! or sleeps inside `next()`), what it buffered leaves: that is the rule a
+//! processor already follows, whose input arrives batched, so its output
+//! leaves when that input runs out. The flush timer (§III-B1) is the
+//! backstop for what neither rule covers, such as a channel whose pump is
+//! parked on another, refusing, link. Latency therefore does not grow with
+//! graph depth, and a processor sends no more frames per endpoint than it
+//! receives.
 //!
 //! Whoever fills a buffer flushes it: a source's pump serves its channels'
 //! flush timers however it parks, and no task exists per channel. The
 //! tests below that say so run on one IO thread and on two.
 
 use neptune::prelude::*;
+
+#[path = "support/parked_pump.rs"]
+mod parked_pump;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The IO-tier widths the flushing tests run at.
 const IO_THREADS: [usize; 2] = [1, 2];
+
+/// A flush interval far beyond any wait below: no flush timer may be what
+/// delivers a batch.
+const NEVER: Duration = Duration::from_secs(60);
 
 /// Emits `remaining` timestamped packets, one per `pace`, without holding
 /// its IO thread in between: it answers `Idle` until the next is due.
@@ -78,8 +90,9 @@ fn await_count(seen: &AtomicU64, n: u64) {
     }
 }
 
-/// Three processor hops behind a timer-flushed source: only the source's
-/// flush timer delays a packet. With a timer per hop the sink's median
+/// Three processor hops behind a trickling source: no hop waits out a
+/// flush timer — the source's batch leaves when it answers `Idle`, each
+/// relay's when its input runs out. With a timer per hop the sink's median
 /// would be about half an interval plus three whole ones (3.5x).
 #[test]
 fn latency_does_not_grow_with_depth() {
@@ -100,7 +113,7 @@ fn latency_does_not_grow_with_depth() {
         .build()
         .unwrap();
     let config = RuntimeConfig {
-        buffer_bytes: 1 << 20, // never fills: only the timer flushes the source
+        buffer_bytes: 1 << 20, // never fills: no batch leaves for its size
         flush_interval: INTERVAL,
         telemetry: TelemetryConfig::enabled(),
         ..Default::default()
@@ -149,7 +162,10 @@ fn a_relay_sends_at_most_one_frame_per_endpoint_per_frame_received() {
     let metrics = job.stop();
 
     let (one, two) = (metrics.operator("one"), metrics.operator("two"));
-    assert!(one.frames_in > 1 && two.frames_in > 1, "the source flushed by timer: {one:?} {two:?}");
+    assert!(
+        one.frames_in > 1 && two.frames_in > 1,
+        "the source flushed as it idled: {one:?} {two:?}"
+    );
     assert!(
         one.frames_out <= one.frames_in,
         "one-to-one relay: {} frames out for {} in",
@@ -239,8 +255,8 @@ impl StreamSource for EmitsOnce {
             return SourceStatus::Idle;
         }
         if self.then == SourceStatus::Pending {
-            // Nobody will ever fire this: only the flush deadline ends
-            // the pump's park.
+            // Nobody will ever fire this: the pump parks for good, so the
+            // packet leaves before it parks or not at all.
             let _ = ctx.waker();
         }
         self.then
@@ -250,33 +266,36 @@ impl StreamSource for EmitsOnce {
 /// Run the one packet of an [`EmitsOnce`] source to a sink and return
 /// how long it took from the emit to the sink: the best of three jobs, so
 /// that a busy host's scheduling delay is not taken for the pump's.
-fn one_packet_latency(
-    emit_on: u64,
-    then: SourceStatus,
-    flush_interval: Duration,
-    io_threads: usize,
-) -> Duration {
-    (0..3).map(|_| one_packet_job(emit_on, then, flush_interval, io_threads)).min().unwrap()
+fn one_packet_latency(emit_on: u64, then: SourceStatus, io_threads: usize) -> Duration {
+    best_of_three(io_threads, move |emitted_at| EmitsOnce { calls: 0, emit_on, then, emitted_at })
 }
 
-fn one_packet_job(
-    emit_on: u64,
-    then: SourceStatus,
-    flush_interval: Duration,
+/// The best of three [`first_packet_job`]s.
+fn best_of_three<S: StreamSource + 'static>(
     io_threads: usize,
+    source: impl Fn(Arc<OnceLock<Instant>>) -> S + Clone + Send + Sync + 'static,
+) -> Duration {
+    (0..3).map(|_| first_packet_job(io_threads, source.clone())).min().unwrap()
+}
+
+/// One job of a source that records when it emitted its first packet: how
+/// long that packet took to reach the sink. Its flush timer never fires.
+fn first_packet_job<S: StreamSource + 'static>(
+    io_threads: usize,
+    source: impl Fn(Arc<OnceLock<Instant>>) -> S + Send + Sync + 'static,
 ) -> Duration {
     let emitted_at: Arc<OnceLock<Instant>> = Arc::default();
     let arrivals = Arrivals::default();
     let (sink, at) = (arrivals.clone(), emitted_at.clone());
     let graph = GraphBuilder::new("one-packet")
-        .source("src", move || EmitsOnce { calls: 0, emit_on, then, emitted_at: at.clone() })
+        .source("src", move || source(at.clone()))
         .processor("sink", move || sink.clone())
         .link("src", "sink", PartitioningScheme::Shuffle)
         .build()
         .unwrap();
     let config = RuntimeConfig {
-        buffer_bytes: 1 << 20, // never fills: only the timer flushes
-        flush_interval,
+        buffer_bytes: 1 << 20, // never fills: no batch leaves for its size
+        flush_interval: NEVER,
         io_threads: Some(io_threads),
         ..Default::default()
     };
@@ -286,111 +305,148 @@ fn one_packet_job(
     arrived - *emitted_at.get().expect("arrived, so emitted")
 }
 
-/// A source whose feeder never fires its waker: the pump parks until the
-/// buffered packet's flush deadline, and not past it.
+/// A source whose feeder never fires its waker answers `Pending` as it
+/// emits: its source stopped keeping the pump busy, so the packet leaves
+/// before the pump parks, whatever the flush interval. The source has
+/// idled up to its 20 ms back-off cap first.
 #[test]
-fn a_pending_sources_one_buffered_packet_arrives_within_the_flush_interval() {
-    const INTERVAL: Duration = Duration::from_millis(20);
-    for io_threads in IO_THREADS {
-        let waited = one_packet_latency(1, SourceStatus::Pending, INTERVAL, io_threads);
-        assert!(waited >= INTERVAL, "io_threads {io_threads}: flushed early, {waited:?}");
-        assert!(
-            waited < INTERVAL + Duration::from_millis(2),
-            "io_threads {io_threads}: {waited:?} for a {INTERVAL:?} flush interval"
-        );
-    }
-}
-
-/// An idle source backs off up to 20 ms between polls; a 5 ms flush
-/// interval still holds. The emitting call answers `Idle` too, so the
-/// back-off is at its cap when the packet is buffered.
-#[test]
-fn an_idle_source_at_its_backoff_cap_still_flushes_at_a_5ms_interval() {
-    const INTERVAL: Duration = Duration::from_millis(5);
+fn a_pending_sources_one_buffered_packet_leaves_before_its_pump_parks() {
     for io_threads in IO_THREADS {
         // 200 µs doubling to the 20 ms cap takes eight idle answers.
-        let waited = one_packet_latency(12, SourceStatus::Idle, INTERVAL, io_threads);
-        assert!(waited >= INTERVAL, "io_threads {io_threads}: flushed early, {waited:?}");
+        let waited = one_packet_latency(12, SourceStatus::Pending, io_threads);
         assert!(
-            waited < INTERVAL + Duration::from_millis(2),
-            "io_threads {io_threads}: {waited:?} for a {INTERVAL:?} flush interval"
+            waited < Duration::from_millis(2),
+            "io_threads {io_threads}: {waited:?} for a packet whose source went quiet"
         );
     }
 }
 
-/// Every packet goes to both links. The `held` one frames each packet and
-/// its sink holds them until its gate closes, so the pump parks on it; the
-/// `free` one buffers, and its batch must leave on its own deadline
-/// regardless.
+/// An idle source backs off up to 20 ms between polls. The emitting call
+/// answers `Idle` too, with the back-off at its cap: the packet leaves
+/// before that back-off, not after it or a flush interval.
+#[test]
+fn an_idle_source_at_its_backoff_cap_flushes_as_it_answers_idle() {
+    for io_threads in IO_THREADS {
+        let waited = one_packet_latency(12, SourceStatus::Idle, io_threads);
+        assert!(
+            waited < Duration::from_millis(2),
+            "io_threads {io_threads}: {waited:?} for a packet whose source went idle"
+        );
+    }
+}
+
+/// A source that sleeps inside `next()` does not keep its pump busy: the
+/// stint's time budget ends its stint, and what it emitted leaves then —
+/// one stint of latency, not a flush interval.
+#[test]
+fn a_source_that_sleeps_in_next_costs_at_most_one_stint() {
+    /// Emits a packet per call and sleeps 2 ms after each.
+    struct Sleepy(Arc<OnceLock<Instant>>);
+    impl StreamSource for Sleepy {
+        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+            let _ = self.0.set(Instant::now());
+            ctx.emit(&packet(0)).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            SourceStatus::Emitted(1)
+        }
+    }
+    for io_threads in IO_THREADS {
+        let waited = best_of_three(io_threads, Sleepy);
+        assert!(
+            waited < Duration::from_millis(10),
+            "io_threads {io_threads}: {waited:?} for a source that sleeps 2 ms a call"
+        );
+    }
+}
+
+/// A source that answers every call at once keeps its pump busy, and its
+/// frames fill to the buffer's byte capacity: every data frame but the
+/// last is full. A pump that flushed every stint would send frames of one
+/// stint's 64 packets, about half of that. A stint the host preempts for
+/// over a millisecond ends on its time budget and flushes early, so this
+/// takes the best of five jobs: with two busy processes beside it on two
+/// cores, about one job in four sees such a preemption.
+#[test]
+fn a_saturating_sources_frames_fill_to_its_buffer_bytes() {
+    const BUFFER: usize = 64 << 10;
+    const PACKETS: u64 = 2_000;
+    /// Emits `PACKETS` packets of about 500 bytes, each as soon as asked.
+    struct Flood(u64);
+    impl StreamSource for Flood {
+        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
+            if self.0 == PACKETS {
+                return SourceStatus::Exhausted;
+            }
+            let mut p = packet(self.0);
+            p.push_field("pad", FieldValue::Bytes(vec![7; 500]));
+            ctx.emit(&p).unwrap();
+            self.0 += 1;
+            SourceStatus::Emitted(1)
+        }
+    }
+    /// Records the byte size of every frame it receives.
+    #[derive(Clone, Default)]
+    struct FrameSizes(Arc<Mutex<Vec<usize>>>, Arc<AtomicU64>);
+    impl StreamProcessor for FrameSizes {
+        fn process(&mut self, _p: &StreamPacket, _ctx: &mut OperatorContext) {}
+        fn process_encoded(
+            &mut self,
+            batch: &neptune::net::frame::FrameMessages,
+            _ctx: &mut OperatorContext,
+        ) -> bool {
+            self.0.lock().unwrap().push(batch.batch().len());
+            self.1.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            true
+        }
+    }
+    for io_threads in IO_THREADS {
+        let mut short = Vec::new();
+        for _ in 0..5 {
+            let sizes = FrameSizes::default();
+            let sink = sizes.clone();
+            let graph = GraphBuilder::new("flood")
+                .source("src", || Flood(0))
+                .processor("sink", move || sink.clone())
+                .link("src", "sink", PartitioningScheme::Shuffle)
+                .build()
+                .unwrap();
+            let config = RuntimeConfig {
+                buffer_bytes: BUFFER,
+                flush_interval: NEVER,
+                io_threads: Some(io_threads),
+                ..Default::default()
+            };
+            let job = LocalRuntime::new(config).submit(graph).unwrap();
+            await_count(&sizes.1, PACKETS);
+            job.stop();
+            let sizes = sizes.0.lock().unwrap().clone();
+            assert!(sizes.len() > 10, "io_threads {io_threads}: {} frames", sizes.len());
+            let (_, full) = sizes.split_last().expect("frames arrived");
+            short = full.iter().copied().filter(|&len| len < 60 << 10).collect();
+            if short.is_empty() {
+                break;
+            }
+        }
+        assert!(short.is_empty(), "io_threads {io_threads}: frames short of 60 KiB: {short:?}");
+    }
+}
+
+/// A pump parked on one gated fan-out link still serves its other
+/// channels' flush deadlines: the free link's batch leaves on its own
+/// deadline, not before and not long after (see `support/parked_pump.rs`).
 #[test]
 fn with_one_fan_out_channel_gated_the_others_batch_leaves_on_its_deadline() {
     const INTERVAL: Duration = Duration::from_millis(20);
     for io_threads in IO_THREADS {
         // The best of three jobs, as in `one_packet_latency`.
-        let waited = (0..3).map(|_| fan_out_job(INTERVAL, io_threads)).min().unwrap();
+        let waits = parked_pump::parked_flush_waits(INTERVAL, Some(io_threads), 3);
+        let waited = waits.into_iter().min().unwrap();
         assert!(waited >= INTERVAL, "io_threads {io_threads}: flushed early, {waited:?}");
         assert!(
             waited < INTERVAL + Duration::from_millis(5),
             "io_threads {io_threads}: {waited:?} for a {INTERVAL:?} flush interval"
         );
     }
-}
-
-/// One job of the fan-out test: how long the `free` link's first batch
-/// took from the source's first emit to its sink.
-fn fan_out_job(interval: Duration, io_threads: usize) -> Duration {
-    const PACKETS: u64 = 2_000;
-    /// Emits `PACKETS` numbered packets, recording when it started.
-    struct Numbered(u64, Arc<OnceLock<Instant>>);
-    impl StreamSource for Numbered {
-        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
-            if self.0 == PACKETS {
-                return SourceStatus::Exhausted;
-            }
-            let _ = self.1.set(Instant::now());
-            ctx.emit(&packet(self.0)).unwrap();
-            self.0 += 1;
-            SourceStatus::Emitted(1)
-        }
-    }
-    let started = Arc::new(OnceLock::new());
-    let held = Held::default();
-    let (free, probe) = (Arrivals::default(), held.clone());
-    let (s, h, f) = (started.clone(), held.clone(), free.clone());
-    let graph = GraphBuilder::new("fan-out")
-        .source("src", move || Numbered(0, s.clone()))
-        .processor("held", move || h.clone())
-        .processor("free", move || f.clone())
-        .link_with(
-            "src",
-            "held",
-            PartitioningScheme::Shuffle,
-            LinkOptions::default().buffer_bytes(1),
-        )
-        .link_with(
-            "src",
-            "free",
-            PartitioningScheme::Shuffle,
-            LinkOptions::default().buffer_bytes(1 << 20).flush_interval(interval),
-        )
-        .build()
-        .unwrap();
-    let config = RuntimeConfig {
-        watermark_high: 4096,
-        watermark_low: 1024,
-        io_threads: Some(io_threads),
-        ..Default::default()
-    };
-    let job = LocalRuntime::new(config).submit(graph).unwrap();
-    let arrived = free.await_first();
-    let gated = job.total_gate_closures() > 0 && job.active_sources() == 1;
-    probe.go.store(true, Ordering::Release);
-    assert!(job.await_sources(Duration::from_secs(30)));
-    job.stop();
-    assert!(gated, "io_threads {io_threads}: the held sink's gate never stopped the source");
-    assert_eq!(held.seen.load(Ordering::Relaxed), PACKETS, "io_threads {io_threads}");
-    assert_eq!(free.count() as u64, PACKETS, "io_threads {io_threads}");
-    arrived - *started.get().expect("arrived, so started")
 }
 
 /// Output a processor emits in `open()` leaves without any input to run
@@ -425,8 +481,7 @@ fn output_a_processor_emits_in_open_arrives_with_no_input() {
             .unwrap();
         let config = RuntimeConfig {
             buffer_bytes: 1 << 20,
-            // Far beyond the wait below: no timer may be what delivers it.
-            flush_interval: Duration::from_secs(60),
+            flush_interval: NEVER,
             io_threads: Some(io_threads),
             ..Default::default()
         };

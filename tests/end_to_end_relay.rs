@@ -190,9 +190,10 @@ fn tcp_high_volume_teardown_loses_nothing() {
 
 #[test]
 fn flush_timer_bounds_latency_of_trickle() {
-    // A slow source with huge buffers: only the flush timer moves data, so
-    // observed end-to-end latency must stay near the timer bound, not the
-    // buffer-fill time (which would be ~forever).
+    // A slow source with huge buffers that never fill: its batch leaves as
+    // its sleep inside `next()` ends the pump's stint, or at the latest on
+    // the flush timer, so observed end-to-end latency must stay near the
+    // timer bound, not the buffer-fill time (which would be ~forever).
     struct Trickle {
         left: u32,
     }

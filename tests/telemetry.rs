@@ -4,13 +4,13 @@
 //! execution), a non-empty sampler time series, and snapshots in both
 //! export formats.
 //!
-//! The latency test pins down the Fig. 2 invariant: with a buffer far too
-//! large to fill, *only the flush timer moves packets out of the source*,
-//! so observed end-to-end p99 must stay within a small multiple of the
-//! configured flush interval — the paper's argument that timers bound the
-//! latency cost of application-level buffering (§III-B1). Processors do
-//! not wait out a second timer: their output leaves when their input runs
-//! out.
+//! The latency test pins down what bounds the latency cost of
+//! application-level buffering (§III-B1) with a buffer far too large to
+//! fill: observed end-to-end p99 stays within a small multiple of the
+//! configured flush interval, and a source that sleeps inside `next()`
+//! does not keep its pump busy, so its batch leaves within a stint, well
+//! before the timer would fire. Processors do not wait out a timer either:
+//! their output leaves when their input runs out.
 
 use neptune::prelude::*;
 
@@ -70,9 +70,11 @@ fn relay_graph(n: u64, pause: Duration, seen: Arc<AtomicU64>) -> neptune::core::
 
 #[test]
 fn flush_timer_bounds_p99_latency() {
-    // Fig. 2: huge buffer, 10 ms flush timer, trickle source — packets can
-    // only move when the timer fires, so e2e latency is timer-dominated
-    // and must stay bounded by a small multiple of the interval.
+    // Fig. 2: huge buffer, 10 ms flush timer, a source that sleeps 2 ms
+    // per call — its pump's stint ends on its time budget after each call,
+    // and the packet leaves then. e2e latency must stay bounded by a small
+    // multiple of the interval, and the source's buffer wait by a quarter
+    // of it.
     let flush = Duration::from_millis(10);
     let seen = Arc::new(AtomicU64::new(0));
     let n = 300u64;
@@ -92,12 +94,12 @@ fn flush_timer_bounds_p99_latency() {
 
     let sink = &snap.operators["sink"];
     assert_eq!(sink.e2e.count(), n);
-    // One timer-flushed hop (the source's) plus scheduling and the relay's
+    // One batched hop (the source's) plus scheduling and the relay's
     // drain. The ceiling is 25x the interval: loose enough for a loaded CI
-    // machine running the whole suite in parallel, but far below a broken
-    // flush timer, which would hold packets until source close — the
-    // emission window alone is 300 packets x 2 ms = 600 ms, so the
-    // earliest packets would show p99 near that.
+    // machine running the whole suite in parallel, but far below a source
+    // buffer that nothing flushes, which would hold packets until source
+    // close — the emission window alone is 300 packets x 2 ms = 600 ms, so
+    // the earliest packets would show p99 near that.
     let bound_us = 25 * flush.as_micros() as u64;
     assert!(
         sink.e2e.p99() < bound_us,
@@ -106,14 +108,22 @@ fn flush_timer_bounds_p99_latency() {
         bound_us
     );
     // The breakdown must show where that time went: the source's output
-    // buffer held packets for up to one flush interval; the relay's only
-    // for as long as it took to drain what arrived together.
+    // buffer held a packet for the 2 ms call it was emitted in, not for the
+    // flush interval — a timer-flushed batch records at least the interval
+    // — and the relay's only for as long as it took to drain what arrived
+    // together. The source's tail is that call plus the time its thread
+    // waited for a core after the sleep, which on a loaded host is
+    // milliseconds: the median is held to a quarter of the interval, the
+    // tail to under one.
     let interval_us = flush.as_micros() as u64;
     let src_wait = &snap.operators["src"].buffer_wait;
+    assert!(src_wait.count() > 0);
     assert!(
-        src_wait.max() >= interval_us / 2,
-        "timer-flushed source buffer wait {}µs implausibly small",
-        src_wait.max()
+        src_wait.p50() < interval_us / 4 && src_wait.p99() < interval_us,
+        "the source held its output {}µs (p50), {}µs (p99): it waited for a timer, \
+         not for its stint to end",
+        src_wait.p50(),
+        src_wait.p99()
     );
     let relay_wait = &snap.operators["relay"].buffer_wait;
     assert!(relay_wait.count() > 0);

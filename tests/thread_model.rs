@@ -4,10 +4,11 @@
 //! * **shutdown hygiene** — a job using every background facility
 //!   (sources, processors, HA, telemetry) leaves no thread behind after
 //!   `stop()`, and the IO tier drains its queue before exiting;
-//! * **exact flush firing** — the per-endpoint flush deadline registers
-//!   directly with the timer wheel, so observed buffering delay tracks
-//!   the configured `flush_interval` to within 10%, not within the 50%
-//!   a half-interval scan tick would allow;
+//! * **exact flush firing** — a pump parked on one gated link still
+//!   serves its other channels' flush deadlines, registered directly with
+//!   the timer wheel, so observed buffering delay there tracks the
+//!   configured `flush_interval` to within 10%, not within the 50% a
+//!   half-interval scan tick would allow;
 //! * **O(1) idle cost** — thread count does not scale with source
 //!   parallelism: 64 idle sources run on the same fixed IO tier as 1;
 //! * **io_threads = 1 correctness** — a single IO thread still serves
@@ -22,6 +23,9 @@
 
 use neptune::core::config::TransportMode;
 use neptune::prelude::*;
+
+#[path = "support/parked_pump.rs"]
+mod parked_pump;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -170,71 +174,19 @@ fn shutdown_leaves_no_job_threads_and_drains_io_tier() {
     assert!(leaked.is_empty(), "threads leaked after stop(): {leaked:?}");
 }
 
-/// One-packet-at-a-time traffic against a huge buffer: only the flush
-/// timer moves data, so sink-observed latency is the flush firing time.
-/// With deadlines registered directly on the timer wheel the median
-/// firing error must stay under 10% of the configured interval — the
-/// old half-interval scan tick sat at 50%.
+/// The flush timer still governs one case: a pump parked on a gated link
+/// while another of its channels holds data (see
+/// `support/parked_pump.rs`). With deadlines registered directly on the
+/// timer wheel the median firing error must stay under 10% of the
+/// configured interval — the old half-interval scan tick sat at 50%.
 #[test]
 fn flush_fires_within_ten_percent_of_interval() {
     const INTERVAL: Duration = Duration::from_millis(20);
     const SAMPLES: usize = 5;
-    let latencies = Arc::new(neptune::granules::sync::Mutex::new(Vec::<i64>::new()));
-
-    struct Paced {
-        left: usize,
-        last: Option<std::time::Instant>,
-    }
-    impl StreamSource for Paced {
-        fn next(&mut self, ctx: &mut OperatorContext) -> SourceStatus {
-            // Emit (or exhaust) only after the previous packet has
-            // certainly flushed: each packet starts its own flush clock,
-            // and exhaustion's force-flush can't clip the last deadline.
-            if let Some(t) = self.last {
-                if t.elapsed() < Duration::from_millis(60) {
-                    return SourceStatus::Idle;
-                }
-            }
-            if self.left == 0 {
-                return SourceStatus::Exhausted;
-            }
-            self.left -= 1;
-            self.last = Some(std::time::Instant::now());
-            let mut p = StreamPacket::new();
-            p.push_field("ts", FieldValue::Timestamp(neptune::core::now_micros()));
-            ctx.emit(&p).unwrap();
-            SourceStatus::Emitted(1)
-        }
-    }
-
-    struct LatSink(Arc<neptune::granules::sync::Mutex<Vec<i64>>>);
-    impl StreamProcessor for LatSink {
-        fn process(&mut self, p: &StreamPacket, _ctx: &mut OperatorContext) {
-            if let Some(FieldValue::Timestamp(ts)) = p.get("ts") {
-                self.0.lock().push(neptune::core::now_micros() as i64 - *ts as i64);
-            }
-        }
-    }
-
-    let l2 = latencies.clone();
-    let graph = GraphBuilder::new("tmf")
-        .source("src", || Paced { left: SAMPLES, last: None })
-        .processor("sink", move || LatSink(l2.clone()))
-        .link("src", "sink", PartitioningScheme::Shuffle)
-        .build()
-        .unwrap();
-    let config = RuntimeConfig {
-        buffer_bytes: 1 << 20, // never flushes by size
-        flush_interval: INTERVAL,
-        ..Default::default()
-    };
-    let rt = LocalRuntime::new(config);
-    let job = rt.submit(graph).unwrap();
-    assert!(job.await_sources(Duration::from_secs(20)), "source stalled");
-    job.stop();
-
-    let mut lat = latencies.lock().clone();
-    assert_eq!(lat.len(), SAMPLES, "missing samples");
+    let mut lat: Vec<i64> = parked_pump::parked_flush_waits(INTERVAL, None, SAMPLES)
+        .into_iter()
+        .map(|wait| wait.as_micros() as i64)
+        .collect();
     lat.sort_unstable();
     let median_us = lat[SAMPLES / 2];
     let error_us = (median_us - INTERVAL.as_micros() as i64).abs();
